@@ -1,0 +1,36 @@
+//! Helpers shared by the golden-snapshot test targets.
+
+use std::path::Path;
+
+/// Compares `actual` with `tests/golden/<name>` byte for byte, or writes it
+/// there when `UPDATE_GOLDEN` is set (bless only after reviewing the diff).
+pub fn compare_or_bless(name: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); run with UPDATE_GOLDEN=1"));
+    if expected != actual {
+        let diff: Vec<String> = expected
+            .lines()
+            .zip(actual.lines())
+            .enumerate()
+            .filter(|(_, (e, a))| e != a)
+            .take(12)
+            .map(|(i, (e, a))| format!("line {}:\n  golden: {e}\n  actual: {a}", i + 1))
+            .collect();
+        panic!(
+            "{name} diverged from the golden snapshot ({} vs {} lines).\n{}\n\
+             If the change is intentional, re-bless by re-running this test \
+             with `UPDATE_GOLDEN=1`.",
+            expected.lines().count(),
+            actual.lines().count(),
+            diff.join("\n")
+        );
+    }
+}

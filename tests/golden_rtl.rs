@@ -6,40 +6,11 @@
 //! of failing silently; run with `UPDATE_GOLDEN=1` to bless intentional
 //! changes after reviewing the diff.
 
+mod common;
+
+use common::compare_or_bless;
 use hls::designs::paper_example1;
 use hls::Synthesizer;
-use std::path::Path;
-
-fn compare_or_bless(name: &str, actual: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); run with UPDATE_GOLDEN=1"));
-    if expected != actual {
-        let diff: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .enumerate()
-            .filter(|(_, (e, a))| e != a)
-            .take(12)
-            .map(|(i, (e, a))| format!("line {}:\n  golden: {e}\n  actual: {a}", i + 1))
-            .collect();
-        panic!(
-            "RTL for {name} diverged from the golden snapshot \
-             ({} vs {} lines).\n{}\nIf the change is intentional, re-bless with \
-             `UPDATE_GOLDEN=1 cargo test --test golden_rtl`.",
-            expected.lines().count(),
-            actual.lines().count(),
-            diff.join("\n")
-        );
-    }
-}
 
 #[test]
 fn example1_sequential_rtl_matches_golden() {

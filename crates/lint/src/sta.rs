@@ -409,8 +409,10 @@ fn endpoint_active(m: &NirModule, known: &[Option<u64>], id: CellId) -> bool {
     }
 }
 
-/// Runs the analysis. The module must be [`hls_nir::validate`]-clean;
-/// combinational cycles would silently truncate the topological order.
+/// Runs the analysis. The module must be [`hls_nir::validate`]-clean: on a
+/// combinational cycle [`NirModule::comb_topo_order`] still lists every
+/// cell, but some cycle member comes before its operand, whose arrival it
+/// then reads before that arrival is computed.
 pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary {
     let n = m.num_cells();
     let fanin = mux_fanins(m);

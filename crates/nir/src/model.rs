@@ -371,9 +371,11 @@ impl NirModule {
     /// Cells in a combinational topological order: every combinational cell
     /// appears after all of its operands. Sequential cells and sources carry
     /// no incoming combinational edges and appear before any combinational
-    /// consumer. Requires combinationally acyclic logic (see
-    /// [`crate::validate`]); cells on a cycle are omitted rather than
-    /// looping forever.
+    /// consumer. Every cell appears exactly once, even on combinationally
+    /// cyclic logic (which [`crate::validate`] rejects): the walk still
+    /// terminates, but some cell of each cycle then comes before one of its
+    /// operands. Callers that must not trust such an order check for cycles
+    /// themselves.
     pub fn comb_topo_order(&self) -> Vec<CellId> {
         let n = self.cells.len();
         let mut order = Vec::with_capacity(n);
@@ -682,6 +684,25 @@ mod tests {
         let pos = |id: CellId| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(r) < pos(sum), "reg launches before the adder consumes");
         assert!(pos(a) < pos(sum));
+    }
+
+    #[test]
+    fn comb_topo_order_lists_every_cell_of_a_cycle_once_but_out_of_order() {
+        // x = y + c, y = x + c: a combinational cycle the validator rejects
+        let mut m = NirModule::new("t");
+        let c = m.push(CellKind::Const(1), 8, vec![]);
+        let x = m.push(CellKind::Bin(BinKind::Add), 8, vec![CellId(2), c]);
+        let y = m.push(CellKind::Bin(BinKind::Add), 8, vec![x, c]);
+        let order = m.comb_topo_order();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(sorted, vec![c, x, y], "every cell exactly once");
+        let pos = |id: CellId| order.iter().position(|&o| o == id).unwrap();
+        let misplaced = [x, y]
+            .into_iter()
+            .filter(|&id| m.cell(id).inputs.iter().any(|&op| pos(op) > pos(id)))
+            .count();
+        assert_eq!(misplaced, 1, "one cycle member comes before its operand");
     }
 
     #[test]

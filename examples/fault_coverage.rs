@@ -7,8 +7,10 @@
 //! cargo run --release --example fault_coverage [out_dir]
 //! ```
 //!
-//! Exits non-zero if any design fails to synthesize or any mutant escapes
-//! the checker stack without a documented justification.
+//! Each kill matrix is followed by the sweep's wall time and mutants per
+//! second, so the job log records how fast the checker stack runs. Exits
+//! non-zero if any design fails to synthesize or any mutant escapes the
+//! checker stack without a documented justification.
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::idct8_design;
 use hls::fault::{run_sweep, FaultConfig};
@@ -23,6 +25,7 @@ fn report(
 ) -> Result<bool, Box<dyn std::error::Error>> {
     let result = result.map_err(|e| format!("{name}: {e}"))?;
     let lib = TechLibrary::artisan_90nm_typical();
+    let started = std::time::Instant::now();
     let sweep = run_sweep(
         &result.body,
         &result.netlist,
@@ -30,7 +33,12 @@ fn report(
         ClockConstraint::from_period_ps(clock_ps),
         &FaultConfig::default(),
     );
+    let seconds = started.elapsed().as_secs_f64();
     print!("{}", sweep.kill_matrix());
+    println!(
+        "  sweep wall time {seconds:.3} s, {:.0} mutants/s",
+        sweep.mutants() as f64 / seconds
+    );
     std::fs::write(out_dir.join(format!("{name}.json")), sweep.to_json())?;
     Ok(sweep.is_covered())
 }

@@ -46,12 +46,8 @@ enum Op {
     Shl,
     /// `c` holds the zero-extension shift of the amount operand.
     Shr,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+    /// A signed comparison: -1 (one set bit) when true, 0 when false.
+    Cmp(CmpKind),
     Not,
     Neg,
     /// `a` selects between `b` (non-zero) and `c` (zero).
@@ -130,12 +126,7 @@ fn compute(op: Op, i: &Instr, s: &[i64]) -> i64 {
             let amount = ((s[i.b as usize] as u64) << i.c) >> i.c;
             a >> amount.min(63)
         }
-        Op::Eq => -i64::from(a == s[i.b as usize]),
-        Op::Ne => -i64::from(a != s[i.b as usize]),
-        Op::Lt => -i64::from(a < s[i.b as usize]),
-        Op::Le => -i64::from(a <= s[i.b as usize]),
-        Op::Gt => -i64::from(a > s[i.b as usize]),
-        Op::Ge => -i64::from(a >= s[i.b as usize]),
+        Op::Cmp(k) => -i64::from(k.eval(a, s[i.b as usize])),
         Op::Not => !a,
         Op::Neg => a.wrapping_neg(),
         Op::Mux => {
@@ -357,12 +348,7 @@ fn instr_of(m: &NirModule, cell: &Cell) -> Instr {
                 BinKind::Xor => Op::Xor,
                 BinKind::Shl => Op::Shl,
                 BinKind::Shr => Op::Shr,
-                BinKind::Cmp(CmpKind::Eq) => Op::Eq,
-                BinKind::Cmp(CmpKind::Ne) => Op::Ne,
-                BinKind::Cmp(CmpKind::Lt) => Op::Lt,
-                BinKind::Cmp(CmpKind::Le) => Op::Le,
-                BinKind::Cmp(CmpKind::Gt) => Op::Gt,
-                BinKind::Cmp(CmpKind::Ge) => Op::Ge,
+                BinKind::Cmp(k) => Op::Cmp(k),
             };
             if matches!(b, BinKind::Shl | BinKind::Shr) {
                 instr.c = u32::from(ext_of(value_width(m.cell(cell.inputs[1]))));
@@ -655,12 +641,12 @@ impl<'a> NirSim<'a> {
                     ($($op:ident),*) => {
                         match seg.op {
                             $(Op::$op => run_entries(Op::$op, run, &mut slots),)*
+                            Op::Cmp(k) => run_entries(Op::Cmp(k), run, &mut slots),
                         }
                     };
                 }
                 dispatch!(
-                    Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge, Not,
-                    Neg, Mux, Slice, Resize
+                    Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Not, Neg, Mux, Slice, Resize
                 );
             }
 

@@ -6,11 +6,14 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors the binder reports when a schedule cannot be realized as a shared
-/// datapath.
+/// datapath, and that [`lower`](crate::lower) reports for a [`BoundDesign`]
+/// `bind` could not have produced.
 ///
 /// Every variant names the first offending operation(s) and functional unit,
 /// so a failing design can be traced back to the scheduling decision that
 /// produced it.
+///
+/// [`BoundDesign`]: crate::BoundDesign
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BindError {
@@ -18,6 +21,25 @@ pub enum BindError {
     Unscheduled {
         /// The unscheduled operation.
         op: OpId,
+    },
+    /// An operation is placed on an instance the schedule did not allocate,
+    /// or on a unit that is not stored at its own instance index.
+    UnknownInstance {
+        /// The operation.
+        op: OpId,
+        /// The instance it is placed on.
+        instance: ResourceInstanceId,
+    },
+    /// A bound design's per-operation map and its units disagree: `fu_of`
+    /// names a unit that does not list the operation (or one the body does
+    /// not have), a unit lists an operation `fu_of` places elsewhere, or the
+    /// unit's entry for it is out of steering-priority order or disagrees
+    /// with the schedule.
+    UnitMismatch {
+        /// The operation.
+        op: OpId,
+        /// The unit that `fu_of` or the entry names.
+        instance: ResourceInstanceId,
     },
     /// The scheduler assigned an operation to an instance whose type cannot
     /// implement it.
@@ -62,6 +84,15 @@ impl fmt::Display for BindError {
             BindError::Unscheduled { op } => {
                 write!(f, "operation {op} occupies a resource but is unscheduled")
             }
+            BindError::UnknownInstance { op, instance } => write!(
+                f,
+                "operation {op} is placed on instance {instance}, which the schedule did not allocate"
+            ),
+            BindError::UnitMismatch { op, instance } => write!(
+                f,
+                "operation {op} and unit {instance} disagree: fu_of, the unit's operation list \
+                 and the schedule must name the same placement"
+            ),
             BindError::IncompatibleBinding { op, instance } => write!(
                 f,
                 "operation {op} is bound to instance {instance}, which cannot implement it"

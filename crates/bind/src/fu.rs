@@ -56,23 +56,12 @@ impl BoundFu {
 }
 
 /// Groups the schedule's instance assignments into [`BoundFu`]s, validating
-/// that every sharing decision is realizable as steered hardware:
-///
-/// * the instance's type can implement the operation;
-/// * two operations occupying the same folded slot execute in the **same**
-///   control step (a folded pipeline evaluates every stage's predicate for a
-///   *different* iteration, so cross-stage "mutual exclusion" would not hold
-///   in hardware) under mutually exclusive predicates;
-/// * every predicate discriminating a shared slot has its condition
-///   operations scheduled no later than the slot's step, so the operand mux
-///   select is a computed value.
+/// every assignment with [`check_fit`] and every unit with [`check_slots`].
 pub(crate) fn bind_fus(
     body: &LinearBody,
     desc: &ScheduleDesc,
     interner: &mut Interner,
 ) -> Result<Vec<BoundFu>, BindError> {
-    let ii = desc.cycles_per_iteration().max(1);
-    let fold = desc.fold_states().max(1);
     let mut fus: Vec<BoundFu> = desc
         .resources
         .iter()
@@ -88,71 +77,112 @@ pub(crate) fn bind_fus(
     // deterministic: desc.ops iterates in ascending op id
     for (id, s) in &desc.ops {
         let Some(r) = s.resource else { continue };
-        let op = body.dfg.op(*id);
-        let inst = desc.resources.instance(r);
-        if !inst.ty.can_implement(op) {
-            return Err(BindError::IncompatibleBinding {
-                op: *id,
-                instance: r,
-            });
-        }
-        fus[r.index()].ops.push(FuSlotOp {
-            op: *id,
-            state: s.state,
-            folded_state: s.state % fold,
-            stage: s.state / ii,
-        });
+        check_fit(body, desc, *id, r)?;
+        fus[r.index()].ops.push(slot_op(desc, *id, s.state));
     }
-
     for fu in &mut fus {
         fu.ops.sort_by_key(|s| (s.folded_state, s.op));
-        // validate every shared folded slot (pairwise: mutual exclusion is
-        // not transitive)
-        let mut i = 0;
-        while i < fu.ops.len() {
-            let slot = fu.ops[i].folded_state;
-            let mut j = i;
-            while j < fu.ops.len() && fu.ops[j].folded_state == slot {
-                j += 1;
-            }
-            if j - i > 1 {
-                for (k, a) in fu.ops[i..j].iter().enumerate() {
-                    for b in &fu.ops[i + k + 1..j] {
-                        let pa = &body.dfg.op(a.op).predicate;
-                        let pb = &body.dfg.op(b.op).predicate;
-                        if a.state != b.state || !pa.mutually_exclusive(pb) {
-                            return Err(BindError::SlotConflict {
-                                a: a.op,
-                                b: b.op,
-                                instance: fu.instance,
-                                folded_state: slot,
-                            });
-                        }
-                    }
-                }
-                // steering conditions must be available in time
-                for s in &fu.ops[i..j] {
-                    for cond in body.dfg.op(s.op).predicate.condition_ops() {
-                        let cond_state = desc
-                            .ops
-                            .get(&cond)
-                            .map(|c| c.state)
-                            .ok_or(BindError::Unscheduled { op: cond })?;
-                        if cond_state > s.state {
-                            return Err(BindError::UnsteerableSlot {
-                                op: s.op,
-                                condition: cond,
-                                instance: fu.instance,
-                                state: s.state,
-                            });
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
+    }
+    for fu in &fus {
+        check_slots(body, desc, fu)?;
     }
     Ok(fus)
+}
+
+/// The unit entry of operation `op` scheduled in unfolded state `state`.
+pub(crate) fn slot_op(desc: &ScheduleDesc, op: OpId, state: u32) -> FuSlotOp {
+    FuSlotOp {
+        op,
+        state,
+        folded_state: state % desc.fold_states().max(1),
+        stage: state / desc.cycles_per_iteration().max(1),
+    }
+}
+
+/// Checks that `op` may execute on `instance`: the schedule allocated the
+/// instance, and its type can implement the operation.
+pub(crate) fn check_fit(
+    body: &LinearBody,
+    desc: &ScheduleDesc,
+    op: OpId,
+    instance: ResourceInstanceId,
+) -> Result<(), BindError> {
+    if instance.index() >= desc.resources.len() {
+        return Err(BindError::UnknownInstance { op, instance });
+    }
+    if !desc
+        .resources
+        .instance(instance)
+        .ty
+        .can_implement(body.dfg.op(op))
+    {
+        return Err(BindError::IncompatibleBinding { op, instance });
+    }
+    Ok(())
+}
+
+/// Checks that every shared folded slot of `fu` (whose `ops` are in
+/// steering-priority order) is realizable as steered hardware:
+///
+/// * two operations occupying the same folded slot execute in the **same**
+///   control step (a folded pipeline evaluates every stage's predicate for a
+///   *different* iteration, so cross-stage "mutual exclusion" would not hold
+///   in hardware) under mutually exclusive predicates;
+/// * every predicate discriminating a shared slot has its condition
+///   operations scheduled no later than the slot's step, so the operand mux
+///   select is a computed value.
+pub(crate) fn check_slots(
+    body: &LinearBody,
+    desc: &ScheduleDesc,
+    fu: &BoundFu,
+) -> Result<(), BindError> {
+    let mut i = 0;
+    while i < fu.ops.len() {
+        let folded_state = fu.ops[i].folded_state;
+        let len = fu.ops[i..]
+            .iter()
+            .take_while(|s| s.folded_state == folded_state)
+            .count();
+        let slot = &fu.ops[i..i + len];
+        i += len;
+        if len < 2 {
+            continue;
+        }
+        // pairwise: mutual exclusion is not transitive
+        for (k, a) in slot.iter().enumerate() {
+            for b in &slot[k + 1..] {
+                let pa = &body.dfg.op(a.op).predicate;
+                let pb = &body.dfg.op(b.op).predicate;
+                if a.state != b.state || !pa.mutually_exclusive(pb) {
+                    return Err(BindError::SlotConflict {
+                        a: a.op,
+                        b: b.op,
+                        instance: fu.instance,
+                        folded_state,
+                    });
+                }
+            }
+        }
+        // steering conditions must be available in time
+        for s in slot {
+            for cond in body.dfg.op(s.op).predicate.condition_ops() {
+                let cond_state = desc
+                    .ops
+                    .get(&cond)
+                    .map(|c| c.state)
+                    .ok_or(BindError::Unscheduled { op: cond })?;
+                if cond_state > s.state {
+                    return Err(BindError::UnsteerableSlot {
+                        op: s.op,
+                        condition: cond,
+                        instance: fu.instance,
+                        state: s.state,
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -270,6 +300,22 @@ mod tests {
         let mut interner = Interner::new();
         let err = bind_fus(&body, &desc, &mut interner).unwrap_err();
         assert!(matches!(err, BindError::SlotConflict { .. }), "{err}");
+    }
+
+    #[test]
+    fn an_unallocated_instance_is_rejected() {
+        let (body, mut desc) = two_muls_on_one_fu((1, 2), None, None);
+        let m2 = OpId::from_raw(3);
+        let r4 = ResourceInstanceId(4);
+        desc.ops.get_mut(&m2).unwrap().resource = Some(r4);
+        let err = bind_fus(&body, &desc, &mut Interner::new()).unwrap_err();
+        assert_eq!(
+            err,
+            BindError::UnknownInstance {
+                op: m2,
+                instance: r4
+            }
+        );
     }
 
     #[test]

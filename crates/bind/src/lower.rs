@@ -40,7 +40,8 @@
 //!
 //! [`ScheduleSim`]: ../hls_sim/cycle/struct.ScheduleSim.html
 
-use crate::BoundDesign;
+use crate::fu::{check_fit, check_slots, slot_op};
+use crate::{BindError, BoundDesign};
 use hls_ir::dfg::SignalSource;
 use hls_ir::{CmpKind, LinearBody, OpId, OpKind, Predicate, Signal};
 use hls_netlist::ScheduleDesc;
@@ -99,6 +100,10 @@ pub enum LowerError {
         /// The operation at which the limit was hit.
         op: OpId,
     },
+    /// The binding is not one [`bind`](crate::bind) could have produced for
+    /// the schedule, so the shared units lowered from it would disagree
+    /// with its statistics and fan-ins.
+    InvalidBinding(BindError),
 }
 
 impl fmt::Display for LowerError {
@@ -123,17 +128,28 @@ impl fmt::Display for LowerError {
             LowerError::FreeChainTooDeep { op } => {
                 write!(f, "free-operation chain too deep at {op:?}")
             }
+            LowerError::InvalidBinding(e) => write!(f, "invalid binding: {e}"),
         }
     }
 }
 
-impl std::error::Error for LowerError {}
+impl std::error::Error for LowerError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LowerError::InvalidBinding(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Lowers a scheduled, bound body to a structural netlist.
 ///
 /// The produced module passes [`hls_nir::validate`] and, executed by
 /// `hls-sim`'s netlist simulator, reproduces the reference interpreter's
 /// write sequences bit for bit.
+///
+/// Under [`RtlStyle::SharedFu`] the binding is validated first
+/// ([`LowerError::InvalidBinding`]); [`RtlStyle::PerOp`] does not read it.
 ///
 /// # Errors
 ///
@@ -145,6 +161,9 @@ pub fn lower(
     bound: &BoundDesign,
     style: RtlStyle,
 ) -> Result<NirModule, LowerError> {
+    if style == RtlStyle::SharedFu {
+        check_binding(body, desc, bound).map_err(LowerError::InvalidBinding)?;
+    }
     let mut m = NirModule::new(body.name.clone());
     m.ports = body.dfg.iter_ports().map(|(_, p)| p.clone()).collect();
     m.fold_states = desc.fold_states();
@@ -181,6 +200,48 @@ pub fn lower(
     lw.emit_writes()?;
     lw.fill_chains()?;
     Ok(lw.m)
+}
+
+/// Checks that `bound` is a binding [`bind`](crate::bind) could have
+/// produced for `desc`: `fu_of` and the units' operation lists name the same
+/// placements, each unit sits at its own instance index and lists its
+/// operations as the schedule places them, in steering-priority order, and
+/// every unit passes the binder's own fit and shared-slot checks.
+fn check_binding(
+    body: &LinearBody,
+    desc: &ScheduleDesc,
+    bound: &BoundDesign,
+) -> Result<(), BindError> {
+    for (op, r) in bound.fu_of.iter() {
+        let Some(r) = *r else { continue };
+        let fu = bound
+            .fus
+            .get(r.index())
+            .ok_or(BindError::UnknownInstance { op, instance: r })?;
+        if op.index() >= body.dfg.num_ops() || !fu.ops.iter().any(|s| s.op == op) {
+            return Err(BindError::UnitMismatch { op, instance: r });
+        }
+    }
+    for (i, fu) in bound.fus.iter().enumerate() {
+        for (k, s) in fu.ops.iter().enumerate() {
+            let instance = fu.instance;
+            if instance.index() != i {
+                return Err(BindError::UnknownInstance { op: s.op, instance });
+            }
+            let scheduled = desc.ops.get(&s.op).map(|so| slot_op(desc, s.op, so.state));
+            let in_order = k == 0 || {
+                let prev = &fu.ops[k - 1];
+                (prev.folded_state, prev.op) < (s.folded_state, s.op)
+            };
+            if bound.fu_of.get(s.op) != Some(&Some(instance)) || scheduled != Some(*s) || !in_order
+            {
+                return Err(BindError::UnitMismatch { op: s.op, instance });
+            }
+            check_fit(body, desc, s.op, instance)?;
+        }
+        check_slots(body, desc, fu)?;
+    }
+    Ok(())
 }
 
 /// Incremental netlist builder with hash-consing of combinational cells.
@@ -446,17 +507,19 @@ impl Lowerer<'_> {
         // The path is never dynamically sensitized, but it is a structural
         // cycle the validator (and synthesis) would reject — break it by
         // duplicating the operator for this consumer instead.
-        let on_busy_fu = self.style == RtlStyle::SharedFu
-            && self.bound.fu_of[id].is_some_and(|r| self.fu_building.contains(&r.index()));
+        let unit = match self.style {
+            RtlStyle::SharedFu => self.bound.fu_of.get(id).copied().flatten(),
+            RtlStyle::PerOp => None,
+        };
+        let on_busy_fu = unit.is_some_and(|r| self.fu_building.contains(&r.index()));
         if self.building.contains(&id) || on_busy_fu {
             return self.dedicated_value(id);
         }
         self.building.insert(id);
         let body = self.body;
         let o = body.dfg.op(id);
-        let cell = if self.style == RtlStyle::SharedFu && self.bound.fu_of[id].is_some() {
-            let r = self.bound.fu_of[id].expect("checked").index();
-            let out = self.build_fu(r)?;
+        let cell = if let Some(r) = unit {
+            let out = self.build_fu(r.index())?;
             self.resized(out, o.width)
         } else {
             let ps = self.state_of(id)?;
@@ -864,7 +927,7 @@ mod tests {
     use hls_ir::{Dfg, PortDirection};
     use hls_netlist::ScheduledOp;
     use hls_nir::validate;
-    use hls_tech::{ResourceClass, ResourceSet, ResourceType};
+    use hls_tech::{ResourceClass, ResourceInstanceId, ResourceSet, ResourceType};
     use std::collections::BTreeMap;
 
     /// read x -> mul by 3 (on a multiplier) -> write y, over two states.
@@ -972,5 +1035,132 @@ mod tests {
         desc.ops.remove(&read);
         let err = lower(&body, &desc, &bound, RtlStyle::PerOp).unwrap_err();
         assert!(matches!(err, LowerError::Unscheduled { .. }), "{err}");
+    }
+
+    /// The op of the first operation of `kind` in `body`.
+    fn first_op(body: &LinearBody, kind: fn(&OpKind) -> bool) -> OpId {
+        body.dfg
+            .iter_ops()
+            .find(|(_, op)| kind(&op.kind))
+            .map(|(id, _)| id)
+            .unwrap()
+    }
+
+    #[test]
+    fn an_out_of_range_instance_is_refused() {
+        let (body, desc) = demo();
+        let mut bound = bind(&body, &desc).expect("bindable");
+        let mul = first_op(&body, |k| matches!(k, OpKind::Mul));
+        let r7 = ResourceInstanceId(7);
+        bound.fu_of[mul] = Some(r7);
+        let err = lower(&body, &desc, &bound, RtlStyle::SharedFu).unwrap_err();
+        assert_eq!(
+            err,
+            LowerError::InvalidBinding(BindError::UnknownInstance {
+                op: mul,
+                instance: r7
+            })
+        );
+        assert!(std::error::Error::source(&err).is_some(), "{err}");
+    }
+
+    #[test]
+    fn a_mis_bound_operation_is_refused() {
+        // point a multiplication's `fu_of` at another used unit while the
+        // units' lists stay as bound: lowering would steer that unit's value
+        // into the multiplication's consumers
+        let mut cdfg = hls_frontend::designs::paper_example1_cdfg().expect("elab");
+        let body = hls_opt::linearize::prepare_innermost_loop(&mut cdfg).expect("prepare");
+        let clk = hls_tech::ClockConstraint::from_period_ps(1600.0);
+        let desc = hls_sched::Scheduler::new(
+            &body,
+            &hls_tech::TechLibrary::artisan_90nm_typical(),
+            hls_sched::SchedulerConfig::sequential(clk, 1, 3),
+        )
+        .run()
+        .expect("schedulable")
+        .desc;
+        let mut bound = bind(&body, &desc).expect("bindable");
+        let mul = first_op(&body, |k| matches!(k, OpKind::Mul));
+        let wrong = bound
+            .fus
+            .iter()
+            .find(|f| !f.ops.is_empty() && Some(f.instance) != bound.fu_of[mul])
+            .map(|f| f.instance)
+            .expect("another used unit exists");
+        bound.fu_of[mul] = Some(wrong);
+        let err = lower(&body, &desc, &bound, RtlStyle::SharedFu).unwrap_err();
+        assert_eq!(
+            err,
+            LowerError::InvalidBinding(BindError::UnitMismatch {
+                op: mul,
+                instance: wrong
+            })
+        );
+    }
+
+    #[test]
+    fn chained_same_state_ops_on_one_unit_are_refused() {
+        // y = (x * 3) * 5 with both multiplications in state 1 on two
+        // multipliers, then hand-moved onto one: a shared unit would feed
+        // itself combinationally
+        let mut dfg = Dfg::new();
+        let x = dfg.add_port("x", PortDirection::Input, 16);
+        let y = dfg.add_port("y", PortDirection::Output, 16);
+        let r = dfg.add_op(OpKind::Read(x), 16, vec![]);
+        let m1 = dfg.add_op(
+            OpKind::Mul,
+            16,
+            vec![Signal::op_w(r, 16), Signal::constant(3, 16)],
+        );
+        let m2 = dfg.add_op(
+            OpKind::Mul,
+            16,
+            vec![Signal::op_w(m1, 16), Signal::constant(5, 16)],
+        );
+        let w = dfg.add_op(OpKind::Write(y), 16, vec![Signal::op_w(m2, 16)]);
+        let body = LinearBody::from_dfg("chained", dfg);
+        let mut resources = ResourceSet::new();
+        let ty = ResourceType::binary(ResourceClass::Multiplier, 16, 16, 16);
+        let mul0 = resources.add(ty.clone());
+        let mul1 = resources.add(ty);
+        let mut ops = BTreeMap::new();
+        for (id, state, resource) in [
+            (r, 0, None),
+            (m1, 1, Some(mul0)),
+            (m2, 1, Some(mul1)),
+            (w, 2, None),
+        ] {
+            ops.insert(
+                id,
+                ScheduledOp {
+                    op: id,
+                    state,
+                    resource,
+                },
+            );
+        }
+        let desc = ScheduleDesc {
+            num_states: 3,
+            ii: None,
+            ops,
+            resources,
+        };
+        let mut bound = bind(&body, &desc).expect("two units bind");
+        let slot = bound.fus[mul1.index()].ops.remove(0);
+        bound.fus[mul0.index()].ops.push(slot);
+        bound.fu_of[m2] = Some(mul0);
+        let err = lower(&body, &desc, &bound, RtlStyle::SharedFu).unwrap_err();
+        assert_eq!(
+            err,
+            LowerError::InvalidBinding(BindError::SlotConflict {
+                a: m1,
+                b: m2,
+                instance: mul0,
+                folded_state: 1
+            })
+        );
+        // the per-op style does not read the binding
+        lower(&body, &desc, &bound, RtlStyle::PerOp).expect("per-op lowering");
     }
 }

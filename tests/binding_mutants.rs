@@ -31,10 +31,12 @@ use hls::sim::differential::{check_bound, check_nir};
 use hls::sim::Stimulus;
 use hls::tech::{ClockConstraint, ResourceInstanceId, TechLibrary};
 use std::fmt::{Debug, Write as _};
+use std::path::Path;
 
 const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
 const STIMULUS_SEED: u64 = 0x601D;
 const VECTORS: usize = 16;
+const GOLDEN: &str = "binding_mutation_kills.txt";
 
 fn body_of(behavior: &Behavior) -> LinearBody {
     let mut cdfg = hls::frontend::elaborate(behavior).expect("elaborates");
@@ -186,5 +188,33 @@ fn binding_mutant_verdicts_match_golden() {
     for (name, body, config) in designs() {
         mutant_lines(&mut out, name, &body, config);
     }
-    compare_or_bless("binding_mutation_kills.txt", &out);
+    compare_or_bless(GOLDEN, &out);
+}
+
+/// A verdict that stops the mutant: a refusal or a divergence.
+fn caught(verdict: &str) -> bool {
+    !matches!(verdict, "ok" | "-")
+}
+
+#[test]
+fn every_check_bound_kill_is_refused_or_caught_by_check_nir() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(GOLDEN);
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    let mut kills = 0;
+    for line in golden.lines().filter(|l| !l.starts_with('#')) {
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        let [.., by_bind, by_bound, by_lower, by_nir] = cols[..] else {
+            panic!("malformed golden line: {line}");
+        };
+        if caught(by_bound) {
+            kills += 1;
+            assert!(
+                caught(by_bind) || caught(by_lower) || caught(by_nir),
+                "check_bound alone kills: {line}"
+            );
+        }
+    }
+    assert_eq!(kills, 1516, "check_bound kills in the golden");
 }

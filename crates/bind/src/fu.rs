@@ -33,9 +33,9 @@ pub struct BoundFu {
     /// Instance name (`mul1`, `add2`, ... as in the paper's tables).
     pub name: String,
     /// The operations executing on the unit, in **steering-priority order**:
-    /// ascending `(folded_state, op)`. This order is shared verbatim by the
-    /// RTL operand-mux priority chain and the bound simulator's owner
-    /// resolution — the last entry is the chain's unconditional default arm.
+    /// ascending `(folded_state, op)`. The lowered operand-mux priority
+    /// chain follows this order verbatim — the last entry is the chain's
+    /// unconditional default arm.
     pub ops: Vec<FuSlotOp>,
 }
 

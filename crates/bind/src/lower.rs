@@ -692,8 +692,9 @@ impl Lowerer<'_> {
         // Steering conditions, in the shared priority order (ascending
         // folded state, then op id); the last arm is the unconditional
         // default. Predicates join only where a folded slot is contended,
-        // and never on the slot's last candidate — it is the fallback the
-        // bound simulator's owner resolution also picks.
+        // and never on the slot's last candidate: when no predicate of the
+        // slot holds, its operands leak through, observed only by captures
+        // whose own predicate is false.
         let slot_count = |fs: u32| ops.iter().filter(|s| s.folded_state == fs).count();
         let last_in_slot = |fs: u32| {
             ops.iter()

@@ -1,17 +1,20 @@
-//! Differential verification: the reference interpreter and the
-//! cycle-accurate schedule simulator must agree bit-for-bit.
+//! Differential verification: the reference interpreter and a timed
+//! engine — the per-op schedule simulator or the netlist simulator — must
+//! agree bit-for-bit.
 //!
 //! The observable behaviour of a design is its sequence of predicate-passing
-//! port writes. [`check`] runs the same stimulus through both engines and
-//! compares, per output port, the full `(iteration, value)` write sequence.
-//! Any disagreement — a wrong value, a missing or spurious write — is a bug
-//! in the scheduler, the binder, the pipeliner or the semantics themselves,
-//! reported with enough context to reproduce.
+//! port writes. [`check`], [`check_bound`] and [`check_nir`] run the same
+//! stimulus through the interpreter and a timed engine and compare, per
+//! output port, the full `(iteration, value)` write sequence. Any
+//! disagreement — a wrong value, a missing or spurious write — is a bug in
+//! the scheduler, the binder, the lowering, the pipeliner or the semantics
+//! themselves, reported with enough context to reproduce.
 
 use crate::cycle::ScheduleSim;
 use crate::error::SimError;
 use crate::interp::Interpreter;
 use crate::stimulus::Stimulus;
+use hls_bind::RtlStyle;
 use hls_ir::{LinearBody, PortDirection};
 use hls_netlist::ScheduleDesc;
 use hls_nir::NirModule;
@@ -43,24 +46,26 @@ pub fn check(
     compare(body, stimulus, &timed)
 }
 
-/// Runs `stimulus` through the interpreter and the **bound** cycle-accurate
-/// simulator — shared functional units computing one steered value per
-/// cycle — and asserts bit-exact agreement of every output port's write
-/// sequence. Passing this check proves the binding's operand muxes and
-/// steering correct by execution: a mis-steered unit would leak a wrong
-/// value into an observable write.
+/// Lowers the **bound** design with [`RtlStyle::SharedFu`] — one operator
+/// per functional unit, operand muxes steered by the FSM and, in contended
+/// slots, by predicates — and runs [`check_nir`] on the result. Passing
+/// this check proves the binding's sharing and steering correct by
+/// execution: a mis-steered unit would leak a wrong value into an
+/// observable write.
 ///
 /// # Errors
-/// Same contract as [`check`], plus [`SimError::Steering`] when a shared
-/// unit cannot settle combinationally.
+/// Same contract as [`check_nir`], plus [`SimError::Lowering`] when the
+/// binding cannot be lowered (it is not one `hls_bind::bind` could have
+/// produced for `desc`).
 pub fn check_bound(
     body: &LinearBody,
     desc: &ScheduleDesc,
     bound: &hls_bind::BoundDesign,
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
-    let timed = crate::bound::BoundSim::new(body, desc, bound)?.run(stimulus)?;
-    compare(body, stimulus, &timed)
+    let netlist =
+        hls_bind::lower(body, desc, bound, RtlStyle::SharedFu).map_err(SimError::Lowering)?;
+    check_nir(body, &netlist, stimulus)
 }
 
 /// Runs `stimulus` through the interpreter and the **netlist** simulator —
@@ -244,17 +249,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn divergences_are_replayable() {
-        // Corrupt the lowered netlist (flip the low bit of a coefficient
-        // constant) and check the random harness pins the failure: the
-        // exact stimulus arguments plus the first diverging cycle.
+    /// Sequential Example 1 lowered with the low bit of a coefficient
+    /// constant flipped.
+    fn corrupted_example1_netlist() -> (LinearBody, NirModule) {
         let body = example1();
         let clk = ClockConstraint::from_period_ps(1600.0);
         let d = desc(&body, SchedulerConfig::sequential(clk, 1, 3));
         let bound = hls_bind::bind(&body, &d).expect("binds");
-        let mut m =
-            hls_bind::lower(&body, &d, &bound, hls_bind::RtlStyle::SharedFu).expect("lowers");
+        let mut m = hls_bind::lower(&body, &d, &bound, RtlStyle::SharedFu).expect("lowers");
         let coeff = (0..m.num_cells() as u32)
             .map(hls_nir::CellId::from_raw)
             .find(|&c| {
@@ -264,6 +266,14 @@ mod tests {
         if let hls_nir::CellKind::Const(v) = &mut m.cells[coeff.index()].kind {
             *v ^= 1;
         }
+        (body, m)
+    }
+
+    #[test]
+    fn divergences_are_replayable() {
+        // the random harness pins a failure: the exact stimulus arguments
+        // plus the first diverging cycle
+        let (body, m) = corrupted_example1_netlist();
         let err = random_check_nir(&body, &m, 10, 0xC0FFEE).unwrap_err();
         let replay = err.replay().expect("divergence carries replay info");
         assert_eq!(replay.seed, 0xC0FFEE);
@@ -276,5 +286,107 @@ mod tests {
         // the replay arguments reproduce the same failure deterministically
         let again = random_check_nir(&body, &m, 10, 0xC0FFEE).unwrap_err();
         assert_eq!(err, again);
+    }
+
+    #[test]
+    fn netlist_divergences_blame_no_engine() {
+        let (body, m) = corrupted_example1_netlist();
+        let err = random_check_nir(&body, &m, 10, 7).unwrap_err();
+        assert!(matches!(err, SimError::Mismatch { .. }), "{err}");
+        let count = SimError::WriteCountMismatch {
+            port: hls_ir::PortId::from_raw(1),
+            port_name: "y".into(),
+            expected: 3,
+            actual: 2,
+            replay: None,
+        };
+        for rendered in [err.to_string(), count.to_string()] {
+            assert!(rendered.contains("expected"), "{rendered}");
+            assert!(!rendered.contains("schedule"), "{rendered}");
+        }
+    }
+
+    #[test]
+    fn predicate_contended_slot_steers_to_the_true_branch() {
+        // Two mutually exclusive multiplications share one multiplier in the
+        // *same* control step; the operand mux select includes the
+        // predicate. The loser captures the winner's value — the downstream
+        // predicate-conversion mux must discard it, which the differential
+        // against the (unshared) interpreter proves on both branch
+        // polarities.
+        use hls_ir::{Dfg, OpKind, Predicate, Signal};
+        use hls_netlist::ScheduledOp;
+        use hls_tech::{ResourceClass, ResourceSet, ResourceType};
+        use std::collections::BTreeMap;
+
+        let mut dfg = Dfg::new();
+        let x = dfg.add_port("x", PortDirection::Input, 16);
+        let y = dfg.add_port("y", PortDirection::Output, 16);
+        let r = dfg.add_op(OpKind::Read(x), 16, vec![]);
+        let c = dfg.add_op(
+            OpKind::Cmp(hls_ir::CmpKind::Gt),
+            1,
+            vec![Signal::op_w(r, 16), Signal::constant(0, 16)],
+        );
+        let m1 = dfg.add_op(
+            OpKind::Mul,
+            16,
+            vec![Signal::op_w(r, 16), Signal::constant(3, 16)],
+        );
+        let m2 = dfg.add_op(
+            OpKind::Mul,
+            16,
+            vec![Signal::op_w(r, 16), Signal::constant(5, 16)],
+        );
+        dfg.op_mut(m1).predicate = Predicate::Cond(c);
+        dfg.op_mut(m2).predicate = Predicate::NotCond(c);
+        let sel = dfg.add_op(
+            OpKind::Mux,
+            16,
+            vec![
+                Signal::op_w(c, 1),
+                Signal::op_w(m1, 16),
+                Signal::op_w(m2, 16),
+            ],
+        );
+        let w = dfg.add_op(OpKind::Write(y), 16, vec![Signal::op_w(sel, 16)]);
+        let body = LinearBody::from_dfg("contended", dfg);
+
+        let mut resources = ResourceSet::new();
+        let mul = resources.add(ResourceType::binary(ResourceClass::Multiplier, 16, 16, 16));
+        let mux = resources.add(ResourceType::mux(2, 16));
+        let mut ops = BTreeMap::new();
+        for (id, state, res) in [
+            (r, 0, None),
+            (c, 0, None),
+            (m1, 1, Some(mul)),
+            (m2, 1, Some(mul)),
+            (sel, 2, Some(mux)),
+            (w, 2, None),
+        ] {
+            ops.insert(
+                id,
+                ScheduledOp {
+                    op: id,
+                    state,
+                    resource: res,
+                },
+            );
+        }
+        let d = ScheduleDesc {
+            num_states: 3,
+            ii: None,
+            ops,
+            resources,
+        };
+        let bound = hls_bind::bind(&body, &d).expect("steerable sharing binds");
+        let fu = bound.fu_of(m1).expect("m1 bound");
+        assert_eq!(fu.candidates(1).count(), 2, "contended slot");
+        // a stimulus covering both polarities of x > 0
+        let mut stim = Stimulus::random(&body.dfg, 16, 9);
+        stim.row_mut(0).unwrap().insert(x, 7);
+        stim.row_mut(1).unwrap().insert(x, -7);
+        let report = check_bound(&body, &d, &bound, &stim).expect("bit-exact");
+        assert!(report.writes_checked >= 16);
     }
 }

@@ -1,5 +1,6 @@
 //! Error type shared by the simulation engines.
 
+use hls_bind::LowerError;
 use hls_ir::eval::EvalError;
 use hls_ir::{IrError, OpId, PortId};
 use std::error::Error;
@@ -27,8 +28,8 @@ impl fmt::Display for ReplayInfo {
     }
 }
 
-/// Errors raised by the interpreter, the cycle-accurate simulator or the
-/// differential checker.
+/// Errors raised by the interpreter, the simulators or the differential
+/// checker.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -66,7 +67,7 @@ pub enum SimError {
         /// Clock cycle at which the consumer fired.
         cycle: u64,
     },
-    /// The interpreter and the cycle-accurate simulator disagree.
+    /// The reference interpreter and the timed engine under check disagree.
     Mismatch {
         /// Port on which the writes diverge.
         port: PortId,
@@ -78,7 +79,7 @@ pub enum SimError {
         iteration: u32,
         /// Value the reference interpreter produced.
         expected: i64,
-        /// Value the cycle-accurate simulation produced.
+        /// Value the timed engine produced.
         actual: i64,
         /// Clock cycle of the diverging write in the timed engine, when the
         /// trace recorded one.
@@ -87,16 +88,9 @@ pub enum SimError {
         /// `random_check*` harness.
         replay: Option<ReplayInfo>,
     },
-    /// The bound simulation could not steer a shared functional unit: the
-    /// operation's turn on the unit cannot be resolved (an operand or
-    /// steering condition is itself waiting on the unit, i.e. a
-    /// combinational cycle through the shared operator).
-    Steering {
-        /// The operation waiting for the unit.
-        op: OpId,
-        /// Clock cycle of the deadlock.
-        cycle: u64,
-    },
+    /// The bound design could not be lowered to the netlist that
+    /// [`check_bound`](crate::differential::check_bound) executes.
+    Lowering(LowerError),
     /// The structural netlist could not be simulated: a combinational
     /// cycle, or a cell that failed to evaluate.
     Netlist {
@@ -113,7 +107,7 @@ pub enum SimError {
         port_name: String,
         /// Number of writes the reference interpreter produced.
         expected: usize,
-        /// Number of writes the cycle-accurate simulation produced.
+        /// Number of writes the timed engine produced.
         actual: usize,
         /// How to regenerate the failing stimulus, when the run came from a
         /// `random_check*` harness.
@@ -177,7 +171,7 @@ impl fmt::Display for SimError {
             } => {
                 write!(
                     f,
-                    "write #{index} to `{port_name}` (iteration {iteration}): interpreter says {expected}, schedule simulation says {actual}"
+                    "write #{index} to `{port_name}` (iteration {iteration}): expected {expected}, got {actual}"
                 )?;
                 if let Some(cycle) = cycle {
                     write!(f, " at cycle {cycle}")?;
@@ -187,10 +181,7 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::Steering { op, cycle } => write!(
-                f,
-                "cannot steer the shared functional unit of {op} at cycle {cycle} (combinational wait cycle)"
-            ),
+            SimError::Lowering(e) => write!(f, "lowering the bound design: {e}"),
             SimError::Netlist { cell, reason } => {
                 write!(f, "netlist cell %{cell}: {reason}")
             }
@@ -203,7 +194,7 @@ impl fmt::Display for SimError {
             } => {
                 write!(
                     f,
-                    "port `{port_name}`: interpreter produced {expected} writes, schedule simulation {actual}"
+                    "port `{port_name}`: expected {expected} writes, got {actual}"
                 )?;
                 if let Some(replay) = replay {
                     write!(f, "; {replay}")?;
@@ -219,6 +210,7 @@ impl Error for SimError {
         match self {
             SimError::InvalidBody(e) => Some(e),
             SimError::Eval { source, .. } => Some(source),
+            SimError::Lowering(e) => Some(e),
             _ => None,
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! Everything else in the workspace checks designs *structurally* (latencies,
 //! resource counts, emitted text); this crate checks them by **executing**
-//! them, with two independent engines that must agree bit-for-bit:
+//! them, with a reference engine and two timed engines that must agree
+//! bit-for-bit:
 //!
 //! * [`Interpreter`] — the reference semantics: each iteration evaluates the
 //!   predicated data flow graph of a [`LinearBody`](hls_ir::LinearBody)
@@ -14,10 +15,14 @@
 //!   design cycle by cycle (FSM state, firing per control step, pipelined
 //!   iteration overlap at the initiation interval), produces per-cycle
 //!   traces, and fails loudly when the schedule violates a dependence.
+//! * [`NirSim`] — the hardware semantics: executes the structural netlist
+//!   `hls_bind::lower` builds from the binding, shared units and operand
+//!   steering included, which is the object the Verilog is printed from.
 //!
-//! [`differential::check`] runs the same input vectors through both and
-//! compares every output port's write sequence, turning every scheduler,
-//! binder or pipeliner change into a differentially-verified change. The
+//! [`differential::check`] and [`differential::check_nir`] run the same
+//! input vectors through the reference and a timed engine and compare every
+//! output port's write sequence, turning every scheduler, binder, lowering
+//! or pipeliner change into a differentially-verified change. The
 //! `hls` facade exposes this as `Synthesizer::verify(n)`, and `hls-explore`
 //! can validate every Pareto point it emits.
 //!
@@ -41,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bound;
 pub mod cycle;
 pub mod differential;
 pub mod error;
@@ -49,7 +53,6 @@ pub mod interp;
 pub mod nir;
 pub mod stimulus;
 
-pub use bound::BoundSim;
 pub use cycle::{CycleRecord, CycleTrace, ScheduleSim, TimedWrite};
 pub use differential::{
     check, check_bound, check_nir, random_check, random_check_bound, random_check_nir,

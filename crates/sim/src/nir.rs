@@ -1,8 +1,8 @@
 //! Cycle-accurate execution of a structural netlist ([`NirModule`]).
 //!
-//! Where [`ScheduleSim`](crate::ScheduleSim) executes the *schedule* and
-//! [`BoundSim`](crate::BoundSim) the *binding*, [`NirSim`] executes the
-//! lowered hardware itself: the combinational cells settle in topological
+//! Where [`ScheduleSim`](crate::ScheduleSim) executes the *schedule*,
+//! [`NirSim`] executes the lowered hardware itself — the binding's shared
+//! units and steering included: the combinational cells settle in topological
 //! order every cycle, registers capture on enables, and the controller
 //! (FSM counter, stage-valid fill, first-iteration one-hot) advances
 //! exactly as the printed Verilog's always-blocks do. Running the same

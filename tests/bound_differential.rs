@@ -1,8 +1,8 @@
 //! Differential verification of the **bound** netlist: every paper example
 //! and a population of random builder programs are scheduled, bound onto
-//! shared functional units (`hls-bind`), and executed by the bound
-//! cycle-accurate simulator — one value per unit per cycle, operand muxes
-//! steered by the FSM — against the reference interpreter, bit for bit.
+//! shared functional units (`hls-bind`), lowered to the shared-FU netlist —
+//! one operator per unit, operand muxes steered by the FSM — and executed by
+//! the netlist simulator against the reference interpreter, bit for bit.
 //!
 //! This is the executable proof of the binder's acceptance criterion: shared
 //! FUs with steering produce exactly the behaviour of the unshared design,

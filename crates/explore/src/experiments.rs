@@ -13,7 +13,6 @@ use hls_netlist::Datapath;
 use hls_opt::linearize::prepare_innermost_loop;
 use hls_sched::{Schedule, Scheduler, SchedulerConfig};
 use hls_tech::{ClockConstraint, ResourceClass, TechLibrary};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The paper's reference clock for the running example (1600 ps).
@@ -59,7 +58,7 @@ pub fn table1_library() -> Vec<(String, f64)> {
 // ---------------------------------------------------------------------------
 
 /// Result of the Table 2 experiment (sequential schedule of Example 1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Result {
     /// Achieved latency in states.
     pub latency: u32,
@@ -107,7 +106,7 @@ pub fn table2_example1_schedule() -> Table2Result {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table3Row {
     /// Micro-architecture name (`Sequential`, `Pipe II=2`, `Pipe II=1`).
     pub name: String,
@@ -161,7 +160,7 @@ pub fn table3_microarchitectures() -> Vec<Table3Row> {
 // ---------------------------------------------------------------------------
 
 /// Result of the Table 4 ablation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table4Result {
     /// Per-design percentage area penalty when the SCC-move action is
     /// disabled (the seven most timing-critical designs).
@@ -212,7 +211,7 @@ pub fn table4_scc_move_ablation(num_designs: usize, ops_per_design: usize) -> Ta
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 9.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Figure9Point {
     /// Number of DFG operations in the design.
     pub ops: usize,

@@ -1,8 +1,8 @@
 //! Diagnostics and the lint report, with a JSON serialization.
 //!
-//! The JSON is hand-rolled (the workspace's vendored `serde` is a marker
-//! stub, see `vendor/README.md`): a flat object with the module name, the
-//! clock, every diagnostic and the timing summary. Numbers print with three
+//! The JSON is hand-rolled (the workspace has no serialization
+//! dependency): a flat object with the module name, the clock, every
+//! diagnostic and the timing summary. Numbers print with three
 //! decimals so reports are byte-stable across runs.
 
 use crate::config::{Lint, Severity};

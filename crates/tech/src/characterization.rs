@@ -1,14 +1,12 @@
 //! Delay / area / power figures for one resource type.
 
-use serde::{Deserialize, Serialize};
-
 /// The characterization of a resource type in a technology library.
 ///
 /// Values carry the same units the paper uses: delays in picoseconds, area in
 /// library area units (the paper's Table 3 reports areas like 16094 for the
 /// whole sequential design), leakage in microwatts and switching energy in
 /// femtojoules per activation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Characterization {
     /// Worst-case combinational propagation delay, in picoseconds.
     pub delay_ps: f64,

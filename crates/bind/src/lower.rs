@@ -223,8 +223,8 @@ fn check_binding(
         }
     }
     for (i, fu) in bound.fus.iter().enumerate() {
+        let instance = fu.instance;
         for (k, s) in fu.ops.iter().enumerate() {
-            let instance = fu.instance;
             if instance.index() != i {
                 return Err(BindError::UnknownInstance { op: s.op, instance });
             }

@@ -6,8 +6,8 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors the binder reports when a schedule cannot be realized as a shared
-/// datapath, and that [`lower`](crate::lower) reports for a [`BoundDesign`]
-/// `bind` could not have produced.
+/// datapath, and that [`lower`](fn@crate::lower) reports for a
+/// [`BoundDesign`] `bind` could not have produced.
 ///
 /// Every variant names the first offending operation(s) and functional unit,
 /// so a failing design can be traced back to the scheduling decision that

@@ -25,12 +25,12 @@
 //! its ids meaning, and every per-op table is a flat vector indexed by
 //! `OpId`.
 //!
-//! The bound design is executable: [`lower`] builds the netlist the Verilog
-//! is printed from, one operator per functional unit with FSM-steered
-//! operand muxes, after checking that the binding is one [`bind`] could have
-//! produced. `hls-sim` runs that netlist against the reference interpreter,
-//! so differential verification proves the sharing correct by execution
-//! rather than by construction.
+//! The bound design is executable: [`lower`](fn@lower) builds the netlist
+//! the Verilog is printed from, one operator per functional unit with
+//! FSM-steered operand muxes, after checking that the binding is one
+//! [`bind`] could have produced. `hls-sim` runs that netlist against the
+//! reference interpreter, so differential verification proves the sharing
+//! correct by execution rather than by construction.
 //!
 //! [`ResourceClassId`]: hls_tech::ResourceClassId
 //! [`ResourceTypeId`]: hls_tech::ResourceTypeId

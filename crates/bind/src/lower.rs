@@ -1065,11 +1065,9 @@ mod tests {
         assert!(std::error::Error::source(&err).is_some(), "{err}");
     }
 
-    #[test]
-    fn a_mis_bound_operation_is_refused() {
-        // point a multiplication's `fu_of` at another used unit while the
-        // units' lists stay as bound: lowering would steer that unit's value
-        // into the multiplication's consumers
+    /// Sequential Example 1 (Table 2: one multiplier shared by three
+    /// steps), scheduled and bound.
+    fn example1_seq() -> (LinearBody, ScheduleDesc, BoundDesign) {
         let mut cdfg = hls_frontend::designs::paper_example1_cdfg().expect("elab");
         let body = hls_opt::linearize::prepare_innermost_loop(&mut cdfg).expect("prepare");
         let clk = hls_tech::ClockConstraint::from_period_ps(1600.0);
@@ -1081,7 +1079,16 @@ mod tests {
         .run()
         .expect("schedulable")
         .desc;
-        let mut bound = bind(&body, &desc).expect("bindable");
+        let bound = bind(&body, &desc).expect("bindable");
+        (body, desc, bound)
+    }
+
+    #[test]
+    fn a_mis_bound_operation_is_refused() {
+        // point a multiplication's `fu_of` at another used unit while the
+        // units' lists stay as bound: lowering would steer that unit's value
+        // into the multiplication's consumers
+        let (body, desc, mut bound) = example1_seq();
         let mul = first_op(&body, |k| matches!(k, OpKind::Mul));
         let wrong = bound
             .fus
@@ -1098,6 +1105,31 @@ mod tests {
                 instance: wrong
             })
         );
+    }
+
+    #[test]
+    fn unit_entries_out_of_order_or_off_schedule_are_refused() {
+        let (body, desc, bound) = example1_seq();
+        let shared = bound
+            .fus
+            .iter()
+            .find(|f| f.is_shared())
+            .expect("shared mul");
+        let (r, first) = (shared.instance, shared.ops[0]);
+        let refused = LowerError::InvalidBinding(BindError::UnitMismatch {
+            op: first.op,
+            instance: r,
+        });
+        // the priority chain would no longer match the steering order
+        let mut swapped = bound.clone();
+        swapped.fus[r.index()].ops.swap(0, 1);
+        let err = lower(&body, &desc, &swapped, RtlStyle::SharedFu).unwrap_err();
+        assert_eq!(err, refused);
+        // the unit would steer operands in a state the schedule does not use
+        let mut moved = bound.clone();
+        moved.fus[r.index()].ops[0].state += 1;
+        let err = lower(&body, &desc, &moved, RtlStyle::SharedFu).unwrap_err();
+        assert_eq!(err, refused);
     }
 
     #[test]

@@ -716,7 +716,7 @@ impl BodySynthesizer {
         self
     }
 
-    /// Differentially verifies the produced schedule (see
+    /// Differentially verifies the produced design (see
     /// [`Synthesizer::verify`]).
     pub fn verify(mut self, vectors: usize) -> Self {
         self.inner = self.inner.verify(vectors);

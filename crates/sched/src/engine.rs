@@ -13,8 +13,12 @@
 //! the busy table is one `Vec` per region indexed by
 //! `local_instance * fold_states + folded_state`, and the
 //! combinational-cycle graph is an adjacency `Vec` over region-local
-//! resource indices with epoch-marked DFS. Nothing on the placement path
-//! hashes a key or allocates.
+//! resource indices with epoch-marked DFS over a reused stack. Nothing on
+//! the placement path hashes a key. A successful placement allocates
+//! nothing beyond the amortized growth of those tables; a failed one
+//! allocates its counted restraint list — one entry per distinct
+//! (kind, type) or (kind, slack), not one per busy instance — and the
+//! `Arc` that shares it with the per-state snapshots.
 //!
 //! # Regions
 //!
@@ -66,7 +70,7 @@
 use crate::config::SchedulerConfig;
 use crate::pass::PassFailure;
 use crate::region::RegionPlan;
-use crate::relax::{RelaxAction, Restraint};
+use crate::relax::{count_contention, count_slack, RelaxAction, Restraint};
 use hls_ir::analysis::Scc;
 use hls_ir::{LinearBody, OpId, OpKind, PinnedState};
 use hls_netlist::ChainTiming;
@@ -423,6 +427,7 @@ struct RegionRt {
     comb_succ: Vec<Vec<u32>>,
     comb_mark: Vec<u32>,
     comb_epoch: u32,
+    comb_stack: Vec<u32>,
     ready: Vec<OpId>,
     in_arrivals: Vec<f64>,
 }
@@ -597,6 +602,7 @@ impl<'a> Engine<'a> {
                 comb_succ: Vec::new(),
                 comb_mark: Vec::new(),
                 comb_epoch: 0,
+                comb_stack: Vec::new(),
                 ready: Vec::with_capacity(regions_capacity_hint(n, num_regions)),
                 in_arrivals: Vec::with_capacity(8),
             });
@@ -1218,6 +1224,7 @@ impl<'a> Engine<'a> {
                             vec![Restraint::ResourceContention {
                                 op: id,
                                 ty: ty.clone(),
+                                instances: 1,
                             }],
                         ));
                     } else {
@@ -1312,6 +1319,7 @@ impl<'a> Engine<'a> {
             ops.div_ceil(insts)
         };
 
+        // counted: one entry per distinct busy type or slack value
         let mut reasons: Vec<Restraint> = Vec::new();
         let mut bound = false;
         for &res_id in &self.compat[i] {
@@ -1333,10 +1341,7 @@ impl<'a> Engine<'a> {
                         .mutually_exclusive(&self.statics.pred_lits[i])
             });
             if conflict {
-                reasons.push(Restraint::ResourceContention {
-                    op: op_id,
-                    ty: self.resources.instance(res_id).ty.clone(),
-                });
+                count_contention(&mut reasons, op_id, &self.resources.instance(res_id).ty, 1);
                 continue;
             }
             // timing check (mirrors `ChainTiming::op_arrival_ps` over the
@@ -1350,10 +1355,7 @@ impl<'a> Engine<'a> {
                 + self.statics.type_delay[tid.index()];
             let slack = self.timing.slack_shared_ps(a, op.width, sharing);
             if slack < 0.0 {
-                reasons.push(Restraint::NegativeSlack {
-                    op: op_id,
-                    slack_ps: slack,
-                });
+                count_slack(&mut reasons, op_id, slack, 1);
                 continue;
             }
             // combinational cycle check (only same-region producers can
@@ -1375,6 +1377,7 @@ impl<'a> Engine<'a> {
                                     &cur.comb_succ,
                                     &mut cur.comb_mark,
                                     &mut cur.comb_epoch,
+                                    &mut cur.comb_stack,
                                     self.inst_local[rp.index()],
                                     self.inst_local[res_id.index()],
                                 ) {
@@ -1448,16 +1451,13 @@ impl<'a> Engine<'a> {
                         + self.statics.type_delay[tid.index()];
                     let slack = self.timing.slack_shared_ps(a, op.width, sharing);
                     if slack < 0.0 {
-                        reasons.push(Restraint::NegativeSlack {
-                            op: op_id,
-                            slack_ps: slack,
-                        });
+                        count_slack(&mut reasons, op_id, slack, 1);
                     }
                 }
             }
             if self.compat[i].is_empty() {
-                if let Some(ty) = self.statics.required_ty[i].clone() {
-                    reasons.push(Restraint::ResourceContention { op: op_id, ty });
+                if let Some(ty) = &self.statics.required_ty[i] {
+                    count_contention(&mut reasons, op_id, ty, 1);
                 }
             }
             if let Some(scc) = self.statics.scc_of[i] {
@@ -1540,11 +1540,12 @@ impl<'a> Engine<'a> {
 
 /// Mirrors `CombGraph::would_create_cycle` over one region's local comb
 /// graph: adding `from → to` closes a cycle iff `from == to` or a path
-/// `to → … → from` already exists.
+/// `to → … → from` already exists. `dfs` is scratch reused across calls.
 fn comb_would_create_cycle(
     succ: &[Vec<u32>],
     mark: &mut [u32],
     epoch: &mut u32,
+    dfs: &mut Vec<u32>,
     from: u32,
     to: u32,
 ) -> bool {
@@ -1553,7 +1554,8 @@ fn comb_would_create_cycle(
     }
     *epoch += 1;
     let epoch = *epoch;
-    let mut dfs: Vec<u32> = vec![to];
+    dfs.clear();
+    dfs.push(to);
     while let Some(v) = dfs.pop() {
         if mark[v as usize] == epoch {
             continue;

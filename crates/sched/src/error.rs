@@ -14,7 +14,8 @@ pub enum SchedError {
         latency: u32,
         /// Number of scheduling passes executed.
         passes: u32,
-        /// Human-readable diagnostics (outstanding restraints).
+        /// Human-readable diagnostics: the outstanding restraints, one per
+        /// counted restraint (`(×N)` marks one that counts N instances).
         details: String,
         /// The most negative per-operation slack among the outstanding
         /// restraints, in picoseconds — how far the worst operation missed
@@ -51,7 +52,8 @@ pub enum SchedError {
         latency: u32,
         /// Number of scheduling passes executed.
         passes: u32,
-        /// Outstanding restraints of the last failed pass, rendered.
+        /// Outstanding restraints of the last failed pass, rendered one
+        /// string per counted restraint.
         restraints: Vec<String>,
         /// Relaxation actions applied before the budget ran out, rendered.
         actions: Vec<String>,
@@ -106,6 +108,7 @@ impl From<hls_ir::IrError> for SchedError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relax::Restraint;
 
     #[test]
     fn display_nonempty() {
@@ -125,16 +128,41 @@ mod tests {
 
     #[test]
     fn budget_exhausted_renders_partial_diagnostics() {
+        let op = hls_ir::OpId::from_raw(7);
+        let mul = hls_tech::ResourceType::binary(hls_tech::ResourceClass::Multiplier, 32, 32, 32);
+        let restraints = [
+            Restraint::ResourceContention {
+                op,
+                ty: mul,
+                instances: 12,
+            },
+            Restraint::NegativeSlack {
+                op,
+                slack_ps: -150.0,
+                instances: 1,
+            },
+        ];
         let e = SchedError::BudgetExhausted {
             budget: "2 scheduling passes".into(),
             latency: 4,
             passes: 2,
-            restraints: vec!["negative slack on op mul1".into()],
+            restraints: restraints.iter().map(|r| r.to_string()).collect(),
             actions: vec!["add state".into()],
         };
         let s = e.to_string();
         assert!(s.contains("budget exhausted"), "{s}");
-        assert!(s.contains("negative slack on op mul1"), "{s}");
+        // twelve busy instances render once, with their count
+        assert_eq!(
+            s.matches("no free mul_32x32 instance for op7").count(),
+            1,
+            "{s}"
+        );
+        assert!(
+            s.contains("no free mul_32x32 instance for op7 (×12)"),
+            "{s}"
+        );
+        // a single instance carries no count
+        assert!(s.contains("negative slack of -150 ps on op7; "), "{s}");
         assert!(s.contains("add state"), "{s}");
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::config::SchedulerConfig;
 use crate::engine::{Engine, EngineOutcome};
-use crate::relax::Restraint;
+use crate::relax::{counted, Restraint};
 use hls_ir::analysis::{alap_levels, asap_levels, Scc};
 use hls_ir::{LinearBody, OpId, OpKind};
 use hls_netlist::{ChainTiming, CombGraph};
@@ -41,7 +41,8 @@ pub struct PassInput<'a> {
 /// The failure report of a pass.
 #[derive(Clone, Debug, Default)]
 pub struct PassFailure {
-    /// Restraints recorded for the operations that could not be placed.
+    /// Restraints recorded for the operations that could not be placed,
+    /// counted: per op, one entry per distinct busy type or slack value.
     pub restraints: Vec<Restraint>,
     /// Operations that could not be placed.
     pub failed_ops: Vec<OpId>,
@@ -407,6 +408,7 @@ pub fn schedule_pass_reference_with_regions(
                         reasons.push(Restraint::ResourceContention {
                             op: op_id,
                             ty: inst.ty.clone(),
+                            instances: 1,
                         });
                         continue;
                     }
@@ -419,6 +421,7 @@ pub fn schedule_pass_reference_with_regions(
                         reasons.push(Restraint::NegativeSlack {
                             op: op_id,
                             slack_ps: slack,
+                            instances: 1,
                         });
                         continue;
                     }
@@ -500,13 +503,18 @@ pub fn schedule_pass_reference_with_regions(
                                 reasons.push(Restraint::NegativeSlack {
                                     op: op_id,
                                     slack_ps: slack,
+                                    instances: 1,
                                 });
                             }
                         }
                     }
                     if compatible.is_empty() {
                         if let Some(ty) = required_ty.clone() {
-                            reasons.push(Restraint::ResourceContention { op: op_id, ty });
+                            reasons.push(Restraint::ResourceContention {
+                                op: op_id,
+                                ty,
+                                instances: 1,
+                            });
                         }
                     }
                     if let Some(&scc_idx) = scc_of.get(&op_id) {
@@ -559,7 +567,9 @@ pub fn schedule_pass_reference_with_regions(
             }
             failure.failed_ops.push(id);
             if let Some(rs) = last_reasons.get(&id) {
-                failure.restraints.extend(rs.clone());
+                // the per-instance walk above, reported in the counted form
+                // the engine records directly
+                failure.restraints.extend(counted(rs));
             } else {
                 // never attempted: distinguish "a region-crossing value is
                 // registered in the final state, so readiness needs a state
@@ -580,9 +590,11 @@ pub fn schedule_pass_reference_with_regions(
                         .restraints
                         .push(Restraint::StateExhausted { op: id });
                 } else if let Some(ty) = ResourceType::for_op(op) {
-                    failure
-                        .restraints
-                        .push(Restraint::ResourceContention { op: id, ty });
+                    failure.restraints.push(Restraint::ResourceContention {
+                        op: id,
+                        ty,
+                        instances: 1,
+                    });
                 }
             }
         }

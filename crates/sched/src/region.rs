@@ -28,7 +28,7 @@
 //! region the plan degenerates to the monolithic problem: full pool, no cuts,
 //! byte-identical behavior to a run without region decomposition.
 
-use crate::relax::Restraint;
+use crate::relax::{slack_ops, Restraint};
 use crate::resources::initial_resource_set_for_ops;
 use hls_ir::analysis::Scc;
 use hls_ir::{LinearBody, OpId};
@@ -428,20 +428,18 @@ pub fn concat_pools(pools: &[ResourceSet]) -> (ResourceSet, Vec<u32>) {
 /// therefore agree.
 pub(crate) fn owner_region(restraints: &[Restraint], ty: &ResourceType, region_of: &[u32]) -> u32 {
     let name = ty.name();
-    for r in restraints {
-        if let Restraint::ResourceContention { op, ty: rty } = r {
-            if rty.name() == name {
-                let also_slack = restraints
-                    .iter()
-                    .any(|o| matches!(o, Restraint::NegativeSlack { op: o2, .. } if o2 == op));
-                if also_slack {
-                    continue;
-                }
-                return region_of.get(op.index()).copied().unwrap_or(0);
+    let slack_ops = slack_ops(restraints);
+    restraints
+        .iter()
+        .find_map(|r| match r {
+            Restraint::ResourceContention { op, ty: rty, .. }
+                if !slack_ops.contains(op) && rty.name() == name =>
+            {
+                Some(region_of.get(op.index()).copied().unwrap_or(0))
             }
-        }
-    }
-    0
+            _ => None,
+        })
+        .unwrap_or(0)
 }
 
 /// The regions that receive the instances of an `AddResourceBatch` action:
@@ -456,13 +454,7 @@ pub(crate) fn batch_owner_regions(
     region_of: &[u32],
 ) -> Vec<u32> {
     let name = ty.name();
-    let slack_ops: std::collections::HashSet<OpId> = restraints
-        .iter()
-        .filter_map(|r| match r {
-            Restraint::NegativeSlack { op, .. } => Some(*op),
-            _ => None,
-        })
-        .collect();
+    let slack_ops = slack_ops(restraints);
     let mut seen: std::collections::HashSet<OpId> = std::collections::HashSet::new();
     let mut owners = Vec::with_capacity(count);
     // Two rounds: pure-contention ops first — the ops the normal candidate
@@ -473,7 +465,7 @@ pub(crate) fn batch_owner_regions(
             if owners.len() >= count {
                 break;
             }
-            if let Restraint::ResourceContention { op, ty: rty } = r {
+            if let Restraint::ResourceContention { op, ty: rty, .. } = r {
                 if (round == 1) != slack_ops.contains(op) {
                     continue;
                 }

@@ -5,6 +5,12 @@
 //! restraints are analyzed and weighted, every applicable [`RelaxAction`] is
 //! scored by how many restraints it addresses minus its estimated cost, and
 //! the best action is applied before the next pass.
+//!
+//! Restraints are *counted*: one failed attempt that finds twelve busy
+//! `mul_32x32` instances records one contention restraint with
+//! `instances: 12`, not twelve copies, and equal slacks fold the same way.
+//! Every consumer weighs an entry by its count, so a counted list and the
+//! per-instance list it stands for choose the same actions.
 
 use crate::config::SchedulerConfig;
 use hls_ir::OpId;
@@ -20,8 +26,11 @@ pub enum Restraint {
     NegativeSlack {
         /// The failing operation.
         op: OpId,
-        /// The best (least negative) slack observed, in picoseconds.
+        /// The slack the operation would have had, in picoseconds.
         slack_ps: f64,
+        /// How many candidate bindings of the attempt missed the clock by
+        /// exactly this slack.
+        instances: u32,
     },
     /// Every compatible resource instance is busy in the allowed states.
     ResourceContention {
@@ -29,6 +38,9 @@ pub enum Restraint {
         op: OpId,
         /// The resource type that ran out of instances.
         ty: ResourceType,
+        /// How many busy instances of `ty` the attempt found (1 when the
+        /// pool has no instance of the type at all).
+        instances: u32,
     },
     /// Binding the operation would create a combinational cycle.
     CombCycle {
@@ -65,6 +77,100 @@ impl Restraint {
             | Restraint::StateExhausted { op } => *op,
         }
     }
+
+    /// How many per-instance reasons this restraint counts; 1 for the kinds
+    /// that are never merged.
+    pub fn instances(&self) -> u32 {
+        match self {
+            Restraint::NegativeSlack { instances, .. }
+            | Restraint::ResourceContention { instances, .. } => *instances,
+            _ => 1,
+        }
+    }
+}
+
+/// Counts `instances` busy instances of `ty` for `op` into `reasons`: added
+/// to the entry for the same (op, type) if there is one, else appended.
+/// `ty` is cloned only for a new entry.
+pub(crate) fn count_contention(
+    reasons: &mut Vec<Restraint>,
+    op: OpId,
+    ty: &ResourceType,
+    instances: u32,
+) {
+    for r in reasons.iter_mut() {
+        if let Restraint::ResourceContention {
+            op: o,
+            ty: t,
+            instances: n,
+        } = r
+        {
+            if *o == op && t == ty {
+                *n += instances;
+                return;
+            }
+        }
+    }
+    reasons.push(Restraint::ResourceContention {
+        op,
+        ty: ty.clone(),
+        instances,
+    });
+}
+
+/// Counts `instances` bindings of `op` that miss the clock by `slack_ps`
+/// into `reasons`: added to the entry with the same op and slack bits if
+/// there is one, else appended.
+pub(crate) fn count_slack(reasons: &mut Vec<Restraint>, op: OpId, slack_ps: f64, instances: u32) {
+    for r in reasons.iter_mut() {
+        if let Restraint::NegativeSlack {
+            op: o,
+            slack_ps: s,
+            instances: n,
+        } = r
+        {
+            if *o == op && s.to_bits() == slack_ps.to_bits() {
+                *n += instances;
+                return;
+            }
+        }
+    }
+    reasons.push(Restraint::NegativeSlack {
+        op,
+        slack_ps,
+        instances,
+    });
+}
+
+/// The counted form of a restraint list: repeated contentions and slacks
+/// fold into their first appearance, every other entry is kept in place.
+pub(crate) fn counted(restraints: &[Restraint]) -> Vec<Restraint> {
+    let mut out = Vec::new();
+    for r in restraints {
+        match r {
+            Restraint::ResourceContention { op, ty, instances } => {
+                count_contention(&mut out, *op, ty, *instances);
+            }
+            Restraint::NegativeSlack {
+                op,
+                slack_ps,
+                instances,
+            } => count_slack(&mut out, *op, *slack_ps, *instances),
+            other => out.push(other.clone()),
+        }
+    }
+    out
+}
+
+/// The operations that fail on timing somewhere in `restraints`.
+pub(crate) fn slack_ops(restraints: &[Restraint]) -> HashSet<OpId> {
+    restraints
+        .iter()
+        .filter_map(|r| match r {
+            Restraint::NegativeSlack { op, .. } => Some(*op),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The most negative per-operation slack among `restraints`, or `0.0` when
@@ -80,14 +186,29 @@ pub fn worst_negative_slack(restraints: &[Restraint]) -> f64 {
         .fold(0.0, f64::min)
 }
 
+/// Renders a restraint's count as a ` (×N)` suffix when it stands for more
+/// than one instance.
+fn write_count(f: &mut fmt::Formatter<'_>, instances: u32) -> fmt::Result {
+    if instances > 1 {
+        write!(f, " (×{instances})")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Restraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Restraint::NegativeSlack { op, slack_ps } => {
-                write!(f, "negative slack of {slack_ps:.0} ps on {op}")
+            Restraint::NegativeSlack {
+                op,
+                slack_ps,
+                instances,
+            } => {
+                write!(f, "negative slack of {slack_ps:.0} ps on {op}")?;
+                write_count(f, *instances)
             }
-            Restraint::ResourceContention { op, ty } => {
-                write!(f, "no free {ty} instance for {op}")
+            Restraint::ResourceContention { op, ty, instances } => {
+                write!(f, "no free {ty} instance for {op}")?;
+                write_count(f, *instances)
             }
             Restraint::CombCycle { op, resource } => {
                 write!(
@@ -185,22 +306,16 @@ pub fn choose_action(
     failed_ops: &[OpId],
 ) -> Option<RelaxAction> {
     // Hashed lookups keep a pass over N restraints linear; the scores they
-    // produce are identical to the historical nested rescans.
+    // produce are identical to the historical nested rescans. A counted
+    // restraint weighs `instances` times its per-instance weight: every
+    // weight is 1.0 or 2.0 and the SCC terms add or scale by 0.5, so each
+    // sum is exact and equals the sum over the expanded copies.
     let failed: HashSet<OpId> = failed_ops.iter().copied().collect();
     let weight = |r: &Restraint| {
-        if failed.contains(&r.op()) {
-            2.0
-        } else {
-            1.0
-        }
+        let per_instance = if failed.contains(&r.op()) { 2.0 } else { 1.0 };
+        per_instance * f64::from(r.instances())
     };
-    let slack_ops: HashSet<OpId> = restraints
-        .iter()
-        .filter_map(|r| match r {
-            Restraint::NegativeSlack { op, .. } => Some(*op),
-            _ => None,
-        })
-        .collect();
+    let slack_ops = slack_ops(restraints);
 
     let mut candidates: Vec<(RelaxAction, f64)> = Vec::new();
 
@@ -233,25 +348,8 @@ pub fn choose_action(
     // state, so `distinct / slots` instances cover the backlog — instead of
     // the one-at-a-time endgame refinement, which would need a pass per op.
     if config.allow_add_resources {
-        let mut by_type: BTreeMap<String, (ResourceType, usize, f64)> = BTreeMap::new();
-        let mut seen: HashSet<(String, OpId)> = HashSet::new();
-        for r in restraints {
-            if let Restraint::ResourceContention { op, ty } = r {
-                if slack_ops.contains(op) {
-                    continue;
-                }
-                let name = ty.name();
-                let entry = by_type
-                    .entry(name.clone())
-                    .or_insert_with(|| (ty.clone(), 0, 0.0));
-                if seen.insert((name, *op)) {
-                    entry.1 += 1;
-                }
-                entry.2 += weight(r);
-            }
-        }
         let slots = config.ii_or(latency).max(1) as usize;
-        for (_, (ty, distinct, gain)) in by_type {
+        for (ty, distinct, gain) in contended_types(restraints, &weight, Some(&slack_ops)) {
             let cost = lib.area(&ty) / 5000.0;
             let action = if distinct <= BATCH_THRESHOLD {
                 RelaxAction::AddResource(ty)
@@ -334,21 +432,7 @@ pub fn choose_action(
     // over-constrained. Only reached when the normal candidate set is empty,
     // so no previously-succeeding relaxation sequence changes.
     if candidates.is_empty() && config.allow_add_resources {
-        let mut by_type: BTreeMap<String, (ResourceType, usize, f64)> = BTreeMap::new();
-        let mut seen: HashSet<(String, OpId)> = HashSet::new();
-        for r in restraints {
-            if let Restraint::ResourceContention { op, ty } = r {
-                let name = ty.name();
-                let entry = by_type
-                    .entry(name.clone())
-                    .or_insert_with(|| (ty.clone(), 0, 0.0));
-                if seen.insert((name, *op)) {
-                    entry.1 += 1;
-                }
-                entry.2 += weight(r);
-            }
-        }
-        for (_, (ty, count, gain)) in by_type {
+        for (ty, count, gain) in contended_types(restraints, &weight, None) {
             let cost = lib.area(&ty) / 5000.0;
             candidates.push((RelaxAction::AddResourceBatch { ty, count }, gain - cost));
         }
@@ -362,10 +446,41 @@ pub fn choose_action(
         .map(|(action, _)| action)
 }
 
+/// Contention per resource type, merged at `name()` granularity (class +
+/// operand widths) in name order: the first type seen under each name, the
+/// number of distinct contended ops, and the summed weight. Ops in `skip`
+/// (those also failing on timing) are left out.
+fn contended_types(
+    restraints: &[Restraint],
+    weight: &dyn Fn(&Restraint) -> f64,
+    skip: Option<&HashSet<OpId>>,
+) -> Vec<(ResourceType, usize, f64)> {
+    let mut by_type: BTreeMap<String, (ResourceType, usize, f64)> = BTreeMap::new();
+    let mut seen: HashSet<(String, OpId)> = HashSet::new();
+    for r in restraints {
+        if let Restraint::ResourceContention { op, ty, .. } = r {
+            if skip.is_some_and(|s| s.contains(op)) {
+                continue;
+            }
+            let name = ty.name();
+            let entry = by_type
+                .entry(name.clone())
+                .or_insert_with(|| (ty.clone(), 0, 0.0));
+            if seen.insert((name, *op)) {
+                entry.1 += 1;
+            }
+            entry.2 += weight(r);
+        }
+    }
+    by_type.into_values().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::region::{batch_owner_regions, owner_region};
     use hls_tech::{ClockConstraint, ResourceClass};
+    use proptest::prelude::*;
 
     fn cfg_seq() -> SchedulerConfig {
         SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 3)
@@ -386,14 +501,17 @@ mod tests {
             Restraint::ResourceContention {
                 op: op1,
                 ty: mul32(),
+                instances: 1,
             },
             Restraint::NegativeSlack {
                 op: op1,
                 slack_ps: -200.0,
+                instances: 1,
             },
             Restraint::NegativeSlack {
                 op: op2,
                 slack_ps: -200.0,
+                instances: 1,
             },
         ];
         let action = choose_action(
@@ -417,6 +535,7 @@ mod tests {
         let restraints = vec![Restraint::ResourceContention {
             op: op1,
             ty: mul32(),
+            instances: 1,
         }];
         // latency already at max → AddState unavailable
         let action = choose_action(
@@ -448,18 +567,22 @@ mod tests {
             Restraint::ResourceContention {
                 op: op1,
                 ty: mul32(),
+                instances: 1,
             },
             Restraint::NegativeSlack {
                 op: op1,
                 slack_ps: -120.0,
+                instances: 1,
             },
             Restraint::ResourceContention {
                 op: op2,
                 ty: mul32(),
+                instances: 1,
             },
             Restraint::NegativeSlack {
                 op: op2,
                 slack_ps: -120.0,
+                instances: 1,
             },
         ];
         let action = choose_action(
@@ -493,6 +616,7 @@ mod tests {
             Restraint::NegativeSlack {
                 op,
                 slack_ps: -300.0,
+                instances: 1,
             },
         ];
         let action = choose_action(
@@ -556,14 +680,172 @@ mod tests {
         assert!(action.is_none());
     }
 
+    /// One generated relaxation problem: a per-instance failure report
+    /// (one op's reasons after another, as a pass reports them) with the
+    /// inputs every restraint consumer takes.
+    #[derive(Debug)]
+    struct Case {
+        restraints: Vec<Restraint>,
+        failed_ops: Vec<OpId>,
+        config: SchedulerConfig,
+        latency: u32,
+        num_sccs: usize,
+        scc_stage: Vec<u32>,
+        region_of: Vec<u32>,
+    }
+
+    /// Two multiplier types share the `name()` `mul_32x32` (they differ in
+    /// result width only); the adder has a name of its own.
+    fn case_types() -> [ResourceType; 3] {
+        [
+            mul32(),
+            ResourceType::binary(ResourceClass::Multiplier, 32, 32, 64),
+            ResourceType::binary(ResourceClass::Adder, 32, 32, 32),
+        ]
+    }
+
+    struct PerInstanceReports;
+
+    impl Strategy for PerInstanceReports {
+        type Value = Case;
+
+        fn generate(&self, runner: &mut TestRunner) -> Case {
+            let mut draw = |lo: u32, hi: u32| (lo..=hi).generate(runner);
+            let types = case_types();
+            let slacks = [-100.0, -250.0, -37.5];
+            let n_ops = draw(1, 6);
+            let mut restraints = Vec::new();
+            let mut failed_ops = Vec::new();
+            for i in 0..n_ops {
+                let op = OpId::from_raw(i);
+                for _ in 0..draw(0, 10) {
+                    restraints.push(match draw(0, 10) {
+                        0..=4 => Restraint::ResourceContention {
+                            op,
+                            ty: types[draw(0, 2) as usize].clone(),
+                            instances: 1,
+                        },
+                        5..=7 => Restraint::NegativeSlack {
+                            op,
+                            slack_ps: slacks[draw(0, 2) as usize],
+                            instances: 1,
+                        },
+                        8 => Restraint::CombCycle {
+                            op,
+                            resource: ResourceInstanceId(draw(0, 3)),
+                        },
+                        9 => Restraint::SccWindow {
+                            scc_index: draw(0, 2) as usize,
+                            op,
+                        },
+                        _ => Restraint::StateExhausted { op },
+                    });
+                }
+                if draw(0, 3) != 0 {
+                    failed_ops.push(op);
+                }
+            }
+            let clock = ClockConstraint::from_period_ps(1600.0);
+            let (mut config, latency) = match draw(0, 2) {
+                0 => (SchedulerConfig::sequential(clock, 1, 3), draw(1, 3)),
+                1 => (SchedulerConfig::pipelined(clock, 2, 6), draw(3, 6)),
+                _ => (SchedulerConfig::pipelined(clock, 1, 6), draw(2, 6)),
+            };
+            config.allow_add_resources = draw(0, 4) != 0;
+            let num_sccs = draw(0, 3) as usize;
+            let scc_stage = (0..num_sccs).map(|_| draw(0, 2)).collect();
+            let region_of = (0..n_ops).map(|_| draw(0, 2)).collect();
+            Case {
+                restraints,
+                failed_ops,
+                config,
+                latency,
+                num_sccs,
+                scc_stage,
+                region_of,
+            }
+        }
+    }
+
+    fn choose(case: &Case, restraints: &[Restraint]) -> Option<RelaxAction> {
+        choose_action(
+            restraints,
+            &case.config,
+            &TechLibrary::artisan_90nm_typical(),
+            case.latency,
+            case.num_sccs,
+            &case.scc_stage,
+            &ResourceSet::new(),
+            &case.failed_ops,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn a_counted_report_relaxes_like_its_per_instance_expansion(case in PerInstanceReports) {
+            let compressed = counted(&case.restraints);
+            let total: u32 = compressed.iter().map(Restraint::instances).sum();
+            prop_assert_eq!(total as usize, case.restraints.len());
+            prop_assert_eq!(choose(&case, &case.restraints), choose(&case, &compressed));
+            prop_assert_eq!(
+                worst_negative_slack(&case.restraints).to_bits(),
+                worst_negative_slack(&compressed).to_bits()
+            );
+            for ty in &case_types() {
+                prop_assert_eq!(
+                    owner_region(&case.restraints, ty, &case.region_of),
+                    owner_region(&compressed, ty, &case.region_of)
+                );
+                for count in 1..=4 {
+                    prop_assert_eq!(
+                        batch_owner_regions(&case.restraints, ty, count, &case.region_of),
+                        batch_owner_regions(&compressed, ty, count, &case.region_of)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_reports_repeat_and_reach_every_action_kind() {
+        // keeps the property above from passing vacuously
+        let mut folded = 0;
+        let mut kinds = std::collections::BTreeSet::new();
+        for n in 0..512 {
+            let case = PerInstanceReports.generate(&mut TestRunner::for_case(n));
+            if counted(&case.restraints).len() < case.restraints.len() {
+                folded += 1;
+            }
+            if let Some(action) = choose(&case, &case.restraints) {
+                kinds.insert(match action {
+                    RelaxAction::AddState => "state",
+                    RelaxAction::AddResource(_) => "resource",
+                    RelaxAction::AddResourceBatch { .. } => "batch",
+                    RelaxAction::MoveScc { .. } => "scc",
+                    RelaxAction::ForbidBinding { .. } => "forbid",
+                });
+            }
+        }
+        assert!(folded > 256, "only {folded} of 512 reports repeat a reason");
+        assert_eq!(
+            kinds.len(),
+            5,
+            "every relaxation action kind is chosen: {kinds:?}"
+        );
+    }
+
     #[test]
     fn restraint_display_and_op() {
         let r = Restraint::NegativeSlack {
             op: OpId::from_raw(2),
             slack_ps: -150.0,
+            instances: 3,
         };
-        assert!(r.to_string().contains("-150"));
+        assert_eq!(r.to_string(), "negative slack of -150 ps on op2 (×3)");
         assert_eq!(r.op(), OpId::from_raw(2));
+        assert_eq!(r.instances(), 3);
         let a = RelaxAction::AddState;
         assert_eq!(a.to_string(), "add state");
     }

@@ -16,7 +16,7 @@ use crate::pass::{
     schedule_pass, schedule_pass_reference_with_regions, PassInput, PassOutcome, PassRegions,
 };
 use crate::region::{batch_owner_regions, concat_pools, owner_region, region_pools, RegionPlan};
-use crate::relax::{choose_action, worst_negative_slack, RelaxAction};
+use crate::relax::{choose_action, worst_negative_slack, RelaxAction, Restraint};
 use crate::resources::initial_resource_set;
 use hls_ir::analysis::{sccs, Scc};
 use hls_ir::{LinearBody, OpId};
@@ -121,7 +121,8 @@ impl<'a> Scheduler<'a> {
             }
         };
         let mut actions: Vec<RelaxAction> = Vec::new();
-        let mut last_restraints: Vec<String> = Vec::new();
+        // the last failed pass's restraints, rendered only into an error
+        let mut last_restraints: Vec<Restraint> = Vec::new();
 
         for pass_no in 1..=self.config.max_passes {
             if let Some(deadline) = self.config.deadline {
@@ -130,7 +131,7 @@ impl<'a> Scheduler<'a> {
                         format!("deadline of {deadline:?}"),
                         engine.latency,
                         pass_no - 1,
-                        last_restraints,
+                        &last_restraints,
                         &actions,
                     ));
                 }
@@ -147,7 +148,6 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 EngineOutcome::Failure(failure) => {
-                    last_restraints = failure.restraints.iter().map(|r| r.to_string()).collect();
                     let scc_stage: Vec<u32> =
                         engine.scc_stage().iter().map(|s| s.unwrap_or(0)).collect();
                     let action = choose_action(
@@ -161,15 +161,15 @@ impl<'a> Scheduler<'a> {
                         &failure.failed_ops,
                     );
                     let Some(action) = action else {
-                        return Err(SchedError::Overconstrained {
-                            latency: engine.latency,
-                            passes: pass_no,
-                            details: last_restraints.join("; "),
-                            worst_slack_ps: worst_negative_slack(&failure.restraints),
-                        });
+                        return Err(overconstrained(
+                            engine.latency,
+                            pass_no,
+                            &failure.restraints,
+                        ));
                     };
                     engine.apply(&action, &failure.restraints);
                     actions.push(action);
+                    last_restraints = failure.restraints;
                 }
             }
         }
@@ -177,7 +177,7 @@ impl<'a> Scheduler<'a> {
             format!("{} scheduling passes", self.config.max_passes),
             engine.latency,
             self.config.max_passes,
-            last_restraints,
+            &last_restraints,
             &actions,
         ))
     }
@@ -212,7 +212,7 @@ impl<'a> Scheduler<'a> {
         let mut forbidden: HashSet<(OpId, ResourceInstanceId)> = HashSet::new();
         let mut scc_stage: HashMap<usize, u32> = HashMap::new();
         let mut actions: Vec<RelaxAction> = Vec::new();
-        let mut last_restraints: Vec<String> = Vec::new();
+        let mut last_restraints: Vec<Restraint> = Vec::new();
 
         for pass_no in 1..=self.config.max_passes {
             if let Some(deadline) = self.config.deadline {
@@ -221,7 +221,7 @@ impl<'a> Scheduler<'a> {
                         format!("deadline of {deadline:?}"),
                         latency,
                         pass_no - 1,
-                        last_restraints,
+                        &last_restraints,
                         &actions,
                     ));
                 }
@@ -251,7 +251,6 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 PassOutcome::Failure(failure) => {
-                    last_restraints = failure.restraints.iter().map(|r| r.to_string()).collect();
                     let scc_stage_dense: Vec<u32> = (0..components.len())
                         .map(|i| scc_stage.get(&i).copied().unwrap_or(0))
                         .collect();
@@ -266,12 +265,7 @@ impl<'a> Scheduler<'a> {
                         &failure.failed_ops,
                     );
                     let Some(action) = action else {
-                        return Err(SchedError::Overconstrained {
-                            latency,
-                            passes: pass_no,
-                            details: last_restraints.join("; "),
-                            worst_slack_ps: worst_negative_slack(&failure.restraints),
-                        });
+                        return Err(overconstrained(latency, pass_no, &failure.restraints));
                     };
                     match &action {
                         RelaxAction::AddState => latency += 1,
@@ -310,6 +304,7 @@ impl<'a> Scheduler<'a> {
                         }
                     }
                     actions.push(action);
+                    last_restraints = failure.restraints;
                 }
             }
         }
@@ -317,9 +312,22 @@ impl<'a> Scheduler<'a> {
             format!("{} scheduling passes", self.config.max_passes),
             latency,
             self.config.max_passes,
-            last_restraints,
+            &last_restraints,
             &actions,
         ))
+    }
+}
+
+/// Builds the [`SchedError::Overconstrained`] verdict shared by both
+/// drivers from the failed pass's restraints, one rendered entry per
+/// counted restraint.
+fn overconstrained(latency: u32, passes: u32, restraints: &[Restraint]) -> SchedError {
+    let details: Vec<String> = restraints.iter().map(Restraint::to_string).collect();
+    SchedError::Overconstrained {
+        latency,
+        passes,
+        details: details.join("; "),
+        worst_slack_ps: worst_negative_slack(restraints),
     }
 }
 
@@ -330,15 +338,15 @@ fn budget_exhausted(
     budget: String,
     latency: u32,
     passes: u32,
-    restraints: Vec<String>,
+    restraints: &[Restraint],
     actions: &[RelaxAction],
 ) -> SchedError {
     SchedError::BudgetExhausted {
         budget,
         latency,
         passes,
-        restraints,
-        actions: actions.iter().map(|a| a.to_string()).collect(),
+        restraints: restraints.iter().map(Restraint::to_string).collect(),
+        actions: actions.iter().map(RelaxAction::to_string).collect(),
     }
 }
 
@@ -382,12 +390,13 @@ pub fn schedule_separated(
             }
             PassOutcome::Failure(_) if latency < generous.max_latency => latency += 1,
             PassOutcome::Failure(f) => {
+                let count: u32 = f.restraints.iter().map(Restraint::instances).sum();
                 return Err(SchedError::Overconstrained {
                     latency,
                     passes: 1,
-                    details: format!("separated flow failed: {} restraints", f.restraints.len()),
+                    details: format!("separated flow failed: {count} restraints"),
                     worst_slack_ps: worst_negative_slack(&f.restraints),
-                })
+                });
             }
         }
     }

@@ -92,15 +92,16 @@ impl TechLibrary {
         self.ff_area_per_bit * f64::from(width)
     }
 
-    /// Delay of an `inputs`-way multiplexer of the given data width.
+    /// Delay of an `inputs`-way multiplexer of the given data width: the
+    /// fast characterization of `ResourceType::mux(inputs, width)`, without
+    /// building the type.
     pub fn mux_delay_ps(&self, inputs: u8, width: u16) -> f64 {
-        self.characterize(&ResourceType::mux(inputs, width))
-            .delay_ps
+        mux_reference(inputs, width).delay_ps * self.speed_derate
     }
 
     /// Area of an `inputs`-way multiplexer of the given data width.
     pub fn mux_area(&self, inputs: u8, width: u16) -> f64 {
-        self.characterize(&ResourceType::mux(inputs, width)).area
+        mux_reference(inputs, width).area
     }
 
     /// Characterization of the *fast* implementation of a resource type.
@@ -197,18 +198,7 @@ impl TechLibrary {
                 leakage_uw: 0.2 * lin_scale(w),
                 energy_fj: 90.0 * lin_scale(w),
             },
-            ResourceClass::Mux { inputs } => {
-                let n = f64::from((*inputs).max(2));
-                // Table 1: mux2 = 110 ps, mux3 = 115 ps. A tree of 2-input
-                // muxes adds ~5 ps per level beyond the first.
-                let levels = n.log2().ceil().max(1.0);
-                Characterization {
-                    delay_ps: 105.0 + 5.0 * levels,
-                    area: 6.0 * f64::from(rt.out_width.max(1)) * (n - 1.0),
-                    leakage_uw: 0.02 * f64::from(rt.out_width.max(1)) * (n - 1.0),
-                    energy_fj: 9.0 * f64::from(rt.out_width.max(1)) * (n - 1.0),
-                }
-            }
+            ResourceClass::Mux { inputs } => mux_reference(*inputs, rt.out_width),
             ResourceClass::Register => Characterization {
                 delay_ps: self.ff_clk_to_q_ps + self.ff_setup_ps,
                 area: self.ff_area_per_bit * f64::from(rt.out_width.max(1)),
@@ -256,6 +246,22 @@ impl TechLibrary {
             ("mux2".into(), self.mux_delay_ps(2, 32)),
             ("mux3".into(), self.mux_delay_ps(3, 32)),
         ]
+    }
+}
+
+/// The reference characterization of an `inputs`-way multiplexer of the
+/// given data width (only the output width matters).
+fn mux_reference(inputs: u8, width: u16) -> Characterization {
+    let n = f64::from(inputs.max(2));
+    let w = f64::from(width.max(1));
+    // Table 1: mux2 = 110 ps, mux3 = 115 ps. A tree of 2-input muxes adds
+    // ~5 ps per level beyond the first.
+    let levels = n.log2().ceil().max(1.0);
+    Characterization {
+        delay_ps: 105.0 + 5.0 * levels,
+        area: 6.0 * w * (n - 1.0),
+        leakage_uw: 0.02 * w * (n - 1.0),
+        energy_fj: 9.0 * w * (n - 1.0),
     }
 }
 
@@ -363,6 +369,27 @@ mod tests {
         assert!(lib.mux_delay_ps(3, 32) <= lib.mux_delay_ps(4, 32));
         assert!(lib.mux_delay_ps(4, 32) < lib.mux_delay_ps(8, 32));
         assert!(lib.mux_area(2, 32) < lib.mux_area(4, 32));
+    }
+
+    #[test]
+    fn mux_shortcuts_match_the_characterized_mux_bit_for_bit() {
+        for lib in [lib(), lib().derated(1.25)] {
+            for n in 0..=u8::MAX {
+                for w in 1..=64u16 {
+                    let c = lib.characterize(&ResourceType::mux(n, w));
+                    assert_eq!(
+                        lib.mux_delay_ps(n, w).to_bits(),
+                        c.delay_ps.to_bits(),
+                        "delay of mux({n}, {w})"
+                    );
+                    assert_eq!(
+                        lib.mux_area(n, w).to_bits(),
+                        c.area.to_bits(),
+                        "area of mux({n}, {w})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

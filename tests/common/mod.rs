@@ -34,3 +34,21 @@ pub fn compare_or_bless(name: &str, actual: &str) {
         );
     }
 }
+
+/// 64-bit FNV-1a over a byte stream: the digest the golden lines carry.
+#[allow(dead_code)] // not every golden target digests
+pub struct Fnv(pub u64);
+
+#[allow(dead_code)]
+impl Fnv {
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}

@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::compare_or_bless;
+use common::{compare_or_bless, Fnv};
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::{idct8_design, synthetic_design, DesignClass};
 use hls::frontend::ast::Behavior;
@@ -39,22 +39,6 @@ const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
 fn body_of(behavior: &Behavior) -> LinearBody {
     let mut cdfg = hls::frontend::elaborate(behavior).expect("elaborates");
     prepare_innermost_loop(&mut cdfg).expect("linearizes")
-}
-
-/// 64-bit FNV-1a over a byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
 }
 
 fn action_code(action: &RelaxAction) -> String {

@@ -52,9 +52,7 @@ pub mod timed;
 
 pub use config::{Lint, LintConfig, Severity};
 pub use diag::{Diagnostic, LintReport};
-pub use sta::{
-    analyze_timing, critical_cells, endpoint_slacks, PathStep, TimingEndpoint, TimingSummary,
-};
+pub use sta::{analyze_timing, critical_cells, PathStep, TimingEndpoint, TimingSummary};
 pub use timed::{optimize_timed, optimize_timed_with, TimedRewriteReport, MAX_ROUNDS};
 
 use hls_bind::BoundDesign;

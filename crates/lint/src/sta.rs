@@ -34,10 +34,25 @@
 //! false in that state, and reports each endpoint's worst arrival over all
 //! states. Selects that stay unknown — stage-valid bits, data-dependent
 //! predicates — keep both arms, which is the conservative direction.
+//!
+//! ## What is computed once, and what per state
+//!
+//! Only the folded control values change from state to state. Each call
+//! therefore builds, once, the topological order, every cell's role (launch
+//! point, mux or plain cell) with its delay, the endpoint list and the
+//! *control cone*: the cells a mux select or an endpoint enable reads
+//! through the kinds the fold propagates. Each state then folds the cone
+//! only and walks the arrivals in buffers reused across states. The
+//! critical path is recovered by walking the winning state once more with
+//! predecessor recording.
 
 use hls_ir::CmpKind;
 use hls_netlist::ChainTiming;
 use hls_nir::{BinKind, CellId, CellKind, NirModule, UnKind};
+use hls_tech::ClockConstraint;
+
+#[cfg(test)]
+mod oracle;
 
 /// One cell on the critical path, with its contribution to the path delay.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,9 +138,14 @@ pub(crate) fn cell_name(m: &NirModule, id: CellId) -> String {
 /// number of data leaves of the 2-way-mux subtree rooted at it (an arm that
 /// is itself a mux contributes its own fan-in, any other arm is one leaf).
 pub(crate) fn mux_fanins(m: &NirModule) -> Vec<usize> {
+    mux_fanins_in(m, &m.comb_topo_order())
+}
+
+/// [`mux_fanins`] over an already computed [`NirModule::comb_topo_order`].
+fn mux_fanins_in(m: &NirModule, order: &[CellId]) -> Vec<usize> {
     let mut fanin = vec![1usize; m.num_cells()];
     // Arena order is not topological, so walk the validated topo order.
-    for id in m.comb_topo_order() {
+    for &id in order {
         let cell = m.cell(id);
         if let CellKind::Mux { .. } = cell.kind {
             let arm = |x: CellId| match m.cell(x).kind {
@@ -138,9 +158,32 @@ pub(crate) fn mux_fanins(m: &NirModule) -> Vec<usize> {
     fanin
 }
 
-/// Statically-known cell values with the FSM state counter pinned to
-/// `fsm_state` (or left free with `None`): constants, the counter itself,
-/// and control logic folded over them. `None` per cell means unknown.
+/// Masks `v` to its low `w` bits.
+fn mask(v: u64, w: u16) -> u64 {
+    if w >= 64 {
+        v
+    } else {
+        v & ((1u64 << w) - 1)
+    }
+}
+
+/// Reads a value stored masked at width `from` back as signed, matching the
+/// evaluator's two's-complement model.
+fn sext(v: u64, from: u16) -> u64 {
+    if from == 0 || from >= 64 {
+        return v;
+    }
+    if v & (1u64 << (from - 1)) != 0 {
+        v | !((1u64 << from) - 1)
+    } else {
+        v
+    }
+}
+
+/// The statically known value of cell `id` with the FSM state counter
+/// pinned to `fsm_state` (or left free with `None`), given the known values
+/// of its operands: constants, the counter itself, and control logic folded
+/// over them. `None` means unknown.
 ///
 /// This deliberately covers only the shapes the lowering builds guards from
 /// — `fsm == k` compares and `and`/`or`/`not` folds — plus enough mux/xor
@@ -149,78 +192,75 @@ pub(crate) fn mux_fanins(m: &NirModule) -> Vec<usize> {
 /// rewrite-introduced re-widths on control nets stay transparent: a
 /// resolved select threaded through a resize must still resolve, or the
 /// rebalanced tree would pick up spurious `comb-fanin`/`dead-mux-arm`
-/// findings the pre-rewrite netlist did not have.
-pub(crate) fn known_values(m: &NirModule, fsm_state: Option<u64>) -> Vec<Option<u64>> {
-    let mask = |v: u64, w: u16| {
-        if w >= 64 {
-            v
-        } else {
-            v & ((1u64 << w) - 1)
-        }
-    };
-    // Values are stored masked at their cell's width; re-widening reads
-    // them back signed, matching the evaluator's two's-complement model.
-    let sext = |v: u64, from: u16| -> u64 {
-        if from == 0 || from >= 64 {
-            return v;
-        }
-        if v & (1u64 << (from - 1)) != 0 {
-            v | !((1u64 << from) - 1)
-        } else {
-            v
-        }
-    };
-    let mut known: Vec<Option<u64>> = vec![None; m.num_cells()];
-    for id in m.comb_topo_order() {
-        let cell = m.cell(id);
-        let w = cell.width;
-        let input = |k: usize| known[cell.inputs[k].index()];
-        let input_width = |k: usize| m.cell(cell.inputs[k]).width;
-        known[id.index()] = match &cell.kind {
-            CellKind::Const(v) => Some(mask(*v as u64, w)),
-            CellKind::FsmState => fsm_state.map(|s| mask(s, w)),
-            // Timing is analyzed at steady-state occupancy: every pipeline
-            // stage valid, so steering is governed by the folded state
-            // alone. Paths that appear only under partial occupancy carry
-            // don't-care values (the consumer's capture is stage-gated).
-            CellKind::StageValid { .. } => Some(1),
-            CellKind::Bin(BinKind::And) => match (input(0), input(1)) {
-                (Some(0), _) | (_, Some(0)) => Some(0),
-                (Some(a), Some(b)) => Some(a & b),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Or) => match (input(0), input(1)) {
-                (Some(a), _) if a == mask(u64::MAX, w) => Some(a),
-                (_, Some(b)) if b == mask(u64::MAX, w) => Some(b),
-                (Some(a), Some(b)) => Some(a | b),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Xor) => match (input(0), input(1)) {
-                (Some(a), Some(b)) => Some(a ^ b),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Cmp(CmpKind::Eq)) => match (input(0), input(1)) {
-                (Some(a), Some(b)) => Some(u64::from(a == b)),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Cmp(CmpKind::Ne)) => match (input(0), input(1)) {
-                (Some(a), Some(b)) => Some(u64::from(a != b)),
-                _ => None,
-            },
-            CellKind::Un(UnKind::Not) => input(0).map(|a| mask(!a, w)),
-            CellKind::Mux { .. } => match input(0) {
-                Some(sel) => input(if sel != 0 { 1 } else { 2 }),
-                None => None,
-            },
-            CellKind::Resize => input(0).map(|a| mask(sext(a, input_width(0)), w)),
-            CellKind::Slice { lo, .. } => input(0).map(|a| {
-                let wide = sext(a, input_width(0)) as i64;
-                mask((wide >> (*lo).min(63)) as u64, w)
-            }),
+/// findings the pre-rewrite netlist did not have. [`folds_operands`] names
+/// the kinds that read their operands here.
+fn fold_cell(
+    m: &NirModule,
+    id: CellId,
+    fsm_state: Option<u64>,
+    known: &[Option<u64>],
+) -> Option<u64> {
+    let cell = m.cell(id);
+    let w = cell.width;
+    let input = |k: usize| known[cell.inputs[k].index()];
+    let input_width = |k: usize| m.cell(cell.inputs[k]).width;
+    match &cell.kind {
+        CellKind::Const(v) => Some(mask(*v as u64, w)),
+        CellKind::FsmState => fsm_state.map(|s| mask(s, w)),
+        // Timing is analyzed at steady-state occupancy: every pipeline
+        // stage valid, so steering is governed by the folded state
+        // alone. Paths that appear only under partial occupancy carry
+        // don't-care values (the consumer's capture is stage-gated).
+        CellKind::StageValid { .. } => Some(1),
+        CellKind::Bin(BinKind::And) => match (input(0), input(1)) {
+            (Some(0), _) | (_, Some(0)) => Some(0),
+            (Some(a), Some(b)) => Some(a & b),
             _ => None,
-        };
+        },
+        CellKind::Bin(BinKind::Or) => match (input(0), input(1)) {
+            (Some(a), _) if a == mask(u64::MAX, w) => Some(a),
+            (_, Some(b)) if b == mask(u64::MAX, w) => Some(b),
+            (Some(a), Some(b)) => Some(a | b),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Xor) => match (input(0), input(1)) {
+            (Some(a), Some(b)) => Some(a ^ b),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Cmp(CmpKind::Eq)) => match (input(0), input(1)) {
+            (Some(a), Some(b)) => Some(u64::from(a == b)),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Cmp(CmpKind::Ne)) => match (input(0), input(1)) {
+            (Some(a), Some(b)) => Some(u64::from(a != b)),
+            _ => None,
+        },
+        CellKind::Un(UnKind::Not) => input(0).map(|a| mask(!a, w)),
+        CellKind::Mux { .. } => match input(0) {
+            Some(sel) => input(if sel != 0 { 1 } else { 2 }),
+            None => None,
+        },
+        CellKind::Resize => input(0).map(|a| mask(sext(a, input_width(0)), w)),
+        CellKind::Slice { lo, .. } => input(0).map(|a| {
+            let wide = sext(a, input_width(0)) as i64;
+            mask((wide >> (*lo).min(63)) as u64, w)
+        }),
+        _ => None,
     }
-    known
+}
+
+/// Whether [`fold_cell`] reads the known values of a cell's operands: the
+/// kinds through which the control cone extends.
+fn folds_operands(kind: &CellKind) -> bool {
+    matches!(
+        kind,
+        CellKind::Bin(
+            BinKind::And | BinKind::Or | BinKind::Xor | BinKind::Cmp(CmpKind::Eq | CmpKind::Ne)
+        ) | CellKind::Un(UnKind::Not)
+            | CellKind::Mux { .. }
+            | CellKind::Resize
+            | CellKind::Slice { .. }
+    )
 }
 
 /// Comb cells on a failing cone: every combinational cell reachable
@@ -254,146 +294,305 @@ pub fn critical_cells(m: &NirModule, summary: &TimingSummary) -> Vec<bool> {
     mask
 }
 
-/// Per-endpoint slack, indexed by cell: `Some(slack_ps)` for every register
-/// and output-port cell, `None` elsewhere. A reusable query form of
-/// [`analyze_timing`]'s report for callers that want to interrogate
-/// specific cells (rewrite gating, binding heuristics) instead of reading
-/// the sorted endpoint list.
-pub fn endpoint_slacks(m: &NirModule, timing: &mut ChainTiming) -> Vec<Option<f64>> {
-    let summary = analyze_timing(m, timing);
-    let mut slacks = vec![None; m.num_cells()];
-    for ep in &summary.endpoints {
-        slacks[ep.cell.index()] = Some(ep.slack_ps);
+/// The folded states one analysis walks; a netlist without a folded
+/// controller (pipelined II=1 or fully combinational) gets a single free
+/// pass.
+fn folded_states(m: &NirModule) -> Vec<Option<u64>> {
+    if m.fold_states > 1 {
+        (0..m.fold_states).map(|k| Some(u64::from(k))).collect()
+    } else {
+        vec![None]
     }
-    slacks
 }
 
-/// One state's arrival-time pass: per cell, the arrival at its output
-/// (`val`), the arrival before the mux-tree charge (`base`), and the worst
-/// predecessor with the value it contributed (for path recovery).
-struct TimingPass {
+/// The worst of `cells`' arrivals in `val`, first cell winning ties.
+fn worst_of(cells: &[CellId], val: &[f64]) -> Option<(CellId, f64)> {
+    let mut best: Option<(CellId, f64)> = None;
+    for &c in cells {
+        let v = val[c.index()];
+        if best.map(|(_, b)| v > b).unwrap_or(true) {
+            best = Some((c, v));
+        }
+    }
+    best
+}
+
+/// What a combinational cell does in every state's walk.
+enum Step<'m> {
+    /// A 2-way mux: its select, its then/else arms (each flagged when it is
+    /// an inner tree cell, read at its base), and the tree charge for this
+    /// cell's leaf fan-in.
+    Mux {
+        cell: CellId,
+        sel: CellId,
+        arms: [(CellId, bool); 2],
+        tree_ps: f64,
+    },
+    /// Any other combinational cell: its worst operand plus its own delay.
+    Plain {
+        cell: CellId,
+        inputs: &'m [CellId],
+        delay_ps: f64,
+    },
+}
+
+/// One state's arrival times: per cell, the arrival at its output (`val`)
+/// and, for muxes, the arrival before the tree charge (`base`). A recording
+/// walk also keeps each cell's worst predecessor and the value it
+/// contributed, for path recovery.
+struct Arrivals {
     val: Vec<f64>,
+    base: Vec<f64>,
     pred: Vec<Option<CellId>>,
     pred_val: Vec<f64>,
 }
 
-fn timing_pass(
-    m: &NirModule,
-    timing: &mut ChainTiming,
-    fanin: &[usize],
-    known: &[Option<u64>],
-) -> TimingPass {
-    let n = m.num_cells();
-    let launch = timing.register_arrival_ps();
-    let mut val = vec![0.0f64; n];
-    let mut base = vec![0.0f64; n];
-    let mut pred: Vec<Option<CellId>> = vec![None; n];
-    let mut pred_val = vec![0.0f64; n];
+/// The state-independent part of one analysis, built once per call.
+struct Plan<'m> {
+    m: &'m NirModule,
+    launch: f64,
+    fanin: Vec<usize>,
+    /// Combinational cells in topological order.
+    steps: Vec<Step<'m>>,
+    /// Cells a mux select or an endpoint enable reads through
+    /// [`folds_operands`] kinds, in topological order.
+    cone: Vec<CellId>,
+    /// Register and output-port cells, in arena order.
+    endpoints: Vec<CellId>,
+    /// Arrival at every launch point: registers, port samples and
+    /// controller bits at clock-to-Q, constants at 0.
+    launch_val: Vec<f64>,
+}
 
-    for id in m.comb_topo_order() {
-        let cell = m.cell(id);
-        let i = id.index();
-        if cell.kind.is_seq() || matches!(cell.kind, CellKind::Input { .. }) {
-            // Registers and port samples launch from a flip-flop.
-            val[i] = launch;
-            base[i] = launch;
-            continue;
-        }
-        if cell.kind.is_source() {
-            // Controller bits are registers in the emitted RTL; constants
-            // are static.
-            let a = match cell.kind {
-                CellKind::Const(_) => 0.0,
-                _ => launch,
-            };
-            val[i] = a;
-            base[i] = a;
-            continue;
-        }
-        if let CellKind::Mux { .. } = cell.kind {
-            // Candidate arrivals: the select, each *active* arm at its base
-            // when the arm is an inner tree cell (its own tree charge is
-            // subsumed by this root's fan-in charge). A select resolved by
-            // the current state restricts the candidates to the selected
-            // arm — the other arm is a different state's path — and counts
-            // as a registered control line: per the paper's model the
-            // steering decode is a Moore output of the controller, so it
-            // launches at clock-to-Q rather than re-tracing the state
-            // compare logic. Data-dependent selects (predicates computed
-            // this cycle) keep their full combinational arrival.
-            let sel = cell.inputs[0];
-            let resolved = known[sel.index()].is_some();
-            let sel_arrival = if resolved { launch } else { val[sel.index()] };
-            let arms: &[CellId] = match known[sel.index()] {
-                Some(s) => {
-                    let picked = if s != 0 { 1 } else { 2 };
-                    &cell.inputs[picked..=picked]
+impl<'m> Plan<'m> {
+    fn new(m: &'m NirModule, timing: &mut ChainTiming) -> Self {
+        let n = m.num_cells();
+        let order = m.comb_topo_order();
+        let fanin = mux_fanins_in(m, &order);
+        let launch = timing.register_arrival_ps();
+        let mut launch_val = vec![0.0f64; n];
+        let mut steps = Vec::with_capacity(n);
+        let mut widths = Vec::new();
+        for &id in &order {
+            let cell = m.cell(id);
+            match cell.kind {
+                // Registers and port samples launch from a flip-flop;
+                // controller bits are registers in the emitted RTL, and
+                // constants are static.
+                CellKind::Const(_) => {}
+                _ if cell.kind.is_seq() || cell.kind.is_source() => {
+                    launch_val[id.index()] = launch;
                 }
-                None => &cell.inputs[1..],
-            };
-            let mut best: Option<(CellId, f64)> = None;
-            for &armed in arms {
-                let v = match m.cell(armed).kind {
-                    CellKind::Mux { .. } => base[armed.index()],
-                    _ => val[armed.index()],
-                };
-                if best.map(|(_, b)| v > b).unwrap_or(true) {
-                    best = Some((armed, v));
+                CellKind::Mux { .. } => {
+                    let arm = |x: CellId| (x, matches!(m.cell(x).kind, CellKind::Mux { .. }));
+                    steps.push(Step::Mux {
+                        cell: id,
+                        sel: cell.inputs[0],
+                        arms: [arm(cell.inputs[1]), arm(cell.inputs[2])],
+                        tree_ps: timing.mux_tree_delay_ps(fanin[id.index()], cell.width),
+                    });
+                }
+                _ => {
+                    widths.clear();
+                    widths.extend(cell.inputs.iter().map(|&x| m.cell(x).width));
+                    steps.push(Step::Plain {
+                        cell: id,
+                        inputs: &cell.inputs,
+                        delay_ps: timing.cell_delay_ps(&cell.kind, &widths, cell.width),
+                    });
                 }
             }
-            let (mut bp, mut bv) = best.expect("muxes have at least one active arm");
-            if sel_arrival > bv {
-                (bp, bv) = (sel, sel_arrival);
-            }
-            base[i] = bv;
-            val[i] = bv + timing.mux_tree_delay_ps(fanin[i], cell.width);
-            // A winning *resolved* select has no meaningful predecessor
-            // chain (its combinational decode is not what launches the
-            // path), so the path starts here, at the control register.
-            pred[i] = (bp != sel || !resolved).then_some(bp);
-            pred_val[i] = bv;
-            continue;
         }
-        // Plain combinational cell (including Output sinks, whose own
-        // "delay" is zero — the setup charge is added at the endpoint).
-        let mut best: Option<(CellId, f64)> = None;
-        for &input in &cell.inputs {
-            let v = val[input.index()];
-            if best.map(|(_, b)| v > b).unwrap_or(true) {
-                best = Some((input, v));
+
+        let endpoints: Vec<CellId> = m
+            .iter_cells()
+            .filter(|(_, c)| matches!(c.kind, CellKind::Reg { .. } | CellKind::Output { .. }))
+            .map(|(id, _)| id)
+            .collect();
+        let mut in_cone = vec![false; n];
+        let mut stack: Vec<CellId> = endpoints
+            .iter()
+            .filter_map(|&e| m.cell(e).inputs.get(1).copied())
+            .collect();
+        stack.extend(steps.iter().filter_map(|s| match s {
+            Step::Mux { sel, .. } => Some(*sel),
+            Step::Plain { .. } => None,
+        }));
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut in_cone[id.index()], true) {
+                continue;
+            }
+            let cell = m.cell(id);
+            if folds_operands(&cell.kind) {
+                stack.extend(cell.inputs.iter().copied());
             }
         }
-        let in_widths: Vec<u16> = cell.inputs.iter().map(|&x| m.cell(x).width).collect();
-        let delay = timing.cell_delay_ps(&cell.kind, &in_widths, cell.width);
-        let (p, b) = best.unwrap_or((id, 0.0));
-        val[i] = b + delay;
-        base[i] = val[i];
-        if p != id {
-            pred[i] = Some(p);
-            pred_val[i] = b;
+        let cone = order.into_iter().filter(|c| in_cone[c.index()]).collect();
+
+        Plan {
+            m,
+            launch,
+            fanin,
+            steps,
+            cone,
+            endpoints,
+            launch_val,
         }
     }
 
-    TimingPass {
-        val,
-        pred,
-        pred_val,
+    /// Fresh arrival buffers; `pred`/`pred_val` are sized only for a
+    /// recording walk.
+    fn arrivals(&self, record: bool) -> Arrivals {
+        let n = self.m.num_cells();
+        let rec = if record { n } else { 0 };
+        Arrivals {
+            val: self.launch_val.clone(),
+            base: vec![0.0; n],
+            pred: vec![None; rec],
+            pred_val: vec![0.0; rec],
+        }
+    }
+
+    /// Folds the control cone with the state counter pinned to `state`.
+    /// Cells outside the cone are never read and stay `None`.
+    fn fold(&self, state: Option<u64>, known: &mut [Option<u64>]) {
+        for &id in &self.cone {
+            known[id.index()] = fold_cell(self.m, id, state, known);
+        }
+    }
+
+    /// One state's arrival walk over the combinational cells.
+    fn walk<const RECORD: bool>(&self, known: &[Option<u64>], arr: &mut Arrivals) {
+        for step in &self.steps {
+            match *step {
+                Step::Mux {
+                    cell,
+                    sel,
+                    arms,
+                    tree_ps,
+                } => {
+                    // Candidate arrivals: the select, each *active* arm at
+                    // its base when the arm is an inner tree cell (its own
+                    // tree charge is subsumed by this root's fan-in charge).
+                    // A select resolved by the current state restricts the
+                    // candidates to the selected arm — the other arm is a
+                    // different state's path — and counts as a registered
+                    // control line: per the paper's model the steering
+                    // decode is a Moore output of the controller, so it
+                    // launches at clock-to-Q rather than re-tracing the
+                    // state compare logic. Data-dependent selects
+                    // (predicates computed this cycle) keep their full
+                    // combinational arrival.
+                    let resolved = known[sel.index()];
+                    let sel_arrival = match resolved {
+                        Some(_) => self.launch,
+                        None => arr.val[sel.index()],
+                    };
+                    let at = |(x, inner): (CellId, bool)| {
+                        (
+                            x,
+                            if inner {
+                                arr.base[x.index()]
+                            } else {
+                                arr.val[x.index()]
+                            },
+                        )
+                    };
+                    let (mut bp, mut bv) = match resolved {
+                        Some(s) => at(arms[if s != 0 { 0 } else { 1 }]),
+                        None => {
+                            let (then, other) = (at(arms[0]), at(arms[1]));
+                            if other.1 > then.1 {
+                                other
+                            } else {
+                                then
+                            }
+                        }
+                    };
+                    if sel_arrival > bv {
+                        (bp, bv) = (sel, sel_arrival);
+                    }
+                    let i = cell.index();
+                    arr.base[i] = bv;
+                    arr.val[i] = bv + tree_ps;
+                    if RECORD {
+                        // A winning *resolved* select has no meaningful
+                        // predecessor chain (its combinational decode is not
+                        // what launches the path), so the path starts here,
+                        // at the control register.
+                        arr.pred[i] = (bp != sel || resolved.is_none()).then_some(bp);
+                        arr.pred_val[i] = bv;
+                    }
+                }
+                // Plain combinational cell (including Output sinks, whose
+                // own "delay" is zero — the setup charge is added at the
+                // endpoint).
+                Step::Plain {
+                    cell,
+                    inputs,
+                    delay_ps,
+                } => {
+                    let (p, b) = worst_of(inputs, &arr.val).unwrap_or((cell, 0.0));
+                    let i = cell.index();
+                    arr.val[i] = b + delay_ps;
+                    if RECORD && p != cell {
+                        arr.pred[i] = Some(p);
+                        arr.pred_val[i] = b;
+                    }
+                }
+            }
+        }
     }
 }
 
-/// The capturing endpoint's worst input in one state's pass: every register
-/// and output-port cell captures `max(data, enable)` plus the flip-flop
-/// setup. The lowering registers producers directly (no register-input
-/// mux), so no mux charge is added here.
-fn endpoint_arrival(m: &NirModule, pass: &TimingPass, id: CellId) -> (Option<CellId>, f64) {
-    let mut best: Option<(CellId, f64)> = None;
-    for &input in &m.cell(id).inputs {
-        let v = pass.val[input.index()];
-        if best.map(|(_, b)| v > b).unwrap_or(true) {
-            best = Some((input, v));
+/// Runs the analysis. The module must be [`hls_nir::validate`]-clean: on a
+/// combinational cycle [`NirModule::comb_topo_order`] still lists every
+/// cell, but some cycle member comes before its operand, whose arrival it
+/// then reads before that arrival is computed.
+pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary {
+    let plan = Plan::new(m, timing);
+    let states = folded_states(m);
+    let mut known: Vec<Option<u64>> = vec![None; m.num_cells()];
+    let mut arr = plan.arrivals(false);
+
+    // Per endpoint cell: the worst (arrival, state index) over all states
+    // in which the endpoint's enable can be true.
+    let mut worst: Vec<Option<(f64, usize)>> = vec![None; m.num_cells()];
+    for (si, &st) in states.iter().enumerate() {
+        plan.fold(st, &mut known);
+        plan.walk::<false>(&known, &mut arr);
+        for &e in &plan.endpoints {
+            if !endpoint_active(m, &known, e) {
+                continue;
+            }
+            let (_, arrival) = endpoint_arrival(m, &arr.val, e);
+            if worst[e.index()].map(|(a, _)| arrival > a).unwrap_or(true) {
+                worst[e.index()] = Some((arrival, si));
+            }
         }
     }
-    match best {
+
+    summarize(
+        m,
+        timing.clock(),
+        timing.setup_ps(),
+        &plan.fanin,
+        &worst,
+        |si| {
+            plan.fold(states[si], &mut known);
+            let mut arr = plan.arrivals(true);
+            plan.walk::<true>(&known, &mut arr);
+            arr
+        },
+    )
+}
+
+/// The capturing endpoint's worst input in one state's arrivals: every
+/// register and output-port cell captures `max(data, enable)` plus the
+/// flip-flop setup. The lowering registers producers directly (no
+/// register-input mux), so no mux charge is added here.
+fn endpoint_arrival(m: &NirModule, val: &[f64], id: CellId) -> (Option<CellId>, f64) {
+    match worst_of(&m.cell(id).inputs, val) {
         Some((p, arrival)) => (Some(p), arrival),
         None => (None, 0.0),
     }
@@ -409,44 +608,17 @@ fn endpoint_active(m: &NirModule, known: &[Option<u64>], id: CellId) -> bool {
     }
 }
 
-/// Runs the analysis. The module must be [`hls_nir::validate`]-clean: on a
-/// combinational cycle [`NirModule::comb_topo_order`] still lists every
-/// cell, but some cycle member comes before its operand, whose arrival it
-/// then reads before that arrival is computed.
-pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary {
-    let n = m.num_cells();
-    let fanin = mux_fanins(m);
-    let setup = timing.setup_ps();
-    let clock = timing.clock();
-
-    // One pass per folded state; a netlist without a folded controller
-    // (pipelined II=1 or fully combinational) gets a single free pass.
-    let states: Vec<Option<u64>> = if m.fold_states > 1 {
-        (0..m.fold_states).map(|k| Some(u64::from(k))).collect()
-    } else {
-        vec![None]
-    };
-
-    // Per endpoint cell: the worst (arrival, state index) over all states
-    // in which the endpoint's enable can be true.
-    let mut worst: Vec<Option<(f64, usize)>> = vec![None; n];
-    for (si, &st) in states.iter().enumerate() {
-        let known = known_values(m, st);
-        let pass = timing_pass(m, timing, &fanin, &known);
-        for (id, cell) in m.iter_cells() {
-            if !matches!(cell.kind, CellKind::Reg { .. } | CellKind::Output { .. }) {
-                continue;
-            }
-            if !endpoint_active(m, &known, id) {
-                continue;
-            }
-            let (_, arrival) = endpoint_arrival(m, &pass, id);
-            if worst[id.index()].map(|(a, _)| arrival > a).unwrap_or(true) {
-                worst[id.index()] = Some((arrival, si));
-            }
-        }
-    }
-
+/// Builds the summary from each endpoint's worst (arrival, state index).
+/// `rerun` walks one state again with predecessor recording, for the
+/// critical path.
+fn summarize(
+    m: &NirModule,
+    clock: ClockConstraint,
+    setup: f64,
+    fanin: &[usize],
+    worst: &[Option<(f64, usize)>],
+    rerun: impl FnOnce(usize) -> Arrivals,
+) -> TimingSummary {
     let mut endpoints = Vec::new();
     for (id, cell) in m.iter_cells() {
         if !matches!(cell.kind, CellKind::Reg { .. } | CellKind::Output { .. }) {
@@ -483,9 +655,8 @@ pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary 
     if let Some(worst_ep) = endpoints.first() {
         let e = worst_ep.cell;
         let si = worst[e.index()].map(|(_, s)| s).unwrap_or(0);
-        let known = known_values(m, states[si]);
-        let pass = timing_pass(m, timing, &fanin, &known);
-        let (end_pred, _) = endpoint_arrival(m, &pass, e);
+        let pass = rerun(si);
+        let (end_pred, _) = endpoint_arrival(m, &pass.val, e);
         let cell = m.cell(e);
         let mut cursor = end_pred.filter(|&p| p != e);
         let upstream = cursor.map(|p| pass.val[p.index()]).unwrap_or(0.0);

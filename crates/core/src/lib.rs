@@ -529,11 +529,13 @@ impl Synthesizer {
             }
         }
         // Static analysis of the final netlist: structural lints plus the
-        // cell-level timing walk, in the binding/schedule context. Deny-level
-        // findings fail the run.
+        // cell-level timing, in the binding/schedule context. The timed loop
+        // already analysed the netlist it returned, so its summary is the
+        // report's. Deny-level findings fail the run.
         let lint_ctx = LintContext::new(&self.library, clock)
             .with_binding(&binding)
-            .with_schedule(&schedule.desc);
+            .with_schedule(&schedule.desc)
+            .with_timing(&timed_rewrites.after);
         let mut lint = hls_lint::analyze(&netlist, &lint_ctx, &self.lint_config);
         if timed_rewrites.hit_round_limit {
             // Surface the backstop as a finding: the timed-rewrite search

@@ -62,7 +62,8 @@ use hls_tech::{ClockConstraint, TechLibrary};
 
 /// The synthesis context a netlist is analyzed in: the technology library
 /// and clock the timing runs against, plus (optionally) the binding and
-/// schedule the lowering implemented, for cross-checks.
+/// schedule the lowering implemented, for cross-checks, and a timing
+/// summary already computed for this netlist.
 #[derive(Clone, Copy, Debug)]
 pub struct LintContext<'a> {
     /// Delay/area figures for the timing analysis.
@@ -73,6 +74,9 @@ pub struct LintContext<'a> {
     pub bound: Option<&'a BoundDesign>,
     /// The schedule the netlist implements, when available.
     pub schedule: Option<&'a ScheduleDesc>,
+    /// The netlist's [`analyze_timing`] summary at `clock`, when the caller
+    /// already has it.
+    pub timing: Option<&'a TimingSummary>,
 }
 
 impl<'a> LintContext<'a> {
@@ -83,6 +87,7 @@ impl<'a> LintContext<'a> {
             clock,
             bound: None,
             schedule: None,
+            timing: None,
         }
     }
 
@@ -97,10 +102,21 @@ impl<'a> LintContext<'a> {
         self.schedule = Some(schedule);
         self
     }
+
+    /// Attaches the netlist's timing summary ([`analyze`] reports it
+    /// instead of re-running [`analyze_timing`]). It must be the summary of
+    /// the very netlist analyzed, at this context's library and clock, as
+    /// [`TimedRewriteReport::after`] is for the netlist
+    /// [`optimize_timed`] returns.
+    pub fn with_timing(mut self, timing: &'a TimingSummary) -> Self {
+        self.timing = Some(timing);
+        self
+    }
 }
 
 /// Runs every enabled lint plus the static timing analysis and returns the
-/// combined report.
+/// combined report. A summary attached with [`LintContext::with_timing`]
+/// stands in for the analysis.
 ///
 /// The module is [`validate`]d first: a malformed netlist yields a single
 /// deny-level [`Lint::MalformedNetlist`] finding and no timing summary
@@ -157,8 +173,13 @@ pub fn analyze(m: &NirModule, ctx: &LintContext, cfg: &LintConfig) -> LintReport
         push(&mut report, lint, cell, message);
     }
 
-    let mut timing = ChainTiming::new(ctx.library, ctx.clock);
-    let summary = analyze_timing(m, &mut timing);
+    let summary = match ctx.timing {
+        Some(summary) => {
+            debug_assert_eq!(summary.clock_ps, ctx.clock.period_ps());
+            summary.clone()
+        }
+        None => analyze_timing(m, &mut ChainTiming::new(ctx.library, ctx.clock)),
+    };
     for ep in &summary.endpoints {
         if ep.slack_ps < 0.0 {
             push(
@@ -264,6 +285,29 @@ mod tests {
         // deny_timing() turns the same finding into a gate
         let gated = analyze(&m, &ctx, &LintConfig::deny_timing());
         assert!(gated.has_deny());
+    }
+
+    /// An attached summary replaces only the timing walk: validation and
+    /// the structural lints still run.
+    #[test]
+    fn an_attached_summary_still_validates_and_lints() {
+        let mut m = NirModule::new("t");
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        let c = m.push(CellKind::Const(5), 8, vec![]);
+        m.push(CellKind::Reg { init: 0 }, 8, vec![c, en]);
+        let (lib, clock) = fixture();
+        let ctx = LintContext::new(&lib, clock);
+        let cfg = LintConfig::default();
+        let fresh = analyze(&m, &ctx, &cfg);
+        let summary = fresh.timing.clone().expect("timing ran");
+        let reused = analyze(&m, &ctx.with_timing(&summary), &cfg);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.count_of(Lint::DeadRegister), 1);
+
+        m.push(CellKind::Resize, 8, vec![CellId::from_raw(99)]);
+        let bad = analyze(&m, &ctx.with_timing(&summary), &cfg);
+        assert_eq!(bad.count_of(Lint::MalformedNetlist), 1);
+        assert!(bad.timing.is_none());
     }
 
     #[test]

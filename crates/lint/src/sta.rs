@@ -489,14 +489,8 @@ impl<'m> Plan<'m> {
                         None => arr.val[sel.index()],
                     };
                     let at = |(x, inner): (CellId, bool)| {
-                        (
-                            x,
-                            if inner {
-                                arr.base[x.index()]
-                            } else {
-                                arr.val[x.index()]
-                            },
-                        )
+                        let v = if inner { &arr.base } else { &arr.val };
+                        (x, v[x.index()])
                     };
                     let (mut bp, mut bv) = match resolved {
                         Some(s) => at(arms[if s != 0 { 0 } else { 1 }]),

@@ -181,13 +181,12 @@ fn control_heavy(seed: u64) -> NirModule {
     }
     for _ in 0..rng.gen_range(4usize..16) {
         let (a, b) = (pick(&mut rng, &ctl), pick(&mut rng, &ctl));
-        let bin = |kind| CellKind::Bin(kind);
         let c = match rng.gen_range(0u32..9) {
-            0 => m.push(bin(BinKind::And), 1, vec![a, b]),
-            1 => m.push(bin(BinKind::Or), 1, vec![a, b]),
-            2 => m.push(bin(BinKind::Xor), 1, vec![a, b]),
-            3 => m.push(bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![a, b]),
-            4 => m.push(bin(BinKind::Cmp(CmpKind::Ne)), 1, vec![a, b]),
+            0 => m.push(CellKind::Bin(BinKind::And), 1, vec![a, b]),
+            1 => m.push(CellKind::Bin(BinKind::Or), 1, vec![a, b]),
+            2 => m.push(CellKind::Bin(BinKind::Xor), 1, vec![a, b]),
+            3 => m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![a, b]),
+            4 => m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Ne)), 1, vec![a, b]),
             5 => m.push(CellKind::Un(UnKind::Not), 1, vec![a]),
             6 => {
                 let c = pick(&mut rng, &ctl);

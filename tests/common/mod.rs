@@ -1,5 +1,8 @@
 //! Helpers shared by the golden-snapshot test targets.
 
+use hls::sched::{RelaxAction, SchedError, Schedule};
+use hls::tech::ResourceType;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Compares `actual` with `tests/golden/<name>` byte for byte, or writes it
@@ -50,5 +53,88 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
+    }
+}
+
+/// A relaxation action in the scheduling goldens' compact form.
+#[allow(dead_code)] // only the scheduling goldens render decisions
+pub fn action_code(action: &RelaxAction) -> String {
+    match action {
+        RelaxAction::AddState => "S".into(),
+        RelaxAction::AddResource(ty) => format!("R:{ty}"),
+        RelaxAction::AddResourceBatch { ty, count } => format!("B{count}:{ty}"),
+        RelaxAction::MoveScc { scc_index } => format!("M{scc_index}"),
+        RelaxAction::ForbidBinding { op, resource } => format!("F:{op}>{}", resource.0),
+    }
+}
+
+/// A scheduling golden's line for a success: latency, pass count, the
+/// relaxation actions in order, the allocated instances per resource type,
+/// the bits of the worst slack, and an FNV-1a digest of every op's (state,
+/// instance).
+#[allow(dead_code)]
+pub fn success_line(s: &Schedule) -> String {
+    let actions: Vec<String> = s.actions.iter().map(action_code).collect();
+    let mut per_type: BTreeMap<&ResourceType, usize> = BTreeMap::new();
+    for inst in s.desc.resources.iter() {
+        *per_type.entry(&inst.ty).or_default() += 1;
+    }
+    let insts: Vec<String> = per_type
+        .iter()
+        .map(|(ty, n)| format!("{ty}/{}={n}", ty.out_width))
+        .collect();
+    let mut digest = Fnv::new();
+    for op in s.desc.ops.values() {
+        digest.bytes(&op.state.to_le_bytes());
+        digest.bytes(&op.resource.map_or(u32::MAX, |r| r.0).to_le_bytes());
+    }
+    format!(
+        "ok latency={} passes={} actions=[{}] insts=[{}] min_slack={:#018x} ops={:#018x}",
+        s.latency,
+        s.passes,
+        actions.join(" "),
+        insts.join(" "),
+        s.min_slack_ps.to_bits(),
+        digest.0
+    )
+}
+
+/// A scheduling golden's line for a refusal: the `SchedError` variant,
+/// latency and pass count, plus the bits of the worst slack
+/// (`Overconstrained`) or the budget and a digest of the applied actions
+/// (`BudgetExhausted`). The rendered restraints are left out: they are
+/// diagnostics, not decisions.
+#[allow(dead_code)]
+pub fn failure_line(e: &SchedError) -> String {
+    match e {
+        SchedError::Overconstrained {
+            latency,
+            passes,
+            worst_slack_ps,
+            ..
+        } => format!(
+            "err Overconstrained latency={latency} passes={passes} worst_slack={:#018x}",
+            worst_slack_ps.to_bits()
+        ),
+        SchedError::BudgetExhausted {
+            budget,
+            latency,
+            passes,
+            actions,
+            ..
+        } => {
+            let mut digest = Fnv::new();
+            for a in actions {
+                digest.bytes(a.as_bytes());
+                digest.bytes(b"\n");
+            }
+            format!(
+                "err BudgetExhausted latency={latency} passes={passes} budget=[{budget}] \
+                 actions={} actions_digest={:#018x}",
+                actions.len(),
+                digest.0
+            )
+        }
+        other => panic!("unexpected scheduler error in a decision corpus: {other}"),
     }
 }

@@ -1,20 +1,18 @@
-//! Golden snapshot of the scheduler's decisions, so a change that moves
-//! them is caught even when both scheduling drivers move together (the
-//! schedule-equivalence suite only compares the drivers with each other).
+//! Golden snapshot of the scheduler's decisions on the flow benchmark's
+//! designs, so a change that moves them is caught however the scheduler is
+//! reworked.
 //!
-//! `sched_decisions.txt` holds one line per (design, configuration):
-//!
-//! * on success — latency, pass count, the relaxation actions in order,
-//!   the allocated instances per resource type, the bits of the worst
-//!   slack, and an FNV-1a digest of every op's (state, instance);
-//! * on failure — the `SchedError` variant, latency and pass count, plus
-//!   the bits of the worst slack (`Overconstrained`) or the budget and a
-//!   digest of the applied actions (`BudgetExhausted`). The rendered
-//!   restraints are left out: they are diagnostics, not decisions.
+//! `sched_decisions.txt` holds one line per (design, configuration), in the
+//! format of `common::success_line` / `common::failure_line`: on success
+//! the latency, pass count, relaxation actions, allocated instances per
+//! type, worst-slack bits and a digest of every op's (state, instance); on
+//! failure the `SchedError` variant with its latency, pass count and
+//! worst-slack bits or budget and action digest.
 //!
 //! The corpus is the flow benchmark's paper designs, Example 1 at II=1,
-//! and generated designs of 100–300 ops at sequential 1600 ps and II=2 /
-//! II=1 at 2200 ps, all with latency bound 24. No design of the
+//! a genuine refusal (Example 1 capped at one state with no hardware to
+//! add), and generated designs of 100–300 ops at sequential 1600 ps and
+//! II=2 / II=1 at 2200 ps, all with latency bound 24. No design of the
 //! schedule-equivalence corpus relaxes through `ForbidBinding`, so that
 //! action is not required here.
 //!
@@ -23,15 +21,15 @@
 
 mod common;
 
-use common::{compare_or_bless, Fnv};
+use common::{compare_or_bless, failure_line, success_line};
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::{idct8_design, synthetic_design, DesignClass};
 use hls::frontend::ast::Behavior;
 use hls::ir::LinearBody;
 use hls::opt::linearize::prepare_innermost_loop;
-use hls::sched::{RelaxAction, SchedError, Schedule, Scheduler, SchedulerConfig};
-use hls::tech::{ClockConstraint, ResourceType, TechLibrary};
-use std::collections::{BTreeMap, BTreeSet};
+use hls::sched::{RelaxAction, SchedError, Scheduler, SchedulerConfig};
+use hls::tech::{ClockConstraint, TechLibrary};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
@@ -39,76 +37,6 @@ const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
 fn body_of(behavior: &Behavior) -> LinearBody {
     let mut cdfg = hls::frontend::elaborate(behavior).expect("elaborates");
     prepare_innermost_loop(&mut cdfg).expect("linearizes")
-}
-
-fn action_code(action: &RelaxAction) -> String {
-    match action {
-        RelaxAction::AddState => "S".into(),
-        RelaxAction::AddResource(ty) => format!("R:{ty}"),
-        RelaxAction::AddResourceBatch { ty, count } => format!("B{count}:{ty}"),
-        RelaxAction::MoveScc { scc_index } => format!("M{scc_index}"),
-        RelaxAction::ForbidBinding { op, resource } => format!("F:{op}>{}", resource.0),
-    }
-}
-
-fn success_line(s: &Schedule) -> String {
-    let actions: Vec<String> = s.actions.iter().map(action_code).collect();
-    let mut per_type: BTreeMap<&ResourceType, usize> = BTreeMap::new();
-    for inst in s.desc.resources.iter() {
-        *per_type.entry(&inst.ty).or_default() += 1;
-    }
-    let insts: Vec<String> = per_type
-        .iter()
-        .map(|(ty, n)| format!("{ty}/{}={n}", ty.out_width))
-        .collect();
-    let mut digest = Fnv::new();
-    for op in s.desc.ops.values() {
-        digest.bytes(&op.state.to_le_bytes());
-        digest.bytes(&op.resource.map_or(u32::MAX, |r| r.0).to_le_bytes());
-    }
-    format!(
-        "ok latency={} passes={} actions=[{}] insts=[{}] min_slack={:#018x} ops={:#018x}",
-        s.latency,
-        s.passes,
-        actions.join(" "),
-        insts.join(" "),
-        s.min_slack_ps.to_bits(),
-        digest.0
-    )
-}
-
-fn failure_line(e: &SchedError) -> String {
-    match e {
-        SchedError::Overconstrained {
-            latency,
-            passes,
-            worst_slack_ps,
-            ..
-        } => format!(
-            "err Overconstrained latency={latency} passes={passes} worst_slack={:#018x}",
-            worst_slack_ps.to_bits()
-        ),
-        SchedError::BudgetExhausted {
-            budget,
-            latency,
-            passes,
-            actions,
-            ..
-        } => {
-            let mut digest = Fnv::new();
-            for a in actions {
-                digest.bytes(a.as_bytes());
-                digest.bytes(b"\n");
-            }
-            format!(
-                "err BudgetExhausted latency={latency} passes={passes} budget=[{budget}] \
-                 actions={} actions_digest={:#018x}",
-                actions.len(),
-                digest.0
-            )
-        }
-        other => panic!("unexpected scheduler error in the decision corpus: {other}"),
-    }
 }
 
 /// Schedules `body` under `config`, appends its line and records the
@@ -157,7 +85,9 @@ fn scheduling_decisions_match_golden() {
     let mut out = String::new();
     let mut seen = BTreeSet::new();
 
-    let paper: [(&str, &LinearBody, SchedulerConfig); 8] = [
+    let mut refusal = SchedulerConfig::sequential(c1600, 1, 1);
+    refusal.allow_add_resources = false;
+    let paper: [(&str, &LinearBody, SchedulerConfig); 9] = [
         (
             "example1/seq@1600ps/L3",
             &example1,
@@ -173,6 +103,7 @@ fn scheduling_decisions_match_golden() {
             &example1,
             SchedulerConfig::pipelined(c1600, 1, 6),
         ),
+        ("example1/seq@1600ps/L1/no-add", &example1, refusal),
         (
             "moving_average/ii1@1600ps/L8",
             &body_of(&moving_average(2, 16)),

@@ -9,7 +9,16 @@
 //! paper design and on a population of random builder programs; scheduled
 //! designs additionally run through `Synthesizer::verify`, executing the
 //! schedule cycle-accurately against the reference interpreter.
+//!
+//! Every compared (design, configuration) also leaves one line, in the
+//! format of `sched_goldens.rs`, in a golden under
+//! `tests/golden/sched_equivalence/` (one file per test), so the verdicts
+//! stay pinned whichever driver changes. Run with `UPDATE_GOLDEN=1` to
+//! bless an intentional change after reviewing the diff.
 
+mod common;
+
+use common::{compare_or_bless, failure_line, success_line};
 use hls::explore::{idct8_design, synthetic_design, verify_schedule, DesignClass, VerifyOptions};
 use hls::frontend::ast::{Behavior, BinOp, Expr};
 use hls::frontend::BehaviorBuilder;
@@ -21,6 +30,7 @@ use hls::tech::{ClockConstraint, TechLibrary};
 use hls::{designs, Synthesizer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
 fn assert_equal_schedules(label: &str, incremental: &Schedule, reference: &Schedule) {
     assert_eq!(
@@ -60,29 +70,38 @@ fn assert_equal_schedules(label: &str, incremental: &Schedule, reference: &Sched
     );
 }
 
-/// Runs both drivers on one (body, config) and asserts identical outcomes —
-/// including identical failures for over-constrained specs.
-fn check(label: &str, body: &LinearBody, lib: &TechLibrary, config: SchedulerConfig) -> bool {
+/// Runs both drivers on one (body, config), asserts identical outcomes —
+/// including identical failures for over-constrained specs — and appends
+/// the verdict to `out` as one golden line.
+fn check(
+    out: &mut String,
+    label: &str,
+    body: &LinearBody,
+    lib: &TechLibrary,
+    config: SchedulerConfig,
+) -> bool {
     let incremental = Scheduler::new(body, lib, config.clone()).run();
     let reference = Scheduler::new(body, lib, config).run_reference();
-    match (incremental, reference) {
+    let (line, scheduled) = match (incremental, reference) {
         (Ok(a), Ok(b)) => {
             assert_equal_schedules(label, &a, &b);
-            true
+            (success_line(&b), true)
         }
         (
             Err(a @ (SchedError::Overconstrained { .. } | SchedError::BudgetExhausted { .. })),
             Err(b @ (SchedError::Overconstrained { .. } | SchedError::BudgetExhausted { .. })),
         ) => {
             assert_eq!(a, b, "{label}: failures differ");
-            false
+            (failure_line(&b), false)
         }
         (a, b) => panic!(
             "{label}: drivers disagree on success: incremental={:?} reference={:?}",
             a.map(|s| s.latency),
             b.map(|s| s.latency)
         ),
-    }
+    };
+    let _ = writeln!(out, "{label} {line}");
+    scheduled
 }
 
 fn configs_for(clock_ps: f64, max_latency: u32) -> Vec<(String, SchedulerConfig)> {
@@ -108,18 +127,21 @@ fn paper_example1_is_equivalent_in_all_microarchitectures() {
     let mut cdfg = designs::paper_example1_cdfg().expect("elab");
     let body = prepare_innermost_loop(&mut cdfg).expect("prepare");
     let lib = TechLibrary::artisan_90nm_typical();
+    let mut out = String::new();
     for (name, config) in configs_for(1600.0, 6) {
-        check(&format!("example1/{name}"), &body, &lib, config);
+        check(&mut out, &format!("example1/{name}"), &body, &lib, config);
     }
     // the deliberately over-constrained case must fail identically too
     let mut tight = SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 1);
     tight.allow_add_resources = false;
-    check("example1/overconstrained", &body, &lib, tight);
+    check(&mut out, "example1/overconstrained", &body, &lib, tight);
+    compare_or_bless("sched_equivalence/example1.txt", &out);
 }
 
 #[test]
 fn example_designs_are_equivalent() {
     let lib = TechLibrary::artisan_90nm_typical();
+    let mut out = String::new();
     let mut scheduled = 0;
     for (name, behavior) in [
         ("moving_average", designs::moving_average(3, 16)),
@@ -128,20 +150,22 @@ fn example_designs_are_equivalent() {
         let mut cdfg = hls::frontend::elaborate(&behavior).expect("elab");
         let body = prepare_innermost_loop(&mut cdfg).expect("prepare");
         for (cname, config) in configs_for(1600.0, 12) {
-            if check(&format!("{name}/{cname}"), &body, &lib, config) {
+            if check(&mut out, &format!("{name}/{cname}"), &body, &lib, config) {
                 scheduled += 1;
             }
         }
     }
     assert!(scheduled >= 4, "most example configs must schedule");
+    compare_or_bless("sched_equivalence/example_designs.txt", &out);
 }
 
 #[test]
 fn idct_and_synthetic_designs_are_equivalent() {
     let lib = TechLibrary::artisan_90nm_typical();
     let idct = idct8_design();
+    let mut out = String::new();
     for (cname, config) in configs_for(2000.0, 16) {
-        check(&format!("idct8/{cname}"), &idct, &lib, config);
+        check(&mut out, &format!("idct8/{cname}"), &idct, &lib, config);
     }
     let mut scheduled = 0;
     for (i, class) in DesignClass::all().into_iter().enumerate() {
@@ -152,15 +176,22 @@ fn idct_and_synthetic_designs_are_equivalent() {
             seq.max_passes = 128;
             let mut pipe = SchedulerConfig::pipelined(clock, 2, 24);
             pipe.max_passes = 128;
-            if check(&format!("{class:?}/{size}/seq"), &body, &lib, seq) {
+            if check(&mut out, &format!("{class:?}/{size}/seq"), &body, &lib, seq) {
                 scheduled += 1;
             }
-            if check(&format!("{class:?}/{size}/pipe"), &body, &lib, pipe) {
+            if check(
+                &mut out,
+                &format!("{class:?}/{size}/pipe"),
+                &body,
+                &lib,
+                pipe,
+            ) {
                 scheduled += 1;
             }
         }
     }
     assert!(scheduled >= 4, "several synthetic configs must schedule");
+    compare_or_bless("sched_equivalence/idct_synthetic.txt", &out);
 }
 
 /// Compact random-behaviour generator (the `prop_differential` shape:
@@ -247,14 +278,15 @@ fn fifty_random_programs_are_equivalent_and_verify() {
     let clock = ClockConstraint::from_period_ps(4200.0);
     let mut scheduled = 0usize;
     let mut verified = 0usize;
+    let mut out = String::new();
     for seed in 0..50u64 {
         let behavior = random_behavior(seed);
         let mut cdfg = hls::frontend::elaborate(&behavior).expect("elaborates");
         let body = prepare_innermost_loop(&mut cdfg).expect("linearizes");
         let seq = SchedulerConfig::sequential(clock, 1, 24);
         let pipe = SchedulerConfig::pipelined(clock, 2, 24);
-        let seq_ok = check(&format!("rand{seed}/seq"), &body, &lib, seq);
-        let pipe_ok = check(&format!("rand{seed}/pipe"), &body, &lib, pipe);
+        let seq_ok = check(&mut out, &format!("rand{seed}/seq"), &body, &lib, seq);
+        let pipe_ok = check(&mut out, &format!("rand{seed}/pipe"), &body, &lib, pipe);
         if seq_ok || pipe_ok {
             scheduled += 1;
         }
@@ -280,6 +312,7 @@ fn fifty_random_programs_are_equivalent_and_verify() {
         verified >= 35,
         "most random programs must verify, got {verified}/50"
     );
+    compare_or_bless("sched_equivalence/random_programs.txt", &out);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,12 +323,13 @@ fn fifty_random_programs_are_equivalent_and_verify() {
 /// region-decomposed) incremental schedule against the reference interpreter
 /// on 100 random vectors.
 fn check_and_verify(
+    out: &mut String,
     label: &str,
     body: &LinearBody,
     lib: &TechLibrary,
     config: SchedulerConfig,
 ) -> bool {
-    let scheduled = check(label, body, lib, config.clone());
+    let scheduled = check(out, label, body, lib, config.clone());
     if scheduled {
         let schedule = Scheduler::new(body, lib, config).run().expect("re-run");
         let report = verify_schedule(body, &schedule.desc, &VerifyOptions::vectors(100))
@@ -358,9 +392,11 @@ fn region_decomposition_is_bit_identical_across_targets() {
     let example1 = prepare_innermost_loop(&mut cdfg).expect("prepare");
     let idct = idct8_design();
     let mut scheduled = 0;
+    let mut out = String::new();
     for &target in &[1usize, 4, 40] {
         for (cname, config) in configs_for(1600.0, 6) {
             if check(
+                &mut out,
                 &format!("example1/regions{target}/{cname}"),
                 &example1,
                 &lib,
@@ -371,6 +407,7 @@ fn region_decomposition_is_bit_identical_across_targets() {
         }
         for (cname, config) in configs_for(2000.0, 16) {
             if check(
+                &mut out,
                 &format!("idct8/regions{target}/{cname}"),
                 &idct,
                 &lib,
@@ -388,10 +425,22 @@ fn region_decomposition_is_bit_identical_across_targets() {
         seq.max_passes = 128;
         let mut pipe = SchedulerConfig::pipelined(clock, 2, 24).with_region_decomposition(40);
         pipe.max_passes = 128;
-        if check(&format!("{class:?}/260/regions/seq"), &body, &lib, seq) {
+        if check(
+            &mut out,
+            &format!("{class:?}/260/regions/seq"),
+            &body,
+            &lib,
+            seq,
+        ) {
             scheduled += 1;
         }
-        if check(&format!("{class:?}/260/regions/pipe"), &body, &lib, pipe) {
+        if check(
+            &mut out,
+            &format!("{class:?}/260/regions/pipe"),
+            &body,
+            &lib,
+            pipe,
+        ) {
             scheduled += 1;
         }
     }
@@ -399,6 +448,7 @@ fn region_decomposition_is_bit_identical_across_targets() {
         scheduled >= 12,
         "most region-decomposed configs must schedule, got {scheduled}"
     );
+    compare_or_bless("sched_equivalence/regions.txt", &out);
 }
 
 #[test]
@@ -431,7 +481,15 @@ fn giant_scc_falls_back_to_a_single_region_with_no_overhead() {
     // the small-target run still matches its own reference driver and
     // executes bit-exactly
     let tight = SchedulerConfig::sequential(clock, 1, 48).with_region_decomposition(4);
-    assert!(check_and_verify("giant-scc/regions4", &body, &lib, tight));
+    let mut out = String::new();
+    assert!(check_and_verify(
+        &mut out,
+        "giant-scc/regions4",
+        &body,
+        &lib,
+        tight
+    ));
+    compare_or_bless("sched_equivalence/giant_scc.txt", &out);
 }
 
 #[test]
@@ -446,14 +504,17 @@ fn pure_chain_with_unit_target_makes_every_op_a_region() {
         "target 1: every op is its own region"
     );
     let lib = TechLibrary::artisan_90nm_typical();
+    let mut out = String::new();
     for (cname, config) in configs_for(1900.0, 24) {
         assert!(check_and_verify(
+            &mut out,
             &format!("chain/regions1/{cname}"),
             &body,
             &lib,
             config.with_region_decomposition(1),
         ));
     }
+    compare_or_bless("sched_equivalence/chain.txt", &out);
 }
 
 #[test]
@@ -487,7 +548,15 @@ fn cross_region_interface_value_feeding_a_predicated_op() {
     // unit target: the value `t` is produced in one region and consumed by
     // the predicated select (and its condition) in others
     let config = SchedulerConfig::sequential(clock, 1, 24).with_region_decomposition(1);
-    assert!(check_and_verify("predicated/regions1", &body, &lib, config));
+    let mut out = String::new();
+    assert!(check_and_verify(
+        &mut out,
+        "predicated/regions1",
+        &body,
+        &lib,
+        config
+    ));
+    compare_or_bless("sched_equivalence/predicated.txt", &out);
     // and end-to-end through the synthesizer's differential harness
     let result = Synthesizer::new(behavior)
         .clock_ps(2600.0)

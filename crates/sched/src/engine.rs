@@ -60,10 +60,12 @@
 //! cached result — including its failure-report fragment, so a failed
 //! pass's restraints are assembled without touching clean regions.
 //!
-//! The replayed work makes exactly the decisions a from-scratch pass would
-//! make, which is what the schedule-equivalence regression suite
-//! (`tests/schedule_equivalence.rs`) asserts against
-//! [`Scheduler::run_reference`].
+//! The replayed work must make exactly the decisions a from-scratch pass
+//! would make. [`Scheduler::run_reference`] builds a fresh engine for every
+//! pass, so nothing is resumed and no per-instance table is carried over;
+//! the schedule-equivalence suite (`tests/schedule_equivalence.rs`) asserts
+//! the two drivers agree bit for bit, and its goldens pin the verdicts the
+//! retired state-major `HashMap` reference pass reached.
 //!
 //! [`Scheduler::run_reference`]: crate::scheduler::Scheduler::run_reference
 
@@ -88,14 +90,13 @@ const CLEAN: u32 = u32::MAX;
 /// tie-breaker. Counting the exact cone is O(V·E) over the whole body, which
 /// dominates setup on 100k-op designs; cones at or above the cap all compare
 /// equal, and the remaining tie-breaker (op id) keeps the order
-/// deterministic. The cap exceeds every design the equivalence suite runs
-/// uncapped comparisons on, and both the engine and the reference pass use
-/// the same capped helper, so the two drivers stay bit-identical.
-pub(crate) const FANOUT_CONE_CAP: usize = 4096;
+/// deterministic. The cap exceeds every design of the schedule-equivalence
+/// and scheduling-decision goldens, so their priority orders are uncapped.
+const FANOUT_CONE_CAP: usize = 4096;
 
 /// Transitive distance-0 fanout cone size per op, counting at most `cap`
 /// distinct consumers (the DFS stops early once the cap is hit).
-pub(crate) fn fanout_cone_sizes(body: &LinearBody, cap: usize) -> Vec<usize> {
+fn fanout_cone_sizes(body: &LinearBody, cap: usize) -> Vec<usize> {
     let n = body.dfg.num_ops();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (id, op) in body.dfg.iter_ops() {
@@ -526,8 +527,10 @@ impl<'a> Engine<'a> {
         )
     }
 
+    /// Construction over an explicit plan and resource set: `inst_region`
+    /// names the region owning each instance, in instance-id order.
     #[allow(clippy::too_many_arguments)]
-    fn init(
+    pub(crate) fn init(
         body: &'a LinearBody,
         lib: &'a TechLibrary,
         config: &'a SchedulerConfig,
@@ -641,8 +644,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Seeds the relaxation inputs (used by the one-shot `schedule_pass`
-    /// wrapper to honour an explicit `PassInput`).
+    /// Seeds the relaxation inputs (used by the one-shot pass wrappers in
+    /// [`pass`](crate::pass) to honour an explicit `PassInput`).
     pub(crate) fn seed_inputs(
         &mut self,
         forbidden: impl IntoIterator<Item = (OpId, ResourceInstanceId)>,

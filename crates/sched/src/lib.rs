@@ -43,10 +43,7 @@ pub mod scheduler;
 
 pub use config::{PipelineRequest, RegionOptions, SchedulerConfig};
 pub use error::SchedError;
-pub use pass::{
-    schedule_pass, schedule_pass_reference, schedule_pass_reference_with_regions, PassFailure,
-    PassInput, PassOutcome, PassRegions,
-};
+pub use pass::{schedule_pass, PassFailure, PassInput, PassOutcome};
 pub use region::RegionPlan;
 pub use relax::{RelaxAction, Restraint};
 pub use resources::{initial_resource_set, initial_resource_set_for_ops};

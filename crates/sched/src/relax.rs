@@ -144,6 +144,7 @@ pub(crate) fn count_slack(reasons: &mut Vec<Restraint>, op: OpId, slack_ps: f64,
 
 /// The counted form of a restraint list: repeated contentions and slacks
 /// fold into their first appearance, every other entry is kept in place.
+#[cfg(test)]
 pub(crate) fn counted(restraints: &[Restraint]) -> Vec<Restraint> {
     let mut out = Vec::new();
     for r in restraints {

@@ -4,17 +4,15 @@
 //! [`Scheduler::run`] drives the dense engine *incrementally*: the pass
 //! state persists across relaxation actions and each re-pass resumes from
 //! the earliest control step the action can influence instead of
-//! rescheduling every operation. [`Scheduler::run_reference`] retains the
-//! original schedule-everything-every-pass driver over
-//! [`schedule_pass_reference`](crate::pass::schedule_pass_reference); the
-//! two are asserted bit-identical by the schedule-equivalence suite.
+//! rescheduling every operation. [`Scheduler::run_reference`] is the same
+//! engine built afresh for every pass, with its own relaxation
+//! bookkeeping; the schedule-equivalence suite asserts the two agree bit
+//! for bit.
 
 use crate::config::SchedulerConfig;
 use crate::engine::{Engine, EngineOutcome};
 use crate::error::SchedError;
-use crate::pass::{
-    schedule_pass, schedule_pass_reference_with_regions, PassInput, PassOutcome, PassRegions,
-};
+use crate::pass::{schedule_pass, schedule_pass_in_regions, PassInput, PassOutcome};
 use crate::region::{batch_owner_regions, concat_pools, owner_region, region_pools, RegionPlan};
 use crate::relax::{choose_action, worst_negative_slack, RelaxAction, Restraint};
 use crate::resources::initial_resource_set;
@@ -182,12 +180,14 @@ impl<'a> Scheduler<'a> {
         ))
     }
 
-    /// The retained reference driver: re-runs the original from-scratch
-    /// [`schedule_pass_reference`] after every relaxation action, exactly as
-    /// the pre-incremental scheduler did. Quadratically slower than
-    /// [`Scheduler::run`] on large designs but definitionally correct; the
-    /// schedule-equivalence regression suite asserts `run()` matches it
-    /// bit-for-bit (latency, per-op state and binding, pass count, actions).
+    /// The reference driver: after every relaxation action it builds a
+    /// fresh engine and runs the whole pass from scratch, keeping its own
+    /// relaxation bookkeeping (latency, resources and their owning regions,
+    /// forbidden bindings, SCC stages) so the engine's incremental updates
+    /// are checked independently. Quadratically slower than
+    /// [`Scheduler::run`] on large designs; the schedule-equivalence suite
+    /// asserts the two match bit for bit (latency, per-op state and
+    /// binding, pass count, actions).
     ///
     /// # Errors
     /// Same contract as [`Scheduler::run`].
@@ -198,17 +198,13 @@ impl<'a> Scheduler<'a> {
 
         let mut latency = self.config.min_latency.max(1);
         let slots = self.config.ii_or(self.config.max_latency);
-        // Region mode builds the same plan and concatenated per-region pools
-        // the incremental engine uses, so the two drivers stay comparable
-        // bit for bit.
-        let region_plan = self
-            .config
-            .region_decomposition
-            .map(|opts| RegionPlan::build(self.body, &components, opts.target_ops));
-        let (mut resources, mut inst_region): (ResourceSet, Vec<u32>) = match &region_plan {
-            Some(plan) => concat_pools(&region_pools(self.body, plan, slots)),
-            None => (initial_resource_set(self.body, slots), Vec::new()),
+        // The plan and concatenated per-region pools the incremental engine
+        // starts from; without decomposition, one region owns everything.
+        let plan = match self.config.region_decomposition {
+            Some(opts) => RegionPlan::build(self.body, &components, opts.target_ops),
+            None => RegionPlan::trivial(self.body.dfg.num_ops()),
         };
+        let (mut resources, mut inst_region) = concat_pools(&region_pools(self.body, &plan, slots));
         let mut forbidden: HashSet<(OpId, ResourceInstanceId)> = HashSet::new();
         let mut scc_stage: HashMap<usize, u32> = HashMap::new();
         let mut actions: Vec<RelaxAction> = Vec::new();
@@ -236,11 +232,7 @@ impl<'a> Scheduler<'a> {
                 scc_stage: &scc_stage,
                 sccs: &components,
             };
-            let pass_regions = region_plan.as_ref().map(|plan| PassRegions {
-                op_region: &plan.region_of,
-                inst_region: &inst_region,
-            });
-            match schedule_pass_reference_with_regions(&input, pass_regions.as_ref()) {
+            match schedule_pass_in_regions(&input, &plan, &inst_region) {
                 PassOutcome::Success { desc, min_slack_ps } => {
                     return Ok(Schedule {
                         desc,
@@ -271,29 +263,21 @@ impl<'a> Scheduler<'a> {
                         RelaxAction::AddState => latency += 1,
                         RelaxAction::AddResource(ty) => {
                             resources.add(ty.clone());
-                            if let Some(plan) = &region_plan {
-                                inst_region.push(owner_region(
-                                    &failure.restraints,
-                                    ty,
-                                    &plan.region_of,
-                                ));
-                            }
+                            inst_region.push(owner_region(
+                                &failure.restraints,
+                                ty,
+                                &plan.region_of,
+                            ));
                         }
                         RelaxAction::AddResourceBatch { ty, count } => {
-                            if let Some(plan) = &region_plan {
-                                for owner in batch_owner_regions(
-                                    &failure.restraints,
-                                    ty,
-                                    *count,
-                                    &plan.region_of,
-                                ) {
-                                    resources.add(ty.clone());
-                                    inst_region.push(owner);
-                                }
-                            } else {
-                                for _ in 0..*count {
-                                    resources.add(ty.clone());
-                                }
+                            for owner in batch_owner_regions(
+                                &failure.restraints,
+                                ty,
+                                *count,
+                                &plan.region_of,
+                            ) {
+                                resources.add(ty.clone());
+                                inst_region.push(owner);
                             }
                         }
                         RelaxAction::MoveScc { scc_index } => {

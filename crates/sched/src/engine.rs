@@ -1325,10 +1325,12 @@ impl<'a> Engine<'a> {
         // counted: one entry per distinct busy type or slack value
         let mut reasons: Vec<Restraint> = Vec::new();
         let mut bound = false;
+        let mut tried_any = false;
         for &res_id in &self.compat[i] {
             if self.forbidden[i].contains(&res_id) {
                 continue;
             }
+            tried_any = true;
             // busy check in this folded state: mutually exclusive predicated
             // ops may share, but only within the *same* control step — in a
             // folded pipeline equivalent states belong to different stages,
@@ -1458,7 +1460,9 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            if self.compat[i].is_empty() {
+            // No allowed instance at all (none compatible, or every
+            // compatible one forbidden): the fix is more hardware.
+            if !tried_any {
                 if let Some(ty) = &self.statics.required_ty[i] {
                     count_contention(&mut reasons, op_id, ty, 1);
                 }

@@ -12,9 +12,9 @@
 //! The corpus is the flow benchmark's paper designs, Example 1 at II=1,
 //! a genuine refusal (Example 1 capped at one state with no hardware to
 //! add), and generated designs of 100–300 ops at sequential 1600 ps and
-//! II=2 / II=1 at 2200 ps, all with latency bound 24. No design of the
-//! schedule-equivalence corpus relaxes through `ForbidBinding`, so that
-//! action is not required here.
+//! II=2 / II=1 at 2200 ps, all with latency bound 24. It reaches every
+//! relaxation action and both refusal variants; `Filter/100/s2` and
+//! `Filter/300/s2` relax through `ForbidBinding` at sequential 1600 ps.
 //!
 //! Run with `UPDATE_GOLDEN=1` to bless an intentional change after
 //! reviewing the diff.
@@ -155,6 +155,7 @@ fn scheduling_decisions_match_golden() {
         "AddResource",
         "AddResourceBatch",
         "MoveScc",
+        "ForbidBinding",
         "Overconstrained",
         "BudgetExhausted",
     ] {

@@ -567,3 +567,67 @@ fn cross_region_interface_value_feeding_a_predicated_op() {
     let report = result.verification.expect("verification ran");
     assert_eq!(report.iterations, 100);
 }
+
+// ---------------------------------------------------------------------------
+// Forbidden bindings
+// ---------------------------------------------------------------------------
+
+/// `if p0 > 3 { v = (v + p1) * 3 } else { v = v * p1 + 5 }`, writing `v`:
+/// the branches chain add→mul and mul→add, so on one shared adder and
+/// multiplier the second chain in a state closes a combinational cycle and
+/// the scheduler must forbid a binding.
+fn crossed_chains() -> Behavior {
+    let mut b = BehaviorBuilder::new("crossed_chains");
+    b.port_in("p0", 16);
+    b.port_in("p1", 8);
+    b.port_out("out", 16);
+    let v = b.var("v", 16, 1);
+    let cond = Expr::cmp(CmpKind::Gt, b.read_port("p0"), Expr::Const(3));
+    let then_e = Expr::mul(Expr::add(Expr::Var(v), b.read_port("p1")), Expr::Const(3));
+    let else_e = Expr::add(Expr::mul(Expr::Var(v), b.read_port("p1")), Expr::Const(5));
+    let stmts = vec![
+        b.if_then_else(cond, vec![b.assign(v, then_e)], vec![b.assign(v, else_e)]),
+        b.write_port("out", Expr::Var(v)),
+        b.wait(),
+    ];
+    let l = b.do_while(
+        "main",
+        stmts,
+        Expr::cmp(CmpKind::Ne, b.read_port("p0"), Expr::Const(0)),
+    );
+    b.infinite_loop(vec![l]);
+    b.build()
+}
+
+/// Runs that relax through `ForbidBinding`, whose incremental re-pass
+/// resumes from the op's first-considered state: two generated filters
+/// and [`crossed_chains`] in every microarchitecture at four clocks.
+#[test]
+fn forbidden_bindings_resume_like_a_from_scratch_pass() {
+    let lib = TechLibrary::artisan_90nm_typical();
+    let mut out = String::new();
+    let clock = ClockConstraint::from_period_ps(1600.0);
+    for ops in [100usize, 300] {
+        let body = synthetic_design(DesignClass::Filter, ops, 2);
+        let config = SchedulerConfig::sequential(clock, 1, 24);
+        assert!(check(
+            &mut out,
+            &format!("Filter/{ops}/s2/seq"),
+            &body,
+            &lib,
+            config
+        ));
+    }
+    let mut cdfg = hls::frontend::elaborate(&crossed_chains()).expect("elab");
+    let body = prepare_innermost_loop(&mut cdfg).expect("prepare");
+    for clock_ps in [1600.0, 2200.0, 3000.0, 4200.0] {
+        for (cname, config) in configs_for(clock_ps, 8) {
+            let label = format!("crossed_chains/{clock_ps}ps/{cname}");
+            assert!(check(&mut out, &label, &body, &lib, config), "{label}");
+        }
+    }
+    // the point of this corpus: every run but II=2's forbids a binding
+    let forbidding = out.lines().filter(|l| l.contains("F:op")).count();
+    assert!(forbidding >= 10, "only {forbidding} runs forbid a binding");
+    compare_or_bless("sched_equivalence/forbid_binding.txt", &out);
+}

@@ -78,8 +78,8 @@ pub enum SynthesisError {
     /// The lowered (or rewritten) netlist failed structural validation.
     Netlist(hls_nir::NirError),
     /// Differential verification failed: the cycle-accurate simulation of
-    /// the schedule (per-op, bound or netlist-level) disagrees with the
-    /// reference interpreter.
+    /// the schedule (per-op or netlist-level) disagrees with the reference
+    /// interpreter.
     Verification(hls_sim::SimError),
     /// The netlist analyzer found deny-level diagnostics (structural lints
     /// or setup violations, depending on the configured severities). The
@@ -363,16 +363,18 @@ impl Synthesizer {
     }
 
     /// Differentially verifies the produced design on `vectors` random input
-    /// vectors: three timed engines (`hls-sim`) must each agree bit-exactly
-    /// with the reference interpreter, or the run fails with
-    /// [`SynthesisError::Verification`]:
+    /// vectors: two timed engines (`hls-sim`) run three checks, each of
+    /// which must agree bit-exactly with the reference interpreter, or the
+    /// run fails with [`SynthesisError::Verification`]:
     ///
-    /// 1. the per-op schedule simulation, which also reports causality
+    /// 1. the per-op schedule simulator, which also reports causality
     ///    errors of the schedule;
-    /// 2. the netlist lowered from the binding, before the netlist rewrites
-    ///    (this is what proves the sharing and steering correct);
-    /// 3. the rewritten netlist, after `hls_nir::optimize` and again after
-    ///    any timing-driven rewrite round.
+    /// 2. the netlist simulator on the netlist lowered from the binding,
+    ///    before the netlist rewrites (this is what proves the sharing and
+    ///    steering correct);
+    /// 3. the netlist simulator on the rewritten netlist, after
+    ///    `hls_nir::optimize` and again after any timing-driven rewrite
+    ///    round.
     pub fn verify(mut self, vectors: usize) -> Self {
         self.verify_vectors = Some(vectors);
         self

@@ -1,20 +1,25 @@
 //! Schedule-equivalence regression suite for the incremental scheduler.
 //!
 //! `Scheduler::run` re-passes incrementally (persisted pass state, resume
-//! from the invalidated cone); `Scheduler::run_reference` retains the
-//! original schedule-everything-every-pass driver over the verbatim
-//! pre-arena `schedule_pass_reference`. The two must be **bit-identical** —
-//! same latency, same per-op state and binding, same resource set, same pass
-//! count, same action sequence, same worst slack — on every example and
-//! paper design and on a population of random builder programs; scheduled
-//! designs additionally run through `Synthesizer::verify`, executing the
-//! schedule cycle-accurately against the reference interpreter.
+//! from the invalidated cone); `Scheduler::run_reference` builds the same
+//! engine afresh for every pass, with its own relaxation bookkeeping. The
+//! two must be **bit-identical** — same latency, same per-op state and
+//! binding, same resource set, same pass count, same action sequence, same
+//! worst slack — so this suite tests what the incremental driver adds:
+//! resume points, per-region watermarks and the instance tables kept
+//! across relaxation actions. The corpus covers the example and paper
+//! designs, a population of random builder programs, region-decomposed
+//! runs and runs that relax through `ForbidBinding`; scheduled designs
+//! additionally run through `Synthesizer::verify`, executing the schedule
+//! cycle-accurately against the reference interpreter.
 //!
-//! Every compared (design, configuration) also leaves one line, in the
-//! format of `sched_goldens.rs`, in a golden under
-//! `tests/golden/sched_equivalence/` (one file per test), so the verdicts
-//! stay pinned whichever driver changes. Run with `UPDATE_GOLDEN=1` to
-//! bless an intentional change after reviewing the diff.
+//! A defect in the pass policy moves both drivers together, so every
+//! compared (design, configuration) also leaves one line, in the format of
+//! `sched_goldens.rs`, in a golden under `tests/golden/sched_equivalence/`
+//! (one file per test). Those verdicts were blessed while a second,
+//! state-major `HashMap` implementation of the pass still existed. Run with
+//! `UPDATE_GOLDEN=1` to bless an intentional change after reviewing the
+//! diff.
 
 mod common;
 

@@ -10,8 +10,6 @@
 //! * [`timing::ChainTiming`] — the register-to-register path delay model of
 //!   Figure 8 (`FF launch + input mux + FU + ... + register mux + FF setup`),
 //!   with memoized resource-delay queries;
-//! * [`timing::CombGraph`] — incremental combinational-cycle detection over
-//!   resource instances;
 //! * [`schedule::ScheduleDesc`] — the binding/state assignment produced by the
 //!   scheduler, shared between crates;
 //! * [`schedule::Datapath`] — functional units, sharing multiplexers and
@@ -40,4 +38,4 @@ pub use hls_nir::{
 };
 pub use rtl::emit_verilog;
 pub use schedule::{AreaBreakdown, Datapath, PowerBreakdown, ScheduleDesc, ScheduledOp};
-pub use timing::{ChainTiming, CombGraph};
+pub use timing::ChainTiming;

@@ -347,7 +347,7 @@ impl Datapath {
 
 /// Resource-level connectivity check: returns the pairs of resource instances
 /// that are chained combinationally (producer and consumer bound in the same
-/// state), used to seed [`crate::timing::CombGraph`].
+/// state).
 pub fn chained_resource_pairs(
     body: &LinearBody,
     sched: &ScheduleDesc,

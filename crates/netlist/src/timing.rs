@@ -202,67 +202,6 @@ impl<'a> ChainTiming<'a> {
     }
 }
 
-/// Incremental combinational-cycle detection over resource instances.
-///
-/// Nodes are resource instances (or any small integer key); a directed edge
-/// `a → b` means "in some control step, a value flows combinationally from a
-/// unit bound on `a` into a unit bound on `b` (chaining)". A cycle means two
-/// shared units feed each other combinationally through their sharing muxes —
-/// the false combinational cycle of the paper's Figure 6, which the scheduler
-/// must avoid by rejecting the candidate binding.
-#[derive(Clone, Debug, Default)]
-pub struct CombGraph {
-    edges: HashMap<u32, Vec<u32>>,
-}
-
-impl CombGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a combinational edge.
-    pub fn add_edge(&mut self, from: u32, to: u32) {
-        let entry = self.edges.entry(from).or_default();
-        if !entry.contains(&to) {
-            entry.push(to);
-        }
-    }
-
-    /// Whether a path `from → ... → to` already exists.
-    pub fn has_path(&self, from: u32, to: u32) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(succs) = self.edges.get(&n) {
-                for &s in succs {
-                    if s == to {
-                        return true;
-                    }
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether adding the edge `from → to` would create a directed cycle.
-    pub fn would_create_cycle(&self, from: u32, to: u32) -> bool {
-        from == to || self.has_path(to, from)
-    }
-
-    /// Number of edges currently recorded.
-    pub fn num_edges(&self) -> usize {
-        self.edges.values().map(Vec::len).sum()
-    }
-}
-
 /// A per-operation arrival-time table, convenient for the scheduler's
 /// incremental chaining analysis within one control step.
 #[derive(Clone, Debug, Default)]
@@ -433,19 +372,6 @@ mod tests {
         );
         // saturates instead of overflowing beyond u8 fan-in
         assert!(t.mux_tree_delay_ps(4096, 32) >= t.mux_tree_delay_ps(255, 32));
-    }
-
-    #[test]
-    fn comb_graph_detects_figure6_cycle() {
-        // adder A feeds adder B in s1, adder B feeds adder A in s2 → cycle
-        let mut g = CombGraph::new();
-        g.add_edge(0, 1); // A -> B (state s1 chaining)
-        assert!(!g.would_create_cycle(0, 1));
-        assert!(g.would_create_cycle(1, 0));
-        g.add_edge(1, 2);
-        assert!(g.would_create_cycle(2, 0));
-        assert!(g.would_create_cycle(3, 3), "self edge is a cycle");
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]

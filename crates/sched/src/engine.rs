@@ -64,8 +64,7 @@
 //! would make. [`Scheduler::run_reference`] builds a fresh engine for every
 //! pass, so nothing is resumed and no per-instance table is carried over;
 //! the schedule-equivalence suite (`tests/schedule_equivalence.rs`) asserts
-//! the two drivers agree bit for bit, and its goldens pin the verdicts the
-//! retired state-major `HashMap` reference pass reached.
+//! the two drivers agree bit for bit.
 //!
 //! [`Scheduler::run_reference`]: crate::scheduler::Scheduler::run_reference
 
@@ -1545,8 +1544,11 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Mirrors `CombGraph::would_create_cycle` over one region's local comb
-/// graph: adding `from → to` closes a cycle iff `from == to` or a path
+/// Combinational-cycle check over one region's local comb graph, whose
+/// edge `a → b` means a unit bound on `a` chains into a unit bound on `b`
+/// in some state. A cycle is the false combinational loop of the paper's
+/// Figure 6: two shared units feeding each other through their sharing
+/// muxes. Adding `from → to` closes one iff `from == to` or a path
 /// `to → … → from` already exists. `dfs` is scratch reused across calls.
 fn comb_would_create_cycle(
     succ: &[Vec<u32>],
@@ -1596,4 +1598,27 @@ fn min_opt(a: Option<u32>, b: Option<u32>) -> Option<u32> {
 /// Ready-list capacity hint: an even split of the ops over the regions.
 fn regions_capacity_hint(n: usize, num_regions: usize) -> usize {
     n / num_regions.max(1) + 1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn comb_graph_detects_figure6_cycle() {
+        // adder A feeds adder B in s1, adder B feeds adder A in s2 → cycle
+        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); 4];
+        let (mut mark, mut epoch, mut dfs) = (vec![0u32; 4], 0u32, Vec::new());
+        let mut closes = |succ: &[Vec<u32>], from, to| {
+            comb_would_create_cycle(succ, &mut mark, &mut epoch, &mut dfs, from, to)
+        };
+        comb_add_edge(&mut succ, 0, 1); // A -> B (state s1 chaining)
+        assert!(!closes(&succ, 0, 1));
+        assert!(closes(&succ, 1, 0));
+        comb_add_edge(&mut succ, 1, 2);
+        assert!(closes(&succ, 2, 0));
+        assert!(closes(&succ, 3, 3), "self edge is a cycle");
+        comb_add_edge(&mut succ, 0, 1);
+        assert_eq!(succ.iter().map(Vec::len).sum::<usize>(), 2, "edges dedup");
+    }
 }

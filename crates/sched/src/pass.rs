@@ -1,8 +1,8 @@
 //! A single scheduling pass: simultaneous scheduling and binding over the
 //! control steps of the loop body (Figure 7 of the paper).
 //!
-//! The pass algorithm lives in the dense [`engine`](crate::engine) module,
-//! which the multi-pass [`Scheduler`](crate::scheduler::Scheduler) drives
+//! The pass algorithm lives in the dense `engine` module, which the
+//! multi-pass [`Scheduler`](crate::scheduler::Scheduler) drives
 //! *incrementally*. The functions here build a fresh engine and run one
 //! pass from scratch; [`Scheduler::run_reference`] does that after every
 //! relaxation action and is the oracle the incremental driver is checked

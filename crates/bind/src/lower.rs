@@ -596,7 +596,7 @@ impl Lowerer<'_> {
             OpKind::Mux => {
                 let a = self.resized(ins[1], w);
                 let b = self.resized(ins[2], w);
-                self.cons(CellKind::Mux { onehot: false }, w, vec![ins[0], a, b], name)
+                self.cons(CellKind::Mux, w, vec![ins[0], a, b], name)
             }
             OpKind::Slice { hi, lo } => {
                 let take = hi.saturating_sub(*lo) + 1;
@@ -784,7 +784,8 @@ impl Lowerer<'_> {
 
     /// Right-associated mux priority chain; the last arm is the
     /// unconditional default, and the head mux carries the display name.
-    /// The muxes are marked `onehot` for the rebalancing rewrite.
+    /// The chain stays linear: timing charges it as one `mux_n` tree by
+    /// its leaf fan-in, the way synthesis builds it.
     fn priority_chain(
         &mut self,
         conds: &[Option<CellId>],
@@ -804,12 +805,7 @@ impl Lowerer<'_> {
         for i in (0..arms.len() - 1).rev() {
             let c = conds[i].expect("non-last arms carry a steering condition");
             let head = if i == 0 { Some(name.clone()) } else { None };
-            acc = self.cons(
-                CellKind::Mux { onehot: true },
-                w,
-                vec![c, arms[i], acc],
-                head,
-            );
+            acc = self.cons(CellKind::Mux, w, vec![c, arms[i], acc], head);
         }
         acc
     }

@@ -218,8 +218,8 @@ pub struct SynthesisResult {
     /// validated and rewritten. This is the hardware object — `rtl` is just
     /// its serialization.
     pub netlist: NirModule,
-    /// What the netlist rewrite pipeline did (normalization, steering-chain
-    /// rebalancing, dead-cell sweep, mux-depth before/after).
+    /// What the untimed netlist rewrite pipeline did: cells normalized
+    /// (constant folding and identities) and dead cells swept.
     pub netlist_rewrites: RewriteReport,
     /// What the timing-driven rewrite loop did: operator-chain rebalancing,
     /// shift strength reduction and register retiming over the failing

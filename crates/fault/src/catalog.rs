@@ -175,8 +175,7 @@ pub fn enumerate(m: &NirModule, max_per_class: usize) -> Vec<FaultSpec> {
                             _ => false,
                         },
                         FaultClass::MuxArmSwap => {
-                            matches!(cell.kind, CellKind::Mux { .. })
-                                && cell.inputs[1] != cell.inputs[2]
+                            matches!(cell.kind, CellKind::Mux) && cell.inputs[1] != cell.inputs[2]
                         }
                         FaultClass::ConstCorruption => matches!(cell.kind, CellKind::Const(_)),
                         FaultClass::RegInitFlip => matches!(cell.kind, CellKind::Reg { .. }),
@@ -198,7 +197,7 @@ pub fn enumerate(m: &NirModule, max_per_class: usize) -> Vec<FaultSpec> {
                             cell.width >= 2
                                 && match cell.kind {
                                     CellKind::Bin(b) => !matches!(b, BinKind::Cmp(_)),
-                                    CellKind::Mux { .. } | CellKind::Reg { .. } => true,
+                                    CellKind::Mux | CellKind::Reg { .. } => true,
                                     _ => false,
                                 }
                         }
@@ -206,7 +205,7 @@ pub fn enumerate(m: &NirModule, max_per_class: usize) -> Vec<FaultSpec> {
                             !matches!(cell.kind, CellKind::Output { .. })
                         }
                         FaultClass::SelectInversion => {
-                            matches!(cell.kind, CellKind::Mux { .. })
+                            matches!(cell.kind, CellKind::Mux)
                                 && m.cell(cell.inputs[0]).width == 1
                                 && cell.inputs[1] != cell.inputs[2]
                         }
@@ -249,7 +248,7 @@ pub fn sampling_stable(m: &NirModule, id: CellId) -> bool {
             CellKind::Input { .. } | CellKind::Const(_) => {}
             CellKind::Bin(_)
             | CellKind::Un(_)
-            | CellKind::Mux { .. }
+            | CellKind::Mux
             | CellKind::Slice { .. }
             | CellKind::Resize => stack.extend(cell.inputs.iter().copied()),
             _ => return false,
@@ -380,7 +379,7 @@ mod tests {
         let fsm = m.push(CellKind::FsmState, 8, vec![]);
         let z = m.push(CellKind::Const(0), 8, vec![]);
         let sel = m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![fsm, z]);
-        let mx = m.push(CellKind::Mux { onehot: false }, 16, vec![sel, sub, c]);
+        let mx = m.push(CellKind::Mux, 16, vec![sel, sub, c]);
         m.cells[r.index()].inputs = vec![mx, en];
         m.ports.push(hls_ir::Port {
             name: "out".into(),

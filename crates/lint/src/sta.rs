@@ -147,9 +147,9 @@ fn mux_fanins_in(m: &NirModule, order: &[CellId]) -> Vec<usize> {
     // Arena order is not topological, so walk the validated topo order.
     for &id in order {
         let cell = m.cell(id);
-        if let CellKind::Mux { .. } = cell.kind {
+        if let CellKind::Mux = cell.kind {
             let arm = |x: CellId| match m.cell(x).kind {
-                CellKind::Mux { .. } => fanin[x.index()],
+                CellKind::Mux => fanin[x.index()],
                 _ => 1,
             };
             fanin[id.index()] = arm(cell.inputs[1]) + arm(cell.inputs[2]);
@@ -189,11 +189,12 @@ fn sext(v: u64, from: u16) -> u64 {
 /// — `fsm == k` compares and `and`/`or`/`not` folds — plus enough mux/xor
 /// propagation to chase a resolved select through derived control, and
 /// width adapters ([`CellKind::Resize`]/[`CellKind::Slice`]) so that
-/// rewrite-introduced re-widths on control nets stay transparent: a
-/// resolved select threaded through a resize must still resolve, or the
-/// rebalanced tree would pick up spurious `comb-fanin`/`dead-mux-arm`
-/// findings the pre-rewrite netlist did not have. [`folds_operands`] names
-/// the kinds that read their operands here.
+/// rewrite-introduced re-widths on control nets stay transparent.
+/// Normalization's identity forwarding and shift strength reduction leave
+/// such adapters behind; a resolved select threaded through one must still
+/// resolve, or the rewritten netlist would pick up spurious
+/// `comb-fanin`/`dead-mux-arm` findings the pre-rewrite netlist did not
+/// have. [`folds_operands`] names the kinds that read their operands here.
 fn fold_cell(
     m: &NirModule,
     id: CellId,
@@ -236,7 +237,7 @@ fn fold_cell(
             _ => None,
         },
         CellKind::Un(UnKind::Not) => input(0).map(|a| mask(!a, w)),
-        CellKind::Mux { .. } => match input(0) {
+        CellKind::Mux => match input(0) {
             Some(sel) => input(if sel != 0 { 1 } else { 2 }),
             None => None,
         },
@@ -257,7 +258,7 @@ fn folds_operands(kind: &CellKind) -> bool {
         CellKind::Bin(
             BinKind::And | BinKind::Or | BinKind::Xor | BinKind::Cmp(CmpKind::Eq | CmpKind::Ne)
         ) | CellKind::Un(UnKind::Not)
-            | CellKind::Mux { .. }
+            | CellKind::Mux
             | CellKind::Resize
             | CellKind::Slice { .. }
     )
@@ -295,10 +296,11 @@ pub fn critical_cells(m: &NirModule, summary: &TimingSummary) -> Vec<bool> {
 }
 
 /// The folded states one analysis walks; a netlist without a folded
-/// controller (pipelined II=1 or fully combinational) gets a single free
-/// pass.
+/// controller (pipelined II=1, fully combinational, or with no state
+/// counter to read the state) gets a single free pass.
 fn folded_states(m: &NirModule) -> Vec<Option<u64>> {
-    if m.fold_states > 1 {
+    let has_counter = m.cells.iter().any(|c| c.kind == CellKind::FsmState);
+    if m.fold_states > 1 && has_counter {
         (0..m.fold_states).map(|k| Some(u64::from(k))).collect()
     } else {
         vec![None]
@@ -383,8 +385,8 @@ impl<'m> Plan<'m> {
                 _ if cell.kind.is_seq() || cell.kind.is_source() => {
                     launch_val[id.index()] = launch;
                 }
-                CellKind::Mux { .. } => {
-                    let arm = |x: CellId| (x, matches!(m.cell(x).kind, CellKind::Mux { .. }));
+                CellKind::Mux => {
+                    let arm = |x: CellId| (x, matches!(m.cell(x).kind, CellKind::Mux));
                     steps.push(Step::Mux {
                         cell: id,
                         sel: cell.inputs[0],
@@ -725,6 +727,9 @@ mod tests {
     #[test]
     fn chained_mul_add_matches_figure8_arithmetic() {
         let mut m = NirModule::new("chain");
+        // No cell reads a state counter, so the folded-state count is
+        // inert: a header claiming every `u32` state still costs one walk.
+        m.fold_states = u32::MAX;
         let en = m.push(CellKind::Const(1), 1, vec![]);
         let a = named(&mut m, CellKind::Reg { init: 0 }, 32, vec![], "a");
         m.cells[a.index()].inputs = vec![a, en];
@@ -775,13 +780,9 @@ mod tests {
             m.cells[r.index()].inputs = vec![r, en];
             leaves.push(r);
         }
-        let m1 = m.push(
-            CellKind::Mux { onehot: true },
-            32,
-            vec![sel, leaves[0], leaves[1]],
-        );
-        let m2 = m.push(CellKind::Mux { onehot: true }, 32, vec![sel, leaves[2], m1]);
-        let m3 = m.push(CellKind::Mux { onehot: true }, 32, vec![sel, leaves[3], m2]);
+        let m1 = m.push(CellKind::Mux, 32, vec![sel, leaves[0], leaves[1]]);
+        let m2 = m.push(CellKind::Mux, 32, vec![sel, leaves[2], m1]);
+        let m3 = m.push(CellKind::Mux, 32, vec![sel, leaves[3], m2]);
         let cap = named(&mut m, CellKind::Reg { init: 0 }, 32, vec![m3, en], "cap");
         validate(&m).expect("well-formed");
         let fans = mux_fanins(&m);
@@ -856,7 +857,7 @@ mod tests {
             let p = named(&mut m, CellKind::Bin(BinKind::Mul), 32, vec![r, r], "p");
             // state 0 selects the register, state 1 the multiplier — but the
             // capture register is enabled in state 0 only.
-            let d = m.push(CellKind::Mux { onehot: false }, 32, vec![sel, r, p]);
+            let d = m.push(CellKind::Mux, 32, vec![sel, r, p]);
             named(&mut m, CellKind::Reg { init: 0 }, 32, vec![d, eq0], "cap");
             validate(&m).expect("well-formed");
             m

@@ -56,7 +56,7 @@ fn timing_pass(
             base[i] = a;
             continue;
         }
-        if let CellKind::Mux { .. } = cell.kind {
+        if let CellKind::Mux = cell.kind {
             let sel = cell.inputs[0];
             let resolved = known[sel.index()].is_some();
             let sel_arrival = if resolved { launch } else { val[sel.index()] };
@@ -70,7 +70,7 @@ fn timing_pass(
             let mut best: Option<(CellId, f64)> = None;
             for &armed in arms {
                 let v = match m.cell(armed).kind {
-                    CellKind::Mux { .. } => base[armed.index()],
+                    CellKind::Mux => base[armed.index()],
                     _ => val[armed.index()],
                 };
                 if best.map(|(_, b)| v > b).unwrap_or(true) {
@@ -190,7 +190,7 @@ fn control_heavy(seed: u64) -> NirModule {
             5 => m.push(CellKind::Un(UnKind::Not), 1, vec![a]),
             6 => {
                 let c = pick(&mut rng, &ctl);
-                m.push(CellKind::Mux { onehot: false }, 1, vec![a, b, c])
+                m.push(CellKind::Mux, 1, vec![a, b, c])
             }
             7 => {
                 let w = rng.gen_range(2u16..9);
@@ -217,8 +217,7 @@ fn control_heavy(seed: u64) -> NirModule {
             1 => m.push(CellKind::Bin(BinKind::Add), 16, vec![a, b]),
             _ => {
                 let sel = pick(&mut rng, &ctl);
-                let onehot = rng.gen_bool(0.5);
-                m.push(CellKind::Mux { onehot }, 16, vec![sel, a, b])
+                m.push(CellKind::Mux, 16, vec![sel, a, b])
             }
         };
         data.push(d);

@@ -39,7 +39,7 @@ fn is_declared(kind: &CellKind) -> bool {
         kind,
         CellKind::Bin(_)
             | CellKind::Un(_)
-            | CellKind::Mux { .. }
+            | CellKind::Mux
             | CellKind::Slice { .. }
             | CellKind::Resize
             | CellKind::Reg { .. }
@@ -141,7 +141,7 @@ fn fsm_and_mux_reachability(m: &NirModule, out: &mut Vec<Finding>) {
                 ));
             }
         }
-        if let CellKind::Mux { .. } = cell.kind {
+        if let CellKind::Mux = cell.kind {
             if let Some(truth) = const_truth(m, cell.inputs[0]) {
                 let dead = if truth { "else" } else { "then" };
                 out.push((
@@ -183,19 +183,16 @@ fn comb_fanin(m: &NirModule, ctx: &LintContext, bound: usize, out: &mut Vec<Find
     // inner element of the same physical mux_n.
     let mut is_arm = vec![false; m.num_cells()];
     for (_, cell) in m.iter_cells() {
-        if let CellKind::Mux { .. } = cell.kind {
+        if let CellKind::Mux = cell.kind {
             for &arm in &cell.inputs[1..] {
-                if matches!(m.cell(arm).kind, CellKind::Mux { .. }) {
+                if matches!(m.cell(arm).kind, CellKind::Mux) {
                     is_arm[arm.index()] = true;
                 }
             }
         }
     }
     for (id, cell) in m.iter_cells() {
-        if matches!(cell.kind, CellKind::Mux { .. })
-            && !is_arm[id.index()]
-            && fanins[id.index()] > bound
-        {
+        if matches!(cell.kind, CellKind::Mux) && !is_arm[id.index()] && fanins[id.index()] > bound {
             out.push((
                 Lint::CombFanin,
                 Some(id),
@@ -228,7 +225,7 @@ fn const_foldable(m: &NirModule, out: &mut Vec<Finding>) {
             cell.kind,
             CellKind::Bin(_)
                 | CellKind::Un(_)
-                | CellKind::Mux { .. }
+                | CellKind::Mux
                 | CellKind::Slice { .. }
                 | CellKind::Resize
         );
@@ -339,12 +336,12 @@ mod tests {
         });
         let b = m.push(CellKind::Un(hls_nir::UnKind::Not), 8, vec![a]);
         let sel1 = m.push(CellKind::Const(2), 2, vec![]);
-        let _m1 = m.push(CellKind::Mux { onehot: false }, 8, vec![sel1, a, b]);
+        let _m1 = m.push(CellKind::Mux, 8, vec![sel1, a, b]);
         // FSM == 7 with fold_states = 4: never true
         let fsm = m.push(CellKind::FsmState, 8, vec![]);
         let k = m.push(CellKind::Const(7), 8, vec![]);
         let eq = m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![fsm, k]);
-        let _m2 = m.push(CellKind::Mux { onehot: false }, 8, vec![eq, a, b]);
+        let _m2 = m.push(CellKind::Mux, 8, vec![eq, a, b]);
         let arms = findings_of(&m, Lint::DeadMuxArm);
         assert_eq!(arms.len(), 2, "{arms:?}");
         assert!(arms[0].2.contains("else arm"), "sel const-true: {arms:?}");
@@ -368,7 +365,7 @@ mod tests {
         let sel = m.push(CellKind::Const(1), 1, vec![]);
         let mut arm = m.push(CellKind::Const(0), 16, vec![]);
         for _ in 0..4 {
-            arm = m.push(CellKind::Mux { onehot: true }, 16, vec![sel, c, arm]);
+            arm = m.push(CellKind::Mux, 16, vec![sel, c, arm]);
         }
         let (lib, clock) = ctx_fixture();
         let ctx = crate::LintContext::new(&lib, clock);

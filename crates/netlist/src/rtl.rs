@@ -41,7 +41,7 @@ fn is_declared(kind: &CellKind) -> bool {
         kind,
         CellKind::Bin(_)
             | CellKind::Un(_)
-            | CellKind::Mux { .. }
+            | CellKind::Mux
             | CellKind::Slice { .. }
             | CellKind::Resize
             | CellKind::Reg { .. }
@@ -148,7 +148,7 @@ impl<'a> Printer<'a> {
             }
             CellKind::Un(UnKind::Not) => format!("~{}", r(0)),
             CellKind::Un(UnKind::Neg) => format!("-{}", r(0)),
-            CellKind::Mux { .. } => format!("{} ? {} : {}", r(0), r(1), r(2)),
+            CellKind::Mux => format!("{} ? {} : {}", r(0), r(1), r(2)),
             CellKind::Slice { hi, lo } => {
                 let src = r(0);
                 let iw = self.m.cell(cell.inputs[0]).width;

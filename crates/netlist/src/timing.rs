@@ -173,7 +173,7 @@ impl<'a> ChainTiming<'a> {
                 };
                 ResourceType::unary(class, a, out)
             }
-            CellKind::Mux { .. } => return self.mux_tree_delay_ps(2, out),
+            CellKind::Mux => return self.mux_tree_delay_ps(2, out),
             // Wiring, sources and clocked cells: no combinational delay.
             CellKind::Slice { .. }
             | CellKind::Resize
@@ -366,10 +366,7 @@ mod tests {
         assert!(m8 > m3 && m8 < 2.0 * m2, "a tree, not a chain: {m8}");
         // the per-cell mux cost is the 2-way figure
         let mut t = ChainTiming::new(&lib, clock);
-        assert_eq!(
-            t.cell_delay_ps(&CellKind::Mux { onehot: false }, &[1, 32, 32], 32),
-            m2
-        );
+        assert_eq!(t.cell_delay_ps(&CellKind::Mux, &[1, 32, 32], 32), m2);
         // saturates instead of overflowing beyond u8 fan-in
         assert!(t.mux_tree_delay_ps(4096, 32) >= t.mux_tree_delay_ps(255, 32));
     }

@@ -10,8 +10,7 @@
 //!   references, driver presence, combinational-cycle freedom),
 //! * [`text_emit`] / [`text_parse`] — a round-trippable text format with
 //!   `parse(emit(m)) == m`,
-//! * [`optimize`] — verified rewrite passes (constant/identity
-//!   normalization and steering-chain rebalancing) plus dead-cell sweep,
+//! * [`optimize`] — constant/identity normalization plus dead-cell sweep,
 //! * mask-gated timing rewrites — [`rebalance_operator_chains`],
 //!   [`strength_reduce_shifts`] and [`retime_registers`], run by
 //!   `hls_lint::optimize_timed` on negative-slack cones only.
@@ -29,8 +28,8 @@ pub mod validate;
 
 pub use model::{sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind};
 pub use rewrite::{
-    normalize, optimize, rebalance_mux_chains, rebalance_operator_chains, retime_registers,
-    strength_reduce_shifts, sweep, RewriteReport,
+    normalize, optimize, rebalance_operator_chains, retime_registers, strength_reduce_shifts,
+    sweep, RewriteReport,
 };
 pub use text::{text_emit, text_parse, ParseError};
 pub use validate::{validate, NirError};

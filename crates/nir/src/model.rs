@@ -156,13 +156,10 @@ pub enum CellKind {
     /// One-input combinational operator: inputs `[value]`.
     Un(UnKind),
     /// Two-way multiplexer: inputs `[sel, then, else]`. `sel` may be any
-    /// width; selection tests it for non-zero. `onehot` marks muxes whose
-    /// select conditions form a priority steering chain — the rebalance pass
-    /// consumes (and clears) the mark.
-    Mux {
-        /// True for lowered FU steering-chain elements.
-        onehot: bool,
-    },
+    /// width; selection tests it for non-zero. The lowering builds an
+    /// `n`-way steering choice as a linear chain of these; timing charges
+    /// such a chain as one `mux_n` tree by its leaf fan-in.
+    Mux,
     /// Bit-range extraction `[hi:lo]` of a single input; the cell width is
     /// exactly `hi - lo + 1`.
     Slice {
@@ -206,7 +203,7 @@ impl CellKind {
             | CellKind::FirstIter { .. } => 0,
             CellKind::Un(_) | CellKind::Slice { .. } | CellKind::Resize => 1,
             CellKind::Bin(_) | CellKind::Reg { .. } | CellKind::Output { .. } => 2,
-            CellKind::Mux { .. } => 3,
+            CellKind::Mux => 3,
         }
     }
 
@@ -237,7 +234,7 @@ impl CellKind {
             CellKind::Output { .. } => "output",
             CellKind::Bin(b) => b.mnemonic(),
             CellKind::Un(u) => u.mnemonic(),
-            CellKind::Mux { .. } => "mux",
+            CellKind::Mux => "mux",
             CellKind::Slice { .. } => "slice",
             CellKind::Resize => "resize",
             CellKind::Reg { .. } => "reg",
@@ -470,7 +467,7 @@ impl NirModule {
                 }
                 if expanded {
                     let depth = match cell.kind {
-                        CellKind::Mux { .. } => {
+                        CellKind::Mux => {
                             let a = memo[cell.inputs[1].index()];
                             let b = memo[cell.inputs[2].index()];
                             1 + depth_of(a).max(depth_of(b))
@@ -530,7 +527,7 @@ impl NetlistStats {
     }
 
     /// Count of cells of the given kind (parameters ignored: every
-    /// `Mux { .. }` counts as a mux, every `Cmp` under its own flavour).
+    /// `Reg { .. }` counts as a reg, every `Cmp` under its own flavour).
     pub fn count_kind(&self, kind: &CellKind) -> usize {
         self.count(kind.mnemonic())
     }
@@ -624,9 +621,9 @@ mod tests {
         let a = m.push(CellKind::Const(4), 8, vec![]);
         let b = m.push(CellKind::Const(5), 8, vec![]);
         // chain: mux(s, a, mux(s, b, mux(s, a, b)))
-        let m1 = m.push(CellKind::Mux { onehot: false }, 8, vec![s0, a, b]);
-        let m2 = m.push(CellKind::Mux { onehot: false }, 8, vec![s0, b, m1]);
-        let m3 = m.push(CellKind::Mux { onehot: false }, 8, vec![s0, a, m2]);
+        let m1 = m.push(CellKind::Mux, 8, vec![s0, a, b]);
+        let m2 = m.push(CellKind::Mux, 8, vec![s0, b, m1]);
+        let m3 = m.push(CellKind::Mux, 8, vec![s0, a, m2]);
         // an adder on top is transparent
         let add = m.push(CellKind::Bin(BinKind::Add), 8, vec![m3, a]);
         assert_eq!(m.max_mux_depth(), 3);
@@ -635,7 +632,7 @@ mod tests {
         // registers cut the path
         let en = m.push(CellKind::Const(1), 1, vec![]);
         let r = m.push(CellKind::Reg { init: 0 }, 8, vec![add, en]);
-        let m4 = m.push(CellKind::Mux { onehot: false }, 8, vec![s0, r, a]);
+        let m4 = m.push(CellKind::Mux, 8, vec![s0, r, a]);
         let _ = m4;
         assert_eq!(m.max_mux_depth(), 3);
     }
@@ -713,14 +710,14 @@ mod tests {
         let p = m.push(CellKind::Bin(BinKind::Mul), 8, vec![c, d]);
         let n = m.push(CellKind::Un(UnKind::Neg), 8, vec![p]);
         let s0 = m.push(CellKind::Const(1), 1, vec![]);
-        let _mx = m.push(CellKind::Mux { onehot: false }, 8, vec![s0, p, n]);
+        let _mx = m.push(CellKind::Mux, 8, vec![s0, p, n]);
         let s = m.stats();
         assert_eq!(s.count_bin(BinKind::Mul), s.count("mul"));
         assert_eq!(s.count_bin(BinKind::Mul), 1);
         assert_eq!(s.count_un(UnKind::Neg), 1);
         assert_eq!(s.muxes(), 1);
         assert_eq!(s.consts(), 3);
-        assert_eq!(s.count_kind(&CellKind::Mux { onehot: true }), 1);
+        assert_eq!(s.count_kind(&CellKind::Mux), 1);
         assert_eq!(s.outputs(), 0);
         assert_eq!(s.inputs(), 0);
     }

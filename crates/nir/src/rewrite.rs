@@ -1,18 +1,18 @@
 //! Verified rewrite passes over a [`NirModule`].
 //!
-//! Two families of semantics-preserving rewrites run after lowering:
+//! One untimed family runs after lowering, in [`optimize`]:
 //!
 //! * **normalization** — constant folding plus identity simplification
 //!   (mux with constant select, `x*1`, `x+0`, full-range slices, identity
 //!   resizes, …). Every replacement produces a cell of the *same width* as
 //!   the replaced one, so consumers never change meaning.
-//! * **mux-chain rebalancing** — the lowered FU steering chains are linear
-//!   priority muxes (depth `n-1` for `n` arms). Because the chain semantics
-//!   is *first true condition wins*, an order-preserving split into a
-//!   balanced tree with prefix-OR selects computes the same function, at
-//!   depth `ceil(log2 n)`.
 //!
-//! A third family runs only under the timing-driven loop
+//! The lowered FU steering chains stay linear priority muxes. The
+//! sign-off analyzer charges each one as a single `mux_n` by its leaf
+//! fan-in, as synthesis would build it, so rebuilding them here would grow
+//! the netlist without moving its timing.
+//!
+//! The restructuring family runs only under the timing-driven loop
 //! (`hls_lint::optimize_timed`), gated to cells on negative-slack cones via
 //! an `eligible` mask so timing-clean netlists are never churned:
 //!
@@ -34,37 +34,21 @@
 use crate::model::{BinKind, Cell, CellId, CellKind, NirModule};
 use hls_ir::{eval_op, BitVal, OpKind};
 
-/// What the rewrite pipeline did, including the mux-depth movement the
-/// rebalance achieved.
+/// What the untimed rewrite pipeline did.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct RewriteReport {
     /// Cells replaced by normalization (constant folding + identities).
     pub normalized: usize,
-    /// Steering chains rebuilt as balanced trees.
-    pub rebalanced: usize,
     /// Dead cells removed by the final sweep.
     pub swept: usize,
-    /// Maximum mux-chain depth after normalization, before rebalancing.
-    pub mux_depth_before: u32,
-    /// Maximum mux-chain depth after the full pipeline.
-    pub mux_depth_after: u32,
 }
 
-/// Runs the full rewrite pipeline in place: normalize to fixpoint, rebalance
-/// steering chains, normalize again, sweep dead cells.
+/// Runs the untimed rewrite pipeline in place: normalize to fixpoint, then
+/// sweep dead cells.
 pub fn optimize(m: &mut NirModule) -> RewriteReport {
-    let mut normalized = normalize(m);
-    let mux_depth_before = m.max_mux_depth();
-    let rebalanced = rebalance_mux_chains(m);
-    normalized += normalize(m);
+    let normalized = normalize(m);
     let swept = sweep(m);
-    RewriteReport {
-        normalized,
-        rebalanced,
-        swept,
-        mux_depth_before,
-        mux_depth_after: m.max_mux_depth(),
-    }
+    RewriteReport { normalized, swept }
 }
 
 fn const_of(m: &NirModule, id: CellId) -> Option<BitVal> {
@@ -95,7 +79,7 @@ fn fold_kind(kind: &CellKind) -> Option<OpKind> {
     match kind {
         CellKind::Bin(b) => Some(b.op_kind()),
         CellKind::Un(u) => Some(u.op_kind()),
-        CellKind::Mux { .. } => Some(OpKind::Mux),
+        CellKind::Mux => Some(OpKind::Mux),
         CellKind::Slice { hi, lo } => Some(OpKind::Slice { hi: *hi, lo: *lo }),
         CellKind::Resize => Some(OpKind::Resize),
         _ => None,
@@ -176,7 +160,7 @@ fn simplify(m: &mut NirModule, id: CellId) -> Option<CellId> {
     }
 
     match kind {
-        CellKind::Mux { .. } => {
+        CellKind::Mux => {
             if let Some(sel) = const_of(m, inputs[0]) {
                 // constant select: forward the chosen arm (arm width == w)
                 return Some(if sel.is_true() { inputs[1] } else { inputs[2] });
@@ -283,150 +267,6 @@ fn simplify(m: &mut NirModule, id: CellId) -> Option<CellId> {
             None
         }
         _ => None,
-    }
-}
-
-/// Whether a spine may extend from some onehot mux into its else-arm `e`:
-/// `e` must itself be an onehot mux and — critically — single-use. A
-/// multi-use else-arm is *tapped*: another cell observes that intermediate
-/// net, so rebuilding through it would have to duplicate its logic to keep
-/// the side observer fed. The tap instead terminates the chain here and
-/// heads a chain of its own, which is rebuilt in place (same [`CellId`]),
-/// so every observer keeps the identical function without duplication.
-fn spine_extends_into(m: &NirModule, use_count: &[u32], e: CellId) -> bool {
-    matches!(m.cell(e).kind, CellKind::Mux { onehot: true })
-        && use_count.get(e.index()).is_some_and(|&u| u == 1)
-}
-
-/// Collects the else-spine of the steering chain headed at `head`: the head
-/// itself plus every single-use onehot mux reachable through else-arms. The
-/// walk stops at the first tapped or non-onehot else-arm (see
-/// [`spine_extends_into`]), which becomes the chain's fall-through.
-fn collect_mux_spine(m: &NirModule, use_count: &[u32], head: CellId) -> Vec<CellId> {
-    let mut spine = vec![head];
-    loop {
-        let e = m.cell(*spine.last().expect("non-empty")).inputs[2];
-        if spine_extends_into(m, use_count, e) {
-            spine.push(e);
-        } else {
-            return spine;
-        }
-    }
-}
-
-/// Rebuilds `x*1`-free steering chains (onehot mux spines) as balanced
-/// trees. The produced tree muxes are *not* marked onehot, so the pass is
-/// idempotent: a second run finds no chains. Returns the number of chains
-/// rebuilt.
-pub fn rebalance_mux_chains(m: &mut NirModule) -> usize {
-    let n = m.cells.len();
-    let use_count = m.use_counts();
-
-    let is_onehot =
-        |m: &NirModule, id: CellId| matches!(m.cell(id).kind, CellKind::Mux { onehot: true });
-
-    // A spine interior is a single-use onehot mux consumed as the else-arm of
-    // another onehot mux; heads are the onehot muxes that are not interiors.
-    // Tapped muxes never become interiors, so they stay heads of their own
-    // (sub-)chains.
-    let mut interior = vec![false; n];
-    for i in 0..n {
-        let id = CellId::from_raw(i as u32);
-        if is_onehot(m, id) {
-            let e = m.cell(id).inputs[2];
-            if spine_extends_into(m, &use_count, e) {
-                interior[e.index()] = true;
-            }
-        }
-    }
-
-    let mut rebuilt = 0usize;
-    for i in 0..n {
-        let head = CellId::from_raw(i as u32);
-        if !is_onehot(m, head) || interior[head.index()] {
-            continue;
-        }
-        let spine = collect_mux_spine(m, &use_count, head);
-        let arms: Vec<(CellId, CellId)> = spine
-            .iter()
-            .map(|&s| (m.cell(s).inputs[0], m.cell(s).inputs[1]))
-            .collect();
-        let default = m.cell(*spine.last().expect("non-empty")).inputs[2];
-        if arms.len() < 3 {
-            // Depth ≤ 2 already; just clear the marks so the pass is
-            // convergent.
-            for &s in &spine {
-                m.cells[s.index()].kind = CellKind::Mux { onehot: false };
-            }
-            continue;
-        }
-        let w = m.cell(head).width;
-        let root = build_tree(m, &arms, default, w);
-        // Overwrite the head in place so consumers stay pointed at it; the
-        // interior spine cells become dead and are swept.
-        let root_cell = m.cell(root).clone();
-        m.cells[head.index()].kind = root_cell.kind;
-        m.cells[head.index()].inputs = root_cell.inputs;
-        rebuilt += 1;
-    }
-    rebuilt
-}
-
-/// Builds a balanced first-true-wins tree over `arms` with `default` as the
-/// fall-through. The select of an inner node ORs the conditions of its left
-/// half (a prefix-OR), preserving priority order exactly.
-fn build_tree(m: &mut NirModule, arms: &[(CellId, CellId)], default: CellId, w: u16) -> CellId {
-    if arms.is_empty() {
-        return default;
-    }
-    if arms.len() == 1 {
-        let (c, v) = arms[0];
-        return m.push(CellKind::Mux { onehot: false }, w, vec![c, v, default]);
-    }
-    let mid = arms.len().div_ceil(2);
-    let (left, right) = arms.split_at(mid);
-    // When the left subtree is selected, some left condition is true, so the
-    // left half needs no fall-through of its own.
-    let left_tree = build_left(m, left, w);
-    let right_tree = build_tree(m, right, default, w);
-    let sel = or_tree(m, &left.iter().map(|&(c, _)| c).collect::<Vec<_>>());
-    m.push(
-        CellKind::Mux { onehot: false },
-        w,
-        vec![sel, left_tree, right_tree],
-    )
-}
-
-/// Like [`build_tree`], but for a subtree that is only entered when one of
-/// its conditions is already known true: the last arm needs no test.
-fn build_left(m: &mut NirModule, arms: &[(CellId, CellId)], w: u16) -> CellId {
-    if arms.len() == 1 {
-        return arms[0].1;
-    }
-    let mid = arms.len().div_ceil(2);
-    let (left, right) = arms.split_at(mid);
-    let left_tree = build_left(m, left, w);
-    let right_tree = build_left(m, right, w);
-    let sel = or_tree(m, &left.iter().map(|&(c, _)| c).collect::<Vec<_>>());
-    m.push(
-        CellKind::Mux { onehot: false },
-        w,
-        vec![sel, left_tree, right_tree],
-    )
-}
-
-/// Balanced OR reduction of 1-bit condition cells.
-fn or_tree(m: &mut NirModule, conds: &[CellId]) -> CellId {
-    match conds.len() {
-        0 => const_cell(m, 0, 1),
-        1 => conds[0],
-        _ => {
-            let mid = conds.len().div_ceil(2);
-            let l = or_tree(m, &conds[..mid]);
-            let r = or_tree(m, &conds[mid..]);
-            let lw = m.cell(l).width.max(m.cell(r).width);
-            m.push(CellKind::Bin(BinKind::Or), lw, vec![l, r])
-        }
     }
 }
 
@@ -802,52 +642,11 @@ mod tests {
         });
         let r = m.push(CellKind::Reg { init: 0 }, 8, vec![x, en]);
         let other = m.push(CellKind::Const(9), 8, vec![]);
-        let mx = m.push(CellKind::Mux { onehot: false }, 8, vec![t, r, other]);
+        let mx = m.push(CellKind::Mux, 8, vec![t, r, other]);
         finish(&mut m, mx);
         let _ = optimize(&mut m);
         validate(&m).unwrap();
         assert_eq!(m.stats().muxes(), 0);
-    }
-
-    #[test]
-    fn rebalances_a_long_chain_and_is_idempotent() {
-        // 8-arm onehot chain: depth 7 linear, depth 3 balanced.
-        let mut m = shell();
-        let mut conds = Vec::new();
-        let mut vals = Vec::new();
-        let en = m.push(CellKind::Const(1), 1, vec![]);
-        for k in 0..8i64 {
-            // distinct opaque conditions/values via registers
-            let cbit = m.push(CellKind::Const(0), 1, vec![]);
-            let c = m.push(CellKind::Reg { init: k & 1 }, 1, vec![cbit, en]);
-            conds.push(c);
-            let vconst = m.push(CellKind::Const(k), 8, vec![]);
-            let v = m.push(CellKind::Reg { init: 0 }, 8, vec![vconst, en]);
-            vals.push(v);
-        }
-        let default = m.push(CellKind::Const(-1), 8, vec![]);
-        let mut acc = default;
-        for k in (0..7).rev() {
-            acc = m.push(
-                CellKind::Mux { onehot: true },
-                8,
-                vec![conds[k], vals[k], acc],
-            );
-        }
-        finish(&mut m, acc);
-        assert_eq!(m.max_mux_depth(), 7);
-        let r1 = optimize(&mut m);
-        validate(&m).unwrap();
-        assert_eq!(r1.rebalanced, 1);
-        // 8 arms + default = 9 leaves → balanced depth ceil(log2 9) = 4
-        assert!(r1.mux_depth_after <= 4, "depth {}", r1.mux_depth_after);
-        assert!(r1.mux_depth_after < r1.mux_depth_before);
-        // Second run: nothing left to do, structure unchanged.
-        let before = m.clone();
-        let r2 = optimize(&mut m);
-        assert_eq!(r2.rebalanced, 0);
-        assert_eq!(r2.swept, 0);
-        assert_eq!(m, before);
     }
 
     /// Cycle-0 combinational snapshot: registers read as their initial
@@ -885,74 +684,6 @@ mod tests {
             .into_iter()
             .map(|d| snapshot_eval(m, d, &mut memo))
             .collect()
-    }
-
-    /// Regression for tapped spines: a steering chain whose interior mux
-    /// has a second observer must split at the tap instead of duplicating
-    /// the tapped logic. Both chain halves rebuild in place and every
-    /// observer keeps its function, checked by snapshot evaluation across
-    /// several winner configurations.
-    #[test]
-    fn tapped_spine_splits_without_duplicating_logic() {
-        // 8-arm chain, the mux at arm 3 tapped by a second output.
-        let build = |hot: Option<usize>| {
-            let mut m = shell();
-            m.ports.push(Port {
-                name: "tap".into(),
-                direction: PortDirection::Output,
-                width: 8,
-            });
-            let en = m.push(CellKind::Const(1), 1, vec![]);
-            let mut conds = Vec::new();
-            let mut vals = Vec::new();
-            for k in 0..8usize {
-                let cbit = m.push(CellKind::Const(0), 1, vec![]);
-                let init = i64::from(hot == Some(k));
-                let c = m.push(CellKind::Reg { init }, 1, vec![cbit, en]);
-                conds.push(c);
-                let vconst = m.push(CellKind::Const(10 + k as i64), 8, vec![]);
-                let v = m.push(CellKind::Reg { init: 0 }, 8, vec![vconst, en]);
-                vals.push(v);
-            }
-            let default = m.push(CellKind::Const(-1), 8, vec![]);
-            let mut acc = default;
-            let mut tapped = None;
-            for k in (0..8).rev() {
-                acc = m.push(
-                    CellKind::Mux { onehot: true },
-                    8,
-                    vec![conds[k], vals[k], acc],
-                );
-                if k == 3 {
-                    tapped = Some(acc);
-                }
-            }
-            let tapped = tapped.unwrap();
-            finish(&mut m, acc);
-            let t8 = resized(&mut m, tapped, 8);
-            m.push(CellKind::Output { port: 1, state: 0 }, 8, vec![t8, en]);
-            m
-        };
-        // winners on both sides of the tap, at the tap, and the default
-        for hot in [None, Some(0), Some(2), Some(3), Some(5), Some(7)] {
-            let reference = build(hot);
-            let mut m = build(hot);
-            let r = optimize(&mut m);
-            validate(&m).unwrap();
-            // the chain split at the tap: arms 0..3 over the tapped cell,
-            // arms 3..8 over the default — both halves rebuilt (≥ 3 arms)
-            assert_eq!(r.rebalanced, 2, "{hot:?}");
-            assert_eq!(
-                output_values(&m),
-                output_values(&reference),
-                "winner {hot:?}"
-            );
-            // no duplication: the tapped function exists once, feeding both
-            // observers, so the rebuilt module is no larger than a rebuild
-            // of two independent chains
-            let muxes = m.stats().muxes();
-            assert!(muxes <= 7 + 2, "tap duplicated into {muxes} muxes");
-        }
     }
 
     #[test]

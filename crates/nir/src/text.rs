@@ -98,9 +98,6 @@ pub fn text_emit(m: &NirModule) -> String {
             let _ = write!(out, " {input}");
         }
         let _ = write!(out, " w{}", cell.width);
-        if let CellKind::Mux { onehot: true } = cell.kind {
-            let _ = write!(out, " onehot");
-        }
         if let Some(name) = &cell.name {
             let _ = write!(out, " name={}", quote(name));
         }
@@ -327,7 +324,7 @@ pub fn text_parse(text: &str) -> Result<NirModule, ParseError> {
                     return Err(err(lineno, "expected `=`"));
                 }
                 let kw = f.next_word()?.to_string();
-                let mut kind = if let Some(b) = bin_kind(&kw) {
+                let kind = if let Some(b) = bin_kind(&kw) {
                     CellKind::Bin(b)
                 } else {
                     match kw.as_str() {
@@ -342,7 +339,7 @@ pub fn text_parse(text: &str) -> Result<NirModule, ParseError> {
                             port: int_at(f.line, f.next_kv("port")?)?,
                             state: int_at(f.line, f.next_kv("state")?)?,
                         },
-                        "mux" => CellKind::Mux { onehot: false },
+                        "mux" => CellKind::Mux,
                         "slice" => {
                             let hi: u16 = int_at(f.line, f.next_word()?)?;
                             let lo: u16 = int_at(f.line, f.next_word()?)?;
@@ -374,15 +371,7 @@ pub fn text_parse(text: &str) -> Result<NirModule, ParseError> {
                 )?;
                 let mut name = None;
                 while !f.done() {
-                    let t = f.next()?;
-                    match t {
-                        Tok::Word(w) if w == "onehot" => {
-                            if let CellKind::Mux { onehot } = &mut kind {
-                                *onehot = true;
-                            } else {
-                                return Err(err(lineno, "`onehot` only applies to mux"));
-                            }
-                        }
+                    match f.next()? {
                         Tok::Word(w) if w == "name=" => {
                             name = Some(f.next_str()?.to_string());
                         }
@@ -440,7 +429,7 @@ mod tests {
         let fsm = m.push(CellKind::FsmState, 8, vec![]);
         let z = m.push(CellKind::Const(0), 8, vec![]);
         let en = m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![fsm, z]);
-        let mx = m.push(CellKind::Mux { onehot: true }, 16, vec![en, p, c]);
+        let mx = m.push(CellKind::Mux, 16, vec![en, p, c]);
         let sl = m.push(CellKind::Slice { hi: 7, lo: 0 }, 8, vec![mx]);
         let rz = m.push(CellKind::Resize, 16, vec![sl]);
         let r = m.add_cell(Cell {

@@ -1,11 +1,12 @@
 //! Structural validation of a [`NirModule`].
 //!
 //! `validate` checks the invariants every consumer (simulator, rewriter,
-//! Verilog printer) relies on: operand ids in range, per-kind arity, width
-//! agreement, port references consistent with the module interface, every
-//! output port driven, and the absence of combinational cycles (registers
-//! break cycles). The cycle check uses the same iterative colour-marked DFS
-//! idiom as the scheduler's combinational-path walker.
+//! Verilog printer) relies on: operands that name a value, per-kind
+//! arity, width agreement, port references consistent with the module
+//! interface, every output port driven, and the absence of combinational
+//! cycles (registers break cycles). The cycle check uses the same
+//! iterative colour-marked DFS idiom as the scheduler's
+//! combinational-path walker.
 
 use crate::model::{CellId, CellKind, NirModule};
 use hls_ir::PortDirection;
@@ -14,7 +15,9 @@ use std::fmt;
 /// A structural defect found by [`validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NirError {
-    /// An operand id is outside the cell arena.
+    /// An operand names no value: its id is outside the cell arena, or it
+    /// names an output cell ([`CellKind::Output`]), which writes a port
+    /// and has no result.
     BadOperand {
         /// The referencing cell.
         cell: CellId,
@@ -35,7 +38,9 @@ pub enum NirError {
         /// The offending cell.
         cell: CellId,
     },
-    /// Widths disagree between a cell and one of its operands.
+    /// Widths disagree between a cell and one of its operands, its port,
+    /// or what its kind requires (1-bit compares, the 8-bit state counter
+    /// and the folded states it must count).
     WidthMismatch {
         /// The offending cell.
         cell: CellId,
@@ -68,7 +73,7 @@ impl fmt::Display for NirError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NirError::BadOperand { cell, index } => {
-                write!(f, "cell {cell}: operand {index} is out of range")
+                write!(f, "cell {cell}: operand {index} names no value")
             }
             NirError::BadArity {
                 cell,
@@ -103,7 +108,6 @@ impl std::error::Error for NirError {}
 /// Checks all structural invariants of `m`; `Ok(())` means every consumer may
 /// assume widths agree, references resolve and combinational logic is acyclic.
 pub fn validate(m: &NirModule) -> Result<(), NirError> {
-    let n = m.cells.len();
     for (id, cell) in m.iter_cells() {
         let expected = cell.kind.arity();
         if cell.inputs.len() != expected {
@@ -114,7 +118,11 @@ pub fn validate(m: &NirModule) -> Result<(), NirError> {
             });
         }
         for (index, input) in cell.inputs.iter().enumerate() {
-            if input.index() >= n {
+            let names_value = m
+                .cells
+                .get(input.index())
+                .is_some_and(|c| !matches!(c.kind, CellKind::Output { .. }));
+            if !names_value {
                 return Err(NirError::BadOperand { cell: id, index });
             }
         }
@@ -123,6 +131,18 @@ pub fn validate(m: &NirModule) -> Result<(), NirError> {
         }
         let in_w = |i: usize| m.cell(cell.inputs[i]).width;
         match &cell.kind {
+            // Every controller cell implies the printed 8-bit state register.
+            CellKind::FsmState | CellKind::StageValid { .. } | CellKind::FirstIter { .. }
+                if m.fold_states > 256 =>
+            {
+                return Err(NirError::WidthMismatch {
+                    cell: id,
+                    detail: format!(
+                        "the 8-bit state counter holds 256 folded states, not {}",
+                        m.fold_states
+                    ),
+                });
+            }
             CellKind::Const(_) => {}
             CellKind::Input { port, .. } => {
                 let Some(p) = m.ports.get(*port as usize) else {
@@ -166,7 +186,7 @@ pub fn validate(m: &NirModule) -> Result<(), NirError> {
                 }
             }
             CellKind::Un(_) => {}
-            CellKind::Mux { .. } => {
+            CellKind::Mux => {
                 if in_w(1) != cell.width || in_w(2) != cell.width {
                     return Err(NirError::WidthMismatch {
                         cell: id,
@@ -331,12 +351,50 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_operand_that_reads_an_output_cell() {
+        // An output cell is a port write: reading it as a value is no
+        // netlist the printer or the simulator can interpret.
+        let text = "module \"m\" fold=1 states=1 stages=1
+port \"x\" in 8
+port \"y\" out 8
+%0 = input port=0 state=0 w8
+%1 = const 1 w1
+%2 = output port=1 state=0 %0 %1 w8
+%3 = add %2 %0 w8
+%4 = reg init=0 %3 %1 w8
+endmodule
+";
+        let m = crate::text::text_parse(text).expect("parses");
+        assert_eq!(
+            validate(&m),
+            Err(NirError::BadOperand {
+                cell: CellId::from_raw(3),
+                index: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_more_folded_states_than_the_state_counter_holds() {
+        let mut m = module_with_out();
+        let fsm = m.push(CellKind::FsmState, 8, vec![]);
+        drive_output(&mut m, fsm);
+        m.fold_states = 256;
+        assert_eq!(validate(&m), Ok(()));
+        m.fold_states = 257;
+        assert!(matches!(
+            validate(&m),
+            Err(NirError::WidthMismatch { cell, .. }) if cell == fsm
+        ));
+    }
+
+    #[test]
     fn rejects_mux_arm_width_mismatch() {
         let mut m = module_with_out();
         let s = m.push(CellKind::Const(1), 1, vec![]);
         let a = m.push(CellKind::Const(1), 8, vec![]);
         let b = m.push(CellKind::Const(1), 4, vec![]);
-        let mx = m.push(CellKind::Mux { onehot: false }, 8, vec![s, a, b]);
+        let mx = m.push(CellKind::Mux, 8, vec![s, a, b]);
         drive_output(&mut m, mx);
         assert!(matches!(validate(&m), Err(NirError::WidthMismatch { .. })));
     }

@@ -30,7 +30,7 @@ fn recompute_path(
         let cell = m.cell(step.cell);
         let next_is_mux = path
             .get(i + 1)
-            .map(|n| matches!(m.cell(n.cell).kind, CellKind::Mux { .. }))
+            .map(|n| matches!(m.cell(n.cell).kind, CellKind::Mux))
             .unwrap_or(false);
         let last = i + 1 == path.len();
         acc += match &cell.kind {
@@ -48,7 +48,7 @@ fn recompute_path(
             | CellKind::FsmState
             | CellKind::StageValid { .. }
             | CellKind::FirstIter { .. } => t.register_arrival_ps(),
-            CellKind::Mux { .. } => {
+            CellKind::Mux => {
                 // a path can begin at a mux whose (registered) select wins
                 let start = if i == 0 { t.register_arrival_ps() } else { 0.0 };
                 let tree = if next_is_mux {
@@ -137,11 +137,11 @@ fn idct8_sta_critical_path_matches_hand_computation() {
 }
 
 /// The timed-rewrite acceptance check: idct8 II=8 is scheduled at the
-/// paper's 2000 ps clock (critical path 1890 ps). At a 1700 ps clock the
+/// paper's 2000 ps clock (critical path 1900 ps). At a 1700 ps clock the
 /// stock netlist is a deny-level setup violation — PR 7's behaviour — but
 /// `optimize_timed` closes it: the endpoint shifter `w_38_shr` shifts by
 /// the constant 11, so strength reduction rewires it as slice/resize
-/// wiring, dropping the path to ~1630 ps and the verdict to a pass with
+/// wiring, dropping the path to ~1640 ps and the verdict to a pass with
 /// positive slack. Observable behaviour is bit-exact before and after, and
 /// at the stock clock (all slacks positive) the stage provably does not
 /// touch the netlist.
@@ -384,7 +384,7 @@ proptest! {
         prop_assert_eq!(&after, &again);
         prop_assert_eq!(after.to_json(), again.to_json());
 
-        // monotonicity: rewrites only remove or rebalance, so no lint may
+        // monotonicity: rewrites only fold and remove, so no lint may
         // fire more often than before
         let (nb, na) = (before.counts(), after.counts());
         for (i, lint) in Lint::ALL.iter().enumerate() {

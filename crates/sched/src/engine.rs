@@ -421,6 +421,8 @@ struct RegionRt {
     iface: Vec<Option<u32>>,
     /// Cached failure-report fragment from the region's last run.
     fail: Vec<(OpId, Vec<Restraint>)>,
+    /// The region's work over every pass so far.
+    work: Work,
 
     // scratch reused across passes
     busy: Vec<Vec<OpId>>,
@@ -430,6 +432,22 @@ struct RegionRt {
     comb_stack: Vec<u32>,
     ready: Vec<OpId>,
     in_arrivals: Vec<f64>,
+}
+
+/// Work counters, summed over an engine's passes and regions: the control
+/// steps scheduled and the placement attempts that reached the instance
+/// scan. Each region counts its own, so parallel components share nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    pub(crate) steps: u64,
+    pub(crate) attempts: u64,
+}
+
+impl std::ops::AddAssign for Work {
+    fn add_assign(&mut self, other: Work) {
+        self.steps += other.steps;
+        self.attempts += other.attempts;
+    }
 }
 
 /// Outcome of one engine pass (the schedule itself stays inside the engine
@@ -600,6 +618,7 @@ impl<'a> Engine<'a> {
                 resume: 0,
                 iface: vec![None; info.boundary.len()],
                 fail: Vec::new(),
+                work: Work::default(),
                 busy: Vec::new(),
                 comb_succ: Vec::new(),
                 comb_mark: Vec::new(),
@@ -1113,6 +1132,7 @@ impl<'a> Engine<'a> {
         for state in resume..latency {
             debug_assert_eq!(cur.snapshots.len(), state as usize);
             cur.snapshots.push(cur.frame.clone());
+            cur.work.steps += 1;
             loop {
                 // ready operations, already in priority order
                 let mut ready = std::mem::take(&mut cur.ready);
@@ -1321,6 +1341,7 @@ impl<'a> Engine<'a> {
             ops.div_ceil(insts)
         };
 
+        cur.work.attempts += 1;
         // counted: one entry per distinct busy type or slack value
         let mut reasons: Vec<Restraint> = Vec::new();
         let mut bound = false;
@@ -1515,6 +1536,15 @@ impl<'a> Engine<'a> {
             }
             EngineOutcome::Failure(failure)
         }
+    }
+
+    /// The work of every pass so far, summed over the regions.
+    pub(crate) fn work(&self) -> Work {
+        let mut total = Work::default();
+        for rt in &self.regions {
+            total += rt.work;
+        }
+        total
     }
 
     /// Extracts the schedule after a successful pass, consuming the engine

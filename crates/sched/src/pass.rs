@@ -11,7 +11,7 @@
 //! [`Scheduler::run_reference`]: crate::scheduler::Scheduler::run_reference
 
 use crate::config::SchedulerConfig;
-use crate::engine::{Engine, EngineOutcome};
+use crate::engine::{Engine, EngineOutcome, Work};
 use crate::region::RegionPlan;
 use crate::relax::Restraint;
 use hls_ir::analysis::Scc;
@@ -68,18 +68,23 @@ pub enum PassOutcome {
 
 /// Runs one scheduling pass, from scratch.
 pub fn schedule_pass(input: &PassInput<'_>) -> PassOutcome {
+    schedule_pass_counted(input).0
+}
+
+/// [`schedule_pass`] with the pass's work counters.
+pub(crate) fn schedule_pass_counted(input: &PassInput<'_>) -> (PassOutcome, Work) {
     let plan = RegionPlan::trivial(input.body.dfg.num_ops());
     schedule_pass_in_regions(input, &plan, &vec![0; input.resources.len()])
 }
 
-/// Runs one scheduling pass from scratch over a region decomposition.
-/// `inst_region` names the region owning each instance of
-/// `input.resources`, in instance-id order.
+/// Runs one scheduling pass from scratch over a region decomposition and
+/// returns it with its work counters. `inst_region` names the region
+/// owning each instance of `input.resources`, in instance-id order.
 pub(crate) fn schedule_pass_in_regions(
     input: &PassInput<'_>,
     plan: &RegionPlan,
     inst_region: &[u32],
-) -> PassOutcome {
+) -> (PassOutcome, Work) {
     let mut engine = Engine::init(
         input.body,
         input.lib,
@@ -94,13 +99,16 @@ pub(crate) fn schedule_pass_in_regions(
         input.forbidden.iter().copied(),
         input.scc_stage.iter().map(|(&scc, &stage)| (scc, stage)),
     );
-    match engine.run_pass() {
+    let outcome = engine.run_pass();
+    let work = engine.work();
+    let outcome = match outcome {
         EngineOutcome::Success { min_slack_ps } => PassOutcome::Success {
             desc: engine.into_desc(),
             min_slack_ps,
         },
         EngineOutcome::Failure(failure) => PassOutcome::Failure(failure),
-    }
+    };
+    (outcome, work)
 }
 
 #[cfg(test)]

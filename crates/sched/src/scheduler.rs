@@ -10,9 +10,9 @@
 //! for bit.
 
 use crate::config::SchedulerConfig;
-use crate::engine::{Engine, EngineOutcome};
+use crate::engine::{Engine, EngineOutcome, Work};
 use crate::error::SchedError;
-use crate::pass::{schedule_pass, schedule_pass_in_regions, PassInput, PassOutcome};
+use crate::pass::{schedule_pass_counted, schedule_pass_in_regions, PassInput, PassOutcome};
 use crate::region::{batch_owner_regions, concat_pools, owner_region, region_pools, RegionPlan};
 use crate::relax::{choose_action, worst_negative_slack, RelaxAction, Restraint};
 use crate::resources::initial_resource_set;
@@ -35,6 +35,12 @@ pub struct Schedule {
     pub passes: u32,
     /// Relaxation actions applied, in order.
     pub actions: Vec<RelaxAction>,
+    /// Control steps scheduled, summed over passes and regions: a re-pass
+    /// counts only the steps it replays.
+    pub steps_scheduled: u64,
+    /// Placement attempts that reached the instance scan, summed over
+    /// passes and regions.
+    pub placement_attempts: u64,
 }
 
 impl Schedule {
@@ -137,12 +143,15 @@ impl<'a> Scheduler<'a> {
             match engine.run_pass() {
                 EngineOutcome::Success { min_slack_ps } => {
                     let latency = engine.latency;
+                    let work = engine.work();
                     return Ok(Schedule {
                         desc: engine.into_desc(),
                         latency,
                         min_slack_ps,
                         passes: pass_no,
                         actions,
+                        steps_scheduled: work.steps,
+                        placement_attempts: work.attempts,
                     });
                 }
                 EngineOutcome::Failure(failure) => {
@@ -209,6 +218,7 @@ impl<'a> Scheduler<'a> {
         let mut scc_stage: HashMap<usize, u32> = HashMap::new();
         let mut actions: Vec<RelaxAction> = Vec::new();
         let mut last_restraints: Vec<Restraint> = Vec::new();
+        let mut work = Work::default();
 
         for pass_no in 1..=self.config.max_passes {
             if let Some(deadline) = self.config.deadline {
@@ -232,7 +242,9 @@ impl<'a> Scheduler<'a> {
                 scc_stage: &scc_stage,
                 sccs: &components,
             };
-            match schedule_pass_in_regions(&input, &plan, &inst_region) {
+            let (outcome, pass_work) = schedule_pass_in_regions(&input, &plan, &inst_region);
+            work += pass_work;
+            match outcome {
                 PassOutcome::Success { desc, min_slack_ps } => {
                     return Ok(Schedule {
                         desc,
@@ -240,6 +252,8 @@ impl<'a> Scheduler<'a> {
                         min_slack_ps,
                         passes: pass_no,
                         actions,
+                        steps_scheduled: work.steps,
+                        placement_attempts: work.attempts,
                     });
                 }
                 PassOutcome::Failure(failure) => {
@@ -355,6 +369,7 @@ pub fn schedule_separated(
     let unlimited = initial_resource_set(body, 1);
     let components = sccs(&body.dfg);
     let mut latency = generous.min_latency.max(1);
+    let mut work = Work::default();
     let schedule_states;
     loop {
         let input = PassInput {
@@ -367,7 +382,9 @@ pub fn schedule_separated(
             scc_stage: &HashMap::new(),
             sccs: &components,
         };
-        match schedule_pass(&input) {
+        let (outcome, pass_work) = schedule_pass_counted(&input);
+        work += pass_work;
+        match outcome {
             PassOutcome::Success { desc, .. } => {
                 schedule_states = desc;
                 break;
@@ -436,6 +453,8 @@ pub fn schedule_separated(
         min_slack_ps: min_slack,
         passes: 1,
         actions: Vec::new(),
+        steps_scheduled: work.steps,
+        placement_attempts: work.attempts,
     })
 }
 

@@ -16,6 +16,14 @@
 //! relaxation action and both refusal variants; `Filter/100/s2` and
 //! `Filter/300/s2` relax through `ForbidBinding` at sequential 1600 ps.
 //!
+//! `sched_work.txt` holds one line per scheduled configuration of the same
+//! corpus: the control steps scheduled and the placement attempts made,
+//! summed over the passes. Those counts are not decisions — a re-pass that
+//! redoes work it could have skipped schedules the same — so this golden
+//! is the one that fails when an incremental re-pass loses its resume
+//! point. A change that lowers them is re-blessed; one that raises them
+//! needs a reason.
+//!
 //! Run with `UPDATE_GOLDEN=1` to bless an intentional change after
 //! reviewing the diff.
 
@@ -39,18 +47,27 @@ fn body_of(behavior: &Behavior) -> LinearBody {
     prepare_innermost_loop(&mut cdfg).expect("linearizes")
 }
 
-/// Schedules `body` under `config`, appends its line and records the
-/// action kinds and error variants seen.
-fn record(
-    out: &mut String,
-    seen: &mut BTreeSet<&'static str>,
-    label: &str,
-    body: &LinearBody,
-    config: SchedulerConfig,
-) {
+/// The decision and work goldens being built, and the action kinds and
+/// error variants seen so far.
+#[derive(Default)]
+struct Corpus {
+    decisions: String,
+    work: String,
+    seen: BTreeSet<&'static str>,
+}
+
+/// Schedules `body` under `config` and appends its decision line, and its
+/// work line if it schedules.
+fn record(corpus: &mut Corpus, label: &str, body: &LinearBody, config: SchedulerConfig) {
     let lib = TechLibrary::artisan_90nm_typical();
+    let seen = &mut corpus.seen;
     let line = match Scheduler::new(body, &lib, config).run() {
         Ok(s) => {
+            let _ = writeln!(
+                corpus.work,
+                "{label} steps={} attempts={}",
+                s.steps_scheduled, s.placement_attempts
+            );
             for a in &s.actions {
                 seen.insert(match a {
                     RelaxAction::AddState => "AddState",
@@ -71,7 +88,7 @@ fn record(
             failure_line(&e)
         }
     };
-    let _ = writeln!(out, "{label} {line}");
+    let _ = writeln!(corpus.decisions, "{label} {line}");
 }
 
 #[test]
@@ -82,8 +99,7 @@ fn scheduling_decisions_match_golden() {
     let example1 = body_of(&paper_example1());
     let fir8 = body_of(&fir_filter(&FIR8_TAPS, 16));
     let idct8 = idct8_design();
-    let mut out = String::new();
-    let mut seen = BTreeSet::new();
+    let mut corpus = Corpus::default();
 
     let mut refusal = SchedulerConfig::sequential(c1600, 1, 1);
     refusal.allow_add_resources = false;
@@ -131,7 +147,7 @@ fn scheduling_decisions_match_golden() {
         ),
     ];
     for (label, body, config) in paper {
-        record(&mut out, &mut seen, label, body, config);
+        record(&mut corpus, label, body, config);
     }
 
     for class in DesignClass::all() {
@@ -144,7 +160,7 @@ fn scheduling_decisions_match_golden() {
                     ("ii2@2200ps/L24", SchedulerConfig::pipelined(c2200, 2, 24)),
                     ("ii1@2200ps/L24", SchedulerConfig::pipelined(c2200, 1, 24)),
                 ] {
-                    record(&mut out, &mut seen, &format!("{id}/{tag}"), &body, config);
+                    record(&mut corpus, &format!("{id}/{tag}"), &body, config);
                 }
             }
         }
@@ -160,9 +176,11 @@ fn scheduling_decisions_match_golden() {
         "BudgetExhausted",
     ] {
         assert!(
-            seen.contains(required),
-            "the decision corpus no longer exercises {required} (saw {seen:?})"
+            corpus.seen.contains(required),
+            "the decision corpus no longer exercises {required} (saw {:?})",
+            corpus.seen
         );
     }
-    compare_or_bless("sched_decisions.txt", &out);
+    compare_or_bless("sched_decisions.txt", &corpus.decisions);
+    compare_or_bless("sched_work.txt", &corpus.work);
 }

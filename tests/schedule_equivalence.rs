@@ -7,7 +7,9 @@
 //! binding, same resource set, same pass count, same action sequence, same
 //! worst slack — so this suite tests what the incremental driver adds:
 //! resume points, per-region watermarks and the instance tables kept
-//! across relaxation actions. The corpus covers the example and paper
+//! across relaxation actions. The incremental driver must also do no more
+//! work than the reference: no more control steps scheduled and no more
+//! placement attempts. The corpus covers the example and paper
 //! designs, a population of random builder programs, region-decomposed
 //! runs and runs that relax through `ForbidBinding`; scheduled designs
 //! additionally run through `Synthesizer::verify`, executing the schedule
@@ -90,6 +92,18 @@ fn check(
     let (line, scheduled) = match (incremental, reference) {
         (Ok(a), Ok(b)) => {
             assert_equal_schedules(label, &a, &b);
+            // a resumed re-pass replays a suffix of what a from-scratch
+            // pass schedules, so it never does more work
+            assert!(
+                a.steps_scheduled <= b.steps_scheduled
+                    && a.placement_attempts <= b.placement_attempts,
+                "{label}: the incremental driver did more work than the reference \
+                 (steps {} vs {}, attempts {} vs {})",
+                a.steps_scheduled,
+                b.steps_scheduled,
+                a.placement_attempts,
+                b.placement_attempts
+            );
             (success_line(&b), true)
         }
         (

@@ -432,6 +432,11 @@ struct RegionRt {
     comb_stack: Vec<u32>,
     ready: Vec<OpId>,
     in_arrivals: Vec<f64>,
+    /// Per local op: its placement failed earlier in the current step.
+    step_failed: Vec<bool>,
+    /// The current step's failed ops, each with the region's placement
+    /// count at its failed attempt.
+    step_fails: Vec<(OpId, usize)>,
 }
 
 /// Work counters, summed over an engine's passes and regions: the control
@@ -448,6 +453,17 @@ impl std::ops::AddAssign for Work {
         self.steps += other.steps;
         self.attempts += other.attempts;
     }
+}
+
+/// What one placement attempt did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Attempt {
+    Placed,
+    /// The instance scan bound nothing; `last_reasons` says why.
+    Failed,
+    /// An input (such as a predicate condition) is not placed yet, so the
+    /// scan was not reached. Not a failure: a later round may place it.
+    NotReady,
 }
 
 /// Outcome of one engine pass (the schedule itself stays inside the engine
@@ -626,6 +642,8 @@ impl<'a> Engine<'a> {
                 comb_stack: Vec::new(),
                 ready: Vec::with_capacity(regions_capacity_hint(n, num_regions)),
                 in_arrivals: Vec::with_capacity(8),
+                step_failed: Vec::new(),
+                step_fails: Vec::new(),
             });
         }
 
@@ -1126,8 +1144,19 @@ impl<'a> Engine<'a> {
             cur.snapshots.truncate(resume as usize);
         }
         self.rebuild_derived(cur, fold_states, ii);
+        if cur.step_failed.len() < n_local {
+            cur.step_failed.resize(n_local, false);
+        }
 
         // --- control steps ---------------------------------------------------
+        // Within a step the busy table and the combinational graph only
+        // grow, and an op's input arrivals are fixed once its inputs are
+        // ready, so an op whose placement failed fails again in every later
+        // round of the step; it is not retried. The step's last round places
+        // nothing, and its attempts set the restraints the failure report
+        // sees, so each failed op's restraints are recomputed once after it
+        // — only if something was placed since its attempt, because
+        // otherwise they are already the same.
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
             debug_assert_eq!(cur.snapshots.len(), state as usize);
@@ -1140,7 +1169,10 @@ impl<'a> Engine<'a> {
                 for &op_id in &order {
                     let i = op_id.index();
                     let l = self.plan.local_of[i] as usize;
-                    if cur.frame.placed[l].is_some() {
+                    // A failed op would still be ready: SCC members need no
+                    // exception, since a first placement in this step pins
+                    // an SCC window that contains this step.
+                    if cur.frame.placed[l].is_some() || cur.step_failed[l] {
                         continue;
                     }
                     let preds_ok = self.statics.preds[i]
@@ -1178,7 +1210,7 @@ impl<'a> Engine<'a> {
 
                 let mut placed_any = false;
                 for &op_id in &ready {
-                    if self.try_place(
+                    match self.try_place(
                         base,
                         ridx,
                         cur,
@@ -1189,7 +1221,12 @@ impl<'a> Engine<'a> {
                         fold_states,
                         sharing,
                     ) {
-                        placed_any = true;
+                        Attempt::Placed => placed_any = true,
+                        Attempt::Failed => {
+                            cur.step_failed[self.plan.local_of[op_id.index()] as usize] = true;
+                            cur.step_fails.push((op_id, cur.frame.num_placed));
+                        }
+                        Attempt::NotReady => {}
                     }
                 }
                 cur.ready = ready;
@@ -1197,6 +1234,30 @@ impl<'a> Engine<'a> {
                     break;
                 }
             }
+            let mut fails = std::mem::take(&mut cur.step_fails);
+            for &(op_id, placed_then) in &fails {
+                cur.step_failed[self.plan.local_of[op_id.index()] as usize] = false;
+                if cur.frame.num_placed > placed_then {
+                    let refresh = self.try_place(
+                        base,
+                        ridx,
+                        cur,
+                        done,
+                        op_id,
+                        state,
+                        ii,
+                        fold_states,
+                        sharing,
+                    );
+                    debug_assert_eq!(
+                        refresh,
+                        Attempt::Failed,
+                        "a failed placement succeeded later in its step"
+                    );
+                }
+            }
+            fails.clear();
+            cur.step_fails = fails;
         }
         cur.order = order;
 
@@ -1257,9 +1318,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Attempts to place one ready operation in `state`. Returns whether a
-    /// placement happened. Mirrors the original pass body exactly, with the
-    /// registered cut rule applied to cross-region inputs.
+    /// Attempts to place one ready operation in `state`. Mirrors the
+    /// original pass body exactly, with the registered cut rule applied to
+    /// cross-region inputs.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
     fn try_place(
         &self,
@@ -1272,7 +1333,7 @@ impl<'a> Engine<'a> {
         ii: u32,
         fold_states: u32,
         sharing: bool,
-    ) -> bool {
+    ) -> Attempt {
         let i = op_id.index();
         let l = self.plan.local_of[i] as usize;
         let op = self.body.dfg.op(op_id);
@@ -1305,7 +1366,7 @@ impl<'a> Engine<'a> {
         }
         if !inputs_ready {
             cur.in_arrivals = in_arrivals;
-            return false;
+            return Attempt::NotReady;
         }
 
         if !self.statics.needs_resource[i] {
@@ -1321,7 +1382,7 @@ impl<'a> Engine<'a> {
             });
             cur.frame.num_placed += 1;
             cur.in_arrivals = in_arrivals;
-            return true;
+            return Attempt::Placed;
         }
 
         let class = self.statics.class_id[i].expect("datapath op has a class");
@@ -1502,7 +1563,11 @@ impl<'a> Engine<'a> {
             cur.frame.last_reasons[l] = Some(Arc::new(reasons));
         }
         cur.in_arrivals = in_arrivals;
-        bound
+        if bound {
+            Attempt::Placed
+        } else {
+            Attempt::Failed
+        }
     }
 
     /// Assembles the global outcome from the per-region results, matching

@@ -45,8 +45,10 @@
 //! watermark; a relaxation action dirties only the regions that can observe
 //! it:
 //!
-//! * `AddState` — every region continues from the previous final state
-//!   (or replays fully if mobility saturation reordered its priorities);
+//! * `AddState` — every region continues from the previous final state,
+//!   unless mobility saturation swapped two of its ops in the priority
+//!   order; it then replays from the first state where the two waited in
+//!   a ready list together (see [`priority_flips`] and [`flip_resume`]);
 //! * `AddResource(ty)` — the instance is added to the pool of the region
 //!   owning the restraint that provoked it; only that region re-passes,
 //!   from the first state where a member of `ty`'s class was considered;
@@ -352,6 +354,130 @@ fn order_for(s: &PassStatics, latency: u32) -> Vec<OpId> {
             .then_with(|| a.cmp(&b))
     });
     order
+}
+
+/// An op whose place in the priority order changes when the latency grows
+/// by one (see [`priority_flips`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Flip {
+    op: OpId,
+    /// Position in the old order.
+    rank: u32,
+    /// Index of the op's run of equal complexity in the old order.
+    group: u32,
+    /// Whether the op's mobility leaves 0, so it moves later; otherwise
+    /// it is saturated and moves earlier.
+    leaving: bool,
+}
+
+/// The ops whose relative priority changes when the latency grows from
+/// `latency` to `latency + 1`, in old-order rank order. `order` must be
+/// `order_for(s, latency)`.
+///
+/// [`order_for`] ranks by complexity ↓, mobility ↑, fanout ↓, id ↑, where
+/// mobility = max(0, L − 1 − h) for h = asap + below. Raising L by one
+/// raises the mobility of every op with h ≤ L − 1 by one and leaves the
+/// rest at 0, so the only pairs that swap are an op with h = L − 1, whose
+/// mobility leaves 0, and a saturated op (h ≥ L) of equal complexity that
+/// it used to precede on the fanout/id tie-break. So a leaving op flips
+/// iff it precedes its group's last saturated op, and a saturated op iff
+/// it follows its group's first leaving op. O(n); no pair is enumerated.
+fn priority_flips(s: &PassStatics, order: &[OpId], latency: u32) -> Vec<Flip> {
+    let latency = latency.max(1);
+    let height = |op: &OpId| s.asap[op.index()] + s.below[op.index()];
+    let mut flips = Vec::new();
+    let (mut lo, mut group) = (0usize, 0u32);
+    while lo < order.len() {
+        let c = s.complexity[order[lo].index()];
+        let hi = lo
+            + order[lo..]
+                .iter()
+                .position(|op| s.complexity[op.index()] != c)
+                .unwrap_or(order.len() - lo);
+        let run = &order[lo..hi];
+        let first_leaving = run.iter().position(|op| height(op) == latency - 1);
+        let last_saturated = run.iter().rposition(|op| height(op) >= latency);
+        if let (Some(a), Some(b)) = (first_leaving, last_saturated) {
+            for (k, op) in run.iter().enumerate().take(b + 1).skip(a) {
+                let h = height(op);
+                let leaving = h == latency - 1;
+                if (leaving && k < b) || (h >= latency && k > a) {
+                    flips.push(Flip {
+                        op: *op,
+                        rank: (lo + k) as u32,
+                        group,
+                        leaving,
+                    });
+                }
+            }
+        }
+        lo = hi;
+        group += 1;
+    }
+    flips
+}
+
+/// The first state at which a swapped pair among one region's `flips` can
+/// both wait in a ready list, or `None` if no such pair's windows overlap.
+/// `window(op)` is the op's waiting window in the old pass: from its first
+/// considered state to the state it was placed in (or the final state),
+/// `None` if it was never considered. A swap can change a decision only in
+/// a round whose ready list holds both ops, so every earlier state makes
+/// the old decisions.
+///
+/// Sweeps each complexity group's windows in start order, keeping the
+/// waiting leaving ops' earliest rank and the waiting saturated ops'
+/// latest in heaps that drop expired windows lazily: a swapped pair waits
+/// together exactly when the earliest is below the latest. Only a window's
+/// start can make that true, so only starts are visited. O(k log k).
+fn flip_resume(flips: &[Flip], window: impl Fn(OpId) -> Option<(u32, u32)>) -> Option<u32> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    // (group, start, rank, end, leaving), in group then start order
+    let mut events: Vec<(u32, u32, u32, u32, bool)> = flips
+        .iter()
+        .filter_map(|f| window(f.op).map(|(from, to)| (f.group, from, f.rank, to, f.leaving)))
+        .collect();
+    events.sort_unstable();
+    let mut best: Option<u32> = None;
+    let mut leaving: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut saturated: BinaryHeap<(u32, u32)> = BinaryHeap::new();
+    let mut k = 0;
+    while k < events.len() {
+        let group = events[k].0;
+        leaving.clear();
+        saturated.clear();
+        while k < events.len() && events[k].0 == group {
+            let state = events[k].1;
+            if best.is_some_and(|b| state >= b) {
+                break;
+            }
+            while k < events.len() && events[k].0 == group && events[k].1 == state {
+                let (_, _, rank, to, is_leaving) = events[k];
+                if is_leaving {
+                    leaving.push(Reverse((rank, to)));
+                } else {
+                    saturated.push((rank, to));
+                }
+                k += 1;
+            }
+            while leaving.peek().is_some_and(|Reverse((_, to))| *to < state) {
+                leaving.pop();
+            }
+            while saturated.peek().is_some_and(|(_, to)| *to < state) {
+                saturated.pop();
+            }
+            if let (Some(Reverse((a, _))), Some((b, _))) = (leaving.peek(), saturated.peek()) {
+                if a < b {
+                    best = Some(state);
+                }
+            }
+        }
+        while k < events.len() && events[k].0 == group {
+            k += 1;
+        }
+    }
+    best
 }
 
 /// One placed operation: its control step, binding and output arrival time.
@@ -731,36 +857,7 @@ impl<'a> Engine<'a> {
     /// derives the owning region from the restraint that provoked it.
     pub(crate) fn apply(&mut self, action: &RelaxAction, restraints: &[Restraint]) {
         match action {
-            RelaxAction::AddState => {
-                let old_latency = self.latency;
-                self.latency += 1;
-                let new_order = order_for(&self.statics, self.latency);
-                if new_order == self.order {
-                    // nothing before the old latency can observe the new
-                    // state: every region continues from its final state
-                    for rt in &mut self.regions {
-                        rt.resume = rt.resume.min(old_latency);
-                    }
-                } else {
-                    // mobility saturation reordered the priorities; regions
-                    // whose filtered order survived still only append, the
-                    // rest replay from scratch
-                    self.order = new_order;
-                    let mut region_orders: Vec<Vec<OpId>> = vec![Vec::new(); self.regions.len()];
-                    for &op in &self.order {
-                        region_orders[self.plan.region_of[op.index()] as usize].push(op);
-                    }
-                    for (rt, new_ord) in self.regions.iter_mut().zip(region_orders) {
-                        let resume = if new_ord == rt.order {
-                            old_latency
-                        } else {
-                            rt.order = new_ord;
-                            0
-                        };
-                        rt.resume = rt.resume.min(resume);
-                    }
-                }
-            }
+            RelaxAction::AddState => self.add_state(),
             RelaxAction::AddResource(ty) => {
                 let owner = crate::region::owner_region(restraints, ty, &self.plan.region_of);
                 self.add_instance(ty, owner);
@@ -808,6 +905,46 @@ impl<'a> Engine<'a> {
                 let fc = rt.frame.first_considered[local];
                 rt.resume = rt.resume.min(fc.unwrap_or(0));
             }
+        }
+    }
+
+    /// Raises the latency by one. Nothing before the old latency can observe
+    /// the new state, but the priorities depend on the latency through
+    /// mobility. A region whose order keeps every pair that can meet in a
+    /// ready list continues from its final state; the others resume at the
+    /// first state where a swapped pair can meet.
+    fn add_state(&mut self) {
+        let old_latency = self.latency;
+        self.latency += 1;
+        let flips = priority_flips(&self.statics, &self.order, old_latency);
+        if flips.is_empty() {
+            debug_assert!(order_for(&self.statics, self.latency) == self.order);
+            for rt in &mut self.regions {
+                rt.resume = rt.resume.min(old_latency);
+            }
+            return;
+        }
+        self.order = order_for(&self.statics, self.latency);
+        let num_regions = self.regions.len();
+        let mut region_orders: Vec<Vec<OpId>> = vec![Vec::new(); num_regions];
+        for &op in &self.order {
+            region_orders[self.plan.region_of[op.index()] as usize].push(op);
+        }
+        let mut region_flips: Vec<Vec<Flip>> = vec![Vec::new(); num_regions];
+        for f in flips {
+            region_flips[self.plan.region_of[f.op.index()] as usize].push(f);
+        }
+        let local_of = &self.plan.local_of;
+        let regions = self.regions.iter_mut().zip(region_orders).zip(region_flips);
+        for ((rt, order), flips) in regions {
+            let frame = &rt.frame;
+            let resume = flip_resume(&flips, |op| {
+                let l = local_of[op.index()] as usize;
+                let to = frame.placed[l].map_or(old_latency - 1, |p| p.state);
+                frame.first_considered[l].map(|from| (from, to))
+            });
+            rt.order = order;
+            rt.resume = rt.resume.min(resume.unwrap_or(old_latency));
         }
     }
 

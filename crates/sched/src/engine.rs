@@ -1833,8 +1833,184 @@ fn regions_capacity_hint(n: usize, num_regions: usize) -> usize {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/common/random_behavior.rs"]
+mod random_behavior;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::initial_resource_set;
+    use hls_ir::analysis::sccs;
+    use hls_ir::{Dfg, PortDirection, Signal};
+    use hls_tech::ClockConstraint;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use random_behavior::random_behavior;
+
+    /// A random DAG of `n` 16-bit operations of mixed kinds over two input
+    /// ports, each reading recent results or constants, and one write.
+    fn random_dag(seed: u64, n: usize) -> LinearBody {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut dfg = Dfg::new();
+        let w = 16;
+        let a = dfg.add_port("a", PortDirection::Input, w);
+        let b = dfg.add_port("b", PortDirection::Input, w);
+        let out = dfg.add_port("out", PortDirection::Output, w);
+        let mut vals: Vec<Signal> = [a, b]
+            .into_iter()
+            .map(|p| Signal::op_w(dfg.add_op(OpKind::Read(p), w, vec![]), w))
+            .collect();
+        for _ in 0..n {
+            let kind = match rng.gen_range(0u32..6) {
+                0 => OpKind::Add,
+                1 => OpKind::Sub,
+                2 | 3 => OpKind::Mul,
+                4 => OpKind::And,
+                _ => OpKind::Xor,
+            };
+            let operand = |rng: &mut SmallRng| {
+                if rng.gen_bool(0.2) {
+                    Signal::constant(rng.gen_range(1u64..100) as i64, w)
+                } else {
+                    vals[rng.gen_range(vals.len().saturating_sub(6)..vals.len())]
+                }
+            };
+            let inputs = vec![operand(&mut rng), operand(&mut rng)];
+            vals.push(Signal::op_w(dfg.add_op(kind, w, inputs), w));
+        }
+        dfg.add_op(OpKind::Write(out), w, vec![*vals.last().unwrap()]);
+        let mut body = LinearBody::from_dfg("dag", dfg);
+        body.source_states = 1;
+        body
+    }
+
+    /// Position of every op in `order`.
+    fn positions(order: &[OpId]) -> Vec<usize> {
+        let mut pos = vec![0; order.len()];
+        for (k, op) in order.iter().enumerate() {
+            pos[op.index()] = k;
+        }
+        pos
+    }
+
+    /// At every latency L from 1 to 48, one pass over `body` and then one
+    /// `AddState`, compared with brute force over every pair of ops: the
+    /// flip set must be the ops of the pairs that `order_for(L)` and
+    /// `order_for(L + 1)` rank differently, and each region must resume at
+    /// the first state where such a pair of its own waited together in
+    /// the pass, or at L. Returns how many (L, region) cases resumed early
+    /// and how many had swapped pairs but appended.
+    fn check_add_state(label: &str, body: &LinearBody, config: &SchedulerConfig) -> (u32, u32) {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let components = sccs(&body.dfg);
+        let n = body.dfg.num_ops();
+        let (mut early, mut appended) = (0, 0);
+        for latency in 1..=48u32 {
+            let mut engine = match config.region_decomposition {
+                Some(opts) => {
+                    let plan = RegionPlan::build(body, &components, opts.target_ops);
+                    Engine::new_with_plan(body, &lib, config, &components, plan, 48, latency)
+                }
+                None => {
+                    let resources = initial_resource_set(body, 48);
+                    Engine::new(body, &lib, config, &components, resources, latency)
+                }
+            };
+            let _ = engine.run_pass();
+            let old = positions(&order_for(&engine.statics, latency));
+            let new = positions(&order_for(&engine.statics, latency + 1));
+            let mut swapped: Vec<(usize, usize)> = Vec::new();
+            for x in 0..n {
+                for y in 0..n {
+                    if old[x] < old[y] && new[x] > new[y] {
+                        swapped.push((x, y));
+                    }
+                }
+            }
+            let mut expected: Vec<(usize, bool)> = swapped
+                .iter()
+                .flat_map(|&(x, y)| [(x, true), (y, false)])
+                .collect();
+            expected.sort_unstable();
+            expected.dedup();
+            let mut flips: Vec<(usize, bool)> =
+                priority_flips(&engine.statics, &engine.order, latency)
+                    .iter()
+                    .map(|f| (f.op.index(), f.leaving))
+                    .collect();
+            flips.sort_unstable();
+            assert_eq!(flips, expected, "{label} L{latency}: flip set");
+
+            let plan = &engine.plan;
+            let window = |rt: &RegionRt, op: usize| {
+                let l = plan.local_of[op] as usize;
+                let to = rt.frame.placed[l].map_or(latency - 1, |p| p.state);
+                rt.frame.first_considered[l].map(|from| (from, to))
+            };
+            let mut resumes = Vec::new();
+            for (r, rt) in engine.regions.iter().enumerate() {
+                let own = |op: usize| plan.region_of[op] as usize == r;
+                let pairs: Vec<&(usize, usize)> =
+                    swapped.iter().filter(|(x, y)| own(*x) && own(*y)).collect();
+                let meet = pairs
+                    .iter()
+                    .filter_map(|&&(x, y)| {
+                        let ((fx, tx), (fy, ty)) = (window(rt, x)?, window(rt, y)?);
+                        let from = fx.max(fy);
+                        (from <= tx.min(ty)).then_some(from)
+                    })
+                    .min();
+                match meet {
+                    Some(_) => early += 1,
+                    None if !pairs.is_empty() => appended += 1,
+                    None => {}
+                }
+                resumes.push(meet.unwrap_or(latency));
+            }
+            engine.apply(&RelaxAction::AddState, &[]);
+            let got: Vec<u32> = engine.regions.iter().map(|rt| rt.resume).collect();
+            assert_eq!(got, resumes, "{label} L{latency}: resume states");
+            let order = positions(&engine.order);
+            assert_eq!(order, new, "{label} L{latency}: new order");
+        }
+        (early, appended)
+    }
+
+    #[test]
+    fn add_state_resumes_where_the_first_swapped_pair_waits_together() {
+        let clock = ClockConstraint::from_period_ps(1600.0);
+        let configs = [
+            ("seq", SchedulerConfig::sequential(clock, 1, 48)),
+            ("ii2", SchedulerConfig::pipelined(clock, 2, 48)),
+            (
+                "seq/regions4",
+                SchedulerConfig::sequential(clock, 1, 48).with_region_decomposition(4),
+            ),
+        ];
+        let (mut early, mut appended) = (0, 0);
+        let mut bodies: Vec<(String, LinearBody)> = Vec::new();
+        for seed in 0..12u64 {
+            let behavior = random_behavior(seed);
+            let mut cdfg = hls_frontend::elaborate(&behavior).expect("elaborates");
+            let body = hls_opt::linearize::prepare_innermost_loop(&mut cdfg).expect("linearizes");
+            bodies.push((format!("rand{seed}"), body));
+        }
+        for seed in 0..6u64 {
+            bodies.push((format!("dag{seed}"), random_dag(seed, 60)));
+        }
+        for (name, body) in &bodies {
+            for (tag, config) in &configs {
+                let (e, a) = check_add_state(&format!("{name}/{tag}"), body, config);
+                early += e;
+                appended += a;
+            }
+        }
+        // the corpus must reach both outcomes of a reorder
+        assert!(
+            early > 0 && appended > 0,
+            "early {early}, appended {appended}"
+        );
+    }
 
     #[test]
     fn comb_graph_detects_figure6_cycle() {

@@ -66,7 +66,15 @@ pub enum SynthesisError {
     Frontend(hls_frontend::FrontendError),
     /// The optimizer or linearization failed.
     Optimizer(hls_opt::OptError),
-    /// Scheduling failed (over-constrained specification).
+    /// The requested clock period is not a positive number of picoseconds
+    /// (zero, negative or NaN). Rejected before any stage runs; the
+    /// recovery ladder never retries it.
+    InvalidClock {
+        /// The requested period, ps.
+        period_ps: f64,
+    },
+    /// Scheduling failed (over-constrained specification, or an initiation
+    /// interval of 0, reported as `InfeasibleIi` with minimum 1).
     Scheduling(hls_sched::SchedError),
     /// Pipeline folding failed.
     Folding(hls_pipeline::FoldError),
@@ -104,6 +112,10 @@ impl fmt::Display for SynthesisError {
         match self {
             SynthesisError::Frontend(e) => write!(f, "front-end: {e}"),
             SynthesisError::Optimizer(e) => write!(f, "optimizer: {e}"),
+            SynthesisError::InvalidClock { period_ps } => write!(
+                f,
+                "invalid clock period of {period_ps} ps: the period must be positive"
+            ),
             SynthesisError::Scheduling(e) => write!(f, "scheduler: {e}"),
             SynthesisError::Folding(e) => write!(f, "pipeline folding: {e}"),
             SynthesisError::Binding(e) => write!(f, "binder: {e}"),
@@ -153,7 +165,7 @@ impl Error for SynthesisError {
             SynthesisError::Netlist(e) => Some(e),
             SynthesisError::Verification(e) => Some(e),
             // the report is data, not an error type
-            SynthesisError::Lint(_) => None,
+            SynthesisError::Lint(_) | SynthesisError::InvalidClock { .. } => None,
             SynthesisError::RecoveryExhausted { last, .. } => Some(last.as_ref()),
         }
     }
@@ -435,6 +447,21 @@ impl Synthesizer {
     }
 
     fn run_on_body(self, body: LinearBody) -> Result<SynthesisResult, SynthesisError> {
+        // The clock and pipeline constructors panic on these; a public
+        // builder must not, so they are refused before the first attempt.
+        if self.clock_ps.is_nan() || self.clock_ps <= 0.0 {
+            return Err(SynthesisError::InvalidClock {
+                period_ps: self.clock_ps,
+            });
+        }
+        if self.ii == Some(0) {
+            return Err(SynthesisError::Scheduling(
+                hls_sched::SchedError::InfeasibleIi {
+                    requested: 0,
+                    minimum: 1,
+                },
+            ));
+        }
         let mut knobs = Knobs {
             max_latency: self.max_latency,
             ii: self.ii,
@@ -842,6 +869,65 @@ mod tests {
         assert!(nstats.muxes() >= 2, "{nstats:?}");
         assert!(nstats.regs > 0, "{nstats:?}");
         assert!(result.binding.summary().contains("FUs"));
+    }
+
+    #[test]
+    fn a_zero_initiation_interval_is_a_typed_error_on_both_entry_points() {
+        let errors = [
+            Synthesizer::new(designs::paper_example1())
+                .pipeline(0)
+                .run()
+                .unwrap_err(),
+            Synthesizer::from_body(explore::idct8_design())
+                .pipeline(0)
+                .recover(RecoveryPolicy::standard())
+                .run()
+                .unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(
+                    err,
+                    SynthesisError::Scheduling(hls_sched::SchedError::InfeasibleIi {
+                        requested: 0,
+                        minimum: 1
+                    })
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_clock_period_that_is_not_positive_is_a_typed_error_on_both_entry_points() {
+        for period in [0.0, -5.0, f64::NAN] {
+            let errors = [
+                Synthesizer::new(designs::paper_example1())
+                    .clock_ps(period)
+                    .run()
+                    .unwrap_err(),
+                // an armed recovery ladder does not retry it
+                Synthesizer::new(designs::paper_example1())
+                    .clock_ps(period)
+                    .recover(RecoveryPolicy::standard())
+                    .run()
+                    .unwrap_err(),
+                Synthesizer::from_body(explore::idct8_design())
+                    .clock_ps(period)
+                    .pipeline(2)
+                    .run()
+                    .unwrap_err(),
+            ];
+            for err in errors {
+                match err {
+                    SynthesisError::InvalidClock { period_ps } => {
+                        assert_eq!(period_ps.to_bits(), period.to_bits());
+                        assert!(err.to_string().contains("invalid clock period"), "{err}");
+                    }
+                    other => panic!("clock {period}: expected InvalidClock, got {other}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -423,16 +423,8 @@ fn priority_flips(s: &PassStatics, order: &[OpId], latency: u32) -> Vec<Flip> {
 /// considered state to the state it was placed in (or the final state),
 /// `None` if it was never considered. A swap can change a decision only in
 /// a round whose ready list holds both ops, so every earlier state makes
-/// the old decisions.
-///
-/// Sweeps each complexity group's windows in start order, keeping the
-/// waiting leaving ops' earliest rank and the waiting saturated ops'
-/// latest in heaps that drop expired windows lazily: a swapped pair waits
-/// together exactly when the earliest is below the latest. Only a window's
-/// start can make that true, so only starts are visited. O(k log k).
+/// the old decisions. O(k log k) for k flips.
 fn flip_resume(flips: &[Flip], window: impl Fn(OpId) -> Option<(u32, u32)>) -> Option<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     // (group, start, rank, end, leaving), in group then start order
     let mut events: Vec<(u32, u32, u32, u32, bool)> = flips
         .iter()
@@ -440,44 +432,53 @@ fn flip_resume(flips: &[Flip], window: impl Fn(OpId) -> Option<(u32, u32)>) -> O
         .collect();
     events.sort_unstable();
     let mut best: Option<u32> = None;
-    let mut leaving: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    let mut saturated: BinaryHeap<(u32, u32)> = BinaryHeap::new();
-    let mut k = 0;
-    while k < events.len() {
-        let group = events[k].0;
-        leaving.clear();
-        saturated.clear();
-        while k < events.len() && events[k].0 == group {
-            let state = events[k].1;
-            if best.is_some_and(|b| state >= b) {
-                break;
-            }
-            while k < events.len() && events[k].0 == group && events[k].1 == state {
-                let (_, _, rank, to, is_leaving) = events[k];
-                if is_leaving {
-                    leaving.push(Reverse((rank, to)));
-                } else {
-                    saturated.push((rank, to));
-                }
-                k += 1;
-            }
-            while leaving.peek().is_some_and(|Reverse((_, to))| *to < state) {
-                leaving.pop();
-            }
-            while saturated.peek().is_some_and(|(_, to)| *to < state) {
-                saturated.pop();
-            }
-            if let (Some(Reverse((a, _))), Some((b, _))) = (leaving.peek(), saturated.peek()) {
-                if a < b {
-                    best = Some(state);
-                }
-            }
-        }
-        while k < events.len() && events[k].0 == group {
-            k += 1;
-        }
+    let mut lo = 0;
+    while lo < events.len() {
+        let group = events[lo].0;
+        let hi = lo
+            + events[lo..]
+                .iter()
+                .position(|e| e.0 != group)
+                .unwrap_or(events.len() - lo);
+        best = min_opt(best, first_meeting(&events[lo..hi]));
+        lo = hi;
     }
     best
+}
+
+/// The first state at which one complexity group's waiting windows, in
+/// start order, hold a leaving op ranked before a saturated one. The
+/// waiting leaving ops' earliest rank and the waiting saturated ops'
+/// latest are kept in heaps that drop expired windows lazily; a swapped
+/// pair waits together exactly when the earliest is below the latest, and
+/// only a window's start can make that true.
+fn first_meeting(events: &[(u32, u32, u32, u32, bool)]) -> Option<u32> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut leaving: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut saturated: BinaryHeap<(u32, u32)> = BinaryHeap::new();
+    for (k, &(_, state, rank, to, is_leaving)) in events.iter().enumerate() {
+        if is_leaving {
+            leaving.push(Reverse((rank, to)));
+        } else {
+            saturated.push((rank, to));
+        }
+        if events.get(k + 1).is_some_and(|next| next.1 == state) {
+            continue;
+        }
+        while leaving.peek().is_some_and(|Reverse((_, to))| *to < state) {
+            leaving.pop();
+        }
+        while saturated.peek().is_some_and(|(_, to)| *to < state) {
+            saturated.pop();
+        }
+        if let (Some(Reverse((a, _))), Some((b, _))) = (leaving.peek(), saturated.peek()) {
+            if a < b {
+                return Some(state);
+            }
+        }
+    }
+    None
 }
 
 /// One placed operation: its control step, binding and output arrival time.

@@ -769,7 +769,7 @@ impl<'a> Engine<'a> {
                 comb_stack: Vec::new(),
                 ready: Vec::with_capacity(regions_capacity_hint(n, num_regions)),
                 in_arrivals: Vec::with_capacity(8),
-                step_failed: Vec::new(),
+                step_failed: vec![false; info.ops.len()],
                 step_fails: Vec::new(),
             });
         }
@@ -1282,9 +1282,6 @@ impl<'a> Engine<'a> {
             cur.snapshots.truncate(resume as usize);
         }
         self.rebuild_derived(cur, fold_states, ii);
-        if cur.step_failed.len() < n_local {
-            cur.step_failed.resize(n_local, false);
-        }
 
         // --- control steps ---------------------------------------------------
         // Within a step the busy table and the combinational graph only

@@ -22,108 +22,20 @@
 
 mod common;
 
-use common::compare_or_bless;
+use common::{caught, compare_or_bless, golden_rows, mutant_designs, verdict};
 use hls::bind::{bind, lower, BoundDesign, RtlStyle};
-use hls::designs::{fir_filter, moving_average, paper_example1};
-use hls::explore::idct8_design;
-use hls::frontend::ast::Behavior;
 use hls::ir::{LinearBody, OpId};
 use hls::netlist::ScheduleDesc;
-use hls::opt::linearize::prepare_innermost_loop;
 use hls::sched::{Scheduler, SchedulerConfig};
 use hls::sim::differential::check_nir;
 use hls::sim::Stimulus;
-use hls::tech::{ClockConstraint, ResourceInstanceId, TechLibrary};
+use hls::tech::{ResourceInstanceId, TechLibrary};
 use std::collections::HashMap;
-use std::fmt::{Debug, Write as _};
-use std::path::Path;
+use std::fmt::Write as _;
 
-const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
 const STIMULUS_SEED: u64 = 0x601D;
 const VECTORS: usize = 16;
 const GOLDEN: &str = "binding_mutation_kills.txt";
-
-fn body_of(behavior: &Behavior) -> LinearBody {
-    let mut cdfg = hls::frontend::elaborate(behavior).expect("elaborates");
-    prepare_innermost_loop(&mut cdfg).expect("linearizes")
-}
-
-/// The shared-FU designs and configurations of the netlist-simulator trace
-/// golden.
-fn designs() -> Vec<(&'static str, LinearBody, SchedulerConfig)> {
-    let c1600 = ClockConstraint::from_period_ps(1600.0);
-    let c2000 = ClockConstraint::from_period_ps(2000.0);
-    let example1 = body_of(&paper_example1());
-    let fir8 = body_of(&fir_filter(&FIR8_TAPS, 16));
-    let idct8 = idct8_design();
-    vec![
-        (
-            "example1_seq",
-            example1.clone(),
-            SchedulerConfig::sequential(c1600, 1, 3),
-        ),
-        (
-            "example1_ii2",
-            example1.clone(),
-            SchedulerConfig::pipelined(c1600, 2, 6),
-        ),
-        (
-            "example1_ii1",
-            example1,
-            SchedulerConfig::pipelined(c1600, 1, 6),
-        ),
-        (
-            "moving_average_ii1",
-            body_of(&moving_average(2, 16)),
-            SchedulerConfig::pipelined(c1600, 1, 8),
-        ),
-        (
-            "fir8_seq",
-            fir8.clone(),
-            SchedulerConfig::sequential(c1600, 1, 16),
-        ),
-        ("fir8_ii2", fir8, SchedulerConfig::pipelined(c1600, 2, 16)),
-        (
-            "idct8_seq",
-            idct8.clone(),
-            SchedulerConfig::sequential(c2000, 1, 16),
-        ),
-        ("idct8_ii8", idct8, SchedulerConfig::pipelined(c2000, 8, 16)),
-    ]
-}
-
-/// The variant name of an error's `Debug` rendering, with the variant of a
-/// wrapped error in parentheses: `InvalidBinding(SlotConflict)`.
-fn variant(debug: &str) -> String {
-    let name: String = debug
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    match debug[name.len()..].strip_prefix('(') {
-        Some(inner) => format!("{name}({})", variant(inner)),
-        None => name,
-    }
-}
-
-fn verdict<T, E: Debug>(r: &Result<T, E>) -> String {
-    match r {
-        Ok(_) => "ok".into(),
-        Err(e) => variant(&format!("{e:?}")),
-    }
-}
-
-/// The golden's mutant lines, split into columns.
-fn golden_rows() -> Vec<Vec<String>> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(GOLDEN);
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    golden
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .map(|l| l.split_whitespace().map(String::from).collect())
-        .collect()
-}
 
 /// `lower` and `check_nir` verdicts on one binding.
 fn check(
@@ -206,26 +118,21 @@ fn mutant_lines(
 
 #[test]
 fn binding_mutant_verdicts_match_golden() {
-    let frozen: HashMap<String, String> = golden_rows()
+    let frozen: HashMap<String, String> = golden_rows(GOLDEN)
         .into_iter()
         .map(|cols| (cols[..4].join(" "), cols[5].clone()))
         .collect();
     let mut out = String::from("# design family op from->to bind check_bound lower check_nir\n");
-    for (name, body, config) in designs() {
+    for (name, body, config) in mutant_designs() {
         mutant_lines(&mut out, &frozen, name, &body, config);
     }
     compare_or_bless(GOLDEN, &out);
 }
 
-/// A verdict that stops the mutant: a refusal or a divergence.
-fn caught(verdict: &str) -> bool {
-    !matches!(verdict, "ok" | "-")
-}
-
 #[test]
 fn every_check_bound_kill_is_refused_or_caught_by_check_nir() {
     let mut kills = 0;
-    for cols in golden_rows() {
+    for cols in golden_rows(GOLDEN) {
         let [.., by_bind, by_bound, by_lower, by_nir] = &cols[..] else {
             panic!("malformed golden line: {cols:?}");
         };

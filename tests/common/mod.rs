@@ -1,8 +1,14 @@
 //! Helpers shared by the golden-snapshot test targets.
 
-use hls::sched::{RelaxAction, SchedError, Schedule};
-use hls::tech::ResourceType;
+use hls::designs::{fir_filter, moving_average, paper_example1};
+use hls::explore::idct8_design;
+use hls::frontend::ast::Behavior;
+use hls::ir::LinearBody;
+use hls::opt::linearize::prepare_innermost_loop;
+use hls::sched::{RelaxAction, SchedError, Schedule, SchedulerConfig};
+use hls::tech::{ClockConstraint, ResourceType};
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::path::Path;
 
 /// Compares `actual` with `tests/golden/<name>` byte for byte, or writes it
@@ -137,4 +143,100 @@ pub fn failure_line(e: &SchedError) -> String {
         }
         other => panic!("unexpected scheduler error in a decision corpus: {other}"),
     }
+}
+
+/// The elaborated, linearized innermost loop of `behavior`.
+#[allow(dead_code)] // only the mutant goldens build designs
+pub fn body_of(behavior: &Behavior) -> LinearBody {
+    let mut cdfg = hls::frontend::elaborate(behavior).expect("elaborates");
+    prepare_innermost_loop(&mut cdfg).expect("linearizes")
+}
+
+/// The stock designs and configurations the mutant goldens mutate: those of
+/// the netlist-simulator trace golden.
+#[allow(dead_code)]
+pub fn mutant_designs() -> Vec<(&'static str, LinearBody, SchedulerConfig)> {
+    const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
+    let c1600 = ClockConstraint::from_period_ps(1600.0);
+    let c2000 = ClockConstraint::from_period_ps(2000.0);
+    let example1 = body_of(&paper_example1());
+    let fir8 = body_of(&fir_filter(&FIR8_TAPS, 16));
+    let idct8 = idct8_design();
+    vec![
+        (
+            "example1_seq",
+            example1.clone(),
+            SchedulerConfig::sequential(c1600, 1, 3),
+        ),
+        (
+            "example1_ii2",
+            example1.clone(),
+            SchedulerConfig::pipelined(c1600, 2, 6),
+        ),
+        (
+            "example1_ii1",
+            example1,
+            SchedulerConfig::pipelined(c1600, 1, 6),
+        ),
+        (
+            "moving_average_ii1",
+            body_of(&moving_average(2, 16)),
+            SchedulerConfig::pipelined(c1600, 1, 8),
+        ),
+        (
+            "fir8_seq",
+            fir8.clone(),
+            SchedulerConfig::sequential(c1600, 1, 16),
+        ),
+        ("fir8_ii2", fir8, SchedulerConfig::pipelined(c1600, 2, 16)),
+        (
+            "idct8_seq",
+            idct8.clone(),
+            SchedulerConfig::sequential(c2000, 1, 16),
+        ),
+        ("idct8_ii8", idct8, SchedulerConfig::pipelined(c2000, 8, 16)),
+    ]
+}
+
+/// The variant name of an error's `Debug` rendering, with the variant of a
+/// wrapped error in parentheses: `InvalidBinding(SlotConflict)`.
+#[allow(dead_code)]
+pub fn variant(debug: &str) -> String {
+    let name: String = debug
+        .chars()
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect();
+    match debug[name.len()..].strip_prefix('(') {
+        Some(inner) => format!("{name}({})", variant(inner)),
+        None => name,
+    }
+}
+
+/// A mutant golden's verdict: `ok`, or the error's variant.
+#[allow(dead_code)]
+pub fn verdict<T, E: Debug>(r: &Result<T, E>) -> String {
+    match r {
+        Ok(_) => "ok".into(),
+        Err(e) => variant(&format!("{e:?}")),
+    }
+}
+
+/// The mutant lines of `tests/golden/<name>`, split into columns.
+#[allow(dead_code)]
+pub fn golden_rows(name: &str) -> Vec<Vec<String>> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    golden
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split_whitespace().map(String::from).collect())
+        .collect()
+}
+
+/// A verdict that stops a mutant: a refusal or a divergence.
+#[allow(dead_code)]
+pub fn caught(verdict: &str) -> bool {
+    !matches!(verdict, "ok" | "-")
 }

@@ -92,7 +92,10 @@ pub struct BindStats {
 /// * `registers[r]` is `RegId(r)`;
 /// * `interner` resolves every [`ResourceClassId`] / `ResourceTypeId`
 ///   carried by the units; ids are meaningful only relative to it.
-#[derive(Clone, Debug)]
+///
+/// The default is the empty binding: no units, no registers. It is what
+/// [`lower()`] is given for [`RtlStyle::PerOp`], which reads no binding.
+#[derive(Clone, Debug, Default)]
 pub struct BoundDesign {
     /// Interner resolving the class/type ids carried by the units.
     pub interner: Interner,

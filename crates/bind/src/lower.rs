@@ -12,7 +12,7 @@
 //!
 //! Iteration `k` is initiated every `cpi = cycles_per_iteration()` cycles
 //! and an operation scheduled in unfolded state `s` fires for iteration `k`
-//! at cycle `k * cpi + s` (exactly [`ScheduleSim`]'s model). A consumer in
+//! at cycle `k * cpi + s` ([`ScheduleDesc::fire_cycle`]). A consumer in
 //! state `ctx` reading producer `p` (state `ps`) at iteration distance `d`
 //! therefore reads:
 //!
@@ -37,8 +37,6 @@
 //! bit widened beyond 1 bit reads as `-1`, matching the interpreter's
 //! 1-bit canonical values — the printed Verilog agrees because every net
 //! is declared `signed`.
-//!
-//! [`ScheduleSim`]: ../hls_sim/cycle/struct.ScheduleSim.html
 
 use crate::fu::{check_fit, check_slots, slot_op};
 use crate::{BindError, BoundDesign};
@@ -52,9 +50,9 @@ use std::fmt;
 /// How operations map onto hardware operators in the lowered netlist.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RtlStyle {
-    /// One combinational operator per operation — the pre-binding layout,
-    /// kept for ablation: the resource constraints shape the schedule but
-    /// the netlist instantiates no shared units.
+    /// One combinational operator per operation: the schedule's own
+    /// netlist, which `hls_sim::differential::check` simulates. It reads no
+    /// binding and instantiates no shared units.
     PerOp,
     /// One operator per allocated resource instance, with operand muxes
     /// steered by the FSM state (plus stage-valid bits and predicates for
@@ -81,6 +79,8 @@ pub enum LowerError {
     },
     /// A consumer samples a value before any register has captured it.
     AcausalRead {
+        /// The consuming operation.
+        consumer: OpId,
         /// The producing operation.
         producer: OpId,
         /// The consumer's unfolded state.
@@ -114,13 +114,14 @@ impl fmt::Display for LowerError {
                 write!(f, "operation {op:?}: call `{name}` has no netlist lowering")
             }
             LowerError::AcausalRead {
+                consumer,
                 producer,
                 consumer_state,
                 distance,
             } => write!(
                 f,
-                "value of {producer:?} read acausally from state {consumer_state} \
-                 at distance {distance}"
+                "{consumer} reads the value of {producer} acausally from state \
+                 {consumer_state} at distance {distance}"
             ),
             LowerError::CombLoop { op } => {
                 write!(f, "combinational dependency cycle through {op:?}")
@@ -354,15 +355,17 @@ impl Lowerer<'_> {
         g
     }
 
-    /// Resolves a signal as sampled by a consumer in state `ctx`, with
-    /// `extra_d` iteration distance accumulated through inlined free ops.
-    fn resolve(&mut self, sig: &Signal, extra_d: u32, ctx: u32) -> Result<CellId, LowerError> {
-        self.resolve_depth(sig, extra_d, ctx, 0)
+    /// Resolves an input signal of operation `of` as sampled in state `ctx`.
+    fn resolve(&mut self, sig: &Signal, of: OpId, ctx: u32) -> Result<CellId, LowerError> {
+        self.resolve_depth(sig, of, 0, ctx, 0)
     }
 
+    /// [`Lowerer::resolve`] with `extra_d` iteration distance accumulated
+    /// through inlined free ops.
     fn resolve_depth(
         &mut self,
         sig: &Signal,
+        of: OpId,
         extra_d: u32,
         ctx: u32,
         depth: u32,
@@ -370,17 +373,18 @@ impl Lowerer<'_> {
         match sig.source {
             SignalSource::Const(v) => Ok(self.cons(CellKind::Const(v), sig.width, vec![], None)),
             SignalSource::Op(p) => {
-                let c = self.producer_ref(p, extra_d + sig.distance, ctx, depth)?;
+                let c = self.producer_ref(p, of, extra_d + sig.distance, ctx, depth)?;
                 Ok(self.resized(c, sig.width))
             }
         }
     }
 
     /// A cell holding operation `p`'s value (at `p`'s width) as observed by
-    /// a consumer in state `ctx` at iteration distance `d`.
+    /// its consumer `of` in state `ctx` at iteration distance `d`.
     fn producer_ref(
         &mut self,
         p: OpId,
+        of: OpId,
         d: u32,
         ctx: u32,
         depth: u32,
@@ -391,7 +395,7 @@ impl Lowerer<'_> {
         let body = self.body;
         let o = body.dfg.op(p);
         if o.kind.is_free() {
-            if let Some(c) = self.inline_free(p, d, ctx, depth)? {
+            if let Some(c) = self.inline_free(p, of, d, ctx, depth)? {
                 return Ok(c);
             }
         }
@@ -403,6 +407,7 @@ impl Lowerer<'_> {
             + i64::from(d);
         if j < 0 {
             return Err(LowerError::AcausalRead {
+                consumer: of,
                 producer: p,
                 consumer_state: ctx,
                 distance: d,
@@ -418,6 +423,7 @@ impl Lowerer<'_> {
     fn inline_free(
         &mut self,
         p: OpId,
+        of: OpId,
         d: u32,
         ctx: u32,
         depth: u32,
@@ -427,7 +433,7 @@ impl Lowerer<'_> {
         let c = match &o.kind {
             OpKind::Const(v) => self.cons(CellKind::Const(*v), o.width, vec![], None),
             OpKind::Slice { hi, lo } => {
-                let inner = self.resolve_depth(&o.inputs[0], d, ctx, depth + 1)?;
+                let inner = self.resolve_depth(&o.inputs[0], of, d, ctx, depth + 1)?;
                 let take = hi.saturating_sub(*lo) + 1;
                 let s = self.cons(
                     CellKind::Slice { hi: *hi, lo: *lo },
@@ -438,13 +444,13 @@ impl Lowerer<'_> {
                 self.resized(s, o.width)
             }
             OpKind::Resize => {
-                let inner = self.resolve_depth(&o.inputs[0], d, ctx, depth + 1)?;
+                let inner = self.resolve_depth(&o.inputs[0], of, d, ctx, depth + 1)?;
                 self.resized(inner, o.width)
             }
             OpKind::Pass => match o.inputs.first() {
                 Some(inner) => {
                     let inner = *inner;
-                    let c = self.resolve_depth(&inner, d, ctx, depth + 1)?;
+                    let c = self.resolve_depth(&inner, of, d, ctx, depth + 1)?;
                     self.resized(c, o.width)
                 }
                 // The anchor's value is a property of the *iteration*: read
@@ -525,7 +531,7 @@ impl Lowerer<'_> {
             let ps = self.state_of(id)?;
             let mut ins = Vec::with_capacity(o.inputs.len());
             for sig in &o.inputs {
-                ins.push(self.resolve(sig, 0, ps)?);
+                ins.push(self.resolve(sig, id, ps)?);
             }
             let name = format!("w_{}_{}", id.index(), sanitize(&o.display_name()));
             self.kind_cell(id, &ins, Some(name))?
@@ -554,7 +560,7 @@ impl Lowerer<'_> {
         let ps = self.state_of(id)?;
         let mut ins = Vec::with_capacity(o.inputs.len());
         for sig in &o.inputs {
-            ins.push(self.resolve(sig, 0, ps)?);
+            ins.push(self.resolve(sig, id, ps)?);
         }
         let name = format!("w_{}_{}_dup", id.index(), sanitize(&o.display_name()));
         let cell = self.kind_cell(id, &ins, Some(name))?;
@@ -727,7 +733,7 @@ impl Lowerer<'_> {
                 && last_in_slot(s.folded_state) != Some(s.op)
                 && !pred.is_true()
             {
-                parts.push(self.pred_cell(pred, s.state)?);
+                parts.push(self.pred_cell(pred, s.op, s.state)?);
             }
             conds.push(Some(self.and_fold(&parts)));
         }
@@ -746,7 +752,7 @@ impl Lowerer<'_> {
             for s in &ops {
                 let arm = match body.dfg.op(s.op).inputs.get(q) {
                     Some(sig) => {
-                        let c = self.resolve(sig, 0, s.state)?;
+                        let c = self.resolve(sig, s.op, s.state)?;
                         self.resized(c, pw)
                     }
                     None => self.cons(CellKind::Const(0), pw, vec![], None),
@@ -810,19 +816,20 @@ impl Lowerer<'_> {
         acc
     }
 
-    /// A 1-bit cell evaluating a predicate as sampled in state `ctx`.
-    fn pred_cell(&mut self, p: &Predicate, ctx: u32) -> Result<CellId, LowerError> {
+    /// A 1-bit cell evaluating operation `of`'s predicate `p` as sampled in
+    /// state `ctx`.
+    fn pred_cell(&mut self, p: &Predicate, of: OpId, ctx: u32) -> Result<CellId, LowerError> {
         match p {
             Predicate::True => Ok(self.cons(CellKind::Const(1), 1, vec![], None)),
-            Predicate::Cond(c) => self.cond_bit(*c, ctx),
+            Predicate::Cond(c) => self.cond_bit(*c, of, ctx),
             Predicate::NotCond(c) => {
-                let b = self.cond_bit(*c, ctx)?;
+                let b = self.cond_bit(*c, of, ctx)?;
                 Ok(self.cons(CellKind::Un(UnKind::Not), 1, vec![b], None))
             }
             Predicate::And(ps) => {
                 let mut parts = Vec::with_capacity(ps.len());
                 for q in ps {
-                    parts.push(self.pred_cell(q, ctx)?);
+                    parts.push(self.pred_cell(q, of, ctx)?);
                 }
                 Ok(self.and_fold(&parts))
             }
@@ -831,8 +838,8 @@ impl Lowerer<'_> {
 
     /// The truth bit of a condition operation: the value itself when 1 bit
     /// wide, a non-zero test otherwise (`is_true` semantics).
-    fn cond_bit(&mut self, c: OpId, ctx: u32) -> Result<CellId, LowerError> {
-        let v = self.producer_ref(c, 0, ctx, 0)?;
+    fn cond_bit(&mut self, c: OpId, of: OpId, ctx: u32) -> Result<CellId, LowerError> {
+        let v = self.producer_ref(c, of, 0, ctx, 0)?;
         let w = self.m.cell(v).width;
         if w == 1 {
             return Ok(v);
@@ -854,13 +861,13 @@ impl Lowerer<'_> {
             let o = body.dfg.op(*id);
             let OpKind::Write(pid) = o.kind else { continue };
             let ws = so.state;
-            let c = self.resolve(&o.inputs[0], 0, ws)?;
+            let c = self.resolve(&o.inputs[0], *id, ws)?;
             let v = self.resized(c, o.width.max(1));
             let pw = body.dfg.port(pid).width.max(1);
             let v = self.resized(v, pw);
             let mut en = self.guard(ws);
             if !o.predicate.is_true() {
-                let pc = self.pred_cell(&o.predicate, ws)?;
+                let pc = self.pred_cell(&o.predicate, *id, ws)?;
                 en = self.and_fold(&[en, pc]);
             }
             self.m.add_cell(Cell {
@@ -1077,6 +1084,31 @@ mod tests {
         .desc;
         let bound = bind(&body, &desc).expect("bindable");
         (body, desc, bound)
+    }
+
+    #[test]
+    fn an_acausal_write_names_the_write_and_its_producer() {
+        // the write moved to state 0 samples its operand before the
+        // multiplication feeding it has been computed
+        let (body, mut desc, _) = example1_seq();
+        let write = first_op(&body, |k| matches!(k, OpKind::Write(_)));
+        desc.ops.get_mut(&write).expect("scheduled").state = 0;
+        let mut producer = body.dfg.op(write).inputs[0].producer().expect("an op");
+        while body.dfg.op(producer).kind.is_free() {
+            producer = body.dfg.op(producer).inputs[0].producer().expect("an op");
+        }
+        let err = lower(&body, &desc, &BoundDesign::default(), RtlStyle::PerOp).unwrap_err();
+        assert!(
+            matches!(err, LowerError::AcausalRead { consumer, producer: p, .. }
+                if consumer == write && p == producer),
+            "{err:?}"
+        );
+        let message = err.to_string();
+        assert!(message.contains(&format!("{write} reads")), "{message}");
+        assert!(
+            message.contains(&format!("value of {producer} ")),
+            "{message}"
+        );
     }
 
     #[test]

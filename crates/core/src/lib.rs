@@ -85,9 +85,10 @@ pub enum SynthesisError {
     Lowering(hls_bind::LowerError),
     /// The lowered (or rewritten) netlist failed structural validation.
     Netlist(hls_nir::NirError),
-    /// Differential verification failed: the cycle-accurate simulation of
-    /// the schedule (per-op or netlist-level) disagrees with the reference
-    /// interpreter.
+    /// Differential verification failed: a netlist simulated cycle by cycle
+    /// (the schedule's per-op netlist, the bound netlist or the rewritten
+    /// one) disagrees with the reference interpreter, or the schedule
+    /// cannot be lowered to its per-op netlist.
     Verification(hls_sim::SimError),
     /// The netlist analyzer found deny-level diagnostics (structural lints
     /// or setup violations, depending on the configured severities). The
@@ -250,8 +251,9 @@ pub struct SynthesisResult {
     /// Runs that return `Ok` never carry deny-level findings.
     pub lint: LintReport,
     /// Differential-verification summary, when [`Synthesizer::verify`] was
-    /// requested: the schedule was executed cycle-accurately against the
-    /// reference interpreter on random input vectors and agreed bit-exactly.
+    /// requested: the schedule's per-op netlist was executed cycle by cycle
+    /// against the reference interpreter on random input vectors and agreed
+    /// bit-exactly.
     pub verification: Option<hls_sim::DifferentialReport>,
     /// Every rung of the recovery ladder that was walked to reach this
     /// result ([`Synthesizer::recover`]). Empty when the first attempt
@@ -375,18 +377,17 @@ impl Synthesizer {
     }
 
     /// Differentially verifies the produced design on `vectors` random input
-    /// vectors: two timed engines (`hls-sim`) run three checks, each of
-    /// which must agree bit-exactly with the reference interpreter, or the
-    /// run fails with [`SynthesisError::Verification`]:
+    /// vectors: one timed engine, `hls-sim`'s netlist simulator, runs three
+    /// checks, each of which must agree bit-exactly with the reference
+    /// interpreter, or the run fails with [`SynthesisError::Verification`]:
     ///
-    /// 1. the per-op schedule simulator, which also reports causality
-    ///    errors of the schedule;
-    /// 2. the netlist simulator on the netlist lowered from the binding,
-    ///    before the netlist rewrites (this is what proves the sharing and
-    ///    steering correct);
-    /// 3. the netlist simulator on the rewritten netlist, after
-    ///    `hls_nir::optimize` and again after any timing-driven rewrite
-    ///    round.
+    /// 1. the schedule's own netlist, lowered with one operator per
+    ///    operation; a schedule that reads a value before it is computed is
+    ///    refused here, so a failure is attributed to the schedule;
+    /// 2. the netlist lowered from the binding, before the netlist rewrites
+    ///    (this is what proves the sharing and steering correct);
+    /// 3. the rewritten netlist, after `hls_nir::optimize` and again after
+    ///    any timing-driven rewrite round.
     pub fn verify(mut self, vectors: usize) -> Self {
         self.verify_vectors = Some(vectors);
         self

@@ -449,10 +449,11 @@ pub fn idct_exploration(clock_periods_ps: &[f64]) -> Vec<ExplorationPoint> {
 }
 
 /// [`idct_exploration`] with an optional differential-verification hook:
-/// when `verify` is given, **every** emitted point's schedule is executed
-/// cycle-accurately against the reference interpreter on random input
-/// vectors and the sweep fails on the first disagreement — so a Pareto front
-/// built from the result contains only demonstrably working designs.
+/// when `verify` is given, **every** emitted point's schedule is lowered to
+/// its per-op netlist and executed cycle by cycle against the reference
+/// interpreter on random input vectors, and the sweep fails on the first
+/// disagreement — so a Pareto front built from the result contains only
+/// demonstrably working designs.
 ///
 /// # Errors
 /// Propagates the first [`hls_sim::SimError`] when verification is enabled.

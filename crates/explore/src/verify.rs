@@ -1,11 +1,11 @@
 //! Differential verification hook for experiment drivers.
 //!
 //! Design-space exploration emits many schedules; this module lets a driver
-//! validate **every point it emits** by executing it: the cycle-accurate
-//! simulation of the schedule (`hls-sim`) must agree bit-exactly with the
-//! reference interpreter on random input vectors. A Pareto front built from
-//! verified points is a set of *working* micro-architectures, not just
-//! plausible numbers.
+//! validate **every point it emits** by executing it: the schedule's per-op
+//! netlist, simulated cycle by cycle (`hls-sim`), must agree bit-exactly
+//! with the reference interpreter on random input vectors. A Pareto front
+//! built from verified points is a set of *working* micro-architectures, not
+//! just plausible numbers.
 
 use hls_ir::LinearBody;
 use hls_netlist::ScheduleDesc;

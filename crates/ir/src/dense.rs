@@ -20,7 +20,7 @@ use std::ops::{Index, IndexMut};
 /// modelled by `T`'s default (typically `Option<V>`). Cloning is a single
 /// `memcpy`-like `Vec` clone, which is what makes per-state scheduler
 /// snapshots cheap.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct DenseOpMap<T> {
     data: Vec<T>,
 }

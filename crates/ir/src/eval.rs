@@ -1,8 +1,8 @@
 //! Executable semantics of the IR: bit-accurate operation evaluation.
 //!
 //! This module pins down, in one place, *what every [`OpKind`] computes* so
-//! that the reference interpreter, the cycle-accurate schedule simulator and
-//! the RTL emitter (`hls-netlist`) all agree bit-for-bit. The value model is:
+//! that the reference interpreter, the netlist simulator and the RTL emitter
+//! (`hls-netlist`) all agree bit-for-bit. The value model is:
 //!
 //! * every value is a **two's-complement signed bit-vector** of a width
 //!   between 1 and 64 bits ([`BitVal`]);

@@ -66,7 +66,7 @@ impl ScheduleDesc {
     /// Number of *physical* FSM states after folding: the initiation
     /// interval for pipelined schedules, the full latency otherwise. This is
     /// the modulus of the controller's state counter in the emitted RTL and
-    /// in the cycle-accurate simulator.
+    /// in the netlist simulator.
     pub fn fold_states(&self) -> u32 {
         // numerically the iteration cadence: the FSM wraps once per
         // initiated iteration

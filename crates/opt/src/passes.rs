@@ -66,7 +66,7 @@ pub(crate) fn redirect_condition_refs(cdfg: &mut Cdfg, from: OpId, to: OpId) {
 
 /// Evaluates an operation on constant inputs, if possible, using the IR's
 /// executable semantics ([`hls_ir::eval`]) so folding is bit-exact with the
-/// interpreter, the schedule simulator and the emitted RTL: inputs wrap to
+/// interpreter, the netlist simulator and the emitted RTL: inputs wrap to
 /// their signal widths, the result wraps to the operation width.
 ///
 /// Division/remainder by a literal zero is *not* folded even though the

@@ -1,20 +1,20 @@
-//! Differential verification: the reference interpreter and a timed
-//! engine — the per-op schedule simulator or the netlist simulator — must
-//! agree bit-for-bit.
+//! Differential verification: the reference interpreter and the netlist
+//! simulator must agree bit-for-bit.
 //!
 //! The observable behaviour of a design is its sequence of predicate-passing
-//! port writes. [`check`], [`check_bound`] and [`check_nir`] run the same
-//! stimulus through the interpreter and a timed engine and compare, per
-//! output port, the full `(iteration, value)` write sequence. Any
-//! disagreement — a wrong value, a missing or spurious write — is a bug in
-//! the scheduler, the binder, the lowering, the pipeliner or the semantics
-//! themselves, reported with enough context to reproduce.
+//! port writes. [`check_nir`] runs the same stimulus through the
+//! interpreter and [`NirSim`](crate::NirSim) on a netlist and compares, per
+//! output port, the full `(iteration, value)` write sequence. [`check`] and
+//! [`check_bound`] first lower a design to that netlist: the schedule with
+//! one operator per operation, or the bound design with its shared units.
+//! Any disagreement — a wrong value, a missing or spurious write — is a bug
+//! in the scheduler, the binder, the lowering, the pipeliner or the
+//! semantics themselves, reported with enough context to reproduce.
 
-use crate::cycle::ScheduleSim;
 use crate::error::SimError;
 use crate::interp::Interpreter;
 use crate::stimulus::Stimulus;
-use hls_bind::RtlStyle;
+use hls_bind::{BoundDesign, RtlStyle};
 use hls_ir::{LinearBody, PortDirection};
 use hls_netlist::ScheduleDesc;
 use hls_nir::NirModule;
@@ -30,20 +30,27 @@ pub struct DifferentialReport {
     pub writes_checked: usize,
 }
 
-/// Runs `stimulus` through the interpreter and the cycle-accurate simulator
-/// of `desc` and asserts bit-exact agreement of every output port's write
-/// sequence.
+/// Lowers the **schedule** with one operator per operation
+/// ([`RtlStyle::PerOp`], which reads no binding) and runs [`check_nir`] on
+/// the result: the schedule's own netlist, controller and register chains
+/// included, against the reference interpreter. A schedule that reads a
+/// value before it is computed cannot be lowered, and is refused with
+/// [`LowerError::AcausalRead`](hls_bind::LowerError::AcausalRead) naming
+/// the consumer and the producer.
 ///
 /// # Errors
-/// [`SimError::Mismatch`] / [`SimError::WriteCountMismatch`] on divergence,
-/// plus any execution error of the two engines.
+/// [`SimError::InvalidBody`] when the body fails validation,
+/// [`SimError::Lowering`] when the schedule cannot be lowered, and the
+/// contract of [`check_nir`] otherwise.
 pub fn check(
     body: &LinearBody,
     desc: &ScheduleDesc,
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
-    let timed = ScheduleSim::new(body, desc)?.run(stimulus)?;
-    compare(body, stimulus, &timed)
+    body.validate()?;
+    let netlist = hls_bind::lower(body, desc, &BoundDesign::default(), RtlStyle::PerOp)
+        .map_err(SimError::Lowering)?;
+    check_nir(body, &netlist, stimulus)
 }
 
 /// Lowers the **bound** design with [`RtlStyle::SharedFu`] — one operator
@@ -60,7 +67,7 @@ pub fn check(
 pub fn check_bound(
     body: &LinearBody,
     desc: &ScheduleDesc,
-    bound: &hls_bind::BoundDesign,
+    bound: &BoundDesign,
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
     let netlist =
@@ -76,8 +83,9 @@ pub fn check_bound(
 /// rewrite passes applied to the netlist) correct by execution.
 ///
 /// # Errors
-/// Same contract as [`check`], plus [`SimError::Netlist`] when the netlist
-/// itself cannot be simulated.
+/// [`SimError::Mismatch`] / [`SimError::WriteCountMismatch`] on divergence,
+/// [`SimError::Netlist`] when the netlist itself cannot be simulated, plus
+/// the reference interpreter's errors.
 pub fn check_nir(
     body: &LinearBody,
     netlist: &NirModule,
@@ -87,7 +95,8 @@ pub fn check_nir(
     compare(body, stimulus, &timed)
 }
 
-/// Compares a timed engine's write trace against the reference interpreter.
+/// Compares the netlist simulator's write trace against the reference
+/// interpreter.
 fn compare(
     body: &LinearBody,
     stimulus: &Stimulus,
@@ -162,7 +171,7 @@ pub fn random_check(
 pub fn random_check_bound(
     body: &LinearBody,
     desc: &ScheduleDesc,
-    bound: &hls_bind::BoundDesign,
+    bound: &BoundDesign,
     vectors: usize,
     seed: u64,
 ) -> Result<DifferentialReport, SimError> {
@@ -193,6 +202,7 @@ fn replay(seed: u64, vectors: usize) -> crate::error::ReplayInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hls_bind::LowerError;
     use hls_frontend::designs;
     use hls_opt::linearize::prepare_innermost_loop;
     use hls_sched::{Scheduler, SchedulerConfig};
@@ -232,9 +242,8 @@ mod tests {
         let body = example1();
         let clk = ClockConstraint::from_period_ps(1600.0);
         let mut d = desc(&body, SchedulerConfig::sequential(clk, 1, 3));
-        // sabotage: delay the write by one state so it lands in a state the
-        // FSM only reaches in the next iteration slot — the write sequence
-        // shifts and the differential must notice
+        // sabotage: move the port write before the multiplication feeding
+        // it, so it would sample its operand before the producer has fired
         let write = body
             .dfg
             .iter_ops()
@@ -244,8 +253,63 @@ mod tests {
         d.ops.get_mut(&write).unwrap().state = 0;
         let err = random_check(&body, &d, 10, 1).unwrap_err();
         assert!(
-            matches!(err, SimError::Causality { .. } | SimError::Mismatch { .. }),
+            matches!(err, SimError::Lowering(LowerError::AcausalRead { consumer, .. })
+                if consumer == write),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn same_cycle_carried_read_is_a_causality_violation() {
+        // II=1, LI=2: producer in state 1, a loop-carried (distance-1)
+        // consumer in state 0. At cycle t the producing iteration t-1 fires
+        // in the same cycle as the consuming iteration t — in hardware the
+        // carried value sits in a register that only updates at the end of
+        // the cycle, so this schedule must be rejected, not silently
+        // resolved combinationally.
+        use hls_ir::{Dfg, OpKind, Signal};
+        use hls_netlist::ScheduledOp;
+        use std::collections::BTreeMap;
+        let mut dfg = Dfg::new();
+        let x = dfg.add_port("x", PortDirection::Input, 8);
+        let y = dfg.add_port("y", PortDirection::Output, 8);
+        let r = dfg.add_op(OpKind::Read(x), 8, vec![]);
+        let a = dfg.add_op(
+            OpKind::Add,
+            8,
+            vec![Signal::op_w(r, 8), Signal::constant(0, 8)],
+        );
+        let b = dfg.add_op(
+            OpKind::Add,
+            8,
+            vec![Signal::op_w(a, 8), Signal::constant(1, 8)],
+        );
+        dfg.op_mut(a).inputs[1] = Signal::carried(b, 8, 1);
+        let w = dfg.add_op(OpKind::Write(y), 8, vec![Signal::op_w(b, 8)]);
+        let body = LinearBody::from_dfg("carried", dfg);
+        let mut ops = BTreeMap::new();
+        for (id, state) in [(r, 0), (a, 0), (b, 1), (w, 1)] {
+            ops.insert(
+                id,
+                ScheduledOp {
+                    op: id,
+                    state,
+                    resource: None,
+                },
+            );
+        }
+        let d = ScheduleDesc {
+            num_states: 2,
+            ii: Some(1),
+            ops,
+            resources: hls_tech::ResourceSet::new(),
+        };
+        let stim = Stimulus::random(&body.dfg, 4, 2);
+        let err = check(&body, &d, &stim);
+        assert!(
+            matches!(err, Err(SimError::Lowering(LowerError::AcausalRead { consumer, producer, .. }))
+                if consumer == a && producer == b),
+            "expected causality violation, got {err:?}"
         );
     }
 

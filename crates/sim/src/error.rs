@@ -1,4 +1,5 @@
-//! Error type shared by the simulation engines.
+//! Error type shared by the interpreter, the netlist simulator and the
+//! differential checks.
 
 use hls_bind::LowerError;
 use hls_ir::eval::EvalError;
@@ -28,8 +29,8 @@ impl fmt::Display for ReplayInfo {
     }
 }
 
-/// Errors raised by the interpreter, the simulators or the differential
-/// checker.
+/// Errors raised by the interpreter, the netlist simulator or the
+/// differential checks.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -50,24 +51,7 @@ pub enum SimError {
         /// The IP block name.
         name: String,
     },
-    /// The schedule has no placement for an operation another one depends on.
-    Unscheduled {
-        /// The unplaced operation.
-        op: OpId,
-    },
-    /// An operation fired before one of its inputs was computed — the
-    /// schedule violates a data (or write-predicate) dependence.
-    Causality {
-        /// The consuming operation.
-        op: OpId,
-        /// The producing operation whose value was not yet available.
-        input: OpId,
-        /// Iteration being executed.
-        iteration: u32,
-        /// Clock cycle at which the consumer fired.
-        cycle: u64,
-    },
-    /// The reference interpreter and the timed engine under check disagree.
+    /// The reference interpreter and the netlist simulator disagree.
     Mismatch {
         /// Port on which the writes diverge.
         port: PortId,
@@ -79,17 +63,20 @@ pub enum SimError {
         iteration: u32,
         /// Value the reference interpreter produced.
         expected: i64,
-        /// Value the timed engine produced.
+        /// Value the netlist simulator produced.
         actual: i64,
-        /// Clock cycle of the diverging write in the timed engine, when the
+        /// Clock cycle of the diverging write in the netlist simulator, when the
         /// trace recorded one.
         cycle: Option<u64>,
         /// How to regenerate the failing stimulus, when the run came from a
         /// `random_check*` harness.
         replay: Option<ReplayInfo>,
     },
-    /// The bound design could not be lowered to the netlist that
-    /// [`check_bound`](crate::differential::check_bound) executes.
+    /// The schedule or the bound design could not be lowered to the netlist
+    /// that [`check`](crate::differential::check) or
+    /// [`check_bound`](crate::differential::check_bound) executes. A
+    /// schedule that violates a data (or write-predicate) dependence ends
+    /// here, as [`LowerError::AcausalRead`].
     Lowering(LowerError),
     /// The structural netlist could not be simulated: a combinational
     /// cycle, or a cell that failed to evaluate.
@@ -107,7 +94,7 @@ pub enum SimError {
         port_name: String,
         /// Number of writes the reference interpreter produced.
         expected: usize,
-        /// Number of writes the timed engine produced.
+        /// Number of writes the netlist simulator produced.
         actual: usize,
         /// How to regenerate the failing stimulus, when the run came from a
         /// `random_check*` harness.
@@ -147,18 +134,11 @@ impl fmt::Display for SimError {
             SimError::InvalidBody(e) => write!(f, "invalid body: {e}"),
             SimError::Eval { op, source } => write!(f, "evaluating {op}: {source}"),
             SimError::UnsupportedCall { op, name } => {
-                write!(f, "{op} calls IP block `{name}`, which has no simulation model")
+                write!(
+                    f,
+                    "{op} calls IP block `{name}`, which has no simulation model"
+                )
             }
-            SimError::Unscheduled { op } => write!(f, "{op} has no schedule placement"),
-            SimError::Causality {
-                op,
-                input,
-                iteration,
-                cycle,
-            } => write!(
-                f,
-                "{op} fired at cycle {cycle} (iteration {iteration}) before its input {input} was computed"
-            ),
             SimError::Mismatch {
                 port_name,
                 index,
@@ -181,7 +161,7 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::Lowering(e) => write!(f, "lowering the bound design: {e}"),
+            SimError::Lowering(e) => write!(f, "lowering to a netlist: {e}"),
             SimError::Netlist { cell, reason } => {
                 write!(f, "netlist cell %{cell}: {reason}")
             }

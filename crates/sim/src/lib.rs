@@ -2,7 +2,7 @@
 //!
 //! Everything else in the workspace checks designs *structurally* (latencies,
 //! resource counts, emitted text); this crate checks them by **executing**
-//! them, with a reference engine and two timed engines that must agree
+//! them, with a reference engine and one timed engine that must agree
 //! bit-for-bit:
 //!
 //! * [`Interpreter`] — the reference semantics: each iteration evaluates the
@@ -11,20 +11,22 @@
 //!   and therefore trustworthy as a specification. Width/signedness rules
 //!   come from [`hls_ir::eval`], which also pins down div-by-zero,
 //!   shift-overflow, slice and resize corner cases.
-//! * [`ScheduleSim`] — the implementation semantics: steps a scheduled
-//!   design cycle by cycle (FSM state, firing per control step, pipelined
-//!   iteration overlap at the initiation interval), produces per-cycle
-//!   traces, and fails loudly when the schedule violates a dependence.
-//! * [`NirSim`] — the hardware semantics: executes the structural netlist
-//!   `hls_bind::lower` builds from the binding, shared units and operand
-//!   steering included, which is the object the Verilog is printed from.
+//! * [`NirSim`] — the hardware semantics: executes a structural netlist
+//!   cycle by cycle (FSM state, register chains, pipelined iteration
+//!   overlap at the initiation interval, operand steering), the object the
+//!   Verilog is printed from.
 //!
-//! [`differential::check`] and [`differential::check_nir`] run the same
-//! input vectors through the reference and a timed engine and compare every
-//! output port's write sequence, turning every scheduler, binder, lowering
-//! or pipeliner change into a differentially-verified change. The
-//! `hls` facade exposes this as `Synthesizer::verify(n)`, and `hls-explore`
-//! can validate every Pareto point it emits.
+//! The differential checks run the same input vectors through both engines
+//! and compare every output port's write sequence.
+//! [`differential::check`] lowers the *schedule* with one operator per
+//! operation (`hls_bind::RtlStyle::PerOp`), so a schedule that reads a value
+//! before it is computed is refused while lowering;
+//! [`differential::check_bound`] lowers the *binding*, shared units and
+//! steering included; [`differential::check_nir`] runs any netlist, such as
+//! the rewritten one. Every scheduler, binder, lowering or pipeliner change
+//! is thereby a differentially-verified change. The `hls` facade exposes
+//! this as `Synthesizer::verify(n)`, and `hls-explore` can validate every
+//! Pareto point it emits.
 //!
 //! ```
 //! use hls_frontend::designs;
@@ -53,7 +55,7 @@ pub mod interp;
 pub mod nir;
 pub mod stimulus;
 
-pub use cycle::{CycleRecord, CycleTrace, ScheduleSim, TimedWrite};
+pub use cycle::{CycleTrace, TimedWrite};
 pub use differential::{
     check, check_bound, check_nir, random_check, random_check_bound, random_check_nir,
     DifferentialReport,

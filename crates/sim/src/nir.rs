@@ -1,13 +1,13 @@
 //! Cycle-accurate execution of a structural netlist ([`NirModule`]).
 //!
-//! Where [`ScheduleSim`](crate::ScheduleSim) executes the *schedule*,
-//! [`NirSim`] executes the lowered hardware itself — the binding's shared
-//! units and steering included: the combinational cells settle in topological
-//! order every cycle, registers capture on enables, and the controller
-//! (FSM counter, stage-valid fill, first-iteration one-hot) advances
-//! exactly as the printed Verilog's always-blocks do. Running the same
-//! stimulus through this engine and the reference interpreter is what
-//! proves a lowering — and every rewrite pass applied after it — correct
+//! [`NirSim`] is the crate's one timed engine. It executes lowered
+//! hardware: a schedule's per-op netlist, or a binding's shared units with
+//! their steering. The combinational cells settle in topological order
+//! every cycle, registers capture on enables, and the controller (FSM
+//! counter, stage-valid fill, first-iteration one-hot) advances exactly as
+//! the printed Verilog's always-blocks do. Running the same stimulus
+//! through this engine and the reference interpreter is what proves a
+//! schedule, a lowering, and every rewrite pass applied after it correct
 //! by execution.
 //!
 //! [`NirSim::new`] compiles the module once. It checks every cell's arity,
@@ -24,7 +24,7 @@
 //! input ports from a dense (iteration × port) table, and ends each cycle
 //! with a short list of port writes and register captures.
 
-use crate::cycle::{CycleRecord, CycleTrace, TimedWrite};
+use crate::cycle::{CycleTrace, TimedWrite};
 use crate::error::SimError;
 use crate::stimulus::Stimulus;
 use hls_ir::{CmpKind, PortId};
@@ -610,7 +610,6 @@ impl<'a> NirSim<'a> {
 
         let mut trace = CycleTrace {
             cycles_per_iteration: cpi as u32,
-            cycles: Vec::with_capacity(total as usize),
             writes: Vec::new(),
         };
 
@@ -682,13 +681,6 @@ impl<'a> NirSim<'a> {
             for &(reg, value) in &captured {
                 slots[reg as usize] = value;
             }
-
-            trace.cycles.push(CycleRecord {
-                cycle: t,
-                fsm_state: fsm,
-                active: Vec::new(),
-                fired: Vec::new(),
-            });
 
             // controller advance
             if u64::from(fsm) + 1 >= cpi {

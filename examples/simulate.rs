@@ -1,10 +1,10 @@
 //! Executes synthesized designs: reference interpretation, cycle-accurate
-//! schedule simulation, and differential verification of the paper's
+//! netlist simulation, and differential verification of the paper's
 //! Example 1 micro-architectures plus a pipelined FIR running at full
 //! throughput.
 use hls::designs::{fir_filter, paper_example1};
 use hls::ir::PortDirection;
-use hls::sim::{differential, ScheduleSim, Stimulus};
+use hls::sim::{differential, NirSim, Stimulus};
 use hls::Synthesizer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = result.verification.expect("verification requested");
         println!(
             "  {label:<15} latency {} / {} cycles per iteration — \
-             interpreter and cycle simulation agree on {} writes over {} random vectors",
+             interpreter and netlist simulation agree on {} writes over {} random vectors",
             result.schedule.latency,
             result.schedule.cycles_per_iteration(),
             report.writes_checked,
@@ -37,10 +37,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .pipeline(2)
         .run()?;
     let body = &result.body;
-    let stim = Stimulus::random(&body.dfg, 6, 42);
-    let trace = ScheduleSim::new(body, &result.schedule.desc)?.run(&stim)?;
+    let desc = &result.schedule.desc;
+    let folded = result.pipeline.as_ref().expect("pipelined");
     println!("\n== pipelined Example 1, first 8 cycles (fill + steady state) ==");
-    print!("{}", trace.render(body, 8));
+    println!("cycle | state | active (it.stage) | fired");
+    for cycle in 0..8u64 {
+        let mut active = Vec::new();
+        let mut fired = Vec::new();
+        for (k, stage) in folded.active_iterations(cycle) {
+            active.push(format!("it{k}.s{stage}"));
+            let state = (cycle - k * u64::from(folded.ii)) as u32;
+            for op in desc.ops_in_state(state) {
+                let op = body.dfg.op(op);
+                if !op.kind.is_free() {
+                    fired.push(format!("{}@it{k}", op.display_name()));
+                }
+            }
+        }
+        println!(
+            "{cycle:>5} | s{:<4} | {:<17} | {}",
+            cycle % u64::from(desc.fold_states()) + 1,
+            active.join(" "),
+            fired.join(" ")
+        );
+    }
+
+    // the emitted netlist, simulated cycle by cycle
+    let stim = Stimulus::random(&body.dfg, 6, 42);
+    let trace = NirSim::new(&result.netlist)?.run(&stim)?;
 
     let pixel = body
         .dfg
@@ -64,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let folded = fir.pipeline.as_ref().expect("pipelined");
     let stim = Stimulus::random(&fir.body.dfg, 100, 7);
     let report = differential::check(&fir.body, &fir.schedule.desc, &stim)?;
-    let trace = ScheduleSim::new(&fir.body, &fir.schedule.desc)?.run(&stim)?;
+    let trace = NirSim::new(&fir.netlist)?.run(&stim)?;
     let out = fir
         .body
         .dfg

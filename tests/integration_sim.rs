@@ -1,16 +1,17 @@
 //! Differential verification of the whole flow: for every example design and
-//! every paper design, the cycle-accurate simulation of the produced schedule
-//! must agree bit-exactly with the reference interpreter — for sequential,
-//! separated-binding and modulo-pipelined schedules, on ≥ 100 random input
-//! vectors each.
+//! every paper design, the produced schedule, lowered to its per-op netlist
+//! and simulated cycle by cycle, must agree bit-exactly with the reference
+//! interpreter — for sequential, separated-binding and modulo-pipelined
+//! schedules, on ≥ 100 random input vectors each.
 
+use hls::bind::RtlStyle;
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::{idct8_design, synthetic_design, DesignClass};
 use hls::frontend::{BehaviorBuilder, Expr};
 use hls::ir::{CmpKind, LinearBody, PortDirection};
 use hls::opt::linearize::prepare_innermost_loop;
 use hls::sched::{schedule_separated, Scheduler, SchedulerConfig};
-use hls::sim::{differential, ScheduleSim, Stimulus};
+use hls::sim::{differential, NirSim, Stimulus};
 use hls::tech::{ClockConstraint, TechLibrary};
 use hls::Synthesizer;
 
@@ -106,12 +107,13 @@ fn fir_filter_agrees_and_sustains_pipeline_throughput() {
         // correctness: bit-exact against the interpreter
         differential::check(&body, &schedule.desc, &stim)
             .unwrap_or_else(|e| panic!("fir II={ii}: {e}"));
-        // throughput: in steady state, exactly one output every II cycles —
-        // the pipeline actually sustains 1/II iterations per cycle
-        let trace = ScheduleSim::new(&body, &schedule.desc)
-            .unwrap()
-            .run(&stim)
-            .unwrap();
+        // throughput: in steady state, the emitted netlist writes exactly one
+        // output every II cycles — the pipeline actually sustains 1/II
+        // iterations per cycle
+        let bound = hls::bind::bind(&body, &schedule.desc).expect("fir binds");
+        let netlist = hls::bind::lower(&body, &schedule.desc, &bound, RtlStyle::SharedFu)
+            .expect("fir lowers");
+        let trace = NirSim::new(&netlist).unwrap().run(&stim).unwrap();
         let out = body
             .dfg
             .iter_ports()

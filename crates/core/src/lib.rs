@@ -51,7 +51,7 @@ use hls_ir::LinearBody;
 use hls_lint::{Diagnostic, Lint, LintConfig, LintContext, LintReport, Severity};
 use hls_netlist::{emit_verilog, Datapath};
 use hls_nir::{NirModule, RewriteReport};
-use hls_opt::linearize::{linearize_loop, prepare_innermost_loop};
+use hls_opt::linearize::prepare_innermost_loop;
 use hls_pipeline::{fold_schedule, FoldedPipeline};
 use hls_sched::{Schedule, Scheduler, SchedulerConfig};
 use hls_tech::{ClockConstraint, TechLibrary};
@@ -298,9 +298,7 @@ pub struct Synthesizer {
     min_latency: u32,
     max_latency: u32,
     ii: Option<u32>,
-    allow_scc_move: bool,
     library: TechLibrary,
-    loop_label: Option<String>,
     verify_vectors: Option<usize>,
     lint_config: LintConfig,
     recovery: RecoveryPolicy,
@@ -315,9 +313,7 @@ impl Synthesizer {
             min_latency: 1,
             max_latency: 32,
             ii: None,
-            allow_scc_move: true,
             library: TechLibrary::artisan_90nm_typical(),
-            loop_label: None,
             verify_vectors: None,
             lint_config: LintConfig::default(),
             recovery: RecoveryPolicy::disabled(),
@@ -357,22 +353,9 @@ impl Synthesizer {
         self
     }
 
-    /// Disables the timing-driven SCC move action (Table 4 ablation).
-    pub fn without_scc_move(mut self) -> Self {
-        self.allow_scc_move = false;
-        self
-    }
-
     /// Uses a custom technology library.
     pub fn library(mut self, library: TechLibrary) -> Self {
         self.library = library;
-        self
-    }
-
-    /// Selects which loop to synthesize by its label (defaults to the
-    /// innermost loop).
-    pub fn for_loop(mut self, label: impl Into<String>) -> Self {
-        self.loop_label = Some(label.into());
         self
     }
 
@@ -413,12 +396,10 @@ impl Synthesizer {
 
     fn config_for(&self, knobs: &Knobs) -> SchedulerConfig {
         let clock = ClockConstraint::from_period_ps(knobs.sched_clock_ps);
-        let mut config = match knobs.ii {
+        match knobs.ii {
             Some(ii) => SchedulerConfig::pipelined(clock, ii, knobs.max_latency),
             None => SchedulerConfig::sequential(clock, self.min_latency, knobs.max_latency),
-        };
-        config.allow_scc_move = self.allow_scc_move;
-        config
+        }
     }
 
     /// Runs the full flow.
@@ -427,23 +408,7 @@ impl Synthesizer {
     /// Returns a [`SynthesisError`] wrapping the first stage that failed.
     pub fn run(self) -> Result<SynthesisResult, SynthesisError> {
         let mut cdfg = elaborate(&self.behavior)?;
-        let body = match &self.loop_label {
-            None => prepare_innermost_loop(&mut cdfg)?,
-            Some(label) => {
-                hls_opt::manager::PassManager::standard().run(&mut cdfg)?;
-                let id = cdfg
-                    .loops
-                    .iter()
-                    .find(|l| l.name.as_deref() == Some(label))
-                    .map(|l| l.id)
-                    .ok_or_else(|| {
-                        SynthesisError::Optimizer(hls_opt::OptError::UnknownLoop {
-                            loop_id: label.clone(),
-                        })
-                    })?;
-                linearize_loop(&cdfg, id)?
-            }
-        };
+        let body = prepare_innermost_loop(&mut cdfg)?;
         self.run_on_body(body)
     }
 

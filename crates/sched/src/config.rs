@@ -70,9 +70,6 @@ pub struct SchedulerConfig {
     /// Whether the relaxation engine may move whole SCCs to later pipeline
     /// stages when facing negative slack (the paper's Table 4 ablates this).
     pub allow_scc_move: bool,
-    /// Whether bindings that would create combinational cycles are rejected
-    /// (Section IV.B.3). Disabling this is only useful for ablation studies.
-    pub avoid_comb_cycles: bool,
     /// Whether the relaxation engine may add resources beyond the initial
     /// lower-bound set.
     pub allow_add_resources: bool,
@@ -94,7 +91,6 @@ impl SchedulerConfig {
             max_passes: 64,
             deadline: None,
             allow_scc_move: true,
-            avoid_comb_cycles: true,
             allow_add_resources: true,
             region_decomposition: None,
         }
@@ -113,7 +109,6 @@ impl SchedulerConfig {
             max_passes: 64,
             deadline: None,
             allow_scc_move: true,
-            avoid_comb_cycles: true,
             allow_add_resources: true,
             region_decomposition: None,
         }

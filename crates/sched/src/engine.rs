@@ -1581,40 +1581,38 @@ impl<'a> Engine<'a> {
             }
             // combinational cycle check (only same-region producers can
             // chain in the same state — cross-region values are registered)
-            if self.config.avoid_comb_cycles {
-                let mut creates_cycle = false;
-                for sig in &op.inputs {
-                    if sig.distance > 0 {
-                        continue;
-                    }
-                    let Some(p) = sig.producer() else { continue };
-                    if self.plan.region_of[p.index()] != ridx {
-                        continue;
-                    }
-                    if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
-                        if sp.state == state {
-                            if let Some(rp) = sp.resource {
-                                if comb_would_create_cycle(
-                                    &cur.comb_succ,
-                                    &mut cur.comb_mark,
-                                    &mut cur.comb_epoch,
-                                    &mut cur.comb_stack,
-                                    self.inst_local[rp.index()],
-                                    self.inst_local[res_id.index()],
-                                ) {
-                                    creates_cycle = true;
-                                }
+            let mut creates_cycle = false;
+            for sig in &op.inputs {
+                if sig.distance > 0 {
+                    continue;
+                }
+                let Some(p) = sig.producer() else { continue };
+                if self.plan.region_of[p.index()] != ridx {
+                    continue;
+                }
+                if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
+                    if sp.state == state {
+                        if let Some(rp) = sp.resource {
+                            if comb_would_create_cycle(
+                                &cur.comb_succ,
+                                &mut cur.comb_mark,
+                                &mut cur.comb_epoch,
+                                &mut cur.comb_stack,
+                                self.inst_local[rp.index()],
+                                self.inst_local[res_id.index()],
+                            ) {
+                                creates_cycle = true;
                             }
                         }
                     }
                 }
-                if creates_cycle {
-                    reasons.push(Restraint::CombCycle {
-                        op: op_id,
-                        resource: res_id,
-                    });
-                    continue;
-                }
+            }
+            if creates_cycle {
+                reasons.push(Restraint::CombCycle {
+                    op: op_id,
+                    resource: res_id,
+                });
+                continue;
             }
             // accept the binding
             for sig in &op.inputs {

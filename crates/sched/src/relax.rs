@@ -14,7 +14,7 @@
 
 use crate::config::SchedulerConfig;
 use hls_ir::OpId;
-use hls_tech::{ResourceInstanceId, ResourceSet, ResourceType, TechLibrary};
+use hls_tech::{ResourceInstanceId, ResourceType, TechLibrary};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
@@ -295,7 +295,6 @@ const BATCH_THRESHOLD: usize = 8;
 ///
 /// Returns `None` when no applicable action addresses any restraint — the
 /// specification is over-constrained.
-#[allow(clippy::too_many_arguments)]
 pub fn choose_action(
     restraints: &[Restraint],
     config: &SchedulerConfig,
@@ -303,7 +302,6 @@ pub fn choose_action(
     latency: u32,
     num_sccs: usize,
     scc_stage: &[u32],
-    resources: &ResourceSet,
     failed_ops: &[OpId],
 ) -> Option<RelaxAction> {
     // Hashed lookups keep a pass over N restraints linear; the scores they
@@ -439,7 +437,6 @@ pub fn choose_action(
         }
     }
 
-    let _ = resources; // reserved for smarter cost models
     candidates
         .into_iter()
         .filter(|(_, score)| *score > f64::NEG_INFINITY)
@@ -515,17 +512,8 @@ mod tests {
                 instances: 1,
             },
         ];
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            1,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op1, op2],
-        )
-        .expect("an action");
+        let action = choose_action(&restraints, &cfg_seq(), &lib, 1, 0, &[], &[op1, op2])
+            .expect("an action");
         assert_eq!(action, RelaxAction::AddState);
     }
 
@@ -539,17 +527,8 @@ mod tests {
             instances: 1,
         }];
         // latency already at max → AddState unavailable
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            3,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op1],
-        )
-        .expect("an action");
+        let action =
+            choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &[op1]).expect("an action");
         assert!(
             matches!(action, RelaxAction::AddResource(ty) if ty.class == ResourceClass::Multiplier)
         );
@@ -586,17 +565,8 @@ mod tests {
                 instances: 1,
             },
         ];
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            3,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op1, op2],
-        )
-        .expect("an action");
+        let action = choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &[op1, op2])
+            .expect("an action");
         assert!(
             matches!(
                 &action,
@@ -620,17 +590,7 @@ mod tests {
                 instances: 1,
             },
         ];
-        let action = choose_action(
-            &restraints,
-            &cfg,
-            &lib,
-            3,
-            1,
-            &[],
-            &ResourceSet::new(),
-            &[op],
-        )
-        .expect("an action");
+        let action = choose_action(&restraints, &cfg, &lib, 3, 1, &[], &[op]).expect("an action");
         assert_eq!(action, RelaxAction::MoveScc { scc_index: 0 });
     }
 
@@ -641,16 +601,7 @@ mod tests {
             .without_scc_move();
         let op = OpId::from_raw(3);
         let restraints = vec![Restraint::SccWindow { scc_index: 0, op }];
-        let action = choose_action(
-            &restraints,
-            &cfg,
-            &lib,
-            3,
-            1,
-            &[],
-            &ResourceSet::new(),
-            &[op],
-        );
+        let action = choose_action(&restraints, &cfg, &lib, 3, 1, &[], &[op]);
         assert!(!matches!(action, Some(RelaxAction::MoveScc { .. })));
     }
 
@@ -660,24 +611,15 @@ mod tests {
         let op = OpId::from_raw(5);
         let res = ResourceInstanceId(0);
         let restraints = vec![Restraint::CombCycle { op, resource: res }];
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            3,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op],
-        )
-        .expect("an action");
+        let action =
+            choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &[op]).expect("an action");
         assert_eq!(action, RelaxAction::ForbidBinding { op, resource: res });
     }
 
     #[test]
     fn no_action_when_nothing_applies() {
         let lib = TechLibrary::artisan_90nm_typical();
-        let action = choose_action(&[], &cfg_seq(), &lib, 3, 0, &[], &ResourceSet::new(), &[]);
+        let action = choose_action(&[], &cfg_seq(), &lib, 3, 0, &[], &[]);
         assert!(action.is_none());
     }
 
@@ -776,7 +718,6 @@ mod tests {
             case.latency,
             case.num_sccs,
             &case.scc_stage,
-            &ResourceSet::new(),
             &case.failed_ops,
         )
     }

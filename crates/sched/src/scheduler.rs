@@ -164,7 +164,6 @@ impl<'a> Scheduler<'a> {
                         engine.latency,
                         components.len(),
                         &scc_stage,
-                        &engine.resources,
                         &failure.failed_ops,
                     );
                     let Some(action) = action else {
@@ -267,7 +266,6 @@ impl<'a> Scheduler<'a> {
                         latency,
                         components.len(),
                         &scc_stage_dense,
-                        &resources,
                         &failure.failed_ops,
                     );
                     let Some(action) = action else {

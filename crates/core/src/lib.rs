@@ -897,6 +897,62 @@ mod tests {
     }
 
     #[test]
+    fn a_design_wider_than_the_value_model_is_refused_on_both_entry_points() {
+        // v = a + a; o = v + 1 at 128 bits: the value model covers 64 bits,
+        // so this design must be refused, not verified at 64 bits and
+        // emitted with 128-bit ports
+        use hls_ir::{Dfg, OpKind, PortDirection, Signal};
+        let mut dfg = Dfg::new();
+        let a = dfg.add_port("a", PortDirection::Input, 128);
+        let o = dfg.add_port("o", PortDirection::Output, 128);
+        let r = dfg.add_op(OpKind::Read(a), 128, vec![]);
+        let v = dfg.add_op(OpKind::Add, 128, vec![Signal::op_w(r, 128); 2]);
+        let y = dfg.add_op(
+            OpKind::Add,
+            128,
+            vec![Signal::op_w(v, 128), Signal::constant(1, 128)],
+        );
+        dfg.add_op(OpKind::Write(o), 128, vec![Signal::op_w(y, 128)]);
+        let body = LinearBody::from_dfg("wide", dfg);
+
+        let mut b = frontend::BehaviorBuilder::new("wide");
+        b.port_in("a", 128);
+        b.port_out("o", 128);
+        let v = b.var("v", 128, 0);
+        let body_stmts = vec![
+            b.assign(v, frontend::Expr::add(b.read_port("a"), b.read_port("a"))),
+            b.wait(),
+            b.write_port(
+                "o",
+                frontend::Expr::add(b.read_var(v), frontend::Expr::Const(1)),
+            ),
+        ];
+        b.infinite_loop(body_stmts);
+
+        // the body is refused by the scheduler, the behaviour already by
+        // the elaborator
+        let refused = "port `a` is 128 bits wide; values are at most 64 bits";
+        let err = Synthesizer::from_body(body).verify(16).run().unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SynthesisError::Scheduling(hls_sched::SchedError::InvalidBody { message })
+                    if message.contains(refused)
+            ),
+            "{err:?}"
+        );
+        let err = Synthesizer::new(b.build()).verify(16).run().unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SynthesisError::Frontend(frontend::FrontendError::Elaboration { message })
+                    if message.contains(refused)
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn overconstrained_specification_reports_scheduling_error() {
         let err = Synthesizer::new(designs::paper_example1())
             .clock_ps(600.0) // even a single multiplication cannot fit

@@ -28,6 +28,7 @@
 
 use crate::ast::{Behavior, BinOp, Expr, LoopKind, PortDecl, Stmt, VarDecl, VarId};
 use crate::error::FrontendError;
+use hls_ir::eval::MAX_WIDTH;
 use hls_ir::{CmpKind, PortDirection};
 
 /// Parses the textual behavioural language into a [`Behavior`].
@@ -180,12 +181,13 @@ impl Parser {
         }
     }
 
-    /// Parses a port/variable bit width, rejecting widths outside `1..=1024`
-    /// (which would otherwise truncate silently through `as u16`).
+    /// Parses a port/variable bit width, rejecting widths outside
+    /// `1..=MAX_WIDTH`: the value model covers no wider value, so a wider
+    /// design would be verified at 64 bits and emitted at full width.
     fn width(&mut self) -> Result<u16, FrontendError> {
         let n = self.number()?;
-        if !(1..=1024).contains(&n) {
-            return Err(self.err(format!("bad width `{n}` (expected 1..=1024 bits)")));
+        if !(1..=i64::from(MAX_WIDTH)).contains(&n) {
+            return Err(self.err(format!("bad width `{n}` (expected 1..={MAX_WIDTH} bits)")));
         }
         Ok(n as u16)
     }
@@ -621,9 +623,32 @@ module example1 {
         }
         // non-numeric width is still a plain "expected number" error
         assert!(parse("module m { in a : wide; }").is_err());
-        // boundary widths are accepted
+        // boundary widths are accepted: the value model's 1..=64 bits, and
+        // not one bit more
         assert!(parse("module m { in a : 1; }").is_ok());
-        assert!(parse("module m { in a : 1024; }").is_ok());
+        assert!(parse("module m { in a : 64; }").is_ok());
+        assert!(parse("module m { in a : 65; }").is_err());
+    }
+
+    #[test]
+    fn a_design_wider_than_the_value_model_is_refused() {
+        // verified at 64 bits, this design would be emitted with wider ports
+        // whose adder does not wrap at bit 63
+        let src = |width: u32| {
+            format!(
+                "module m {{ in a : {width}; out o : {width}; var v : {width} = 0; \
+                 thread {{ v = a + a; wait; o = v + 1; }} }}"
+            )
+        };
+        assert!(parse(&src(64)).is_ok());
+        for width in [65, 1024] {
+            let err = parse(&src(width)).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("bad width `{width}` (expected 1..=64 bits)")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

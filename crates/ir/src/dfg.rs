@@ -1,6 +1,7 @@
 //! The data flow graph: operations, ports and data dependencies.
 
 use crate::error::IrError;
+use crate::eval::MAX_WIDTH;
 use crate::ids::{CfgEdgeId, OpId, PortId};
 use crate::op::{OpKind, Operation};
 use crate::predicate::Predicate;
@@ -358,11 +359,21 @@ impl Dfg {
     /// * fixed-arity kinds have the right number of inputs,
     /// * intra-iteration dependencies are acyclic (cycles may only appear
     ///   through loop-carried signals),
-    /// * predicates are satisfiable and reference 1-bit condition ops.
+    /// * predicates are satisfiable and reference 1-bit condition ops,
+    /// * no port, operation result, operand or slice field is wider than
+    ///   [`MAX_WIDTH`] bits.
     ///
     /// # Errors
     /// Returns the first violated invariant as an [`IrError`].
     pub fn validate(&self) -> Result<(), IrError> {
+        for (_, port) in self.iter_ports() {
+            if port.width > MAX_WIDTH {
+                return Err(IrError::TooWide {
+                    what: format!("port `{}`", port.name),
+                    width: port.width,
+                });
+            }
+        }
         for (id, op) in self.iter_ops() {
             if let Some(arity) = op.kind.arity() {
                 if op.inputs.len() != arity {
@@ -416,6 +427,17 @@ impl Dfg {
             }
             if op.width == 0 {
                 return Err(IrError::ZeroWidth { op: id });
+            }
+            let field = match op.kind {
+                OpKind::Slice { hi, lo } => hi.saturating_sub(lo) + 1,
+                _ => 0,
+            };
+            let width = op.max_width().max(field);
+            if width > MAX_WIDTH {
+                return Err(IrError::TooWide {
+                    what: format!("operation {id}"),
+                    width,
+                });
             }
         }
         if let Some(cycle_member) = self.find_intra_iteration_cycle() {
@@ -665,6 +687,29 @@ mod tests {
         let mut dfg = Dfg::new();
         dfg.add_op(OpKind::Pass, 0, vec![]);
         assert!(matches!(dfg.validate(), Err(IrError::ZeroWidth { .. })));
+    }
+
+    #[test]
+    fn widths_beyond_the_value_model_are_rejected() {
+        let too_wide = |dfg: &Dfg| match dfg.validate() {
+            Err(IrError::TooWide { what, width }) => Some((what, width)),
+            _ => None,
+        };
+        let mut dfg = Dfg::new();
+        let x = dfg.add_port("x", PortDirection::Input, 64);
+        let r = dfg.add_op(OpKind::Read(x), 64, vec![]);
+        assert_eq!(dfg.validate(), Ok(()));
+        let s = dfg.add_op(
+            OpKind::Slice { hi: 64, lo: 0 },
+            8,
+            vec![Signal::op_w(r, 64)],
+        );
+        assert_eq!(too_wide(&dfg), Some((format!("operation {s}"), 65)));
+        dfg.op_mut(s).kind = OpKind::Slice { hi: 63, lo: 0 };
+        dfg.op_mut(s).inputs[0].width = 65;
+        assert_eq!(too_wide(&dfg), Some((format!("operation {s}"), 65)));
+        dfg.add_port("y", PortDirection::Output, 65);
+        assert_eq!(too_wide(&dfg), Some(("port `y`".into(), 65)));
     }
 
     #[test]

@@ -45,6 +45,15 @@ pub enum IrError {
         /// The offending operation.
         op: OpId,
     },
+    /// A port, or an operation's result, operand or slice field, is wider
+    /// than [`MAX_WIDTH`](crate::eval::MAX_WIDTH), the widest value the
+    /// semantics and every simulator model.
+    TooWide {
+        /// The port (``port `a` ``) or operation (`op3`).
+        what: String,
+        /// Its width in bits.
+        width: u16,
+    },
     /// An operation's predicate can never be true.
     UnsatisfiablePredicate {
         /// The offending operation.
@@ -124,6 +133,11 @@ impl fmt::Display for IrError {
                 "operation {op} of kind {kind} expects {expected} inputs but has {found}"
             ),
             IrError::ZeroWidth { op } => write!(f, "operation {op} has zero result width"),
+            IrError::TooWide { what, width } => write!(
+                f,
+                "{what} is {width} bits wide; values are at most {} bits",
+                crate::eval::MAX_WIDTH
+            ),
             IrError::UnsatisfiablePredicate { op } => {
                 write!(f, "operation {op} has an unsatisfiable predicate")
             }

@@ -9,6 +9,7 @@
 //! combinational-path walker.
 
 use crate::model::{CellId, CellKind, NirModule};
+use hls_ir::eval::MAX_WIDTH;
 use hls_ir::PortDirection;
 use std::fmt;
 
@@ -37,6 +38,14 @@ pub enum NirError {
     ZeroWidth {
         /// The offending cell.
         cell: CellId,
+    },
+    /// A cell is wider than [`MAX_WIDTH`] bits, the widest value the
+    /// semantics and the simulator model.
+    TooWide {
+        /// The offending cell.
+        cell: CellId,
+        /// Its width in bits.
+        width: u16,
     },
     /// Widths disagree between a cell and one of its operands, its port,
     /// or what its kind requires (1-bit compares, the 8-bit state counter
@@ -84,6 +93,10 @@ impl fmt::Display for NirError {
                 "cell {cell}: expected {expected} operand(s), found {found}"
             ),
             NirError::ZeroWidth { cell } => write!(f, "cell {cell}: zero width"),
+            NirError::TooWide { cell, width } => write!(
+                f,
+                "cell {cell}: {width} bits wide, values are at most {MAX_WIDTH} bits"
+            ),
             NirError::WidthMismatch { cell, detail } => {
                 write!(f, "cell {cell}: width mismatch ({detail})")
             }
@@ -128,6 +141,12 @@ pub fn validate(m: &NirModule) -> Result<(), NirError> {
         }
         if cell.width == 0 {
             return Err(NirError::ZeroWidth { cell: id });
+        }
+        if cell.width > MAX_WIDTH {
+            return Err(NirError::TooWide {
+                cell: id,
+                width: cell.width,
+            });
         }
         let in_w = |i: usize| m.cell(cell.inputs[i]).width;
         match &cell.kind {
@@ -370,6 +389,35 @@ endmodule
             Err(NirError::BadOperand {
                 cell: CellId::from_raw(3),
                 index: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_a_cell_wider_than_the_value_model() {
+        let text = |width: u16| {
+            format!(
+                "module \"m\" fold=1 states=1 stages=1
+port \"x\" in 8
+port \"y\" out 8
+%0 = input port=0 state=0 w8
+%1 = resize %0 w{width}
+%2 = add %1 %1 w{width}
+%3 = resize %2 w8
+%4 = const 1 w1
+%5 = output port=1 state=0 %3 %4 w8
+endmodule
+"
+            )
+        };
+        let m = crate::text::text_parse(&text(64)).expect("parses");
+        assert_eq!(validate(&m), Ok(()));
+        let m = crate::text::text_parse(&text(65)).expect("parses");
+        assert_eq!(
+            validate(&m),
+            Err(NirError::TooWide {
+                cell: CellId::from_raw(1),
+                width: 65,
             })
         );
     }

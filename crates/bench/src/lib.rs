@@ -2,6 +2,6 @@
 //!
 //! Each Criterion bench target corresponds to one table or figure of the
 //! DATE 2011 paper; running `cargo bench` prints the measured rows next to
-//! the timing statistics. See `EXPERIMENTS.md` at the workspace root for the
-//! paper-reported vs measured comparison.
+//! the timing statistics. The README's "Regenerating the paper's tables and
+//! figures" lists the targets.
 #![forbid(unsafe_code)]

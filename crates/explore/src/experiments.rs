@@ -1,9 +1,10 @@
 //! Experiment drivers: one function per table / figure of the paper.
 //!
 //! Every driver returns a structured, serializable result and can render the
-//! same rows the paper prints. The benchmark crate calls these functions; the
-//! integration tests run reduced-size versions as smoke tests; EXPERIMENTS.md
-//! records paper-reported vs measured values.
+//! same rows the paper prints. The benchmark crate calls these functions, and
+//! `tests/integration_experiments.rs` runs reduced-size versions as smoke
+//! tests; `tests/integration_paper_examples.rs` asserts the paper's worked
+//! Examples 1–3 and the ordering of Table 3.
 
 use crate::designs::{idct8_design, synthetic_design, DesignClass};
 use crate::pareto::ExplorationPoint;

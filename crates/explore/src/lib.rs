@@ -11,8 +11,10 @@
 //!   mirror the paper's rows;
 //! * [`pareto`] — Pareto-front extraction over (delay, area, power) points.
 //!
-//! The substitutions relative to the paper's proprietary setup (industrial
-//! designs, commercial logic synthesis) are documented in `DESIGN.md`.
+//! The substitutions relative to the paper's proprietary setup are documented
+//! where they live: the industrial designs in [`designs`], the commercial
+//! library and logic synthesis in `hls-tech`'s `TechLibrary` and
+//! `hls-netlist`'s crate docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! scheduling and requires a specialized engine". This module provides a
 //! compact height-priority IMS with a modulo reservation table and bounded
 //! backtracking so the two approaches can be compared on the same loop bodies
-//! (see the `ablation_separate_binding` bench and EXPERIMENTS.md).
+//! (see the `ablation_separate_binding` bench).
 //!
 //! The baseline is intentionally *resource-count* driven (like the classical
 //! formulation) and only checks chaining delays per operation, not full

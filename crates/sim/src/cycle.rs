@@ -59,3 +59,45 @@ impl CycleTrace {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::differential::check;
+    use crate::error::SimError;
+    use crate::stimulus::Stimulus;
+    use hls_bind::LowerError;
+    use hls_frontend::designs;
+    use hls_ir::OpKind;
+    use hls_opt::linearize::prepare_innermost_loop;
+    use hls_sched::{Scheduler, SchedulerConfig};
+    use hls_tech::{ClockConstraint, TechLibrary};
+
+    #[test]
+    fn broken_schedule_is_caught_as_causality_violation() {
+        let mut cdfg = designs::paper_example1_cdfg().expect("elab");
+        let body = prepare_innermost_loop(&mut cdfg).expect("prepare");
+        let lib = TechLibrary::artisan_90nm_typical();
+        let clk = ClockConstraint::from_period_ps(1600.0);
+        let mut desc = Scheduler::new(&body, &lib, SchedulerConfig::sequential(clk, 1, 3))
+            .run()
+            .expect("schedulable")
+            .desc;
+        // sabotage: move the port write before the multiplication feeding it
+        let write = body
+            .dfg
+            .iter_ops()
+            .find(|(_, op)| matches!(op.kind, OpKind::Write(_)))
+            .map(|(id, _)| id)
+            .unwrap();
+        desc.ops.get_mut(&write).unwrap().state = 0;
+        let stim = Stimulus::random(&body.dfg, 4, 9);
+        // the write now samples its operand, within its own iteration,
+        // before the producer has fired: no timed trace may come of it
+        let err = check(&body, &desc, &stim);
+        assert!(
+            matches!(err, Err(SimError::Lowering(LowerError::AcausalRead { consumer, distance: 0, .. }))
+                if consumer == write),
+            "expected causality violation, got {err:?}"
+        );
+    }
+}

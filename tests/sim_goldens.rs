@@ -3,8 +3,10 @@
 //!
 //! * `nir_sim_traces.txt` — every timed port write `(cycle, iteration,
 //!   port, value)` that `NirSim` records under a fixed random stimulus, on
-//!   the lowered netlists of the stock designs before and after
-//!   `hls_nir::optimize`.
+//!   the lowered netlists of the stock designs and of 300-op generated
+//!   kernels (34-44 states sequential, and II=2) before and after
+//!   `hls_nir::optimize`, and on IDCT8 at II=8 after the one round
+//!   `hls_lint::optimize_timed` keeps at 1700 ps.
 //! * `fault_kill_matrices.txt` — the kill matrices of the five fault sweeps
 //!   the CI `fault-coverage` job runs (the designs of
 //!   `examples/fault_coverage.rs`).
@@ -17,7 +19,7 @@ mod common;
 use common::compare_or_bless;
 use hls::bind::{bind, lower, RtlStyle};
 use hls::designs::{fir_filter, moving_average, paper_example1};
-use hls::explore::idct8_design;
+use hls::explore::{idct8_design, synthetic_design, DesignClass};
 use hls::fault::{run_sweep, FaultConfig};
 use hls::frontend::ast::Behavior;
 use hls::ir::LinearBody;
@@ -37,13 +39,15 @@ fn body_of(behavior: &Behavior) -> LinearBody {
 }
 
 /// Appends the write trace of `body` lowered under `config` and `style`,
-/// once as lowered and once after `hls_nir::optimize`.
+/// once as lowered and once after `hls_nir::optimize`, and with a `timed`
+/// clock once more after `hls_lint::optimize_timed` at that clock.
 fn append_traces(
     out: &mut String,
     name: &str,
     body: &LinearBody,
     config: SchedulerConfig,
     style: RtlStyle,
+    timed: Option<ClockConstraint>,
 ) {
     let lib = TechLibrary::artisan_90nm_typical();
     let desc = Scheduler::new(body, &lib, config)
@@ -54,8 +58,24 @@ fn append_traces(
     let lowered = lower(body, &desc, &bound, style).unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut optimized = lowered.clone();
     hls::nir::optimize(&mut optimized);
+    let mut stages = vec![
+        ("lowered".to_string(), lowered),
+        ("optimized".into(), optimized),
+    ];
+    if let Some(clock) = timed {
+        let mut retimed = stages[1].1.clone();
+        let report = hls::lint::optimize_timed(&mut retimed, &lib, clock);
+        assert!(
+            report.changed(),
+            "{name}: the timed rewrite changes nothing"
+        );
+        stages.push((
+            format!("timed@{}ps/{}", clock.period_ps(), report.rounds),
+            retimed,
+        ));
+    }
     let stimulus = Stimulus::random(&body.dfg, 16, STIMULUS_SEED);
-    for (stage, m) in [("lowered", &lowered), ("optimized", &optimized)] {
+    for (stage, m) in &stages {
         let trace = NirSim::new(m)
             .and_then(|sim| sim.run(&stimulus))
             .unwrap_or_else(|e| panic!("{name} {stage}: simulates: {e}"));
@@ -91,7 +111,7 @@ fn netlist_simulator_write_traces_match_golden() {
             ("per_op", RtlStyle::PerOp),
         ] {
             let name = format!("example1_{tag}_{style_tag}");
-            append_traces(&mut out, &name, &example1, config.clone(), style);
+            append_traces(&mut out, &name, &example1, config.clone(), style, None);
         }
     }
     append_traces(
@@ -100,6 +120,7 @@ fn netlist_simulator_write_traces_match_golden() {
         &body_of(&moving_average(2, 16)),
         SchedulerConfig::pipelined(c1600, 1, 8),
         RtlStyle::SharedFu,
+        None,
     );
     append_traces(
         &mut out,
@@ -107,6 +128,7 @@ fn netlist_simulator_write_traces_match_golden() {
         &fir8,
         SchedulerConfig::sequential(c1600, 1, 16),
         RtlStyle::SharedFu,
+        None,
     );
     append_traces(
         &mut out,
@@ -114,6 +136,7 @@ fn netlist_simulator_write_traces_match_golden() {
         &fir8,
         SchedulerConfig::pipelined(c1600, 2, 16),
         RtlStyle::SharedFu,
+        None,
     );
     append_traces(
         &mut out,
@@ -121,6 +144,7 @@ fn netlist_simulator_write_traces_match_golden() {
         &idct8,
         SchedulerConfig::sequential(c2000, 1, 16),
         RtlStyle::SharedFu,
+        None,
     );
     append_traces(
         &mut out,
@@ -128,7 +152,31 @@ fn netlist_simulator_write_traces_match_golden() {
         &idct8,
         SchedulerConfig::pipelined(c2000, 8, 16),
         RtlStyle::SharedFu,
+        // the one stock netlist on which the timed loop keeps a round
+        Some(ClockConstraint::from_period_ps(1700.0)),
     );
+    // Generated kernels: long FSMs with linear steering chains, sequential
+    // and pipelined, per-op and shared.
+    let c2200 = ClockConstraint::from_period_ps(2200.0);
+    for class in [
+        DesignClass::Filter,
+        DesignClass::Fft,
+        DesignClass::ImageKernel,
+    ] {
+        let body = synthetic_design(class, 300, 0);
+        for (tag, config) in [
+            ("seq", SchedulerConfig::sequential(c2200, 1, 48)),
+            ("ii2", SchedulerConfig::pipelined(c2200, 2, 48)),
+        ] {
+            for (style_tag, style) in [
+                ("shared_fu", RtlStyle::SharedFu),
+                ("per_op", RtlStyle::PerOp),
+            ] {
+                let name = format!("{class:?}_300_s0_{tag}_{style_tag}");
+                append_traces(&mut out, &name, &body, config.clone(), style, None);
+            }
+        }
+    }
     compare_or_bless("nir_sim_traces.txt", &out);
 }
 

@@ -10,26 +10,44 @@
 //! schedule, a lowering, and every rewrite pass applied after it correct
 //! by execution.
 //!
-//! [`NirSim::new`] compiles the module once. It checks every cell's arity,
-//! operand ids and pipeline stage, levelizes the combinational cells, and
-//! emits them as a flat instruction *tape* over `i64` slots. A slot holds
-//! its cell's value sign-extended at the cell's width, which is the
-//! [`BitVal::as_i64`](hls_ir::BitVal::as_i64) reading every
-//! [`hls_ir::eval`] rule starts from, so wrapping `i64` arithmetic followed
-//! by one sign-extension reproduces `eval_op` bit for bit at every width up
-//! to 64. Constants, and cells computed from constants alone, are folded
-//! into the initial slot values; cells no output observes get no slot.
-//! Within a level the tape is sorted by opcode, so [`NirSim::run`] walks it
+//! [`NirSim::new`] compiles the module once, into one instruction *tape*
+//! per value of the FSM counter. It checks every cell's arity, operand ids
+//! and pipeline stage, then, state by state, folds the counter to that
+//! state's value and keeps only the cone that the state's enabled register
+//! captures and port writes read. A tape is a flat list of entries over
+//! `i64` slots. A slot holds its cell's value sign-extended at the cell's
+//! width, which is the [`BitVal::as_i64`](hls_ir::BitVal::as_i64) reading
+//! every [`hls_ir::eval`] rule starts from, so wrapping `i64` arithmetic
+//! followed by one sign-extension reproduces `eval_op` bit for bit at every
+//! width up to 64.
+//!
+//! Folding keeps only exact identities. A cell whose operands are all
+//! constant is evaluated by its own tape entry; a mux with a constant
+//! select becomes its chosen arm, read in place when sign-extension at the
+//! mux width leaves the arm's value unchanged and through a resize entry
+//! otherwise; an `and` with a constant-zero operand is zero. A capture or
+//! port write whose enable folds to zero leaves the state's lists, and a
+//! folded operand reads a constant slot that no tape writes. The tapes are
+//! keyed by `fsm & 0xFF`, the value the printed 8-bit counter holds: a
+//! module with `fold_states` states gets `min(fold_states, 256)` tapes, or
+//! a single one when no live cell reads the counter. Cells that do not
+//! depend on the counter are folded once for all tapes.
+//!
+//! Within a level a tape is sorted by opcode, so [`NirSim::run`] walks it
 //! as a short list of same-opcode runs with one dispatch per run, reads
 //! input ports from a dense (iteration × port) table, and ends each cycle
-//! with a short list of port writes and register captures.
+//! with the state's port writes and register captures. The controller's
+//! stage bits are computed, not shifted: after `b` counter wraps, stage `g`
+//! holds valid work when `b >= g` and iteration 0 when `b == g`.
 
 use crate::cycle::{CycleTrace, TimedWrite};
 use crate::error::SimError;
 use crate::stimulus::Stimulus;
 use hls_ir::{CmpKind, PortId};
 use hls_nir::{BinKind, Cell, CellId, CellKind, NirModule, UnKind};
+use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Tape opcodes: one per combinational cell behaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -157,19 +175,22 @@ fn run_entries(op: Op, run: &[Instr], s: &mut [i64]) {
     }
 }
 
-/// A maximal run of tape entries sharing one opcode, ending before `end`.
+/// A maximal run of tape entries sharing one opcode, ending before `end`
+/// (an index into [`NirSim`]'s flat entry list).
 #[derive(Clone, Copy, Debug)]
 struct Segment {
     op: Op,
     end: u32,
 }
 
-/// A controller source re-read every cycle.
+/// A controller flag, read from the number of counter wraps before the
+/// cycle.
 #[derive(Clone, Copy, Debug)]
 enum Control {
-    Fsm,
-    StageValid(usize),
-    FirstIter(usize),
+    /// Stage `g` holds valid work: at least `g` wraps.
+    StageValid(u64),
+    /// Stage `g` holds iteration 0: exactly `g` wraps.
+    FirstIter(u64),
 }
 
 /// An `Input` cell: column `col` of the stimulus table, for the iteration
@@ -201,14 +222,28 @@ struct Capture {
     ext: u8,
 }
 
-/// Cycle-accurate simulator over a structural netlist, compiled once.
+/// One FSM state's share of [`NirSim`]'s flat lists.
+#[derive(Clone, Debug)]
+struct Tape {
+    /// The entries, level by level and sorted by opcode within a level.
+    entries: Range<usize>,
+    segments: Range<usize>,
+    inputs: Range<usize>,
+    controller: Range<usize>,
+    writes: Range<usize>,
+    captures: Range<usize>,
+}
+
+/// Cycle-accurate simulator over a structural netlist, compiled once into
+/// one tape per FSM state.
 #[derive(Debug)]
 pub struct NirSim<'a> {
-    /// Slot values at reset: folded constants and register inits.
+    /// Slot values at reset: constants and register inits.
     init: Vec<i64>,
-    /// Live combinational cells, level by level, sorted by opcode within
-    /// a level.
-    tape: Vec<Instr>,
+    /// The tape of each value of `fsm & 0xFF`, or a single tape when no
+    /// live cell reads the counter.
+    tapes: Vec<Tape>,
+    entries: Vec<Instr>,
     segments: Vec<Segment>,
     inputs: Vec<InputRead>,
     /// The port each stimulus-table column holds.
@@ -218,7 +253,6 @@ pub struct NirSim<'a> {
     captures: Vec<Capture>,
     fold_states: u32,
     num_states: u32,
-    stages: usize,
     module: PhantomData<&'a NirModule>,
 }
 
@@ -377,35 +411,257 @@ fn instr_of(m: &NirModule, cell: &Cell) -> Instr {
     instr
 }
 
+/// The operand cell ids of an entry.
+fn operands(instr: &Instr) -> impl Iterator<Item = u32> {
+    [instr.a, instr.b, instr.c]
+        .into_iter()
+        .take(instr.op.operands())
+}
+
+/// What compiling one tape decides about a cell.
+#[derive(Clone, Copy, Debug)]
+enum Fold {
+    /// The same value on every cycle of the state.
+    Const(i64),
+    /// Exactly the value of another cell, one that is no alias itself.
+    Alias(u32),
+    /// Computed by this entry, whose operands are still cell ids.
+    Entry(Instr),
+    /// Written outside the tape: a register, an input read or a stage bit.
+    Source,
+}
+
 const NO_SLOT: u32 = u32::MAX;
 
-/// Slot allocation while compiling: cells get slots on first use, and a
-/// folded cell's slot starts from its value.
+/// The entry of a cell no tape computes.
+const NO_ENTRY: Instr = Instr {
+    op: Op::Resize,
+    ext: 0,
+    dst: 0,
+    a: 0,
+    b: 0,
+    c: 0,
+};
+
+/// Slot allocation, shared by every tape: a cell keeps one slot in all of
+/// them, and each distinct folded value gets one constant slot that no
+/// tape writes.
 struct Slots {
     of_cell: Vec<u32>,
+    of_const: HashMap<i64, u32>,
     init: Vec<i64>,
 }
 
 impl Slots {
-    fn alloc(&mut self, cell: usize, value: i64) -> u32 {
-        let slot = self.init.len() as u32;
-        self.of_cell[cell] = slot;
+    fn push(&mut self, value: i64) -> u32 {
         self.init.push(value);
-        slot
+        self.init.len() as u32 - 1
     }
 
-    /// The slot of a cell that is either already placed or folded.
-    fn of(&mut self, cell: usize, folded_value: &[i64]) -> u32 {
-        match self.of_cell[cell] {
-            NO_SLOT => self.alloc(cell, folded_value[cell]),
-            slot => slot,
+    /// The slot of a computed or source cell; a register's starts from its
+    /// reset value.
+    fn cell(&mut self, m: &NirModule, c: u32) -> u32 {
+        if self.of_cell[c as usize] == NO_SLOT {
+            let cell = m.cell(CellId::from_raw(c));
+            let init = match cell.kind {
+                CellKind::Reg { init } => sext(init, u32::from(ext_of(cell.width))),
+                _ => 0,
+            };
+            self.of_cell[c as usize] = self.push(init);
+        }
+        self.of_cell[c as usize]
+    }
+
+    fn constant(&mut self, value: i64) -> u32 {
+        match self.of_const.get(&value) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.push(value);
+                self.of_const.insert(value, slot);
+                slot
+            }
+        }
+    }
+}
+
+/// The stamp of a fold that holds in every state: a source's, or a
+/// combinational cell's that does not depend on the counter.
+const EVERY_STATE: u32 = u32::MAX;
+
+/// Folds and prunes the netlist one state at a time. The per-cell arrays
+/// are shared by the tapes: a fold belongs to the tape being compiled when
+/// its stamp is the tape's or [`EVERY_STATE`], and a cell is in the tape's
+/// cone when its `needed` stamp is the tape's.
+struct Compiler<'m> {
+    m: &'m NirModule,
+    /// Each combinational cell's entry, with operand cell ids.
+    base: Vec<Instr>,
+    /// Each cell's place in the topological order.
+    pos: Vec<u32>,
+    fold: Vec<Fold>,
+    /// The value of each cell folded to a constant, where
+    /// [`Instr::eval_at`] reads its operands.
+    value: Vec<i64>,
+    folded: Vec<u32>,
+    needed: Vec<u32>,
+    level: Vec<u32>,
+    stamp: u32,
+    /// Cells waiting on an operand's fold.
+    pending: Vec<u32>,
+    /// Cells whose cone is still to be marked.
+    walk: Vec<u32>,
+}
+
+impl Compiler<'_> {
+    fn known(&self, c: u32) -> Option<Fold> {
+        // tapes are compiled in stamp order, so older stamps are stale
+        (self.folded[c as usize] >= self.stamp).then(|| self.fold[c as usize])
+    }
+
+    fn set(&mut self, c: u32, fold: Fold) {
+        self.fold[c as usize] = fold;
+        self.folded[c as usize] = self.stamp;
+        if let Fold::Const(v) = fold {
+            self.value[c as usize] = v;
+        }
+    }
+
+    /// `64 - width` of the values a computed or source cell's slot holds.
+    fn value_ext(&self, c: u32) -> u8 {
+        match self.fold[c as usize] {
+            Fold::Entry(instr) => instr.ext,
+            _ => match self.m.cell(CellId::from_raw(c)) {
+                Cell {
+                    kind: CellKind::StageValid { .. } | CellKind::FirstIter { .. },
+                    ..
+                } => 63,
+                cell => ext_of(cell.width),
+            },
+        }
+    }
+
+    /// A combinational cell's fold when its operands' folds decide it, or
+    /// else an undecided operand it needs first. Only exact identities
+    /// fold: operands that are all constant, a mux with a constant select,
+    /// and an `and` with a constant zero.
+    fn decide(&self, c: u32) -> Result<Fold, u32> {
+        let instr = self.base[c as usize];
+        let fold_of = |o: u32| self.known(o).ok_or(o);
+        match instr.op {
+            Op::Mux => {
+                let Fold::Const(select) = fold_of(instr.a)? else {
+                    return Ok(Fold::Entry(instr));
+                };
+                let arm = if select != 0 { instr.b } else { instr.c };
+                Ok(match fold_of(arm)? {
+                    Fold::Const(v) => Fold::Const(sext(v, u32::from(instr.ext))),
+                    f => {
+                        let arm = match f {
+                            Fold::Alias(target) => target,
+                            _ => arm,
+                        };
+                        // fault mutants narrow widths: an arm wider than
+                        // the mux is read through a resize
+                        if self.value_ext(arm) >= instr.ext {
+                            Fold::Alias(arm)
+                        } else {
+                            Fold::Entry(Instr {
+                                op: Op::Resize,
+                                a: arm,
+                                b: 0,
+                                c: 0,
+                                ..instr
+                            })
+                        }
+                    }
+                })
+            }
+            Op::And => {
+                let (a, b) = (self.known(instr.a), self.known(instr.b));
+                if matches!(a, Some(Fold::Const(0))) || matches!(b, Some(Fold::Const(0))) {
+                    return Ok(Fold::Const(0));
+                }
+                Ok(match (fold_of(instr.a)?, fold_of(instr.b)?) {
+                    (Fold::Const(_), Fold::Const(_)) => Fold::Const(instr.eval_at(&self.value)),
+                    _ => Fold::Entry(instr),
+                })
+            }
+            _ => {
+                for o in operands(&instr) {
+                    if !matches!(fold_of(o)?, Fold::Const(_)) {
+                        return Ok(Fold::Entry(instr));
+                    }
+                }
+                Ok(Fold::Const(instr.eval_at(&self.value)))
+            }
+        }
+    }
+
+    /// `c`'s fold in this tape, deciding first the operands it needs.
+    fn fold_of(&mut self, c: u32) -> Fold {
+        if let Some(f) = self.known(c) {
+            return f;
+        }
+        self.pending.push(c);
+        while let Some(&x) = self.pending.last() {
+            match self.decide(x) {
+                Ok(f) => {
+                    self.set(x, f);
+                    self.pending.pop();
+                }
+                Err(operand) => self.pending.push(operand),
+            }
+        }
+        self.fold[c as usize]
+    }
+
+    /// Marks the cone computing `c` in this tape: its entries go to
+    /// `computed`, its input reads and stage bits to `sources`.
+    fn need(&mut self, c: u32, computed: &mut Vec<u32>, sources: &mut Vec<u32>) {
+        self.walk.push(c);
+        while let Some(x) = self.walk.pop() {
+            if self.needed[x as usize] == self.stamp {
+                continue;
+            }
+            self.needed[x as usize] = self.stamp;
+            match self.fold_of(x) {
+                Fold::Const(_) => {}
+                Fold::Alias(target) => self.walk.push(target),
+                Fold::Entry(instr) => {
+                    computed.push(x);
+                    self.walk.extend(operands(&instr));
+                }
+                Fold::Source => sources.push(x),
+            }
+        }
+    }
+
+    /// The slot a consumer in this tape reads `c`'s value from.
+    fn slot(&self, slots: &mut Slots, c: u32) -> u32 {
+        match self.fold[c as usize] {
+            Fold::Const(v) => slots.constant(v),
+            Fold::Alias(target) => slots.cell(self.m, target),
+            _ => slots.cell(self.m, c),
+        }
+    }
+
+    /// The level of the entry computing `c`'s value, 0 for a constant or a
+    /// source.
+    fn level_of(&self, c: u32) -> u32 {
+        let c = match self.fold[c as usize] {
+            Fold::Alias(target) => target,
+            _ => c,
+        };
+        match self.fold[c as usize] {
+            Fold::Entry(_) => self.level[c as usize],
+            _ => 0,
         }
     }
 }
 
 impl<'a> NirSim<'a> {
-    /// Compiles `m` into a tape. Needs no prior [`hls_nir::validate`]: the
-    /// checks that keep the simulation in bounds happen here.
+    /// Compiles `m` into its tapes. Needs no prior [`hls_nir::validate`]:
+    /// the checks that keep the simulation in bounds happen here.
     ///
     /// # Errors
     /// [`SimError::Netlist`] naming the first offending cell when a cell has
@@ -420,9 +676,83 @@ impl<'a> NirSim<'a> {
         }
         let order = topo_order(m)?;
         let live = m.live_cells();
+        let mut cc = Compiler {
+            m,
+            base: vec![NO_ENTRY; n],
+            pos: vec![0; n],
+            fold: vec![Fold::Source; n],
+            value: vec![0; n],
+            folded: vec![0; n],
+            needed: vec![0; n],
+            level: vec![0; n],
+            stamp: EVERY_STATE,
+            pending: Vec::new(),
+            walk: Vec::new(),
+        };
+        // Sources fold the same in every state, and so does every
+        // combinational cell the counter does not reach.
+        let mut counters = Vec::new();
+        let mut varies = vec![false; n];
+        let mut roots = Vec::new();
+        for (p, &c) in order.iter().enumerate() {
+            cc.pos[c as usize] = p as u32;
+            let cell = m.cell(CellId::from_raw(c));
+            if !live[c as usize] {
+                continue;
+            }
+            match cell.kind {
+                CellKind::Const(v) => {
+                    cc.set(c, Fold::Const(sext(v, u32::from(ext_of(cell.width)))))
+                }
+                CellKind::FsmState => {
+                    counters.push(c);
+                    varies[c as usize] = true;
+                }
+                // stage 0 holds valid work from the first cycle on
+                CellKind::StageValid { stage: 0 } => cc.set(c, Fold::Const(-1)),
+                CellKind::Input { .. }
+                | CellKind::StageValid { .. }
+                | CellKind::FirstIter { .. } => {
+                    cc.set(c, Fold::Source);
+                }
+                CellKind::Reg { .. } => {
+                    cc.set(c, Fold::Source);
+                    roots.push((
+                        cell.inputs[1].index() as u32,
+                        c,
+                        cell.inputs[0].index() as u32,
+                    ));
+                }
+                _ => {
+                    cc.base[c as usize] = instr_of(m, cell);
+                    varies[c as usize] = cell.inputs.iter().any(|i| varies[i.index()]);
+                    if !varies[c as usize] {
+                        cc.fold_of(c);
+                    }
+                    if let CellKind::Output { .. } = cell.kind {
+                        roots.push((cell.inputs[1].index() as u32, c, c));
+                    }
+                }
+            }
+        }
+        // Roots sharing an enable are decided together.
+        roots.sort_unstable();
+        // The printed counter is eight bits wide, so states 256 apart
+        // share a tape.
+        let tapes = if counters.is_empty() {
+            1
+        } else {
+            m.fold_states.clamp(1, 256)
+        };
+        let mut slots = Slots {
+            of_cell: vec![NO_SLOT; n],
+            of_const: HashMap::new(),
+            init: Vec::new(),
+        };
         let mut sim = NirSim {
             init: Vec::new(),
-            tape: Vec::new(),
+            tapes: Vec::with_capacity(tapes as usize),
+            entries: Vec::new(),
             segments: Vec::new(),
             inputs: Vec::new(),
             input_ports: Vec::new(),
@@ -431,151 +761,147 @@ impl<'a> NirSim<'a> {
             captures: Vec::new(),
             fold_states: m.fold_states,
             num_states: m.num_states,
-            stages,
             module: PhantomData,
         };
-        let mut slots = Slots {
-            of_cell: vec![NO_SLOT; n],
-            init: Vec::new(),
-        };
-        // Cells whose value is the same on every cycle, and that value.
-        let mut folded = vec![false; n];
-        let mut value = vec![0i64; n];
-
-        // Inputs, controller bits and registers: slots written outside the
-        // tape.
-        for (id, cell) in m.iter_cells() {
-            let i = id.index();
-            if !live[i] {
-                continue;
+        for state in 0..tapes {
+            cc.stamp = state + 1;
+            for &c in &counters {
+                cc.set(c, Fold::Const(sext(i64::from(state), 56)));
             }
-            let ext = u32::from(ext_of(cell.width));
-            let control = match cell.kind {
-                CellKind::Const(v) => {
-                    folded[i] = true;
-                    value[i] = sext(v, ext);
-                    continue;
+            sim.push_tape(&mut cc, &mut slots, &roots);
+        }
+        sim.init = slots.init;
+        Ok(sim)
+    }
+
+    /// Compiles the tape of the compiler's state: the cone of every capture
+    /// and port write whose enable does not fold to zero. `roots` holds
+    /// each register and port write as `(enable, cell, value)`, sorted.
+    fn push_tape(&mut self, cc: &mut Compiler, slots: &mut Slots, roots: &[(u32, u32, u32)]) {
+        let m = cc.m;
+        let mut fired = Vec::new();
+        let mut computed = Vec::new();
+        let mut sources = Vec::new();
+        let (mut last, mut enabled) = (None, false);
+        for &(enable, cell, value) in roots {
+            if last != Some(enable) {
+                last = Some(enable);
+                enabled = !matches!(cc.fold_of(enable), Fold::Const(0));
+                if enabled {
+                    cc.need(enable, &mut computed, &mut sources);
                 }
-                // A single-state FSM never leaves state 0, and stage 0 is
-                // valid from the first cycle on.
-                CellKind::FsmState if m.fold_states <= 1 => {
-                    folded[i] = true;
-                    value[i] = 0;
-                    continue;
-                }
-                CellKind::StageValid { stage: 0 } => {
-                    folded[i] = true;
-                    value[i] = -1;
-                    continue;
-                }
-                CellKind::Reg { init } => {
-                    slots.alloc(i, sext(init, ext));
-                    continue;
-                }
+            }
+            if enabled {
+                fired.push((cell, value));
+            }
+        }
+        fired.sort_unstable();
+        for &(_, value) in &fired {
+            cc.need(value, &mut computed, &mut sources);
+        }
+
+        // Levelize in topological order, then sort each level by opcode so
+        // the tape runs in long same-opcode segments.
+        computed.sort_unstable_by_key(|&c| cc.pos[c as usize]);
+        for &c in &computed {
+            let Fold::Entry(instr) = cc.fold[c as usize] else {
+                unreachable!("only entries are computed")
+            };
+            cc.level[c as usize] = 1 + operands(&instr).map(|o| cc.level_of(o)).max().unwrap_or(0);
+        }
+        computed.sort_by_key(|&c| match cc.fold[c as usize] {
+            Fold::Entry(instr) => (cc.level[c as usize], instr.op),
+            _ => unreachable!("only entries are computed"),
+        });
+
+        let entries_start = self.entries.len();
+        let segments_start = self.segments.len();
+        for &c in &computed {
+            slots.cell(m, c);
+        }
+        for &c in &computed {
+            let Fold::Entry(mut instr) = cc.fold[c as usize] else {
+                unreachable!("only entries are computed")
+            };
+            instr.dst = slots.cell(m, c);
+            instr.a = cc.slot(slots, instr.a);
+            if instr.op.operands() > 1 {
+                instr.b = cc.slot(slots, instr.b);
+            }
+            if instr.op.operands() > 2 {
+                instr.c = cc.slot(slots, instr.c);
+            }
+            match self.segments[segments_start..].last_mut() {
+                Some(seg) if seg.op == instr.op => seg.end += 1,
+                _ => self.segments.push(Segment {
+                    op: instr.op,
+                    end: self.entries.len() as u32 + 1,
+                }),
+            }
+            self.entries.push(instr);
+        }
+
+        let inputs_start = self.inputs.len();
+        let controller_start = self.controller.len();
+        for &c in &sources {
+            let cell = m.cell(CellId::from_raw(c));
+            let slot = slots.cell(m, c);
+            match cell.kind {
                 CellKind::Input { port, state } => {
-                    let col = match sim.input_ports.iter().position(|&p| p == port) {
+                    let col = match self.input_ports.iter().position(|&p| p == port) {
                         Some(col) => col,
                         None => {
-                            sim.input_ports.push(port);
-                            sim.input_ports.len() - 1
+                            self.input_ports.push(port);
+                            self.input_ports.len() - 1
                         }
                     };
-                    let slot = slots.alloc(i, 0);
-                    sim.inputs.push(InputRead {
+                    self.inputs.push(InputRead {
                         slot,
                         col: col as u32,
                         state,
                         ext: ext_of(cell.width),
                     });
-                    continue;
                 }
-                CellKind::FsmState => Control::Fsm,
-                CellKind::StageValid { stage } => Control::StageValid(stage as usize),
-                CellKind::FirstIter { stage } => Control::FirstIter(stage as usize),
-                _ => continue,
-            };
-            let slot = slots.alloc(i, 0);
-            sim.controller.push((slot, control));
-        }
-
-        // Combinational cells: fold what constants decide, levelize the
-        // rest. Operands are still cell ids here.
-        let mut level = vec![0u32; n];
-        let mut pending: Vec<(u32, usize, Instr)> = Vec::new();
-        for &raw in &order {
-            let i = raw as usize;
-            let cell = m.cell(CellId::from_raw(raw));
-            if !live[i] || cell.kind.is_source() || cell.kind.is_seq() {
-                continue;
-            }
-            let instr = instr_of(m, cell);
-            let ids = [instr.a, instr.b, instr.c];
-            let ids = &ids[..instr.op.operands()];
-            if ids.iter().all(|&c| folded[c as usize]) {
-                // operands are cell ids, so the entry evaluates over `value`
-                folded[i] = true;
-                value[i] = instr.eval_at(&value);
-            } else {
-                level[i] = 1 + ids.iter().map(|&c| level[c as usize]).max().unwrap_or(0);
-                pending.push((level[i], i, instr));
-            }
-        }
-
-        // Within a level the entries are independent: sort them by opcode
-        // so the tape runs in long same-opcode segments, then place their
-        // destinations in tape order and resolve operands to slots.
-        pending.sort_by_key(|&(lvl, _, instr)| (lvl, instr.op));
-        for &(_, cell, _) in &pending {
-            slots.alloc(cell, 0);
-        }
-        for (_, cell, mut instr) in pending {
-            instr.dst = slots.of_cell[cell];
-            instr.a = slots.of(instr.a as usize, &value);
-            if instr.op.operands() > 1 {
-                instr.b = slots.of(instr.b as usize, &value);
-            }
-            if instr.op.operands() > 2 {
-                instr.c = slots.of(instr.c as usize, &value);
-            }
-            match sim.segments.last_mut() {
-                Some(seg) if seg.op == instr.op => seg.end += 1,
-                _ => sim.segments.push(Segment {
-                    op: instr.op,
-                    end: sim.tape.len() as u32 + 1,
-                }),
-            }
-            sim.tape.push(instr);
-        }
-
-        for (id, cell) in m.iter_cells() {
-            let i = id.index();
-            if !live[i] {
-                continue;
-            }
-            match cell.kind {
-                CellKind::Output { port, state } => {
-                    let write = PortWrite {
-                        value: slots.of(i, &value),
-                        enable: slots.of(cell.inputs[1].index(), &value),
-                        port,
-                        state,
-                    };
-                    sim.writes.push(write);
+                CellKind::StageValid { stage } => {
+                    self.controller
+                        .push((slot, Control::StageValid(u64::from(stage))));
                 }
-                CellKind::Reg { .. } => {
-                    let capture = Capture {
-                        reg: slots.of_cell[i],
-                        data: slots.of(cell.inputs[0].index(), &value),
-                        enable: slots.of(cell.inputs[1].index(), &value),
-                        ext: ext_of(cell.width),
-                    };
-                    sim.captures.push(capture);
+                CellKind::FirstIter { stage } => {
+                    self.controller
+                        .push((slot, Control::FirstIter(u64::from(stage))));
                 }
                 _ => {}
             }
         }
-        sim.init = slots.init;
-        Ok(sim)
+
+        let writes_start = self.writes.len();
+        let captures_start = self.captures.len();
+        for &(r, _) in &fired {
+            let cell = m.cell(CellId::from_raw(r));
+            let enable = cc.slot(slots, cell.inputs[1].index() as u32);
+            match cell.kind {
+                CellKind::Output { port, state } => self.writes.push(PortWrite {
+                    value: cc.slot(slots, r),
+                    enable,
+                    port,
+                    state,
+                }),
+                _ => self.captures.push(Capture {
+                    reg: slots.cell(m, r),
+                    data: cc.slot(slots, cell.inputs[0].index() as u32),
+                    enable,
+                    ext: ext_of(cell.width),
+                }),
+            }
+        }
+        self.tapes.push(Tape {
+            entries: entries_start..self.entries.len(),
+            segments: segments_start..self.segments.len(),
+            inputs: inputs_start..self.inputs.len(),
+            controller: controller_start..self.controller.len(),
+            writes: writes_start..self.writes.len(),
+            captures: captures_start..self.captures.len(),
+        });
     }
 
     /// Runs one iteration per stimulus row and collects the write trace.
@@ -601,12 +927,11 @@ impl<'a> NirSim<'a> {
         }
 
         let mut slots = self.init.clone();
-        let mut captured: Vec<(u32, i64)> = Vec::with_capacity(self.captures.len());
-        let mut fsm: u32 = 0;
-        let mut stage_valid = vec![false; self.stages];
-        stage_valid[0] = true;
-        let mut first_iter = vec![false; self.stages];
-        first_iter[0] = true;
+        let mut captured: Vec<(u32, i64)> = Vec::new();
+        let mut fsm: u64 = 0;
+        // counter wraps before this cycle: stage `g` holds valid work once
+        // `g` wraps have passed, and iteration 0 at exactly `g`
+        let mut wraps: u64 = 0;
 
         let mut trace = CycleTrace {
             cycles_per_iteration: cpi as u32,
@@ -614,7 +939,10 @@ impl<'a> NirSim<'a> {
         };
 
         for t in 0..total {
-            for r in &self.inputs {
+            // `fsm & 0xFF` is below the tape count, unless a single tape
+            // serves a netlist that never reads the counter
+            let tape = &self.tapes[((fsm & 0xFF) as usize).min(self.tapes.len() - 1)];
+            for r in &self.inputs[tape.inputs.clone()] {
                 let state = u64::from(r.state);
                 let k = if t < state {
                     0
@@ -623,18 +951,17 @@ impl<'a> NirSim<'a> {
                 };
                 slots[r.slot as usize] = sext(table[k * cols + r.col as usize], u32::from(r.ext));
             }
-            for &(slot, control) in &self.controller {
+            for &(slot, control) in &self.controller[tape.controller.clone()] {
                 slots[slot as usize] = match control {
-                    Control::Fsm => sext(i64::from(fsm & 0xFF), 56),
-                    Control::StageValid(g) => -i64::from(stage_valid[g]),
-                    Control::FirstIter(g) => -i64::from(first_iter[g]),
+                    Control::StageValid(g) => -i64::from(wraps >= g),
+                    Control::FirstIter(g) => -i64::from(wraps == g),
                 };
             }
 
             // combinational settle
-            let mut start = 0;
-            for seg in &self.segments {
-                let run = &self.tape[start..seg.end as usize];
+            let mut start = tape.entries.start;
+            for seg in &self.segments[tape.segments.clone()] {
+                let run = &self.entries[start..seg.end as usize];
                 start = seg.end as usize;
                 macro_rules! dispatch {
                     ($($op:ident),*) => {
@@ -656,7 +983,7 @@ impl<'a> NirSim<'a> {
             // surface here as extra writes rather than be masked by the
             // schedule's timing. (For a correct lowering the enable only
             // fires in the scheduled slot, so the two gatings coincide.)
-            for w in &self.writes {
+            for w in &self.writes[tape.writes.clone()] {
                 let s = u64::from(w.state);
                 if slots[w.enable as usize] != 0 && t >= s {
                     let k = (t - s) / cpi;
@@ -673,7 +1000,7 @@ impl<'a> NirSim<'a> {
 
             // register captures (simultaneous, like one posedge)
             captured.clear();
-            for c in &self.captures {
+            for c in &self.captures[tape.captures.clone()] {
                 if slots[c.enable as usize] != 0 {
                     captured.push((c.reg, sext(slots[c.data as usize], u32::from(c.ext))));
                 }
@@ -683,14 +1010,9 @@ impl<'a> NirSim<'a> {
             }
 
             // controller advance
-            if u64::from(fsm) + 1 >= cpi {
+            if fsm + 1 >= cpi {
                 fsm = 0;
-                for g in (1..self.stages).rev() {
-                    stage_valid[g] = stage_valid[g - 1];
-                    first_iter[g] = first_iter[g - 1];
-                }
-                stage_valid[0] = true; // pipeline fill
-                first_iter[0] = false; // iteration 0 moves down the pipe
+                wraps += 1;
             } else {
                 fsm += 1;
             }
@@ -862,6 +1184,105 @@ mod tests {
                 "{kind}: {err}"
             );
         }
+    }
+
+    /// `(cycle, iteration, port, value)` of every write of `m` over `rows`.
+    fn timed_writes(m: &NirModule, rows: Vec<Vec<(u32, i64)>>) -> Vec<(u64, u32, u32, i64)> {
+        let rows = rows
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|(p, v)| (PortId::from_raw(p), v))
+                    .collect()
+            })
+            .collect();
+        let trace = NirSim::new(m)
+            .unwrap()
+            .run(&Stimulus::from_rows(rows))
+            .unwrap();
+        trace
+            .writes
+            .iter()
+            .map(|w| (w.cycle, w.iteration, w.port.index() as u32, w.value))
+            .collect()
+    }
+
+    #[test]
+    fn the_counter_reads_as_data() {
+        let m = text_parse(
+            "module \"t\" fold=5 states=5 stages=1\nport \"y\" out 8\n\
+             %0 = fsm w8\n%1 = const 1 w1\n%2 = output port=0 state=0 %0 %1 w8\nendmodule\n",
+        )
+        .expect("parses");
+        let expected: Vec<_> = (0..15u64)
+            .map(|t| (t, (t / 5) as u32, 0, (t % 5) as i64))
+            .collect();
+        assert_eq!(timed_writes(&m, vec![vec![]; 3]), expected);
+    }
+
+    #[test]
+    fn a_counter_past_eight_bits_reads_as_the_printed_register() {
+        // Unvalidated: 300 states do not fit the 8-bit counter, which
+        // reads `sext((t mod 300) & 0xFF, 8)`; a decode of state 20 also
+        // fires in state 276.
+        let m = text_parse(
+            "module \"t\" fold=300 states=300 stages=1\nport \"y\" out 16\nport \"z\" out 1\n\
+             %0 = fsm w8\n%1 = const 1 w1\n%2 = output port=0 state=0 %0 %1 w16\n\
+             %3 = const 20 w8\n%4 = eq %0 %3 w1\n%5 = output port=1 state=0 %1 %4 w1\nendmodule\n",
+        )
+        .expect("parses");
+        let writes = timed_writes(&m, vec![vec![]; 2]);
+        let counter: Vec<i64> = writes.iter().filter(|w| w.2 == 0).map(|w| w.3).collect();
+        assert_eq!(counter.len(), 600);
+        assert_eq!(&counter[125..131], [125, 126, 127, -128, -127, -126]);
+        assert_eq!(&counter[254..258], [-2, -1, 0, 1]);
+        assert_eq!(&counter[298..302], [42, 43, 0, 1]);
+        let decoded: Vec<_> = writes.iter().filter(|w| w.2 == 1).copied().collect();
+        assert_eq!(
+            decoded,
+            [
+                (20, 0, 1, -1),
+                (276, 0, 1, -1),
+                (320, 1, 1, -1),
+                (576, 1, 1, -1)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_state_decoded_mux_resizes_its_arms() {
+        // State 0 selects a 16-bit arm of the 8-bit mux, which truncates
+        // it; state 1 a 4-bit arm, which it reads unchanged.
+        let m = text_parse(
+            "module \"t\" fold=2 states=2 stages=1\nport \"w\" in 16\nport \"n\" in 4\nport \"y\" out 16\n\
+             %0 = input port=0 state=0 w16\n%1 = input port=1 state=0 w4\n%2 = fsm w8\n\
+             %3 = const 0 w8\n%4 = eq %2 %3 w1\n%5 = mux %4 %0 %1 w8\n%6 = const 1 w1\n\
+             %7 = output port=2 state=0 %5 %6 w16\nendmodule\n",
+        )
+        .expect("parses");
+        let rows = vec![vec![(0, 0x1F0), (1, -3)], vec![(0, 0x17F), (1, 5)]];
+        assert_eq!(
+            timed_writes(&m, rows),
+            [(0, 0, 2, -16), (1, 0, 2, -3), (2, 1, 2, 127), (3, 1, 2, 5)]
+        );
+    }
+
+    #[test]
+    fn a_deep_pipeline_header_runs_at_once() {
+        // The controller's stage bits are computed, not shifted: a pipeline
+        // of 2^32 - 1 stages costs nothing to run.
+        let m = text_parse(
+            "module \"t\" fold=1 states=1 stages=4294967295\nport \"x\" in 8\nport \"y\" out 8\n\
+             %0 = input port=0 state=0 w8\n%1 = const 1 w1\n%2 = output port=1 state=0 %0 %1 w8\n\
+             endmodule\n",
+        )
+        .expect("parses");
+        hls_nir::validate(&m).expect("valid");
+        let rows = vec![vec![(0, 7)], vec![(0, -8)], vec![(0, 9)]];
+        assert_eq!(
+            timed_writes(&m, rows),
+            [(0, 0, 1, 7), (1, 1, 1, -8), (2, 2, 1, 9)]
+        );
     }
 
     const WIDTHS: [u16; 7] = [1, 2, 7, 8, 32, 63, 64];

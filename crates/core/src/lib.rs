@@ -54,6 +54,7 @@ use hls_nir::{NirModule, RewriteReport};
 use hls_opt::linearize::prepare_innermost_loop;
 use hls_pipeline::{fold_schedule, FoldedPipeline};
 use hls_sched::{Schedule, Scheduler, SchedulerConfig};
+use hls_sim::Reference;
 use hls_tech::{ClockConstraint, TechLibrary};
 use std::error::Error;
 use std::fmt;
@@ -362,7 +363,9 @@ impl Synthesizer {
     /// Differentially verifies the produced design on `vectors` random input
     /// vectors: one timed engine, `hls-sim`'s netlist simulator, runs three
     /// checks, each of which must agree bit-exactly with the reference
-    /// interpreter, or the run fails with [`SynthesisError::Verification`]:
+    /// interpreter, or the run fails with [`SynthesisError::Verification`].
+    /// The interpreter runs once per [`Synthesizer::run`]: every check of
+    /// every recovery attempt compares against that one trace.
     ///
     /// 1. the schedule's own netlist, lowered with one operator per
     ///    operation; a schedule that reads a value before it is computed is
@@ -436,11 +439,16 @@ impl Synthesizer {
             accept_degraded: false,
             latency_relaxed: false,
         };
+        // The body and the stimulus do not change between attempts, so
+        // every check of every attempt compares against one interpreter run.
+        let reference = self
+            .verify_vectors
+            .map(|vectors| Reference::random(&body, vectors, 0x5EED));
         let mut trace: Vec<RecoveryStep> = Vec::new();
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let last = match self.attempt(&body, &knobs) {
+            let last = match self.attempt(&body, &knobs, reference.as_ref()) {
                 Ok(mut result) => {
                     result.recovery = trace;
                     return Ok(result);
@@ -475,7 +483,12 @@ impl Synthesizer {
 
     /// One full pass of the flow under the current recovery knobs. Recovery
     /// is driven entirely from the outside: this function fails fast.
-    fn attempt(&self, body: &LinearBody, knobs: &Knobs) -> Result<SynthesisResult, SynthesisError> {
+    fn attempt(
+        &self,
+        body: &LinearBody,
+        knobs: &Knobs,
+        reference: Option<&Reference>,
+    ) -> Result<SynthesisResult, SynthesisError> {
         let body = body.clone();
         let config = self.config_for(knobs);
         // The scheduler works against the (possibly stretched) recovery
@@ -492,22 +505,21 @@ impl Synthesizer {
         let binding = hls_bind::bind(&body, &schedule.desc)?;
         let mut netlist = hls_bind::lower(&body, &schedule.desc, &binding, RtlStyle::SharedFu)?;
         hls_nir::validate(&netlist)?;
-        let verification = match self.verify_vectors {
-            Some(vectors) => {
-                let report =
-                    hls_sim::differential::random_check(&body, &schedule.desc, vectors, 0x5EED)?;
+        let verification = match reference {
+            Some(reference) => {
+                let report = reference.check(&schedule.desc)?;
                 // the netlist lowered from the binding — shared units with
                 // steered operand muxes — must agree too, pre-rewrite
-                hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)?;
+                reference.check_nir(&netlist)?;
                 Some(report)
             }
             None => None,
         };
         let netlist_rewrites = hls_nir::optimize(&mut netlist);
         hls_nir::validate(&netlist)?;
-        if let Some(vectors) = self.verify_vectors {
+        if let Some(reference) = reference {
             // the rewrites must not change observable behaviour
-            hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)?;
+            reference.check_nir(&netlist)?;
         }
         // Timing-driven re-optimization: if the rewritten netlist still has
         // negative-slack endpoints, rebalance/retime the failing cones and
@@ -519,8 +531,8 @@ impl Synthesizer {
             hls_lint::optimize_timed_with(&mut netlist, &self.library, clock, knobs.timed_rounds);
         if timed_rewrites.changed() {
             hls_nir::validate(&netlist)?;
-            if let Some(vectors) = self.verify_vectors {
-                hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)?;
+            if let Some(reference) = reference {
+                reference.check_nir(&netlist)?;
             }
         }
         // Static analysis of the final netlist: structural lints plus the

@@ -8,8 +8,12 @@
 //! 2. `hls_lint::analyze` — a mutant is lint-killed when any per-lint
 //!    finding count *increases* over the unmutated baseline (the baseline
 //!    may legitimately carry warnings);
-//! 3. `hls_sim::differential::check_nir` — the netlist simulator against
+//! 3. `hls_sim::Reference::check_nir` — the netlist simulator against
 //!    the reference interpreter on one shared deterministic stimulus.
+//!
+//! The interpreter runs twice per sweep: once on the sweep stimulus, whose
+//! trace the baseline and every mutant compare against, and once on the
+//! escalated stimulus that re-attacks the survivors.
 //!
 //! A mutant that survives all three **escaped**. Escapes are the whole
 //! point of the exercise: an undocumented escape is a hole in the checker
@@ -20,8 +24,7 @@ use crate::catalog::{documented_site_escape, enumerate, inject, FaultClass, Faul
 use hls_ir::{LinearBody, PortId};
 use hls_lint::{analyze, Lint, LintConfig, LintContext};
 use hls_nir::{validate, CellId, CellKind, NirModule};
-use hls_sim::differential::check_nir;
-use hls_sim::{NirSim, Stimulus};
+use hls_sim::{NirSim, Reference, Stimulus};
 use hls_tech::{ClockConstraint, TechLibrary};
 use std::fmt::Write as _;
 
@@ -365,7 +368,8 @@ impl FaultCoverageReport {
 /// differential's reference semantics.
 ///
 /// Deterministic: the stimulus, the site enumeration and every mutation
-/// are pure functions of the inputs and `config`.
+/// are pure functions of the inputs and `config`. The reference
+/// interpreter runs once per stimulus, not once per mutant.
 pub fn run_sweep(
     body: &LinearBody,
     netlist: &NirModule,
@@ -374,12 +378,15 @@ pub fn run_sweep(
     config: &FaultConfig,
 ) -> FaultCoverageReport {
     let ctx = LintContext::new(library, clock);
+    // The interpreter runs once per stimulus: the baseline and every mutant
+    // compare against the same reference trace.
     let stimulus = Stimulus::random(&body.dfg, config.vectors, config.seed);
+    let reference = Reference::new(body, &stimulus);
     let baseline_lint = analyze(netlist, &ctx, &config.lint);
     let baseline_counts = baseline_lint.counts();
     let baseline_ok = validate(netlist).is_ok()
         && !baseline_lint.has_deny()
-        && check_nir(body, netlist, &stimulus).is_ok();
+        && reference.check_nir(netlist).is_ok();
 
     // Survivors of the base pipeline get one more differential attack with
     // a longer, differently-seeded stimulus before any escape certificate
@@ -389,13 +396,15 @@ pub fn run_sweep(
         config.vectors * 4,
         config.seed.wrapping_add(0x9E37_79B9),
     );
+    let escalated = Reference::new(body, &escalated);
 
     let mut outcomes = Vec::new();
     for spec in enumerate(netlist, config.max_per_class) {
         let mutant = inject(netlist, &spec);
-        let outcome = kill(body, &mutant, &ctx, config, &baseline_counts, &stimulus)
+        let outcome = kill(&mutant, &ctx, config, &baseline_counts, &reference)
             .or_else(|| {
-                check_nir(body, &mutant, &escalated)
+                escalated
+                    .check_nir(&mutant)
                     .err()
                     .map(|e| FaultOutcome::Killed {
                         by: Checker::Differential,
@@ -433,12 +442,11 @@ pub fn run_sweep(
 
 /// The three-stage kill pipeline; `None` means the mutant escaped.
 fn kill(
-    body: &LinearBody,
     mutant: &NirModule,
     ctx: &LintContext,
     config: &FaultConfig,
     baseline_counts: &[usize; Lint::ALL.len()],
-    stimulus: &Stimulus,
+    reference: &Reference,
 ) -> Option<FaultOutcome> {
     if let Err(e) = validate(mutant) {
         return Some(FaultOutcome::Killed {
@@ -459,7 +467,7 @@ fn kill(
             });
         }
     }
-    match check_nir(body, mutant, stimulus) {
+    match reference.check_nir(mutant) {
         Err(e) => Some(FaultOutcome::Killed {
             by: Checker::Differential,
             detail: e.to_string(),

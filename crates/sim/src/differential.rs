@@ -10,14 +10,22 @@
 //! Any disagreement — a wrong value, a missing or spurious write — is a bug
 //! in the scheduler, the binder, the lowering, the pipeliner or the
 //! semantics themselves, reported with enough context to reproduce.
+//!
+//! A [`Reference`] holds one stimulus and runs the interpreter on it once,
+//! so any number of netlists of the same body compare against one trace:
+//! `hls::Synthesizer` checks every netlist of a run against one, and a
+//! fault sweep its baseline and every mutant. The free functions are
+//! one-shot wrappers that build a reference per call.
 
 use crate::error::SimError;
 use crate::interp::Interpreter;
 use crate::stimulus::Stimulus;
 use hls_bind::{BoundDesign, RtlStyle};
-use hls_ir::{LinearBody, PortDirection};
+use hls_ir::{LinearBody, Port, PortDirection, PortId};
 use hls_netlist::ScheduleDesc;
 use hls_nir::NirModule;
+use std::borrow::Cow;
+use std::cell::OnceCell;
 
 /// Summary of a passing differential run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,6 +36,149 @@ pub struct DifferentialReport {
     pub ports: usize,
     /// Total writes compared bit-exactly.
     pub writes_checked: usize,
+}
+
+/// One stimulus and the reference interpreter's writes under it, to
+/// compare any number of netlists of the same body against.
+///
+/// The interpreter runs once, on the first comparison and after that
+/// comparison's netlist has compiled and run, so a netlist error still
+/// takes precedence over an interpreter error. A random stimulus carries
+/// its [`ReplayInfo`](crate::error::ReplayInfo) into every divergence.
+#[derive(Debug)]
+pub struct Reference<'a> {
+    body: &'a LinearBody,
+    stimulus: Cow<'a, Stimulus>,
+    replay: Option<crate::error::ReplayInfo>,
+    /// Each output port's writes, in port order.
+    writes: OnceCell<Result<Vec<PortWrites>, SimError>>,
+}
+
+/// One port's `(iteration, value)` write sequence.
+type PortWrites = Vec<(u32, i64)>;
+
+impl<'a> Reference<'a> {
+    /// The reference for a given stimulus.
+    pub fn new(body: &'a LinearBody, stimulus: &'a Stimulus) -> Self {
+        Reference {
+            body,
+            stimulus: Cow::Borrowed(stimulus),
+            replay: None,
+            writes: OnceCell::new(),
+        }
+    }
+
+    /// The reference for `vectors` random input vectors drawn from `seed`.
+    pub fn random(body: &'a LinearBody, vectors: usize, seed: u64) -> Self {
+        Reference {
+            body,
+            stimulus: Cow::Owned(Stimulus::random(&body.dfg, vectors, seed)),
+            replay: Some(crate::error::ReplayInfo { seed, vectors }),
+            writes: OnceCell::new(),
+        }
+    }
+
+    /// The stimulus every comparison runs.
+    pub fn stimulus(&self) -> &Stimulus {
+        &self.stimulus
+    }
+
+    /// [`check`] against this reference.
+    ///
+    /// # Errors
+    /// See [`check`].
+    pub fn check(&self, desc: &ScheduleDesc) -> Result<DifferentialReport, SimError> {
+        self.body.validate()?;
+        let netlist = hls_bind::lower(self.body, desc, &BoundDesign::default(), RtlStyle::PerOp)
+            .map_err(SimError::Lowering)?;
+        self.check_nir(&netlist)
+    }
+
+    /// [`check_bound`] against this reference.
+    ///
+    /// # Errors
+    /// See [`check_bound`].
+    pub fn check_bound(
+        &self,
+        desc: &ScheduleDesc,
+        bound: &BoundDesign,
+    ) -> Result<DifferentialReport, SimError> {
+        let netlist = hls_bind::lower(self.body, desc, bound, RtlStyle::SharedFu)
+            .map_err(SimError::Lowering)?;
+        self.check_nir(&netlist)
+    }
+
+    /// [`check_nir`] against this reference.
+    ///
+    /// # Errors
+    /// See [`check_nir`].
+    pub fn check_nir(&self, netlist: &NirModule) -> Result<DifferentialReport, SimError> {
+        let timed = crate::nir::NirSim::new(netlist)?.run(&self.stimulus)?;
+        self.compare(&timed).map_err(|e| match self.replay {
+            Some(info) => e.with_replay(info),
+            None => e,
+        })
+    }
+
+    /// Compares the netlist simulator's write trace against the reference
+    /// interpreter's.
+    fn compare(&self, timed: &crate::cycle::CycleTrace) -> Result<DifferentialReport, SimError> {
+        let reference = self
+            .writes
+            .get_or_init(|| {
+                let trace = Interpreter::new(self.body)?.run(&self.stimulus)?;
+                Ok(self
+                    .outputs()
+                    .map(|(port, _)| trace.port_writes(port))
+                    .collect())
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let mut report = DifferentialReport {
+            iterations: self.stimulus.iterations() as u32,
+            ports: 0,
+            writes_checked: 0,
+        };
+        for ((port, decl), expected) in self.outputs().zip(reference) {
+            report.ports += 1;
+            let actual = timed.port_writes(port);
+            if expected.len() != actual.len() {
+                return Err(SimError::WriteCountMismatch {
+                    port,
+                    port_name: decl.name.clone(),
+                    expected: expected.len(),
+                    actual: actual.len(),
+                    replay: None,
+                });
+            }
+            for (i, (e, a)) in expected.iter().zip(actual.iter()).enumerate() {
+                if e != a {
+                    // The first diverging write's clock cycle in the timed
+                    // engine pins the failure on the waveform.
+                    let cycle = timed.write_cycles(port).get(i).copied();
+                    return Err(SimError::Mismatch {
+                        port,
+                        port_name: decl.name.clone(),
+                        index: i,
+                        iteration: e.0,
+                        expected: e.1,
+                        actual: a.1,
+                        cycle,
+                        replay: None,
+                    });
+                }
+                report.writes_checked += 1;
+            }
+        }
+        Ok(report)
+    }
+
+    fn outputs(&self) -> impl Iterator<Item = (PortId, &'a Port)> {
+        self.body
+            .dfg
+            .iter_ports()
+            .filter(|(_, decl)| decl.direction == PortDirection::Output)
+    }
 }
 
 /// Lowers the **schedule** with one operator per operation
@@ -47,10 +198,7 @@ pub fn check(
     desc: &ScheduleDesc,
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
-    body.validate()?;
-    let netlist = hls_bind::lower(body, desc, &BoundDesign::default(), RtlStyle::PerOp)
-        .map_err(SimError::Lowering)?;
-    check_nir(body, &netlist, stimulus)
+    Reference::new(body, stimulus).check(desc)
 }
 
 /// Lowers the **bound** design with [`RtlStyle::SharedFu`] — one operator
@@ -70,9 +218,7 @@ pub fn check_bound(
     bound: &BoundDesign,
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
-    let netlist =
-        hls_bind::lower(body, desc, bound, RtlStyle::SharedFu).map_err(SimError::Lowering)?;
-    check_nir(body, &netlist, stimulus)
+    Reference::new(body, stimulus).check_bound(desc, bound)
 }
 
 /// Runs `stimulus` through the interpreter and the **netlist** simulator —
@@ -91,59 +237,7 @@ pub fn check_nir(
     netlist: &NirModule,
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
-    let timed = crate::nir::NirSim::new(netlist)?.run(stimulus)?;
-    compare(body, stimulus, &timed)
-}
-
-/// Compares the netlist simulator's write trace against the reference
-/// interpreter.
-fn compare(
-    body: &LinearBody,
-    stimulus: &Stimulus,
-    timed: &crate::cycle::CycleTrace,
-) -> Result<DifferentialReport, SimError> {
-    let reference = Interpreter::new(body)?.run(stimulus)?;
-    let mut report = DifferentialReport {
-        iterations: stimulus.iterations() as u32,
-        ports: 0,
-        writes_checked: 0,
-    };
-    for (port, decl) in body.dfg.iter_ports() {
-        if decl.direction != PortDirection::Output {
-            continue;
-        }
-        report.ports += 1;
-        let expected = reference.port_writes(port);
-        let actual = timed.port_writes(port);
-        if expected.len() != actual.len() {
-            return Err(SimError::WriteCountMismatch {
-                port,
-                port_name: decl.name.clone(),
-                expected: expected.len(),
-                actual: actual.len(),
-                replay: None,
-            });
-        }
-        for (i, (e, a)) in expected.iter().zip(actual.iter()).enumerate() {
-            if e != a {
-                // The first diverging write's clock cycle in the timed
-                // engine pins the failure on the waveform.
-                let cycle = timed.write_cycles(port).get(i).copied();
-                return Err(SimError::Mismatch {
-                    port,
-                    port_name: decl.name.clone(),
-                    index: i,
-                    iteration: e.0,
-                    expected: e.1,
-                    actual: a.1,
-                    cycle,
-                    replay: None,
-                });
-            }
-            report.writes_checked += 1;
-        }
-    }
-    Ok(report)
+    Reference::new(body, stimulus).check_nir(netlist)
 }
 
 /// Convenience wrapper: [`check`] with `vectors` random input vectors.
@@ -158,8 +252,7 @@ pub fn random_check(
     vectors: usize,
     seed: u64,
 ) -> Result<DifferentialReport, SimError> {
-    let stimulus = Stimulus::random(&body.dfg, vectors, seed);
-    check(body, desc, &stimulus).map_err(|e| e.with_replay(replay(seed, vectors)))
+    Reference::random(body, vectors, seed).check(desc)
 }
 
 /// Convenience wrapper: [`check_bound`] with `vectors` random input vectors.
@@ -175,8 +268,7 @@ pub fn random_check_bound(
     vectors: usize,
     seed: u64,
 ) -> Result<DifferentialReport, SimError> {
-    let stimulus = Stimulus::random(&body.dfg, vectors, seed);
-    check_bound(body, desc, bound, &stimulus).map_err(|e| e.with_replay(replay(seed, vectors)))
+    Reference::random(body, vectors, seed).check_bound(desc, bound)
 }
 
 /// Convenience wrapper: [`check_nir`] with `vectors` random input vectors.
@@ -191,12 +283,7 @@ pub fn random_check_nir(
     vectors: usize,
     seed: u64,
 ) -> Result<DifferentialReport, SimError> {
-    let stimulus = Stimulus::random(&body.dfg, vectors, seed);
-    check_nir(body, netlist, &stimulus).map_err(|e| e.with_replay(replay(seed, vectors)))
-}
-
-fn replay(seed: u64, vectors: usize) -> crate::error::ReplayInfo {
-    crate::error::ReplayInfo { seed, vectors }
+    Reference::random(body, vectors, seed).check_nir(netlist)
 }
 
 #[cfg(test)]
@@ -350,6 +437,28 @@ mod tests {
         // the replay arguments reproduce the same failure deterministically
         let again = random_check_nir(&body, &m, 10, 0xC0FFEE).unwrap_err();
         assert_eq!(err, again);
+    }
+
+    #[test]
+    fn one_reference_checks_many_netlists_as_the_one_shot_checks_do() {
+        let (body, corrupted) = corrupted_example1_netlist();
+        let clk = ClockConstraint::from_period_ps(1600.0);
+        let d = desc(&body, SchedulerConfig::sequential(clk, 1, 3));
+        let bound = hls_bind::bind(&body, &d).expect("binds");
+        let reference = Reference::random(&body, 10, 0xC0FFEE);
+        for _ in 0..2 {
+            assert_eq!(reference.check(&d), random_check(&body, &d, 10, 0xC0FFEE));
+            assert_eq!(
+                reference.check_bound(&d, &bound),
+                random_check_bound(&body, &d, &bound, 10, 0xC0FFEE)
+            );
+            let err = reference.check_nir(&corrupted).unwrap_err();
+            assert_eq!(err.replay().map(|r| r.seed), Some(0xC0FFEE));
+            assert_eq!(
+                err,
+                random_check_nir(&body, &corrupted, 10, 0xC0FFEE).unwrap_err()
+            );
+        }
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //! before it is computed is refused while lowering;
 //! [`differential::check_bound`] lowers the *binding*, shared units and
 //! steering included; [`differential::check_nir`] runs any netlist, such as
-//! the rewritten one. Every scheduler, binder, lowering or pipeliner change
-//! is thereby a differentially-verified change. The `hls` facade exposes
-//! this as `Synthesizer::verify(n)`, and `hls-explore` can validate every
-//! Pareto point it emits.
+//! the rewritten one. A [`Reference`] runs the interpreter once per
+//! stimulus and compares any number of netlists against that trace. Every
+//! scheduler, binder, lowering or pipeliner change is thereby a
+//! differentially-verified change. The `hls` facade exposes this as
+//! `Synthesizer::verify(n)`, and `hls-explore` can validate every Pareto
+//! point it emits.
 //!
 //! ```
 //! use hls_frontend::designs;
@@ -58,7 +60,7 @@ pub mod stimulus;
 pub use cycle::{CycleTrace, TimedWrite};
 pub use differential::{
     check, check_bound, check_nir, random_check, random_check_bound, random_check_nir,
-    DifferentialReport,
+    DifferentialReport, Reference,
 };
 pub use error::{ReplayInfo, SimError};
 pub use interp::{interpret_cdfg, InterpTrace, Interpreter, WriteEvent};

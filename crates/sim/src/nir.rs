@@ -660,7 +660,7 @@ impl Compiler<'_> {
 }
 
 impl<'a> NirSim<'a> {
-    /// Compiles `m` into its tapes. Needs no prior [`hls_nir::validate`]:
+    /// Compiles `m` into its tapes. Needs no prior [`hls_nir::validate()`]:
     /// the checks that keep the simulation in bounds happen here.
     ///
     /// # Errors

@@ -496,8 +496,6 @@ struct Compiler<'m> {
     m: &'m NirModule,
     /// Each combinational cell's entry, with operand cell ids.
     base: Vec<Instr>,
-    /// Each cell's place in the topological order.
-    pos: Vec<u32>,
     fold: Vec<Fold>,
     /// The value of each cell folded to a constant, where
     /// [`Instr::eval_at`] reads its operands.
@@ -508,8 +506,9 @@ struct Compiler<'m> {
     stamp: u32,
     /// Cells waiting on an operand's fold.
     pending: Vec<u32>,
-    /// Cells whose cone is still to be marked.
-    walk: Vec<u32>,
+    /// The cone walk's stack: cells to visit, and visited entries to
+    /// finish once their operands are.
+    walk: Vec<(u32, bool)>,
 }
 
 impl Compiler<'_> {
@@ -615,21 +614,32 @@ impl Compiler<'_> {
         self.fold[c as usize]
     }
 
-    /// Marks the cone computing `c` in this tape: its entries go to
-    /// `computed`, its input reads and stage bits to `sources`.
-    fn need(&mut self, c: u32, computed: &mut Vec<u32>, sources: &mut Vec<u32>) {
-        self.walk.push(c);
-        while let Some(x) = self.walk.pop() {
+    /// Marks the cone computing `c` in this tape. Its entries go to
+    /// `computed` in topological order, each one level past its deepest
+    /// computed operand; its input reads and stage bits go to `sources`.
+    fn need(&mut self, c: u32, computed: &mut Vec<(u32, Instr)>, sources: &mut Vec<u32>) {
+        self.walk.push((c, false));
+        while let Some((x, finish)) = self.walk.pop() {
+            if finish {
+                let Fold::Entry(instr) = self.fold[x as usize] else {
+                    unreachable!("only entries are finished")
+                };
+                let deepest = operands(&instr).map(|o| self.level_of(o)).max();
+                self.level[x as usize] = 1 + deepest.unwrap_or(0);
+                computed.push((x, instr));
+                continue;
+            }
             if self.needed[x as usize] == self.stamp {
                 continue;
             }
             self.needed[x as usize] = self.stamp;
             match self.fold_of(x) {
                 Fold::Const(_) => {}
-                Fold::Alias(target) => self.walk.push(target),
+                Fold::Alias(target) => self.walk.push((target, false)),
                 Fold::Entry(instr) => {
-                    computed.push(x);
-                    self.walk.extend(operands(&instr));
+                    // no combinational cycle, so the operands finish first
+                    self.walk.push((x, true));
+                    self.walk.extend(operands(&instr).map(|o| (o, false)));
                 }
                 Fold::Source => sources.push(x),
             }
@@ -679,7 +689,6 @@ impl<'a> NirSim<'a> {
         let mut cc = Compiler {
             m,
             base: vec![NO_ENTRY; n],
-            pos: vec![0; n],
             fold: vec![Fold::Source; n],
             value: vec![0; n],
             folded: vec![0; n],
@@ -694,8 +703,7 @@ impl<'a> NirSim<'a> {
         let mut counters = Vec::new();
         let mut varies = vec![false; n];
         let mut roots = Vec::new();
-        for (p, &c) in order.iter().enumerate() {
-            cc.pos[c as usize] = p as u32;
+        for &c in &order {
             let cell = m.cell(CellId::from_raw(c));
             if !live[c as usize] {
                 continue;
@@ -800,29 +808,15 @@ impl<'a> NirSim<'a> {
             cc.need(value, &mut computed, &mut sources);
         }
 
-        // Levelize in topological order, then sort each level by opcode so
-        // the tape runs in long same-opcode segments.
-        computed.sort_unstable_by_key(|&c| cc.pos[c as usize]);
-        for &c in &computed {
-            let Fold::Entry(instr) = cc.fold[c as usize] else {
-                unreachable!("only entries are computed")
-            };
-            cc.level[c as usize] = 1 + operands(&instr).map(|o| cc.level_of(o)).max().unwrap_or(0);
-        }
-        computed.sort_by_key(|&c| match cc.fold[c as usize] {
-            Fold::Entry(instr) => (cc.level[c as usize], instr.op),
-            _ => unreachable!("only entries are computed"),
-        });
-
+        // Entries of one level are independent: sort each level by opcode
+        // so the tape runs in long same-opcode segments.
+        computed.sort_by_key(|&(c, instr)| (cc.level[c as usize], instr.op));
         let entries_start = self.entries.len();
         let segments_start = self.segments.len();
-        for &c in &computed {
+        for &(c, _) in &computed {
             slots.cell(m, c);
         }
-        for &c in &computed {
-            let Fold::Entry(mut instr) = cc.fold[c as usize] else {
-                unreachable!("only entries are computed")
-            };
+        for (c, mut instr) in computed {
             instr.dst = slots.cell(m, c);
             instr.a = cc.slot(slots, instr.a);
             if instr.op.operands() > 1 {

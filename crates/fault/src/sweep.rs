@@ -378,8 +378,6 @@ pub fn run_sweep(
     config: &FaultConfig,
 ) -> FaultCoverageReport {
     let ctx = LintContext::new(library, clock);
-    // The interpreter runs once per stimulus: the baseline and every mutant
-    // compare against the same reference trace.
     let stimulus = Stimulus::random(&body.dfg, config.vectors, config.seed);
     let reference = Reference::new(body, &stimulus);
     let baseline_lint = analyze(netlist, &ctx, &config.lint);
@@ -391,12 +389,12 @@ pub fn run_sweep(
     // Survivors of the base pipeline get one more differential attack with
     // a longer, differently-seeded stimulus before any escape certificate
     // is considered.
-    let escalated = Stimulus::random(
+    let escalated_stimulus = Stimulus::random(
         &body.dfg,
         config.vectors * 4,
         config.seed.wrapping_add(0x9E37_79B9),
     );
-    let escalated = Reference::new(body, &escalated);
+    let escalated = Reference::new(body, &escalated_stimulus);
 
     let mut outcomes = Vec::new();
     for spec in enumerate(netlist, config.max_per_class) {

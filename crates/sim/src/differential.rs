@@ -17,7 +17,7 @@
 //! fault sweep its baseline and every mutant. The free functions are
 //! one-shot wrappers that build a reference per call.
 
-use crate::error::SimError;
+use crate::error::{ReplayInfo, SimError};
 use crate::interp::Interpreter;
 use crate::stimulus::Stimulus;
 use hls_bind::{BoundDesign, RtlStyle};
@@ -44,12 +44,12 @@ pub struct DifferentialReport {
 /// The interpreter runs once, on the first comparison and after that
 /// comparison's netlist has compiled and run, so a netlist error still
 /// takes precedence over an interpreter error. A random stimulus carries
-/// its [`ReplayInfo`](crate::error::ReplayInfo) into every divergence.
+/// its [`ReplayInfo`] into every divergence.
 #[derive(Debug)]
 pub struct Reference<'a> {
     body: &'a LinearBody,
     stimulus: Cow<'a, Stimulus>,
-    replay: Option<crate::error::ReplayInfo>,
+    replay: Option<ReplayInfo>,
     /// Each output port's writes, in port order.
     writes: OnceCell<Result<Vec<PortWrites>, SimError>>,
 }
@@ -73,7 +73,7 @@ impl<'a> Reference<'a> {
         Reference {
             body,
             stimulus: Cow::Owned(Stimulus::random(&body.dfg, vectors, seed)),
-            replay: Some(crate::error::ReplayInfo { seed, vectors }),
+            replay: Some(ReplayInfo { seed, vectors }),
             writes: OnceCell::new(),
         }
     }

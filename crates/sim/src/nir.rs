@@ -47,7 +47,6 @@ use hls_ir::{CmpKind, PortId};
 use hls_nir::{BinKind, Cell, CellId, CellKind, NirModule, UnKind};
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::ops::Range;
 
 /// Tape opcodes: one per combinational cell behaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -175,8 +174,7 @@ fn run_entries(op: Op, run: &[Instr], s: &mut [i64]) {
     }
 }
 
-/// A maximal run of tape entries sharing one opcode, ending before `end`
-/// (an index into [`NirSim`]'s flat entry list).
+/// A maximal run of tape entries sharing one opcode, ending before `end`.
 #[derive(Clone, Copy, Debug)]
 struct Segment {
     op: Op,
@@ -222,16 +220,18 @@ struct Capture {
     ext: u8,
 }
 
-/// One FSM state's share of [`NirSim`]'s flat lists.
-#[derive(Clone, Debug)]
+/// The compiled form of one FSM state.
+#[derive(Debug, Default)]
 struct Tape {
-    /// The entries, level by level and sorted by opcode within a level.
-    entries: Range<usize>,
-    segments: Range<usize>,
-    inputs: Range<usize>,
-    controller: Range<usize>,
-    writes: Range<usize>,
-    captures: Range<usize>,
+    /// The state's cone, level by level and sorted by opcode within a
+    /// level.
+    entries: Vec<Instr>,
+    segments: Vec<Segment>,
+    inputs: Vec<InputRead>,
+    controller: Vec<(u32, Control)>,
+    /// The port writes and captures whose enable does not fold to zero.
+    writes: Vec<PortWrite>,
+    captures: Vec<Capture>,
 }
 
 /// Cycle-accurate simulator over a structural netlist, compiled once into
@@ -243,14 +243,8 @@ pub struct NirSim<'a> {
     /// The tape of each value of `fsm & 0xFF`, or a single tape when no
     /// live cell reads the counter.
     tapes: Vec<Tape>,
-    entries: Vec<Instr>,
-    segments: Vec<Segment>,
-    inputs: Vec<InputRead>,
     /// The port each stimulus-table column holds.
     input_ports: Vec<u32>,
-    controller: Vec<(u32, Control)>,
-    writes: Vec<PortWrite>,
-    captures: Vec<Capture>,
     fold_states: u32,
     num_states: u32,
     module: PhantomData<&'a NirModule>,
@@ -760,13 +754,7 @@ impl<'a> NirSim<'a> {
         let mut sim = NirSim {
             init: Vec::new(),
             tapes: Vec::with_capacity(tapes as usize),
-            entries: Vec::new(),
-            segments: Vec::new(),
-            inputs: Vec::new(),
             input_ports: Vec::new(),
-            controller: Vec::new(),
-            writes: Vec::new(),
-            captures: Vec::new(),
             fold_states: m.fold_states,
             num_states: m.num_states,
             module: PhantomData,
@@ -811,8 +799,7 @@ impl<'a> NirSim<'a> {
         // Entries of one level are independent: sort each level by opcode
         // so the tape runs in long same-opcode segments.
         computed.sort_by_key(|&(c, instr)| (cc.level[c as usize], instr.op));
-        let entries_start = self.entries.len();
-        let segments_start = self.segments.len();
+        let mut tape = Tape::default();
         for &(c, _) in &computed {
             slots.cell(m, c);
         }
@@ -825,18 +812,16 @@ impl<'a> NirSim<'a> {
             if instr.op.operands() > 2 {
                 instr.c = cc.slot(slots, instr.c);
             }
-            match self.segments[segments_start..].last_mut() {
+            match tape.segments.last_mut() {
                 Some(seg) if seg.op == instr.op => seg.end += 1,
-                _ => self.segments.push(Segment {
+                _ => tape.segments.push(Segment {
                     op: instr.op,
-                    end: self.entries.len() as u32 + 1,
+                    end: tape.entries.len() as u32 + 1,
                 }),
             }
-            self.entries.push(instr);
+            tape.entries.push(instr);
         }
 
-        let inputs_start = self.inputs.len();
-        let controller_start = self.controller.len();
         for &c in &sources {
             let cell = m.cell(CellId::from_raw(c));
             let slot = slots.cell(m, c);
@@ -849,7 +834,7 @@ impl<'a> NirSim<'a> {
                             self.input_ports.len() - 1
                         }
                     };
-                    self.inputs.push(InputRead {
+                    tape.inputs.push(InputRead {
                         slot,
                         col: col as u32,
                         state,
@@ -857,30 +842,28 @@ impl<'a> NirSim<'a> {
                     });
                 }
                 CellKind::StageValid { stage } => {
-                    self.controller
+                    tape.controller
                         .push((slot, Control::StageValid(u64::from(stage))));
                 }
                 CellKind::FirstIter { stage } => {
-                    self.controller
+                    tape.controller
                         .push((slot, Control::FirstIter(u64::from(stage))));
                 }
                 _ => {}
             }
         }
 
-        let writes_start = self.writes.len();
-        let captures_start = self.captures.len();
         for &(r, _) in &fired {
             let cell = m.cell(CellId::from_raw(r));
             let enable = cc.slot(slots, cell.inputs[1].index() as u32);
             match cell.kind {
-                CellKind::Output { port, state } => self.writes.push(PortWrite {
+                CellKind::Output { port, state } => tape.writes.push(PortWrite {
                     value: cc.slot(slots, r),
                     enable,
                     port,
                     state,
                 }),
-                _ => self.captures.push(Capture {
+                _ => tape.captures.push(Capture {
                     reg: slots.cell(m, r),
                     data: cc.slot(slots, cell.inputs[0].index() as u32),
                     enable,
@@ -888,14 +871,7 @@ impl<'a> NirSim<'a> {
                 }),
             }
         }
-        self.tapes.push(Tape {
-            entries: entries_start..self.entries.len(),
-            segments: segments_start..self.segments.len(),
-            inputs: inputs_start..self.inputs.len(),
-            controller: controller_start..self.controller.len(),
-            writes: writes_start..self.writes.len(),
-            captures: captures_start..self.captures.len(),
-        });
+        self.tapes.push(tape);
     }
 
     /// Runs one iteration per stimulus row and collects the write trace.
@@ -936,7 +912,7 @@ impl<'a> NirSim<'a> {
             // `fsm & 0xFF` is below the tape count, unless a single tape
             // serves a netlist that never reads the counter
             let tape = &self.tapes[((fsm & 0xFF) as usize).min(self.tapes.len() - 1)];
-            for r in &self.inputs[tape.inputs.clone()] {
+            for r in &tape.inputs {
                 let state = u64::from(r.state);
                 let k = if t < state {
                     0
@@ -945,7 +921,7 @@ impl<'a> NirSim<'a> {
                 };
                 slots[r.slot as usize] = sext(table[k * cols + r.col as usize], u32::from(r.ext));
             }
-            for &(slot, control) in &self.controller[tape.controller.clone()] {
+            for &(slot, control) in &tape.controller {
                 slots[slot as usize] = match control {
                     Control::StageValid(g) => -i64::from(wraps >= g),
                     Control::FirstIter(g) => -i64::from(wraps == g),
@@ -953,9 +929,9 @@ impl<'a> NirSim<'a> {
             }
 
             // combinational settle
-            let mut start = tape.entries.start;
-            for seg in &self.segments[tape.segments.clone()] {
-                let run = &self.entries[start..seg.end as usize];
+            let mut start = 0;
+            for seg in &tape.segments {
+                let run = &tape.entries[start..seg.end as usize];
                 start = seg.end as usize;
                 macro_rules! dispatch {
                     ($($op:ident),*) => {
@@ -977,7 +953,7 @@ impl<'a> NirSim<'a> {
             // surface here as extra writes rather than be masked by the
             // schedule's timing. (For a correct lowering the enable only
             // fires in the scheduled slot, so the two gatings coincide.)
-            for w in &self.writes[tape.writes.clone()] {
+            for w in &tape.writes {
                 let s = u64::from(w.state);
                 if slots[w.enable as usize] != 0 && t >= s {
                     let k = (t - s) / cpi;
@@ -994,7 +970,7 @@ impl<'a> NirSim<'a> {
 
             // register captures (simultaneous, like one posedge)
             captured.clear();
-            for c in &self.captures[tape.captures.clone()] {
+            for c in &tape.captures {
                 if slots[c.enable as usize] != 0 {
                     captured.push((c.reg, sext(slots[c.data as usize], u32::from(c.ext))));
                 }

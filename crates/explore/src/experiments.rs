@@ -619,6 +619,42 @@ mod tests {
     }
 
     #[test]
+    fn bench_sched_json_has_one_point_per_line() {
+        let points = [
+            Figure9Point {
+                ops: 102,
+                seconds: 0.003_117_4,
+                latency: 22,
+                passes: 22,
+                class: "Filter".into(),
+                fus: 6,
+                regs: 30,
+                mux_inputs: 176,
+            },
+            Figure9Point {
+                ops: 152,
+                seconds: 0.001_745_49,
+                latency: 7,
+                passes: 5,
+                class: "Fft".into(),
+                fus: 73,
+                regs: 63,
+                mux_inputs: 286,
+            },
+        ];
+        let expected = r#"{
+  "bench": "figure9_scheduling_time",
+  "points": [
+    {"ops": 102, "seconds": 0.003117, "latency": 22, "passes": 22, "class": "Filter", "fus": 6, "regs": 30, "mux_inputs": 176},
+    {"ops": 152, "seconds": 0.001745, "latency": 7, "passes": 5, "class": "Fft", "fus": 73, "regs": 63, "mux_inputs": 286}
+  ],
+  "total_seconds": 64.763998
+}
+"#;
+        assert_eq!(figure9_json(&points, 64.763_998_1), expected);
+    }
+
+    #[test]
     fn figure9_region_path_schedules_a_multi_kernel_point() {
         let points = figure9_scheduling_time(&[2600]);
         assert_eq!(points.len(), 1, "the region-decomposed point schedules");

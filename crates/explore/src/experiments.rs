@@ -1,7 +1,9 @@
 //! Experiment drivers: one function per table / figure of the paper.
 //!
 //! Every driver returns a structured, serializable result and can render the
-//! same rows the paper prints. The benchmark crate calls these functions, and
+//! same rows the paper prints. The examples print them: `paper_example`
+//! Tables 1–4 and the scheduling ablation, `idct_explore` Figures 10 and 11,
+//! and `figure9_perf` Figure 9 and `BENCH_sched.json`.
 //! `tests/integration_experiments.rs` runs reduced-size versions as smoke
 //! tests; `tests/integration_paper_examples.rs` asserts the paper's worked
 //! Examples 1–3 and the ordering of Table 3.
@@ -337,8 +339,8 @@ pub struct Figure9Sweep {
 }
 
 impl Figure9Sweep {
-    /// Renders the paper-style table plus the end-to-end total — the shared
-    /// output of the bench target and the `figure9_perf` example.
+    /// Renders the paper-style table plus the end-to-end total, as the
+    /// `figure9_perf` example prints it.
     pub fn table(&self) -> String {
         let mut out = String::from("FIGURE 9 — scheduling time vs design size:\n");
         out.push_str(&format!(
@@ -360,24 +362,51 @@ impl Figure9Sweep {
         out
     }
 
-    /// Writes the sweep as `BENCH_sched.json` (see [`figure9_json`]).
+    /// Serializes the sweep as the machine-readable perf-trajectory record
+    /// `BENCH_sched.json`: one `{ops, seconds, latency, passes, class, fus,
+    /// regs, mux_inputs}` object per line, plus the end-to-end wall-clock
+    /// of the whole sweep. The binder statistics record the counted hardware
+    /// each point's schedule costs, so the trajectory tracks area proxies
+    /// next to time.
+    pub fn to_json(&self) -> String {
+        let mut out =
+            String::from("{\n  \"bench\": \"figure9_scheduling_time\",\n  \"points\": [\n");
+        for (i, p) in self.points.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"ops\": {}, \"seconds\": {:.6}, \"latency\": {}, \"passes\": {}, \"class\": \"{}\", \"fus\": {}, \"regs\": {}, \"mux_inputs\": {}}}{}\n",
+                p.ops,
+                p.seconds,
+                p.latency,
+                p.passes,
+                p.class,
+                p.fus,
+                p.regs,
+                p.mux_inputs,
+                if i + 1 < self.points.len() { "," } else { "" }
+            ));
+        }
+        out.push_str(&format!(
+            "  ],\n  \"total_seconds\": {:.6}\n}}\n",
+            self.total_seconds
+        ));
+        out
+    }
+
+    /// Writes [`Self::to_json`] to `path` (the repo root's
+    /// `BENCH_sched.json` by convention).
     ///
     /// # Errors
     /// Propagates the underlying I/O error.
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        write_figure9_json(path, &self.points, self.total_seconds)
+        std::fs::write(path, self.to_json())
     }
 }
 
-/// Runs [`figure9_scheduling_time`] and measures the end-to-end wall-clock
-/// of the whole sweep — the headline perf-trajectory number.
-pub fn figure9_sweep(sizes: &[usize]) -> Figure9Sweep {
-    figure9_sweep_with_budget(sizes, None)
-}
-
-/// [`figure9_sweep`] with an optional wall-clock budget: once the budget is
-/// spent, points that have not started yet are skipped instead of scheduled
-/// (the first point always runs, so a sweep returns at least one sample).
+/// Runs the Figure 9 points of `sizes` (as [`figure9_scheduling_time`]
+/// does) and measures the end-to-end wall-clock of the whole sweep, the
+/// headline perf-trajectory number. With a `budget`, once it is spent,
+/// points that have not started yet are skipped instead of scheduled (the
+/// first point always runs, so a sweep returns at least one sample).
 /// Skipped sizes count toward `requested` but contribute no point.
 pub fn figure9_sweep_with_budget(
     sizes: &[usize],
@@ -396,45 +425,6 @@ pub fn figure9_sweep_with_budget(
         total_seconds: start.elapsed().as_secs_f64(),
         requested: sizes.len(),
     }
-}
-
-/// Serializes Figure 9 points as the machine-readable perf-trajectory record
-/// `BENCH_sched.json` (one `{ops, seconds, latency, passes, fus, regs,
-/// mux_inputs}` object per size, plus the end-to-end wall-clock of the whole
-/// driver). The binder statistics record the counted hardware each point's
-/// schedule costs, so the trajectory tracks area proxies next to time.
-pub fn figure9_json(points: &[Figure9Point], total_seconds: f64) -> String {
-    let mut out = String::from("{\n  \"bench\": \"figure9_scheduling_time\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"ops\": {}, \"seconds\": {:.6}, \"latency\": {}, \"passes\": {}, \"class\": \"{}\", \"fus\": {}, \"regs\": {}, \"mux_inputs\": {}}}{}\n",
-            p.ops,
-            p.seconds,
-            p.latency,
-            p.passes,
-            p.class,
-            p.fus,
-            p.regs,
-            p.mux_inputs,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"total_seconds\": {total_seconds:.6}\n}}\n"
-    ));
-    out
-}
-
-/// Writes [`figure9_json`] to the given path (the repo root by convention).
-///
-/// # Errors
-/// Propagates the underlying I/O error.
-pub fn write_figure9_json(
-    path: &std::path::Path,
-    points: &[Figure9Point],
-    total_seconds: f64,
-) -> std::io::Result<()> {
-    std::fs::write(path, figure9_json(points, total_seconds))
 }
 
 // ---------------------------------------------------------------------------
@@ -522,15 +512,10 @@ pub fn idct_exploration_with(
     Ok(points)
 }
 
-/// Figure 10: area vs delay for the IDCT micro-architectures.
+/// Figures 10 and 11: the IDCT micro-architectures over six clock periods,
+/// read for area vs delay (Figure 10) and power vs delay (Figure 11).
 pub fn figure10_idct_area_delay() -> Vec<ExplorationPoint> {
     idct_exploration(&[1000.0, 1300.0, 1600.0, 2100.0, 2600.0, 3200.0])
-}
-
-/// Figure 11: power vs delay for the same sweep (the same points, read for
-/// their power coordinate).
-pub fn figure11_idct_power_delay() -> Vec<ExplorationPoint> {
-    figure10_idct_area_delay()
 }
 
 /// Renders exploration points as a CSV-like text block (one row per point).
@@ -620,7 +605,7 @@ mod tests {
 
     #[test]
     fn bench_sched_json_has_one_point_per_line() {
-        let points = [
+        let points = vec![
             Figure9Point {
                 ops: 102,
                 seconds: 0.003_117_4,
@@ -651,7 +636,12 @@ mod tests {
   "total_seconds": 64.763998
 }
 "#;
-        assert_eq!(figure9_json(&points, 64.763_998_1), expected);
+        let sweep = Figure9Sweep {
+            points,
+            total_seconds: 64.763_998_1,
+            requested: 2,
+        };
+        assert_eq!(sweep.to_json(), expected);
     }
 
     #[test]

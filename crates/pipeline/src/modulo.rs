@@ -5,7 +5,8 @@
 //! scheduling and requires a specialized engine". This module provides a
 //! compact height-priority IMS with a modulo reservation table and bounded
 //! backtracking so the two approaches can be compared on the same loop bodies
-//! (see the `ablation_separate_binding` bench).
+//! (the `paper_example` example prints this baseline's II and latency on
+//! Example 1).
 //!
 //! The baseline is intentionally *resource-count* driven (like the classical
 //! formulation) and only checks chaining delays per operation, not full

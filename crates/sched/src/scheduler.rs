@@ -347,11 +347,11 @@ fn budget_exhausted(
 }
 
 /// Schedules first with unlimited mobility and *then* assigns resources — the
-/// classical separated flow the paper argues against. Used only by the
-/// ablation benchmark to quantify the benefit of simultaneous scheduling and
-/// binding; the separated flow ignores sharing-mux delays while placing
-/// operations, so its schedules systematically over-estimate the available
-/// slack.
+/// classical separated flow the paper argues against. The ablation that the
+/// `paper_example` example prints uses it to quantify the benefit of
+/// simultaneous scheduling and binding: the separated flow ignores
+/// sharing-mux delays while placing operations, so its schedules
+/// systematically over-estimate the available slack.
 ///
 /// # Errors
 /// Propagates the same errors as [`Scheduler::run`].

@@ -1,11 +1,11 @@
 //! Design-space exploration of the IDCT (Figures 10 and 11): pipelined and
-//! non-pipelined micro-architectures over a clock sweep, with the Pareto
-//! front highlighted.
-use hls::explore::experiments::{idct_exploration, render_points};
-use hls::explore::pareto_front;
+//! non-pipelined micro-architectures over six clock periods, with delay,
+//! area and power per point, the Pareto front and the power range.
+use hls::explore::experiments::render_points;
+use hls::explore::{figure10_idct_area_delay, pareto_front};
 
 fn main() {
-    let points = idct_exploration(&[1300.0, 1600.0, 2100.0, 2600.0]);
+    let points = figure10_idct_area_delay();
     println!("{}", render_points(&points));
     println!("Pareto-optimal implementations (delay vs area):");
     for p in pareto_front(&points) {
@@ -14,4 +14,10 @@ fn main() {
             p.label, p.delay_ns, p.area, p.power_uw
         );
     }
+    let (min, max) = points
+        .iter()
+        .fold((f64::INFINITY, 0.0_f64), |(min, max), p| {
+            (min.min(p.power_uw), max.max(p.power_uw))
+        });
+    println!("Power range explored: {:.1}x", max / min.max(1e-9));
 }

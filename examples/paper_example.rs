@@ -1,7 +1,14 @@
 //! Reproduces the paper's running example end to end: Table 1 (library),
-//! Table 2 (sequential schedule), Table 3 (micro-architecture comparison) and
-//! the Example 2/3 pipelined schedules.
-use hls::explore::{table1_library, table2_example1_schedule, table3_microarchitectures};
+//! Table 2 (sequential schedule), Table 3 (micro-architecture comparison),
+//! the Example 2/3 pipelined schedules, Table 4 (SCC-move ablation) and the
+//! ablation of Example 1 against the separated flow and modulo scheduling.
+use hls::explore::{
+    table1_library, table2_example1_schedule, table3_microarchitectures, table4_scc_move_ablation,
+};
+use hls::opt::linearize::prepare_innermost_loop;
+use hls::pipeline::modulo_schedule;
+use hls::sched::{schedule_separated, Scheduler, SchedulerConfig};
+use hls::tech::{ClockConstraint, TechLibrary};
 use hls::{designs, Synthesizer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,5 +45,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .pipeline(1)
         .run()?;
     println!("{}", p1.schedule_table());
+
+    let t4 = table4_scc_move_ablation(10, 180);
+    println!("TABLE 4 — % area penalty with SCC-move disabled (7 most critical designs)");
+    for (i, penalty) in t4.penalties_percent.iter().enumerate() {
+        println!("  D{} {penalty:6.1}%", i + 1);
+    }
+    println!("  avg {:6.1}%", t4.average_percent);
+
+    println!("\nABLATION — unified vs separated scheduling/binding (Example 1)");
+    let mut cdfg = designs::paper_example1_cdfg()?;
+    let body = prepare_innermost_loop(&mut cdfg)?;
+    let lib = TechLibrary::artisan_90nm_typical();
+    let config = SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 3);
+    let unified = Scheduler::new(&body, &lib, config.clone()).run()?;
+    let separated = schedule_separated(&body, &lib, config)?;
+    for (flow, schedule) in [("unified", &unified), ("separated", &separated)] {
+        println!(
+            "  {flow:9} : latency {}  worst slack {:+.0} ps",
+            schedule.latency, schedule.min_slack_ps
+        );
+    }
+    let modulo = modulo_schedule(&body, &lib, 1600.0, 2, 8, |_| 2)
+        .ok_or("the modulo-scheduling baseline finds no II in 2..=8")?;
+    println!(
+        "  modulo-scheduling baseline: II {}  latency {}",
+        modulo.ii,
+        modulo.latency()
+    );
     Ok(())
 }

@@ -1,5 +1,5 @@
 //! Smoke tests of the experiment drivers (reduced sizes) — the full versions
-//! run under `cargo bench`.
+//! run in the `paper_example`, `idct_explore` and `figure9_perf` examples.
 use hls::explore::experiments::{idct_exploration, table4_scc_move_ablation};
 use hls::explore::{
     figure9_scheduling_time, pareto_front, table1_library, table2_example1_schedule,

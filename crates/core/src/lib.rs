@@ -67,9 +67,9 @@ pub enum SynthesisError {
     Frontend(hls_frontend::FrontendError),
     /// The optimizer or linearization failed.
     Optimizer(hls_opt::OptError),
-    /// The requested clock period is not a positive number of picoseconds
-    /// (zero, negative or NaN). Rejected before any stage runs; the
-    /// recovery ladder never retries it.
+    /// The requested clock period is not a positive, finite number of
+    /// picoseconds (zero, negative, infinite or NaN). Rejected before any
+    /// stage runs; the recovery ladder never retries it.
     InvalidClock {
         /// The requested period, ps.
         period_ps: f64,
@@ -116,7 +116,7 @@ impl fmt::Display for SynthesisError {
             SynthesisError::Optimizer(e) => write!(f, "optimizer: {e}"),
             SynthesisError::InvalidClock { period_ps } => write!(
                 f,
-                "invalid clock period of {period_ps} ps: the period must be positive"
+                "invalid clock period of {period_ps} ps: the period must be positive and finite"
             ),
             SynthesisError::Scheduling(e) => write!(f, "scheduler: {e}"),
             SynthesisError::Folding(e) => write!(f, "pipeline folding: {e}"),
@@ -418,7 +418,7 @@ impl Synthesizer {
     fn run_on_body(self, body: LinearBody) -> Result<SynthesisResult, SynthesisError> {
         // The clock and pipeline constructors panic on these; a public
         // builder must not, so they are refused before the first attempt.
-        if self.clock_ps.is_nan() || self.clock_ps <= 0.0 {
+        if !(self.clock_ps.is_finite() && self.clock_ps > 0.0) {
             return Err(SynthesisError::InvalidClock {
                 period_ps: self.clock_ps,
             });
@@ -878,7 +878,7 @@ mod tests {
 
     #[test]
     fn a_clock_period_that_is_not_positive_is_a_typed_error_on_both_entry_points() {
-        for period in [0.0, -5.0, f64::NAN] {
+        for period in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             let errors = [
                 Synthesizer::new(designs::paper_example1())
                     .clock_ps(period)

@@ -22,6 +22,7 @@
 
 use crate::catalog::{documented_site_escape, enumerate, inject, FaultClass, FaultSpec};
 use hls_ir::{LinearBody, PortId};
+use hls_lint::diag::{esc, num};
 use hls_lint::{analyze, Lint, LintConfig, LintContext};
 use hls_nir::{validate, CellId, CellKind, NirModule};
 use hls_sim::{NirSim, Reference, Stimulus};
@@ -292,13 +293,13 @@ impl FaultCoverageReport {
         out
     }
 
-    /// Serializes the report to JSON (hand-rolled, same conventions as
-    /// `hls_lint`'s reports: stable field order, three-decimal floats).
+    /// Serializes the report to JSON (hand-rolled with `hls_lint`'s report
+    /// helpers: stable field order, three-decimal floats).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"module\": \"{}\",", esc(&self.module));
-        let _ = writeln!(out, "  \"clock_ps\": {:.3},", self.clock_ps);
+        let _ = writeln!(out, "  \"clock_ps\": {},", num(self.clock_ps));
         let _ = writeln!(out, "  \"vectors\": {},", self.vectors);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"baseline_ok\": {},", self.baseline_ok);
@@ -660,25 +661,6 @@ fn probe_trace(m: &NirModule, cell: CellId, stimulus: &Stimulus) -> Option<Vec<(
     Some(trace.port_writes(PortId::from_raw(port)))
 }
 
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,6 +771,16 @@ mod tests {
         assert!(j.contains("\"class\": \"mux-arm-swap\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+
+        // JSON has no infinities: an infinite clock prints as a finite number
+        let mut unbounded = report(vec![]);
+        unbounded.clock_ps = f64::INFINITY;
+        let j = unbounded.to_json();
+        assert!(!j.contains("inf"), "{j}");
+        assert!(
+            j.contains(&format!("\"clock_ps\": {:.3},", f64::MAX)),
+            "{j}"
+        );
     }
 
     #[test]

@@ -211,8 +211,9 @@ impl LintReport {
     }
 }
 
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
+/// Escapes a string for a JSON literal (the workspace's hand-rolled JSON
+/// reports share it).
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -230,8 +231,10 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Formats a float as a JSON number with three stable decimals.
-fn num(v: f64) -> String {
+/// Formats a float as a JSON number with three stable decimals. JSON has
+/// no infinities, so a positive infinity prints as `f64::MAX` and any other
+/// non-finite value as `f64::MIN`.
+pub fn num(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
     } else {

@@ -128,11 +128,12 @@ struct Parser {
 }
 
 impl Parser {
+    /// The 1-based line of the current token (of the last one past the end,
+    /// and line 1 when the source has no tokens at all).
     fn line(&self) -> usize {
         self.tokens
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|t| t.line)
-            .unwrap_or(0)
+            .map_or(1, |t| t.line)
     }
 
     fn err(&self, message: impl Into<String>) -> FrontendError {
@@ -585,6 +586,14 @@ module example1 {
         );
         // stray declaration keyword inside the body
         assert!(parse("module m { input a : 8; }").is_err());
+        // no tokens at all: the error still names a 1-based line
+        for src in ["", "// only a comment\n\n"] {
+            let err = parse(src).unwrap_err();
+            assert!(
+                matches!(err, FrontendError::Parse { line: 1, .. }),
+                "{src:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

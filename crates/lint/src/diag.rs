@@ -211,8 +211,7 @@ impl LintReport {
     }
 }
 
-/// Escapes a string for a JSON literal (the workspace's hand-rolled JSON
-/// reports share it).
+/// Escapes a string for a JSON literal.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

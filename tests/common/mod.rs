@@ -106,41 +106,51 @@ pub fn success_line(s: &Schedule) -> String {
 }
 
 /// A scheduling golden's line for a refusal: the `SchedError` variant,
-/// latency and pass count, plus the bits of the worst slack
-/// (`Overconstrained`) or the budget and a digest of the applied actions
-/// (`BudgetExhausted`). The rendered restraints are left out: they are
-/// diagnostics, not decisions.
+/// latency and pass count, plus the bits of the worst slack and a digest
+/// of the rendered restraints (`Overconstrained`), or the budget and
+/// digests of the applied actions and of the outstanding restraints
+/// (`BudgetExhausted`). The restraints are diagnostics, but their order
+/// breaks `choose_action`'s ties, so the digests pin it.
 #[allow(dead_code)]
 pub fn failure_line(e: &SchedError) -> String {
+    let lines_digest = |lines: &[String]| {
+        let mut digest = Fnv::new();
+        for line in lines {
+            digest.bytes(line.as_bytes());
+            digest.bytes(b"\n");
+        }
+        digest.0
+    };
     match e {
         SchedError::Overconstrained {
             latency,
             passes,
+            details,
             worst_slack_ps,
-            ..
-        } => format!(
-            "err Overconstrained latency={latency} passes={passes} worst_slack={:#018x}",
-            worst_slack_ps.to_bits()
-        ),
+        } => {
+            let mut digest = Fnv::new();
+            digest.bytes(details.as_bytes());
+            format!(
+                "err Overconstrained latency={latency} passes={passes} worst_slack={:#018x} \
+                 details_digest={:#018x}",
+                worst_slack_ps.to_bits(),
+                digest.0
+            )
+        }
         SchedError::BudgetExhausted {
             budget,
             latency,
             passes,
+            restraints,
             actions,
-            ..
-        } => {
-            let mut digest = Fnv::new();
-            for a in actions {
-                digest.bytes(a.as_bytes());
-                digest.bytes(b"\n");
-            }
-            format!(
-                "err BudgetExhausted latency={latency} passes={passes} budget=[{budget}] \
-                 actions={} actions_digest={:#018x}",
-                actions.len(),
-                digest.0
-            )
-        }
+        } => format!(
+            "err BudgetExhausted latency={latency} passes={passes} budget=[{budget}] \
+             actions={} actions_digest={:#018x} restraints={} restraints_digest={:#018x}",
+            actions.len(),
+            lines_digest(actions),
+            restraints.len(),
+            lines_digest(restraints)
+        ),
         other => panic!("unexpected scheduler error in a decision corpus: {other}"),
     }
 }

@@ -7,14 +7,18 @@
 //! the latency, pass count, relaxation actions, allocated instances per
 //! type, worst-slack bits and a digest of every op's (state, instance); on
 //! failure the `SchedError` variant with its latency, pass count and
-//! worst-slack bits or budget and action digest.
+//! worst-slack bits or budget and action digest, and a digest of the
+//! rendered restraints, whose order breaks the relaxation's ties.
 //!
 //! The corpus is the flow benchmark's paper designs, Example 1 at II=1,
 //! a genuine refusal (Example 1 capped at one state with no hardware to
-//! add), and generated designs of 100–300 ops at sequential 1600 ps and
-//! II=2 / II=1 at 2200 ps, all with latency bound 24. It reaches every
-//! relaxation action and both refusal variants; `Filter/100/s2` and
-//! `Filter/300/s2` relax through `ForbidBinding` at sequential 1600 ps.
+//! add), generated designs of 100–300 ops at sequential 1600 ps and
+//! II=2 / II=1 at 2200 ps, all with latency bound 24, and three of the
+//! flow benchmark's `sched_relax` refusals of 400–600 ops, whose pools
+//! grow to hundreds of instances (`Filter/600/s1` at II=2 to 289, five
+//! 64-bit words). It reaches every relaxation action and both refusal
+//! variants; `Filter/100/s2` and `Filter/300/s2` relax through
+//! `ForbidBinding` at sequential 1600 ps.
 //!
 //! `sched_work.txt` holds one line per scheduled configuration of the same
 //! corpus: the control steps scheduled and the placement attempts made,
@@ -164,6 +168,41 @@ fn scheduling_decisions_match_golden() {
                 }
             }
         }
+    }
+
+    // Refusals from the flow benchmark's `sched_relax` workload, scheduled
+    // without its recovery ladder.
+    use DesignClass::{Fft, Filter};
+    for (class, ops, seed, tag, config) in [
+        (
+            Filter,
+            400,
+            0,
+            "seq@1600ps/L24",
+            SchedulerConfig::sequential(c1600, 1, 24),
+        ),
+        (
+            Fft,
+            600,
+            0,
+            "seq@1600ps/L24",
+            SchedulerConfig::sequential(c1600, 1, 24),
+        ),
+        (
+            Filter,
+            600,
+            1,
+            "ii2@2200ps/L24",
+            SchedulerConfig::pipelined(c2200, 2, 24),
+        ),
+    ] {
+        let body = synthetic_design(class, ops, seed);
+        record(
+            &mut corpus,
+            &format!("{class:?}/{ops}/s{seed}/{tag}"),
+            &body,
+            config,
+        );
     }
 
     for required in [

@@ -19,9 +19,11 @@
 //! compared (design, configuration) also leaves one line, in the format of
 //! `sched_goldens.rs`, in a golden under `tests/golden/sched_equivalence/`
 //! (one file per test). Those verdicts were blessed while a second,
-//! state-major `HashMap` implementation of the pass still existed. Run with
-//! `UPDATE_GOLDEN=1` to bless an intentional change after reviewing the
-//! diff.
+//! state-major `HashMap` implementation of the pass still existed; a
+//! refusal's line also carries a digest of its rendered restraints, blessed
+//! while the placement scan still walked the pool one instance at a time.
+//! Run with `UPDATE_GOLDEN=1` to bless an intentional change after
+//! reviewing the diff.
 
 mod common;
 

@@ -9,16 +9,25 @@
 //!
 //! Every hot table is a flat `Vec` indexed by dense ids: per-operation state
 //! lives in region-local vectors (`placed`, `first_considered`,
-//! `last_reasons`), resource classes are interned to [`ResourceClassId`]s,
-//! the busy table is one `Vec` per region indexed by
-//! `local_instance * fold_states + folded_state`, and the
-//! combinational-cycle graph is an adjacency `Vec` over region-local
-//! resource indices with epoch-marked DFS over a reused stack. Nothing on
-//! the placement path hashes a key. A successful placement allocates
-//! nothing beyond the amortized growth of those tables; a failed one
-//! allocates its counted restraint list — one entry per distinct
-//! (kind, type) or (kind, slack), not one per busy instance — and the
-//! `Arc` that shares it with the per-state snapshots.
+//! `last_reasons`), resource classes and types are interned to
+//! [`ResourceClassId`]s and [`ResourceTypeId`]s, and each region numbers
+//! its instances locally in ascending instance-id order. The busy table is
+//! one `Vec` per region indexed by `local_instance * fold_states +
+//! folded_state`, listing the ops bound in each slot. Two kinds of bitset
+//! over the local instance indices sit beside it: one per interned type
+//! (the region's instances of that type) and one per folded state (the
+//! slots whose busy list is non-empty). An op's compatible instances are
+//! the bits of the types able to implement its own, so a placement attempt
+//! reads a few words per type instead of walking its pool, computes arrival
+//! and slack once per type, and counts its restraints by popcount. Only a
+//! predicated op, which may share an occupied instance with a mutually
+//! exclusive one, reads the busy lists. The combinational-cycle graph is an
+//! adjacency `Vec` over region-local resource indices with epoch-marked DFS
+//! over a reused stack. Nothing on the placement path hashes a key. A
+//! successful placement allocates nothing beyond the amortized growth of
+//! those tables; a failed one allocates its counted restraint list — one
+//! entry per distinct (kind, type) or (kind, slack), not one per busy
+//! instance — and the `Arc` that shares it with the per-state snapshots.
 //!
 //! # Regions
 //!
@@ -481,6 +490,101 @@ fn first_meeting(events: &[(u32, u32, u32, u32, bool)]) -> Option<u32> {
     None
 }
 
+/// Mirrors `ResourceType::can_implement` given the op's precomputed
+/// required type (avoids re-deriving it per check).
+fn type_can_implement(required: &ResourceType, have: &ResourceType) -> bool {
+    required.class == have.class
+        && required.out_width <= have.out_width
+        && required.in_widths.len() <= have.in_widths.len()
+        && required
+            .in_widths
+            .iter()
+            .zip(have.in_widths.iter())
+            .all(|(need, h)| need <= h)
+}
+
+/// Extends `compat` to every type `interner` holds: entry `r` lists the
+/// interned types able to implement type `r`, itself included. Interned
+/// ids are equal exactly when the types are.
+fn extend_compat_types(compat: &mut Vec<Vec<ResourceTypeId>>, interner: &Interner) {
+    let (old, n) = (compat.len(), interner.num_types());
+    compat.resize(n, Vec::new());
+    for (r, list) in compat.iter_mut().enumerate() {
+        let required = interner.ty(ResourceTypeId(r as u32));
+        // an old type need only meet the new ones
+        for t in if r < old { old..n } else { 0..n } {
+            let id = ResourceTypeId(t as u32);
+            if type_can_implement(required, interner.ty(id)) {
+                list.push(id);
+            }
+        }
+    }
+}
+
+/// Sets bit `l` of a bitset, growing it to cover `l`.
+fn set_bit(bits: &mut Vec<u64>, l: usize) {
+    if l / 64 >= bits.len() {
+        bits.resize(l / 64 + 1, 0);
+    }
+    bits[l / 64] |= 1 << (l % 64);
+}
+
+/// Where a placement attempt binds: the control step, its folded state,
+/// and the number of folded states (the busy table's stride).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    state: u32,
+    folded: u32,
+    fold_states: u32,
+}
+
+/// What a placement scan found.
+#[derive(Clone, Debug, PartialEq)]
+enum Scan {
+    /// The region-local instance to bind, with the op's arrival and slack
+    /// on it.
+    Bound {
+        local: u32,
+        arrival: f64,
+        slack: f64,
+    },
+    /// Nothing to bind: the counted restraints, and whether any compatible
+    /// instance was allowed at all.
+    Failed {
+        reasons: Vec<Restraint>,
+        tried_any: bool,
+    },
+}
+
+/// The popcount and the first set bit of a bitset, taken word by word in
+/// ascending order.
+#[derive(Clone, Copy, Debug, Default)]
+struct Bits {
+    count: u32,
+    first: Option<u32>,
+}
+
+impl Bits {
+    fn add(&mut self, w: usize, word: u64) {
+        if word != 0 {
+            self.count += word.count_ones();
+            if self.first.is_none() {
+                self.first = Some((w * 64) as u32 + word.trailing_zeros());
+            }
+        }
+    }
+}
+
+/// One compatible type's part in a placement attempt: the op's slack on
+/// the type, and the type's allowed instances split into busy and free.
+#[derive(Clone, Copy, Debug)]
+struct TypeTally {
+    tid: ResourceTypeId,
+    slack: f64,
+    busy: Bits,
+    free: Bits,
+}
+
 /// One placed operation: its control step, binding and output arrival time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct PlacedOp {
@@ -534,6 +638,10 @@ struct RegionRt {
     order: Vec<OpId>,
     /// The region's resource instances (ascending global instance ids).
     insts: Vec<ResourceInstanceId>,
+    /// Per interned type, a bitset over the local instance indices with a
+    /// bit for each of the region's instances of the type. Words past a
+    /// bitset's end are zero.
+    type_bits: Vec<Vec<u64>>,
     /// Datapath members per interned class (sharing-factor numerator).
     ops_per_class: Vec<usize>,
     /// Pool instances per interned class (sharing-factor denominator).
@@ -553,6 +661,22 @@ struct RegionRt {
 
     // scratch reused across passes
     busy: Vec<Vec<OpId>>,
+    /// Per folded state, `words` words over the local instance indices: a
+    /// bit is set when that slot's busy list is non-empty.
+    occupied: Vec<u64>,
+    /// Words per instance bitset: the pool size rounded up to 64.
+    words: usize,
+    /// One attempt's candidates: allowed, free and timing-clean instances.
+    cand: Vec<u64>,
+    /// One attempt's forbidden instances.
+    forbid: Vec<u64>,
+    /// One attempt's tally per compatible type.
+    tallies: Vec<TypeTally>,
+    /// One attempt's same-state, same-region producers' local instances.
+    chain_from: Vec<u32>,
+    /// What the walk oracle checked since the last pass was recorded.
+    #[cfg(test)]
+    coverage: oracle::Coverage,
     comb_succ: Vec<Vec<u32>>,
     comb_mark: Vec<u32>,
     comb_epoch: u32,
@@ -627,8 +751,10 @@ pub(crate) struct Engine<'a> {
     /// Region-local index per resource instance (the owning region is
     /// implied: an instance only ever appears in its own region's tables).
     inst_local: Vec<u32>,
-    /// Compatible instances per op, restricted to the op's region pool.
-    compat: Vec<Vec<ResourceInstanceId>>,
+    /// Per interned type, the interned types able to implement it, itself
+    /// included. A datapath op's compatible types are those of its
+    /// required type.
+    compat_types: Vec<Vec<ResourceTypeId>>,
     /// Global priority order (regions filter it to their members).
     order: Vec<OpId>,
 
@@ -755,6 +881,7 @@ impl<'a> Engine<'a> {
                 members,
                 order: std::mem::take(&mut region_orders[ri]),
                 insts: std::mem::take(&mut insts_by_region[ri]),
+                type_bits: Vec::new(),
                 ops_per_class,
                 insts_per_class: std::mem::take(&mut insts_per_class_by_region[ri]),
                 snapshots: Vec::new(),
@@ -763,6 +890,14 @@ impl<'a> Engine<'a> {
                 fail: Vec::new(),
                 work: Work::default(),
                 busy: Vec::new(),
+                occupied: Vec::new(),
+                words: 0,
+                cand: Vec::new(),
+                forbid: Vec::new(),
+                tallies: Vec::new(),
+                chain_from: Vec::new(),
+                #[cfg(test)]
+                coverage: oracle::Coverage::default(),
                 comb_succ: Vec::new(),
                 comb_mark: Vec::new(),
                 comb_epoch: 0,
@@ -774,17 +909,17 @@ impl<'a> Engine<'a> {
             });
         }
 
-        let mut compat: Vec<Vec<ResourceInstanceId>> = vec![Vec::new(); n];
-        for (i, slot) in compat.iter_mut().enumerate() {
-            if let Some(req) = &statics.required_ty[i] {
-                let ri = plan.region_of[i] as usize;
-                for &res_id in &regions[ri].insts {
-                    if Self::type_can_implement(req, &resources.instance(res_id).ty) {
-                        slot.push(res_id);
-                    }
+        for rt in &mut regions {
+            for (l, inst) in rt.insts.iter().enumerate() {
+                let tid = inst_type_ids[inst.index()].index();
+                if tid >= rt.type_bits.len() {
+                    rt.type_bits.resize(tid + 1, Vec::new());
                 }
+                set_bit(&mut rt.type_bits[tid], l);
             }
         }
+        let mut compat_types = Vec::new();
+        extend_compat_types(&mut compat_types, &interner);
 
         Engine {
             body,
@@ -801,7 +936,7 @@ impl<'a> Engine<'a> {
             latency,
             inst_type_ids,
             inst_local,
-            compat,
+            compat_types,
             order,
             regions,
         }
@@ -837,19 +972,6 @@ impl<'a> Engine<'a> {
     /// The SCC stage inputs, dense over SCC index.
     pub(crate) fn scc_stage(&self) -> &[Option<u32>] {
         &self.scc_stage_input
-    }
-
-    /// Mirrors `ResourceType::can_implement` given the op's precomputed
-    /// required type (avoids re-deriving it per check).
-    fn type_can_implement(required: &ResourceType, have: &ResourceType) -> bool {
-        required.class == have.class
-            && required.out_width <= have.out_width
-            && required.in_widths.len() <= have.in_widths.len()
-            && required
-                .in_widths
-                .iter()
-                .zip(have.in_widths.iter())
-                .all(|(need, h)| need <= h)
     }
 
     /// Applies a relaxation action, dirtying exactly the regions whose next
@@ -950,9 +1072,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Adds one fresh instance of `ty` to `owner`'s pool, extending the
-    /// interner tables, the compatibility lists of the region's members, and
-    /// rewinding the region's resume watermark to the first state where a
-    /// member of the matching class was considered.
+    /// interner tables, the compatible types of every type the new one can
+    /// implement if it is new, and the region's type bitset, and rewinding
+    /// the region's resume watermark to the first state where a member of
+    /// the matching class was considered.
     fn add_instance(&mut self, ty: &ResourceType, owner: u32) {
         let inst_id = self.resources.add(ty.clone());
         let cid = self.interner.class_id(&ty.class);
@@ -961,28 +1084,27 @@ impl<'a> Engine<'a> {
             self.statics.type_delay.push(self.lib.delay_ps(ty));
             self.statics.type_width.push(ty.max_width());
         }
+        extend_compat_types(&mut self.compat_types, &self.interner);
         self.inst_type_ids.push(tid);
         let local_of = &self.plan.local_of;
         let rt = &mut self.regions[owner as usize];
-        self.inst_local.push(rt.insts.len() as u32);
+        let local = rt.insts.len();
+        self.inst_local.push(local as u32);
         rt.insts.push(inst_id);
+        if tid.index() >= rt.type_bits.len() {
+            rt.type_bits.resize(tid.index() + 1, Vec::new());
+        }
+        set_bit(&mut rt.type_bits[tid.index()], local);
         if cid.index() >= rt.insts_per_class.len() {
             rt.insts_per_class.resize(cid.index() + 1, 0);
         }
         rt.insts_per_class[cid.index()] += 1;
-        let new_ty = &self.resources.instance(inst_id).ty;
         let mut resume = None;
         for &g in &rt.members {
             let i = g as usize;
-            if self.statics.class_id[i] != Some(cid) {
-                continue;
+            if self.statics.class_id[i] == Some(cid) {
+                resume = min_opt(resume, rt.frame.first_considered[local_of[i] as usize]);
             }
-            if let Some(req) = &self.statics.required_ty[i] {
-                if Self::type_can_implement(req, new_ty) {
-                    self.compat[i].push(inst_id);
-                }
-            }
-            resume = min_opt(resume, rt.frame.first_considered[local_of[i] as usize]);
         }
         rt.resume = rt.resume.min(resume.unwrap_or(0));
     }
@@ -999,10 +1121,11 @@ impl<'a> Engine<'a> {
         dyn_stage[idx].map(|stage| (stage * ii, (stage * ii + ii - 1).min(self.latency - 1)))
     }
 
-    /// Rebuilds one region's busy table and combinational graph from its
-    /// current placement (they are pure functions of it). Only same-region
-    /// producer/consumer pairs can chain combinationally: a cross-region
-    /// value is registered by the cut rule, so it never shares a state.
+    /// Rebuilds one region's busy table, occupancy bitsets and
+    /// combinational graph from its current placement (they are pure
+    /// functions of it). Only same-region producer/consumer pairs can chain
+    /// combinationally: a cross-region value is registered by the cut rule,
+    /// so it never shares a state.
     fn rebuild_derived(&self, cur: &mut RegionRt, fold_states: u32, ii: u32) {
         let slots = cur.insts.len() * fold_states as usize;
         for b in &mut cur.busy {
@@ -1011,6 +1134,9 @@ impl<'a> Engine<'a> {
         if cur.busy.len() < slots {
             cur.busy.resize_with(slots, Vec::new);
         }
+        cur.words = cur.insts.len().div_ceil(64);
+        cur.occupied.clear();
+        cur.occupied.resize(fold_states as usize * cur.words, 0);
         for c in &mut cur.comb_succ {
             c.clear();
         }
@@ -1023,9 +1149,10 @@ impl<'a> Engine<'a> {
                 continue;
             };
             if let Some(r) = p.resource {
-                let slot = self.inst_local[r.index()] as usize * fold_states as usize
-                    + self.fold(p.state, ii) as usize;
-                cur.busy[slot].push(OpId::from_raw(g));
+                let local = self.inst_local[r.index()] as usize;
+                let folded = self.fold(p.state, ii) as usize;
+                cur.busy[local * fold_states as usize + folded].push(OpId::from_raw(g));
+                cur.occupied[folded * cur.words + local / 64] |= 1 << (local % 64);
             }
         }
         for (l, &g) in cur.members.iter().enumerate() {
@@ -1190,6 +1317,8 @@ impl<'a> Engine<'a> {
             }
             outcome = this.assemble_outcome(&regions);
         }
+        #[cfg(test)]
+        oracle::record(&mut regions);
         self.regions = regions;
         outcome
     }
@@ -1538,37 +1667,364 @@ impl<'a> Engine<'a> {
         };
 
         cur.work.attempts += 1;
-        // counted: one entry per distinct busy type or slack value
+        let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
+        // same-state, same-region producers bound to an instance: binding
+        // the op chains each of them into it (cross-region values are
+        // registered)
+        let mut chain_from = std::mem::take(&mut cur.chain_from);
+        chain_from.clear();
+        for sig in &op.inputs {
+            if sig.distance > 0 {
+                continue;
+            }
+            let Some(p) = sig.producer() else { continue };
+            if self.plan.region_of[p.index()] != ridx {
+                continue;
+            }
+            if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
+                if sp.state == state {
+                    if let Some(rp) = sp.resource {
+                        chain_from.push(self.inst_local[rp.index()]);
+                    }
+                }
+            }
+        }
+        let at = Slot {
+            state,
+            folded: self.fold(state, ii),
+            fold_states,
+        };
+        #[cfg(test)]
+        let walked = self.walk(cur, op_id, at, ridx, base_a, share, sharing);
+        let scan = self.scan(cur, op_id, at, &chain_from, base_a, share, sharing);
+        #[cfg(test)]
+        oracle::check(self, cur, op_id, at, &walked, &scan);
+        let outcome = match scan {
+            Scan::Bound {
+                local,
+                arrival,
+                slack,
+            } => {
+                let local = local as usize;
+                for &from in &chain_from {
+                    comb_add_edge(&mut cur.comb_succ, from, local as u32);
+                }
+                cur.busy[local * fold_states as usize + at.folded as usize].push(op_id);
+                cur.occupied[at.folded as usize * cur.words + local / 64] |= 1 << (local % 64);
+                cur.frame.placed[l] = Some(PlacedOp {
+                    state,
+                    resource: Some(cur.insts[local]),
+                    arrival,
+                });
+                cur.frame.num_placed += 1;
+                cur.frame.min_slack = cur.frame.min_slack.min(slack);
+                // pin the SCC stage on first placement
+                if let Some(scc) = self.statics.scc_of[i] {
+                    let entry = &mut cur.frame.scc_dyn_stage[scc as usize];
+                    if entry.is_none() {
+                        *entry = Some(state / ii);
+                    }
+                }
+                Attempt::Placed
+            }
+            Scan::Failed {
+                mut reasons,
+                tried_any,
+            } => {
+                // If every instance was busy, also check whether a brand new
+                // instance would have met timing; if not, the real problem
+                // is slack, not hardware.
+                if reasons
+                    .iter()
+                    .all(|r| matches!(r, Restraint::ResourceContention { .. }))
+                {
+                    if let Some(tid) = self.statics.required_type_id[i] {
+                        let (_, slack) = self.arrival_slack(base_a, share, tid, op.width, sharing);
+                        if slack < 0.0 {
+                            count_slack(&mut reasons, op_id, slack, 1);
+                        }
+                    }
+                }
+                // No allowed instance at all (none compatible, or every
+                // compatible one forbidden): the fix is more hardware.
+                if !tried_any {
+                    if let Some(ty) = &self.statics.required_ty[i] {
+                        count_contention(&mut reasons, op_id, ty, 1);
+                    }
+                }
+                if let Some(scc) = self.statics.scc_of[i] {
+                    if self
+                        .scc_window(scc as usize, &cur.frame.scc_dyn_stage, ii)
+                        .map(|(_, hi)| state >= hi)
+                        .unwrap_or(false)
+                    {
+                        reasons.push(Restraint::SccWindow {
+                            scc_index: scc as usize,
+                            op: op_id,
+                        });
+                    }
+                }
+                cur.frame.last_reasons[l] = Some(Arc::new(reasons));
+                Attempt::Failed
+            }
+        };
+        cur.chain_from = chain_from;
+        cur.in_arrivals = in_arrivals;
+        outcome
+    }
+
+    /// Arrival and slack of an op whose inputs arrive at `base_a` on an
+    /// instance of type `tid` shared `share` ways (mirrors
+    /// `ChainTiming::op_arrival_ps` over the interned per-type delay and
+    /// width tables — no type hashing).
+    fn arrival_slack(
+        &self,
+        base_a: f64,
+        share: usize,
+        tid: ResourceTypeId,
+        width: u16,
+        sharing: bool,
+    ) -> (f64, f64) {
+        let a = base_a
+            + self
+                .timing
+                .input_mux_delay_ps(share, self.statics.type_width[tid.index()])
+            + self.statics.type_delay[tid.index()];
+        (a, self.timing.slack_shared_ps(a, width, sharing))
+    }
+
+    /// Whether binding `op_id` in `at` on the occupied local instance `l`
+    /// conflicts with an op already there. Mutually exclusive predicated
+    /// ops may share, but only within the *same* control step — in a
+    /// folded pipeline equivalent states belong to different stages, whose
+    /// predicates guard different iterations, so cross-stage "mutual
+    /// exclusion" would not hold in hardware (the binder rejects such slots
+    /// as unsteerable).
+    fn busy_conflict(&self, cur: &RegionRt, op_id: OpId, at: Slot, l: usize) -> bool {
+        let slot = l * at.fold_states as usize + at.folded as usize;
+        cur.busy[slot].iter().any(|other| {
+            let ol = self.plan.local_of[other.index()] as usize;
+            !cur.frame.placed[ol].is_some_and(|p| p.state == at.state)
+                || !self.statics.pred_lits[other.index()]
+                    .mutually_exclusive(&self.statics.pred_lits[op_id.index()])
+        })
+    }
+
+    /// The placement scan: binds `op_id` to the lowest-indexed compatible
+    /// instance that is allowed, free in `at`, meets timing and closes no
+    /// combinational cycle, or says why none does. Per compatible type it
+    /// reads the type's bitset, masks forbidden instances, intersects the
+    /// folded state's occupancy and computes arrival and slack once; only
+    /// the free instances of timing-clean types reach the cycle check.
+    /// Restraints come out in the order a walk over the pool in ascending
+    /// local index would first meet them.
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
+        &self,
+        cur: &mut RegionRt,
+        op_id: OpId,
+        at: Slot,
+        chain_from: &[u32],
+        base_a: f64,
+        share: usize,
+        sharing: bool,
+    ) -> Scan {
+        let i = op_id.index();
+        let width = self.body.dfg.op(op_id).width;
+        let words = cur.words;
+        let shares_occupied = !self.statics.pred_lits[i].is_true;
+        let mut forbid = std::mem::take(&mut cur.forbid);
+        forbid.clear();
+        forbid.resize(words, 0);
+        for f in &self.forbidden[i] {
+            // an id outside this region's pool is never compatible
+            if let Some(&fl) = self.inst_local.get(f.index()) {
+                let fl = fl as usize;
+                if cur.insts.get(fl) == Some(f) {
+                    forbid[fl / 64] |= 1 << (fl % 64);
+                }
+            }
+        }
+        let mut cand = std::mem::take(&mut cur.cand);
+        cand.clear();
+        cand.resize(words, 0);
+        let mut tallies = std::mem::take(&mut cur.tallies);
+        tallies.clear();
+        let occupied = &cur.occupied[at.folded as usize * words..][..words];
+        let required = self.statics.required_type_id[i].expect("datapath op has a type");
+        for &tid in &self.compat_types[required.index()] {
+            let Some(bits) = cur.type_bits.get(tid.index()) else {
+                continue;
+            };
+            let (_, slack) = self.arrival_slack(base_a, share, tid, width, sharing);
+            let misses = slack < 0.0;
+            let mut tally = TypeTally {
+                tid,
+                slack,
+                busy: Bits::default(),
+                free: Bits::default(),
+            };
+            for (w, &word) in bits.iter().enumerate() {
+                let allowed = word & !forbid[w];
+                let mut busy = allowed & occupied[w];
+                if shares_occupied {
+                    let mut m = busy;
+                    while m != 0 {
+                        let b = m.trailing_zeros() as usize;
+                        if !self.busy_conflict(cur, op_id, at, w * 64 + b) {
+                            busy &= !(1 << b);
+                        }
+                        m &= m - 1;
+                    }
+                }
+                let free = allowed & !busy;
+                tally.busy.add(w, busy);
+                tally.free.add(w, free);
+                if !misses {
+                    cand[w] |= free;
+                }
+            }
+            tallies.push(tally);
+        }
+        let mut bound = None;
+        'scan: for (w, &word) in cand.iter().enumerate() {
+            let mut m = word;
+            while m != 0 {
+                let l = (w * 64) as u32 + m.trailing_zeros();
+                let closes = chain_from.iter().any(|&from| {
+                    comb_would_create_cycle(
+                        &cur.comb_succ,
+                        &mut cur.comb_mark,
+                        &mut cur.comb_epoch,
+                        &mut cur.comb_stack,
+                        from,
+                        l,
+                    )
+                });
+                if !closes {
+                    bound = Some(l);
+                    break 'scan;
+                }
+                m &= m - 1;
+            }
+        }
+        let scan = match bound {
+            Some(local) => {
+                let tid = self.inst_type_ids[cur.insts[local as usize].index()];
+                let (arrival, slack) = self.arrival_slack(base_a, share, tid, width, sharing);
+                Scan::Bound {
+                    local,
+                    arrival,
+                    slack,
+                }
+            }
+            None => {
+                // every candidate closes a cycle; order the counted entries
+                // by the first instance each one counts
+                let mut entries: Vec<(u32, Restraint)> = Vec::new();
+                for t in &tallies {
+                    if let Some(first) = t.busy.first {
+                        entries.push((
+                            first,
+                            Restraint::ResourceContention {
+                                op: op_id,
+                                ty: self.interner.ty(t.tid).clone(),
+                                instances: t.busy.count,
+                            },
+                        ));
+                    }
+                    let Some(first) = t.free.first.filter(|_| t.slack < 0.0) else {
+                        continue;
+                    };
+                    let same_slack = entries.iter_mut().find(|(_, r)| {
+                        matches!(r, Restraint::NegativeSlack { slack_ps, .. }
+                            if slack_ps.to_bits() == t.slack.to_bits())
+                    });
+                    match same_slack {
+                        Some((entry_first, Restraint::NegativeSlack { instances, .. })) => {
+                            *entry_first = (*entry_first).min(first);
+                            *instances += t.free.count;
+                        }
+                        _ => entries.push((
+                            first,
+                            Restraint::NegativeSlack {
+                                op: op_id,
+                                slack_ps: t.slack,
+                                instances: t.free.count,
+                            },
+                        )),
+                    }
+                }
+                for (w, &word) in cand.iter().enumerate() {
+                    let mut m = word;
+                    while m != 0 {
+                        let l = w * 64 + m.trailing_zeros() as usize;
+                        entries.push((
+                            l as u32,
+                            Restraint::CombCycle {
+                                op: op_id,
+                                resource: cur.insts[l],
+                            },
+                        ));
+                        m &= m - 1;
+                    }
+                }
+                entries.sort_unstable_by_key(|&(first, _)| first);
+                Scan::Failed {
+                    reasons: entries.into_iter().map(|(_, r)| r).collect(),
+                    tried_any: tallies
+                        .iter()
+                        .any(|t| t.busy.first.is_some() || t.free.first.is_some()),
+                }
+            }
+        };
+        cur.forbid = forbid;
+        cur.cand = cand;
+        cur.tallies = tallies;
+        scan
+    }
+
+    /// The per-instance walk that [`Engine::scan`] replaced, kept as its
+    /// oracle: every compatible instance of the pool in ascending local
+    /// index, checked in turn for a forbidden binding, a busy slot, timing
+    /// and a combinational cycle, with the restraints counted as it goes.
+    /// It binds nothing; `try_place` asserts that the scan finds the same.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &self,
+        cur: &mut RegionRt,
+        op_id: OpId,
+        at: Slot,
+        ridx: u32,
+        base_a: f64,
+        share: usize,
+        sharing: bool,
+    ) -> Scan {
+        let i = op_id.index();
+        let op = self.body.dfg.op(op_id);
+        let required = self.statics.required_ty[i].as_ref().expect("datapath op");
         let mut reasons: Vec<Restraint> = Vec::new();
-        let mut bound = false;
         let mut tried_any = false;
-        for &res_id in &self.compat[i] {
-            if self.forbidden[i].contains(&res_id) {
+        for local in 0..cur.insts.len() {
+            let res_id = cur.insts[local];
+            let ty = &self.resources.instance(res_id).ty;
+            if !type_can_implement(required, ty) || self.forbidden[i].contains(&res_id) {
                 continue;
             }
             tried_any = true;
-            // busy check in this folded state: mutually exclusive predicated
-            // ops may share, but only within the *same* control step — in a
-            // folded pipeline equivalent states belong to different stages,
-            // whose predicates guard different iterations, so cross-stage
-            // "mutual exclusion" would not hold in hardware (the binder
-            // rejects such slots as unsteerable)
-            let slot = self.inst_local[res_id.index()] as usize * fold_states as usize
-                + self.fold(state, ii) as usize;
+            let slot = local * at.fold_states as usize + at.folded as usize;
             let conflict = cur.busy[slot].iter().any(|other| {
                 let ol = self.plan.local_of[other.index()] as usize;
-                !cur.frame.placed[ol].is_some_and(|p| p.state == state)
+                !cur.frame.placed[ol].is_some_and(|p| p.state == at.state)
                     || !self.statics.pred_lits[other.index()]
                         .mutually_exclusive(&self.statics.pred_lits[i])
             });
             if conflict {
-                count_contention(&mut reasons, op_id, &self.resources.instance(res_id).ty, 1);
+                count_contention(&mut reasons, op_id, ty, 1);
                 continue;
             }
-            // timing check (mirrors `ChainTiming::op_arrival_ps` over the
-            // interned per-type delay/width tables — no type hashing)
             let tid = self.inst_type_ids[res_id.index()];
-            let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
             let a = base_a
                 + self
                     .timing
@@ -1579,8 +2035,6 @@ impl<'a> Engine<'a> {
                 count_slack(&mut reasons, op_id, slack, 1);
                 continue;
             }
-            // combinational cycle check (only same-region producers can
-            // chain in the same state — cross-region values are registered)
             let mut creates_cycle = false;
             for sig in &op.inputs {
                 if sig.distance > 0 {
@@ -1591,7 +2045,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
-                    if sp.state == state {
+                    if sp.state == at.state {
                         if let Some(rp) = sp.resource {
                             if comb_would_create_cycle(
                                 &cur.comb_succ,
@@ -1599,7 +2053,7 @@ impl<'a> Engine<'a> {
                                 &mut cur.comb_epoch,
                                 &mut cur.comb_stack,
                                 self.inst_local[rp.index()],
-                                self.inst_local[res_id.index()],
+                                local as u32,
                             ) {
                                 creates_cycle = true;
                             }
@@ -1614,93 +2068,13 @@ impl<'a> Engine<'a> {
                 });
                 continue;
             }
-            // accept the binding
-            for sig in &op.inputs {
-                if sig.distance > 0 {
-                    continue;
-                }
-                let Some(p) = sig.producer() else { continue };
-                if self.plan.region_of[p.index()] != ridx {
-                    continue;
-                }
-                if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
-                    if sp.state == state {
-                        if let Some(rp) = sp.resource {
-                            comb_add_edge(
-                                &mut cur.comb_succ,
-                                self.inst_local[rp.index()],
-                                self.inst_local[res_id.index()],
-                            );
-                        }
-                    }
-                }
-            }
-            cur.busy[slot].push(op_id);
-            cur.frame.placed[l] = Some(PlacedOp {
-                state,
-                resource: Some(res_id),
+            return Scan::Bound {
+                local: local as u32,
                 arrival: a,
-            });
-            cur.frame.num_placed += 1;
-            cur.frame.min_slack = cur.frame.min_slack.min(slack);
-            // pin the SCC stage on first placement
-            if let Some(scc) = self.statics.scc_of[i] {
-                let entry = &mut cur.frame.scc_dyn_stage[scc as usize];
-                if entry.is_none() {
-                    *entry = Some(state / ii);
-                }
-            }
-            bound = true;
-            break;
+                slack,
+            };
         }
-        if !bound {
-            // If every instance was busy, also check whether a brand new
-            // instance would have met timing; if not, the real problem is
-            // slack, not hardware.
-            if reasons
-                .iter()
-                .all(|r| matches!(r, Restraint::ResourceContention { .. }))
-            {
-                if let Some(tid) = self.statics.required_type_id[i] {
-                    let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
-                    let a = base_a
-                        + self
-                            .timing
-                            .input_mux_delay_ps(share, self.statics.type_width[tid.index()])
-                        + self.statics.type_delay[tid.index()];
-                    let slack = self.timing.slack_shared_ps(a, op.width, sharing);
-                    if slack < 0.0 {
-                        count_slack(&mut reasons, op_id, slack, 1);
-                    }
-                }
-            }
-            // No allowed instance at all (none compatible, or every
-            // compatible one forbidden): the fix is more hardware.
-            if !tried_any {
-                if let Some(ty) = &self.statics.required_ty[i] {
-                    count_contention(&mut reasons, op_id, ty, 1);
-                }
-            }
-            if let Some(scc) = self.statics.scc_of[i] {
-                if self
-                    .scc_window(scc as usize, &cur.frame.scc_dyn_stage, ii)
-                    .map(|(_, hi)| state >= hi)
-                    .unwrap_or(false)
-                {
-                    reasons.push(Restraint::SccWindow {
-                        scc_index: scc as usize,
-                        op: op_id,
-                    });
-                }
-            }
-            cur.frame.last_reasons[l] = Some(Arc::new(reasons));
-        }
-        cur.in_arrivals = in_arrivals;
-        if bound {
-            Attempt::Placed
-        } else {
-            Attempt::Failed
-        }
+        Scan::Failed { reasons, tried_any }
     }
 
     /// Assembles the global outcome from the per-region results, matching
@@ -1828,6 +2202,91 @@ fn regions_capacity_hint(n: usize, num_regions: usize) -> usize {
     n / num_regions.max(1) + 1
 }
 
+/// The walk oracle's check of every placement scan in test builds, and
+/// the coverage it reports.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    /// Placement attempts the oracle checked, in all and in the cases the
+    /// bitsets handle apart from the plain one.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub(crate) struct Coverage {
+        pub(crate) attempts: u64,
+        /// A compatible instance past the pool's first 64.
+        pub(crate) wide: u64,
+        /// A predicated op bound to an instance already occupied in its
+        /// folded state.
+        pub(crate) shared: u64,
+        /// An op with a forbidden instance in its region's pool.
+        pub(crate) forbidden: u64,
+    }
+
+    impl std::ops::AddAssign for Coverage {
+        fn add_assign(&mut self, o: Coverage) {
+            self.attempts += o.attempts;
+            self.wide += o.wide;
+            self.shared += o.shared;
+            self.forbidden += o.forbidden;
+        }
+    }
+
+    thread_local! {
+        static RECORDED: Cell<Coverage> = Cell::new(Coverage::default());
+    }
+
+    /// Asserts that the scan found what the walk did, and counts the case.
+    pub(super) fn check(
+        engine: &Engine,
+        cur: &mut RegionRt,
+        op_id: OpId,
+        at: Slot,
+        walked: &Scan,
+        scanned: &Scan,
+    ) {
+        assert_eq!(
+            scanned, walked,
+            "the bitset scan of {op_id} in state {} disagrees with the walk",
+            at.state
+        );
+        let i = op_id.index();
+        let cov = &mut cur.coverage;
+        cov.attempts += 1;
+        let required = engine.statics.required_type_id[i].expect("datapath op");
+        let wide = engine.compat_types[required.index()].iter().any(|t| {
+            cur.type_bits
+                .get(t.index())
+                .is_some_and(|b| b.iter().skip(1).any(|&w| w != 0))
+        });
+        cov.wide += u64::from(wide);
+        if let Scan::Bound { local, .. } = scanned {
+            let l = *local as usize;
+            let word = cur.occupied[at.folded as usize * cur.words + l / 64];
+            cov.shared += (word >> (l % 64)) & 1;
+        }
+        let forbidden = engine.forbidden[i]
+            .iter()
+            .any(|f| cur.insts.binary_search(f).is_ok());
+        cov.forbidden += u64::from(forbidden);
+    }
+
+    /// Moves the regions' coverage into the calling thread's record (the
+    /// regions may have run on worker threads).
+    pub(super) fn record(regions: &mut [RegionRt]) {
+        let mut total = RECORDED.get();
+        for rt in regions {
+            total += std::mem::take(&mut rt.coverage);
+        }
+        RECORDED.set(total);
+    }
+
+    /// The calling thread's recorded coverage, reset to zero.
+    pub(crate) fn take() -> Coverage {
+        RECORDED.take()
+    }
+}
+
 #[cfg(test)]
 #[path = "../../../tests/common/random_behavior.rs"]
 mod random_behavior;
@@ -1836,8 +2295,9 @@ mod random_behavior;
 mod tests {
     use super::*;
     use crate::resources::initial_resource_set;
+    use crate::scheduler::Scheduler;
     use hls_ir::analysis::sccs;
-    use hls_ir::{Dfg, PortDirection, Signal};
+    use hls_ir::{Dfg, PortDirection, Predicate, Signal};
     use hls_tech::ClockConstraint;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1846,6 +2306,18 @@ mod tests {
     /// A random DAG of `n` 16-bit operations of mixed kinds over two input
     /// ports, each reading recent results or constants, and one write.
     fn random_dag(seed: u64, n: usize) -> LinearBody {
+        build_dag(seed, n, false)
+    }
+
+    /// [`random_dag`], with half of the operations guarded by a 1-bit
+    /// condition read from a third port: the first of every four under
+    /// the condition, the second under its negation, so mutually exclusive
+    /// operations of one kind can share an instance.
+    fn predicated_dag(seed: u64, n: usize) -> LinearBody {
+        build_dag(seed, n, true)
+    }
+
+    fn build_dag(seed: u64, n: usize, predicated: bool) -> LinearBody {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut dfg = Dfg::new();
         let w = 16;
@@ -1856,7 +2328,11 @@ mod tests {
             .into_iter()
             .map(|p| Signal::op_w(dfg.add_op(OpKind::Read(p), w, vec![]), w))
             .collect();
-        for _ in 0..n {
+        let cond = predicated.then(|| {
+            let c = dfg.add_port("c", PortDirection::Input, 1);
+            dfg.add_op(OpKind::Read(c), 1, vec![])
+        });
+        for k in 0..n {
             let kind = match rng.gen_range(0u32..6) {
                 0 => OpKind::Add,
                 1 => OpKind::Sub,
@@ -1872,7 +2348,15 @@ mod tests {
                 }
             };
             let inputs = vec![operand(&mut rng), operand(&mut rng)];
-            vals.push(Signal::op_w(dfg.add_op(kind, w, inputs), w));
+            let id = dfg.add_op(kind, w, inputs);
+            if let Some(c) = cond {
+                dfg.op_mut(id).predicate = match k % 4 {
+                    0 => Predicate::Cond(c),
+                    1 => Predicate::NotCond(c),
+                    _ => Predicate::True,
+                };
+            }
+            vals.push(Signal::op_w(id, w));
         }
         dfg.add_op(OpKind::Write(out), w, vec![*vals.last().unwrap()]);
         let mut body = LinearBody::from_dfg("dag", dfg);
@@ -2006,6 +2490,116 @@ mod tests {
             early > 0 && appended > 0,
             "early {early}, appended {appended}"
         );
+    }
+
+    /// Every placement attempt of every run goes through the walk oracle
+    /// (see `oracle::check`); this corpus must also reach the cases the
+    /// bitsets treat apart from the plain one.
+    #[test]
+    fn bitset_scan_matches_the_walk_on_generated_designs() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let c1600 = ClockConstraint::from_period_ps(1600.0);
+        let c2200 = ClockConstraint::from_period_ps(2200.0);
+        let configs = [
+            SchedulerConfig::sequential(c1600, 1, 24),
+            SchedulerConfig::pipelined(c2200, 2, 24),
+            SchedulerConfig::pipelined(c2200, 1, 24),
+            SchedulerConfig::sequential(c1600, 1, 24).with_region_decomposition(4),
+        ];
+        let mut bodies: Vec<LinearBody> = (0..24u64)
+            .map(|seed| {
+                let mut cdfg = hls_frontend::elaborate(&random_behavior(seed)).expect("elaborates");
+                hls_opt::linearize::prepare_innermost_loop(&mut cdfg).expect("linearizes")
+            })
+            .collect();
+        for (seed, n) in [(0u64, 100usize), (1, 200), (2, 300)] {
+            bodies.push(random_dag(seed, n));
+            bodies.push(predicated_dag(seed, n));
+        }
+        let _ = oracle::take();
+        for body in &bodies {
+            for config in &configs {
+                let _ = Scheduler::new(body, &lib, config.clone()).run();
+            }
+        }
+        let cov = oracle::take();
+        assert!(
+            cov.wide > 0 && cov.shared > 0 && cov.forbidden > 0,
+            "the corpus must reach pools past 64 instances, a predicated op \
+             sharing an occupied instance and a forbidden instance: {cov:?}"
+        );
+    }
+
+    /// Sixty-four unpredicated 16-bit adds, then `p` under `c` and `q`
+    /// under `!c`, all in one state: the adds fill the first word of an
+    /// adder pool, so `p` and `q` can only bind past it.
+    fn word_boundary_body() -> (LinearBody, OpId, OpId) {
+        let mut dfg = Dfg::new();
+        let a = dfg.add_port("a", PortDirection::Input, 16);
+        let b = dfg.add_port("b", PortDirection::Input, 16);
+        let c = dfg.add_port("c", PortDirection::Input, 1);
+        let a = Signal::op_w(dfg.add_op(OpKind::Read(a), 16, vec![]), 16);
+        let b = Signal::op_w(dfg.add_op(OpKind::Read(b), 16, vec![]), 16);
+        let c = dfg.add_op(OpKind::Read(c), 1, vec![]);
+        for _ in 0..64 {
+            dfg.add_op(OpKind::Add, 16, vec![a, b]);
+        }
+        let p = dfg.add_op(OpKind::Add, 16, vec![a, b]);
+        dfg.op_mut(p).predicate = Predicate::Cond(c);
+        let q = dfg.add_op(OpKind::Add, 16, vec![a, b]);
+        dfg.op_mut(q).predicate = Predicate::NotCond(c);
+        let mut body = LinearBody::from_dfg("word_boundary", dfg);
+        body.source_states = 1;
+        (body, p, q)
+    }
+
+    #[test]
+    fn pool_grows_across_a_word_boundary_between_passes() {
+        let (body, p, q) = word_boundary_body();
+        let lib = TechLibrary::artisan_90nm_typical();
+        let config = SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 1);
+        let components = sccs(&body.dfg);
+        let adder = ResourceType::for_op(body.dfg.op(p)).expect("datapath op");
+        let mut resources = ResourceSet::new();
+        for _ in 0..60 {
+            resources.add(adder.clone());
+        }
+        let _ = oracle::take();
+        let mut engine = Engine::new(&body, &lib, &config, &components, resources, 1);
+        let EngineOutcome::Failure(failure) = engine.run_pass() else {
+            panic!("66 adds cannot share 60 adders in one state");
+        };
+        assert_eq!(engine.regions[0].words, 1);
+        let batch = RelaxAction::AddResourceBatch {
+            ty: adder.clone(),
+            count: 6,
+        };
+        engine.apply(&batch, &failure.restraints);
+        // the second word's first instance is forbidden to both
+        let second_word = ResourceInstanceId(64);
+        for op in [p, q] {
+            let forbid = RelaxAction::ForbidBinding {
+                op,
+                resource: second_word,
+            };
+            engine.apply(&forbid, &failure.restraints);
+        }
+        assert!(matches!(engine.run_pass(), EngineOutcome::Success { .. }));
+        assert_eq!(engine.regions[0].words, 2);
+        let cov = oracle::take();
+        assert!(
+            cov.wide > 0 && cov.shared > 0 && cov.forbidden > 0,
+            "{cov:?}"
+        );
+        let desc = engine.into_desc();
+        let bound = |op: OpId| desc.ops[&op].resource;
+        // the unpredicated adds take the first word in priority order; `p`
+        // skips its forbidden instance, and `q` shares `p`'s
+        for k in 0..64u32 {
+            assert_eq!(bound(OpId::from_raw(3 + k)), Some(ResourceInstanceId(k)));
+        }
+        assert_eq!(bound(p), Some(ResourceInstanceId(65)));
+        assert_eq!(bound(q), Some(ResourceInstanceId(65)));
     }
 
     #[test]

@@ -172,6 +172,45 @@ mod tests {
     }
 
     #[test]
+    fn a_forbidden_instance_past_the_resource_set_is_never_matched() {
+        let body = example1();
+        let lib = TechLibrary::artisan_90nm_typical();
+        let sccs = hls_ir::analysis::sccs(&body.dfg);
+        let config = SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 3);
+        let resources = initial_resource_set(&body, 3);
+        let (mul, _) = body
+            .dfg
+            .iter_ops()
+            .find(|(_, op)| matches!(op.kind, OpKind::Mul))
+            .expect("Example 1 multiplies");
+        let past: HashSet<(OpId, ResourceInstanceId)> = [resources.len() as u32, u32::MAX]
+            .into_iter()
+            .map(|id| (mul, ResourceInstanceId(id)))
+            .collect();
+        // latency 1 fails and latency 3 schedules
+        for latency in [1, 3] {
+            let outcome = |forbidden: &HashSet<(OpId, ResourceInstanceId)>| {
+                let input = PassInput {
+                    body: &body,
+                    lib: &lib,
+                    config: &config,
+                    latency,
+                    resources: &resources,
+                    forbidden,
+                    scc_stage: &HashMap::new(),
+                    sccs: &sccs,
+                };
+                format!("{:?}", schedule_pass(&input))
+            };
+            assert_eq!(
+                outcome(&past),
+                outcome(&HashSet::new()),
+                "latency {latency}"
+            );
+        }
+    }
+
+    #[test]
     fn example1_succeeds_at_latency_three() {
         let body = example1();
         let config = SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 3);

@@ -556,33 +556,54 @@ enum Scan {
     },
 }
 
+/// The set bits of word `w` of a bitset, as ascending indices.
+fn ones(w: usize, word: u64) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            w * 64 + b
+        })
+    })
+}
+
 /// The popcount and the first set bit of a bitset, taken word by word in
 /// ascending order.
 #[derive(Clone, Copy, Debug, Default)]
 struct Bits {
     count: u32,
-    first: Option<u32>,
+    first: Option<usize>,
 }
 
 impl Bits {
     fn add(&mut self, w: usize, word: u64) {
-        if word != 0 {
-            self.count += word.count_ones();
-            if self.first.is_none() {
-                self.first = Some((w * 64) as u32 + word.trailing_zeros());
-            }
+        self.count += word.count_ones();
+        if self.first.is_none() && word != 0 {
+            self.first = Some(w * 64 + word.trailing_zeros() as usize);
         }
     }
 }
 
-/// One compatible type's part in a placement attempt: the op's slack on
-/// the type, and the type's allowed instances split into busy and free.
+/// One compatible type's part in a placement attempt: the type's allowed
+/// instances split into busy and free, and the op's arrival and slack on
+/// the type, computed once it has a free instance.
 #[derive(Clone, Copy, Debug)]
 struct TypeTally {
     tid: ResourceTypeId,
-    slack: f64,
     busy: Bits,
     free: Bits,
+    timing: Option<(f64, f64)>,
+}
+
+/// A restraint a failed placement scan counts: the busy instances of a
+/// type, the free instances that miss the clock by one slack, or a
+/// candidate that closes a combinational cycle.
+#[derive(Clone, Copy, Debug)]
+enum Met {
+    Busy(ResourceTypeId, u32),
+    Slow(f64, u32),
+    Cycle,
 }
 
 /// One placed operation: its control step, binding and output arrival time.
@@ -672,6 +693,9 @@ struct RegionRt {
     forbid: Vec<u64>,
     /// One attempt's tally per compatible type.
     tallies: Vec<TypeTally>,
+    /// One failed attempt's restraints, keyed by the first instance each
+    /// counts.
+    met: Vec<(usize, Met)>,
     /// One attempt's same-state, same-region producers' local instances.
     chain_from: Vec<u32>,
     /// What the walk oracle checked since the last pass was recorded.
@@ -895,6 +919,7 @@ impl<'a> Engine<'a> {
                 cand: Vec::new(),
                 forbid: Vec::new(),
                 tallies: Vec::new(),
+                met: Vec::new(),
                 chain_from: Vec::new(),
                 #[cfg(test)]
                 coverage: oracle::Coverage::default(),
@@ -1813,11 +1838,12 @@ impl<'a> Engine<'a> {
     /// The placement scan: binds `op_id` to the lowest-indexed compatible
     /// instance that is allowed, free in `at`, meets timing and closes no
     /// combinational cycle, or says why none does. Per compatible type it
-    /// reads the type's bitset, masks forbidden instances, intersects the
-    /// folded state's occupancy and computes arrival and slack once; only
-    /// the free instances of timing-clean types reach the cycle check.
-    /// Restraints come out in the order a walk over the pool in ascending
-    /// local index would first meet them.
+    /// reads the type's bitset, masks forbidden instances and intersects
+    /// the folded state's occupancy; arrival and slack depend on the type
+    /// alone, so they are computed once, when the type has a free instance.
+    /// Only the free instances of timing-clean types reach the cycle check.
+    /// The restraints are counted as a walk over the pool in ascending
+    /// local index would count them, in the order it would first meet them.
     #[allow(clippy::too_many_arguments)]
     fn scan(
         &self,
@@ -1832,7 +1858,6 @@ impl<'a> Engine<'a> {
         let i = op_id.index();
         let width = self.body.dfg.op(op_id).width;
         let words = cur.words;
-        let shares_occupied = !self.statics.pred_lits[i].is_true;
         let mut forbid = std::mem::take(&mut cur.forbid);
         forbid.clear();
         forbid.resize(words, 0);
@@ -1853,128 +1878,101 @@ impl<'a> Engine<'a> {
         let occupied = &cur.occupied[at.folded as usize * words..][..words];
         let required = self.statics.required_type_id[i].expect("datapath op has a type");
         for &tid in &self.compat_types[required.index()] {
-            let Some(bits) = cur.type_bits.get(tid.index()) else {
+            // most interned types have no instance in a given pool
+            let Some(bits) = cur.type_bits.get(tid.index()).filter(|b| !b.is_empty()) else {
                 continue;
             };
-            let (_, slack) = self.arrival_slack(base_a, share, tid, width, sharing);
-            let misses = slack < 0.0;
             let mut tally = TypeTally {
                 tid,
-                slack,
                 busy: Bits::default(),
                 free: Bits::default(),
+                timing: None,
             };
             for (w, &word) in bits.iter().enumerate() {
                 let allowed = word & !forbid[w];
                 let mut busy = allowed & occupied[w];
-                if shares_occupied {
-                    let mut m = busy;
-                    while m != 0 {
-                        let b = m.trailing_zeros() as usize;
-                        if !self.busy_conflict(cur, op_id, at, w * 64 + b) {
-                            busy &= !(1 << b);
+                // only a predicated op can share an occupied instance
+                if !self.statics.pred_lits[i].is_true {
+                    for l in ones(w, busy) {
+                        if !self.busy_conflict(cur, op_id, at, l) {
+                            busy &= !(1 << (l % 64));
                         }
-                        m &= m - 1;
                     }
                 }
                 let free = allowed & !busy;
                 tally.busy.add(w, busy);
                 tally.free.add(w, free);
-                if !misses {
-                    cand[w] |= free;
+                if free != 0 {
+                    let (_, slack) = *tally.timing.get_or_insert_with(|| {
+                        self.arrival_slack(base_a, share, tid, width, sharing)
+                    });
+                    let misses_clock = slack < 0.0;
+                    if !misses_clock {
+                        cand[w] |= free;
+                    }
                 }
             }
             tallies.push(tally);
         }
-        let mut bound = None;
-        'scan: for (w, &word) in cand.iter().enumerate() {
-            let mut m = word;
-            while m != 0 {
-                let l = (w * 64) as u32 + m.trailing_zeros();
-                let closes = chain_from.iter().any(|&from| {
-                    comb_would_create_cycle(
-                        &cur.comb_succ,
-                        &mut cur.comb_mark,
-                        &mut cur.comb_epoch,
-                        &mut cur.comb_stack,
-                        from,
-                        l,
-                    )
-                });
-                if !closes {
-                    bound = Some(l);
-                    break 'scan;
-                }
-                m &= m - 1;
-            }
-        }
+        let candidates = || cand.iter().enumerate().flat_map(|(w, &word)| ones(w, word));
+        let bound = candidates().find(|&l| {
+            !chain_from.iter().any(|&from| {
+                comb_would_create_cycle(
+                    &cur.comb_succ,
+                    &mut cur.comb_mark,
+                    &mut cur.comb_epoch,
+                    &mut cur.comb_stack,
+                    from,
+                    l as u32,
+                )
+            })
+        });
         let scan = match bound {
             Some(local) => {
-                let tid = self.inst_type_ids[cur.insts[local as usize].index()];
-                let (arrival, slack) = self.arrival_slack(base_a, share, tid, width, sharing);
+                let tid = self.inst_type_ids[cur.insts[local].index()];
+                let (arrival, slack) = tallies
+                    .iter()
+                    .find(|t| t.tid == tid)
+                    .and_then(|t| t.timing)
+                    .expect("a candidate's type has a free instance");
                 Scan::Bound {
-                    local,
+                    local: local as u32,
                     arrival,
                     slack,
                 }
             }
             None => {
-                // every candidate closes a cycle; order the counted entries
-                // by the first instance each one counts
-                let mut entries: Vec<(u32, Restraint)> = Vec::new();
+                // every candidate closes a cycle; count the restraints in
+                // the order of the first instance each one counts
+                let mut met = std::mem::take(&mut cur.met);
+                met.clear();
                 for t in &tallies {
-                    if let Some(first) = t.busy.first {
-                        entries.push((
-                            first,
-                            Restraint::ResourceContention {
-                                op: op_id,
-                                ty: self.interner.ty(t.tid).clone(),
-                                instances: t.busy.count,
-                            },
-                        ));
-                    }
-                    let Some(first) = t.free.first.filter(|_| t.slack < 0.0) else {
-                        continue;
-                    };
-                    let same_slack = entries.iter_mut().find(|(_, r)| {
-                        matches!(r, Restraint::NegativeSlack { slack_ps, .. }
-                            if slack_ps.to_bits() == t.slack.to_bits())
-                    });
-                    match same_slack {
-                        Some((entry_first, Restraint::NegativeSlack { instances, .. })) => {
-                            *entry_first = (*entry_first).min(first);
-                            *instances += t.free.count;
+                    met.extend(t.busy.first.map(|l| (l, Met::Busy(t.tid, t.busy.count))));
+                    if let (Some(l), Some((_, slack))) = (t.free.first, t.timing) {
+                        if slack < 0.0 {
+                            met.push((l, Met::Slow(slack, t.free.count)));
                         }
-                        _ => entries.push((
-                            first,
-                            Restraint::NegativeSlack {
-                                op: op_id,
-                                slack_ps: t.slack,
-                                instances: t.free.count,
-                            },
-                        )),
                     }
                 }
-                for (w, &word) in cand.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let l = w * 64 + m.trailing_zeros() as usize;
-                        entries.push((
-                            l as u32,
-                            Restraint::CombCycle {
-                                op: op_id,
-                                resource: cur.insts[l],
-                            },
-                        ));
-                        m &= m - 1;
+                met.extend(candidates().map(|l| (l, Met::Cycle)));
+                met.sort_unstable_by_key(|&(l, _)| l);
+                let mut reasons = Vec::new();
+                for &(l, m) in &met {
+                    match m {
+                        Met::Busy(tid, n) => {
+                            count_contention(&mut reasons, op_id, self.interner.ty(tid), n)
+                        }
+                        Met::Slow(slack, n) => count_slack(&mut reasons, op_id, slack, n),
+                        Met::Cycle => reasons.push(Restraint::CombCycle {
+                            op: op_id,
+                            resource: cur.insts[l],
+                        }),
                     }
                 }
-                entries.sort_unstable_by_key(|&(first, _)| first);
+                cur.met = met;
                 Scan::Failed {
-                    reasons: entries.into_iter().map(|(_, r)| r).collect(),
-                    tried_any: tallies
-                        .iter()
-                        .any(|t| t.busy.first.is_some() || t.free.first.is_some()),
+                    reasons,
+                    tried_any: tallies.iter().any(|t| t.busy.count + t.free.count > 0),
                 }
             }
         };

@@ -2600,6 +2600,40 @@ mod tests {
         assert_eq!(bound(q), Some(ResourceInstanceId(65)));
     }
 
+    /// A 16-bit add of a 16-bit and an 8-bit operand fits both an
+    /// `add_16x8` and an `add_16x16`, whose delays depend on the widest
+    /// width alone; at 300 ps it misses the clock on both by the same
+    /// slack, which the walk counts as one restraint.
+    #[test]
+    fn one_slack_restraint_counts_every_type_that_misses_the_clock_by_it() {
+        let mut dfg = Dfg::new();
+        let a = dfg.add_port("a", PortDirection::Input, 16);
+        let b = dfg.add_port("b", PortDirection::Input, 8);
+        let a = Signal::op_w(dfg.add_op(OpKind::Read(a), 16, vec![]), 16);
+        let b = Signal::op_w(dfg.add_op(OpKind::Read(b), 8, vec![]), 8);
+        let sum = dfg.add_op(OpKind::Add, 16, vec![a, b]);
+        let mut body = LinearBody::from_dfg("two_adders", dfg);
+        body.source_states = 1;
+        let lib = TechLibrary::artisan_90nm_typical();
+        let config = SchedulerConfig::sequential(ClockConstraint::from_period_ps(300.0), 1, 1);
+        let components = sccs(&body.dfg);
+        let mut resources = ResourceSet::new();
+        resources.add(ResourceType::binary(ResourceClass::Adder, 16, 16, 16));
+        resources.add(ResourceType::for_op(body.dfg.op(sum)).expect("datapath op"));
+        let mut engine = Engine::new(&body, &lib, &config, &components, resources, 1);
+        let EngineOutcome::Failure(failure) = engine.run_pass() else {
+            panic!("no adder meets a 300 ps clock");
+        };
+        assert!(
+            matches!(
+                failure.restraints[..],
+                [Restraint::NegativeSlack { op, instances: 2, .. }] if op == sum
+            ),
+            "{:?}",
+            failure.restraints
+        );
+    }
+
     #[test]
     fn comb_graph_detects_figure6_cycle() {
         // adder A feeds adder B in s1, adder B feeds adder A in s2 → cycle

@@ -529,10 +529,12 @@ fn set_bit(bits: &mut Vec<u64>, l: usize) {
     bits[l / 64] |= 1 << (l % 64);
 }
 
-/// Where a placement attempt binds: the control step, its folded state,
-/// and the number of folded states (the busy table's stride).
+/// Where a placement attempt binds: the region, the control step, its
+/// folded state, and the number of folded states (the busy table's
+/// stride).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
+    region: u32,
     state: u32,
     folded: u32,
     fold_states: u32,
@@ -1693,35 +1695,15 @@ impl<'a> Engine<'a> {
 
         cur.work.attempts += 1;
         let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
-        // same-state, same-region producers bound to an instance: binding
-        // the op chains each of them into it (cross-region values are
-        // registered)
-        let mut chain_from = std::mem::take(&mut cur.chain_from);
-        chain_from.clear();
-        for sig in &op.inputs {
-            if sig.distance > 0 {
-                continue;
-            }
-            let Some(p) = sig.producer() else { continue };
-            if self.plan.region_of[p.index()] != ridx {
-                continue;
-            }
-            if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
-                if sp.state == state {
-                    if let Some(rp) = sp.resource {
-                        chain_from.push(self.inst_local[rp.index()]);
-                    }
-                }
-            }
-        }
         let at = Slot {
+            region: ridx,
             state,
             folded: self.fold(state, ii),
             fold_states,
         };
         #[cfg(test)]
-        let walked = self.walk(cur, op_id, at, ridx, base_a, share, sharing);
-        let scan = self.scan(cur, op_id, at, &chain_from, base_a, share, sharing);
+        let walked = self.walk(cur, op_id, at, base_a, share, sharing);
+        let scan = self.scan(cur, op_id, at, base_a, share, sharing);
         #[cfg(test)]
         oracle::check(self, cur, op_id, at, &walked, &scan);
         let outcome = match scan {
@@ -1731,7 +1713,8 @@ impl<'a> Engine<'a> {
                 slack,
             } => {
                 let local = local as usize;
-                for &from in &chain_from {
+                // the scan left the op's chained producers in `chain_from`
+                for &from in &cur.chain_from {
                     comb_add_edge(&mut cur.comb_succ, from, local as u32);
                 }
                 cur.busy[local * fold_states as usize + at.folded as usize].push(op_id);
@@ -1793,7 +1776,6 @@ impl<'a> Engine<'a> {
                 Attempt::Failed
             }
         };
-        cur.chain_from = chain_from;
         cur.in_arrivals = in_arrivals;
         outcome
     }
@@ -1844,23 +1826,23 @@ impl<'a> Engine<'a> {
     /// Only the free instances of timing-clean types reach the cycle check.
     /// The restraints are counted as a walk over the pool in ascending
     /// local index would count them, in the order it would first meet them.
-    #[allow(clippy::too_many_arguments)]
     fn scan(
         &self,
         cur: &mut RegionRt,
         op_id: OpId,
         at: Slot,
-        chain_from: &[u32],
         base_a: f64,
         share: usize,
         sharing: bool,
     ) -> Scan {
         let i = op_id.index();
-        let width = self.body.dfg.op(op_id).width;
+        let op = self.body.dfg.op(op_id);
         let words = cur.words;
         let mut forbid = std::mem::take(&mut cur.forbid);
         forbid.clear();
-        forbid.resize(words, 0);
+        if !self.forbidden[i].is_empty() {
+            forbid.resize(words, 0);
+        }
         for f in &self.forbidden[i] {
             // an id outside this region's pool is never compatible
             if let Some(&fl) = self.inst_local.get(f.index()) {
@@ -1889,7 +1871,7 @@ impl<'a> Engine<'a> {
                 timing: None,
             };
             for (w, &word) in bits.iter().enumerate() {
-                let allowed = word & !forbid[w];
+                let allowed = word & !forbid.get(w).copied().unwrap_or(0);
                 let mut busy = allowed & occupied[w];
                 // only a predicated op can share an occupied instance
                 if !self.statics.pred_lits[i].is_true {
@@ -1904,7 +1886,7 @@ impl<'a> Engine<'a> {
                 tally.free.add(w, free);
                 if free != 0 {
                     let (_, slack) = *tally.timing.get_or_insert_with(|| {
-                        self.arrival_slack(base_a, share, tid, width, sharing)
+                        self.arrival_slack(base_a, share, tid, op.width, sharing)
                     });
                     let misses_clock = slack < 0.0;
                     if !misses_clock {
@@ -1913,6 +1895,24 @@ impl<'a> Engine<'a> {
                 }
             }
             tallies.push(tally);
+        }
+        // same-state producers in the op's region, bound to an instance:
+        // binding the op chains each of them into it (a value from another
+        // region is registered)
+        let mut chain_from = std::mem::take(&mut cur.chain_from);
+        chain_from.clear();
+        if cand.iter().any(|&word| word != 0) {
+            for sig in op.inputs.iter().filter(|sig| sig.distance == 0) {
+                let Some(p) = sig.producer() else { continue };
+                if self.plan.region_of[p.index()] != at.region {
+                    continue;
+                }
+                if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
+                    if let Some(rp) = sp.resource.filter(|_| sp.state == at.state) {
+                        chain_from.push(self.inst_local[rp.index()]);
+                    }
+                }
+            }
         }
         let candidates = || cand.iter().enumerate().flat_map(|(w, &word)| ones(w, word));
         let bound = candidates().find(|&l| {
@@ -1979,6 +1979,7 @@ impl<'a> Engine<'a> {
         cur.forbid = forbid;
         cur.cand = cand;
         cur.tallies = tallies;
+        cur.chain_from = chain_from;
         scan
     }
 
@@ -1994,7 +1995,6 @@ impl<'a> Engine<'a> {
         cur: &mut RegionRt,
         op_id: OpId,
         at: Slot,
-        ridx: u32,
         base_a: f64,
         share: usize,
         sharing: bool,
@@ -2039,7 +2039,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let Some(p) = sig.producer() else { continue };
-                if self.plan.region_of[p.index()] != ridx {
+                if self.plan.region_of[p.index()] != at.region {
                     continue;
                 }
                 if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {

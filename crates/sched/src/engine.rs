@@ -2209,7 +2209,7 @@ mod oracle {
 
     /// Placement attempts the oracle checked, in all and in the cases the
     /// bitsets handle apart from the plain one.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    #[derive(Clone, Copy, Debug, Default)]
     pub(crate) struct Coverage {
         pub(crate) attempts: u64,
         /// A compatible instance past the pool's first 64.
@@ -2303,19 +2303,11 @@ mod tests {
 
     /// A random DAG of `n` 16-bit operations of mixed kinds over two input
     /// ports, each reading recent results or constants, and one write.
-    fn random_dag(seed: u64, n: usize) -> LinearBody {
-        build_dag(seed, n, false)
-    }
-
-    /// [`random_dag`], with half of the operations guarded by a 1-bit
-    /// condition read from a third port: the first of every four under
-    /// the condition, the second under its negation, so mutually exclusive
+    /// When `predicated`, half of the operations are guarded by a 1-bit
+    /// condition read from a third port: the first of every four under the
+    /// condition, the second under its negation, so mutually exclusive
     /// operations of one kind can share an instance.
-    fn predicated_dag(seed: u64, n: usize) -> LinearBody {
-        build_dag(seed, n, true)
-    }
-
-    fn build_dag(seed: u64, n: usize, predicated: bool) -> LinearBody {
+    fn random_dag(seed: u64, n: usize, predicated: bool) -> LinearBody {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut dfg = Dfg::new();
         let w = 16;
@@ -2474,7 +2466,7 @@ mod tests {
             bodies.push((format!("rand{seed}"), body));
         }
         for seed in 0..6u64 {
-            bodies.push((format!("dag{seed}"), random_dag(seed, 60)));
+            bodies.push((format!("dag{seed}"), random_dag(seed, 60, false)));
         }
         for (name, body) in &bodies {
             for (tag, config) in &configs {
@@ -2511,8 +2503,8 @@ mod tests {
             })
             .collect();
         for (seed, n) in [(0u64, 100usize), (1, 200), (2, 300)] {
-            bodies.push(random_dag(seed, n));
-            bodies.push(predicated_dag(seed, n));
+            bodies.push(random_dag(seed, n, false));
+            bodies.push(random_dag(seed, n, true));
         }
         let _ = oracle::take();
         for body in &bodies {

@@ -9,7 +9,17 @@
 //! * an FNV-1a digest of every endpoint's (cell, delay bits, slack bits),
 //!   in report order;
 //! * the critical path, launch to capture, as `name:incr_ps` steps with
-//!   the increment as `f64` bits.
+//!   the increment as `f64` bits;
+//! * the bits of the scheduler's `min_slack_ps` for the run that produced
+//!   the netlist, so the slack the scheduler priced sits next to the slack
+//!   the netlist has;
+//! * the netlist's operator cells per kind (binary and unary operators with
+//!   a non-zero count, by mnemonic);
+//! * the schedule's allocated instances per resource class.
+//!
+//! The last three fields were added, and blessed on the code as it was,
+//! before any change to the lowering: a change that makes the netlist
+//! build the hardware the scheduler priced moves them, and must say why.
 //!
 //! The corpus is the flow benchmark's paper designs, each as lowered and as
 //! the synthesizer's final netlist at the run's clock; the idct8 II=8
@@ -30,10 +40,11 @@ use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::{idct8_design, synthetic_design, DesignClass};
 use hls::lint::{analyze_timing, optimize_timed, TimingSummary};
 use hls::netlist::ChainTiming;
-use hls::nir::NirModule;
-use hls::sched::{Scheduler, SchedulerConfig};
+use hls::nir::{CellKind, NirModule};
+use hls::sched::{Schedule, Scheduler, SchedulerConfig};
 use hls::tech::{ClockConstraint, TechLibrary};
 use hls::{SynthesisResult, Synthesizer};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 const FIR8_TAPS: [i64; 8] = [3, -5, 7, 11, 11, 7, -5, 3];
@@ -60,12 +71,41 @@ fn summary_line(s: &TimingSummary) -> String {
     )
 }
 
-/// Analyses `m` at `clock_ps`, appends its line and returns the WNS.
-fn record(out: &mut String, label: &str, m: &NirModule, clock_ps: f64) -> f64 {
+/// The scheduler's worst slack, `m`'s operator cells per kind and the
+/// schedule's instances per resource class.
+fn hardware_line(m: &NirModule, schedule: &Schedule) -> String {
+    let mut operators: BTreeMap<&str, usize> = BTreeMap::new();
+    for cell in &m.cells {
+        if let CellKind::Bin(_) | CellKind::Un(_) = cell.kind {
+            *operators.entry(cell.kind.mnemonic()).or_default() += 1;
+        }
+    }
+    let mut per_class = BTreeMap::new();
+    for inst in schedule.desc.resources.iter() {
+        *per_class.entry(&inst.ty.class).or_insert(0usize) += 1;
+    }
+    let operators: Vec<String> = operators.iter().map(|(k, n)| format!("{k}={n}")).collect();
+    let per_class: Vec<String> = per_class.iter().map(|(c, n)| format!("{c}={n}")).collect();
+    format!(
+        "sched_slack={:#018x} operators=[{}] insts=[{}]",
+        schedule.min_slack_ps.to_bits(),
+        operators.join(" "),
+        per_class.join(" ")
+    )
+}
+
+/// Analyses `m` (the netlist of `schedule`) at `clock_ps`, appends its line
+/// and returns the WNS.
+fn record(out: &mut String, label: &str, m: &NirModule, schedule: &Schedule, clock_ps: f64) -> f64 {
     let lib = TechLibrary::artisan_90nm_typical();
     let mut timing = ChainTiming::new(&lib, ClockConstraint::from_period_ps(clock_ps));
     let summary = analyze_timing(m, &mut timing);
-    let _ = writeln!(out, "{label}@{clock_ps}ps {}", summary_line(&summary));
+    let _ = writeln!(
+        out,
+        "{label}@{clock_ps}ps {} {}",
+        summary_line(&summary),
+        hardware_line(m, schedule)
+    );
     summary.wns_ps
 }
 
@@ -117,9 +157,16 @@ fn static_timing_summaries_match_golden() {
             &mut out,
             &format!("{label}/lowered"),
             &lowered(&r),
+            &r.schedule,
             clock_ps,
         );
-        record(&mut out, &format!("{label}/final"), &r.netlist, clock_ps);
+        record(
+            &mut out,
+            &format!("{label}/final"),
+            &r.netlist,
+            &r.schedule,
+            clock_ps,
+        );
     }
     for (label, ii) in [
         ("idct8/seq@2000ps/L16", None),
@@ -132,8 +179,20 @@ fn static_timing_summaries_match_golden() {
             syn = syn.pipeline(ii);
         }
         let r = syn.run().expect(label);
-        record(&mut out, &format!("{label}/lowered"), &lowered(&r), 2000.0);
-        record(&mut out, &format!("{label}/final"), &r.netlist, 2000.0);
+        record(
+            &mut out,
+            &format!("{label}/lowered"),
+            &lowered(&r),
+            &r.schedule,
+            2000.0,
+        );
+        record(
+            &mut out,
+            &format!("{label}/final"),
+            &r.netlist,
+            &r.schedule,
+            2000.0,
+        );
     }
 
     // The one probed netlist on which `optimize_timed` keeps a round.
@@ -155,9 +214,16 @@ fn static_timing_summaries_match_golden() {
         &mut out,
         "idct8/ii8@2000ps/L32/final",
         &idct.netlist,
+        &idct.schedule,
         1700.0,
     );
-    record(&mut out, "idct8/ii8@2000ps/L32/timed", &rewritten, 1700.0);
+    record(
+        &mut out,
+        "idct8/ii8@2000ps/L32/timed",
+        &rewritten,
+        &idct.schedule,
+        1700.0,
+    );
 
     let c1600 = ClockConstraint::from_period_ps(1600.0);
     let c2200 = ClockConstraint::from_period_ps(2200.0);
@@ -182,8 +248,8 @@ fn static_timing_summaries_match_golden() {
                         if stage == "optimized" {
                             hls::nir::optimize(&mut m);
                         }
-                        record(&mut out, &format!("{id}/{stage}"), &m, clock_ps);
-                        if record(&mut out, &format!("{id}/{stage}"), &m, 900.0) < 0.0 {
+                        record(&mut out, &format!("{id}/{stage}"), &m, &schedule, clock_ps);
+                        if record(&mut out, &format!("{id}/{stage}"), &m, &schedule, 900.0) < 0.0 {
                             failing += 1;
                         }
                     }

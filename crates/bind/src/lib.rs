@@ -123,18 +123,6 @@ impl BoundDesign {
         self.fu_of[op].map(|r| &self.fus[r.index()])
     }
 
-    /// Functional-unit count per interned class, indexed by
-    /// [`ResourceClassId`] (only units with bound operations count).
-    pub fn fu_count_per_class(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.interner.num_classes()];
-        for fu in &self.fus {
-            if !fu.ops.is_empty() {
-                counts[fu.class.index()] += 1;
-            }
-        }
-        counts
-    }
-
     /// Steering fan-in of every functional unit, indexed by
     /// [`ResourceInstanceId`]: how many operations the FSM steers onto the
     /// instance — the `n` of the paper's `mux_n` sharing-delay model, and
@@ -142,19 +130,6 @@ impl BoundDesign {
     /// trees. 0 for allocated-but-unused instances, 1 for unshared units.
     pub fn steering_fanins(&self) -> Vec<usize> {
         self.fus.iter().map(|f| f.ops.len()).collect()
-    }
-
-    /// The widest *physical* operand-mux fan-in of every unit, indexed by
-    /// [`ResourceInstanceId`]: distinct structural sources steered onto any
-    /// one port (1 when no port needs a mux). Never exceeds the unit's
-    /// steering fan-in.
-    pub fn port_fanins(&self) -> Vec<usize> {
-        let mut fanins = vec![1usize; self.fus.len()];
-        for m in &self.muxes {
-            let slot = &mut fanins[m.fu.index()];
-            *slot = (*slot).max(m.sources.len().max(1));
-        }
-        fanins
     }
 
     /// The largest sharing-mux fan-in anywhere in the design (0 when no
@@ -313,25 +288,14 @@ mod tests {
             fanins.iter().copied().max().unwrap()
         );
         // physical port fan-in never exceeds steering fan-in
-        let ports = bound.port_fanins();
-        for (i, &p) in ports.iter().enumerate() {
+        for m in &bound.muxes {
+            let steering = fanins[m.fu.index()];
             assert!(
-                p <= fanins[i].max(1),
-                "port fan-in {p} > steering {}",
-                fanins[i]
+                m.sources.len() <= steering.max(1),
+                "port fan-in {} > steering {steering}",
+                m.sources.len()
             );
         }
-    }
-
-    #[test]
-    fn fu_count_per_class_matches_resources() {
-        let body = example1();
-        let desc = schedule(&body, SchedulerConfig::pipelined(clk(), 2, 6));
-        let bound = bind(&body, &desc).expect("bindable");
-        let per_class = bound.fu_count_per_class();
-        let total: usize = per_class.iter().sum();
-        assert_eq!(total, bound.stats.fu_count);
-        assert!(bound.stats.fu_count <= desc.resources.len());
     }
 
     #[test]

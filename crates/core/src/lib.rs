@@ -276,13 +276,6 @@ impl SynthesisResult {
         self.schedule.table(&self.body)
     }
 
-    /// Counted binding statistics (FU, register and mux-input counts) — the
-    /// real area proxies of the implementation, as opposed to the estimated
-    /// `area`.
-    pub fn binding_stats(&self) -> hls_bind::BindStats {
-        self.binding.stats
-    }
-
     /// Cell-level statistics of the emitted netlist (per-kind cell counts,
     /// register bits, maximum mux depth) — counted from the object the RTL
     /// is printed from, replacing any need to grep the Verilog text.
@@ -291,46 +284,56 @@ impl SynthesisResult {
     }
 }
 
-/// End-to-end synthesis driver.
+/// End-to-end synthesis driver, over a behaviour ([`Synthesizer::new`]) or
+/// an already-linearized loop body ([`Synthesizer::from_body`]). Every run
+/// uses the `artisan_90nm_typical` library.
 #[derive(Clone, Debug)]
 pub struct Synthesizer {
-    behavior: Behavior,
+    input: Input,
     clock_ps: f64,
     min_latency: u32,
     max_latency: u32,
     ii: Option<u32>,
-    library: TechLibrary,
     verify_vectors: Option<usize>,
     lint_config: LintConfig,
     recovery: RecoveryPolicy,
 }
 
+/// What a [`Synthesizer`] runs on.
+#[derive(Clone, Debug)]
+enum Input {
+    /// A behaviour, elaborated and linearized by [`Synthesizer::run`].
+    Behavior(Behavior),
+    /// A loop body that is already linearized.
+    Body(LinearBody),
+}
+
+/// The synthesizer [`Synthesizer::from_body`] returns, under the name it
+/// had when it was a type of its own.
+pub type BodySynthesizer = Synthesizer;
+
 impl Synthesizer {
     /// Starts a synthesis run for a behaviour.
     pub fn new(behavior: Behavior) -> Self {
+        Self::with_input(Input::Behavior(behavior))
+    }
+
+    /// Starts a synthesis run from an already-linearized loop body (the
+    /// exploration experiments generate bodies directly).
+    pub fn from_body(body: LinearBody) -> Self {
+        Self::with_input(Input::Body(body))
+    }
+
+    fn with_input(input: Input) -> Self {
         Synthesizer {
-            behavior,
+            input,
             clock_ps: 1600.0,
             min_latency: 1,
             max_latency: 32,
             ii: None,
-            library: TechLibrary::artisan_90nm_typical(),
             verify_vectors: None,
             lint_config: LintConfig::default(),
             recovery: RecoveryPolicy::disabled(),
-        }
-    }
-
-    /// Starts a synthesis run from an already-linearized loop body.
-    pub fn from_body(body: LinearBody) -> BodySynthesizer {
-        BodySynthesizer {
-            body,
-            inner: Synthesizer::new(Behavior {
-                name: String::new(),
-                ports: vec![],
-                vars: vec![],
-                body: vec![],
-            }),
         }
     }
 
@@ -351,12 +354,6 @@ impl Synthesizer {
     /// Requests pipelining with the given initiation interval.
     pub fn pipeline(mut self, ii: u32) -> Self {
         self.ii = Some(ii);
-        self
-    }
-
-    /// Uses a custom technology library.
-    pub fn library(mut self, library: TechLibrary) -> Self {
-        self.library = library;
         self
     }
 
@@ -410,14 +407,18 @@ impl Synthesizer {
     /// # Errors
     /// Returns a [`SynthesisError`] wrapping the first stage that failed.
     pub fn run(self) -> Result<SynthesisResult, SynthesisError> {
-        let mut cdfg = elaborate(&self.behavior)?;
-        let body = prepare_innermost_loop(&mut cdfg)?;
-        self.run_on_body(body)
-    }
-
-    fn run_on_body(self, body: LinearBody) -> Result<SynthesisResult, SynthesisError> {
+        let elaborated;
+        let body = match &self.input {
+            Input::Behavior(behavior) => {
+                let mut cdfg = elaborate(behavior)?;
+                elaborated = prepare_innermost_loop(&mut cdfg)?;
+                &elaborated
+            }
+            Input::Body(body) => body,
+        };
         // The clock and pipeline constructors panic on these; a public
-        // builder must not, so they are refused before the first attempt.
+        // builder must not, so they are refused before the first attempt,
+        // where the recovery ladder cannot retry them.
         if !(self.clock_ps.is_finite() && self.clock_ps > 0.0) {
             return Err(SynthesisError::InvalidClock {
                 period_ps: self.clock_ps,
@@ -443,12 +444,12 @@ impl Synthesizer {
         // every check of every attempt compares against one interpreter run.
         let reference = self
             .verify_vectors
-            .map(|vectors| Reference::random(&body, vectors, 0x5EED));
+            .map(|vectors| Reference::random(body, vectors, 0x5EED));
         let mut trace: Vec<RecoveryStep> = Vec::new();
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let last = match self.attempt(&body, &knobs, reference.as_ref()) {
+            let last = match self.attempt(body, &knobs, reference.as_ref()) {
                 Ok(mut result) => {
                     result.recovery = trace;
                     return Ok(result);
@@ -490,6 +491,7 @@ impl Synthesizer {
         reference: Option<&Reference>,
     ) -> Result<SynthesisResult, SynthesisError> {
         let body = body.clone();
+        let library = TechLibrary::artisan_90nm_typical();
         let config = self.config_for(knobs);
         // The scheduler works against the (possibly stretched) recovery
         // clock; everything downstream — timed rewrites, lint/STA, the
@@ -497,7 +499,7 @@ impl Synthesizer {
         // stretched run reports its real setup violations instead of
         // quietly re-targeting.
         let clock = ClockConstraint::from_period_ps(self.clock_ps);
-        let schedule = Scheduler::new(&body, &self.library, config).run()?;
+        let schedule = Scheduler::new(&body, &library, config).run()?;
         let pipeline = match knobs.ii {
             Some(_) => Some(fold_schedule(&body, &schedule)?),
             None => None,
@@ -528,7 +530,7 @@ impl Synthesizer {
         // defaults to `hls_lint::MAX_ROUNDS`; the recovery ladder may raise
         // it ([`RecoveryAction::ExtraTimedRounds`]).
         let timed_rewrites =
-            hls_lint::optimize_timed_with(&mut netlist, &self.library, clock, knobs.timed_rounds);
+            hls_lint::optimize_timed_with(&mut netlist, &library, clock, knobs.timed_rounds);
         if timed_rewrites.changed() {
             hls_nir::validate(&netlist)?;
             if let Some(reference) = reference {
@@ -539,7 +541,7 @@ impl Synthesizer {
         // cell-level timing, in the binding/schedule context. The timed loop
         // already analysed the netlist it returned, so its summary is the
         // report's. Deny-level findings fail the run.
-        let lint_ctx = LintContext::new(&self.library, clock)
+        let lint_ctx = LintContext::new(&library, clock)
             .with_binding(&binding)
             .with_schedule(&schedule.desc)
             .with_timing(&timed_rewrites.after);
@@ -570,8 +572,7 @@ impl Synthesizer {
         // reports the miss, at whatever severity is configured).
         let degraded = lint.has_deny() || knobs.sched_clock_ps > self.clock_ps;
         let slack_fraction = (schedule.min_slack_ps / clock.period_ps()).clamp(0.0, 0.9);
-        let dp =
-            Datapath::from_schedule(&body, &schedule.desc, &self.library, clock, slack_fraction);
+        let dp = Datapath::from_schedule(&body, &schedule.desc, &library, clock, slack_fraction);
         let rtl = emit_verilog(&netlist);
         Ok(SynthesisResult {
             body,
@@ -636,15 +637,6 @@ fn next_action(
             let worst_slack_ps = match e {
                 hls_sched::SchedError::Overconstrained { worst_slack_ps, .. } => *worst_slack_ps,
                 hls_sched::SchedError::BudgetExhausted { .. } => 0.0,
-                // the scheduler names the feasible II — jump straight to it
-                hls_sched::SchedError::InfeasibleIi { requested, minimum } => {
-                    return (policy.allow_ii_fallback && minimum > requested).then_some(
-                        RecoveryAction::RelaxIi {
-                            from: *requested,
-                            to: *minimum,
-                        },
-                    );
-                }
                 _ => return None,
             };
             if policy.latency_headroom > 0 && !knobs.latency_relaxed {
@@ -696,63 +688,6 @@ fn timing_only_denies(report: &LintReport) -> bool {
             .iter()
             .filter(|d| d.severity == Severity::Deny)
             .all(|d| matches!(d.lint, Lint::SetupViolation | Lint::RewriteRoundLimit))
-}
-
-/// Synthesis driver over an already-linearized loop body (used by the
-/// exploration experiments, which generate bodies directly).
-#[derive(Clone, Debug)]
-pub struct BodySynthesizer {
-    body: LinearBody,
-    inner: Synthesizer,
-}
-
-impl BodySynthesizer {
-    /// Sets the clock period in picoseconds.
-    pub fn clock_ps(mut self, period_ps: f64) -> Self {
-        self.inner = self.inner.clock_ps(period_ps);
-        self
-    }
-
-    /// Sets the latency bounds.
-    pub fn latency_bounds(mut self, min: u32, max: u32) -> Self {
-        self.inner = self.inner.latency_bounds(min, max);
-        self
-    }
-
-    /// Requests pipelining with the given initiation interval.
-    pub fn pipeline(mut self, ii: u32) -> Self {
-        self.inner = self.inner.pipeline(ii);
-        self
-    }
-
-    /// Differentially verifies the produced design (see
-    /// [`Synthesizer::verify`]).
-    pub fn verify(mut self, vectors: usize) -> Self {
-        self.inner = self.inner.verify(vectors);
-        self
-    }
-
-    /// Overrides the netlist analyzer's configuration (see
-    /// [`Synthesizer::lint_config`]).
-    pub fn lint_config(mut self, config: LintConfig) -> Self {
-        self.inner = self.inner.lint_config(config);
-        self
-    }
-
-    /// Arms the recovery ladder (see [`Synthesizer::recover`]).
-    pub fn recover(mut self, policy: RecoveryPolicy) -> Self {
-        self.inner = self.inner.recover(policy);
-        self
-    }
-
-    /// Runs the flow on the body.
-    ///
-    /// # Errors
-    /// Returns a [`SynthesisError`] wrapping the first stage that failed.
-    pub fn run(self) -> Result<SynthesisResult, SynthesisError> {
-        let BodySynthesizer { body, inner } = self;
-        inner.run_on_body(body)
-    }
 }
 
 #[cfg(test)]
@@ -828,7 +763,7 @@ mod tests {
             .verify(50)
             .run()
             .expect("synthesizable and bindable");
-        let stats = result.binding_stats();
+        let stats = result.binding.stats;
         assert!(stats.fu_count >= 3, "{stats:?}");
         assert!(
             stats.fu_count <= result.schedule.desc.resources.len(),
@@ -874,6 +809,35 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn a_behaviour_and_its_linearized_body_synthesize_alike() {
+        let run = |syn: Synthesizer| {
+            syn.clock_ps(1600.0)
+                .latency_bounds(1, 6)
+                .pipeline(2)
+                .verify(64)
+                .run()
+                .expect("synthesizable and verifiable")
+        };
+        let mut cdfg = elaborate(&designs::paper_example1()).expect("elaborates");
+        let body = prepare_innermost_loop(&mut cdfg).expect("linearizes");
+        let from_behavior = run(Synthesizer::new(designs::paper_example1()));
+        let from_body = run(Synthesizer::from_body(body));
+        let (a, b) = (&from_behavior.schedule, &from_body.schedule);
+        assert_eq!(a.desc.ops, b.desc.ops);
+        assert_eq!(a.desc.resources, b.desc.resources);
+        assert_eq!(
+            (a.latency, a.desc.ii, a.passes, &a.actions),
+            (b.latency, b.desc.ii, b.passes, &b.actions)
+        );
+        assert_eq!(a.min_slack_ps.to_bits(), b.min_slack_ps.to_bits());
+        assert_eq!(
+            hls_nir::text_emit(&from_behavior.netlist),
+            hls_nir::text_emit(&from_body.netlist)
+        );
+        assert_eq!(from_behavior.area.to_bits(), from_body.area.to_bits());
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! [`Synthesizer::recover`](crate::Synthesizer::recover) arms a bounded
 //! retry loop that reacts to two — and only two — failure families:
 //!
-//! * **Scheduling failures** (`Overconstrained` / `BudgetExhausted` /
-//!   `InfeasibleIi`): the latency bound is relaxed once by
+//! * **Scheduling failures** (`Overconstrained` / `BudgetExhausted`): the
+//!   latency bound is relaxed once by
 //!   [`RecoveryPolicy::latency_headroom`] extra states; a slack-driven
 //!   over-constraint (an operation that cannot meet the clock at any
 //!   latency) then stretches the *scheduling* clock by exactly the reported
 //!   worst negative slack ([`RecoveryPolicy::allow_clock_stretch`]) while
 //!   timing signoff keeps the requested clock, so the resulting setup
 //!   violations stay visible in the report; and a pipelined request backs
-//!   off its initiation interval — one cycle per attempt, or straight to
-//!   the recurrence-imposed minimum when the scheduler names it
-//!   ([`RecoveryPolicy::allow_ii_fallback`]).
+//!   off its initiation interval by one cycle per attempt
+//!   ([`RecoveryPolicy::allow_ii_fallback`]). An initiation interval of 0
+//!   is refused as `InfeasibleIi { requested: 0, minimum: 1 }` before any
+//!   attempt, and is never retried.
 //! * **Timing-only lint denies** (`setup-violation` /
 //!   `rewrite-round-limit` findings, nothing else at deny level): the
 //!   timing-driven rewrite loop is re-run once with

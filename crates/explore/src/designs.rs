@@ -43,7 +43,7 @@ impl DesignClass {
 /// loosely coupled filter/transform blocks. Each kernel has its own I/O and
 /// no data edges to the others, so region decomposition can schedule them
 /// concurrently.
-const MULTI_KERNEL_THRESHOLD: usize = 2400;
+pub(crate) const MULTI_KERNEL_THRESHOLD: usize = 2400;
 
 /// Rough op count of one kernel in a multi-kernel design.
 const KERNEL_OPS: usize = 600;

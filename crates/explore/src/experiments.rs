@@ -8,7 +8,7 @@
 //! tests; `tests/integration_paper_examples.rs` asserts the paper's worked
 //! Examples 1–3 and the ordering of Table 3.
 
-use crate::designs::{idct8_design, synthetic_design, DesignClass};
+use crate::designs::{idct8_design, synthetic_design, DesignClass, MULTI_KERNEL_THRESHOLD};
 use crate::pareto::ExplorationPoint;
 use hls_frontend::designs as paper_designs;
 use hls_ir::LinearBody;
@@ -235,22 +235,20 @@ pub struct Figure9Point {
     pub mux_inputs: usize,
 }
 
-/// Sizes at or above this schedule with region decomposition: the DFG is
-/// condensed into independently scheduled regions and only dirty regions
-/// re-pass during relaxation (see `hls_sched::region`).
-const FIGURE9_REGION_THRESHOLD: usize = 2500;
-
 /// Region size target for large Figure 9 points.
 const FIGURE9_REGION_TARGET: usize = 600;
 
 /// Schedules one Figure 9 point (class, clock, and micro-architecture keyed
-/// off the point index, as the sweep has always done). Sizes at or above
-/// [`FIGURE9_REGION_THRESHOLD`] turn on region decomposition and a larger
-/// pass budget; smaller sizes run the exact historical configuration.
+/// off the point index, as the sweep has always done). The designs that
+/// [`synthetic_design`] splits into independent kernels schedule with
+/// region decomposition and a larger pass budget: the DFG is condensed
+/// into independently scheduled regions and only dirty regions re-pass
+/// during relaxation (see `hls_sched::region`). Single-kernel designs run
+/// the exact historical configuration.
 fn figure9_point(i: usize, target: usize, lib: &TechLibrary) -> Option<Figure9Point> {
     let class = DesignClass::all()[i % 3];
     let body = synthetic_design(class, target, 42 + i as u64);
-    let regions = target >= FIGURE9_REGION_THRESHOLD;
+    let regions = target > MULTI_KERNEL_THRESHOLD;
     let start = Instant::now();
     let result = if regions {
         // Multi-kernel points: one sequential region-decomposed
@@ -295,19 +293,6 @@ fn figure9_point(i: usize, target: usize, lib: &TechLibrary) -> Option<Figure9Po
             mux_inputs: stats.mux_inputs,
         }
     })
-}
-
-/// Figure 9: scheduling time vs design size over a population of synthetic
-/// "industrial" designs. `sizes` controls the op-count sweep.
-///
-/// The designs are independent, so they are scheduled across
-/// [`crate::parallel::map_indexed`] workers; results come back in size
-/// order and are identical to a sequential run (set `HLS_EXPLORE_THREADS=1`
-/// for single-threaded per-point timings).
-pub fn figure9_scheduling_time(sizes: &[usize]) -> Vec<Figure9Point> {
-    let lib = TechLibrary::artisan_90nm_typical();
-    let points = crate::parallel::map_indexed(sizes, |i, &target| figure9_point(i, target, &lib));
-    points.into_iter().flatten().collect()
 }
 
 /// The default Figure 9 sweep: 12 designs spanning the 100..2000 op range
@@ -402,9 +387,15 @@ impl Figure9Sweep {
     }
 }
 
-/// Runs the Figure 9 points of `sizes` (as [`figure9_scheduling_time`]
-/// does) and measures the end-to-end wall-clock of the whole sweep, the
-/// headline perf-trajectory number. With a `budget`, once it is spent,
+/// Figure 9: scheduling time vs design size over a population of synthetic
+/// "industrial" designs. Runs the points of `sizes` and measures the
+/// end-to-end wall-clock of the whole sweep, the headline perf-trajectory
+/// number.
+///
+/// The designs are independent, so they are scheduled across
+/// [`crate::parallel::map_indexed`] workers; results come back in size
+/// order and are identical to a sequential run (set `HLS_EXPLORE_THREADS=1`
+/// for single-threaded per-point timings). With a `budget`, once it is spent,
 /// points that have not started yet are skipped instead of scheduled (the
 /// first point always runs, so a sweep returns at least one sample).
 /// Skipped sizes count toward `requested` but contribute no point.
@@ -579,7 +570,7 @@ mod tests {
 
     #[test]
     fn figure9_produces_points_without_size_time_blowup() {
-        let points = figure9_scheduling_time(&[120, 240, 400]);
+        let points = figure9_sweep_with_budget(&[120, 240, 400], None).points;
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(
@@ -646,7 +637,7 @@ mod tests {
 
     #[test]
     fn figure9_region_path_schedules_a_multi_kernel_point() {
-        let points = figure9_scheduling_time(&[2600]);
+        let points = figure9_sweep_with_budget(&[2600], None).points;
         assert_eq!(points.len(), 1, "the region-decomposed point schedules");
         assert!(points[0].ops >= 2000, "{:?}", points[0]);
     }

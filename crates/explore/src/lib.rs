@@ -30,8 +30,8 @@ pub use hls_sched::parallel;
 
 pub use designs::{idct8_design, synthetic_design, DesignClass};
 pub use experiments::{
-    figure10_idct_area_delay, figure9_scheduling_time, table1_library, table2_example1_schedule,
-    table3_microarchitectures, table4_scc_move_ablation,
+    figure10_idct_area_delay, table1_library, table2_example1_schedule, table3_microarchitectures,
+    table4_scc_move_ablation,
 };
 pub use parallel::map_indexed;
 pub use pareto::{pareto_front, ExplorationPoint};

@@ -272,14 +272,6 @@ impl Behavior {
         self.ports.iter().find(|p| p.name == name)
     }
 
-    /// Looks up a variable id by name.
-    pub fn var_by_name(&self, name: &str) -> Option<VarId> {
-        self.vars
-            .iter()
-            .position(|v| v.name == name)
-            .map(|i| VarId(i as u32))
-    }
-
     /// Declaration of a variable.
     ///
     /// # Panics
@@ -364,7 +356,6 @@ mod tests {
         };
         assert!(b.port("x").is_some());
         assert!(b.port("y").is_none());
-        assert_eq!(b.var_by_name("acc"), Some(VarId(0)));
         assert_eq!(b.var(VarId(0)).width, 16);
         assert_eq!(b.op_count(), 0);
     }

@@ -132,16 +132,6 @@ impl BehaviorBuilder {
         }
     }
 
-    /// Statement `while (cond) { body }` with a loop label.
-    pub fn while_loop(&self, label: impl Into<String>, cond: Expr, body: Vec<Stmt>) -> Stmt {
-        Stmt::Loop {
-            kind: LoopKind::While,
-            body,
-            cond: Some(cond),
-            label: Some(label.into()),
-        }
-    }
-
     /// Appends a statement to the top-level thread body.
     pub fn push(&mut self, stmt: Stmt) -> &mut Self {
         self.body.push(stmt);

@@ -1,6 +1,5 @@
-//! Graph analyses on the DFG: strongly connected components, dependence
-//! levels (untimed ASAP/ALAP), and recurrence (minimum initiation interval)
-//! bounds.
+//! Graph analyses on the DFG: strongly connected components and dependence
+//! levels (untimed ASAP/ALAP).
 //!
 //! The pipelining approach of the paper hinges on the observation that
 //! *inter-iteration dependencies are represented by cycles that form strongly
@@ -8,8 +7,7 @@
 //! that preserving causality requires all operations of each SCC to be
 //! scheduled within `II` states. The [`sccs`] function computes those
 //! components (Tarjan's algorithm over the dependence graph including
-//! loop-carried edges); [`recurrence_min_ii`] derives the classic
-//! recurrence-constrained lower bound on the initiation interval.
+//! loop-carried edges).
 
 use crate::dfg::Dfg;
 use crate::ids::OpId;
@@ -23,7 +21,7 @@ pub struct Scc {
     /// Operations in the component.
     pub ops: Vec<OpId>,
     /// Total iteration distance around the shortest cycle through the
-    /// component (sum of `distance` attributes), used for recurrence bounds.
+    /// component (sum of `distance` attributes).
     pub total_distance: u32,
 }
 
@@ -192,42 +190,6 @@ pub fn alap_levels(dfg: &Dfg, depth: u32) -> HashMap<OpId, u32> {
         .collect()
 }
 
-/// Critical-path length of the intra-iteration dependence graph, in
-/// dependence hops (number of operations on the longest chain).
-pub fn critical_path_len(dfg: &Dfg) -> u32 {
-    asap_levels(dfg)
-        .values()
-        .copied()
-        .max()
-        .map(|m| m + 1)
-        .unwrap_or(0)
-}
-
-/// Recurrence-constrained minimum initiation interval, in *operation levels*
-/// per iteration distance, computed per SCC as
-/// `ceil(ops_on_longest_internal_chain / total_distance)`.
-///
-/// This is an untimed structural bound; the timing-aware bound (accounting
-/// for operation delays and the clock period) is computed by the scheduler.
-/// The paper argues the designer fixes II anyway (Section V, condition 1);
-/// this bound is used to reject infeasible user requests early.
-pub fn recurrence_min_ii(dfg: &Dfg) -> u32 {
-    let comps = sccs(dfg);
-    let mut min_ii = 1u32;
-    for c in comps {
-        if c.total_distance == 0 {
-            // No iteration distance inside the SCC would mean a combinational
-            // cycle; validation rejects that elsewhere. Skip defensively.
-            continue;
-        }
-        // Longest chain inside the component, approximated by component size
-        // (every op on the cycle executes once per iteration).
-        let ii = (c.ops.len() as u32).div_ceil(c.total_distance);
-        min_ii = min_ii.max(ii);
-    }
-    min_ii
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,7 +311,7 @@ mod tests {
     fn asap_alap_levels_bound_each_other() {
         let (dfg, _) = accumulator_dfg();
         let asap = asap_levels(&dfg);
-        let depth = critical_path_len(&dfg) - 1;
+        let depth = asap.values().copied().max().unwrap_or(0);
         let alap = alap_levels(&dfg, depth);
         for id in dfg.op_ids() {
             assert!(
@@ -359,82 +321,5 @@ mod tests {
                 alap[&id]
             );
         }
-    }
-
-    #[test]
-    fn critical_path_of_chain() {
-        let mut dfg = Dfg::new();
-        let mut prev = dfg.add_op(OpKind::Const(0), 8, vec![]);
-        for _ in 0..5 {
-            prev = dfg.add_op(
-                OpKind::Add,
-                8,
-                vec![Signal::op_w(prev, 8), Signal::constant(1, 8)],
-            );
-        }
-        assert_eq!(critical_path_len(&dfg), 6);
-    }
-
-    #[test]
-    fn recurrence_min_ii_grows_with_cycle_length() {
-        // acc = ((acc@-1 + 1) + 2) + 3 : a 3-op cycle with distance 1 → II ≥ 3
-        let mut dfg = Dfg::new();
-        let a = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::constant(0, 16), Signal::constant(1, 16)],
-        );
-        let b = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::op_w(a, 16), Signal::constant(2, 16)],
-        );
-        let c = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::op_w(b, 16), Signal::constant(3, 16)],
-        );
-        dfg.op_mut(a).inputs[0] = Signal::carried(c, 16, 1);
-        assert_eq!(recurrence_min_ii(&dfg), 3);
-    }
-
-    #[test]
-    fn recurrence_min_ii_of_dag_is_one() {
-        let mut dfg = Dfg::new();
-        let a = dfg.add_op(OpKind::Const(1), 8, vec![]);
-        dfg.add_op(
-            OpKind::Add,
-            8,
-            vec![Signal::op_w(a, 8), Signal::constant(1, 8)],
-        );
-        assert_eq!(recurrence_min_ii(&dfg), 1);
-    }
-
-    #[test]
-    fn larger_distance_relaxes_recurrence() {
-        // 4-op cycle at distance 2 → II ≥ 2
-        let mut dfg = Dfg::new();
-        let a = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::constant(0, 16), Signal::constant(1, 16)],
-        );
-        let b = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::op_w(a, 16), Signal::constant(1, 16)],
-        );
-        let c = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::op_w(b, 16), Signal::constant(1, 16)],
-        );
-        let d = dfg.add_op(
-            OpKind::Add,
-            16,
-            vec![Signal::op_w(c, 16), Signal::constant(1, 16)],
-        );
-        dfg.op_mut(a).inputs[0] = Signal::carried(d, 16, 2);
-        assert_eq!(recurrence_min_ii(&dfg), 2);
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::error::IrError;
 use crate::ids::{CfgEdgeId, CfgNodeId, LoopId};
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// What a CFG node represents.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,13 +35,6 @@ pub enum CfgNodeKind {
         /// Which loop this belongs to.
         loop_id: LoopId,
     },
-}
-
-impl CfgNodeKind {
-    /// Returns `true` if the node is a clock boundary.
-    pub fn is_wait(&self) -> bool {
-        matches!(self, CfgNodeKind::Wait { .. })
-    }
 }
 
 /// A node of the [`Cfg`].
@@ -193,76 +185,6 @@ impl Cfg {
             .map(|(id, _)| id)
     }
 
-    /// Nodes reachable from `start` following forward (non-back) edges.
-    pub fn reachable_from(&self, start: CfgNodeId) -> HashSet<CfgNodeId> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(start);
-        queue.push_back(start);
-        while let Some(n) = queue.pop_front() {
-            for e in self.out_edges(n) {
-                let edge = self.edge(e);
-                if edge.back_edge {
-                    continue;
-                }
-                if seen.insert(edge.to) {
-                    queue.push_back(edge.to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Returns all maximal combinational paths: sequences of consecutive
-    /// forward edges between two wait/entry/exit boundaries.
-    ///
-    /// The paper's pass scheduler iterates over "the set of combinational
-    /// paths in the CFG" (Figure 7); each path is a candidate chain of control
-    /// steps that execute within consecutive clock cycles.
-    pub fn combinational_paths(&self) -> Vec<Vec<CfgEdgeId>> {
-        let mut paths = Vec::new();
-        let boundaries: Vec<CfgNodeId> = self
-            .iter_nodes()
-            .filter(|(_, n)| {
-                n.kind.is_wait()
-                    || matches!(n.kind, CfgNodeKind::Entry | CfgNodeKind::LoopTop { .. })
-            })
-            .map(|(id, _)| id)
-            .collect();
-        for start in boundaries {
-            for first in self.out_edges(start) {
-                if self.edge(first).back_edge {
-                    continue;
-                }
-                let mut path = vec![first];
-                let mut cur = self.edge(first).to;
-                // Extend through fork/join nodes greedily (taking the first
-                // outgoing edge) until the next boundary.
-                let mut guard = 0;
-                while guard < self.edges.len() + 1 {
-                    guard += 1;
-                    let node = self.node(cur);
-                    if node.kind.is_wait()
-                        || matches!(
-                            node.kind,
-                            CfgNodeKind::Exit | CfgNodeKind::LoopBottom { .. } | CfgNodeKind::Entry
-                        )
-                    {
-                        break;
-                    }
-                    let outs = self.out_edges(cur);
-                    let Some(&next) = outs.iter().find(|&&e| !self.edge(e).back_edge) else {
-                        break;
-                    };
-                    path.push(next);
-                    cur = self.edge(next).to;
-                }
-                paths.push(path);
-            }
-        }
-        paths
-    }
-
     /// Checks structural invariants: edge endpoints exist, at most one entry
     /// and exit, fork nodes have exactly two forward successors, join nodes
     /// have at least two predecessors, back edges target loop tops.
@@ -310,25 +232,6 @@ impl Cfg {
         }
         Ok(())
     }
-
-    /// Counts wait nodes, a proxy for the number of explicit states in the
-    /// source description.
-    pub fn num_wait_states(&self) -> usize {
-        self.iter_nodes().filter(|(_, n)| n.kind.is_wait()).count()
-    }
-
-    /// Maps each loop id to its (top, bottom) node pair, when both exist.
-    pub fn loop_nodes(&self) -> HashMap<LoopId, (Option<CfgNodeId>, Option<CfgNodeId>)> {
-        let mut map: HashMap<LoopId, (Option<CfgNodeId>, Option<CfgNodeId>)> = HashMap::new();
-        for (id, n) in self.iter_nodes() {
-            match n.kind {
-                CfgNodeKind::LoopTop { loop_id } => map.entry(loop_id).or_default().0 = Some(id),
-                CfgNodeKind::LoopBottom { loop_id } => map.entry(loop_id).or_default().1 = Some(id),
-                _ => {}
-            }
-        }
-        map
-    }
 }
 
 /// Convenience constructor for the common "straight-line loop body" shape:
@@ -375,7 +278,11 @@ mod tests {
         // loop bottom has forward in-edge and outgoing back edge
         assert_eq!(cfg.out_edges(bottom).len(), 1);
         assert!(cfg.edge(cfg.out_edges(bottom)[0]).back_edge);
-        assert_eq!(cfg.num_wait_states(), 2);
+        let waits = cfg
+            .iter_nodes()
+            .filter(|(_, n)| matches!(n.kind, CfgNodeKind::Wait { .. }))
+            .count();
+        assert_eq!(waits, 2);
     }
 
     #[test]
@@ -408,30 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_ignores_back_edges() {
-        let (cfg, _, top, bottom) = straight_line_loop(LoopId::from_raw(0), 2);
-        let reach = cfg.reachable_from(top);
-        assert!(reach.contains(&bottom));
-        let reach_from_bottom = cfg.reachable_from(bottom);
-        assert!(!reach_from_bottom.contains(&top));
-    }
-
-    #[test]
-    fn combinational_paths_of_straight_line_loop() {
-        let (cfg, steps, _, _) = straight_line_loop(LoopId::from_raw(0), 3);
-        let paths = cfg.combinational_paths();
-        // Each wait boundary starts a path: loop_top->s1, s1->s2, s2->bottom.
-        assert!(!paths.is_empty());
-        let all_edges: HashSet<CfgEdgeId> = paths.iter().flatten().copied().collect();
-        for s in steps {
-            assert!(
-                all_edges.contains(&s),
-                "control step {s} missing from paths"
-            );
-        }
-    }
-
-    #[test]
     fn multiple_entries_rejected() {
         let mut cfg = Cfg::new();
         cfg.add_node(CfgNodeKind::Entry);
@@ -440,12 +323,5 @@ mod tests {
             cfg.validate(),
             Err(IrError::MultipleEntries { .. })
         ));
-    }
-
-    #[test]
-    fn loop_nodes_map() {
-        let (cfg, _, top, bottom) = straight_line_loop(LoopId::from_raw(7), 2);
-        let map = cfg.loop_nodes();
-        assert_eq!(map[&LoopId::from_raw(7)], (Some(top), Some(bottom)));
     }
 }

@@ -81,11 +81,6 @@ impl<T> DenseOpMap<T> {
             .enumerate()
             .map(|(i, t)| (OpId::from_raw(i as u32), t))
     }
-
-    /// The raw backing slice, in id order.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
 }
 
 impl<T> Index<OpId> for DenseOpMap<T> {
@@ -149,7 +144,7 @@ mod tests {
         let b = a.clone();
         a[OpId::from_raw(0)] = 9;
         assert_eq!(b[OpId::from_raw(0)], 1);
-        assert_eq!(a.as_slice(), &[9, 1]);
+        assert_eq!(a.iter().map(|(_, &v)| v).collect::<Vec<_>>(), [9, 1]);
     }
 
     #[test]
@@ -158,6 +153,6 @@ mod tests {
         for (_, v) in m.iter_mut() {
             *v += 1;
         }
-        assert_eq!(m.as_slice(), &[2, 2, 2]);
+        assert_eq!(m.iter().map(|(_, &v)| v).collect::<Vec<_>>(), [2, 2, 2]);
     }
 }

@@ -5,7 +5,7 @@ use crate::eval::MAX_WIDTH;
 use crate::ids::{CfgEdgeId, OpId, PortId};
 use crate::op::{OpKind, Operation};
 use crate::predicate::Predicate;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Direction of a module port.
@@ -99,11 +99,6 @@ impl Signal {
             SignalSource::Op(id) => Some(id),
             SignalSource::Const(_) => None,
         }
-    }
-
-    /// Returns `true` if the signal crosses loop iterations.
-    pub fn is_loop_carried(&self) -> bool {
-        self.distance > 0
     }
 }
 
@@ -303,48 +298,10 @@ impl Dfg {
         out
     }
 
-    /// Size of the transitive fanout cone of `id` (number of operations that
-    /// transitively consume its result within one iteration). Used by the
-    /// scheduler's priority function.
-    pub fn fanout_cone_size(&self, id: OpId) -> usize {
-        let mut succ_map: HashMap<OpId, Vec<OpId>> = HashMap::new();
-        for dep in self.data_deps() {
-            if dep.distance == 0 {
-                succ_map.entry(dep.from).or_default().push(dep.to);
-            }
-        }
-        let mut seen: HashSet<OpId> = HashSet::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            if let Some(succs) = succ_map.get(&n) {
-                for &s in succs {
-                    if seen.insert(s) {
-                        stack.push(s);
-                    }
-                }
-            }
-        }
-        seen.len()
-    }
-
     /// Returns ids of operations with no intra-iteration predecessors.
     pub fn roots(&self) -> Vec<OpId> {
         self.op_ids()
             .filter(|&id| self.preds(id).is_empty())
-            .collect()
-    }
-
-    /// Returns ids of operations whose result feeds no other operation
-    /// (typically port writes).
-    pub fn sinks(&self) -> Vec<OpId> {
-        let mut has_consumer: HashSet<OpId> = HashSet::new();
-        for dep in self.data_deps() {
-            if dep.distance == 0 {
-                has_consumer.insert(dep.from);
-            }
-        }
-        self.op_ids()
-            .filter(|id| !has_consumer.contains(id))
             .collect()
     }
 
@@ -557,7 +514,7 @@ mod tests {
         assert_eq!(dfg.preds(sum), vec![ra, rb]);
         assert_eq!(dfg.succs(ra), vec![sum]);
         assert_eq!(dfg.roots(), vec![ra, rb]);
-        assert_eq!(dfg.sinks(), vec![sum]);
+        assert!(dfg.succs(sum).is_empty());
         assert!(dfg.validate().is_ok());
     }
 
@@ -656,13 +613,6 @@ mod tests {
             dfg.validate(),
             Err(IrError::UnsatisfiablePredicate { .. })
         ));
-    }
-
-    #[test]
-    fn fanout_cone() {
-        let (dfg, ra, _rb, sum) = small_dfg();
-        assert_eq!(dfg.fanout_cone_size(ra), 1);
-        assert_eq!(dfg.fanout_cone_size(sum), 0);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod cdfg;
 pub mod cfg;
 pub mod dense;
 pub mod dfg;
-pub mod dot;
 pub mod error;
 pub mod eval;
 pub mod ids;

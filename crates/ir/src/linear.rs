@@ -34,14 +34,6 @@ impl PinnedState {
         }
     }
 
-    /// Latest state allowed by the pin, if bounded.
-    pub fn latest(self) -> Option<StateIdx> {
-        match self {
-            PinnedState::Exact(s) => Some(s),
-            PinnedState::AtOrAfter(_) => None,
-        }
-    }
-
     /// Whether `state` satisfies the pin.
     pub fn allows(self, state: StateIdx) -> bool {
         match self {
@@ -185,16 +177,6 @@ impl LinearBody {
         }
         Ok(())
     }
-
-    /// Operations that must not be speculated (side effects) — writes and
-    /// calls keep their relative position with respect to the exit condition.
-    pub fn side_effect_ops(&self) -> Vec<OpId> {
-        self.dfg
-            .iter_ops()
-            .filter(|(_, op)| op.kind.has_side_effects())
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -228,12 +210,10 @@ mod tests {
         let exact = PinnedState::Exact(StateIdx::new(2));
         assert!(exact.allows(StateIdx::new(2)));
         assert!(!exact.allows(StateIdx::new(3)));
-        assert_eq!(exact.latest(), Some(StateIdx::new(2)));
         let after = PinnedState::AtOrAfter(StateIdx::new(1));
         assert!(after.allows(StateIdx::new(1)));
         assert!(after.allows(StateIdx::new(5)));
         assert!(!after.allows(StateIdx::new(0)));
-        assert_eq!(after.latest(), None);
         assert_eq!(after.earliest(), StateIdx::new(1));
     }
 
@@ -264,14 +244,6 @@ mod tests {
         body.pins.clear();
         body.source_state.insert(r1, 99);
         assert!(body.validate().is_err());
-    }
-
-    #[test]
-    fn side_effect_ops_lists_writes() {
-        let (body, _, _, w1, w2) = body_with_io();
-        let se = body.side_effect_ops();
-        assert!(se.contains(&w1) && se.contains(&w2));
-        assert_eq!(se.len(), 2);
     }
 
     #[test]

@@ -134,11 +134,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Returns `true` for operations that read or write module ports.
-    pub fn is_io(&self) -> bool {
-        matches!(self, OpKind::Read(_) | OpKind::Write(_))
-    }
-
     /// Returns `true` for operations with externally observable effects,
     /// which must never be speculated or reordered across loop iterations.
     pub fn has_side_effects(&self) -> bool {
@@ -179,21 +174,7 @@ impl OpKind {
         })
     }
 
-    /// Returns `true` if the operation is commutative in its two data inputs.
-    pub fn is_commutative(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Add
-                | OpKind::Mul
-                | OpKind::And
-                | OpKind::Or
-                | OpKind::Xor
-                | OpKind::Cmp(CmpKind::Eq)
-                | OpKind::Cmp(CmpKind::Ne)
-        )
-    }
-
-    /// Short mnemonic used in resource names, reports and DOT dumps.
+    /// Short mnemonic used in resource names and reports.
     pub fn mnemonic(&self) -> String {
         match self {
             OpKind::Add => "add".into(),
@@ -328,8 +309,6 @@ mod tests {
     #[test]
     fn io_and_side_effects() {
         let p = PortId::from_raw(0);
-        assert!(OpKind::Read(p).is_io());
-        assert!(OpKind::Write(p).is_io());
         assert!(!OpKind::Read(p).has_side_effects());
         assert!(OpKind::Write(p).has_side_effects());
         assert!(OpKind::Call {
@@ -337,7 +316,6 @@ mod tests {
             latency: 2
         }
         .has_side_effects());
-        assert!(!OpKind::Add.is_io());
     }
 
     #[test]
@@ -390,15 +368,5 @@ mod tests {
         assert!(op.is_first_iter_anchor());
         op.kind = OpKind::Const(0);
         assert!(!op.is_first_iter_anchor(), "only Pass ops qualify");
-    }
-
-    #[test]
-    fn commutativity() {
-        assert!(OpKind::Add.is_commutative());
-        assert!(OpKind::Mul.is_commutative());
-        assert!(!OpKind::Sub.is_commutative());
-        assert!(!OpKind::Shl.is_commutative());
-        assert!(OpKind::Cmp(CmpKind::Eq).is_commutative());
-        assert!(!OpKind::Cmp(CmpKind::Gt).is_commutative());
     }
 }

@@ -48,20 +48,6 @@ impl Predicate {
         }
     }
 
-    /// Returns the negation of a *literal* predicate.
-    ///
-    /// `And` predicates cannot be negated without introducing disjunction, so
-    /// this returns `None` for them; callers fall back to `Predicate::True`
-    /// (conservatively "may execute").
-    pub fn negated(&self) -> Option<Predicate> {
-        match self {
-            Predicate::True => None,
-            Predicate::Cond(c) => Some(Predicate::NotCond(*c)),
-            Predicate::NotCond(c) => Some(Predicate::Cond(*c)),
-            Predicate::And(_) => None,
-        }
-    }
-
     /// Returns `true` if the predicate is the constant `True`.
     pub fn is_true(&self) -> bool {
         matches!(self, Predicate::True)
@@ -204,19 +190,6 @@ mod tests {
             Predicate::And(v) => assert_eq!(v.len(), 3),
             other => panic!("expected flattened And, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn negation_of_literals() {
-        assert_eq!(
-            Predicate::Cond(c(0)).negated(),
-            Some(Predicate::NotCond(c(0)))
-        );
-        assert_eq!(
-            Predicate::NotCond(c(0)).negated(),
-            Some(Predicate::Cond(c(0)))
-        );
-        assert_eq!(Predicate::True.negated(), None);
     }
 
     #[test]

@@ -641,7 +641,7 @@ fn summarize(
     let wns_ps = endpoints
         .first()
         .map(|e| e.slack_ps)
-        .unwrap_or_else(|| clock.usable_period_ps());
+        .unwrap_or_else(|| clock.period_ps());
     let tns_ps = endpoints.iter().map(|e| e.slack_ps.min(0.0)).sum::<f64>();
 
     // Recover the worst path by re-running the winning endpoint's state and

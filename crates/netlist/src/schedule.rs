@@ -4,7 +4,7 @@ use hls_ir::{LinearBody, OpId, OpKind};
 use hls_tech::{
     ClockConstraint, ImplVariant, ResourceInstanceId, ResourceSet, ResourceType, TechLibrary,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// One scheduled and bound operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -206,7 +206,7 @@ impl Datapath {
         for inst in sched.resources.iter() {
             let fast = lib.characterize_variant(&inst.ty, ImplVariant::Fast);
             let small = lib.characterize_variant(&inst.ty, ImplVariant::Small);
-            let usable = clock.usable_period_ps() * (1.0 - slack_fraction.clamp(0.0, 0.9));
+            let usable = clock.period_ps() * (1.0 - slack_fraction.clamp(0.0, 0.9));
             let chosen = if small.delay_ps <= usable * 0.75 {
                 small
             } else {
@@ -343,37 +343,6 @@ impl Datapath {
     pub fn total_power_uw(&self) -> f64 {
         self.power.total_uw()
     }
-}
-
-/// Resource-level connectivity check: returns the pairs of resource instances
-/// that are chained combinationally (producer and consumer bound in the same
-/// state).
-pub fn chained_resource_pairs(
-    body: &LinearBody,
-    sched: &ScheduleDesc,
-) -> HashSet<(ResourceInstanceId, ResourceInstanceId)> {
-    let mut pairs = HashSet::new();
-    for (id, op) in body.dfg.iter_ops() {
-        let Some(si) = sched.ops.get(&id) else {
-            continue;
-        };
-        let Some(ri) = si.resource else { continue };
-        for sig in &op.inputs {
-            if sig.distance > 0 {
-                continue;
-            }
-            let Some(p) = sig.producer() else { continue };
-            let Some(sp) = sched.ops.get(&p) else {
-                continue;
-            };
-            if sp.state == si.state {
-                if let Some(rp) = sp.resource {
-                    pairs.insert((rp, ri));
-                }
-            }
-        }
-    }
-    pairs
 }
 
 #[cfg(test)]
@@ -546,22 +515,6 @@ mod tests {
         );
         let relaxed = Datapath::from_schedule(&body, &sched, &lib, clock, 0.0);
         assert!(relaxed.area.functional < tight.area.functional);
-    }
-
-    #[test]
-    fn chained_pairs_detects_same_state_chaining() {
-        let (body, mut sched) = tiny();
-        // move the add into state 0 so mul→add chain exists
-        let add_id = body
-            .dfg
-            .iter_ops()
-            .find(|(_, op)| matches!(op.kind, OpKind::Add))
-            .map(|(id, _)| id)
-            .unwrap();
-        let entry = sched.ops.get_mut(&add_id).unwrap();
-        entry.state = 0;
-        let pairs = chained_resource_pairs(&body, &sched);
-        assert_eq!(pairs.len(), 1);
     }
 
     #[test]

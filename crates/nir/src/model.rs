@@ -537,11 +537,6 @@ impl NetlistStats {
         self.count(op.mnemonic())
     }
 
-    /// Count of unary-operator cells of the given operator.
-    pub fn count_un(&self, op: UnKind) -> usize {
-        self.count(op.mnemonic())
-    }
-
     /// Count of 2-way multiplexer cells.
     pub fn muxes(&self) -> usize {
         self.count("mux")
@@ -714,7 +709,7 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.count_bin(BinKind::Mul), s.count("mul"));
         assert_eq!(s.count_bin(BinKind::Mul), 1);
-        assert_eq!(s.count_un(UnKind::Neg), 1);
+        assert_eq!(s.count(UnKind::Neg.mnemonic()), 1);
         assert_eq!(s.muxes(), 1);
         assert_eq!(s.consts(), 3);
         assert_eq!(s.count_kind(&CellKind::Mux), 1);

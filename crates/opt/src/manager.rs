@@ -20,13 +20,6 @@ pub struct PassReport {
     pub effective_ops_after: usize,
 }
 
-impl PassReport {
-    /// Total number of changes across all passes.
-    pub fn total_changes(&self) -> usize {
-        self.changes.iter().map(|(_, n)| n).sum()
-    }
-}
-
 /// Runs a sequence of [`Pass`]es over a CDFG.
 #[derive(Default)]
 pub struct PassManager {
@@ -49,19 +42,6 @@ impl PassManager {
             .add(StrengthReduction)
             .add(CommonSubexpression)
             .add(PredicateConversion)
-            .add(ConstWidthReduction)
-            .add(DeadCodeElimination);
-        pm
-    }
-
-    /// A reduced pipeline that skips predicate conversion, used by the
-    /// ablation experiments to measure its impact.
-    pub fn without_predicate_conversion() -> Self {
-        let mut pm = Self::new();
-        pm.add(CanonicalizeCompares)
-            .add(ConstantFolding)
-            .add(StrengthReduction)
-            .add(CommonSubexpression)
             .add(ConstWidthReduction)
             .add(DeadCodeElimination);
         pm
@@ -124,28 +104,6 @@ mod tests {
             .expect("predicate conversion in pipeline");
         assert!(pc.1 >= 1);
         assert!(cdfg.validate().is_ok());
-    }
-
-    #[test]
-    fn pipeline_without_predicate_conversion() {
-        let mut cdfg = designs::paper_example1_cdfg().expect("elaborate");
-        let report = PassManager::without_predicate_conversion()
-            .run(&mut cdfg)
-            .expect("passes");
-        assert!(report
-            .changes
-            .iter()
-            .all(|(name, _)| name != "predicate-conversion"));
-    }
-
-    #[test]
-    fn report_totals() {
-        let report = PassReport {
-            changes: vec![("a".into(), 2), ("b".into(), 3)],
-            ops_before: 10,
-            effective_ops_after: 8,
-        };
-        assert_eq!(report.total_changes(), 5);
     }
 
     #[test]

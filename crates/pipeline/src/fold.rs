@@ -106,20 +106,6 @@ impl FoldedPipeline {
         }
         active
     }
-
-    /// Renders the iteration-overlap picture of the paper's Figure 5: which
-    /// stage of which iteration is active in each cycle of the steady state.
-    pub fn overlap_table(&self) -> String {
-        let mut out = String::from("cycle | active (iteration.stage)\n");
-        for cycle in 0..self.ii.max(1) {
-            let mut cells = Vec::new();
-            for stage in 0..self.stages {
-                cells.push(format!("it-{stage}.stage{stage}@s{}", cycle + 1));
-            }
-            out.push_str(&format!("  {}   | {}\n", cycle + 1, cells.join("  ")));
-        }
-        out
-    }
 }
 
 /// Folds a pipelined schedule produced by [`hls_sched::Scheduler`] and
@@ -249,7 +235,6 @@ mod tests {
         let total: usize = folded.folded_states.iter().map(Vec::len).sum();
         assert_eq!(total, schedule.desc.ops.len());
         assert!((folded.throughput() - 0.5).abs() < 1e-9);
-        assert!(folded.overlap_table().contains("cycle"));
     }
 
     #[test]

@@ -58,15 +58,10 @@ pub struct SchedulerConfig {
     pub max_latency: u32,
     /// Pipelining request, if any.
     pub pipeline: Option<PipelineRequest>,
-    /// Maximum number of scheduling passes before giving up.
+    /// Maximum number of scheduling passes before giving up with
+    /// [`SchedError::BudgetExhausted`](crate::SchedError::BudgetExhausted),
+    /// which carries the last pass's diagnostics.
     pub max_passes: u32,
-    /// Optional wall-clock budget for the whole relaxation loop. When it
-    /// runs out between passes the scheduler stops with
-    /// [`SchedError::BudgetExhausted`](crate::SchedError::BudgetExhausted)
-    /// carrying the last pass's diagnostics. `None` (the default) keeps the
-    /// scheduler fully deterministic — the pass-count budget is the only
-    /// guard.
-    pub deadline: Option<std::time::Duration>,
     /// Whether the relaxation engine may move whole SCCs to later pipeline
     /// stages when facing negative slack (the paper's Table 4 ablates this).
     pub allow_scc_move: bool,
@@ -89,7 +84,6 @@ impl SchedulerConfig {
             max_latency: max_latency.max(min_latency.max(1)),
             pipeline: None,
             max_passes: 64,
-            deadline: None,
             allow_scc_move: true,
             allow_add_resources: true,
             region_decomposition: None,
@@ -107,7 +101,6 @@ impl SchedulerConfig {
             max_latency: max_latency.max(min),
             pipeline: Some(PipelineRequest::new(ii)),
             max_passes: 64,
-            deadline: None,
             allow_scc_move: true,
             allow_add_resources: true,
             region_decomposition: None,
@@ -125,13 +118,6 @@ impl SchedulerConfig {
     /// ablation experiment).
     pub fn without_scc_move(mut self) -> Self {
         self.allow_scc_move = false;
-        self
-    }
-
-    /// Caps the relaxation loop's wall-clock time. The deadline is checked
-    /// between passes, so a single pass always runs to completion.
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 

@@ -788,34 +788,10 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Monolithic construction: the trivial single-region plan over the
-    /// caller-provided resource set — the historical engine behavior.
-    pub(crate) fn new(
-        body: &'a LinearBody,
-        lib: &'a TechLibrary,
-        config: &'a SchedulerConfig,
-        sccs: &'a [Scc],
-        resources: ResourceSet,
-        latency: u32,
-    ) -> Self {
-        let plan = RegionPlan::trivial(body.dfg.num_ops());
-        let inst_region = vec![0u32; resources.len()];
-        Self::init(
-            body,
-            lib,
-            config,
-            sccs,
-            plan,
-            resources,
-            inst_region,
-            latency,
-        )
-    }
-
-    /// Region-decomposed construction: the global resource set is the
-    /// concatenation of per-region lower-bound pools (so binding never
-    /// contends across regions, and the single-region fallback is
-    /// byte-identical to [`Engine::new`] over `initial_resource_set`).
+    /// Construction over a region plan: the global resource set is the
+    /// concatenation of per-region lower-bound pools, so binding never
+    /// contends across regions. The trivial single-region plan's one pool
+    /// is `initial_resource_set` over the whole body.
     pub(crate) fn new_with_plan(
         body: &'a LinearBody,
         lib: &'a TechLibrary,
@@ -2292,7 +2268,6 @@ mod random_behavior;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::initial_resource_set;
     use crate::scheduler::Scheduler;
     use hls_ir::analysis::sccs;
     use hls_ir::{Dfg, PortDirection, Predicate, Signal};
@@ -2376,16 +2351,12 @@ mod tests {
         let n = body.dfg.num_ops();
         let (mut early, mut appended) = (0, 0);
         for latency in 1..=48u32 {
-            let mut engine = match config.region_decomposition {
-                Some(opts) => {
-                    let plan = RegionPlan::build(body, &components, opts.target_ops);
-                    Engine::new_with_plan(body, &lib, config, &components, plan, 48, latency)
-                }
-                None => {
-                    let resources = initial_resource_set(body, 48);
-                    Engine::new(body, &lib, config, &components, resources, latency)
-                }
+            let plan = match config.region_decomposition {
+                Some(opts) => RegionPlan::build(body, &components, opts.target_ops),
+                None => RegionPlan::trivial(n),
             };
+            let mut engine =
+                Engine::new_with_plan(body, &lib, config, &components, plan, 48, latency);
             let _ = engine.run_pass();
             let old = positions(&order_for(&engine.statics, latency));
             let new = positions(&order_for(&engine.statics, latency + 1));
@@ -2555,7 +2526,18 @@ mod tests {
             resources.add(adder.clone());
         }
         let _ = oracle::take();
-        let mut engine = Engine::new(&body, &lib, &config, &components, resources, 1);
+        let plan = RegionPlan::trivial(body.dfg.num_ops());
+        let inst_region = vec![0; resources.len()];
+        let mut engine = Engine::init(
+            &body,
+            &lib,
+            &config,
+            &components,
+            plan,
+            resources,
+            inst_region,
+            1,
+        );
         let EngineOutcome::Failure(failure) = engine.run_pass() else {
             panic!("66 adds cannot share 60 adders in one state");
         };
@@ -2612,7 +2594,18 @@ mod tests {
         let mut resources = ResourceSet::new();
         resources.add(ResourceType::binary(ResourceClass::Adder, 16, 16, 16));
         resources.add(ResourceType::for_op(body.dfg.op(sum)).expect("datapath op"));
-        let mut engine = Engine::new(&body, &lib, &config, &components, resources, 1);
+        let plan = RegionPlan::trivial(body.dfg.num_ops());
+        let inst_region = vec![0; resources.len()];
+        let mut engine = Engine::init(
+            &body,
+            &lib,
+            &config,
+            &components,
+            plan,
+            resources,
+            inst_region,
+            1,
+        );
         let EngineOutcome::Failure(failure) = engine.run_pass() else {
             panic!("no adder meets a 300 ps clock");
         };

@@ -30,23 +30,24 @@ pub enum SchedError {
         /// The underlying error rendering.
         message: String,
     },
-    /// The requested initiation interval is infeasible for the loop's
-    /// recurrences (structural lower bound violated).
+    /// The requested initiation interval is below the smallest one the
+    /// flow accepts. `Synthesizer` reports an initiation interval of 0 this
+    /// way, with minimum 1, before it schedules anything; no lower bound
+    /// from the loop's recurrences is computed.
     InfeasibleIi {
         /// Requested initiation interval.
         requested: u32,
-        /// Structural minimum implied by the DFG recurrences.
+        /// The smallest initiation interval accepted.
         minimum: u32,
     },
-    /// A scheduling budget (pass count or wall-clock deadline) ran out while
+    /// The pass-count budget ([`SchedulerConfig::max_passes`]) ran out while
     /// the relaxation loop still had applicable actions. Unlike
     /// [`SchedError::Overconstrained`] this is not a verdict on the spec —
     /// it is a guard against unbounded iteration, and it carries the partial
     /// diagnostics of the last failed pass so the caller can see where the
     /// search stood when it was cut off.
     BudgetExhausted {
-        /// Which budget ran out (e.g. `"64 scheduling passes"` or
-        /// `"deadline of 10 ms"`).
+        /// Which budget ran out (e.g. `"64 scheduling passes"`).
         budget: String,
         /// Latency reached when the budget ran out.
         latency: u32,
@@ -70,7 +71,7 @@ impl fmt::Display for SchedError {
             SchedError::InvalidBody { message } => write!(f, "invalid loop body: {message}"),
             SchedError::InfeasibleIi { requested, minimum } => write!(
                 f,
-                "initiation interval {requested} is below the recurrence-imposed minimum {minimum}"
+                "initiation interval {requested} is below the minimum {minimum}"
             ),
             SchedError::BudgetExhausted {
                 budget,

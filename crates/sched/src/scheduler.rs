@@ -19,7 +19,7 @@ use crate::resources::initial_resource_set;
 use hls_ir::analysis::{sccs, Scc};
 use hls_ir::{LinearBody, OpId};
 use hls_netlist::ScheduleDesc;
-use hls_tech::{ResourceInstanceId, ResourceSet, TechLibrary};
+use hls_tech::{ResourceInstanceId, TechLibrary};
 use std::collections::{HashMap, HashSet};
 
 /// A successful scheduling result.
@@ -87,11 +87,10 @@ impl<'a> Scheduler<'a> {
     /// Returns [`SchedError::InvalidBody`] if the body fails validation,
     /// [`SchedError::Overconstrained`] if the latency/resource bounds cannot
     /// accommodate the design at the requested clock, or
-    /// [`SchedError::BudgetExhausted`] when the pass-count or wall-clock
-    /// budget runs out with relaxation actions still applicable.
+    /// [`SchedError::BudgetExhausted`] when the pass-count budget runs out
+    /// with relaxation actions still applicable.
     pub fn run(&self) -> Result<Schedule, SchedError> {
         self.body.validate()?;
-        let start = std::time::Instant::now();
         let components: Vec<Scc> = sccs(&self.body.dfg);
 
         let latency = self.config.min_latency.max(1);
@@ -99,47 +98,25 @@ impl<'a> Scheduler<'a> {
         // the designer allows (the paper sizes Example 1 with "3 multiplies in
         // at most 3 states"), or the II for pipelined loops.
         let slots = self.config.ii_or(self.config.max_latency);
-        let mut engine = match self.config.region_decomposition {
-            Some(opts) => {
-                let plan = RegionPlan::build(self.body, &components, opts.target_ops);
-                Engine::new_with_plan(
-                    self.body,
-                    self.lib,
-                    &self.config,
-                    &components,
-                    plan,
-                    slots,
-                    latency,
-                )
-            }
-            None => {
-                let resources: ResourceSet = initial_resource_set(self.body, slots);
-                Engine::new(
-                    self.body,
-                    self.lib,
-                    &self.config,
-                    &components,
-                    resources,
-                    latency,
-                )
-            }
+        // Without decomposition, one region owns everything.
+        let plan = match self.config.region_decomposition {
+            Some(opts) => RegionPlan::build(self.body, &components, opts.target_ops),
+            None => RegionPlan::trivial(self.body.dfg.num_ops()),
         };
+        let mut engine = Engine::new_with_plan(
+            self.body,
+            self.lib,
+            &self.config,
+            &components,
+            plan,
+            slots,
+            latency,
+        );
         let mut actions: Vec<RelaxAction> = Vec::new();
         // the last failed pass's restraints, rendered only into an error
         let mut last_restraints: Vec<Restraint> = Vec::new();
 
         for pass_no in 1..=self.config.max_passes {
-            if let Some(deadline) = self.config.deadline {
-                if pass_no > 1 && start.elapsed() >= deadline {
-                    return Err(budget_exhausted(
-                        format!("deadline of {deadline:?}"),
-                        engine.latency,
-                        pass_no - 1,
-                        &last_restraints,
-                        &actions,
-                    ));
-                }
-            }
             match engine.run_pass() {
                 EngineOutcome::Success { min_slack_ps } => {
                     let latency = engine.latency;
@@ -201,7 +178,6 @@ impl<'a> Scheduler<'a> {
     /// Same contract as [`Scheduler::run`].
     pub fn run_reference(&self) -> Result<Schedule, SchedError> {
         self.body.validate()?;
-        let start = std::time::Instant::now();
         let components: Vec<Scc> = sccs(&self.body.dfg);
 
         let mut latency = self.config.min_latency.max(1);
@@ -220,17 +196,6 @@ impl<'a> Scheduler<'a> {
         let mut work = Work::default();
 
         for pass_no in 1..=self.config.max_passes {
-            if let Some(deadline) = self.config.deadline {
-                if pass_no > 1 && start.elapsed() >= deadline {
-                    return Err(budget_exhausted(
-                        format!("deadline of {deadline:?}"),
-                        latency,
-                        pass_no - 1,
-                        &last_restraints,
-                        &actions,
-                    ));
-                }
-            }
             let input = PassInput {
                 body: self.body,
                 lib: self.lib,
@@ -589,40 +554,6 @@ mod tests {
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn zero_deadline_stops_after_the_first_failed_pass() {
-        let body = example1();
-        let lib = lib();
-        let config =
-            SchedulerConfig::sequential(clk(), 1, 3).with_deadline(std::time::Duration::ZERO);
-        let err = Scheduler::new(&body, &lib, config).run().unwrap_err();
-        match err {
-            SchedError::BudgetExhausted {
-                budget,
-                passes,
-                restraints,
-                ..
-            } => {
-                assert!(budget.contains("deadline"), "{budget}");
-                assert_eq!(passes, 1, "one pass ran before the deadline check");
-                assert!(!restraints.is_empty());
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadline_does_not_preempt_a_first_pass_success() {
-        // A spec feasible on pass 1 succeeds even under a zero deadline: the
-        // budget is checked between passes, never before the first.
-        let body = example1();
-        let lib = lib();
-        let config =
-            SchedulerConfig::sequential(clk(), 3, 3).with_deadline(std::time::Duration::ZERO);
-        let schedule = Scheduler::new(&body, &lib, config).run().expect("pass 1");
-        assert_eq!(schedule.passes, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::error::SimError;
 use crate::stimulus::Stimulus;
 use hls_ir::eval::{eval_op, BitVal};
-use hls_ir::{Cdfg, LinearBody, OpId, OpKind, PortId, Signal};
+use hls_ir::{LinearBody, OpId, OpKind, PortId, Signal};
 use std::collections::BTreeMap;
 
 /// One predicate-passing port write, in program order.
@@ -187,37 +187,6 @@ fn resolve(sig: &Signal, vals: &[BitVal], history: &[Vec<BitVal>], k: usize) -> 
     }
 }
 
-/// Executes a **loop-free** CDFG once: every operation is evaluated in
-/// topological order with the given input-port values, and the
-/// predicate-passing writes are returned in operation order.
-///
-/// # Errors
-/// [`SimError::InvalidBody`] if the CDFG contains loops or loop-carried
-/// signals (use [`Interpreter`] on a linearized body instead), plus the same
-/// evaluation errors as [`Interpreter::run`].
-pub fn interpret_cdfg(
-    cdfg: &Cdfg,
-    inputs: &BTreeMap<PortId, i64>,
-) -> Result<Vec<(PortId, i64)>, SimError> {
-    if !cdfg.loops.is_empty()
-        || cdfg
-            .dfg
-            .iter_ops()
-            .any(|(_, op)| op.inputs.iter().any(|s| s.distance > 0))
-    {
-        return Err(SimError::InvalidBody(
-            hls_ir::IrError::InconsistentConstraint {
-                detail: "interpret_cdfg handles loop-free designs only".to_string(),
-            },
-        ));
-    }
-    let body = LinearBody::from_dfg(cdfg.name.clone(), cdfg.dfg.clone());
-    let interp = Interpreter::new(&body)?;
-    let stim = Stimulus::from_rows(vec![inputs.clone()]);
-    let trace = interp.run(&stim)?;
-    Ok(trace.writes.iter().map(|w| (w.port, w.value)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,19 +299,5 @@ mod tests {
         let stim = Stimulus::constant(&body.dfg, 1, 0);
         let err = Interpreter::new(&body).unwrap().run(&stim).unwrap_err();
         assert!(matches!(err, SimError::UnsupportedCall { .. }));
-    }
-
-    #[test]
-    fn loop_free_cdfg_single_shot() {
-        let mut cdfg = Cdfg::new("combinational");
-        let a = cdfg.dfg.add_port("a", PortDirection::Input, 8);
-        let y = cdfg.dfg.add_port("y", PortDirection::Output, 8);
-        let r = cdfg.dfg.add_op(OpKind::Read(a), 8, vec![]);
-        let n = cdfg.dfg.add_op(OpKind::Neg, 8, vec![Signal::op_w(r, 8)]);
-        cdfg.dfg
-            .add_op(OpKind::Write(y), 8, vec![Signal::op_w(n, 8)]);
-        let mut inputs = BTreeMap::new();
-        inputs.insert(a, 7);
-        assert_eq!(interpret_cdfg(&cdfg, &inputs).unwrap(), vec![(y, -7)]);
     }
 }

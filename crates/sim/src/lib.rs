@@ -63,7 +63,7 @@ pub use differential::{
     DifferentialReport, Reference,
 };
 pub use error::{ReplayInfo, SimError};
-pub use interp::{interpret_cdfg, InterpTrace, Interpreter, WriteEvent};
+pub use interp::{InterpTrace, Interpreter, WriteEvent};
 pub use nir::NirSim;
 pub use stimulus::Stimulus;
 

@@ -104,25 +104,12 @@ impl Interner {
         self.class_ids.get(class).copied()
     }
 
-    /// The id of an already-interned type, without interning.
-    pub fn lookup_type(&self, ty: &ResourceType) -> Option<ResourceTypeId> {
-        self.type_ids.get(ty).copied()
-    }
-
     /// Iterates the interned classes in id order.
     pub fn iter_classes(&self) -> impl Iterator<Item = (ResourceClassId, &ResourceClass)> {
         self.classes
             .iter()
             .enumerate()
             .map(|(i, c)| (ResourceClassId(i as u32), c))
-    }
-
-    /// Iterates the interned types in id order.
-    pub fn iter_types(&self) -> impl Iterator<Item = (ResourceTypeId, &ResourceType)> {
-        self.types
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (ResourceTypeId(i as u32), t))
     }
 }
 

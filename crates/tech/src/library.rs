@@ -30,8 +30,6 @@ pub enum ImplVariant {
 #[derive(Clone, Debug, PartialEq)]
 pub struct TechLibrary {
     name: String,
-    /// Global derating factor on all delays (1.0 = typical corner).
-    speed_derate: f64,
     /// Flip-flop clock-to-output delay, ps.
     ff_clk_to_q_ps: f64,
     /// Flip-flop setup time, ps.
@@ -48,7 +46,6 @@ impl TechLibrary {
     pub fn artisan_90nm_typical() -> Self {
         TechLibrary {
             name: "artisan_90nm_typical".to_string(),
-            speed_derate: 1.0,
             ff_clk_to_q_ps: 40.0,
             ff_setup_ps: 40.0,
             ff_enable_clk_to_q_ps: 70.0,
@@ -61,30 +58,21 @@ impl TechLibrary {
         &self.name
     }
 
-    /// Returns a copy of the library with all combinational delays multiplied
-    /// by `factor` (e.g. 1.25 for a slow corner).
-    pub fn derated(&self, factor: f64) -> Self {
-        let mut lib = self.clone();
-        lib.speed_derate = factor;
-        lib.name = format!("{}_derated_{factor:.2}", self.name);
-        lib
-    }
-
     /// Flip-flop clock-to-Q delay (the "launch" delay of the paper's timing
     /// equation in Section IV.B).
     pub fn register_clk_to_q_ps(&self) -> f64 {
-        self.ff_clk_to_q_ps * self.speed_derate
+        self.ff_clk_to_q_ps
     }
 
     /// Flip-flop setup time (the "capture" cost of the timing equation).
     pub fn register_setup_ps(&self) -> f64 {
-        self.ff_setup_ps * self.speed_derate
+        self.ff_setup_ps
     }
 
     /// Clock-to-Q delay of an enable register (Table 1 reports the register
     /// pair as "40/70": plain and enable-feedback variants).
     pub fn register_enable_clk_to_q_ps(&self) -> f64 {
-        self.ff_enable_clk_to_q_ps * self.speed_derate
+        self.ff_enable_clk_to_q_ps
     }
 
     /// Area of a register of the given width.
@@ -96,7 +84,7 @@ impl TechLibrary {
     /// fast characterization of `ResourceType::mux(inputs, width)`, without
     /// building the type.
     pub fn mux_delay_ps(&self, inputs: u8, width: u16) -> f64 {
-        mux_reference(inputs, width).delay_ps * self.speed_derate
+        mux_reference(inputs, width).delay_ps
     }
 
     /// Area of an `inputs`-way multiplexer of the given data width.
@@ -116,13 +104,9 @@ impl TechLibrary {
         variant: ImplVariant,
     ) -> Characterization {
         let base = self.reference(rt);
-        let c = match variant {
+        match variant {
             ImplVariant::Fast => base,
             ImplVariant::Small => base.scaled(1.6, 0.62, 0.8),
-        };
-        Characterization {
-            delay_ps: c.delay_ps * self.speed_derate,
-            ..c
         }
     }
 
@@ -353,16 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn derating_scales_delay_only() {
-        let lib = lib();
-        let slow = lib.derated(1.25);
-        let add = ResourceType::binary(ResourceClass::Adder, 32, 32, 32);
-        assert!((slow.delay_ps(&add) - 1.25 * lib.delay_ps(&add)).abs() < 1e-9);
-        assert!((slow.area(&add) - lib.area(&add)).abs() < 1e-9);
-        assert!((slow.register_clk_to_q_ps() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn mux_delay_grows_with_inputs() {
         let lib = lib();
         assert!(lib.mux_delay_ps(2, 32) < lib.mux_delay_ps(3, 32));
@@ -373,21 +347,20 @@ mod tests {
 
     #[test]
     fn mux_shortcuts_match_the_characterized_mux_bit_for_bit() {
-        for lib in [lib(), lib().derated(1.25)] {
-            for n in 0..=u8::MAX {
-                for w in 1..=64u16 {
-                    let c = lib.characterize(&ResourceType::mux(n, w));
-                    assert_eq!(
-                        lib.mux_delay_ps(n, w).to_bits(),
-                        c.delay_ps.to_bits(),
-                        "delay of mux({n}, {w})"
-                    );
-                    assert_eq!(
-                        lib.mux_area(n, w).to_bits(),
-                        c.area.to_bits(),
-                        "area of mux({n}, {w})"
-                    );
-                }
+        let lib = lib();
+        for n in 0..=u8::MAX {
+            for w in 1..=64u16 {
+                let c = lib.characterize(&ResourceType::mux(n, w));
+                assert_eq!(
+                    lib.mux_delay_ps(n, w).to_bits(),
+                    c.delay_ps.to_bits(),
+                    "delay of mux({n}, {w})"
+                );
+                assert_eq!(
+                    lib.mux_area(n, w).to_bits(),
+                    c.area.to_bits(),
+                    "area of mux({n}, {w})"
+                );
             }
         }
     }

@@ -1,9 +1,7 @@
 //! Allocated resource instances: the multiset of functional units the
 //! scheduler binds operations onto.
 
-use crate::library::TechLibrary;
 use crate::resource::{ResourceClass, ResourceType};
-use hls_ir::Operation;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -88,27 +86,12 @@ impl ResourceSet {
         self.instances.iter()
     }
 
-    /// Instances whose type can implement the given operation, in allocation
-    /// order (the scheduler tries them in this order).
-    pub fn compatible_with(&self, op: &Operation) -> Vec<ResourceInstanceId> {
-        self.instances
-            .iter()
-            .filter(|inst| inst.ty.can_implement(op))
-            .map(|inst| inst.id)
-            .collect()
-    }
-
     /// Number of instances of a given class.
     pub fn count_of_class(&self, class: &ResourceClass) -> usize {
         self.instances
             .iter()
             .filter(|i| &i.ty.class == class)
             .count()
-    }
-
-    /// Number of instances of a given exact type.
-    pub fn count_of_type(&self, ty: &ResourceType) -> usize {
-        self.instances.iter().filter(|i| &i.ty == ty).count()
     }
 
     /// Histogram of instance counts per type, in deterministic order.
@@ -118,28 +101,6 @@ impl ResourceSet {
             *map.entry(inst.ty.clone()).or_insert(0) += 1;
         }
         map
-    }
-
-    /// Instance counts per interned class, indexed by
-    /// [`ResourceClassId`](crate::ResourceClassId); classes are interned into
-    /// `interner` on demand, so repeated calls against one interner produce
-    /// comparable vectors.
-    pub fn class_counts(&self, interner: &mut crate::Interner) -> Vec<usize> {
-        let mut counts = vec![0usize; interner.num_classes()];
-        for inst in &self.instances {
-            let id = interner.class_id(&inst.ty.class);
-            if id.index() >= counts.len() {
-                counts.resize(id.index() + 1, 0);
-            }
-            counts[id.index()] += 1;
-        }
-        counts
-    }
-
-    /// Total functional-unit area of the set (excluding sharing muxes and
-    /// registers, which the netlist estimator adds separately).
-    pub fn functional_area(&self, lib: &TechLibrary) -> f64 {
-        self.instances.iter().map(|i| lib.area(&i.ty)).sum()
     }
 
     /// A one-line summary such as `1×mul_32x32, 1×add_32x32, 1×gt_32x32`.
@@ -161,7 +122,6 @@ impl fmt::Display for ResourceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hls_ir::{OpKind, Signal};
 
     fn mul32() -> ResourceType {
         ResourceType::binary(ResourceClass::Multiplier, 32, 32, 32)
@@ -178,8 +138,8 @@ mod tests {
         set.add(add32());
         assert_eq!(set.len(), 3);
         assert_eq!(set.count_of_class(&ResourceClass::Multiplier), 2);
-        assert_eq!(set.count_of_type(&mul32()), 2);
-        assert_eq!(set.count_of_type(&add32()), 1);
+        assert_eq!(set.histogram()[&mul32()], 2);
+        assert_eq!(set.histogram()[&add32()], 1);
     }
 
     #[test]
@@ -189,50 +149,6 @@ mod tests {
         let b = set.add(mul32());
         assert_eq!(set.instance(a).name, "mul1");
         assert_eq!(set.instance(b).name, "mul2");
-    }
-
-    #[test]
-    fn compatibility_query() {
-        let mut set = ResourceSet::new();
-        let m = set.add(mul32());
-        set.add(add32());
-        let op = Operation::new(
-            OpKind::Mul,
-            32,
-            vec![Signal::constant(0, 16), Signal::constant(0, 32)],
-        );
-        let compat = set.compatible_with(&op);
-        assert_eq!(compat, vec![m]);
-        let too_wide = Operation::new(
-            OpKind::Mul,
-            64,
-            vec![Signal::constant(0, 64), Signal::constant(0, 64)],
-        );
-        assert!(set.compatible_with(&too_wide).is_empty());
-    }
-
-    #[test]
-    fn functional_area_sums_instances() {
-        let lib = TechLibrary::artisan_90nm_typical();
-        let mut set = ResourceSet::new();
-        set.add(mul32());
-        let one = set.functional_area(&lib);
-        set.add(mul32());
-        let two = set.functional_area(&lib);
-        assert!((two - 2.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn class_counts_index_by_interned_id() {
-        let mut set = ResourceSet::new();
-        set.add_many(mul32(), 2);
-        set.add(add32());
-        let mut interner = crate::Interner::new();
-        let counts = set.class_counts(&mut interner);
-        let mul = interner.lookup_class(&ResourceClass::Multiplier).unwrap();
-        let add = interner.lookup_class(&ResourceClass::Adder).unwrap();
-        assert_eq!(counts[mul.index()], 2);
-        assert_eq!(counts[add.index()], 1);
     }
 
     #[test]

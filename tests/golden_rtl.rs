@@ -69,7 +69,7 @@ fn example1_shared_fu_rtl_has_one_multiplier_and_three_way_muxes() {
         "mul1 steering nets are named after the unit"
     );
     // netlist cell counts agree with the binder's counted statistics
-    let stats = result.binding_stats();
+    let stats = result.binding.stats;
     let mul_fu = result
         .binding
         .fus

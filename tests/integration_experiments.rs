@@ -1,9 +1,9 @@
 //! Smoke tests of the experiment drivers (reduced sizes) — the full versions
 //! run in the `paper_example`, `idct_explore` and `figure9_perf` examples.
-use hls::explore::experiments::{idct_exploration, table4_scc_move_ablation};
-use hls::explore::{
-    figure9_scheduling_time, pareto_front, table1_library, table2_example1_schedule,
+use hls::explore::experiments::{
+    figure9_sweep_with_budget, idct_exploration, table4_scc_move_ablation,
 };
+use hls::explore::{pareto_front, table1_library, table2_example1_schedule};
 
 #[test]
 fn table1_has_all_eight_rows() {
@@ -19,7 +19,7 @@ fn table2_schedule_is_three_states() {
 
 #[test]
 fn figure9_smoke() {
-    let pts = figure9_scheduling_time(&[120, 260]);
+    let pts = figure9_sweep_with_budget(&[120, 260], None).points;
     assert_eq!(pts.len(), 2);
     assert!(pts.iter().all(|p| p.seconds < 120.0));
 }

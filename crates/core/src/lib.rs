@@ -308,8 +308,8 @@ enum Input {
     Body(LinearBody),
 }
 
-/// The synthesizer [`Synthesizer::from_body`] returns, under the name it
-/// had when it was a type of its own.
+/// The name [`Synthesizer::from_body`]'s result had when it was a type of
+/// its own, kept for callers that still name it.
 pub type BodySynthesizer = Synthesizer;
 
 impl Synthesizer {

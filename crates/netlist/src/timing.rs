@@ -1,4 +1,4 @@
-//! Register-to-register path timing and combinational-cycle detection.
+//! Register-to-register path timing.
 //!
 //! The delay model follows the paper's Figure 8 walk-through exactly:
 //!

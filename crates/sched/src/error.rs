@@ -40,9 +40,10 @@ pub enum SchedError {
         /// The smallest initiation interval accepted.
         minimum: u32,
     },
-    /// The pass-count budget ([`SchedulerConfig::max_passes`]) ran out while
-    /// the relaxation loop still had applicable actions. Unlike
-    /// [`SchedError::Overconstrained`] this is not a verdict on the spec —
+    /// The pass-count budget
+    /// ([`SchedulerConfig::max_passes`](crate::SchedulerConfig::max_passes))
+    /// ran out while the relaxation loop still had applicable actions.
+    /// Unlike [`SchedError::Overconstrained`] this is not a verdict on the spec —
     /// it is a guard against unbounded iteration, and it carries the partial
     /// diagnostics of the last failed pass so the caller can see where the
     /// search stood when it was cut off.

@@ -171,7 +171,7 @@ fn synthetic_design_classes_agree() {
 
 #[test]
 fn facade_verify_hook_validates_the_idct_exploration_path() {
-    // the BodySynthesizer route the exploration drivers use, with the
+    // the from_body route the exploration drivers use, with the
     // verify hook turned on
     let result = Synthesizer::from_body(idct8_design())
         .clock_ps(2600.0)

@@ -9,7 +9,7 @@ use std::error::Error;
 
 /// The idct8 row design at a clock 45 ps below what its multipliers can
 /// meet: scheduling is infeasible at any latency.
-fn infeasible_idct8() -> hls::BodySynthesizer {
+fn infeasible_idct8() -> Synthesizer {
     Synthesizer::from_body(hls::explore::idct8_design())
         .clock_ps(1200.0)
         .latency_bounds(1, 16)

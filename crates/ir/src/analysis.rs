@@ -20,9 +20,6 @@ use std::collections::HashMap;
 pub struct Scc {
     /// Operations in the component.
     pub ops: Vec<OpId>,
-    /// Total iteration distance around the shortest cycle through the
-    /// component (sum of `distance` attributes).
-    pub total_distance: u32,
 }
 
 impl Scc {
@@ -125,24 +122,9 @@ pub fn sccs(dfg: &Dfg) -> Vec<Scc> {
         if comp.len() == 1 && !self_loop[comp[0]] {
             continue;
         }
-        let member: Vec<OpId> = {
-            let mut m: Vec<OpId> = comp.iter().map(|&i| OpId::from_raw(i as u32)).collect();
-            m.sort();
-            m
-        };
-        // Total distance: sum of loop-carried distances on edges internal to
-        // the component (a proxy for the distance around its cycles).
-        let set: std::collections::HashSet<OpId> = member.iter().copied().collect();
-        let total_distance = dfg
-            .data_deps()
-            .iter()
-            .filter(|d| set.contains(&d.from) && set.contains(&d.to))
-            .map(|d| d.distance)
-            .sum();
-        out.push(Scc {
-            ops: member,
-            total_distance,
-        });
+        let mut ops: Vec<OpId> = comp.iter().map(|&i| OpId::from_raw(i as u32)).collect();
+        ops.sort();
+        out.push(Scc { ops });
     }
     // Deterministic order: by smallest member id.
     out.sort_by_key(|c| c.ops[0]);
@@ -270,7 +252,6 @@ mod tests {
         assert!(scc.contains(mux));
         assert!(scc.contains(gt));
         assert_eq!(scc.len(), 5);
-        assert_eq!(scc.total_distance, 1);
     }
 
     #[test]
@@ -287,7 +268,6 @@ mod tests {
         let comps = sccs(&dfg);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].ops, vec![acc]);
-        assert_eq!(comps[0].total_distance, 1);
     }
 
     #[test]

@@ -56,6 +56,11 @@ struct Elaborator<'a> {
 
 impl<'a> Elaborator<'a> {
     fn new(behavior: &'a Behavior) -> Result<Self, FrontendError> {
+        if let Some(var) = undeclared_var(&behavior.body, behavior.vars.len()) {
+            return Err(FrontendError::UnknownVar {
+                name: var.to_string(),
+            });
+        }
         let mut cdfg = Cdfg::new(behavior.name.clone());
         let mut ports = BTreeMap::new();
         for decl in &behavior.ports {
@@ -136,20 +141,11 @@ impl<'a> Elaborator<'a> {
             })
     }
 
-    fn var_signal(&self, var: VarId) -> Result<Signal, FrontendError> {
-        self.env
-            .get(var.index())
-            .copied()
-            .ok_or_else(|| FrontendError::UnknownVar {
-                name: var.to_string(),
-            })
-    }
-
     /// Elaborates an expression and returns the signal carrying its value.
     fn expr(&mut self, e: &Expr) -> Result<Signal, FrontendError> {
         match e {
             Expr::Const(v) => Ok(Signal::constant(*v, 32)),
-            Expr::Var(v) => self.var_signal(*v),
+            Expr::Var(v) => Ok(self.env[v.index()]),
             Expr::Port(name) => {
                 let (pid, dir, width) = self.port(name)?;
                 if dir != PortDirection::Input {
@@ -270,11 +266,6 @@ impl<'a> Elaborator<'a> {
                         ..sig
                     }
                 };
-                if var.index() >= self.env.len() {
-                    return Err(FrontendError::UnknownVar {
-                        name: var.to_string(),
-                    });
-                }
                 self.env[var.index()] = sig;
                 Ok(())
             }
@@ -482,6 +473,46 @@ impl<'a> Elaborator<'a> {
         info.body_edges = body_edges;
         info.exit_condition = exit_condition;
         Ok(())
+    }
+}
+
+/// The first variable the statements assign or read that is not among the
+/// `declared` ones.
+fn undeclared_var(stmts: &[Stmt], declared: usize) -> Option<VarId> {
+    let in_expr = |e: &Expr| undeclared_var_in(e, declared);
+    stmts.iter().find_map(|s| match s {
+        Stmt::Assign { var, value } => Some(*var)
+            .filter(|v| v.index() >= declared)
+            .or_else(|| in_expr(value)),
+        Stmt::WritePort { value, .. } => in_expr(value),
+        Stmt::Wait => None,
+        Stmt::If {
+            cond,
+            then_body,
+            else_body,
+        } => in_expr(cond)
+            .or_else(|| undeclared_var(then_body, declared))
+            .or_else(|| undeclared_var(else_body, declared)),
+        Stmt::Loop { body, cond, .. } => {
+            undeclared_var(body, declared).or_else(|| cond.as_ref().and_then(in_expr))
+        }
+    })
+}
+
+fn undeclared_var_in(expr: &Expr, declared: usize) -> Option<VarId> {
+    match expr {
+        Expr::Var(v) => Some(*v).filter(|v| v.index() >= declared),
+        Expr::Const(_) | Expr::Port(_) => None,
+        Expr::Binary(_, a, b) | Expr::Cmp(_, a, b) => {
+            undeclared_var_in(a, declared).or_else(|| undeclared_var_in(b, declared))
+        }
+        Expr::Neg(a) | Expr::Not(a) | Expr::Slice { value: a, .. } => {
+            undeclared_var_in(a, declared)
+        }
+        Expr::Select(c, a, b) => [c, a, b]
+            .into_iter()
+            .find_map(|e| undeclared_var_in(e, declared)),
+        Expr::Call { args, .. } => args.iter().find_map(|e| undeclared_var_in(e, declared)),
     }
 }
 
@@ -747,6 +778,24 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_variables_are_rejected() {
+        // an assignment target, and a read a loop carries, past the one
+        // declared variable
+        let mut b = BehaviorBuilder::new("bad");
+        let v = b.var("v", 8, 0);
+        let body = vec![b.assign(VarId(1), b.read_var(v)), b.wait()];
+        let assigns = b.infinite_loop(body).build();
+        let mut b = BehaviorBuilder::new("bad");
+        let v = b.var("v", 8, 0);
+        let body = vec![b.assign(v, b.read_var(VarId(2))), b.wait()];
+        let reads = b.infinite_loop(body).build();
+        for (behavior, name) in [(assigns, "v1"), (reads, "v2")] {
+            let err = elaborate(&behavior).unwrap_err();
+            assert_eq!(err, FrontendError::UnknownVar { name: name.into() });
+        }
+    }
+
+    #[test]
     fn port_direction_enforced() {
         let mut b = BehaviorBuilder::new("bad");
         b.port_in("x", 8);
@@ -756,6 +805,38 @@ mod tests {
         });
         let err = elaborate(&b.build()).unwrap_err();
         assert!(matches!(err, FrontendError::PortDirection { .. }));
+    }
+
+    #[test]
+    fn while_loop_tests_the_value_entering_the_iteration() {
+        // `while (i < 10) { i = i + 1; wait; }` tests `i`'s loop mux; the same
+        // body as a do-while loop tests `i + 1`.
+        let exit_operand = |kind| {
+            let mut b = BehaviorBuilder::new("count");
+            let i = b.var("i", 32, 0);
+            let body = vec![
+                b.assign(i, Expr::add(b.read_var(i), Expr::Const(1))),
+                b.wait(),
+            ];
+            b.push(Stmt::Loop {
+                kind,
+                body,
+                cond: Some(Expr::cmp(CmpKind::Lt, b.read_var(i), Expr::Const(10))),
+                label: None,
+            });
+            let cdfg = elaborate(&b.build()).expect("elaboration");
+            let exit = cdfg.innermost_loop().unwrap().exit_condition.unwrap();
+            let test = cdfg.dfg.op(exit);
+            assert_eq!(test.kind, OpKind::Cmp(CmpKind::Lt));
+            let operand = test.inputs[0].producer().expect("reads an operation");
+            (cdfg.dfg.op(operand).clone(), cdfg)
+        };
+        let (entering, _) = exit_operand(LoopKind::While);
+        assert_eq!(entering.display_name(), "i_loop_mux");
+        let (leaving, cdfg) = exit_operand(LoopKind::DoWhile);
+        assert_eq!(leaving.kind, OpKind::Add);
+        let addend = leaving.inputs[0].producer().expect("reads an operation");
+        assert_eq!(cdfg.dfg.op(addend).display_name(), "i_loop_mux");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors reported by parsing and elaboration.
+/// Errors reported by elaboration.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum FrontendError {
@@ -21,13 +21,6 @@ pub enum FrontendError {
     PortDirection {
         /// Port name.
         name: String,
-    },
-    /// The behavioural text could not be parsed.
-    Parse {
-        /// Line number (1-based).
-        line: usize,
-        /// Explanation.
-        message: String,
     },
     /// The behaviour uses a construct elaboration does not support.
     Unsupported {
@@ -48,9 +41,6 @@ impl fmt::Display for FrontendError {
             FrontendError::UnknownVar { name } => write!(f, "unknown variable `{name}`"),
             FrontendError::PortDirection { name } => {
                 write!(f, "port `{name}` accessed against its direction")
-            }
-            FrontendError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
             }
             FrontendError::Unsupported { message } => write!(f, "unsupported construct: {message}"),
             FrontendError::Elaboration { message } => write!(f, "elaboration error: {message}"),
@@ -76,10 +66,7 @@ mod tests {
     fn display_nonempty() {
         let errs = [
             FrontendError::UnknownPort { name: "p".into() },
-            FrontendError::Parse {
-                line: 3,
-                message: "expected `;`".into(),
-            },
+            FrontendError::UnknownVar { name: "v3".into() },
             FrontendError::Unsupported {
                 message: "nested threads".into(),
             },

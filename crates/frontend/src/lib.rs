@@ -9,9 +9,6 @@
 //!   behavioural threads ([`Behavior`], [`Stmt`], [`Expr`]);
 //! * [`builder`] — an ergonomic [`BehaviorBuilder`] to construct behaviours
 //!   programmatically (the substitution for writing SystemC);
-//! * [`parser`] — a small textual behavioural language (a C-like subset with
-//!   `wait()`, `do { } while()`, `if/else`, port reads/writes) that parses
-//!   into the same AST;
 //! * [`elaborate`] — turning a [`Behavior`] into an [`hls_ir::Cdfg`], with
 //!   loop-carried variables materialized as the paper's `loopMux` pattern;
 //! * [`designs`] — canonical designs used by the examples, tests and
@@ -39,7 +36,6 @@ pub mod builder;
 pub mod designs;
 pub mod elaborate;
 pub mod error;
-pub mod parser;
 
 pub use ast::{Behavior, Expr, LoopKind, Stmt, VarId};
 pub use builder::BehaviorBuilder;

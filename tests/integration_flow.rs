@@ -1,104 +1,248 @@
 //! End-to-end flow tests across the front-end, optimizer, scheduler, netlist
 //! and RTL emission.
-use hls::designs::{fir_filter, moving_average};
-use hls::frontend::parser::parse;
-use hls::frontend::{elaborate, FrontendError};
+use hls::designs::{fir_filter, moving_average, paper_example1};
+use hls::frontend::ast::BinOp;
+use hls::frontend::{elaborate, Behavior, Expr, FrontendError, LoopKind, Stmt, VarId};
+use hls::ir::CmpKind;
 use hls::opt::linearize::prepare_innermost_loop;
 use hls::Synthesizer;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-#[test]
-fn textual_source_flows_to_rtl() {
-    let src = r#"
-module scaler {
-  in x : 16; in k : 16;
-  out y : 32;
-  var acc : 32 = 0;
-  thread {
-    acc = x * k + acc;
-    y = acc;
-    wait;
-  }
-}
-"#;
-    let behavior = parse(src).expect("parses");
-    let result = Synthesizer::new(behavior)
-        .clock_ps(1600.0)
-        .latency_bounds(1, 4)
-        .run()
-        .expect("synthesizes");
-    // the RTL is emitted for the linearized loop body (the implicit thread loop)
-    assert!(result.rtl.contains("module"));
-    assert!(result.rtl.contains("acc"));
-    assert!(result.area > 0.0);
+/// Applies one random mutation to a behaviour: a statement deleted,
+/// duplicated or wrapped in a loop; a variable past the declared ones
+/// assigned or read; an undeclared port named, or a port used against its
+/// direction; a `wait` put in an `else` branch; a declared width set to 0,
+/// 65 or 200; or an expression sliced past its width, divided, reduced or
+/// shifted by a constant, or passed to a call.
+fn mutate(behavior: &mut Behavior, rng: &mut SmallRng) {
+    let past = VarId((behavior.vars.len() + rng.gen_range(0usize..3)) as u32);
+    let (mut blocks, mut exprs) = (0usize, 0usize);
+    each_block(&mut behavior.body, &mut |_| blocks += 1);
+    each_expr(&mut behavior.body, &mut |_| exprs += 1);
+    let (block, expr, at) = (
+        rng.gen_range(0..blocks),
+        rng.gen_range(0..exprs.max(1)),
+        rng.gen_range(0usize..8),
+    );
+    let choice = rng.gen_range(0u32..12);
+    let mut on_block = |f: &mut dyn FnMut(&mut Vec<Stmt>)| {
+        let mut k = 0;
+        each_block(&mut behavior.body, &mut |stmts| {
+            if k == block {
+                f(stmts);
+            }
+            k += 1;
+        });
+    };
+    match choice {
+        // delete, duplicate or wrap a statement in a loop
+        0..=2 => {
+            let kind = one_of(
+                rng,
+                &[LoopKind::While, LoopKind::DoWhile, LoopKind::Infinite],
+            );
+            let cond = rng
+                .gen_bool(0.5)
+                .then(|| Expr::cmp(CmpKind::Ne, Expr::Var(VarId(0)), Expr::Const(0)));
+            on_block(&mut |stmts| {
+                if stmts.is_empty() {
+                    return;
+                }
+                let i = at % stmts.len();
+                match choice {
+                    0 => drop(stmts.remove(i)),
+                    1 => stmts.insert(i, stmts[i].clone()),
+                    _ => {
+                        let body = vec![stmts.remove(i)];
+                        let cond = cond.clone();
+                        stmts.insert(
+                            i,
+                            Stmt::Loop {
+                                kind,
+                                body,
+                                cond,
+                                label: None,
+                            },
+                        );
+                    }
+                }
+            });
+        }
+        // assign to a variable past the declared ones
+        3 => on_block(&mut |stmts| {
+            let value = Expr::Const(1);
+            stmts.insert(at.min(stmts.len()), Stmt::Assign { var: past, value });
+        }),
+        // write an undeclared port or an input port
+        4 => {
+            let port = one_of(rng, &["nosuch", "mask"]).to_string();
+            on_block(&mut |stmts| {
+                let value = Expr::Const(1);
+                let port = port.clone();
+                stmts.insert(at.min(stmts.len()), Stmt::WritePort { port, value });
+            });
+        }
+        // put a wait in the else branch of a conditional
+        5 => each_block(&mut behavior.body, &mut |stmts| {
+            for s in stmts.iter_mut() {
+                if let Stmt::If { else_body, .. } = s {
+                    else_body.push(Stmt::Wait);
+                }
+            }
+        }),
+        // a declared width of 0, 65 or 200
+        6 => {
+            let width = one_of(rng, &[0, 65, 200]);
+            let (vars, ports) = (behavior.vars.len(), behavior.ports.len());
+            let i = rng.gen_range(0..vars + ports);
+            match behavior.vars.get_mut(i) {
+                Some(v) => v.width = width,
+                None => behavior.ports[i - vars].width = width,
+            }
+        }
+        // replace an expression, or build on it
+        _ => {
+            let hi = one_of(rng, &[31, 32, 64, 65, 200]);
+            let lo = one_of(rng, &[0, 16, hi]);
+            let op = one_of(rng, &[BinOp::Div, BinOp::Rem, BinOp::Shl, BinOp::Shr]);
+            let c = one_of(rng, &[0, 1, -1, 2, 31, 32, 64, 65, i64::MIN, i64::MAX]);
+            let port = one_of(rng, &["nosuch", "pixel"]).to_string();
+            let arity = rng.gen_range(0usize..3);
+            let latency = rng.gen_range(0u32..3);
+            let mut k = 0;
+            each_expr(&mut behavior.body, &mut |e| {
+                if k == expr {
+                    let old = Box::new(e.clone());
+                    *e = match choice {
+                        7 => Expr::Var(past),
+                        8 => Expr::Port(port.clone()),
+                        9 => Expr::Slice { value: old, hi, lo },
+                        10 => Expr::Binary(op, old, Box::new(Expr::Const(c))),
+                        _ => Expr::Call {
+                            name: "ip".into(),
+                            args: vec![*old; arity],
+                            latency,
+                        },
+                    };
+                }
+                k += 1;
+            });
+        }
+    }
 }
 
-/// The paper's Example 1 in the textual language: the seed of the parser
-/// fuzz property below.
-const EXAMPLE1_SRC: &str = r#"
-module example1 {
-  in mask : 32; in chrome : 32; in scale : 32; in th : 32;
-  out pixel : 32;
-  var aver : 32 = 0; var delta : 32 = 0; var filt : 32 = 0;
-  thread {
-    aver = 0;
-    wait;
-    do {
-      filt = mask;
-      delta = mask * chrome;
-      aver = aver + delta;
-      if (aver > th) { aver = aver * scale; }
-      wait;
-      pixel = aver * filt;
-    } while (delta != 0);
-  }
+fn one_of<T: Clone>(rng: &mut SmallRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())].clone()
 }
-"#;
 
-/// Tokens the fuzz property inserts, one space apart: every keyword and
-/// symbol class of the language, a declared and an undeclared name, widths
-/// at and past the value model's 64 bits, a number past `i64`, a comment
-/// and a line break.
-const FUZZ_TOKENS: &str =
-    "module thread in out var wait do while if else { } ( ) ; : = == != < <= \
-     >> * - mask nosuch 0 64 65 99999999999999999999 // \n";
+/// Calls `f` on every statement list of `stmts`, each before those nested
+/// in it.
+fn each_block(stmts: &mut Vec<Stmt>, f: &mut dyn FnMut(&mut Vec<Stmt>)) {
+    f(stmts);
+    for s in stmts.iter_mut() {
+        match s {
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                each_block(then_body, f);
+                each_block(else_body, f);
+            }
+            Stmt::Loop { body, .. } => each_block(body, f),
+            Stmt::Assign { .. } | Stmt::WritePort { .. } | Stmt::Wait => {}
+        }
+    }
+}
+
+/// Calls `f` on every expression of `stmts`, each before its operands.
+fn each_expr(stmts: &mut [Stmt], f: &mut dyn FnMut(&mut Expr)) {
+    for s in stmts {
+        match s {
+            Stmt::Assign { value, .. } | Stmt::WritePort { value, .. } => expr_tree(value, f),
+            Stmt::Wait => {}
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                expr_tree(cond, f);
+                each_expr(then_body, f);
+                each_expr(else_body, f);
+            }
+            Stmt::Loop { body, cond, .. } => {
+                each_expr(body, f);
+                if let Some(c) = cond {
+                    expr_tree(c, f);
+                }
+            }
+        }
+    }
+}
+
+fn expr_tree(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
+    f(e);
+    match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::Port(_) => {}
+        Expr::Binary(_, a, b) | Expr::Cmp(_, a, b) => {
+            expr_tree(a, f);
+            expr_tree(b, f);
+        }
+        Expr::Neg(a) | Expr::Not(a) | Expr::Slice { value: a, .. } => expr_tree(a, f),
+        Expr::Select(c, a, b) => {
+            expr_tree(c, f);
+            expr_tree(a, f);
+            expr_tree(b, f);
+        }
+        Expr::Call { args, .. } => args.iter_mut().for_each(|a| expr_tree(a, f)),
+    }
+}
+
+/// Whether the behaviour assigns or reads a variable it does not declare.
+fn names_an_undeclared_var(behavior: &Behavior) -> bool {
+    let (mut body, declared) = (behavior.body.clone(), behavior.vars.len());
+    let mut undeclared = false;
+    each_block(&mut body, &mut |stmts| {
+        for s in stmts.iter() {
+            if let Stmt::Assign { var, .. } = s {
+                undeclared |= var.index() >= declared;
+            }
+        }
+    });
+    each_expr(&mut body, &mut |e| {
+        if let Expr::Var(v) = e {
+            undeclared |= v.index() >= declared;
+        }
+    });
+    undeclared
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 1024, .. ProptestConfig::default() })]
 
-    /// Mutated Example 1 sources (a deleted span, a truncation, an inserted
-    /// token or a duplicated fragment) end in `Ok` or a typed error through
-    /// parse, elaborate and loop preparation, and a parse error names a
-    /// line of the source.
+    /// Example 1's behaviour, mutated one to three times (see [`mutate`]),
+    /// ends in `Ok` or a typed error through elaboration and loop
+    /// preparation, and never panics; one that names an undeclared variable
+    /// is refused with `UnknownVar`.
     #[test]
-    fn mutated_example1_source_parses_or_fails_with_a_located_error(
-        kind in 0u8..4,
-        at in 0..EXAMPLE1_SRC.len(),
-        from in 0..EXAMPLE1_SRC.len(),
-        span in 1usize..40,
-        token in 0..FUZZ_TOKENS.split(' ').count(),
-    ) {
-        let mut src = EXAMPLE1_SRC.to_string();
-        match kind {
-            0 => drop(src.drain(at..(at + span).min(src.len()))),
-            1 => src.truncate(at),
-            2 => src.insert_str(at, FUZZ_TOKENS.split(' ').nth(token).unwrap_or_default()),
-            _ => {
-                let fragment = src[from..(from + span).min(src.len())].to_string();
-                src.insert_str(at, &fragment);
-            }
+    fn mutated_example1_behaviour_elaborates_or_fails_with_a_typed_error(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut behavior = paper_example1();
+        for _ in 0..rng.gen_range(1u32..=3) {
+            mutate(&mut behavior, &mut rng);
         }
-        match parse(&src) {
-            Ok(behavior) => {
-                if let Ok(mut cdfg) = elaborate(&behavior) {
-                    let _ = prepare_innermost_loop(&mut cdfg);
-                }
-            }
-            Err(FrontendError::Parse { line, .. }) => {
-                let lines = src.lines().count().max(1);
-                prop_assert!((1..=lines).contains(&line), "line {line} of {lines} in {src:?}");
-            }
-            Err(_) => {}
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            elaborate(&behavior).map(|mut cdfg| prepare_innermost_loop(&mut cdfg).map(drop))
+        }));
+        let Ok(outcome) = outcome else {
+            return Err(TestCaseError::fail(format!("seed {seed} panicked: {behavior:?}")));
+        };
+        if names_an_undeclared_var(&behavior) {
+            let refused = matches!(outcome, Err(FrontendError::UnknownVar { .. }));
+            prop_assert!(refused, "seed {seed}: {outcome:?} for {behavior:?}");
         }
     }
 }

@@ -156,19 +156,17 @@ pub fn alap_levels(dfg: &Dfg, depth: u32) -> HashMap<OpId, u32> {
     let order = dfg
         .topo_order()
         .expect("alap_levels requires an acyclic intra-iteration dependence graph");
-    let mut below: HashMap<OpId, u32> = HashMap::new();
+    // In reverse topological order every consumer is final before its
+    // producers, so each operation pushes its chain length to them.
+    let mut below = vec![0u32; dfg.num_ops()];
     for &id in order.iter().rev() {
-        let l = dfg
-            .succs(id)
-            .into_iter()
-            .map(|s| below.get(&s).copied().unwrap_or(0) + 1)
-            .max()
-            .unwrap_or(0);
-        below.insert(id, l);
+        for p in dfg.preds(id) {
+            below[p.index()] = below[p.index()].max(below[id.index()] + 1);
+        }
     }
     order
         .into_iter()
-        .map(|id| (id, depth.saturating_sub(below[&id])))
+        .map(|id| (id, depth.saturating_sub(below[id.index()])))
         .collect()
 }
 
@@ -300,6 +298,58 @@ mod tests {
                 asap[&id],
                 alap[&id]
             );
+        }
+
+        // Generated DAGs, with loop-carried inputs that must not count: an
+        // operation's ALAP level is the depth less its longest distance-0
+        // path to a sink, found here by relaxing every edge to a fixpoint.
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut rand_below = |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let mut dfg = Dfg::new();
+            for i in 0..60 {
+                let (kind, arity) = if i < 3 || rand_below(5) == 0 {
+                    (OpKind::Pass, 0)
+                } else {
+                    (OpKind::Add, 2)
+                };
+                let inputs = (0..arity)
+                    .map(|_| {
+                        let p = OpId::from_raw(rand_below(i) as u32);
+                        match rand_below(4) {
+                            0 => Signal::carried(p, 8, 1),
+                            _ => Signal::op_w(p, 8),
+                        }
+                    })
+                    .collect();
+                dfg.add_op(kind, 8, inputs);
+            }
+            let mut height = vec![0u32; dfg.num_ops()];
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for (id, op) in dfg.iter_ops() {
+                    for p in op.inputs.iter().filter(|s| s.distance == 0) {
+                        let p = p.producer().expect("operation input").index();
+                        if height[p] < height[id.index()] + 1 {
+                            height[p] = height[id.index()] + 1;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            let asap = asap_levels(&dfg);
+            let depth = asap.values().copied().max().unwrap_or(0);
+            let alap = alap_levels(&dfg, depth);
+            for id in dfg.op_ids() {
+                assert_eq!(alap[&id], depth - height[id.index()], "seed {seed}, {id}");
+                assert!(asap[&id] <= alap[&id], "seed {seed}, {id}");
+            }
         }
     }
 }

@@ -283,28 +283,6 @@ impl Dfg {
             .collect()
     }
 
-    /// Direct intra-iteration successors (consumers) of `id`.
-    pub fn succs(&self, id: OpId) -> Vec<OpId> {
-        let mut out = Vec::new();
-        for (to, op) in self.iter_ops() {
-            if op
-                .inputs
-                .iter()
-                .any(|s| s.distance == 0 && s.producer() == Some(id))
-            {
-                out.push(to);
-            }
-        }
-        out
-    }
-
-    /// Returns ids of operations with no intra-iteration predecessors.
-    pub fn roots(&self) -> Vec<OpId> {
-        self.op_ids()
-            .filter(|&id| self.preds(id).is_empty())
-            .collect()
-    }
-
     /// Associates an operation with its home CFG edge (control step).
     pub fn set_home_edge(&mut self, op: OpId, edge: CfgEdgeId) {
         self.ops[op.index()].home_edge = Some(edge);
@@ -512,9 +490,6 @@ mod tests {
         assert_eq!(dfg.num_ops(), 3);
         assert_eq!(dfg.num_ports(), 2);
         assert_eq!(dfg.preds(sum), vec![ra, rb]);
-        assert_eq!(dfg.succs(ra), vec![sum]);
-        assert_eq!(dfg.roots(), vec![ra, rb]);
-        assert!(dfg.succs(sum).is_empty());
         assert!(dfg.validate().is_ok());
     }
 

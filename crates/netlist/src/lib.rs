@@ -14,14 +14,9 @@
 //!   scheduler, shared between crates;
 //! * [`schedule::Datapath`] — functional units, sharing multiplexers and
 //!   registers extracted from a schedule, with area and power estimation;
-//! * [`rtl`] — the Verilog printer: a thin, deterministic walk over the
-//!   structural netlist ([`hls_nir::NirModule`]) produced by `hls_bind`'s
-//!   lowering.
-//!
-//! This crate is also the façade for the structural netlist IR: downstream
-//! crates import the netlist types ([`NirModule`], [`validate`],
-//! [`text_emit`]/[`text_parse`], [`optimize`]) and the printer
-//! ([`emit_verilog`]) from here instead of reaching into modules.
+//! * [`rtl`] — the Verilog printer ([`emit_verilog`]): a thin, deterministic
+//!   walk over the structural netlist ([`hls_nir::NirModule`]) produced by
+//!   `hls_bind`'s lowering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,12 +25,6 @@ pub mod rtl;
 pub mod schedule;
 pub mod timing;
 
-pub use hls_nir as nir;
-
-pub use hls_nir::{
-    optimize, sanitize, text_emit, text_parse, validate, BinKind, Cell, CellId, CellKind,
-    NetlistStats, NirError, NirModule, ParseError, RewriteReport, UnKind,
-};
 pub use rtl::emit_verilog;
 pub use schedule::{AreaBreakdown, Datapath, PowerBreakdown, ScheduleDesc, ScheduledOp};
 pub use timing::ChainTiming;

@@ -83,15 +83,6 @@ impl ScheduleDesc {
             .map(|s| iteration * u64::from(self.cycles_per_iteration()) + u64::from(s.state))
     }
 
-    /// Pipeline stage of an operation (state / II); 0 for sequential
-    /// schedules.
-    pub fn stage_of(&self, op: OpId) -> u32 {
-        match self.ii {
-            Some(ii) if ii > 0 => self.state_of(op) / ii,
-            _ => 0,
-        }
-    }
-
     /// Number of pipeline stages (`ceil(LI / II)`); 1 for sequential.
     pub fn num_stages(&self) -> u32 {
         match self.ii {

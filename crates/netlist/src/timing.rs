@@ -12,7 +12,6 @@
 //! delays; the path ends with the destination register's sharing multiplexer
 //! and setup time.
 
-use hls_ir::OpId;
 use hls_nir::{BinKind, CellKind, UnKind};
 use hls_tech::{ClockConstraint, ResourceClass, ResourceType, TechLibrary};
 use std::collections::HashMap;
@@ -202,35 +201,6 @@ impl<'a> ChainTiming<'a> {
     }
 }
 
-/// A per-operation arrival-time table, convenient for the scheduler's
-/// incremental chaining analysis within one control step.
-#[derive(Clone, Debug, Default)]
-pub struct ArrivalTable {
-    arrivals: HashMap<OpId, f64>,
-}
-
-impl ArrivalTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the arrival time of an operation's result.
-    pub fn set(&mut self, op: OpId, arrival_ps: f64) {
-        self.arrivals.insert(op, arrival_ps);
-    }
-
-    /// Arrival of an operation's result, if known.
-    pub fn get(&self, op: OpId) -> Option<f64> {
-        self.arrivals.get(&op).copied()
-    }
-
-    /// Removes every recorded arrival (e.g. when a scheduling pass restarts).
-    pub fn clear(&mut self) {
-        self.arrivals.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,16 +339,5 @@ mod tests {
         assert_eq!(t.cell_delay_ps(&CellKind::Mux, &[1, 32, 32], 32), m2);
         // saturates instead of overflowing beyond u8 fan-in
         assert!(t.mux_tree_delay_ps(4096, 32) >= t.mux_tree_delay_ps(255, 32));
-    }
-
-    #[test]
-    fn arrival_table_roundtrip() {
-        let mut t = ArrivalTable::new();
-        let op = OpId::from_raw(4);
-        assert_eq!(t.get(op), None);
-        t.set(op, 123.0);
-        assert_eq!(t.get(op), Some(123.0));
-        t.clear();
-        assert_eq!(t.get(op), None);
     }
 }

@@ -551,11 +551,6 @@ impl NetlistStats {
     pub fn inputs(&self) -> usize {
         self.count("input")
     }
-
-    /// Count of constant cells.
-    pub fn consts(&self) -> usize {
-        self.count("const")
-    }
 }
 
 /// Turns a display name into a safe Verilog identifier: non-alphanumerics
@@ -711,7 +706,7 @@ mod tests {
         assert_eq!(s.count_bin(BinKind::Mul), 1);
         assert_eq!(s.count(UnKind::Neg.mnemonic()), 1);
         assert_eq!(s.muxes(), 1);
-        assert_eq!(s.consts(), 3);
+        assert_eq!(s.count("const"), 3);
         assert_eq!(s.count_kind(&CellKind::Mux), 1);
         assert_eq!(s.outputs(), 0);
         assert_eq!(s.inputs(), 0);

@@ -226,7 +226,7 @@ mod random_netlists {
                 .map_err(|e| TestCaseError::fail(format!("seed {seed}: bind: {e}")))?;
             let mut m = lower(&body, &schedule.desc, &bound, RtlStyle::SharedFu)
                 .map_err(|e| TestCaseError::fail(format!("seed {seed}: lower: {e}")))?;
-            hls::netlist::optimize(&mut m);
+            hls::nir::optimize(&mut m);
             // Non-strict propagation: generated programs routinely contain
             // semantically dead datapath (e.g. `low8(x << 11)`) that no
             // stimulus can propagate; the curated tests above keep the

@@ -12,7 +12,8 @@
 use hls::bind::{bind, lower, RtlStyle};
 use hls::ir::LinearBody;
 use hls::lint::{analyze, analyze_timing, LintConfig, LintContext};
-use hls::netlist::{emit_verilog, text_emit, text_parse, validate, ChainTiming, NirModule};
+use hls::netlist::{emit_verilog, ChainTiming};
+use hls::nir::{text_emit, text_parse, validate, NirModule};
 use hls::opt::linearize::prepare_innermost_loop;
 use hls::sched::{Scheduler, SchedulerConfig};
 use hls::sim::{differential, NirSim};
@@ -254,14 +255,14 @@ proptest! {
 
         // rewrites shrink or keep the netlist, reach a fixpoint in one run…
         let (cells, depth) = (m.num_cells(), m.max_mux_depth());
-        hls::netlist::optimize(&mut m);
+        hls::nir::optimize(&mut m);
         validate(&m).map_err(|e| TestCaseError::fail(format!("seed {seed}: post-opt: {e}")))?;
         prop_assert!(m.num_cells() <= cells, "cells {} -> {}", cells, m.num_cells());
         prop_assert!(m.max_mux_depth() <= depth, "mux depth {} -> {}", depth, m.max_mux_depth());
         let fixpoint = m.clone();
-        let again = hls::netlist::optimize(&mut m);
+        let again = hls::nir::optimize(&mut m);
         prop_assert_eq!(&m, &fixpoint);
-        prop_assert_eq!(again, hls::netlist::RewriteReport::default());
+        prop_assert_eq!(again, hls::nir::RewriteReport::default());
 
         // …and the rewritten netlist still round-trips
         let reparsed = text_parse(&text_emit(&m))
@@ -287,7 +288,7 @@ proptest! {
         let Some((body, mut m)) = lowered(seed, pipelined, shared)? else {
             return Ok(());
         };
-        hls::netlist::optimize(&mut m);
+        hls::nir::optimize(&mut m);
 
         let rebalanced = hls::nir::rebalance_operator_chains(&mut m, None);
         let reduced = hls::nir::strength_reduce_shifts(&mut m, None);

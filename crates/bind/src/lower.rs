@@ -70,13 +70,6 @@ pub enum LowerError {
         /// The unscheduled operation.
         op: OpId,
     },
-    /// External calls have no structural lowering.
-    UnsupportedCall {
-        /// The call operation.
-        op: OpId,
-        /// The callee name.
-        name: String,
-    },
     /// A consumer samples a value before any register has captured it.
     AcausalRead {
         /// The consuming operation.
@@ -110,9 +103,6 @@ impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LowerError::Unscheduled { op } => write!(f, "operation {op:?} is not scheduled"),
-            LowerError::UnsupportedCall { op, name } => {
-                write!(f, "operation {op:?}: call `{name}` has no netlist lowering")
-            }
             LowerError::AcausalRead {
                 consumer,
                 producer,
@@ -646,12 +636,6 @@ impl Lowerer<'_> {
                 }
                 None => self.cons(CellKind::Const(0), w, vec![], name),
             },
-            OpKind::Call { name: callee, .. } => {
-                return Err(LowerError::UnsupportedCall {
-                    op: id,
-                    name: callee.clone(),
-                })
-            }
         };
         Ok(cell)
     }

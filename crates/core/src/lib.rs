@@ -833,10 +833,7 @@ mod tests {
             (b.latency, b.desc.ii, b.passes, &b.actions)
         );
         assert_eq!(a.min_slack_ps.to_bits(), b.min_slack_ps.to_bits());
-        assert_eq!(
-            hls_nir::text_emit(&from_behavior.netlist),
-            hls_nir::text_emit(&from_body.netlist)
-        );
+        assert_eq!(from_behavior.netlist, from_body.netlist);
         assert_eq!(from_behavior.area.to_bits(), from_body.area.to_bits());
     }
 
@@ -924,6 +921,40 @@ mod tests {
                 SynthesisError::Frontend(frontend::FrontendError::Elaboration { message })
                     if message.contains(refused)
             ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_unwritten_output_is_refused_by_name_before_scheduling() {
+        use frontend::{FrontendError, Stmt};
+        fn drop_writes(stmts: &mut Vec<Stmt>) {
+            stmts.retain(|s| !matches!(s, Stmt::WritePort { .. }));
+            for s in stmts {
+                match s {
+                    Stmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => {
+                        drop_writes(then_body);
+                        drop_writes(else_body);
+                    }
+                    Stmt::Loop { body, .. } => drop_writes(body),
+                    Stmt::Assign { .. } | Stmt::WritePort { .. } | Stmt::Wait => {}
+                }
+            }
+        }
+        // Example 1 without its `pixel = …` statement
+        let mut behavior = designs::paper_example1();
+        drop_writes(&mut behavior.body);
+        let unwritten = FrontendError::UnwrittenOutput {
+            name: "pixel".into(),
+        };
+        assert_eq!(elaborate(&behavior).unwrap_err(), unwritten);
+        let err = Synthesizer::new(behavior).run().unwrap_err();
+        assert!(
+            matches!(&err, SynthesisError::Frontend(e) if *e == unwritten),
             "{err:?}"
         );
     }

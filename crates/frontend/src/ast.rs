@@ -78,15 +78,6 @@ pub enum Expr {
         /// Least significant bit.
         lo: u16,
     },
-    /// Call of a pre-designed IP function.
-    Call {
-        /// IP block name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Latency of the block in cycles (0 = combinational).
-        latency: u32,
-    },
 }
 
 // The constructors below are free associated functions (no `self`), not
@@ -132,7 +123,6 @@ impl Expr {
             Expr::Neg(a) | Expr::Not(a) => 1 + a.op_count(),
             Expr::Select(c, a, b) => 1 + c.op_count() + a.op_count() + b.op_count(),
             Expr::Slice { value, .. } => value.op_count(),
-            Expr::Call { args, .. } => 1 + args.iter().map(Expr::op_count).sum::<usize>(),
         }
     }
 }

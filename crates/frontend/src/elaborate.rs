@@ -26,10 +26,11 @@ use std::collections::{BTreeMap, HashSet};
 /// # Errors
 ///
 /// Returns a [`FrontendError`] if the behaviour references undeclared
-/// ports/variables, accesses a port against its direction, uses `wait()`
-/// inside a conditional branch (unsupported — the paper balances such
-/// branches before predicate conversion, this reproduction requires them to
-/// be balanced in the source), or produces an invalid CDFG.
+/// ports/variables, never writes one of its output ports, accesses a port
+/// against its direction, uses `wait()` inside a conditional branch
+/// (unsupported — the paper balances such branches before predicate
+/// conversion, this reproduction requires them to be balanced in the
+/// source), or produces an invalid CDFG.
 pub fn elaborate(behavior: &Behavior) -> Result<Cdfg, FrontendError> {
     let mut elab = Elaborator::new(behavior)?;
     elab.run()?;
@@ -59,6 +60,15 @@ impl<'a> Elaborator<'a> {
         if let Some(var) = undeclared_var(&behavior.body, behavior.vars.len()) {
             return Err(FrontendError::UnknownVar {
                 name: var.to_string(),
+            });
+        }
+        if let Some(port) = behavior
+            .ports
+            .iter()
+            .find(|p| p.direction == PortDirection::Output && !writes_port(&behavior.body, &p.name))
+        {
+            return Err(FrontendError::UnwrittenOutput {
+                name: port.name.clone(),
             });
         }
         let mut cdfg = Cdfg::new(behavior.name.clone());
@@ -200,28 +210,8 @@ impl<'a> Elaborator<'a> {
             }
             Expr::Slice { value, hi, lo } => {
                 let sv = self.expr(value)?;
-                let width = hi.saturating_sub(*lo) + 1;
+                let width = hi.saturating_sub(*lo).saturating_add(1);
                 let id = self.add_op(OpKind::Slice { hi: *hi, lo: *lo }, width, vec![sv]);
-                Ok(Signal::op_w(id, width))
-            }
-            Expr::Call {
-                name,
-                args,
-                latency,
-            } => {
-                let mut inputs = Vec::new();
-                for a in args {
-                    inputs.push(self.expr(a)?);
-                }
-                let width = inputs.iter().map(|s| s.width).max().unwrap_or(32);
-                let id = self.add_op(
-                    OpKind::Call {
-                        name: name.clone(),
-                        latency: *latency,
-                    },
-                    width,
-                    inputs,
-                );
                 Ok(Signal::op_w(id, width))
             }
         }
@@ -512,8 +502,21 @@ fn undeclared_var_in(expr: &Expr, declared: usize) -> Option<VarId> {
         Expr::Select(c, a, b) => [c, a, b]
             .into_iter()
             .find_map(|e| undeclared_var_in(e, declared)),
-        Expr::Call { args, .. } => args.iter().find_map(|e| undeclared_var_in(e, declared)),
     }
+}
+
+/// Whether a statement of `stmts`, nested ones included, writes `port`.
+fn writes_port(stmts: &[Stmt], port: &str) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::WritePort { port: p, .. } => p == port,
+        Stmt::If {
+            then_body,
+            else_body,
+            ..
+        } => writes_port(then_body, port) || writes_port(else_body, port),
+        Stmt::Loop { body, .. } => writes_port(body, port),
+        Stmt::Assign { .. } | Stmt::Wait => false,
+    })
 }
 
 /// Variables read before being (definitely) written inside a statement list —
@@ -584,11 +587,6 @@ fn scan_expr(expr: &Expr, assigned: &HashSet<VarId>, exposed: &mut HashSet<VarId
             scan_expr(b, assigned, exposed);
         }
         Expr::Slice { value, .. } => scan_expr(value, assigned, exposed),
-        Expr::Call { args, .. } => {
-            for a in args {
-                scan_expr(a, assigned, exposed);
-            }
-        }
     }
 }
 
@@ -793,6 +791,25 @@ mod tests {
             let err = elaborate(&behavior).unwrap_err();
             assert_eq!(err, FrontendError::UnknownVar { name: name.into() });
         }
+    }
+
+    #[test]
+    fn a_slice_of_every_u16_bit_is_refused_not_a_panic() {
+        // [65535:0] is 65 536 bits, one more than a width holds
+        let mut b = BehaviorBuilder::new("wide");
+        b.port_in("x", 8);
+        b.port_out("y", 8);
+        let slice = Expr::Slice {
+            value: Box::new(b.read_port("x")),
+            hi: u16::MAX,
+            lo: 0,
+        };
+        let body = vec![b.write_port("y", slice), b.wait()];
+        let err = elaborate(&b.infinite_loop(body).build()).unwrap_err();
+        assert!(
+            matches!(&err, FrontendError::Elaboration { message } if message.contains("65535 bits")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,6 +22,11 @@ pub enum FrontendError {
         /// Port name.
         name: String,
     },
+    /// A declared output port is written by no statement of the behaviour.
+    UnwrittenOutput {
+        /// Port name.
+        name: String,
+    },
     /// The behaviour uses a construct elaboration does not support.
     Unsupported {
         /// Explanation.
@@ -41,6 +46,9 @@ impl fmt::Display for FrontendError {
             FrontendError::UnknownVar { name } => write!(f, "unknown variable `{name}`"),
             FrontendError::PortDirection { name } => {
                 write!(f, "port `{name}` accessed against its direction")
+            }
+            FrontendError::UnwrittenOutput { name } => {
+                write!(f, "output port `{name}` is never written")
             }
             FrontendError::Unsupported { message } => write!(f, "unsupported construct: {message}"),
             FrontendError::Elaboration { message } => write!(f, "elaboration error: {message}"),
@@ -67,6 +75,9 @@ mod tests {
         let errs = [
             FrontendError::UnknownPort { name: "p".into() },
             FrontendError::UnknownVar { name: "v3".into() },
+            FrontendError::UnwrittenOutput {
+                name: "pixel".into(),
+            },
             FrontendError::Unsupported {
                 message: "nested threads".into(),
             },

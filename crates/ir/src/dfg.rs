@@ -291,7 +291,7 @@ impl Dfg {
     /// Checks structural invariants:
     ///
     /// * every referenced operation / port id exists,
-    /// * fixed-arity kinds have the right number of inputs,
+    /// * every operation has the number of inputs its kind expects,
     /// * intra-iteration dependencies are acyclic (cycles may only appear
     ///   through loop-carried signals),
     /// * predicates are satisfiable and reference 1-bit condition ops,
@@ -310,15 +310,14 @@ impl Dfg {
             }
         }
         for (id, op) in self.iter_ops() {
-            if let Some(arity) = op.kind.arity() {
-                if op.inputs.len() != arity {
-                    return Err(IrError::BadArity {
-                        op: id,
-                        kind: op.kind.mnemonic(),
-                        expected: arity,
-                        found: op.inputs.len(),
-                    });
-                }
+            let arity = op.kind.arity();
+            if op.inputs.len() != arity {
+                return Err(IrError::BadArity {
+                    op: id,
+                    kind: op.kind.mnemonic(),
+                    expected: arity,
+                    found: op.inputs.len(),
+                });
             }
             for sig in &op.inputs {
                 if let Some(p) = sig.producer() {
@@ -364,7 +363,7 @@ impl Dfg {
                 return Err(IrError::ZeroWidth { op: id });
             }
             let field = match op.kind {
-                OpKind::Slice { hi, lo } => hi.saturating_sub(lo) + 1,
+                OpKind::Slice { hi, lo } => hi.saturating_sub(lo).saturating_add(1),
                 _ => 0,
             };
             let width = op.max_width().max(field);

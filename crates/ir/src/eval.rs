@@ -138,7 +138,7 @@ pub enum EvalError {
         /// Provided input count.
         found: usize,
     },
-    /// The kind has no context-free value semantics (`Read`, `Write`, `Call`,
+    /// The kind has no context-free value semantics (`Read`, `Write`,
     /// input-less `Pass`): an execution engine must supply the value.
     NeedsContext {
         /// Kind mnemonic.
@@ -196,7 +196,7 @@ fn shift_amount(amount: BitVal) -> u64 {
 /// # Errors
 /// [`EvalError::BadArity`] when the input count does not match the kind, and
 /// [`EvalError::NeedsContext`] for kinds whose value depends on the execution
-/// environment (`Read`, `Write`, `Call` and input-less `Pass`).
+/// environment (`Read`, `Write` and input-less `Pass`).
 pub fn eval_op(kind: &OpKind, width: u16, inputs: &[BitVal]) -> Result<BitVal, EvalError> {
     let bin = |f: fn(i128, i128) -> i128| -> Result<BitVal, EvalError> {
         expect_arity(kind, inputs, 2)?;
@@ -302,7 +302,7 @@ pub fn eval_op(kind: &OpKind, width: u16, inputs: &[BitVal]) -> Result<BitVal, E
                 })
             }
         }
-        OpKind::Read(_) | OpKind::Write(_) | OpKind::Call { .. } => Err(EvalError::NeedsContext {
+        OpKind::Read(_) | OpKind::Write(_) => Err(EvalError::NeedsContext {
             kind: kind.mnemonic(),
         }),
     }
@@ -476,15 +476,7 @@ mod tests {
     #[test]
     fn context_dependent_kinds_are_rejected() {
         let p = PortId::from_raw(0);
-        for kind in [
-            OpKind::Read(p),
-            OpKind::Write(p),
-            OpKind::Call {
-                name: "ip".into(),
-                latency: 1,
-            },
-            OpKind::Pass,
-        ] {
+        for kind in [OpKind::Read(p), OpKind::Write(p), OpKind::Pass] {
             assert!(matches!(
                 eval_op(&kind, 8, &[]),
                 Err(EvalError::NeedsContext { .. })

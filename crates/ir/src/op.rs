@@ -119,16 +119,6 @@ pub enum OpKind {
     Read(PortId),
     /// Write of an output port (`inputs[0]` is the written value).
     Write(PortId),
-    /// Call to a pre-designed IP block / function, possibly multi-cycle.
-    ///
-    /// The paper motivates multi-cycle operation support by the need to bind
-    /// operations to predesigned IP blocks (Section IV.B.2).
-    Call {
-        /// Symbolic name of the IP block.
-        name: String,
-        /// Fixed latency in clock cycles (0 = purely combinational).
-        latency: u32,
-    },
     /// A no-op used to anchor values (e.g. loop-carried variable sources).
     Pass,
 }
@@ -137,7 +127,7 @@ impl OpKind {
     /// Returns `true` for operations with externally observable effects,
     /// which must never be speculated or reordered across loop iterations.
     pub fn has_side_effects(&self) -> bool {
-        matches!(self, OpKind::Write(_) | OpKind::Call { .. })
+        matches!(self, OpKind::Write(_))
     }
 
     /// Returns `true` for operations that occupy no datapath resource
@@ -149,9 +139,9 @@ impl OpKind {
         )
     }
 
-    /// Returns the number of data inputs the kind expects, if fixed.
-    pub fn arity(&self) -> Option<usize> {
-        Some(match self {
+    /// Returns the number of data inputs the kind expects.
+    pub fn arity(&self) -> usize {
+        match self {
             OpKind::Add
             | OpKind::Sub
             | OpKind::Mul
@@ -170,8 +160,7 @@ impl OpKind {
             | OpKind::Write(_) => 1,
             OpKind::Mux => 3,
             OpKind::Const(_) | OpKind::Read(_) | OpKind::Pass => 0,
-            OpKind::Call { .. } => return None,
-        })
+        }
     }
 
     /// Short mnemonic used in resource names and reports.
@@ -196,7 +185,6 @@ impl OpKind {
             OpKind::Const(v) => format!("const({v})"),
             OpKind::Read(p) => format!("read({p})"),
             OpKind::Write(p) => format!("write({p})"),
-            OpKind::Call { name, .. } => format!("call({name})"),
             OpKind::Pass => "pass".into(),
         }
     }
@@ -311,11 +299,6 @@ mod tests {
         let p = PortId::from_raw(0);
         assert!(!OpKind::Read(p).has_side_effects());
         assert!(OpKind::Write(p).has_side_effects());
-        assert!(OpKind::Call {
-            name: "ip".into(),
-            latency: 2
-        }
-        .has_side_effects());
     }
 
     #[test]
@@ -329,18 +312,10 @@ mod tests {
 
     #[test]
     fn arity() {
-        assert_eq!(OpKind::Add.arity(), Some(2));
-        assert_eq!(OpKind::Mux.arity(), Some(3));
-        assert_eq!(OpKind::Not.arity(), Some(1));
-        assert_eq!(OpKind::Const(0).arity(), Some(0));
-        assert_eq!(
-            OpKind::Call {
-                name: "f".into(),
-                latency: 1
-            }
-            .arity(),
-            None
-        );
+        assert_eq!(OpKind::Add.arity(), 2);
+        assert_eq!(OpKind::Mux.arity(), 3);
+        assert_eq!(OpKind::Not.arity(), 1);
+        assert_eq!(OpKind::Const(0).arity(), 0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!
 //! * [`validate`] — structural well-formedness (widths, arities, port
 //!   references, driver presence, combinational-cycle freedom),
-//! * [`text_emit`] / [`text_parse`] — a round-trippable text format with
-//!   `parse(emit(m)) == m`,
 //! * [`optimize`] — constant/identity normalization plus dead-cell sweep,
 //! * mask-gated timing rewrites — [`rebalance_operator_chains`],
 //!   [`strength_reduce_shifts`] and [`retime_registers`], run by
@@ -23,7 +21,6 @@
 
 pub mod model;
 pub mod rewrite;
-pub mod text;
 pub mod validate;
 
 pub use model::{sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind};
@@ -31,5 +28,4 @@ pub use rewrite::{
     normalize, optimize, rebalance_operator_chains, retime_registers, strength_reduce_shifts,
     sweep, RewriteReport,
 };
-pub use text::{text_emit, text_parse, ParseError};
 pub use validate::{validate, NirError};

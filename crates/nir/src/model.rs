@@ -80,7 +80,7 @@ impl BinKind {
         }
     }
 
-    /// Text-format keyword (also the key used by [`NetlistStats`]).
+    /// Keyword naming the operator in [`NetlistStats`] and in reports.
     pub fn mnemonic(self) -> &'static str {
         match self {
             BinKind::Add => "add",
@@ -121,7 +121,7 @@ impl UnKind {
         }
     }
 
-    /// Text-format keyword (also the key used by [`NetlistStats`]).
+    /// Keyword naming the operator in [`NetlistStats`] and in reports.
     pub fn mnemonic(self) -> &'static str {
         match self {
             UnKind::Not => "not",
@@ -226,7 +226,8 @@ impl CellKind {
         )
     }
 
-    /// Stats/text keyword for the kind (parameters stripped).
+    /// Keyword naming the kind (parameters stripped) in [`NetlistStats`]
+    /// and in reports.
     pub fn mnemonic(&self) -> &'static str {
         match self {
             CellKind::Const(_) => "const",

@@ -219,7 +219,8 @@ pub fn validate(m: &NirModule) -> Result<(), NirError> {
                 }
             }
             CellKind::Slice { hi, lo } => {
-                if hi < lo || cell.width != hi - lo + 1 {
+                // [65535:0] is 65 536 bits, one more than a `u16` holds
+                if hi < lo || u32::from(cell.width) != u32::from(hi - lo) + 1 {
                     return Err(NirError::WidthMismatch {
                         cell: id,
                         detail: format!("slice [{hi}:{lo}] with w{}", cell.width),
@@ -373,17 +374,12 @@ mod tests {
     fn rejects_an_operand_that_reads_an_output_cell() {
         // An output cell is a port write: reading it as a value is no
         // netlist the printer or the simulator can interpret.
-        let text = "module \"m\" fold=1 states=1 stages=1
-port \"x\" in 8
-port \"y\" out 8
-%0 = input port=0 state=0 w8
-%1 = const 1 w1
-%2 = output port=1 state=0 %0 %1 w8
-%3 = add %2 %0 w8
-%4 = reg init=0 %3 %1 w8
-endmodule
-";
-        let m = crate::text::text_parse(text).expect("parses");
+        let mut m = module_with_out();
+        let i = m.push(CellKind::Input { port: 0, state: 0 }, 8, vec![]);
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        let out = m.push(CellKind::Output { port: 1, state: 0 }, 8, vec![i, en]);
+        let sum = m.push(CellKind::Bin(BinKind::Add), 8, vec![out, i]);
+        m.push(CellKind::Reg { init: 0 }, 8, vec![sum, en]);
         assert_eq!(
             validate(&m),
             Err(NirError::BadOperand {
@@ -395,31 +391,39 @@ endmodule
 
     #[test]
     fn rejects_a_cell_wider_than_the_value_model() {
-        let text = |width: u16| {
-            format!(
-                "module \"m\" fold=1 states=1 stages=1
-port \"x\" in 8
-port \"y\" out 8
-%0 = input port=0 state=0 w8
-%1 = resize %0 w{width}
-%2 = add %1 %1 w{width}
-%3 = resize %2 w8
-%4 = const 1 w1
-%5 = output port=1 state=0 %3 %4 w8
-endmodule
-"
-            )
+        let module = |width: u16| {
+            let mut m = module_with_out();
+            let i = m.push(CellKind::Input { port: 0, state: 0 }, 8, vec![]);
+            let wide = m.push(CellKind::Resize, width, vec![i]);
+            let sum = m.push(CellKind::Bin(BinKind::Add), width, vec![wide, wide]);
+            let narrow = m.push(CellKind::Resize, 8, vec![sum]);
+            drive_output(&mut m, narrow);
+            m
         };
-        let m = crate::text::text_parse(&text(64)).expect("parses");
-        assert_eq!(validate(&m), Ok(()));
-        let m = crate::text::text_parse(&text(65)).expect("parses");
+        assert_eq!(validate(&module(64)), Ok(()));
         assert_eq!(
-            validate(&m),
+            validate(&module(65)),
             Err(NirError::TooWide {
                 cell: CellId::from_raw(1),
                 width: 65,
             })
         );
+    }
+
+    #[test]
+    fn rejects_a_slice_of_every_u16_bit_without_overflow() {
+        let mut m = module_with_out();
+        let i = m.push(CellKind::Input { port: 0, state: 0 }, 8, vec![]);
+        let wide = CellKind::Slice {
+            hi: u16::MAX,
+            lo: 0,
+        };
+        let s = m.push(wide, 8, vec![i]);
+        drive_output(&mut m, s);
+        assert!(matches!(
+            validate(&m),
+            Err(NirError::WidthMismatch { cell, .. }) if cell == s
+        ));
     }
 
     #[test]

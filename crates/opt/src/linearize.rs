@@ -14,7 +14,7 @@
 //!    condition.
 
 use crate::error::OptError;
-use hls_ir::{Cdfg, CfgNodeKind, Dfg, LinearBody, LoopId, OpId, OpKind, Signal};
+use hls_ir::{Cdfg, CfgNodeKind, Dfg, LinearBody, LoopId, OpId, OpKind, PortDirection, Signal};
 use std::collections::{HashMap, HashSet};
 
 /// Extracts the body of `loop_id` from an (optimized) CDFG as a
@@ -168,8 +168,11 @@ fn remap_predicate(
 /// [`linearize_loop`] on [`Cdfg::innermost_loop`].
 ///
 /// # Errors
-/// Returns [`OptError::UnknownLoop`] if the design has no loop, or any error
-/// raised by the passes or the linearization itself.
+/// Returns [`OptError::UnknownLoop`] if the design has no loop,
+/// [`OptError::Linearize`] if the innermost loop never writes one of the
+/// design's output ports (only that loop is synthesized, so nothing would
+/// drive the port), or any error raised by the passes or the linearization
+/// itself.
 pub fn prepare_innermost_loop(cdfg: &mut Cdfg) -> Result<LinearBody, OptError> {
     crate::manager::PassManager::standard().run(cdfg)?;
     let id = cdfg
@@ -178,7 +181,23 @@ pub fn prepare_innermost_loop(cdfg: &mut Cdfg) -> Result<LinearBody, OptError> {
         .ok_or_else(|| OptError::UnknownLoop {
             loop_id: "<none>".to_string(),
         })?;
-    linearize_loop(cdfg, id)
+    let body = linearize_loop(cdfg, id)?;
+    let writes = |port| {
+        body.dfg
+            .iter_ops()
+            .any(|(_, op)| op.kind == OpKind::Write(port))
+    };
+    let unwritten = body
+        .dfg
+        .iter_ports()
+        .find(|&(id, p)| p.direction == PortDirection::Output && !writes(id));
+    if let Some((_, port)) = unwritten {
+        let name = &port.name;
+        return Err(OptError::Linearize {
+            message: format!("the innermost loop never writes output port `{name}`"),
+        });
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -278,6 +297,31 @@ mod tests {
         let body = prepare_innermost_loop(&mut cdfg).expect("prepare");
         assert_eq!(body.source_states, 2);
         assert!(body.num_ops() >= 10);
+    }
+
+    #[test]
+    fn an_innermost_loop_that_writes_no_output_is_refused_by_port_name() {
+        // the nested loop is the innermost one, and `y` is written after it
+        let mut b = hls_frontend::BehaviorBuilder::new("nested");
+        b.port_in("x", 8);
+        b.port_out("y", 8);
+        let v = b.var("v", 8, 0);
+        let inner = b.do_while(
+            "inner",
+            vec![b.assign(v, b.read_port("x")), b.wait()],
+            b.read_var(v),
+        );
+        let body = vec![inner, b.write_port("y", b.read_var(v)), b.wait()];
+        let outer = b.do_while("outer", body, hls_frontend::Expr::Const(1));
+        b.push(outer);
+        let mut cdfg = hls_frontend::elaborate(&b.build()).expect("elaborates");
+        let err = prepare_innermost_loop(&mut cdfg).unwrap_err();
+        assert_eq!(
+            err,
+            OptError::Linearize {
+                message: "the innermost loop never writes output port `y`".into()
+            }
+        );
     }
 
     #[test]

@@ -258,8 +258,8 @@ impl Pass for CommonSubexpression {
 }
 
 /// Dead code elimination: operations whose results cannot reach an output
-/// write, an IP call, a loop exit condition, a fork condition or a predicate
-/// are neutralized into free `Pass` operations with no inputs.
+/// write, a loop exit condition, a fork condition or a predicate are
+/// neutralized into free `Pass` operations with no inputs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeadCodeElimination;
 

@@ -252,7 +252,8 @@ mod tests {
         let lib = TechLibrary::artisan_90nm_typical();
         let result = modulo_schedule(&body, &lib, 1600.0, 2, 8, |_| 2).expect("feasible");
         assert!(result.count_of(&ResourceClass::Multiplier) >= 1);
-        assert_eq!(result.count_of(&ResourceClass::IpBlock("nope".into())), 0);
+        // Example 1 divides nothing, so no divider class was interned
+        assert_eq!(result.count_of(&ResourceClass::Divider), 0);
         // every reported id resolves through the owning interner
         for (id, class, n) in result.counts() {
             assert_eq!(result.interner.lookup_class(class), Some(id));

@@ -1,8 +1,7 @@
 //! The dense, incremental, region-aware scheduling engine behind both
-//! [`schedule_pass`] (one-shot, from scratch) and the multi-pass
-//! [`Scheduler`] driver (incremental across relaxation actions).
+//! the one-shot pass of [`pass`](crate::pass) (from scratch) and the
+//! multi-pass [`Scheduler`] driver (incremental across relaxation actions).
 //!
-//! [`schedule_pass`]: crate::pass::schedule_pass
 //! [`Scheduler`]: crate::scheduler::Scheduler
 //!
 //! # Arena layout
@@ -2069,10 +2068,7 @@ impl<'a> Engine<'a> {
             };
             EngineOutcome::Success { min_slack_ps }
         } else {
-            let mut failure = PassFailure {
-                scheduled: total,
-                ..PassFailure::default()
-            };
+            let mut failure = PassFailure::default();
             let mut frags: Vec<&(OpId, Vec<Restraint>)> =
                 regions.iter().flat_map(|r| r.fail.iter()).collect();
             frags.sort_by_key(|(op, _)| *op);

@@ -35,7 +35,7 @@ pub mod config;
 mod engine;
 pub mod error;
 pub mod parallel;
-pub mod pass;
+mod pass;
 pub mod region;
 pub mod relax;
 pub mod resources;
@@ -43,7 +43,6 @@ pub mod scheduler;
 
 pub use config::{PipelineRequest, RegionOptions, SchedulerConfig};
 pub use error::SchedError;
-pub use pass::{schedule_pass, PassFailure, PassInput, PassOutcome};
 pub use region::RegionPlan;
 pub use relax::{RelaxAction, Restraint};
 pub use resources::{initial_resource_set, initial_resource_set_for_ops};

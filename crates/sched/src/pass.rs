@@ -48,8 +48,6 @@ pub struct PassFailure {
     pub restraints: Vec<Restraint>,
     /// Operations that could not be placed.
     pub failed_ops: Vec<OpId>,
-    /// Number of operations that were successfully placed.
-    pub scheduled: usize,
 }
 
 /// Result of one pass.
@@ -66,12 +64,8 @@ pub enum PassOutcome {
     Failure(PassFailure),
 }
 
-/// Runs one scheduling pass, from scratch.
-pub fn schedule_pass(input: &PassInput<'_>) -> PassOutcome {
-    schedule_pass_counted(input).0
-}
-
-/// [`schedule_pass`] with the pass's work counters.
+/// Runs one scheduling pass, from scratch, and returns it with its work
+/// counters.
 pub(crate) fn schedule_pass_counted(input: &PassInput<'_>) -> (PassOutcome, Work) {
     let plan = RegionPlan::trivial(input.body.dfg.num_ops());
     schedule_pass_in_regions(input, &plan, &vec![0; input.resources.len()])
@@ -143,7 +137,7 @@ mod tests {
             scc_stage: &HashMap::new(),
             sccs: &sccs,
         };
-        schedule_pass(&input)
+        schedule_pass_counted(&input).0
     }
 
     #[test]
@@ -200,7 +194,7 @@ mod tests {
                     scc_stage: &HashMap::new(),
                     sccs: &sccs,
                 };
-                format!("{:?}", schedule_pass(&input))
+                format!("{:?}", schedule_pass_counted(&input).0)
             };
             assert_eq!(
                 outcome(&past),

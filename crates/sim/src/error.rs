@@ -43,14 +43,6 @@ pub enum SimError {
         /// The underlying evaluation error.
         source: EvalError,
     },
-    /// The design calls a pre-designed IP block; simulating it would require
-    /// a model of the block, which this reproduction does not ship.
-    UnsupportedCall {
-        /// The call operation.
-        op: OpId,
-        /// The IP block name.
-        name: String,
-    },
     /// The reference interpreter and the netlist simulator disagree.
     Mismatch {
         /// Port on which the writes diverge.
@@ -133,12 +125,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidBody(e) => write!(f, "invalid body: {e}"),
             SimError::Eval { op, source } => write!(f, "evaluating {op}: {source}"),
-            SimError::UnsupportedCall { op, name } => {
-                write!(
-                    f,
-                    "{op} calls IP block `{name}`, which has no simulation model"
-                )
-            }
             SimError::Mismatch {
                 port_name,
                 index,

@@ -99,8 +99,7 @@ impl<'a> Interpreter<'a> {
     /// Runs one iteration per stimulus row and collects the write trace.
     ///
     /// # Errors
-    /// [`SimError::UnsupportedCall`] for IP calls, [`SimError::Eval`] if an
-    /// operation cannot be evaluated.
+    /// [`SimError::Eval`] if an operation cannot be evaluated.
     pub fn run(&self, stimulus: &Stimulus) -> Result<InterpTrace, SimError> {
         let n_ops = self.body.dfg.num_ops();
         let mut history: Vec<Vec<BitVal>> = Vec::with_capacity(stimulus.iterations());
@@ -115,12 +114,6 @@ impl<'a> Interpreter<'a> {
                 let value = match &op.kind {
                     OpKind::Read(p) => BitVal::new(stimulus.value(k, *p), op.width),
                     OpKind::Write(_) => resolve(&op.inputs[0], &vals, &history, k).resize(op.width),
-                    OpKind::Call { name, .. } => {
-                        return Err(SimError::UnsupportedCall {
-                            op: id,
-                            name: name.clone(),
-                        })
-                    }
                     OpKind::Pass if op.inputs.is_empty() => {
                         if op.is_first_iter_anchor() {
                             BitVal::from_bits(u64::from(k == 0), 1)
@@ -282,22 +275,5 @@ mod tests {
         stim.row_mut(2).unwrap().insert(x, 1);
         let trace = Interpreter::new(&body).unwrap().run(&stim).unwrap();
         assert_eq!(trace.port_writes(y), vec![(0, 5), (2, 1)]);
-    }
-
-    #[test]
-    fn calls_are_rejected() {
-        let mut dfg = Dfg::new();
-        dfg.add_op(
-            OpKind::Call {
-                name: "ip".into(),
-                latency: 2,
-            },
-            8,
-            vec![],
-        );
-        let body = LinearBody::from_dfg("call", dfg);
-        let stim = Stimulus::constant(&body.dfg, 1, 0);
-        let err = Interpreter::new(&body).unwrap().run(&stim).unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedCall { .. }));
     }
 }

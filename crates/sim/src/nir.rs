@@ -393,7 +393,7 @@ fn instr_of(m: &NirModule, cell: &Cell) -> Instr {
             // The field `[hi:lo]` of the sign-extended input, sign-extended
             // at its own width and then resized to the cell width: one
             // extension at the narrower of the two.
-            let take = (hi.saturating_sub(lo) + 1).min(64);
+            let take = hi.saturating_sub(lo).saturating_add(1).min(64);
             instr.op = Op::Slice;
             instr.b = u32::from(lo.min(63));
             instr.ext = ext_of(take.min(cell.width.clamp(1, 64)));
@@ -1000,7 +1000,6 @@ mod tests {
     use hls_frontend::designs;
     use hls_ir::eval::{eval_op, BitVal};
     use hls_ir::{LinearBody, OpKind, Port, PortDirection};
-    use hls_nir::text_parse;
     use hls_opt::linearize::prepare_innermost_loop;
     use hls_sched::{Scheduler, SchedulerConfig};
     use hls_tech::{ClockConstraint, TechLibrary};
@@ -1020,6 +1019,27 @@ mod tests {
 
     fn clk() -> ClockConstraint {
         ClockConstraint::from_period_ps(1600.0)
+    }
+
+    /// An empty module with the given header and `(name, direction,
+    /// width)` ports.
+    fn module(
+        fold_states: u32,
+        num_states: u32,
+        stages: u32,
+        ports: &[(&str, PortDirection, u16)],
+    ) -> NirModule {
+        let mut m = NirModule::new("t");
+        (m.fold_states, m.num_states, m.stages) = (fold_states, num_states, stages);
+        m.ports = ports
+            .iter()
+            .map(|&(name, direction, width)| Port {
+                name: name.into(),
+                direction,
+                width,
+            })
+            .collect();
+        m
     }
 
     #[test]
@@ -1093,11 +1113,10 @@ mod tests {
 
     #[test]
     fn an_operand_outside_the_netlist_is_an_error_not_a_panic() {
-        // the text parser checks neither operand ids nor stage numbers
-        let m = text_parse(
-            "module \"t\" fold=1 states=1 stages=1\n%0 = const 1 w8\n%1 = add %0 %7 w8\nendmodule\n",
-        )
-        .expect("parses");
+        // nothing checks the operand ids of a module built field by field
+        let mut m = module(1, 1, 1, &[]);
+        let c = m.push(CellKind::Const(1), 8, vec![]);
+        m.push(CellKind::Bin(BinKind::Add), 8, vec![c, CellId::from_raw(7)]);
         let err = NirSim::new(&m).unwrap_err();
         assert!(
             matches!(&err, SimError::Netlist { cell: 1, reason } if reason.contains("%7")),
@@ -1144,14 +1163,16 @@ mod tests {
 
     #[test]
     fn a_stage_outside_the_pipeline_is_an_error_not_a_panic() {
-        for kind in ["stagevalid", "firstiter"] {
-            let text =
-                format!("module \"t\" fold=2 states=4 stages=2\n%0 = {kind} 2 w1\nendmodule\n");
-            let m = text_parse(&text).expect("parses");
+        for kind in [
+            CellKind::StageValid { stage: 2 },
+            CellKind::FirstIter { stage: 2 },
+        ] {
+            let mut m = module(2, 4, 2, &[]);
+            m.push(kind.clone(), 1, vec![]);
             let err = NirSim::new(&m).unwrap_err();
             assert!(
                 matches!(&err, SimError::Netlist { cell: 0, reason } if reason.contains("stage 2")),
-                "{kind}: {err}"
+                "{kind:?}: {err}"
             );
         }
     }
@@ -1179,11 +1200,10 @@ mod tests {
 
     #[test]
     fn the_counter_reads_as_data() {
-        let m = text_parse(
-            "module \"t\" fold=5 states=5 stages=1\nport \"y\" out 8\n\
-             %0 = fsm w8\n%1 = const 1 w1\n%2 = output port=0 state=0 %0 %1 w8\nendmodule\n",
-        )
-        .expect("parses");
+        let mut m = module(5, 5, 1, &[("y", PortDirection::Output, 8)]);
+        let fsm = m.push(CellKind::FsmState, 8, vec![]);
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port: 0, state: 0 }, 8, vec![fsm, en]);
         let expected: Vec<_> = (0..15u64)
             .map(|t| (t, (t / 5) as u32, 0, (t % 5) as i64))
             .collect();
@@ -1195,12 +1215,15 @@ mod tests {
         // Unvalidated: 300 states do not fit the 8-bit counter, which
         // reads `sext((t mod 300) & 0xFF, 8)`; a decode of state 20 also
         // fires in state 276.
-        let m = text_parse(
-            "module \"t\" fold=300 states=300 stages=1\nport \"y\" out 16\nport \"z\" out 1\n\
-             %0 = fsm w8\n%1 = const 1 w1\n%2 = output port=0 state=0 %0 %1 w16\n\
-             %3 = const 20 w8\n%4 = eq %0 %3 w1\n%5 = output port=1 state=0 %1 %4 w1\nendmodule\n",
-        )
-        .expect("parses");
+        let out = PortDirection::Output;
+        let mut m = module(300, 300, 1, &[("y", out, 16), ("z", out, 1)]);
+        let fsm = m.push(CellKind::FsmState, 8, vec![]);
+        let one = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port: 0, state: 0 }, 16, vec![fsm, one]);
+        let twenty = m.push(CellKind::Const(20), 8, vec![]);
+        let eq = BinKind::Cmp(CmpKind::Eq);
+        let decode = m.push(CellKind::Bin(eq), 1, vec![fsm, twenty]);
+        m.push(CellKind::Output { port: 1, state: 0 }, 1, vec![one, decode]);
         let writes = timed_writes(&m, vec![vec![]; 2]);
         let counter: Vec<i64> = writes.iter().filter(|w| w.2 == 0).map(|w| w.3).collect();
         assert_eq!(counter.len(), 600);
@@ -1223,13 +1246,17 @@ mod tests {
     fn a_state_decoded_mux_resizes_its_arms() {
         // State 0 selects a 16-bit arm of the 8-bit mux, which truncates
         // it; state 1 a 4-bit arm, which it reads unchanged.
-        let m = text_parse(
-            "module \"t\" fold=2 states=2 stages=1\nport \"w\" in 16\nport \"n\" in 4\nport \"y\" out 16\n\
-             %0 = input port=0 state=0 w16\n%1 = input port=1 state=0 w4\n%2 = fsm w8\n\
-             %3 = const 0 w8\n%4 = eq %2 %3 w1\n%5 = mux %4 %0 %1 w8\n%6 = const 1 w1\n\
-             %7 = output port=2 state=0 %5 %6 w16\nendmodule\n",
-        )
-        .expect("parses");
+        let (input, out) = (PortDirection::Input, PortDirection::Output);
+        let ports = [("w", input, 16), ("n", input, 4), ("y", out, 16)];
+        let mut m = module(2, 2, 1, &ports);
+        let w = m.push(CellKind::Input { port: 0, state: 0 }, 16, vec![]);
+        let n = m.push(CellKind::Input { port: 1, state: 0 }, 4, vec![]);
+        let fsm = m.push(CellKind::FsmState, 8, vec![]);
+        let zero = m.push(CellKind::Const(0), 8, vec![]);
+        let first = m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![fsm, zero]);
+        let mux = m.push(CellKind::Mux, 8, vec![first, w, n]);
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port: 2, state: 0 }, 16, vec![mux, en]);
         let rows = vec![vec![(0, 0x1F0), (1, -3)], vec![(0, 0x17F), (1, 5)]];
         assert_eq!(
             timed_writes(&m, rows),
@@ -1241,18 +1268,34 @@ mod tests {
     fn a_deep_pipeline_header_runs_at_once() {
         // The controller's stage bits are computed, not shifted: a pipeline
         // of 2^32 - 1 stages costs nothing to run.
-        let m = text_parse(
-            "module \"t\" fold=1 states=1 stages=4294967295\nport \"x\" in 8\nport \"y\" out 8\n\
-             %0 = input port=0 state=0 w8\n%1 = const 1 w1\n%2 = output port=1 state=0 %0 %1 w8\n\
-             endmodule\n",
-        )
-        .expect("parses");
+        let (input, out) = (PortDirection::Input, PortDirection::Output);
+        let mut m = module(1, 1, u32::MAX, &[("x", input, 8), ("y", out, 8)]);
+        let x = m.push(CellKind::Input { port: 0, state: 0 }, 8, vec![]);
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port: 1, state: 0 }, 8, vec![x, en]);
         hls_nir::validate(&m).expect("valid");
         let rows = vec![vec![(0, 7)], vec![(0, -8)], vec![(0, 9)]];
         assert_eq!(
             timed_writes(&m, rows),
             [(0, 0, 1, 7), (1, 1, 1, -8), (2, 2, 1, 9)]
         );
+    }
+
+    #[test]
+    fn a_slice_of_every_u16_bit_compiles_and_reads_its_input() {
+        // Unvalidated: the field [65535:0] is wider than any value, so the
+        // slice reads the whole sign-extended input.
+        let (input, out) = (PortDirection::Input, PortDirection::Output);
+        let mut m = module(1, 1, 1, &[("x", input, 8), ("y", out, 8)]);
+        let x = m.push(CellKind::Input { port: 0, state: 0 }, 8, vec![]);
+        let wide = CellKind::Slice {
+            hi: u16::MAX,
+            lo: 0,
+        };
+        let s = m.push(wide, 8, vec![x]);
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port: 1, state: 0 }, 8, vec![s, en]);
+        assert_eq!(timed_writes(&m, vec![vec![(0, -3)]]), [(0, 0, 1, -3)]);
     }
 
     const WIDTHS: [u16; 7] = [1, 2, 7, 8, 32, 63, 64];

@@ -138,12 +138,4 @@ mod tests {
         assert_eq!(i.num_types(), 2);
         assert_eq!(i.ty(a).out_width, 33);
     }
-
-    #[test]
-    fn ip_blocks_intern_by_name() {
-        let mut i = Interner::new();
-        let sqrt = i.class_id(&ResourceClass::IpBlock("sqrt".into()));
-        let fft = i.class_id(&ResourceClass::IpBlock("fft".into()));
-        assert_ne!(sqrt, fft);
-    }
 }

@@ -190,12 +190,6 @@ impl TechLibrary {
                 energy_fj: 20.0 * f64::from(rt.out_width.max(1)),
             },
             ResourceClass::IoPort => Characterization::zero(),
-            ResourceClass::IpBlock(_) => Characterization {
-                delay_ps: 900.0,
-                area: 5000.0,
-                leakage_uw: 10.0,
-                energy_fj: 5000.0,
-            },
         }
     }
 

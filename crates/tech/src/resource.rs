@@ -34,8 +34,6 @@ pub enum ResourceClass {
     /// Port interface (I/O); does not occupy datapath logic but must be
     /// tracked for binding and for protocol constraints.
     IoPort,
-    /// A pre-designed IP block identified by name.
-    IpBlock(String),
 }
 
 impl ResourceClass {
@@ -52,7 +50,6 @@ impl ResourceClass {
             ResourceClass::Mux { inputs } => format!("mux{inputs}"),
             ResourceClass::Register => "ff".into(),
             ResourceClass::IoPort => "io".into(),
-            ResourceClass::IpBlock(name) => format!("ip_{name}"),
         }
     }
 }
@@ -142,7 +139,6 @@ impl ResourceType {
             OpKind::Cmp(_) => ResourceClass::Comparator,
             OpKind::Mux => ResourceClass::Mux { inputs: 2 },
             OpKind::Read(_) | OpKind::Write(_) => ResourceClass::IoPort,
-            OpKind::Call { name, .. } => ResourceClass::IpBlock(name.clone()),
             OpKind::Const(_) | OpKind::Pass | OpKind::Slice { .. } | OpKind::Resize => return None,
         })
     }
@@ -352,20 +348,5 @@ mod tests {
         let read = op(OpKind::Read(hls_ir::PortId::from_raw(0)), 32, &[]);
         let rt = ResourceType::for_op(&read).unwrap();
         assert_eq!(rt.class, ResourceClass::IoPort);
-    }
-
-    #[test]
-    fn ip_block_class_carries_name() {
-        let call = Operation::new(
-            OpKind::Call {
-                name: "sqrt".into(),
-                latency: 3,
-            },
-            32,
-            vec![],
-        );
-        let rt = ResourceType::for_op(&call).unwrap();
-        assert_eq!(rt.class, ResourceClass::IpBlock("sqrt".into()));
-        assert!(rt.name().contains("sqrt"));
     }
 }

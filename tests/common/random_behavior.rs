@@ -1,6 +1,6 @@
-//! The random-program generator behind the netlist round-trip properties
-//! and the static-timing oracle test in `hls-lint`. Both include this file
-//! with `#[path]`, so it names its dependencies by crate: `hls-frontend`,
+//! The random-program generator behind the netlist properties and the
+//! static-timing oracle test in `hls-lint`. Both include this file with
+//! `#[path]`, so it names its dependencies by crate: `hls-frontend`,
 //! `hls-ir` and the vendored `rand`.
 
 use hls_frontend::ast::{Behavior, BinOp, Expr};

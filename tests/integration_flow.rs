@@ -3,12 +3,13 @@
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::frontend::ast::BinOp;
 use hls::frontend::{elaborate, Behavior, Expr, FrontendError, LoopKind, Stmt, VarId};
-use hls::ir::CmpKind;
+use hls::ir::{CmpKind, PortDirection};
 use hls::opt::linearize::prepare_innermost_loop;
 use hls::Synthesizer;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Applies one random mutation to a behaviour: a statement deleted,
@@ -16,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// assigned or read; an undeclared port named, or a port used against its
 /// direction; a `wait` put in an `else` branch; a declared width set to 0,
 /// 65 or 200; or an expression sliced past its width, divided, reduced or
-/// shifted by a constant, or passed to a call.
+/// shifted by a constant.
 fn mutate(behavior: &mut Behavior, rng: &mut SmallRng) {
     let past = VarId((behavior.vars.len() + rng.gen_range(0usize..3)) as u32);
     let (mut blocks, mut exprs) = (0usize, 0usize);
@@ -27,7 +28,7 @@ fn mutate(behavior: &mut Behavior, rng: &mut SmallRng) {
         rng.gen_range(0..exprs.max(1)),
         rng.gen_range(0usize..8),
     );
-    let choice = rng.gen_range(0u32..12);
+    let choice = rng.gen_range(0u32..11);
     let mut on_block = |f: &mut dyn FnMut(&mut Vec<Stmt>)| {
         let mut k = 0;
         each_block(&mut behavior.body, &mut |stmts| {
@@ -105,13 +106,11 @@ fn mutate(behavior: &mut Behavior, rng: &mut SmallRng) {
         }
         // replace an expression, or build on it
         _ => {
-            let hi = one_of(rng, &[31, 32, 64, 65, 200]);
+            let hi = one_of(rng, &[31, 32, 64, 65, 200, 65535]);
             let lo = one_of(rng, &[0, 16, hi]);
             let op = one_of(rng, &[BinOp::Div, BinOp::Rem, BinOp::Shl, BinOp::Shr]);
             let c = one_of(rng, &[0, 1, -1, 2, 31, 32, 64, 65, i64::MIN, i64::MAX]);
             let port = one_of(rng, &["nosuch", "pixel"]).to_string();
-            let arity = rng.gen_range(0usize..3);
-            let latency = rng.gen_range(0u32..3);
             let mut k = 0;
             each_expr(&mut behavior.body, &mut |e| {
                 if k == expr {
@@ -120,12 +119,7 @@ fn mutate(behavior: &mut Behavior, rng: &mut SmallRng) {
                         7 => Expr::Var(past),
                         8 => Expr::Port(port.clone()),
                         9 => Expr::Slice { value: old, hi, lo },
-                        10 => Expr::Binary(op, old, Box::new(Expr::Const(c))),
-                        _ => Expr::Call {
-                            name: "ip".into(),
-                            args: vec![*old; arity],
-                            latency,
-                        },
+                        _ => Expr::Binary(op, old, Box::new(Expr::Const(c))),
                     };
                 }
                 k += 1;
@@ -197,7 +191,6 @@ fn expr_tree(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
             expr_tree(a, f);
             expr_tree(b, f);
         }
-        Expr::Call { args, .. } => args.iter_mut().for_each(|a| expr_tree(a, f)),
     }
 }
 
@@ -220,13 +213,32 @@ fn names_an_undeclared_var(behavior: &Behavior) -> bool {
     undeclared
 }
 
+/// Whether a `WritePort` statement names each declared output port.
+fn writes_every_output(behavior: &Behavior) -> bool {
+    let mut body = behavior.body.clone();
+    let mut written = HashSet::new();
+    each_block(&mut body, &mut |stmts| {
+        for s in stmts.iter() {
+            if let Stmt::WritePort { port, .. } = s {
+                written.insert(port.clone());
+            }
+        }
+    });
+    behavior
+        .ports
+        .iter()
+        .filter(|p| p.direction == PortDirection::Output)
+        .all(|p| written.contains(&p.name))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 1024, .. ProptestConfig::default() })]
 
     /// Example 1's behaviour, mutated one to three times (see [`mutate`]),
     /// ends in `Ok` or a typed error through elaboration and loop
     /// preparation, and never panics; one that names an undeclared variable
-    /// is refused with `UnknownVar`.
+    /// is refused with `UnknownVar`, and one that elaborates writes every
+    /// output port it declares.
     #[test]
     fn mutated_example1_behaviour_elaborates_or_fails_with_a_typed_error(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -243,6 +255,10 @@ proptest! {
         if names_an_undeclared_var(&behavior) {
             let refused = matches!(outcome, Err(FrontendError::UnknownVar { .. }));
             prop_assert!(refused, "seed {seed}: {outcome:?} for {behavior:?}");
+        }
+        if outcome.is_ok() {
+            let written = writes_every_output(&behavior);
+            prop_assert!(written, "seed {seed}: elaborated {behavior:?}");
         }
     }
 }

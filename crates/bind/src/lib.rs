@@ -50,7 +50,7 @@ pub use lower::{lower, LowerError, RtlStyle};
 pub use mux::InputMux;
 pub use regs::{BoundRegister, RegId};
 
-use hls_ir::{DenseOpMap, LinearBody, OpId};
+use hls_ir::{DenseOpMap, LinearBody};
 use hls_netlist::ScheduleDesc;
 use hls_tech::{Interner, ResourceInstanceId};
 
@@ -118,11 +118,6 @@ pub struct BoundDesign {
 }
 
 impl BoundDesign {
-    /// The unit an operation executes on.
-    pub fn fu_of(&self, op: OpId) -> Option<&BoundFu> {
-        self.fu_of[op].map(|r| &self.fus[r.index()])
-    }
-
     /// Steering fan-in of every functional unit, indexed by
     /// [`ResourceInstanceId`]: how many operations the FSM steers onto the
     /// instance — the `n` of the paper's `mux_n` sharing-delay model, and
@@ -305,9 +300,8 @@ mod tests {
         let bound = bind(&body, &desc).expect("bindable");
         for (id, s) in &desc.ops {
             assert_eq!(bound.fu_of[*id], s.resource);
-            if s.resource.is_some() {
-                let fu = bound.fu_of(*id).expect("bound");
-                assert!(fu.ops.iter().any(|o| o.op == *id));
+            if let Some(r) = s.resource {
+                assert!(bound.fus[r.index()].ops.iter().any(|o| o.op == *id));
             }
         }
     }

@@ -29,16 +29,6 @@ impl Default for VerifyOptions {
     }
 }
 
-impl VerifyOptions {
-    /// Options with the given vector count and the default seed.
-    pub fn vectors(vectors: usize) -> Self {
-        VerifyOptions {
-            vectors,
-            ..Self::default()
-        }
-    }
-}
-
 /// Differentially verifies one scheduled design point.
 ///
 /// # Errors
@@ -67,8 +57,15 @@ mod tests {
         let schedule = Scheduler::new(&body, &lib, config)
             .run()
             .expect("schedules");
-        let report =
-            verify_schedule(&body, &schedule.desc, &VerifyOptions::vectors(25)).expect("bit-exact");
+        let report = verify_schedule(
+            &body,
+            &schedule.desc,
+            &VerifyOptions {
+                vectors: 25,
+                ..VerifyOptions::default()
+            },
+        )
+        .expect("bit-exact");
         assert_eq!(report.iterations, 25);
         assert_eq!(report.ports, 8, "all eight IDCT outputs compared");
     }

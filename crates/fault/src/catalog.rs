@@ -69,23 +69,6 @@ impl FaultClass {
         }
     }
 
-    /// The lowering/rewrite bug the class models.
-    pub fn description(self) -> &'static str {
-        match self {
-            FaultClass::OperandSwap => {
-                "operand order lost while emitting a non-commutative operator"
-            }
-            FaultClass::MuxArmSwap => "then/else arms exchanged while building a mux",
-            FaultClass::ConstCorruption => "coefficient or control constant miscomputed",
-            FaultClass::RegInitFlip => "register reset value miscomputed",
-            FaultClass::DroppedEnable => "enable gating lost; the cell updates every cycle",
-            FaultClass::WrongEnable => "enable polarity inverted",
-            FaultClass::WidthNarrowing => "datapath width truncated by one bit",
-            FaultClass::DeadCellResurrection => "dead logic left behind by a rewrite",
-            FaultClass::SelectInversion => "mux select polarity inverted",
-        }
-    }
-
     /// The named escape documented for this class, if any: why no
     /// behavioural checker can see such mutants *by construction*, as
     /// opposed to a coverage hole.
@@ -400,7 +383,6 @@ mod tests {
                 .name()
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c == '-'));
-            assert!(!class.description().is_empty());
         }
     }
 

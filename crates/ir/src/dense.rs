@@ -18,8 +18,7 @@ use std::ops::{Index, IndexMut};
 ///
 /// All operations of the owning DFG are present; "absent" entries are
 /// modelled by `T`'s default (typically `Option<V>`). Cloning is a single
-/// `memcpy`-like `Vec` clone, which is what makes per-state scheduler
-/// snapshots cheap.
+/// `memcpy`-like `Vec` clone.
 #[derive(Clone, Default, PartialEq)]
 pub struct DenseOpMap<T> {
     data: Vec<T>,

@@ -96,11 +96,6 @@ impl StateIdx {
     pub fn next(self) -> Self {
         Self(self.0 + 1)
     }
-
-    /// Returns the paper-style one-based label of this state (`s1`, `s2`, ...).
-    pub fn label(self) -> String {
-        format!("s{}", self.0 + 1)
-    }
 }
 
 impl fmt::Debug for StateIdx {
@@ -147,8 +142,8 @@ mod tests {
 
     #[test]
     fn state_idx_labels_are_one_based() {
-        assert_eq!(StateIdx::new(0).label(), "s1");
-        assert_eq!(StateIdx::new(2).label(), "s3");
+        assert_eq!(StateIdx::new(0).to_string(), "s1");
+        assert_eq!(StateIdx::new(2).to_string(), "s3");
         assert_eq!(StateIdx::new(0).next(), StateIdx::new(1));
         assert_eq!(format!("{}", StateIdx::new(4)), "s5");
     }

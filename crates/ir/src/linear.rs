@@ -27,13 +27,6 @@ pub enum PinnedState {
 }
 
 impl PinnedState {
-    /// Earliest state allowed by the pin.
-    pub fn earliest(self) -> StateIdx {
-        match self {
-            PinnedState::Exact(s) | PinnedState::AtOrAfter(s) => s,
-        }
-    }
-
     /// Whether `state` satisfies the pin.
     pub fn allows(self, state: StateIdx) -> bool {
         match self {
@@ -81,11 +74,6 @@ impl LinearBody {
         if state + 1 > self.source_states {
             self.source_states = state + 1;
         }
-    }
-
-    /// Pins an operation to a control step.
-    pub fn pin(&mut self, op: OpId, pin: PinnedState) {
-        self.pins.insert(op, pin);
     }
 
     /// Returns the pin of an operation, if any.
@@ -214,7 +202,6 @@ mod tests {
         assert!(after.allows(StateIdx::new(1)));
         assert!(after.allows(StateIdx::new(5)));
         assert!(!after.allows(StateIdx::new(0)));
-        assert_eq!(after.earliest(), StateIdx::new(1));
     }
 
     #[test]
@@ -239,7 +226,7 @@ mod tests {
     fn validation_catches_bad_pins_and_states() {
         let (mut body, r1, ..) = body_with_io();
         assert!(body.validate().is_ok());
-        body.pin(r1, PinnedState::Exact(StateIdx::new(500)));
+        body.pins.insert(r1, PinnedState::Exact(StateIdx::new(500)));
         assert!(body.validate().is_err());
         body.pins.clear();
         body.source_state.insert(r1, 99);

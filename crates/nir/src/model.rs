@@ -547,11 +547,6 @@ impl NetlistStats {
     pub fn outputs(&self) -> usize {
         self.count("output")
     }
-
-    /// Count of `Input` port-read cells.
-    pub fn inputs(&self) -> usize {
-        self.count("input")
-    }
 }
 
 /// Turns a display name into a safe Verilog identifier: non-alphanumerics
@@ -710,7 +705,7 @@ mod tests {
         assert_eq!(s.count("const"), 3);
         assert_eq!(s.count_kind(&CellKind::Mux), 1);
         assert_eq!(s.outputs(), 0);
-        assert_eq!(s.inputs(), 0);
+        assert_eq!(s.count("input"), 0);
     }
 
     #[test]

@@ -26,7 +26,15 @@
 //! successful placement allocates nothing beyond the amortized growth of
 //! those tables; a failed one allocates its counted restraint list — one
 //! entry per distinct (kind, type) or (kind, slack), not one per busy
-//! instance — and the `Arc` that shares it with the per-state snapshots.
+//! instance.
+//!
+//! A round's ready list is read from a bitset over the region's priority
+//! ranks that holds each unplaced op whose same-region producers are all
+//! placed. Every op counts its unplaced same-region producers, and a
+//! placement decrements the counts of its consumers, so a round visits the
+//! ops that are ready instead of the whole body. Producers in upstream
+//! regions do not move while a region runs, so the first state they allow
+//! is computed once per run.
 //!
 //! # Regions
 //!
@@ -48,10 +56,12 @@
 //!
 //! The greedy pass is deterministic: given (latency, resources, forbidden
 //! bindings, SCC stages, upstream interface states) a region always makes
-//! the same decisions in the same order. Each region snapshots its mutable
-//! state at the start of every control step and carries a private `resume`
-//! watermark; a relaxation action dirties only the regions that can observe
-//! it:
+//! the same decisions in the same order. Each region journals every write
+//! to its mutable state, with a mark at the start of every control step, and
+//! carries a private `resume` watermark. Resuming at a step undoes the
+//! writes made since its mark, so a resume costs what it undoes, not the
+//! size of the region. A relaxation action dirties only the regions that
+//! can observe it:
 //!
 //! * `AddState` — every region continues from the previous final state,
 //!   unless mobility saturation swapped two of its ops in the priority
@@ -90,7 +100,7 @@ use hls_tech::{
     Interner, ResourceClass, ResourceClassId, ResourceInstanceId, ResourceSet, ResourceType,
     ResourceTypeId, TechLibrary,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Resume watermark marking a region that does not need to re-pass.
 const CLEAN: u32 = u32::MAX;
@@ -338,6 +348,12 @@ impl PassStatics {
             scc_of,
             launches_from_register,
         }
+    }
+
+    /// Every producer op `i` waits for, with duplicates: its distance-0
+    /// data producers, then its I/O-order producers.
+    fn producers(&self, i: usize) -> impl Iterator<Item = OpId> + '_ {
+        self.preds[i].iter().chain(&self.extra_preds[i]).copied()
     }
 }
 
@@ -616,13 +632,13 @@ struct PlacedOp {
 }
 
 /// The mutable per-region pass state — everything a control step's decisions
-/// inside one region can read or write. Cloning it (one `Vec` clone per
-/// field) is what a per-state snapshot costs; the busy table and
-/// combinational graph are derived from `placed` and deliberately excluded.
+/// inside one region can read or write. Every write goes through the
+/// region's undo journal (see [`RegionRt::rewind`]); the busy table and
+/// combinational graph are derived from `placed` and rebuilt instead.
 /// All vectors are indexed by the *region-local* op index except
 /// `scc_dyn_stage`, which stays global-SCC-indexed (an SCC is always wholly
 /// inside one region, so only its owner ever reads or writes its entry).
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
 struct RegionFrame {
     placed: Vec<Option<PlacedOp>>,
     num_placed: usize,
@@ -630,8 +646,7 @@ struct RegionFrame {
     /// Reasons recorded by the op's latest failed binding attempt; `None`
     /// means the op was never attempted (the failure report treats an
     /// attempted-but-reasonless op differently from a never-attempted one).
-    /// `Arc` so per-state snapshots clone a pointer, not the restraint list.
-    last_reasons: Vec<Option<Arc<Vec<Restraint>>>>,
+    last_reasons: Vec<Option<Vec<Restraint>>>,
     first_considered: Vec<Option<u32>>,
     min_slack: f64,
 }
@@ -647,6 +662,32 @@ impl RegionFrame {
             min_slack: f64::INFINITY,
         }
     }
+
+    /// Reverts one journaled write.
+    fn undo(&mut self, entry: Undo) {
+        match entry {
+            Undo::Placed { l, min_slack } => {
+                self.placed[l as usize] = None;
+                self.num_placed -= 1;
+                self.min_slack = min_slack;
+            }
+            Undo::Considered(l) => self.first_considered[l as usize] = None,
+            Undo::Reasons(l, old) => self.last_reasons[l as usize] = old,
+            Undo::Stage(i, old) => self.scc_dyn_stage[i as usize] = old,
+        }
+    }
+}
+
+/// One write to a [`RegionFrame`], with what it replaced.
+enum Undo {
+    /// `placed[l]` was set, and `min_slack` held this before it.
+    Placed { l: u32, min_slack: f64 },
+    /// `first_considered[l]` was set.
+    Considered(u32),
+    /// `last_reasons[l]` held this before the step's first write to it.
+    Reasons(u32, Option<Vec<Restraint>>),
+    /// `scc_dyn_stage[i]` held this.
+    Stage(u32, Option<u32>),
 }
 
 /// Per-region runtime: the region's slice of the problem (members, priority
@@ -670,7 +711,10 @@ struct RegionRt {
     insts_per_class: Vec<usize>,
 
     frame: RegionFrame,
-    snapshots: Vec<RegionFrame>,
+    /// Every write to `frame` since the region last started from state 0.
+    journal: Vec<Undo>,
+    /// Per control step run, the journal's length when the step began.
+    marks: Vec<usize>,
     /// Earliest state the next pass must replay from; [`CLEAN`] = skip.
     resume: u32,
     /// Last published boundary interface: the state of each boundary op
@@ -713,6 +757,98 @@ struct RegionRt {
     /// The current step's failed ops, each with the region's placement
     /// count at its failed attempt.
     step_fails: Vec<(OpId, usize)>,
+
+    // the ready set: `consumers` is fixed, the rest is rebuilt per run
+    /// Per local op, its same-region consumers' local indices, once per
+    /// edge (as `PassStatics::producers` lists them).
+    consumers: Vec<Vec<u32>>,
+    /// Per local op, its position in `order`.
+    rank: Vec<u32>,
+    /// Per local op, its unplaced same-region producers, once per edge.
+    waiting: Vec<u32>,
+    /// Per local op, the first state its upstream-region producers allow
+    /// (one past the latest one's state), [`NEVER`] while one is unplaced.
+    release: Vec<u32>,
+    /// A bitset over ranks: the unplaced ops with nothing `waiting`.
+    ready_bits: Vec<u64>,
+    /// The frame at the start of each step run, to check every rewind
+    /// against.
+    #[cfg(test)]
+    clones: Vec<RegionFrame>,
+}
+
+/// A [`RegionRt::release`] that no state reaches: an upstream producer is
+/// unplaced.
+const NEVER: u32 = u32::MAX;
+
+impl RegionRt {
+    /// Sets `first_considered[l]`, which is unset.
+    fn consider(&mut self, l: usize, state: u32) {
+        self.journal.push(Undo::Considered(l as u32));
+        self.frame.first_considered[l] = Some(state);
+    }
+
+    /// Records the reasons of op `l`'s failed attempt. Only the step's
+    /// first write to the slot is journaled, since a rewind returns to the
+    /// start of a step: a second attempt in one step is the end-of-step
+    /// refresh of an op still marked `step_failed`.
+    fn record_failure(&mut self, l: usize, reasons: Vec<Restraint>) {
+        let old = self.frame.last_reasons[l].replace(reasons);
+        if !self.step_failed[l] {
+            self.journal.push(Undo::Reasons(l as u32, old));
+        }
+    }
+
+    /// Sets the dynamic stage of SCC `i`.
+    fn set_stage(&mut self, i: usize, stage: Option<u32>) {
+        let old = std::mem::replace(&mut self.frame.scc_dyn_stage[i], stage);
+        if old != stage {
+            self.journal.push(Undo::Stage(i as u32, old));
+        }
+    }
+
+    /// Places op `l`, folding the slack of a bound op into `min_slack`, and
+    /// moves it out of the ready set; each same-region consumer it was the
+    /// last unplaced producer of moves in, for the next round.
+    fn place(&mut self, l: usize, placed: PlacedOp, slack: Option<f64>) {
+        let frame = &mut self.frame;
+        self.journal.push(Undo::Placed {
+            l: l as u32,
+            min_slack: frame.min_slack,
+        });
+        frame.placed[l] = Some(placed);
+        frame.num_placed += 1;
+        if let Some(slack) = slack {
+            frame.min_slack = frame.min_slack.min(slack);
+        }
+        let rank = self.rank[l] as usize;
+        self.ready_bits[rank / 64] &= !(1 << (rank % 64));
+        for &c in &self.consumers[l] {
+            let c = c as usize;
+            self.waiting[c] -= 1;
+            if self.waiting[c] == 0 {
+                set_bit(&mut self.ready_bits, self.rank[c] as usize);
+            }
+        }
+    }
+
+    /// Undoes the journal back to the start of step `state`, which ran.
+    fn rewind(&mut self, state: u32) {
+        let mark = self.marks[state as usize];
+        self.marks.truncate(state as usize);
+        for entry in self.journal.drain(mark..).rev() {
+            self.frame.undo(entry);
+        }
+    }
+
+    /// Starts the region again from state 0.
+    fn reset(&mut self, scc_stage_input: &[Option<u32>]) {
+        self.frame = RegionFrame::fresh(self.members.len(), scc_stage_input);
+        self.journal.clear();
+        self.marks.clear();
+        #[cfg(test)]
+        self.clones.clear();
+    }
 }
 
 /// Work counters, summed over an engine's passes and regions: the control
@@ -784,6 +920,10 @@ pub(crate) struct Engine<'a> {
     order: Vec<OpId>,
 
     regions: Vec<RegionRt>,
+    /// The relaxation action applied last, which the oracle's rewind
+    /// coverage is counted by.
+    #[cfg(test)]
+    last_action: Option<RelaxAction>,
 }
 
 impl<'a> Engine<'a> {
@@ -877,6 +1017,7 @@ impl<'a> Engine<'a> {
                     ops_per_class[cid.index()] += 1;
                 }
             }
+            let consumers = region_consumers(&statics, &plan, ri);
             regions.push(RegionRt {
                 frame: RegionFrame::fresh(members.len(), &scc_stage_input),
                 members,
@@ -885,7 +1026,8 @@ impl<'a> Engine<'a> {
                 type_bits: Vec::new(),
                 ops_per_class,
                 insts_per_class: std::mem::take(&mut insts_per_class_by_region[ri]),
-                snapshots: Vec::new(),
+                journal: Vec::new(),
+                marks: Vec::new(),
                 resume: 0,
                 iface: vec![None; info.boundary.len()],
                 fail: Vec::new(),
@@ -908,6 +1050,13 @@ impl<'a> Engine<'a> {
                 in_arrivals: Vec::with_capacity(8),
                 step_failed: vec![false; info.ops.len()],
                 step_fails: Vec::new(),
+                consumers,
+                rank: Vec::new(),
+                waiting: Vec::new(),
+                release: Vec::new(),
+                ready_bits: Vec::new(),
+                #[cfg(test)]
+                clones: Vec::new(),
             });
         }
 
@@ -941,6 +1090,8 @@ impl<'a> Engine<'a> {
             compat_types,
             order,
             regions,
+            #[cfg(test)]
+            last_action: None,
         }
     }
 
@@ -961,10 +1112,8 @@ impl<'a> Engine<'a> {
                 self.scc_stage_input[scc] = Some(stage);
             }
         }
-        let pins = &self.scc_stage_input;
         for rt in &mut self.regions {
-            rt.frame = RegionFrame::fresh(rt.members.len(), pins);
-            rt.snapshots.clear();
+            rt.reset(&self.scc_stage_input);
             rt.resume = 0;
             rt.iface = vec![None; rt.iface.len()];
             rt.fail.clear();
@@ -981,6 +1130,10 @@ impl<'a> Engine<'a> {
     /// `restraints` is the failed pass's restraint list — `AddResource`
     /// derives the owning region from the restraint that provoked it.
     pub(crate) fn apply(&mut self, action: &RelaxAction, restraints: &[Restraint]) {
+        #[cfg(test)]
+        {
+            self.last_action = Some(action.clone());
+        }
         match action {
             RelaxAction::AddState => self.add_state(),
             RelaxAction::AddResource(ty) => {
@@ -1187,30 +1340,44 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whether predecessor `p` permits scheduling its consumer in `state`:
-    /// same region — placed no later than `state` (same-state chaining
-    /// allowed); other region — placed *strictly earlier* (the registered
-    /// cut rule, which is what makes cross-region readiness invariant during
-    /// a state's placement rounds).
-    fn pred_sched_ok(
-        &self,
-        base: u32,
-        ridx: u32,
-        cur: &RegionRt,
-        done: &[RegionRt],
-        p: OpId,
-        state: u32,
-    ) -> bool {
-        let pr = self.plan.region_of[p.index()];
-        let pl = self.plan.local_of[p.index()] as usize;
-        if pr == ridx {
-            cur.frame.placed[pl]
-                .map(|s| s.state <= state)
-                .unwrap_or(false)
-        } else {
-            done[(pr - base) as usize].frame.placed[pl]
-                .map(|s| s.state < state)
-                .unwrap_or(false)
+    /// Rebuilds one region's ready set from its current placement: every
+    /// op's rank, unplaced same-region producers and upstream release
+    /// state, and the ready bitset. Every same-region producer placed so
+    /// far is in an earlier state than any the run schedules, so it allows
+    /// chaining in all of them; an upstream producer allows the states
+    /// after its own, and upstream regions do not move while this one runs.
+    fn rebuild_ready(&self, base: u32, ridx: u32, cur: &mut RegionRt, done: &[RegionRt]) {
+        let n_local = cur.members.len();
+        cur.rank.resize(n_local, 0);
+        for (k, op) in cur.order.iter().enumerate() {
+            cur.rank[self.plan.local_of[op.index()] as usize] = k as u32;
+        }
+        cur.waiting.clear();
+        cur.waiting.resize(n_local, 0);
+        cur.release.clear();
+        cur.release.resize(n_local, 0);
+        cur.ready_bits.clear();
+        cur.ready_bits.resize(n_local.div_ceil(64), 0);
+        for (l, &g) in cur.members.iter().enumerate() {
+            if cur.frame.placed[l].is_some() {
+                continue;
+            }
+            let (mut waiting, mut release) = (0, 0);
+            for p in self.statics.producers(g as usize) {
+                let pr = self.plan.region_of[p.index()];
+                let pl = self.plan.local_of[p.index()] as usize;
+                if pr == ridx {
+                    waiting += u32::from(cur.frame.placed[pl].is_none());
+                } else {
+                    let placed = done[(pr - base) as usize].frame.placed[pl];
+                    release = release.max(placed.map_or(NEVER, |sp| sp.state + 1));
+                }
+            }
+            cur.waiting[l] = waiting;
+            cur.release[l] = release;
+            if waiting == 0 {
+                set_bit(&mut cur.ready_bits, cur.rank[l] as usize);
+            }
         }
     }
 
@@ -1375,8 +1542,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs one region's pass from its resume watermark, restoring the
-    /// snapshot when resuming mid-schedule, and refreshes its cached
+    /// Runs one region's pass from its resume watermark, rewinding the
+    /// journal when resuming mid-schedule, and refreshes its cached
     /// failure-report fragment.
     #[allow(clippy::too_many_arguments)]
     fn run_region(
@@ -1395,24 +1562,23 @@ impl<'a> Engine<'a> {
         // --- restore ---------------------------------------------------------
         let resume = cur.resume.min(latency);
         if resume == 0 {
-            cur.frame = RegionFrame::fresh(n_local, &self.scc_stage_input);
-            cur.snapshots.clear();
-        } else if (resume as usize) < cur.snapshots.len() {
-            cur.frame = cur.snapshots[resume as usize].clone();
-            cur.snapshots.truncate(resume as usize);
+            cur.reset(&self.scc_stage_input);
+        } else if (resume as usize) < cur.marks.len() {
+            cur.rewind(resume);
+            #[cfg(test)]
+            oracle::check_rewind(self, cur, resume);
             // re-apply the (possibly updated) input stage pins; for sccs
             // whose input is unchanged this is a no-op
             for (i, stage) in self.scc_stage_input.iter().enumerate() {
-                if let Some(v) = stage {
-                    cur.frame.scc_dyn_stage[i] = Some(*v);
+                if stage.is_some() {
+                    cur.set_stage(i, *stage);
                 }
             }
-        } else {
-            // continue from the live frame (AddState append); snapshots for
-            // the existing states remain valid
-            cur.snapshots.truncate(resume as usize);
         }
+        // otherwise continue from the live frame (AddState append): the
+        // marks of the existing states remain valid
         self.rebuild_derived(cur, fold_states, ii);
+        self.rebuild_ready(base, ridx, cur, done);
 
         // --- control steps ---------------------------------------------------
         // Within a step the busy table and the combinational graph only
@@ -1425,50 +1591,52 @@ impl<'a> Engine<'a> {
         // otherwise they are already the same.
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
-            debug_assert_eq!(cur.snapshots.len(), state as usize);
-            cur.snapshots.push(cur.frame.clone());
+            debug_assert_eq!(cur.marks.len(), state as usize);
+            cur.marks.push(cur.journal.len());
+            #[cfg(test)]
+            cur.clones.push(cur.frame.clone());
             cur.work.steps += 1;
             loop {
                 // ready operations, already in priority order
                 let mut ready = std::mem::take(&mut cur.ready);
                 ready.clear();
-                for &op_id in &order {
-                    let i = op_id.index();
-                    let l = self.plan.local_of[i] as usize;
-                    // A failed op would still be ready: SCC members need no
-                    // exception, since a first placement in this step pins
-                    // an SCC window that contains this step.
-                    if cur.frame.placed[l].is_some() || cur.step_failed[l] {
-                        continue;
-                    }
-                    let preds_ok = self.statics.preds[i]
-                        .iter()
-                        .all(|&p| self.pred_sched_ok(base, ridx, cur, done, p, state))
-                        && self.statics.extra_preds[i]
-                            .iter()
-                            .all(|&p| self.pred_sched_ok(base, ridx, cur, done, p, state));
-                    if !preds_ok {
-                        continue;
-                    }
-                    if let Some(pin) = self.statics.pin[i] {
-                        if !pin.allows(hls_ir::StateIdx::new(state)) {
+                #[cfg(test)]
+                let considered = cur.frame.first_considered.clone();
+                for w in 0..cur.ready_bits.len() {
+                    for rank in ones(w, cur.ready_bits[w]) {
+                        let op_id = order[rank];
+                        let i = op_id.index();
+                        let l = self.plan.local_of[i] as usize;
+                        // A failed op would still be ready: SCC members need
+                        // no exception, since a first placement in this step
+                        // pins an SCC window that contains this step.
+                        if cur.step_failed[l] || cur.release[l] > state {
                             continue;
                         }
-                    }
-                    if cur.frame.first_considered[l].is_none() {
-                        cur.frame.first_considered[l] = Some(state);
-                    }
-                    if let Some(scc) = self.statics.scc_of[i] {
-                        if let Some((lo, hi)) =
-                            self.scc_window(scc as usize, &cur.frame.scc_dyn_stage, ii)
-                        {
-                            if state < lo || state > hi {
+                        if let Some(pin) = self.statics.pin[i] {
+                            if !pin.allows(hls_ir::StateIdx::new(state)) {
                                 continue;
                             }
                         }
+                        if cur.frame.first_considered[l].is_none() {
+                            cur.consider(l, state);
+                        }
+                        if let Some(scc) = self.statics.scc_of[i] {
+                            if let Some((lo, hi)) =
+                                self.scc_window(scc as usize, &cur.frame.scc_dyn_stage, ii)
+                            {
+                                if state < lo || state > hi {
+                                    continue;
+                                }
+                            }
+                        }
+                        ready.push(op_id);
                     }
-                    ready.push(op_id);
                 }
+                #[cfg(test)]
+                oracle::check_ready(
+                    self, base, ridx, cur, done, &order, state, ii, considered, &ready,
+                );
                 if ready.is_empty() {
                     cur.ready = ready;
                     break;
@@ -1502,7 +1670,6 @@ impl<'a> Engine<'a> {
             }
             let mut fails = std::mem::take(&mut cur.step_fails);
             for &(op_id, placed_then) in &fails {
-                cur.step_failed[self.plan.local_of[op_id.index()] as usize] = false;
                 if cur.frame.num_placed > placed_then {
                     let refresh = self.try_place(
                         base,
@@ -1521,6 +1688,7 @@ impl<'a> Engine<'a> {
                         "a failed placement succeeded later in its step"
                     );
                 }
+                cur.step_failed[self.plan.local_of[op_id.index()] as usize] = false;
             }
             fails.clear();
             cur.step_fails = fails;
@@ -1546,7 +1714,7 @@ impl<'a> Engine<'a> {
                 }
                 let id = OpId::from_raw(g);
                 if let Some(rs) = &cur.frame.last_reasons[l] {
-                    cur.fail.push((id, rs.as_ref().clone()));
+                    cur.fail.push((id, rs.clone()));
                 } else {
                     // never attempted: distinguish "a region-crossing value
                     // is registered in the final state, so readiness needs a
@@ -1641,12 +1809,12 @@ impl<'a> Engine<'a> {
             } else {
                 in_arrivals.iter().copied().fold(0.0f64, f64::max)
             };
-            cur.frame.placed[l] = Some(PlacedOp {
+            let placed = PlacedOp {
                 state,
                 resource: None,
                 arrival: a,
-            });
-            cur.frame.num_placed += 1;
+            };
+            cur.place(l, placed, None);
             cur.in_arrivals = in_arrivals;
             return Attempt::Placed;
         }
@@ -1694,18 +1862,16 @@ impl<'a> Engine<'a> {
                 }
                 cur.busy[local * fold_states as usize + at.folded as usize].push(op_id);
                 cur.occupied[at.folded as usize * cur.words + local / 64] |= 1 << (local % 64);
-                cur.frame.placed[l] = Some(PlacedOp {
+                let placed = PlacedOp {
                     state,
                     resource: Some(cur.insts[local]),
                     arrival,
-                });
-                cur.frame.num_placed += 1;
-                cur.frame.min_slack = cur.frame.min_slack.min(slack);
+                };
+                cur.place(l, placed, Some(slack));
                 // pin the SCC stage on first placement
                 if let Some(scc) = self.statics.scc_of[i] {
-                    let entry = &mut cur.frame.scc_dyn_stage[scc as usize];
-                    if entry.is_none() {
-                        *entry = Some(state / ii);
+                    if cur.frame.scc_dyn_stage[scc as usize].is_none() {
+                        cur.set_stage(scc as usize, Some(state / ii));
                     }
                 }
                 Attempt::Placed
@@ -1747,7 +1913,7 @@ impl<'a> Engine<'a> {
                         });
                     }
                 }
-                cur.frame.last_reasons[l] = Some(Arc::new(reasons));
+                cur.record_failure(l, reasons);
                 Attempt::Failed
             }
         };
@@ -2167,20 +2333,35 @@ fn min_opt(a: Option<u32>, b: Option<u32>) -> Option<u32> {
     }
 }
 
+/// Region `r`'s same-region consumer lists (see [`RegionRt::consumers`]).
+fn region_consumers(statics: &PassStatics, plan: &RegionPlan, r: usize) -> Vec<Vec<u32>> {
+    let members = &plan.regions[r].ops;
+    let mut consumers = vec![Vec::new(); members.len()];
+    for (l, &g) in members.iter().enumerate() {
+        for p in statics.producers(g as usize) {
+            if plan.region_of[p.index()] as usize == r {
+                consumers[plan.local_of[p.index()] as usize].push(l as u32);
+            }
+        }
+    }
+    consumers
+}
+
 /// Ready-list capacity hint: an even split of the ops over the regions.
 fn regions_capacity_hint(n: usize, num_regions: usize) -> usize {
     n / num_regions.max(1) + 1
 }
 
-/// The walk oracle's check of every placement scan in test builds, and
-/// the coverage it reports.
+/// The test-build oracles: the walk that checks every placement scan, the
+/// full scan of the priority order that checks every ready list, the
+/// cloned frames that check every rewind, and the coverage they report.
 #[cfg(test)]
 mod oracle {
     use super::*;
     use std::cell::Cell;
 
-    /// Placement attempts the oracle checked, in all and in the cases the
-    /// bitsets handle apart from the plain one.
+    /// What the oracles checked, in all and in the cases the bitsets and
+    /// the journal handle apart from the plain one.
     #[derive(Clone, Copy, Debug, Default)]
     pub(crate) struct Coverage {
         pub(crate) attempts: u64,
@@ -2191,6 +2372,23 @@ mod oracle {
         pub(crate) shared: u64,
         /// An op with a forbidden instance in its region's pool.
         pub(crate) forbidden: u64,
+        /// Ready lists checked against the full scan.
+        pub(crate) rounds: u64,
+        /// An op whose upstream-region producers allow no state up to this
+        /// one left out of a ready list.
+        pub(crate) held: u64,
+        /// An op with an upstream-region producer in a ready list.
+        pub(crate) released: u64,
+        /// An op left out because its pin does not allow the state.
+        pub(crate) pin_skips: u64,
+        /// An SCC member left out because the state is outside its window.
+        pub(crate) window_skips: u64,
+        /// An op left out because it failed earlier in the step.
+        pub(crate) failed_skips: u64,
+        /// Rewinds checked against a cloned frame, by the action applied
+        /// last: `AddState`, `AddResource` or `AddResourceBatch`, `MoveScc`
+        /// and `ForbidBinding`.
+        pub(crate) rewinds: [u64; 4],
     }
 
     impl std::ops::AddAssign for Coverage {
@@ -2199,6 +2397,15 @@ mod oracle {
             self.wide += o.wide;
             self.shared += o.shared;
             self.forbidden += o.forbidden;
+            self.rounds += o.rounds;
+            self.held += o.held;
+            self.released += o.released;
+            self.pin_skips += o.pin_skips;
+            self.window_skips += o.window_skips;
+            self.failed_skips += o.failed_skips;
+            for (a, b) in self.rewinds.iter_mut().zip(o.rewinds) {
+                *a += b;
+            }
         }
     }
 
@@ -2241,6 +2448,122 @@ mod oracle {
         cov.forbidden += u64::from(forbidden);
     }
 
+    /// Whether predecessor `p` permits scheduling its consumer in `state`:
+    /// same region — placed no later than `state` (same-state chaining
+    /// allowed); other region — placed *strictly earlier* (the registered
+    /// cut rule, which is what makes cross-region readiness invariant during
+    /// a state's placement rounds).
+    fn pred_sched_ok(
+        engine: &Engine,
+        base: u32,
+        ridx: u32,
+        cur: &RegionRt,
+        done: &[RegionRt],
+        p: OpId,
+        state: u32,
+    ) -> bool {
+        let pr = engine.plan.region_of[p.index()];
+        let pl = engine.plan.local_of[p.index()] as usize;
+        if pr == ridx {
+            cur.frame.placed[pl].is_some_and(|s| s.state <= state)
+        } else {
+            done[(pr - base) as usize].frame.placed[pl].is_some_and(|s| s.state < state)
+        }
+    }
+
+    /// Asserts that the ready set gave the ready list the full scan of the
+    /// priority order gives, and marked the same ops considered; the scan
+    /// starts from `considered`, the marks before the round. Counts the
+    /// ops each filter left out.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn check_ready(
+        engine: &Engine,
+        base: u32,
+        ridx: u32,
+        cur: &mut RegionRt,
+        done: &[RegionRt],
+        order: &[OpId],
+        state: u32,
+        ii: u32,
+        mut considered: Vec<Option<u32>>,
+        ready: &[OpId],
+    ) {
+        let mut cov = Coverage {
+            rounds: 1,
+            ..Coverage::default()
+        };
+        let mut scanned = Vec::new();
+        for &op_id in order {
+            let i = op_id.index();
+            let l = engine.plan.local_of[i] as usize;
+            if cur.frame.placed[l].is_some() {
+                continue;
+            }
+            if cur.step_failed[l] {
+                cov.failed_skips += 1;
+                continue;
+            }
+            let upstream = |p: &OpId| engine.plan.region_of[p.index()] != ridx;
+            let ok = |p: OpId| pred_sched_ok(engine, base, ridx, cur, done, p, state);
+            let producers = || engine.statics.producers(i);
+            if !producers().filter(|p| !upstream(p)).all(ok) {
+                continue;
+            }
+            if !producers().filter(upstream).all(ok) {
+                cov.held += 1;
+                continue;
+            }
+            if let Some(pin) = engine.statics.pin[i] {
+                if !pin.allows(hls_ir::StateIdx::new(state)) {
+                    cov.pin_skips += 1;
+                    continue;
+                }
+            }
+            if considered[l].is_none() {
+                considered[l] = Some(state);
+            }
+            if let Some(scc) = engine.statics.scc_of[i] {
+                if let Some((lo, hi)) =
+                    engine.scc_window(scc as usize, &cur.frame.scc_dyn_stage, ii)
+                {
+                    if state < lo || state > hi {
+                        cov.window_skips += 1;
+                        continue;
+                    }
+                }
+            }
+            cov.released += u64::from(producers().any(|p| upstream(&p)));
+            scanned.push(op_id);
+        }
+        assert_eq!(
+            ready, scanned,
+            "region {ridx}'s ready set disagrees with the full scan in state {state}"
+        );
+        assert!(
+            cur.frame.first_considered == considered,
+            "region {ridx}'s ready set marked other ops considered in state {state}"
+        );
+        cur.coverage += cov;
+    }
+
+    /// Asserts that the rewind to `state` restored the frame cloned when
+    /// that step began, and counts it by the action applied last.
+    pub(super) fn check_rewind(engine: &Engine, cur: &mut RegionRt, state: u32) {
+        assert!(
+            cur.frame == cur.clones[state as usize],
+            "the rewind to state {state} differs from the frame cloned there"
+        );
+        cur.clones.truncate(state as usize);
+        let kind = match engine.last_action {
+            Some(RelaxAction::AddState) => 0,
+            Some(RelaxAction::AddResource(_) | RelaxAction::AddResourceBatch { .. }) => 1,
+            Some(RelaxAction::MoveScc { .. }) => 2,
+            Some(RelaxAction::ForbidBinding { .. }) => 3,
+            None => unreachable!("a rewind follows an action"),
+        };
+        cur.coverage.rewinds[kind] += 1;
+    }
+
     /// Moves the regions' coverage into the calling thread's record (the
     /// regions may have run on worker threads).
     pub(super) fn record(regions: &mut [RegionRt]) {
@@ -2264,9 +2587,10 @@ mod random_behavior;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Scheduler;
+    use crate::error::SchedError;
+    use crate::scheduler::{Schedule, Scheduler};
     use hls_ir::analysis::sccs;
-    use hls_ir::{Dfg, PortDirection, Predicate, Signal};
+    use hls_ir::{Dfg, PortDirection, Predicate, Signal, StateIdx};
     use hls_tech::ClockConstraint;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -2449,12 +2773,9 @@ mod tests {
         );
     }
 
-    /// Every placement attempt of every run goes through the walk oracle
-    /// (see `oracle::check`); this corpus must also reach the cases the
-    /// bitsets treat apart from the plain one.
-    #[test]
-    fn bitset_scan_matches_the_walk_on_generated_designs() {
-        let lib = TechLibrary::artisan_90nm_typical();
+    /// The generated designs the oracle tests schedule, and the four
+    /// configurations they are scheduled in, the last region-decomposed.
+    fn oracle_corpus() -> (Vec<LinearBody>, [SchedulerConfig; 4]) {
         let c1600 = ClockConstraint::from_period_ps(1600.0);
         let c2200 = ClockConstraint::from_period_ps(2200.0);
         let configs = [
@@ -2473,6 +2794,16 @@ mod tests {
             bodies.push(random_dag(seed, n, false));
             bodies.push(random_dag(seed, n, true));
         }
+        (bodies, configs)
+    }
+
+    /// Every placement attempt of every run goes through the walk oracle
+    /// (see `oracle::check`); this corpus must also reach the cases the
+    /// bitsets treat apart from the plain one.
+    #[test]
+    fn bitset_scan_matches_the_walk_on_generated_designs() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let (bodies, configs) = oracle_corpus();
         let _ = oracle::take();
         for body in &bodies {
             for config in &configs {
@@ -2485,6 +2816,124 @@ mod tests {
             "the corpus must reach pools past 64 instances, a predicated op \
              sharing an occupied instance and a forbidden instance: {cov:?}"
         );
+    }
+
+    /// `body` with each write pinned to exactly the state `schedule` gave
+    /// it and each op of its first SCC to state 1 or later.
+    fn pinned(body: &LinearBody, schedule: &ScheduleDesc) -> LinearBody {
+        let mut body = body.clone();
+        let scc = sccs(&body.dfg)
+            .into_iter()
+            .next()
+            .map_or(Vec::new(), |c| c.ops);
+        for (id, op) in body.dfg.iter_ops() {
+            let pin = if matches!(op.kind, OpKind::Write(_)) {
+                PinnedState::Exact(StateIdx::new(schedule.ops[&id].state))
+            } else if scc.contains(&id) {
+                PinnedState::AtOrAfter(StateIdx::new(1))
+            } else {
+                continue;
+            };
+            body.pins.insert(id, pin);
+        }
+        body
+    }
+
+    /// What the incremental and reference drivers must agree on: the
+    /// schedule, latency, passes, actions and worst slack, or the error.
+    fn verdict(run: &Result<Schedule, SchedError>) -> String {
+        match run {
+            Ok(s) => format!(
+                "{:?} {} {} {:?} {}",
+                s.desc, s.latency, s.passes, s.actions, s.min_slack_ps
+            ),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    /// Every round's ready list and every rewind of the runs over the
+    /// oracle corpus goes through its oracle (see `oracle::check_ready` and
+    /// `oracle::check_rewind`). The corpus is run as generated, then with
+    /// the pins of [`pinned`] on every body the first run scheduled, which
+    /// the incremental driver must schedule as the reference does and
+    /// honour; it must reach each filter of the ready walk and a rewind
+    /// after each kind of action.
+    #[test]
+    fn ready_set_and_journal_match_their_oracles_on_generated_designs() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let (bodies, configs) = oracle_corpus();
+        let _ = oracle::take();
+        let mut pinned_bodies = Vec::new();
+        for body in &bodies {
+            for config in &configs {
+                if let Ok(s) = Scheduler::new(body, &lib, config.clone()).run() {
+                    pinned_bodies.push((pinned(body, &s.desc), config));
+                }
+            }
+        }
+        let mut honoured = 0;
+        for (body, config) in &pinned_bodies {
+            let scheduler = Scheduler::new(body, &lib, (*config).clone());
+            let run = scheduler.run();
+            assert_eq!(verdict(&run), verdict(&scheduler.run_reference()));
+            let Ok(schedule) = run else { continue };
+            for (op, pin) in &body.pins {
+                let state = schedule.desc.ops[op].state;
+                assert!(
+                    pin.allows(StateIdx::new(state)),
+                    "{op} in s{state}: {pin:?}"
+                );
+            }
+            honoured += 1;
+        }
+        let cov = oracle::take();
+        assert!(
+            cov.held > 0
+                && cov.released > 0
+                && cov.pin_skips > 0
+                && cov.window_skips > 0
+                && cov.failed_skips > 0
+                && cov.rewinds.iter().all(|&n| n > 0),
+            "the corpus must reach an op held back by and released from an \
+             upstream region, a pin, an SCC window and a failed op left out of a \
+             ready list, and a rewind after each kind of action: {cov:?}"
+        );
+        assert!(
+            honoured * 2 > pinned_bodies.len(),
+            "{honoured} of {} pinned runs scheduled",
+            pinned_bodies.len()
+        );
+    }
+
+    /// A write pinned past the largest latency the configuration allows is
+    /// never considered: both drivers refuse it with the same typed error.
+    #[test]
+    fn an_exact_pin_no_schedule_reaches_is_refused_with_a_typed_error() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let (bodies, configs) = oracle_corpus();
+        for body in bodies.iter().take(6) {
+            let mut body = body.clone();
+            let (write, _) = body
+                .dfg
+                .iter_ops()
+                .filter(|(_, op)| matches!(op.kind, OpKind::Write(_)))
+                .last()
+                .expect("a generated body writes");
+            for config in &configs {
+                let past = StateIdx::new(config.max_latency + 2);
+                body.pins.insert(write, PinnedState::Exact(past));
+                let scheduler = Scheduler::new(&body, &lib, config.clone());
+                let run = scheduler.run();
+                assert!(
+                    matches!(
+                        run,
+                        Err(SchedError::Overconstrained { .. } | SchedError::BudgetExhausted { .. })
+                    ),
+                    "{run:?}"
+                );
+                assert_eq!(verdict(&run), verdict(&scheduler.run_reference()));
+            }
+        }
     }
 
     /// Sixty-four unpredicated 16-bit adds, then `p` under `c` and `q`

@@ -58,6 +58,8 @@ pub enum SchedError {
         /// string per counted restraint.
         restraints: Vec<String>,
         /// Relaxation actions applied before the budget ran out, rendered.
+        /// The message shows each run of equal consecutive actions once,
+        /// with its length (`add state ×23`).
         actions: Vec<String>,
     },
 }
@@ -89,12 +91,31 @@ impl fmt::Display for SchedError {
                     write!(f, "; outstanding: {}", restraints.join("; "))?;
                 }
                 if !actions.is_empty() {
-                    write!(f, "; applied: {}", actions.join(", "))?;
+                    f.write_str("; applied: ")?;
+                    write_runs(f, actions)?;
                 }
                 Ok(())
             }
         }
     }
+}
+
+/// Writes `items` separated by commas, each run of equal consecutive items
+/// once and, when it is longer than one, followed by its length.
+fn write_runs(f: &mut fmt::Formatter<'_>, items: &[String]) -> fmt::Result {
+    let mut rest = items;
+    while let Some(head) = rest.first() {
+        let run = rest.iter().take_while(|item| *item == head).count();
+        f.write_str(head)?;
+        if run > 1 {
+            write!(f, " ×{run}")?;
+        }
+        rest = &rest[run..];
+        if !rest.is_empty() {
+            f.write_str(", ")?;
+        }
+    }
+    Ok(())
 }
 
 impl Error for SchedError {}
@@ -165,6 +186,36 @@ mod tests {
         );
         // a single instance carries no count
         assert!(s.contains("negative slack of -150 ps on op7; "), "{s}");
-        assert!(s.contains("add state"), "{s}");
+        assert!(s.ends_with("; applied: add state"), "{s}");
+    }
+
+    #[test]
+    fn budget_exhausted_renders_each_run_of_equal_actions_once() {
+        let actions: Vec<String> = [
+            "add state",
+            "add state",
+            "add resource mul_32x32",
+            "add state",
+            "add state",
+            "add state",
+            "move SCC #0 to the next stage",
+        ]
+        .map(String::from)
+        .to_vec();
+        let e = SchedError::BudgetExhausted {
+            budget: "64 scheduling passes".into(),
+            latency: 8,
+            passes: 64,
+            restraints: Vec::new(),
+            actions: actions.clone(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "scheduling budget exhausted (64 scheduling passes) at latency 8 after 64 pass(es); \
+             applied: add state ×2, add resource mul_32x32, add state ×3, \
+             move SCC #0 to the next stage"
+        );
+        // the field keeps every action
+        assert!(matches!(e, SchedError::BudgetExhausted { actions: a, .. } if a == actions));
     }
 }

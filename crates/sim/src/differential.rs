@@ -295,6 +295,16 @@ mod tests {
     use hls_sched::{Scheduler, SchedulerConfig};
     use hls_tech::{ClockConstraint, TechLibrary};
 
+    /// The replay information a divergence carries.
+    fn replay_of(err: &SimError) -> Option<ReplayInfo> {
+        match err {
+            SimError::Mismatch { replay, .. } | SimError::WriteCountMismatch { replay, .. } => {
+                *replay
+            }
+            _ => None,
+        }
+    }
+
     fn example1() -> LinearBody {
         let mut cdfg = designs::paper_example1_cdfg().expect("elab");
         prepare_innermost_loop(&mut cdfg).expect("prepare")
@@ -426,7 +436,7 @@ mod tests {
         // plus the first diverging cycle
         let (body, m) = corrupted_example1_netlist();
         let err = random_check_nir(&body, &m, 10, 0xC0FFEE).unwrap_err();
-        let replay = err.replay().expect("divergence carries replay info");
+        let replay = replay_of(&err).expect("divergence carries replay info");
         assert_eq!(replay.seed, 0xC0FFEE);
         assert_eq!(replay.vectors, 10);
         if let SimError::Mismatch { cycle, .. } = &err {
@@ -453,7 +463,7 @@ mod tests {
                 random_check_bound(&body, &d, &bound, 10, 0xC0FFEE)
             );
             let err = reference.check_nir(&corrupted).unwrap_err();
-            assert_eq!(err.replay().map(|r| r.seed), Some(0xC0FFEE));
+            assert_eq!(replay_of(&err).map(|r| r.seed), Some(0xC0FFEE));
             assert_eq!(
                 err,
                 random_check_nir(&body, &corrupted, 10, 0xC0FFEE).unwrap_err()
@@ -553,7 +563,7 @@ mod tests {
             resources,
         };
         let bound = hls_bind::bind(&body, &d).expect("steerable sharing binds");
-        let fu = bound.fu_of(m1).expect("m1 bound");
+        let fu = &bound.fus[bound.fu_of[m1].expect("m1 bound").index()];
         assert_eq!(fu.candidates(1).count(), 2, "contended slot");
         // a stimulus covering both polarities of x > 0
         let mut stim = Stimulus::random(&body.dfg, 16, 9);

@@ -108,16 +108,6 @@ impl SimError {
         }
         self
     }
-
-    /// Replay information, when the error carries it.
-    pub fn replay(&self) -> Option<ReplayInfo> {
-        match self {
-            SimError::Mismatch { replay, .. } | SimError::WriteCountMismatch { replay, .. } => {
-                *replay
-            }
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SimError {

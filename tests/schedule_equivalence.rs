@@ -353,8 +353,15 @@ fn check_and_verify(
     let scheduled = check(out, label, body, lib, config.clone());
     if scheduled {
         let schedule = Scheduler::new(body, lib, config).run().expect("re-run");
-        let report = verify_schedule(body, &schedule.desc, &VerifyOptions::vectors(100))
-            .unwrap_or_else(|e| panic!("{label}: differential verification failed: {e}"));
+        let report = verify_schedule(
+            body,
+            &schedule.desc,
+            &VerifyOptions {
+                vectors: 100,
+                ..VerifyOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{label}: differential verification failed: {e}"));
         assert_eq!(report.iterations, 100, "{label}");
     }
     scheduled

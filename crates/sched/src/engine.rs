@@ -105,51 +105,97 @@ use std::sync::Mutex;
 /// Resume watermark marking a region that does not need to re-pass.
 const CLEAN: u32 = u32::MAX;
 
-/// Cap on the transitive-fanout cone count used as a scheduling-priority
-/// tie-breaker. Counting the exact cone is O(V·E) over the whole body, which
-/// dominates setup on 100k-op designs; cones at or above the cap all compare
-/// equal, and the remaining tie-breaker (op id) keeps the order
-/// deterministic. The cap exceeds every design of the schedule-equivalence
-/// and scheduling-decision goldens, so their priority orders are uncapped.
-const FANOUT_CONE_CAP: usize = 4096;
+/// Target ops per block of the fanout sweep: a reachability row is at most
+/// 1 024 bits, 128 bytes per op.
+const CONE_BLOCK: usize = 1024;
 
-/// Transitive distance-0 fanout cone size per op, counting at most `cap`
-/// distinct consumers (the DFS stops early once the cap is hit).
-fn fanout_cone_sizes(body: &LinearBody, cap: usize) -> Vec<usize> {
-    let n = body.dfg.num_ops();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (id, op) in body.dfg.iter_ops() {
-        for sig in &op.inputs {
-            if sig.distance == 0 {
-                if let Some(p) = sig.producer() {
-                    succs[p.index()].push(id.index());
+/// Transitive distance-0 fanout cone size per op: how many distinct ops
+/// its value reaches, over any path. `succs` lists each op's distance-0
+/// consumers, duplicates included.
+///
+/// The ops are numbered in a depth-first topological order, which keeps
+/// an independent kernel in consecutive positions, and cut into blocks of
+/// at most [`CONE_BLOCK`] positions. For each block one sweep in reverse
+/// order gives every op a row of bits over the block: the block members it
+/// reaches, the OR of its consumers' rows and their own bits. An op whose
+/// furthest reachable position lies before the block reaches nothing in
+/// it and is skipped, so an op pays only for the blocks its cone touches.
+fn fanout_cone_sizes(succs: &[Vec<usize>]) -> Vec<usize> {
+    let n = succs.len();
+    let order = dfs_topo_order(succs);
+    let mut pos = vec![0usize; n];
+    for (k, &v) in order.iter().enumerate() {
+        pos[v] = k;
+    }
+    // per position, the furthest position its op reaches, itself included
+    let mut reach = vec![0usize; n];
+    for (k, &v) in order.iter().enumerate().rev() {
+        reach[k] = succs[v].iter().map(|&s| reach[pos[s]]).fold(k, usize::max);
+    }
+    // at least one word, so an empty body steps by a positive block size
+    let words = n.min(CONE_BLOCK).div_ceil(64).max(1);
+    let mut rows = vec![0u64; n * words];
+    let mut cone = vec![0usize; n];
+    for lo in (0..n).step_by(words * 64) {
+        let hi = (lo + words * 64).min(n);
+        for k in (0..hi).rev().filter(|&k| reach[k] >= lo) {
+            // a consumer sits at a later position, so its row is done
+            let (head, later) = rows.split_at_mut((k + 1) * words);
+            let row = &mut head[k * words..];
+            row.fill(0);
+            for &s in &succs[order[k]] {
+                let p = pos[s];
+                if p >= hi || reach[p] < lo {
+                    continue;
+                }
+                if p >= lo {
+                    row[(p - lo) / 64] |= 1 << ((p - lo) % 64);
+                }
+                let from = &later[(p - k - 1) * words..][..words];
+                for (r, f) in row.iter_mut().zip(from) {
+                    *r |= f;
                 }
             }
+            cone[order[k]] += row.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         }
     }
-    let mut fanout = vec![0usize; n];
-    let mut mark = vec![usize::MAX; n];
-    let mut stack: Vec<usize> = Vec::new();
-    for (root, cone) in fanout.iter_mut().enumerate() {
-        let mut count = 0usize;
-        stack.clear();
-        stack.push(root);
-        // the root itself is not part of its cone unless reached again
-        'dfs: while let Some(v) = stack.pop() {
-            for &s in &succs[v] {
-                if mark[s] != root {
-                    mark[s] = root;
-                    count += 1;
-                    if count >= cap {
-                        break 'dfs;
+    cone
+}
+
+/// A topological order of the graph whose edges `succs` lists: the reverse
+/// of the order in which depth-first searches from each op, in id order,
+/// finish their ops.
+fn dfs_topo_order(succs: &[Vec<usize>]) -> Vec<usize> {
+    let n = succs.len();
+    let mut seen = vec![false; n];
+    let mut finished = Vec::with_capacity(n);
+    // each entry: an op and the index of its next consumer to visit
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        stack.push((root, 0));
+        while let Some(top) = stack.last_mut() {
+            let (v, next) = *top;
+            match succs[v].get(next) {
+                Some(&s) => {
+                    top.1 += 1;
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push((s, 0));
                     }
-                    stack.push(s);
+                }
+                None => {
+                    finished.push(v);
+                    stack.pop();
                 }
             }
         }
-        *cone = count;
     }
-    fanout
+    finished.reverse();
+    finished
 }
 
 /// Cached predicate literals for the allocation-free mutual-exclusivity
@@ -221,6 +267,7 @@ struct PassStatics {
     asap: Vec<u32>,
     /// Longest distance-0 successor chain below each op.
     below: Vec<u32>,
+    /// Transitive distance-0 fanout cone size (see [`fanout_cone_sizes`]).
     fanout: Vec<usize>,
     /// Predicate condition ops, filled only for side-effecting ops.
     cond_ops: Vec<Vec<OpId>>,
@@ -277,7 +324,7 @@ impl PassStatics {
             below[id.index()] = l;
         }
 
-        let fanout = fanout_cone_sizes(body, FANOUT_CONE_CAP);
+        let fanout = fanout_cone_sizes(&succs);
 
         let mut required_ty = vec![None; n];
         let mut needs_resource = vec![false; n];
@@ -359,7 +406,9 @@ impl PassStatics {
 
 /// Priority order for a given latency: complexity (delay) descending,
 /// then mobility ascending, then fanout cone descending, then id —
-/// exactly the comparator of the original per-round `ready.sort_by`.
+/// exactly the comparator of the original per-round `ready.sort_by`. It
+/// gives a run's first order; an `AddState` reorders that one in place
+/// (see [`priority_flips`]).
 fn order_for(s: &PassStatics, latency: u32) -> Vec<OpId> {
     let latency = latency.max(1);
     let depth = latency.saturating_sub(1);
@@ -396,17 +445,21 @@ struct Flip {
 
 /// The ops whose relative priority changes when the latency grows from
 /// `latency` to `latency + 1`, in old-order rank order. `order` must be
-/// `order_for(s, latency)`.
+/// `order_for(s, latency)`; it is reordered into `order_for(s, latency + 1)`.
 ///
 /// [`order_for`] ranks by complexity ↓, mobility ↑, fanout ↓, id ↑, where
 /// mobility = max(0, L − 1 − h) for h = asap + below. Raising L by one
 /// raises the mobility of every op with h ≤ L − 1 by one and leaves the
-/// rest at 0, so the only pairs that swap are an op with h = L − 1, whose
-/// mobility leaves 0, and a saturated op (h ≥ L) of equal complexity that
-/// it used to precede on the fanout/id tie-break. So a leaving op flips
+/// rest at 0. So within each run of equal complexity only the mobility-0
+/// prefix changes: its saturated ops (h ≥ L) stay at mobility 0, and its
+/// leaving ops (h = L − 1) move to mobility 1, behind them and ahead of
+/// the rest of the run. The new order is a stable partition of each
+/// prefix, and the only pairs that swap are a leaving op and a saturated
+/// op it used to precede on the fanout/id tie-break. So a leaving op flips
 /// iff it precedes its group's last saturated op, and a saturated op iff
-/// it follows its group's first leaving op. O(n); no pair is enumerated.
-fn priority_flips(s: &PassStatics, order: &[OpId], latency: u32) -> Vec<Flip> {
+/// it follows its group's first leaving op. O(n), with no comparison
+/// between ops.
+fn priority_flips(s: &PassStatics, order: &mut [OpId], latency: u32) -> Vec<Flip> {
     let latency = latency.max(1);
     let height = |op: &OpId| s.asap[op.index()] + s.below[op.index()];
     let mut flips = Vec::new();
@@ -418,7 +471,7 @@ fn priority_flips(s: &PassStatics, order: &[OpId], latency: u32) -> Vec<Flip> {
                 .iter()
                 .position(|op| s.complexity[op.index()] != c)
                 .unwrap_or(order.len() - lo);
-        let run = &order[lo..hi];
+        let run = &mut order[lo..hi];
         let first_leaving = run.iter().position(|op| height(op) == latency - 1);
         let last_saturated = run.iter().rposition(|op| height(op) >= latency);
         if let (Some(a), Some(b)) = (first_leaving, last_saturated) {
@@ -433,6 +486,14 @@ fn priority_flips(s: &PassStatics, order: &[OpId], latency: u32) -> Vec<Flip> {
                         leaving,
                     });
                 }
+            }
+            if a < b {
+                // ops a..=b have mobility 0: the saturated ones keep it, and
+                // the leaving ones move behind them
+                let (kept, moved): (Vec<OpId>, Vec<OpId>) =
+                    run[a..=b].iter().partition(|op| height(op) >= latency);
+                run[a..a + kept.len()].copy_from_slice(&kept);
+                run[a + kept.len()..=b].copy_from_slice(&moved);
             }
         }
         lo = hi;
@@ -775,6 +836,10 @@ struct RegionRt {
     /// against.
     #[cfg(test)]
     clones: Vec<RegionFrame>,
+    /// The ops whose end-of-step refresh the last step skipped, which the
+    /// next round must attempt.
+    #[cfg(test)]
+    skipped_refreshes: Vec<OpId>,
 }
 
 /// A [`RegionRt::release`] that no state reaches: an upstream producer is
@@ -791,7 +856,8 @@ impl RegionRt {
     /// Records the reasons of op `l`'s failed attempt. Only the step's
     /// first write to the slot is journaled, since a rewind returns to the
     /// start of a step: a second attempt in one step is the end-of-step
-    /// refresh of an op still marked `step_failed`.
+    /// refresh of an op still marked `step_failed`, made only when the next
+    /// step does not attempt the op first.
     fn record_failure(&mut self, l: usize, reasons: Vec<Restraint>) {
         let old = self.frame.last_reasons[l].replace(reasons);
         if !self.step_failed[l] {
@@ -865,6 +931,18 @@ impl std::ops::AddAssign for Work {
         self.steps += other.steps;
         self.attempts += other.attempts;
     }
+}
+
+/// Whether an op's pin and SCC window admit a state (see
+/// [`Engine::admits`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Admits {
+    /// Both admit it.
+    Yes,
+    /// The op's pin refuses it.
+    Pin,
+    /// The op's pin admits it and its SCC window refuses it.
+    Window,
 }
 
 /// What one placement attempt did.
@@ -1057,6 +1135,8 @@ impl<'a> Engine<'a> {
                 ready_bits: Vec::new(),
                 #[cfg(test)]
                 clones: Vec::new(),
+                #[cfg(test)]
+                skipped_refreshes: Vec::new(),
             });
         }
 
@@ -1188,40 +1268,46 @@ impl<'a> Engine<'a> {
 
     /// Raises the latency by one. Nothing before the old latency can observe
     /// the new state, but the priorities depend on the latency through
-    /// mobility. A region whose order keeps every pair that can meet in a
-    /// ready list continues from its final state; the others resume at the
-    /// first state where a swapped pair can meet.
+    /// mobility: [`priority_flips`] reorders the priority order in one walk
+    /// over its complexity groups, without a sort. A region whose order
+    /// keeps every pair that can meet in a ready list continues from its
+    /// final state; the others resume at the first state where a swapped
+    /// pair can meet.
     fn add_state(&mut self) {
         let old_latency = self.latency;
         self.latency += 1;
-        let flips = priority_flips(&self.statics, &self.order, old_latency);
+        let flips = priority_flips(&self.statics, &mut self.order, old_latency);
+        #[cfg(test)]
+        assert!(
+            self.order == order_for(&self.statics, self.latency),
+            "the reordered priority order differs from the sorted one at latency {}",
+            self.latency
+        );
         if flips.is_empty() {
-            debug_assert!(order_for(&self.statics, self.latency) == self.order);
             for rt in &mut self.regions {
                 rt.resume = rt.resume.min(old_latency);
             }
             return;
         }
-        self.order = order_for(&self.statics, self.latency);
-        let num_regions = self.regions.len();
-        let mut region_orders: Vec<Vec<OpId>> = vec![Vec::new(); num_regions];
-        for &op in &self.order {
-            region_orders[self.plan.region_of[op.index()] as usize].push(op);
+        let region_of = &self.plan.region_of;
+        for rt in &mut self.regions {
+            rt.order.clear();
         }
-        let mut region_flips: Vec<Vec<Flip>> = vec![Vec::new(); num_regions];
+        for &op in &self.order {
+            self.regions[region_of[op.index()] as usize].order.push(op);
+        }
+        let mut region_flips: Vec<Vec<Flip>> = vec![Vec::new(); self.regions.len()];
         for f in flips {
-            region_flips[self.plan.region_of[f.op.index()] as usize].push(f);
+            region_flips[region_of[f.op.index()] as usize].push(f);
         }
         let local_of = &self.plan.local_of;
-        let regions = self.regions.iter_mut().zip(region_orders).zip(region_flips);
-        for ((rt, order), flips) in regions {
+        for (rt, flips) in self.regions.iter_mut().zip(region_flips) {
             let frame = &rt.frame;
             let resume = flip_resume(&flips, |op| {
                 let l = local_of[op.index()] as usize;
                 let to = frame.placed[l].map_or(old_latency - 1, |p| p.state);
                 frame.first_considered[l].map(|from| (from, to))
             });
-            rt.order = order;
             rt.resume = rt.resume.min(resume.unwrap_or(old_latency));
         }
     }
@@ -1274,6 +1360,22 @@ impl<'a> Engine<'a> {
 
     fn scc_window(&self, idx: usize, dyn_stage: &[Option<u32>], ii: u32) -> Option<(u32, u32)> {
         dyn_stage[idx].map(|stage| (stage * ii, (stage * ii + ii - 1).min(self.latency - 1)))
+    }
+
+    /// Whether op `i`'s pin and SCC window admit `state`, the pin checked
+    /// first. The window is the one `dyn_stage` gives the op's SCC; an SCC
+    /// with no stage yet admits every state.
+    fn admits(&self, i: usize, state: u32, dyn_stage: &[Option<u32>], ii: u32) -> Admits {
+        let pin = self.statics.pin[i];
+        if pin.is_some_and(|pin| !pin.allows(hls_ir::StateIdx::new(state))) {
+            return Admits::Pin;
+        }
+        let scc = self.statics.scc_of[i];
+        let window = scc.and_then(|scc| self.scc_window(scc as usize, dyn_stage, ii));
+        if window.is_some_and(|(lo, hi)| state < lo || state > hi) {
+            return Admits::Window;
+        }
+        Admits::Yes
     }
 
     /// Rebuilds one region's busy table, occupancy bitsets and
@@ -1585,10 +1687,12 @@ impl<'a> Engine<'a> {
         // grow, and an op's input arrivals are fixed once its inputs are
         // ready, so an op whose placement failed fails again in every later
         // round of the step; it is not retried. The step's last round places
-        // nothing, and its attempts set the restraints the failure report
-        // sees, so each failed op's restraints are recomputed once after it
-        // — only if something was placed since its attempt, because
-        // otherwise they are already the same.
+        // nothing, and the failure report sees the restraints of each failed
+        // op's last attempt. So after the step a failed op's restraints are
+        // recomputed, if something was placed since its attempt and nothing
+        // overwrites them first: the next step's first round attempts the
+        // op again when that state exists and the op's pin and SCC window
+        // admit it, since its inputs stay ready.
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
             debug_assert_eq!(cur.marks.len(), state as usize);
@@ -1613,34 +1717,22 @@ impl<'a> Engine<'a> {
                         if cur.step_failed[l] || cur.release[l] > state {
                             continue;
                         }
-                        if let Some(pin) = self.statics.pin[i] {
-                            if !pin.allows(hls_ir::StateIdx::new(state)) {
-                                continue;
-                            }
+                        let admits = self.admits(i, state, &cur.frame.scc_dyn_stage, ii);
+                        if admits == Admits::Pin {
+                            continue;
                         }
                         if cur.frame.first_considered[l].is_none() {
                             cur.consider(l, state);
                         }
-                        if let Some(scc) = self.statics.scc_of[i] {
-                            if let Some((lo, hi)) =
-                                self.scc_window(scc as usize, &cur.frame.scc_dyn_stage, ii)
-                            {
-                                if state < lo || state > hi {
-                                    continue;
-                                }
-                            }
+                        if admits == Admits::Yes {
+                            ready.push(op_id);
                         }
-                        ready.push(op_id);
                     }
                 }
                 #[cfg(test)]
                 oracle::check_ready(
                     self, base, ridx, cur, done, &order, state, ii, considered, &ready,
                 );
-                if ready.is_empty() {
-                    cur.ready = ready;
-                    break;
-                }
 
                 let mut placed_any = false;
                 for &op_id in &ready {
@@ -1663,6 +1755,8 @@ impl<'a> Engine<'a> {
                         Attempt::NotReady => {}
                     }
                 }
+                #[cfg(test)]
+                oracle::check_skipped_refreshes(self, cur, &ready);
                 cur.ready = ready;
                 if !placed_any {
                     break;
@@ -1670,25 +1764,32 @@ impl<'a> Engine<'a> {
             }
             let mut fails = std::mem::take(&mut cur.step_fails);
             for &(op_id, placed_then) in &fails {
+                let i = op_id.index();
                 if cur.frame.num_placed > placed_then {
-                    let refresh = self.try_place(
-                        base,
-                        ridx,
-                        cur,
-                        done,
-                        op_id,
-                        state,
-                        ii,
-                        fold_states,
-                        sharing,
-                    );
-                    debug_assert_eq!(
-                        refresh,
-                        Attempt::Failed,
-                        "a failed placement succeeded later in its step"
-                    );
+                    let next = (state + 1 < latency)
+                        .then(|| self.admits(i, state + 1, &cur.frame.scc_dyn_stage, ii));
+                    #[cfg(test)]
+                    oracle::count_refresh(cur, op_id, next);
+                    if next != Some(Admits::Yes) {
+                        let refresh = self.try_place(
+                            base,
+                            ridx,
+                            cur,
+                            done,
+                            op_id,
+                            state,
+                            ii,
+                            fold_states,
+                            sharing,
+                        );
+                        debug_assert_eq!(
+                            refresh,
+                            Attempt::Failed,
+                            "a failed placement succeeded later in its step"
+                        );
+                    }
                 }
-                cur.step_failed[self.plan.local_of[op_id.index()] as usize] = false;
+                cur.step_failed[self.plan.local_of[i] as usize] = false;
             }
             fails.clear();
             cur.step_fails = fails;
@@ -1718,7 +1819,9 @@ impl<'a> Engine<'a> {
                 } else {
                     // never attempted: distinguish "a region-crossing value
                     // is registered in the final state, so readiness needs a
-                    // state that does not exist" from plain starvation
+                    // state that does not exist" and "the pin refused every
+                    // state the op was ready in" (a pinned op never
+                    // considered) from plain starvation
                     let blocked = {
                         let last = self.latency.saturating_sub(1);
                         let cut_blocked = |p: &OpId| {
@@ -1732,9 +1835,14 @@ impl<'a> Engine<'a> {
                             || (self.statics.has_side_effects[i]
                                 && self.statics.cond_ops[i].iter().any(cut_blocked))
                     };
+                    let pin = self.statics.pin[i];
+                    let considered = cur.frame.first_considered[l].is_some();
                     if blocked {
                         cur.fail
                             .push((id, vec![Restraint::StateExhausted { op: id }]));
+                    } else if let Some(pin) = pin.filter(|_| !considered) {
+                        cur.fail
+                            .push((id, vec![Restraint::PinUnreached { op: id, pin }]));
                     } else if let Some(ty) = &self.statics.required_ty[i] {
                         cur.fail.push((
                             id,
@@ -2389,6 +2497,15 @@ mod oracle {
         /// last: `AddState`, `AddResource` or `AddResourceBatch`, `MoveScc`
         /// and `ForbidBinding`.
         pub(crate) rewinds: [u64; 4],
+        /// End-of-step refreshes skipped because the next step's first
+        /// round attempts the op again.
+        pub(crate) refresh_skips: u64,
+        /// End-of-step refreshes performed, in all and those forced by the
+        /// op's pin or by its closing SCC window (the rest are in a
+        /// region's final state).
+        pub(crate) refreshes: u64,
+        pub(crate) pin_refreshes: u64,
+        pub(crate) window_refreshes: u64,
     }
 
     impl std::ops::AddAssign for Coverage {
@@ -2406,6 +2523,10 @@ mod oracle {
             for (a, b) in self.rewinds.iter_mut().zip(o.rewinds) {
                 *a += b;
             }
+            self.refresh_skips += o.refresh_skips;
+            self.refreshes += o.refreshes;
+            self.pin_refreshes += o.pin_refreshes;
+            self.window_refreshes += o.window_refreshes;
         }
     }
 
@@ -2564,6 +2685,70 @@ mod oracle {
         cur.coverage.rewinds[kind] += 1;
     }
 
+    /// Counts the end-of-step refresh of `op`, whose failed attempt was
+    /// followed by a placement: skipped when `next`, what the pin and SCC
+    /// window say of the next state, is `Some(Admits::Yes)`, performed
+    /// otherwise. A skipped op is checked by the next round.
+    pub(super) fn count_refresh(cur: &mut RegionRt, op: OpId, next: Option<Admits>) {
+        let cov = &mut cur.coverage;
+        match next {
+            Some(Admits::Yes) => {
+                cov.refresh_skips += 1;
+                cur.skipped_refreshes.push(op);
+                return;
+            }
+            Some(Admits::Pin) => cov.pin_refreshes += 1,
+            Some(Admits::Window) => cov.window_refreshes += 1,
+            None => {}
+        }
+        cov.refreshes += 1;
+    }
+
+    /// Asserts that the round just run attempted every op whose refresh the
+    /// step before skipped: the op is in the ready list, and its attempt
+    /// placed the op or failed, so nothing read the restraints the refresh
+    /// would have written. The list is non-empty only before a step's
+    /// first round.
+    pub(super) fn check_skipped_refreshes(engine: &Engine, cur: &mut RegionRt, ready: &[OpId]) {
+        for op in std::mem::take(&mut cur.skipped_refreshes) {
+            let l = engine.plan.local_of[op.index()] as usize;
+            assert!(
+                ready.contains(&op) && (cur.frame.placed[l].is_some() || cur.step_failed[l]),
+                "{op}'s refresh was skipped, and the next round did not attempt it"
+            );
+        }
+    }
+
+    /// The per-op depth-first search that [`fanout_cone_sizes`] replaced,
+    /// kept as its oracle: the distinct distance-0 descendants of each op.
+    pub(super) fn cone_sizes_by_dfs(body: &LinearBody) -> Vec<usize> {
+        let n = body.dfg.num_ops();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (id, op) in body.dfg.iter_ops() {
+            for sig in op.inputs.iter().filter(|sig| sig.distance == 0) {
+                if let Some(p) = sig.producer() {
+                    succs[p.index()].push(id.index());
+                }
+            }
+        }
+        let mut cone = vec![0usize; n];
+        let mut mark = vec![usize::MAX; n];
+        let mut stack = Vec::new();
+        for (root, size) in cone.iter_mut().enumerate() {
+            stack.push(root);
+            while let Some(v) = stack.pop() {
+                for &s in &succs[v] {
+                    if mark[s] != root {
+                        mark[s] = root;
+                        *size += 1;
+                        stack.push(s);
+                    }
+                }
+            }
+        }
+        cone
+    }
+
     /// Moves the regions' coverage into the calling thread's record (the
     /// regions may have run on worker threads).
     pub(super) fn record(regions: &mut [RegionRt]) {
@@ -2589,6 +2774,7 @@ mod tests {
     use super::*;
     use crate::error::SchedError;
     use crate::scheduler::{Schedule, Scheduler};
+    use hls_explore::{synthetic_design, DesignClass};
     use hls_ir::analysis::sccs;
     use hls_ir::{Dfg, PortDirection, Predicate, Signal, StateIdx};
     use hls_tech::ClockConstraint;
@@ -2695,7 +2881,7 @@ mod tests {
             expected.sort_unstable();
             expected.dedup();
             let mut flips: Vec<(usize, bool)> =
-                priority_flips(&engine.statics, &engine.order, latency)
+                priority_flips(&engine.statics, &mut engine.order.clone(), latency)
                     .iter()
                     .map(|f| (f.op.index(), f.leaving))
                     .collect();
@@ -2797,6 +2983,77 @@ mod tests {
         (bodies, configs)
     }
 
+    /// At every latency L from 1 to 64, [`priority_flips`] reorders
+    /// `order_for(L)` into `order_for(L + 1)` on every body of the oracle
+    /// corpus.
+    #[test]
+    fn add_state_reorders_the_priority_order_as_the_sort_does() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let (bodies, _) = oracle_corpus();
+        for body in &bodies {
+            let statics = PassStatics::build(body, &lib, &sccs(&body.dfg), &mut Interner::new());
+            for latency in 1..=64u32 {
+                let mut order = order_for(&statics, latency);
+                priority_flips(&statics, &mut order, latency);
+                assert!(
+                    order == order_for(&statics, latency + 1),
+                    "{} L{latency}: next order",
+                    body.name
+                );
+            }
+        }
+    }
+
+    /// Two reads, and ops over them with two diamonds and a multiply that
+    /// reads one producer twice: `x = a + b`, `y = x * x`, `z = x - a`,
+    /// `u = y + z`, `v = u & y`, and a write of `v`.
+    fn diamonds_body() -> LinearBody {
+        let mut dfg = Dfg::new();
+        let w = 16;
+        let pa = dfg.add_port("a", PortDirection::Input, w);
+        let pb = dfg.add_port("b", PortDirection::Input, w);
+        let out = dfg.add_port("out", PortDirection::Output, w);
+        let a = Signal::op_w(dfg.add_op(OpKind::Read(pa), w, vec![]), w);
+        let b = Signal::op_w(dfg.add_op(OpKind::Read(pb), w, vec![]), w);
+        let x = Signal::op_w(dfg.add_op(OpKind::Add, w, vec![a, b]), w);
+        let y = Signal::op_w(dfg.add_op(OpKind::Mul, w, vec![x, x]), w);
+        let z = Signal::op_w(dfg.add_op(OpKind::Sub, w, vec![x, a]), w);
+        let u = Signal::op_w(dfg.add_op(OpKind::Add, w, vec![y, z]), w);
+        let v = Signal::op_w(dfg.add_op(OpKind::And, w, vec![u, y]), w);
+        dfg.add_op(OpKind::Write(out), w, vec![v]);
+        LinearBody::from_dfg("diamonds", dfg)
+    }
+
+    /// The fanout sweep counts the cones the per-op DFS counts, on the
+    /// oracle corpus, an empty body, [`diamonds_body`], 2 400-op
+    /// single-kernel designs (three blocks of the sweep) and a 5 000-op
+    /// multi-kernel design.
+    #[test]
+    fn fanout_sweep_counts_the_cones_the_dfs_counts() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let (mut bodies, _) = oracle_corpus();
+        let diamonds = diamonds_body();
+        // a: x y z u v write; b: the same; x: y z u v write; y: u v write
+        assert_eq!(
+            oracle::cone_sizes_by_dfs(&diamonds),
+            [6, 6, 5, 3, 3, 2, 1, 0]
+        );
+        bodies.push(diamonds);
+        bodies.push(LinearBody::from_dfg("empty", Dfg::new()));
+        for seed in 0..3 {
+            bodies.push(synthetic_design(DesignClass::Filter, 2400, seed));
+        }
+        bodies.push(synthetic_design(DesignClass::Fft, 5000, 0));
+        for body in &bodies {
+            let statics = PassStatics::build(body, &lib, &sccs(&body.dfg), &mut Interner::new());
+            assert!(
+                statics.fanout == oracle::cone_sizes_by_dfs(body),
+                "{}: the sweep's cones differ from the DFS's",
+                body.name
+            );
+        }
+    }
+
     /// Every placement attempt of every run goes through the walk oracle
     /// (see `oracle::check`); this corpus must also reach the cases the
     /// bitsets treat apart from the plain one.
@@ -2818,8 +3075,10 @@ mod tests {
         );
     }
 
-    /// `body` with each write pinned to exactly the state `schedule` gave
-    /// it and each op of its first SCC to state 1 or later.
+    /// `body` with each write and each multiply pinned to exactly the state
+    /// `schedule` gave it, and each op of its first SCC to state 1 or later.
+    /// A multiply that finds its pinned state full fails where the pin
+    /// allows no later state.
     fn pinned(body: &LinearBody, schedule: &ScheduleDesc) -> LinearBody {
         let mut body = body.clone();
         let scc = sccs(&body.dfg)
@@ -2831,6 +3090,8 @@ mod tests {
                 PinnedState::Exact(StateIdx::new(schedule.ops[&id].state))
             } else if scc.contains(&id) {
                 PinnedState::AtOrAfter(StateIdx::new(1))
+            } else if matches!(op.kind, OpKind::Mul) {
+                PinnedState::Exact(StateIdx::new(schedule.ops[&id].state))
             } else {
                 continue;
             };
@@ -2851,13 +3112,15 @@ mod tests {
         }
     }
 
-    /// Every round's ready list and every rewind of the runs over the
-    /// oracle corpus goes through its oracle (see `oracle::check_ready` and
-    /// `oracle::check_rewind`). The corpus is run as generated, then with
-    /// the pins of [`pinned`] on every body the first run scheduled, which
-    /// the incremental driver must schedule as the reference does and
-    /// honour; it must reach each filter of the ready walk and a rewind
-    /// after each kind of action.
+    /// Every round's ready list, every rewind and every skipped end-of-step
+    /// refresh of the runs over the oracle corpus goes through its oracle
+    /// (see `oracle::check_ready`, `oracle::check_rewind` and
+    /// `oracle::check_skipped_refreshes`). The corpus is run as generated,
+    /// then with the pins of [`pinned`] on every body the first run
+    /// scheduled, which the incremental driver must schedule as the
+    /// reference does and honour; it must reach each filter of the ready
+    /// walk, a rewind after each kind of action, and a skipped refresh and
+    /// refreshes forced by a pin and by a closing SCC window.
     #[test]
     fn ready_set_and_journal_match_their_oracles_on_generated_designs() {
         let lib = TechLibrary::artisan_90nm_typical();
@@ -2893,10 +3156,16 @@ mod tests {
                 && cov.pin_skips > 0
                 && cov.window_skips > 0
                 && cov.failed_skips > 0
-                && cov.rewinds.iter().all(|&n| n > 0),
+                && cov.rewinds.iter().all(|&n| n > 0)
+                && cov.refresh_skips > 0
+                && cov.pin_refreshes > 0
+                && cov.window_refreshes > 0
+                && cov.refreshes > cov.pin_refreshes + cov.window_refreshes,
             "the corpus must reach an op held back by and released from an \
              upstream region, a pin, an SCC window and a failed op left out of a \
-             ready list, and a rewind after each kind of action: {cov:?}"
+             ready list, a rewind after each kind of action, and a skipped \
+             refresh and refreshes forced by a pin, a closing SCC window and \
+             the final state: {cov:?}"
         );
         assert!(
             honoured * 2 > pinned_bodies.len(),
@@ -2934,6 +3203,59 @@ mod tests {
                 assert_eq!(verdict(&run), verdict(&scheduler.run_reference()));
             }
         }
+    }
+
+    /// Filter/100/s0 with every write pinned to exactly state 6, which its
+    /// data flow does not reach in time at 1600 ps: while the pinned state
+    /// is past the latency the relaxation adds states, it never adds an
+    /// I/O port, and once the schedule reaches the state it refuses with a
+    /// pinned write named.
+    #[test]
+    fn a_pin_no_ready_state_meets_is_refused_by_name_without_adding_io_ports() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let mut body = synthetic_design(DesignClass::Filter, 100, 0);
+        let writes: Vec<OpId> = body
+            .dfg
+            .iter_ops()
+            .filter(|(_, op)| matches!(op.kind, OpKind::Write(_)))
+            .map(|(id, _)| id)
+            .collect();
+        for &write in &writes {
+            body.pins
+                .insert(write, PinnedState::Exact(StateIdx::new(6)));
+        }
+        let mut config =
+            SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 24);
+        let scheduler = Scheduler::new(&body, &lib, config.clone());
+        let run = scheduler.run();
+        assert_eq!(verdict(&run), verdict(&scheduler.run_reference()));
+        let Err(SchedError::Overconstrained {
+            latency,
+            passes,
+            details,
+            ..
+        }) = run
+        else {
+            panic!("{run:?}");
+        };
+        assert!(latency > 6, "refused at latency {latency}: {details}");
+        assert!(
+            writes
+                .iter()
+                .any(|w| details.contains(&format!("{w} is pinned to s7 and is not ready there"))),
+            "{details}"
+        );
+        // one pass fewer ends the same run with the actions it applied
+        config.max_passes = passes - 1;
+        let Err(SchedError::BudgetExhausted { actions, .. }) =
+            Scheduler::new(&body, &lib, config).run()
+        else {
+            panic!("the shortened run must exhaust its budget");
+        };
+        assert!(
+            actions.iter().all(|a| !a.starts_with("add resource io_")),
+            "{actions:?}"
+        );
     }
 
     /// Sixty-four unpredicated 16-bit adds, then `p` under `c` and `q`

@@ -13,7 +13,7 @@
 //! per-instance list it stands for choose the same actions.
 
 use crate::config::SchedulerConfig;
-use hls_ir::OpId;
+use hls_ir::{OpId, PinnedState};
 use hls_tech::{ResourceInstanceId, ResourceType, TechLibrary};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -64,6 +64,15 @@ pub enum Restraint {
         /// The failing operation.
         op: OpId,
     },
+    /// The operation is ready in no state its pin allows. While the pinned
+    /// state is at or past the latency, only adding a state can help; once
+    /// the schedule reaches it, no action can.
+    PinUnreached {
+        /// The failing operation.
+        op: OpId,
+        /// The operation's pin.
+        pin: PinnedState,
+    },
 }
 
 impl Restraint {
@@ -74,7 +83,8 @@ impl Restraint {
             | Restraint::ResourceContention { op, .. }
             | Restraint::CombCycle { op, .. }
             | Restraint::SccWindow { op, .. }
-            | Restraint::StateExhausted { op } => *op,
+            | Restraint::StateExhausted { op }
+            | Restraint::PinUnreached { op, .. } => *op,
         }
     }
 
@@ -229,6 +239,12 @@ impl fmt::Display for Restraint {
                     "{op} waits on a region-boundary value registered in the final state"
                 )
             }
+            Restraint::PinUnreached { op, pin } => match pin {
+                PinnedState::Exact(s) => write!(f, "{op} is pinned to {s} and is not ready there"),
+                PinnedState::AtOrAfter(s) => {
+                    write!(f, "{op} is pinned to {s} or later and is not ready there")
+                }
+            },
         }
     }
 }
@@ -318,17 +334,19 @@ pub fn choose_action(
 
     let mut candidates: Vec<(RelaxAction, f64)> = Vec::new();
 
-    // Add a state.
+    // Add a state. A pin helps only while its state is past the last one.
     if latency < config.max_latency {
         let gain: f64 = restraints
             .iter()
-            .filter(|r| {
-                matches!(
-                    r,
-                    Restraint::NegativeSlack { .. }
-                        | Restraint::ResourceContention { .. }
-                        | Restraint::StateExhausted { .. }
-                )
+            .filter(|r| match r {
+                Restraint::NegativeSlack { .. }
+                | Restraint::ResourceContention { .. }
+                | Restraint::StateExhausted { .. } => true,
+                Restraint::PinUnreached {
+                    pin: PinnedState::Exact(s) | PinnedState::AtOrAfter(s),
+                    ..
+                } => s.index() >= latency as usize,
+                Restraint::CombCycle { .. } | Restraint::SccWindow { .. } => false,
             })
             .map(weight)
             .sum();

@@ -233,10 +233,11 @@ fn mux_reference(inputs: u8, width: u16) -> Characterization {
     let n = f64::from(inputs.max(2));
     let w = f64::from(width.max(1));
     // Table 1: mux2 = 110 ps, mux3 = 115 ps. A tree of 2-input muxes adds
-    // ~5 ps per level beyond the first.
-    let levels = n.log2().ceil().max(1.0);
+    // ~5 ps per level beyond the first; it has ceil(log2(n)) levels, the
+    // bit length of n - 1.
+    let levels = u8::BITS - (inputs.max(2) - 1).leading_zeros();
     Characterization {
-        delay_ps: 105.0 + 5.0 * levels,
+        delay_ps: 105.0 + 5.0 * f64::from(levels),
         area: 6.0 * w * (n - 1.0),
         leakage_uw: 0.02 * w * (n - 1.0),
         energy_fj: 9.0 * w * (n - 1.0),
@@ -356,6 +357,18 @@ mod tests {
                     "area of mux({n}, {w})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn mux_levels_equal_the_log2_formula_bit_for_bit() {
+        for n in 0..=u8::MAX {
+            let levels = f64::from(n.max(2)).log2().ceil().max(1.0);
+            assert_eq!(
+                mux_reference(n, 32).delay_ps.to_bits(),
+                (105.0 + 5.0 * levels).to_bits(),
+                "delay of mux({n}, 32)"
+            );
         }
     }
 

@@ -10,50 +10,62 @@ use hls::pipeline::modulo_schedule;
 use hls::sched::{schedule_separated, Scheduler, SchedulerConfig};
 use hls::tech::{ClockConstraint, TechLibrary};
 use hls::{designs, Synthesizer};
+use std::error::Error;
+use std::fmt::Write;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("TABLE 1 — resource delays (ps)");
+/// The text this example prints.
+pub fn render() -> Result<String, Box<dyn Error>> {
+    let mut out = String::new();
+    writeln!(out, "TABLE 1 — resource delays (ps)")?;
     for (name, delay) in table1_library() {
-        println!("  {name:6} {delay:6.0}");
+        writeln!(out, "  {name:6} {delay:6.0}")?;
     }
 
     let t2 = table2_example1_schedule();
-    println!(
+    writeln!(
+        out,
         "\nTABLE 2 — sequential schedule (latency {}, {} passes)\n{}",
         t2.latency, t2.passes, t2.table
-    );
+    )?;
 
-    println!("TABLE 3 — micro-architecture comparison");
+    writeln!(out, "TABLE 3 — micro-architecture comparison")?;
     for row in table3_microarchitectures() {
-        println!(
+        writeln!(
+            out,
             "  {:12} {:>2} cycles/iteration  area {:>9.0}  ({} multipliers)",
             row.name, row.cycles_per_iteration, row.area, row.multipliers
-        );
+        )?;
     }
 
-    println!("\nExample 2 — pipelined, II = 2");
+    writeln!(out, "\nExample 2 — pipelined, II = 2")?;
     let p2 = Synthesizer::new(designs::paper_example1())
         .clock_ps(1600.0)
         .latency_bounds(1, 6)
         .pipeline(2)
         .run()?;
-    println!("{}", p2.schedule_table());
-    println!("Example 3 — pipelined, II = 1");
+    writeln!(out, "{}", p2.schedule_table())?;
+    writeln!(out, "Example 3 — pipelined, II = 1")?;
     let p1 = Synthesizer::new(designs::paper_example1())
         .clock_ps(1600.0)
         .latency_bounds(1, 6)
         .pipeline(1)
         .run()?;
-    println!("{}", p1.schedule_table());
+    writeln!(out, "{}", p1.schedule_table())?;
 
     let t4 = table4_scc_move_ablation(10, 180);
-    println!("TABLE 4 — % area penalty with SCC-move disabled (7 most critical designs)");
+    writeln!(
+        out,
+        "TABLE 4 — % area penalty with SCC-move disabled (7 most critical designs)"
+    )?;
     for (i, penalty) in t4.penalties_percent.iter().enumerate() {
-        println!("  D{} {penalty:6.1}%", i + 1);
+        writeln!(out, "  D{} {penalty:6.1}%", i + 1)?;
     }
-    println!("  avg {:6.1}%", t4.average_percent);
+    writeln!(out, "  avg {:6.1}%", t4.average_percent)?;
 
-    println!("\nABLATION — unified vs separated scheduling/binding (Example 1)");
+    writeln!(
+        out,
+        "\nABLATION — unified vs separated scheduling/binding (Example 1)"
+    )?;
     let mut cdfg = designs::paper_example1_cdfg()?;
     let body = prepare_innermost_loop(&mut cdfg)?;
     let lib = TechLibrary::artisan_90nm_typical();
@@ -61,17 +73,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let unified = Scheduler::new(&body, &lib, config.clone()).run()?;
     let separated = schedule_separated(&body, &lib, config)?;
     for (flow, schedule) in [("unified", &unified), ("separated", &separated)] {
-        println!(
+        writeln!(
+            out,
             "  {flow:9} : latency {}  worst slack {:+.0} ps",
             schedule.latency, schedule.min_slack_ps
-        );
+        )?;
     }
     let modulo = modulo_schedule(&body, &lib, 1600.0, 2, 8, |_| 2)
         .ok_or("the modulo-scheduling baseline finds no II in 2..=8")?;
-    println!(
+    writeln!(
+        out,
         "  modulo-scheduling baseline: II {}  latency {}",
         modulo.ii,
         modulo.latency()
-    );
+    )?;
+    Ok(out)
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    print!("{}", render()?);
     Ok(())
 }

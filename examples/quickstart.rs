@@ -3,8 +3,12 @@
 use hls::frontend::{BehaviorBuilder, Expr};
 use hls::ir::CmpKind;
 use hls::Synthesizer;
+use std::error::Error;
+use std::fmt::Write;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// The text this example prints.
+pub fn render() -> Result<String, Box<dyn Error>> {
+    let mut out = String::new();
     // y = (a*b + c) per iteration — a tiny multiply-accumulate kernel.
     let mut b = BehaviorBuilder::new("mac");
     b.port_in("a", 16);
@@ -31,32 +35,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.infinite_loop(vec![loop_stmt]);
     let behavior = b.build();
 
-    println!("== sequential ==");
+    writeln!(out, "== sequential ==")?;
     let seq = Synthesizer::new(behavior.clone())
         .clock_ps(1600.0)
         .latency_bounds(1, 4)
         .run()?;
-    println!("{}", seq.schedule_table());
-    println!(
+    writeln!(out, "{}", seq.schedule_table())?;
+    writeln!(
+        out,
         "latency {} cycles, area {:.0}, power {:.1} uW",
         seq.schedule.latency, seq.area, seq.power_uw
-    );
+    )?;
 
-    println!("\n== pipelined, II = 1 ==");
+    writeln!(out, "\n== pipelined, II = 1 ==")?;
     let pipe = Synthesizer::new(behavior)
         .clock_ps(1600.0)
         .latency_bounds(1, 6)
         .pipeline(1)
         .run()?;
-    println!("{}", pipe.schedule_table());
+    writeln!(out, "{}", pipe.schedule_table())?;
     let folded = pipe.pipeline.as_ref().expect("pipelined");
-    println!(
+    writeln!(
+        out,
         "II {} / LI {} ({} stages), area {:.0}, power {:.1} uW",
         folded.ii, folded.li, folded.stages, pipe.area, pipe.power_uw
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\nThroughput gain: {:.1}x",
         seq.schedule.cycles_per_iteration() as f64 / folded.ii as f64
-    );
+    )?;
+    Ok(out)
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    print!("{}", render()?);
     Ok(())
 }

@@ -6,10 +6,14 @@ use hls::designs::{fir_filter, paper_example1};
 use hls::ir::PortDirection;
 use hls::sim::{differential, NirSim, Stimulus};
 use hls::Synthesizer;
+use std::error::Error;
+use std::fmt::Write;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// The text this example prints.
+pub fn render() -> Result<String, Box<dyn Error>> {
+    let mut out = String::new();
     // --- Example 1, sequential and pipelined, differentially verified -----
-    println!("== paper example 1: differential verification ==");
+    writeln!(out, "== paper example 1: differential verification ==")?;
     for (label, ii) in [("sequential", None), ("pipelined II=2", Some(2))] {
         let mut synth = Synthesizer::new(paper_example1())
             .clock_ps(1600.0)
@@ -20,14 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let result = synth.run()?;
         let report = result.verification.expect("verification requested");
-        println!(
+        writeln!(
+            out,
             "  {label:<15} latency {} / {} cycles per iteration — \
              interpreter and netlist simulation agree on {} writes over {} random vectors",
             result.schedule.latency,
             result.schedule.cycles_per_iteration(),
             report.writes_checked,
             report.iterations,
-        );
+        )?;
     }
 
     // --- a per-cycle look at the pipelined schedule -----------------------
@@ -39,8 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let body = &result.body;
     let desc = &result.schedule.desc;
     let folded = result.pipeline.as_ref().expect("pipelined");
-    println!("\n== pipelined Example 1, first 8 cycles (fill + steady state) ==");
-    println!("cycle | state | active (it.stage) | fired");
+    writeln!(
+        out,
+        "\n== pipelined Example 1, first 8 cycles (fill + steady state) =="
+    )?;
+    writeln!(out, "cycle | state | active (it.stage) | fired")?;
     for cycle in 0..8u64 {
         let mut active = Vec::new();
         let mut fired = Vec::new();
@@ -54,12 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
         }
-        println!(
+        writeln!(
+            out,
             "{cycle:>5} | s{:<4} | {:<17} | {}",
             cycle % u64::from(desc.fold_states()) + 1,
             active.join(" "),
             fired.join(" ")
-        );
+        )?;
     }
 
     // the emitted netlist, simulated cycle by cycle
@@ -72,13 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|(_, p)| p.direction == PortDirection::Output)
         .map(|(id, _)| id)
         .expect("output port");
-    println!(
+    writeln!(
+        out,
         "pixel written at cycles {:?} — every II=2 cycles once filled",
         trace.write_cycles(pixel)
-    );
+    )?;
 
     // --- FIR at II=1: one result per clock, bit-exact ---------------------
-    println!("\n== 8-tap FIR pipelined at II=1 ==");
+    writeln!(out, "\n== 8-tap FIR pipelined at II=1 ==")?;
     let taps = [3, -5, 7, 11, 11, 7, -5, 3];
     let fir = Synthesizer::new(fir_filter(&taps, 16))
         .clock_ps(1600.0)
@@ -89,15 +99,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stim = Stimulus::random(&fir.body.dfg, 100, 7);
     let report = differential::check(&fir.body, &fir.schedule.desc, &stim)?;
     let trace = NirSim::new(&fir.netlist)?.run(&stim)?;
-    let out = fir
+    let y = fir
         .body
         .dfg
         .iter_ports()
         .find(|(_, p)| p.direction == PortDirection::Output)
         .map(|(id, _)| id)
         .expect("output port");
-    let intervals = trace.write_intervals(out);
-    println!(
+    let intervals = trace.write_intervals(y);
+    writeln!(
+        out,
         "  LI {} / II {} ({} stages), {} verified writes, steady-state interval {} cycle(s) → throughput {:.0}%",
         folded.li,
         folded.ii,
@@ -105,10 +116,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.writes_checked,
         intervals.last().copied().unwrap_or(0),
         100.0 * folded.throughput(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  pipeline occupancy at cycle 12: {:?} (iteration, stage)",
         folded.active_iterations(12)
-    );
+    )?;
+    Ok(out)
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    print!("{}", render()?);
     Ok(())
 }

@@ -52,6 +52,9 @@ struct Elaborator<'a> {
     /// assignment of their home edge.
     pending: Vec<OpId>,
     current_node: CfgNodeId,
+    /// The polarity of the branch that `current_node`, a fork, opens next:
+    /// the first edge to leave it is that branch's edge.
+    branch: Option<bool>,
     next_loop_id: u32,
 }
 
@@ -92,6 +95,7 @@ impl<'a> Elaborator<'a> {
             env,
             pending: Vec::new(),
             current_node: entry,
+            branch: None,
             next_loop_id: 0,
         })
     }
@@ -110,23 +114,18 @@ impl<'a> Elaborator<'a> {
         self.cdfg
     }
 
-    /// Creates the edge `current_node → to`, homes all pending operations on
-    /// it, and makes `to` the current node.
+    /// Creates the edge `current_node → to`, a branch edge when a branch is
+    /// open, homes all pending operations on it, and makes `to` the current
+    /// node.
     fn flush_to(&mut self, to: CfgNodeId) -> CfgEdgeId {
-        let edge = self.cdfg.cfg.add_edge(self.current_node, to);
+        let edge = match self.branch.take() {
+            Some(taken) => self.cdfg.cfg.add_branch_edge(self.current_node, to, taken),
+            None => self.cdfg.cfg.add_edge(self.current_node, to),
+        };
         for op in self.pending.drain(..) {
             self.cdfg.dfg.set_home_edge(op, edge);
         }
         self.current_node = to;
-        edge
-    }
-
-    /// Creates a branch edge `from → to` and homes all pending operations on it.
-    fn flush_branch(&mut self, from: CfgNodeId, to: CfgNodeId, taken: bool) -> CfgEdgeId {
-        let edge = self.cdfg.cfg.add_branch_edge(from, to, taken);
-        for op in self.pending.drain(..) {
-            self.cdfg.dfg.set_home_edge(op, edge);
-        }
         edge
     }
 
@@ -317,19 +316,21 @@ impl<'a> Elaborator<'a> {
 
         let env_before = self.env.clone();
 
-        // Then branch.
+        // Each branch opens at the fork and closes where its statements
+        // ended, which is the inner join when it ends in a nested `if`.
+        self.branch = Some(true);
         self.stmts(then_body)?;
         let env_then = self.env.clone();
-        self.flush_branch(fork, join, true);
+        self.flush_to(join);
 
-        // Else branch.
+        self.current_node = fork;
+        self.branch = Some(false);
         self.env = env_before.clone();
         self.stmts(else_body)?;
         let env_else = self.env.clone();
-        self.flush_branch(fork, join, false);
+        self.flush_to(join);
 
         // Merge at the join: variables that differ get a selection mux.
-        self.current_node = join;
         self.env = env_before;
         for (idx, (t, e)) in env_then.iter().zip(env_else.iter()).enumerate() {
             if t == e {

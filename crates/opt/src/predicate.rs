@@ -1,11 +1,11 @@
 //! Predicate conversion (branch predication, Figure 4 of the paper).
 //!
-//! Operations homed on the branch edges of a fork receive a predicate derived
+//! Operations homed on the edges of a branch receive a predicate derived
 //! from the fork's condition: `Cond(c)` for the taken branch, `NotCond(c)`
-//! for the not-taken branch, conjoined with any predicate they already carry
-//! (nested conditionals). After this pass the scheduler can treat the loop
-//! body as a straight line: mutual exclusion between the two arms is captured
-//! entirely by predicates, which both the resource lower bound and
+//! for the not-taken branch, conjoined with the literal of every enclosing
+//! branch (nested conditionals). After this pass the scheduler can treat the
+//! loop body as a straight line: mutual exclusion between the two arms is
+//! captured entirely by predicates, which both the resource lower bound and
 //! per-control-step resource sharing exploit.
 
 use crate::error::OptError;
@@ -22,37 +22,66 @@ impl Pass for PredicateConversion {
     }
 
     fn run(&self, cdfg: &mut Cdfg) -> Result<usize, OptError> {
-        let mut changed = 0;
-        // Collect (edge, predicate literal) pairs for every branch edge.
-        let mut edge_predicates = Vec::new();
-        for (edge_id, edge) in cdfg.cfg.iter_edges() {
-            let Some(taken) = edge.branch_taken else {
-                continue;
-            };
-            let from_kind = &cdfg.cfg.node(edge.from).kind;
-            if !matches!(from_kind, CfgNodeKind::Fork) {
-                continue;
-            }
-            let Some(&cond) = cdfg.fork_conditions.get(&edge.from) else {
-                continue;
-            };
-            let literal = if taken {
-                Predicate::Cond(cond)
-            } else {
-                Predicate::NotCond(cond)
-            };
-            edge_predicates.push((edge_id, literal));
+        let cfg = &cdfg.cfg;
+        // The branch literals open on each node and forward edge, outermost
+        // first: a fork's branch edge opens one and a join closes the
+        // innermost. The walk starts at every node without a forward
+        // in-edge, and the first edge to reach a node decides what is open
+        // there, which is exact for the nested fork/join regions that
+        // elaboration builds.
+        let mut open_at: Vec<Option<Vec<Predicate>>> = vec![None; cfg.num_nodes()];
+        let mut open_on: Vec<Vec<Predicate>> = vec![Vec::new(); cfg.num_edges()];
+        let mut walk: Vec<_> = cfg
+            .iter_nodes()
+            .map(|(id, _)| id)
+            .filter(|&id| cfg.in_edges(id).iter().all(|&e| cfg.edge(e).back_edge))
+            .collect();
+        for &root in &walk {
+            open_at[root.index()] = Some(Vec::new());
         }
-        for (edge_id, literal) in edge_predicates {
-            for op_id in cdfg.dfg.op_ids().collect::<Vec<_>>() {
-                if cdfg.dfg.op(op_id).home_edge != Some(edge_id) {
+        while let Some(node) = walk.pop() {
+            let here = open_at[node.index()].clone().unwrap_or_default();
+            let cond = match cfg.node(node).kind {
+                CfgNodeKind::Fork => cdfg.fork_conditions.get(&node).copied(),
+                _ => None,
+            };
+            for edge_id in cfg.out_edges(node) {
+                let edge = cfg.edge(edge_id);
+                if edge.back_edge {
                     continue;
                 }
-                let op = cdfg.dfg.op_mut(op_id);
-                let old = std::mem::take(&mut op.predicate);
-                op.predicate = old.and(literal.clone());
-                changed += 1;
+                let mut open = here.clone();
+                if let (Some(c), Some(taken)) = (cond, edge.branch_taken) {
+                    open.push(if taken {
+                        Predicate::Cond(c)
+                    } else {
+                        Predicate::NotCond(c)
+                    });
+                }
+                if open_at[edge.to.index()].is_none() {
+                    let mut there = open.clone();
+                    if matches!(cfg.node(edge.to).kind, CfgNodeKind::Join) {
+                        there.pop();
+                    }
+                    open_at[edge.to.index()] = Some(there);
+                    walk.push(edge.to);
+                }
+                open_on[edge_id.index()] = open;
             }
+        }
+        let mut changed = 0;
+        for op_id in cdfg.dfg.op_ids().collect::<Vec<_>>() {
+            let Some(edge) = cdfg.dfg.op(op_id).home_edge else {
+                continue;
+            };
+            let literals = &open_on[edge.index()];
+            if literals.is_empty() {
+                continue;
+            }
+            let op = cdfg.dfg.op_mut(op_id);
+            let old = std::mem::take(&mut op.predicate);
+            op.predicate = literals.iter().cloned().fold(old, Predicate::and);
+            changed += 1;
         }
         Ok(changed)
     }

@@ -2,9 +2,12 @@
 //! and RTL emission.
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::frontend::ast::BinOp;
-use hls::frontend::{elaborate, Behavior, Expr, FrontendError, LoopKind, Stmt, VarId};
+use hls::frontend::{
+    elaborate, Behavior, BehaviorBuilder, Expr, FrontendError, LoopKind, Stmt, VarId,
+};
 use hls::ir::{CmpKind, PortDirection};
 use hls::opt::linearize::prepare_innermost_loop;
+use hls::sim::{Interpreter, Stimulus};
 use hls::Synthesizer;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -326,4 +329,185 @@ fn faster_clock_costs_more_states() {
         .run()
         .expect("1.25ns");
     assert!(tight.schedule.latency >= relaxed.schedule.latency);
+}
+
+/// A behaviour over inputs `a`, `b`, `c` and output `y` whose loop body
+/// resets `v` to 0, runs `shape` and waits. `shape` gets the conditions
+/// `a > 0`, `b < 3` and `c >= 0`.
+fn nested(name: &str, shape: impl Fn(&BehaviorBuilder, VarId, [Expr; 3]) -> Vec<Stmt>) -> Behavior {
+    let mut b = BehaviorBuilder::new(name);
+    b.port_in("a", 16);
+    b.port_in("b", 8);
+    b.port_in("c", 8);
+    b.port_out("y", 16);
+    let v = b.var("v", 16, 0);
+    let conds = [
+        Expr::cmp(CmpKind::Gt, b.read_port("a"), Expr::Const(0)),
+        Expr::cmp(CmpKind::Lt, b.read_port("b"), Expr::Const(3)),
+        Expr::cmp(CmpKind::Ge, b.read_port("c"), Expr::Const(0)),
+    ];
+    let mut body = vec![b.assign(v, Expr::Const(0))];
+    body.extend(shape(&b, v, conds));
+    body.push(b.wait());
+    let l = b.do_while(
+        "main",
+        body,
+        Expr::cmp(CmpKind::Ne, b.read_port("a"), Expr::Const(0)),
+    );
+    b.infinite_loop(vec![l]);
+    b.build()
+}
+
+/// The value written to `y` in an iteration, given its three conditions,
+/// or `None` when the iteration writes no `y`.
+type Expected = fn([bool; 3]) -> Option<i64>;
+
+/// An `if` or an `if … else` nested in either branch of another `if`,
+/// statements after the inner `if`, a port write inside a nested branch and
+/// three levels of nesting: each elaborates, verifies sequentially and at
+/// II = 2, and writes `y` exactly when and as the source says.
+#[test]
+fn nested_conditionals_elaborate_verify_and_write_as_the_source_says() {
+    let set = |b: &BehaviorBuilder, v: VarId, k: i64| b.assign(v, Expr::Const(k));
+    let write_v = |b: &BehaviorBuilder, v: VarId| b.write_port("y", b.read_var(v));
+    let shapes: Vec<(Behavior, Expected)> = vec![
+        (
+            nested("if_in_then", |b, v, [a, bb, _]| {
+                vec![
+                    b.if_then_else(
+                        a,
+                        vec![b.if_then(bb, vec![set(b, v, 1)])],
+                        vec![set(b, v, 2)],
+                    ),
+                    write_v(b, v),
+                ]
+            }),
+            |[a, b, _]| Some(if a { i64::from(b) } else { 2 }),
+        ),
+        (
+            nested("if_else_in_then", |b, v, [a, bb, _]| {
+                let inner = b.if_then_else(bb, vec![set(b, v, 1)], vec![set(b, v, 3)]);
+                vec![
+                    b.if_then_else(a, vec![inner], vec![set(b, v, 2)]),
+                    write_v(b, v),
+                ]
+            }),
+            |[a, b, _]| {
+                Some(if !a {
+                    2
+                } else if b {
+                    1
+                } else {
+                    3
+                })
+            },
+        ),
+        (
+            nested("if_in_else", |b, v, [a, bb, _]| {
+                vec![
+                    b.if_then_else(
+                        a,
+                        vec![set(b, v, 2)],
+                        vec![b.if_then(bb, vec![set(b, v, 1)])],
+                    ),
+                    write_v(b, v),
+                ]
+            }),
+            |[a, b, _]| Some(if a { 2 } else { i64::from(b) }),
+        ),
+        (
+            nested("if_else_in_else", |b, v, [a, bb, _]| {
+                let inner = b.if_then_else(bb, vec![set(b, v, 1)], vec![set(b, v, 3)]);
+                vec![
+                    b.if_then_else(a, vec![set(b, v, 2)], vec![inner]),
+                    write_v(b, v),
+                ]
+            }),
+            |[a, b, _]| {
+                Some(if a {
+                    2
+                } else if b {
+                    1
+                } else {
+                    3
+                })
+            },
+        ),
+        (
+            nested("after_inner_if", |b, v, [a, bb, _]| {
+                let then = vec![
+                    b.if_then(bb, vec![set(b, v, 1)]),
+                    b.assign(v, Expr::add(b.read_var(v), Expr::Const(10))),
+                ];
+                vec![b.if_then_else(a, then, vec![set(b, v, 2)]), write_v(b, v)]
+            }),
+            |[a, b, _]| Some(if a { 10 + i64::from(b) } else { 2 }),
+        ),
+        (
+            nested("write_in_nested_branch", |b, _, [a, bb, _]| {
+                let inner = b.if_then(bb, vec![b.write_port("y", Expr::Const(1))]);
+                vec![b.if_then_else(a, vec![inner], vec![b.write_port("y", Expr::Const(2))])]
+            }),
+            |[a, b, _]| match (a, b) {
+                (false, _) => Some(2),
+                (true, true) => Some(1),
+                (true, false) => None,
+            },
+        ),
+        (
+            nested("three_levels", |b, v, [a, bb, c]| {
+                let third = b.if_then_else(c, vec![set(b, v, 1)], vec![set(b, v, 4)]);
+                let second = b.if_then_else(bb, vec![third], vec![set(b, v, 3)]);
+                vec![
+                    b.if_then_else(a, vec![second], vec![set(b, v, 2)]),
+                    write_v(b, v),
+                ]
+            }),
+            |[a, b, c]| {
+                Some(match (a, b, c) {
+                    (false, _, _) => 2,
+                    (true, false, _) => 3,
+                    (true, true, true) => 1,
+                    (true, true, false) => 4,
+                })
+            },
+        ),
+    ];
+    for (behavior, expected) in shapes {
+        let name = behavior.name.clone();
+        let mut cdfg = elaborate(&behavior).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let body = prepare_innermost_loop(&mut cdfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let port = |n: &str| {
+            body.dfg
+                .iter_ports()
+                .find(|(_, p)| p.name == n)
+                .map(|(id, _)| id)
+                .expect("port")
+        };
+        let stim = Stimulus::random(&body.dfg, 64, 7);
+        let trace = Interpreter::new(&body).unwrap().run(&stim).unwrap();
+        let want: Vec<(u32, i64)> = (0..64usize)
+            .filter_map(|k| {
+                let conds = [
+                    stim.value(k, port("a")) > 0,
+                    stim.value(k, port("b")) < 3,
+                    stim.value(k, port("c")) >= 0,
+                ];
+                expected(conds).map(|y| (k as u32, y))
+            })
+            .collect();
+        assert_eq!(trace.port_writes(port("y")), want, "{name}");
+        for ii in [None, Some(2)] {
+            let mut synth = Synthesizer::new(behavior.clone())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 12)
+                .verify(64);
+            if let Some(ii) = ii {
+                synth = synth.pipeline(ii);
+            }
+            synth
+                .run()
+                .unwrap_or_else(|e| panic!("{name} at II {ii:?}: {e}"));
+        }
+    }
 }

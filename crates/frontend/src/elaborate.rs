@@ -385,7 +385,11 @@ impl<'a> Elaborator<'a> {
         // body. Each gets the paper's loopMux selecting the pre-loop value on
         // the first iteration and the previous iteration's value afterwards.
         let carried: Vec<VarId> = {
-            let exposed = upward_exposed_vars(body);
+            let mut exposed = upward_exposed_vars(body);
+            // a `while` condition is read before the body, every iteration
+            if let (LoopKind::While, Some(c)) = (kind, cond) {
+                scan_expr(c, &HashSet::new(), &mut exposed);
+            }
             let mut v: Vec<VarId> = exposed.into_iter().collect();
             v.sort();
             v

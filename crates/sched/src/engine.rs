@@ -1686,13 +1686,16 @@ impl<'a> Engine<'a> {
         // Within a step the busy table and the combinational graph only
         // grow, and an op's input arrivals are fixed once its inputs are
         // ready, so an op whose placement failed fails again in every later
-        // round of the step; it is not retried. The step's last round places
+        // round of the step; it is not retried. The one exception is a
+        // predicated op, which may share a busy instance once the
+        // conditions steering it are placed. The step's last round places
         // nothing, and the failure report sees the restraints of each failed
         // op's last attempt. So after the step a failed op's restraints are
         // recomputed, if something was placed since its attempt and nothing
         // overwrites them first: the next step's first round attempts the
         // op again when that state exists and the op's pin and SCC window
-        // admit it, since its inputs stay ready.
+        // admit it, since its inputs stay ready. A recomputation that finds
+        // a steerable shared instance places the op.
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
             debug_assert_eq!(cur.marks.len(), state as usize);
@@ -1782,9 +1785,9 @@ impl<'a> Engine<'a> {
                             fold_states,
                             sharing,
                         );
-                        debug_assert_eq!(
-                            refresh,
-                            Attempt::Failed,
+                        debug_assert!(
+                            refresh == Attempt::Failed
+                                || !self.statics.pred_lits[i].lits.is_empty(),
                             "a failed placement succeeded later in its step"
                         );
                     }
@@ -2055,7 +2058,8 @@ impl<'a> Engine<'a> {
     /// folded pipeline equivalent states belong to different stages, whose
     /// predicates guard different iterations, so cross-stage "mutual
     /// exclusion" would not hold in hardware (the binder rejects such slots
-    /// as unsteerable).
+    /// as unsteerable) — and only when both are [`steerable`](Self::steerable)
+    /// there.
     fn busy_conflict(&self, cur: &RegionRt, op_id: OpId, at: Slot, l: usize) -> bool {
         let slot = l * at.fold_states as usize + at.folded as usize;
         cur.busy[slot].iter().any(|other| {
@@ -2063,7 +2067,25 @@ impl<'a> Engine<'a> {
             !cur.frame.placed[ol].is_some_and(|p| p.state == at.state)
                 || !self.statics.pred_lits[other.index()]
                     .mutually_exclusive(&self.statics.pred_lits[op_id.index()])
+                || !self.steerable(cur, op_id, at.state)
+                || !self.steerable(cur, *other, at.state)
         })
+    }
+
+    /// Whether every condition of `op`'s predicate is placed in this region
+    /// no later than `state`. A shared instance is steered by the
+    /// conditions of the ops it executes, so they must be known in the
+    /// step (the binder refuses the slot as unsteerable otherwise); a
+    /// condition in another region counts as unknown.
+    fn steerable(&self, cur: &RegionRt, op: OpId, state: u32) -> bool {
+        self.statics.pred_lits[op.index()]
+            .lits
+            .iter()
+            .all(|&(cond, _, _)| {
+                let cl = self.plan.local_of[cond.index()] as usize;
+                cur.members.get(cl) == Some(&(cond.index() as u32))
+                    && cur.frame.placed[cl].is_some_and(|p| p.state <= state)
+            })
     }
 
     /// The placement scan: binds `op_id` to the lowest-indexed compatible
@@ -2266,6 +2288,8 @@ impl<'a> Engine<'a> {
                 !cur.frame.placed[ol].is_some_and(|p| p.state == at.state)
                     || !self.statics.pred_lits[other.index()]
                         .mutually_exclusive(&self.statics.pred_lits[i])
+                    || !self.steerable(cur, op_id, at.state)
+                    || !self.steerable(cur, *other, at.state)
             });
             if conflict {
                 count_contention(&mut reasons, op_id, ty, 1);

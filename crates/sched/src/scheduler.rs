@@ -17,7 +17,7 @@ use crate::region::{batch_owner_regions, concat_pools, owner_region, region_pool
 use crate::relax::{choose_action, worst_negative_slack, RelaxAction, Restraint};
 use crate::resources::initial_resource_set;
 use hls_ir::analysis::{sccs, Scc};
-use hls_ir::{LinearBody, OpId};
+use hls_ir::{LinearBody, OpId, PinnedState, StateIdx};
 use hls_netlist::ScheduleDesc;
 use hls_tech::{ResourceInstanceId, TechLibrary};
 use std::collections::{HashMap, HashSet};
@@ -90,6 +90,10 @@ impl<'a> Scheduler<'a> {
     /// [`SchedError::BudgetExhausted`] when the pass-count budget runs out
     /// with relaxation actions still applicable.
     pub fn run(&self) -> Result<Schedule, SchedError> {
+        self.with_carried_reads_in_time(|s| s.run_incremental())
+    }
+
+    fn run_incremental(&self) -> Result<Schedule, SchedError> {
         self.body.validate()?;
         let components: Vec<Scc> = sccs(&self.body.dfg);
 
@@ -177,6 +181,10 @@ impl<'a> Scheduler<'a> {
     /// # Errors
     /// Same contract as [`Scheduler::run`].
     pub fn run_reference(&self) -> Result<Schedule, SchedError> {
+        self.with_carried_reads_in_time(|s| s.run_from_scratch())
+    }
+
+    fn run_from_scratch(&self) -> Result<Schedule, SchedError> {
         self.body.validate()?;
         let components: Vec<Scc> = sccs(&self.body.dfg);
 
@@ -282,6 +290,78 @@ impl<'a> Scheduler<'a> {
 /// Builds the [`SchedError::Overconstrained`] verdict shared by both
 /// drivers from the failed pass's restraints, one rendered entry per
 /// counted restraint.
+impl Scheduler<'_> {
+    /// Runs `driver`, then makes every loop-carried read of the pipelined
+    /// schedule causal. An SCC window keeps a recurrence's ops within II
+    /// states of each other, but nothing else keeps an op that reads a
+    /// value `d` iterations back from being placed `d × II` or more states
+    /// before the value's producer, which no register can bridge. Each such
+    /// consumer is pinned at or after the first state that can read the
+    /// value, and the driver runs again on the pinned body. A pin only
+    /// rises, so this ends in a causal schedule or an error; a run without
+    /// such a read returns the driver's result unchanged.
+    fn with_carried_reads_in_time(
+        &self,
+        driver: fn(&Scheduler<'_>) -> Result<Schedule, SchedError>,
+    ) -> Result<Schedule, SchedError> {
+        let mut schedule = driver(self)?;
+        let mut pinned: Option<LinearBody> = None;
+        loop {
+            let body = pinned.as_ref().unwrap_or(self.body);
+            let early = early_carried_reads(body, &schedule.desc);
+            if early.is_empty() {
+                return Ok(schedule);
+            }
+            let mut body = body.clone();
+            for &(consumer, producer, first) in &early {
+                match body.pin_of(consumer) {
+                    Some(PinnedState::Exact(_)) => {
+                        return Err(SchedError::Overconstrained {
+                            latency: schedule.latency,
+                            passes: schedule.passes,
+                            details: format!(
+                                "{consumer} is pinned to a state that reads {producer} \
+                                 before it is computed"
+                            ),
+                            worst_slack_ps: 0.0,
+                        })
+                    }
+                    _ => {
+                        body.pins
+                            .insert(consumer, PinnedState::AtOrAfter(StateIdx::new(first)));
+                    }
+                }
+            }
+            let body = pinned.insert(body);
+            schedule = driver(&Scheduler::new(body, self.lib, self.config.clone()))?;
+        }
+    }
+}
+
+/// The `(consumer, producer, first state)` of every loop-carried read that
+/// a pipelined schedule places before its value exists: the consumer reads
+/// the producer's value `d` iterations back in a state earlier than the
+/// producer's state + 1 − `d` × II, the first state it could read it in.
+fn early_carried_reads(body: &LinearBody, desc: &ScheduleDesc) -> Vec<(OpId, OpId, u32)> {
+    let Some(ii) = desc.ii else {
+        return Vec::new();
+    };
+    let mut early = Vec::new();
+    for (consumer, op) in body.dfg.iter_ops() {
+        let at = desc.state_of(consumer);
+        for sig in op.inputs.iter().filter(|sig| sig.distance > 0) {
+            let Some(producer) = sig.producer() else {
+                continue;
+            };
+            let first = (desc.state_of(producer) + 1).saturating_sub(sig.distance * ii);
+            if at < first {
+                early.push((consumer, producer, first));
+            }
+        }
+    }
+    early
+}
+
 fn overconstrained(latency: u32, passes: u32, restraints: &[Restraint]) -> SchedError {
     let details: Vec<String> = restraints.iter().map(Restraint::to_string).collect();
     SchedError::Overconstrained {

@@ -511,3 +511,113 @@ fn nested_conditionals_elaborate_verify_and_write_as_the_source_says() {
         }
     }
 }
+
+/// Two subtractions on the branches of a conditional whose condition comes
+/// out of a multiplier chain: the subtractions are ready first, and being
+/// mutually exclusive they may share one subtractor, but only once the
+/// condition that steers it is known. Sharing it before that step leaves a
+/// binding the binder refuses as unsteerable.
+#[test]
+fn exclusive_ops_share_an_instance_only_once_their_condition_is_known() {
+    let mut b = BehaviorBuilder::new("late_condition");
+    b.port_in("p0", 16);
+    b.port_in("p1", 8);
+    b.port_out("out", 16);
+    let v = b.var("v", 16, 0);
+    let w = b.var("w", 16, 0);
+    let body = vec![
+        b.assign(v, Expr::mul(b.read_port("p0"), b.read_port("p1"))),
+        b.assign(v, Expr::mul(b.read_var(v), b.read_port("p0"))),
+        b.if_then_else(
+            Expr::cmp(CmpKind::Gt, b.read_var(v), Expr::Const(5)),
+            vec![b.assign(w, Expr::sub(b.read_port("p0"), Expr::Const(84)))],
+            vec![b.assign(w, Expr::sub(b.read_port("p1"), Expr::Const(7)))],
+        ),
+        b.write_port("out", b.read_var(w)),
+        b.wait(),
+    ];
+    let l = b.do_while(
+        "main",
+        body,
+        Expr::cmp(CmpKind::Ne, b.read_port("p0"), Expr::Const(0)),
+    );
+    b.infinite_loop(vec![l]);
+    let behavior = b.build();
+    for clock_ps in [1600.0, 2200.0] {
+        for ii in [None, Some(2)] {
+            let mut synth = Synthesizer::new(behavior.clone())
+                .clock_ps(clock_ps)
+                .latency_bounds(1, 12)
+                .verify(64);
+            if let Some(ii) = ii {
+                synth = synth.pipeline(ii);
+            }
+            synth
+                .run()
+                .unwrap_or_else(|e| panic!("{clock_ps} ps, II {ii:?}: {e}"));
+        }
+    }
+}
+
+/// A `while` loop whose condition reads `v`, which its body writes from a
+/// multiplier chain and reads only before that write: the condition reads
+/// the value the previous iteration left, and no recurrence keeps that
+/// read within II states of the chain's last multiply. Pipelined, the read
+/// must still wait until the value exists.
+#[test]
+fn a_while_condition_reads_the_carried_value_once_it_exists() {
+    let mut b = BehaviorBuilder::new("late_carried");
+    b.port_in("p0", 16);
+    b.port_in("p1", 8);
+    b.port_out("out", 16);
+    let v = b.var("v", 16, 3);
+    let chain = Expr::mul(
+        Expr::mul(
+            Expr::mul(b.read_port("p0"), b.read_port("p1")),
+            b.read_port("p0"),
+        ),
+        b.read_port("p1"),
+    );
+    let cond = Expr::cmp(CmpKind::Gt, b.read_var(v), b.read_port("p0"));
+    let mut exposed = b.clone();
+    let loop_of = |body: Vec<Stmt>, cond: Expr| Stmt::Loop {
+        kind: LoopKind::While,
+        body,
+        cond: Some(cond),
+        label: Some("main".into()),
+    };
+    // the condition alone reads `v` before the body writes it
+    let only_cond = vec![
+        b.assign(v, chain.clone()),
+        b.write_port("out", b.read_port("p1")),
+        b.wait(),
+    ];
+    b.push(loop_of(only_cond, cond.clone()));
+    let mut cdfg = elaborate(&b.build()).expect("elaborates");
+    let body = prepare_innermost_loop(&mut cdfg).expect("linearizes");
+    let exit = body.exit_condition.expect("exit condition");
+    let reads_carried = body.dfg.op(exit).inputs.iter().any(|sig| {
+        sig.producer()
+            .is_some_and(|p| body.dfg.op(p).inputs.iter().any(|s| s.distance > 0))
+    });
+    assert!(reads_carried, "the exit condition reads the pre-loop `v`");
+    // the write reads `v` before the body writes it too
+    exposed.push(loop_of(
+        vec![
+            exposed.write_port("out", exposed.read_var(v)),
+            exposed.assign(v, chain),
+            exposed.wait(),
+        ],
+        cond,
+    ));
+    let behavior = exposed.build();
+    for ii in [1, 2] {
+        Synthesizer::new(behavior.clone())
+            .clock_ps(1600.0)
+            .latency_bounds(1, 12)
+            .pipeline(ii)
+            .verify(64)
+            .run()
+            .unwrap_or_else(|e| panic!("II {ii}: {e}"));
+    }
+}

@@ -5,10 +5,13 @@
 //! differentially bit-exact against the reference interpreter after the
 //! untimed and the timed rewrites. A fuzz property edits the public fields
 //! of lowered modules and requires every consumer to end in a typed error
-//! or a result, never a panic.
+//! or a result, never a panic. A coverage test checks that the generated
+//! programs reach every operation and cell kind, a `while` loop and a
+//! nested `if`, so a kind the generator stops producing fails a test.
 
 use hls::bind::{bind, lower, RtlStyle};
-use hls::ir::{CmpKind, LinearBody};
+use hls::frontend::ast::{LoopKind, Stmt};
+use hls::ir::{CmpKind, LinearBody, OpKind};
 use hls::lint::{analyze, analyze_timing, LintConfig, LintContext};
 use hls::netlist::{emit_verilog, ChainTiming};
 use hls::nir::{validate, BinKind, CellId, CellKind, NirModule, UnKind};
@@ -19,6 +22,7 @@ use hls::tech::{ClockConstraint, TechLibrary};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[path = "common/random_behavior.rs"]
@@ -359,4 +363,186 @@ proptest! {
             }
         }
     }
+}
+
+fn cmp_name(kind: CmpKind) -> &'static str {
+    match kind {
+        CmpKind::Eq => "eq",
+        CmpKind::Ne => "ne",
+        CmpKind::Lt => "lt",
+        CmpKind::Le => "le",
+        CmpKind::Gt => "gt",
+        CmpKind::Ge => "ge",
+    }
+}
+
+/// An operation kind's name, one per comparison kind. No arm is a
+/// wildcard, so a new kind fails to compile until it is named here, and
+/// then fails the coverage test until [`OP_KINDS`] lists it.
+fn op_kind(kind: &OpKind) -> String {
+    let name = match kind {
+        OpKind::Add => "add",
+        OpKind::Sub => "sub",
+        OpKind::Mul => "mul",
+        OpKind::Div => "div",
+        OpKind::Rem => "rem",
+        OpKind::And => "and",
+        OpKind::Or => "or",
+        OpKind::Xor => "xor",
+        OpKind::Not => "not",
+        OpKind::Neg => "neg",
+        OpKind::Shl => "shl",
+        OpKind::Shr => "shr",
+        OpKind::Cmp(c) => return format!("cmp-{}", cmp_name(*c)),
+        OpKind::Mux => "mux",
+        OpKind::Slice { .. } => "slice",
+        OpKind::Resize => "resize",
+        OpKind::Const(_) => "const",
+        OpKind::Read(_) => "read",
+        OpKind::Write(_) => "write",
+        OpKind::Pass => "pass",
+    };
+    name.into()
+}
+
+/// A cell kind's name, one per binary and unary kind; exhaustive as
+/// [`op_kind`] is.
+fn cell_kind(kind: &CellKind) -> String {
+    let name = match kind {
+        CellKind::Const(_) => "const",
+        CellKind::Input { .. } => "input",
+        CellKind::Output { .. } => "output",
+        CellKind::Bin(bin) => {
+            return match bin {
+                BinKind::Add => "add".into(),
+                BinKind::Sub => "sub".into(),
+                BinKind::Mul => "mul".into(),
+                BinKind::Div => "div".into(),
+                BinKind::Rem => "rem".into(),
+                BinKind::And => "and".into(),
+                BinKind::Or => "or".into(),
+                BinKind::Xor => "xor".into(),
+                BinKind::Shl => "shl".into(),
+                BinKind::Shr => "shr".into(),
+                BinKind::Cmp(c) => format!("cmp-{}", cmp_name(*c)),
+            }
+        }
+        CellKind::Un(UnKind::Not) => "not",
+        CellKind::Un(UnKind::Neg) => "neg",
+        CellKind::Mux => "mux",
+        CellKind::Slice { .. } => "slice",
+        CellKind::Resize => "resize",
+        CellKind::Reg { .. } => "reg",
+        CellKind::FsmState => "fsm-state",
+        CellKind::StageValid { .. } => "stage-valid",
+        CellKind::FirstIter { .. } => "first-iter",
+    };
+    name.into()
+}
+
+const CMP_KINDS: [&str; 6] = ["cmp-eq", "cmp-ne", "cmp-lt", "cmp-le", "cmp-gt", "cmp-ge"];
+
+/// Every operation kind but the comparisons.
+const OP_KINDS: [&str; 19] = [
+    "add", "sub", "mul", "div", "rem", "and", "or", "xor", "not", "neg", "shl", "shr", "mux",
+    "slice", "resize", "const", "read", "write", "pass",
+];
+
+/// Every cell kind but the comparisons.
+const CELL_KINDS: [&str; 22] = [
+    "const",
+    "input",
+    "output",
+    "add",
+    "sub",
+    "mul",
+    "div",
+    "rem",
+    "and",
+    "or",
+    "xor",
+    "shl",
+    "shr",
+    "not",
+    "neg",
+    "mux",
+    "slice",
+    "resize",
+    "reg",
+    "fsm-state",
+    "stage-valid",
+    "first-iter",
+];
+
+/// Whether `stmts` hold a `while` loop, and whether they hold an `if`
+/// inside a branch of another.
+fn shapes(stmts: &[Stmt], in_branch: bool, while_loop: &mut bool, nested_if: &mut bool) {
+    for s in stmts {
+        match s {
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                *nested_if |= in_branch;
+                shapes(then_body, true, while_loop, nested_if);
+                shapes(else_body, true, while_loop, nested_if);
+            }
+            Stmt::Loop { kind, body, .. } => {
+                *while_loop |= *kind == LoopKind::While;
+                shapes(body, in_branch, while_loop, nested_if);
+            }
+            Stmt::Assign { .. } | Stmt::WritePort { .. } | Stmt::Wait => {}
+        }
+    }
+}
+
+/// The generator's first 200 programs, sequential and at II = 2, reach
+/// every operation kind in their linearized bodies (25, counting each
+/// comparison kind), every cell kind in their netlists lowered per
+/// operation and with shared units (28 each), a `while` loop and a nested
+/// `if`.
+#[test]
+fn generated_programs_reach_every_operation_and_cell_kind() {
+    let lib = TechLibrary::artisan_90nm_typical();
+    let clock = ClockConstraint::from_period_ps(4200.0);
+    let mut ops = BTreeSet::new();
+    let mut cells = [BTreeSet::new(), BTreeSet::new()];
+    let (mut while_loop, mut nested_if) = (false, false);
+    for seed in 0..200u64 {
+        let behavior = random_behavior(seed);
+        shapes(&behavior.body, false, &mut while_loop, &mut nested_if);
+        let mut cdfg = hls::frontend::elaborate(&behavior).expect("elaborates");
+        let body = prepare_innermost_loop(&mut cdfg).expect("linearizes");
+        ops.extend(body.dfg.iter_ops().map(|(_, op)| op_kind(&op.kind)));
+        for config in [
+            SchedulerConfig::sequential(clock, 1, 24),
+            SchedulerConfig::pipelined(clock, 2, 24),
+        ] {
+            let Ok(schedule) = Scheduler::new(&body, &lib, config).run() else {
+                continue;
+            };
+            let bound = bind(&body, &schedule.desc).expect("binds");
+            for (style, seen) in [RtlStyle::PerOp, RtlStyle::SharedFu]
+                .into_iter()
+                .zip(&mut cells)
+            {
+                let m = lower(&body, &schedule.desc, &bound, style).expect("lowers");
+                seen.extend(m.iter_cells().map(|(_, cell)| cell_kind(&cell.kind)));
+            }
+        }
+    }
+    let all = |kinds: &[&str]| -> BTreeSet<String> {
+        kinds
+            .iter()
+            .chain(&CMP_KINDS)
+            .map(|k| k.to_string())
+            .collect()
+    };
+    assert_eq!(ops, all(&OP_KINDS), "operation kinds");
+    for (style, seen) in ["per-op", "shared-FU"].into_iter().zip(&cells) {
+        assert_eq!(*seen, all(&CELL_KINDS), "{style} cell kinds");
+    }
+    assert!(while_loop, "no `while` loop");
+    assert!(nested_if, "no nested `if`");
 }

@@ -133,19 +133,6 @@ impl BoundDesign {
     pub fn max_steering_fanin(&self) -> usize {
         self.steering_fanins().into_iter().max().unwrap_or(0)
     }
-
-    /// One-line summary (`3 FUs (1 shared), 4 regs (40 bits), 2 muxes (6 inputs)`).
-    pub fn summary(&self) -> String {
-        format!(
-            "{} FUs ({} shared), {} regs ({} bits), {} muxes ({} inputs)",
-            self.stats.fu_count,
-            self.stats.shared_fu_count,
-            self.stats.register_count,
-            self.stats.register_bits,
-            self.stats.mux_count,
-            self.stats.mux_inputs
-        )
-    }
 }
 
 /// Binds a schedule: functional units (honoring the scheduler's instance
@@ -244,7 +231,6 @@ mod tests {
         // binding never invents hardware
         assert!(bound.stats.fu_count <= desc.resources.len());
         assert!(bound.stats.register_count > 0);
-        assert!(bound.summary().contains("FUs"));
     }
 
     #[test]

@@ -41,14 +41,14 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod cdfg;
+mod cdfg;
 pub mod cfg;
-pub mod dense;
+mod dense;
 pub mod dfg;
 pub mod error;
 pub mod eval;
 pub mod ids;
-pub mod linear;
+mod linear;
 pub mod op;
 pub mod predicate;
 

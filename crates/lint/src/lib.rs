@@ -48,7 +48,7 @@ pub mod config;
 pub mod diag;
 pub mod sta;
 mod structural;
-pub mod timed;
+mod timed;
 
 pub use config::{Lint, LintConfig, Severity};
 pub use diag::{Diagnostic, LintReport};

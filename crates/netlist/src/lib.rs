@@ -7,23 +7,23 @@
 //! for area and power (Section VI). This crate is the stand-in for that logic
 //! synthesis back-end:
 //!
-//! * [`timing::ChainTiming`] — the register-to-register path delay model of
+//! * [`ChainTiming`] — the register-to-register path delay model of
 //!   Figure 8 (`FF launch + input mux + FU + ... + register mux + FF setup`),
 //!   with memoized resource-delay queries;
-//! * [`schedule::ScheduleDesc`] — the binding/state assignment produced by the
+//! * [`ScheduleDesc`] — the binding/state assignment produced by the
 //!   scheduler, shared between crates;
-//! * [`schedule::Datapath`] — functional units, sharing multiplexers and
+//! * [`Datapath`] — functional units, sharing multiplexers and
 //!   registers extracted from a schedule, with area and power estimation;
-//! * [`rtl`] — the Verilog printer ([`emit_verilog`]): a thin, deterministic
+//! * [`emit_verilog`] — the Verilog printer: a thin, deterministic
 //!   walk over the structural netlist ([`hls_nir::NirModule`]) produced by
 //!   `hls_bind`'s lowering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod rtl;
-pub mod schedule;
-pub mod timing;
+mod rtl;
+mod schedule;
+mod timing;
 
 pub use rtl::emit_verilog;
 pub use schedule::{AreaBreakdown, Datapath, PowerBreakdown, ScheduleDesc, ScheduledOp};

@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod model;
-pub mod rewrite;
+mod rewrite;
 pub mod validate;
 
 pub use model::{sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind};

@@ -19,19 +19,19 @@
 //! * [`predicate::PredicateConversion`] — the paper's if-conversion;
 //! * [`passes::ConstWidthReduction`] — operand width reduction for literals.
 //!
-//! [`manager::PassManager`] runs a configurable pipeline and reports per-pass
-//! statistics. [`linearize::linearize_loop`] extracts a loop body as the
+//! [`optimize`] runs compare canonicalization and these passes once each, in
+//! the flow's order, and reports per-pass statistics. [`linearize::linearize_loop`] extracts a loop body as the
 //! straight-line [`hls_ir::LinearBody`] consumed by the scheduler.
 //!
 //! ## Example
 //!
 //! ```
 //! use hls_frontend::designs;
-//! use hls_opt::manager::PassManager;
 //! use hls_opt::linearize::linearize_loop;
+//! use hls_opt::optimize;
 //!
 //! let mut cdfg = designs::paper_example1_cdfg()?;
-//! PassManager::standard().run(&mut cdfg)?;
+//! optimize(&mut cdfg)?;
 //! let inner = cdfg.innermost_loop().unwrap().id;
 //! let body = linearize_loop(&cdfg, inner)?;
 //! assert_eq!(body.source_states, 2);
@@ -49,5 +49,5 @@ pub mod predicate;
 
 pub use error::OptError;
 pub use linearize::linearize_loop;
-pub use manager::{PassManager, PassReport};
+pub use manager::{optimize, PassReport};
 pub use passes::Pass;

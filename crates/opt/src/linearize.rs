@@ -164,8 +164,8 @@ fn remap_predicate(
 }
 
 /// Convenience: elahorated CDFG → optimized → innermost loop linearized.
-/// Applies [`crate::manager::PassManager::standard`] and then
-/// [`linearize_loop`] on [`Cdfg::innermost_loop`].
+/// Applies [`optimize`](crate::optimize) and then [`linearize_loop`] on
+/// [`Cdfg::innermost_loop`].
 ///
 /// # Errors
 /// Returns [`OptError::UnknownLoop`] if the design has no loop,
@@ -174,7 +174,7 @@ fn remap_predicate(
 /// drive the port), or any error raised by the passes or the linearization
 /// itself.
 pub fn prepare_innermost_loop(cdfg: &mut Cdfg) -> Result<LinearBody, OptError> {
-    crate::manager::PassManager::standard().run(cdfg)?;
+    crate::optimize(cdfg)?;
     let id = cdfg
         .innermost_loop()
         .map(|l| l.id)
@@ -203,13 +203,13 @@ pub fn prepare_innermost_loop(cdfg: &mut Cdfg) -> Result<LinearBody, OptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::PassManager;
+    use crate::optimize;
     use hls_frontend::designs;
     use hls_ir::analysis::sccs;
 
     fn example1_body() -> LinearBody {
         let mut cdfg = designs::paper_example1_cdfg().expect("elaborate");
-        PassManager::standard().run(&mut cdfg).expect("passes");
+        optimize(&mut cdfg).expect("passes");
         let id = cdfg.innermost_loop().unwrap().id;
         linearize_loop(&cdfg, id).expect("linearize")
     }
@@ -285,7 +285,7 @@ mod tests {
         // that linearizing the *outer* loop of example1 works and any
         // referenced inner value appears as a live-in pass op or is internal.
         let mut cdfg = designs::paper_example1_cdfg().expect("elaborate");
-        PassManager::standard().run(&mut cdfg).expect("passes");
+        optimize(&mut cdfg).expect("passes");
         let outer = cdfg.loops[0].id;
         let body = linearize_loop(&cdfg, outer).expect("linearize outer");
         assert!(body.validate().is_ok());

@@ -11,19 +11,19 @@
 //!
 //! This crate provides:
 //!
-//! * [`fold::FoldedPipeline`] — the folded schedule with stage bookkeeping and
+//! * [`FoldedPipeline`] — the folded schedule with stage bookkeeping and
 //!   a cycle-accurate overlap table like the paper's Figure 5;
-//! * [`fold::fold_schedule`] — the folding transformation itself, with
+//! * [`fold_schedule`] — the folding transformation itself, with
 //!   verification of inter-iteration causality and resource exclusivity;
-//! * [`modulo`] — a classical iterative-modulo-scheduling baseline
+//! * [`modulo_schedule`] — a classical iterative-modulo-scheduling baseline
 //!   (Rau, MICRO'94) used to compare the paper's unified approach against a
 //!   "schedule-then-move" formulation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fold;
-pub mod modulo;
+mod fold;
+mod modulo;
 
 pub use fold::{fold_schedule, FoldError, FoldedPipeline};
 pub use modulo::{modulo_schedule, ModuloResult};

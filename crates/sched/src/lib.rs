@@ -39,7 +39,7 @@ mod pass;
 pub mod region;
 pub mod relax;
 pub mod resources;
-pub mod scheduler;
+mod scheduler;
 
 pub use config::{PipelineRequest, RegionOptions, SchedulerConfig};
 pub use error::SchedError;

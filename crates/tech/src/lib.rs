@@ -34,11 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod characterization;
-pub mod clock;
-pub mod intern;
-pub mod library;
+mod clock;
+mod intern;
+mod library;
 pub mod resource;
-pub mod resource_set;
+mod resource_set;
 
 pub use characterization::Characterization;
 pub use clock::ClockConstraint;

@@ -285,12 +285,7 @@ impl<'a> Scheduler<'a> {
             &actions,
         ))
     }
-}
 
-/// Builds the [`SchedError::Overconstrained`] verdict shared by both
-/// drivers from the failed pass's restraints, one rendered entry per
-/// counted restraint.
-impl Scheduler<'_> {
     /// Runs `driver`, then makes every loop-carried read of the pipelined
     /// schedule causal. An SCC window keeps a recurrence's ops within II
     /// states of each other, but nothing else keeps an op that reads a
@@ -353,7 +348,8 @@ fn early_carried_reads(body: &LinearBody, desc: &ScheduleDesc) -> Vec<(OpId, OpI
             let Some(producer) = sig.producer() else {
                 continue;
             };
-            let first = (desc.state_of(producer) + 1).saturating_sub(sig.distance * ii);
+            let first =
+                (desc.state_of(producer) + 1).saturating_sub(sig.distance.saturating_mul(ii));
             if at < first {
                 early.push((consumer, producer, first));
             }
@@ -362,6 +358,9 @@ fn early_carried_reads(body: &LinearBody, desc: &ScheduleDesc) -> Vec<(OpId, OpI
     early
 }
 
+/// Builds the [`SchedError::Overconstrained`] verdict shared by both
+/// drivers from the failed pass's restraints, one rendered entry per
+/// counted restraint.
 fn overconstrained(latency: u32, passes: u32, restraints: &[Restraint]) -> SchedError {
     let details: Vec<String> = restraints.iter().map(Restraint::to_string).collect();
     SchedError::Overconstrained {

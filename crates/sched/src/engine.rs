@@ -1686,16 +1686,15 @@ impl<'a> Engine<'a> {
         // Within a step the busy table and the combinational graph only
         // grow, and an op's input arrivals are fixed once its inputs are
         // ready, so an op whose placement failed fails again in every later
-        // round of the step; it is not retried. The one exception is a
-        // predicated op, which may share a busy instance once the
-        // conditions steering it are placed. The step's last round places
+        // round of the step; it is not retried. (A condition placed later in
+        // the step can make a shared instance steerable for a predicated op;
+        // it still waits for a later step.) The step's last round places
         // nothing, and the failure report sees the restraints of each failed
         // op's last attempt. So after the step a failed op's restraints are
         // recomputed, if something was placed since its attempt and nothing
         // overwrites them first: the next step's first round attempts the
         // op again when that state exists and the op's pin and SCC window
-        // admit it, since its inputs stay ready. A recomputation that finds
-        // a steerable shared instance places the op.
+        // admit it, since its inputs stay ready.
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
             debug_assert_eq!(cur.marks.len(), state as usize);
@@ -1749,6 +1748,7 @@ impl<'a> Engine<'a> {
                         ii,
                         fold_states,
                         sharing,
+                        false,
                     ) {
                         Attempt::Placed => placed_any = true,
                         Attempt::Failed => {
@@ -1784,10 +1784,11 @@ impl<'a> Engine<'a> {
                             ii,
                             fold_states,
                             sharing,
+                            true,
                         );
-                        debug_assert!(
-                            refresh == Attempt::Failed
-                                || !self.statics.pred_lits[i].lits.is_empty(),
+                        debug_assert_eq!(
+                            refresh,
+                            Attempt::Failed,
                             "a failed placement succeeded later in its step"
                         );
                     }
@@ -1865,7 +1866,8 @@ impl<'a> Engine<'a> {
 
     /// Attempts to place one ready operation in `state`. Mirrors the
     /// original pass body exactly, with the registered cut rule applied to
-    /// cross-region inputs.
+    /// cross-region inputs. `refresh` marks an end-of-step recomputation of
+    /// a failed op's restraints.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
     fn try_place(
         &self,
@@ -1878,6 +1880,7 @@ impl<'a> Engine<'a> {
         ii: u32,
         fold_states: u32,
         sharing: bool,
+        refresh: bool,
     ) -> Attempt {
         let i = op_id.index();
         let l = self.plan.local_of[i] as usize;
@@ -1961,6 +1964,16 @@ impl<'a> Engine<'a> {
         #[cfg(test)]
         oracle::check(self, cur, op_id, at, &walked, &scan);
         let outcome = match scan {
+            // A condition placed since the op's attempt in this step made a
+            // shared instance steerable: the op keeps that attempt's
+            // restraints and waits for a later step.
+            Scan::Bound { .. } if refresh => {
+                debug_assert!(
+                    !self.statics.pred_lits[i].lits.is_empty(),
+                    "a failed placement succeeded later in its step"
+                );
+                Attempt::Failed
+            }
             Scan::Bound {
                 local,
                 arrival,

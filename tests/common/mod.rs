@@ -62,6 +62,15 @@ impl Fnv {
     }
 }
 
+/// Digests formatted text as it is written, so a large `Debug` rendering
+/// is never held in memory.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// A relaxation action in the scheduling goldens' compact form.
 #[allow(dead_code)] // only the scheduling goldens render decisions
 pub fn action_code(action: &RelaxAction) -> String {

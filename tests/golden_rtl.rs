@@ -1,17 +1,23 @@
-//! Golden-snapshot tests for the RTL emitter on the paper's Example 1.
+//! Golden-snapshot tests for the back end after scheduling: the lowering,
+//! the Verilog printer and the reference interpreter.
 //!
-//! The emitted text for the sequential (Table 2) and II=2 pipelined
-//! (Example 2) schedules is pinned byte-for-byte under `tests/golden/`.
-//! An emitter refactor that changes the output now diffs textually instead
-//! of failing silently; run with `UPDATE_GOLDEN=1` to bless intentional
-//! changes after reviewing the diff.
+//! The emitted text for Example 1's sequential (Table 2) and II=2 pipelined
+//! (Example 2) schedules is pinned byte-for-byte under `tests/golden/`, and
+//! `backend_digests.txt` pins digests of every netlist, the RTL and the
+//! interpreter's writes for the flow benchmark's verified kernels. A
+//! refactor that changes the output now diffs textually instead of failing
+//! silently; run with `UPDATE_GOLDEN=1` to bless intentional changes after
+//! reviewing the diff.
 
 mod common;
 
-use common::compare_or_bless;
+use common::{compare_or_bless, Fnv};
 use hls::bind::{lower, RtlStyle};
 use hls::designs::paper_example1;
+use hls::explore::{synthetic_design, DesignClass};
+use hls::sim::{Interpreter, Stimulus};
 use hls::Synthesizer;
+use std::fmt::Write as _;
 
 #[test]
 fn example1_sequential_rtl_matches_golden() {
@@ -130,4 +136,84 @@ fn deep_sharing_meets_its_clock_no_larger_than_lowered() {
             lowered.num_cells()
         );
     }
+}
+
+/// FNV-1a over a value's `Debug` text.
+fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    let mut digest = Fnv::new();
+    write!(digest, "{value:?}").expect("digesting never fails");
+    digest.0
+}
+
+/// One line per design: the cell counts of the per-op netlist, of the
+/// shared-unit netlist before the rewrites and of the final netlist, the
+/// FNV-1a digests of the three netlists' `Debug` text and of the RTL, and
+/// the count and digest of the reference interpreter's writes under the
+/// stimulus `verify` draws. The designs are the flow benchmark's nine
+/// verified 1000-op kernels and Example 1, sequential and at II = 2.
+#[test]
+fn backend_outputs_match_their_digests() {
+    use DesignClass::{Fft, Filter, ImageKernel};
+    let kernel = |class: DesignClass, seed: u64| {
+        Synthesizer::from_body(synthetic_design(class, 1000, seed))
+            .clock_ps(2200.0)
+            .latency_bounds(1, 48)
+    };
+    let mut runs: Vec<(String, Synthesizer)> = Vec::new();
+    for (class, seed) in [
+        (Filter, 2),
+        (Filter, 6),
+        (Fft, 0),
+        (Fft, 1),
+        (ImageKernel, 0),
+        (ImageKernel, 1),
+    ] {
+        runs.push((format!("{class:?}/1000/s{seed}/seq"), kernel(class, seed)));
+    }
+    for (class, seed) in [(Filter, 2), (Fft, 1), (ImageKernel, 1)] {
+        let synth = kernel(class, seed).pipeline(2);
+        runs.push((format!("{class:?}/1000/s{seed}/ii2"), synth));
+    }
+    let example1 = || Synthesizer::new(paper_example1()).clock_ps(1600.0);
+    runs.push(("example1/seq".into(), example1().latency_bounds(1, 3)));
+    let pipelined = example1().latency_bounds(1, 6).pipeline(2);
+    runs.push(("example1/ii2".into(), pipelined));
+
+    let mut golden = String::new();
+    for (label, synth) in runs {
+        let result = synth
+            .verify(64)
+            .run()
+            .unwrap_or_else(|e| panic!("{label} synthesizes and verifies: {e}"));
+        let (body, desc) = (&result.body, &result.schedule.desc);
+        let per_op = lower(body, desc, &result.binding, RtlStyle::PerOp).expect("per-op lowers");
+        let shared = lower(body, desc, &result.binding, RtlStyle::SharedFu).expect("lowers");
+        let stimulus = Stimulus::random(&body.dfg, 64, 0x5EED);
+        let trace = Interpreter::new(body)
+            .and_then(|interp| interp.run(&stimulus))
+            .expect("the interpreter runs");
+        let mut writes = Fnv::new();
+        for w in &trace.writes {
+            writes.bytes(&w.iteration.to_le_bytes());
+            writes.bytes(&(w.port.index() as u32).to_le_bytes());
+            writes.bytes(&w.value.to_le_bytes());
+        }
+        let mut rtl = Fnv::new();
+        rtl.bytes(result.rtl.as_bytes());
+        let _ = writeln!(
+            golden,
+            "{label} cells per_op={} shared={} final={} digests per_op={:#018x} \
+             shared={:#018x} final={:#018x} rtl={:#018x} writes={} trace={:#018x}",
+            per_op.num_cells(),
+            shared.num_cells(),
+            result.netlist.num_cells(),
+            debug_digest(&per_op),
+            debug_digest(&shared),
+            debug_digest(&result.netlist),
+            rtl.0,
+            trace.writes.len(),
+            writes.0
+        );
+    }
+    compare_or_bless("backend_digests.txt", &golden);
 }

@@ -115,14 +115,14 @@ impl Predicate {
         false
     }
 
-    /// Evaluates the predicate under an assignment of condition values.
-    /// Missing conditions default to `true` (the operation may execute).
-    pub fn eval(&self, assignment: &BTreeMap<OpId, bool>) -> bool {
+    /// Evaluates the predicate, reading each condition's truth value from
+    /// `cond`.
+    pub fn eval(&self, cond: &impl Fn(OpId) -> bool) -> bool {
         match self {
             Predicate::True => true,
-            Predicate::Cond(c) => *assignment.get(c).unwrap_or(&true),
-            Predicate::NotCond(c) => !*assignment.get(c).unwrap_or(&false),
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(assignment)),
+            Predicate::Cond(c) => cond(*c),
+            Predicate::NotCond(c) => !cond(*c),
+            Predicate::And(ps) => ps.iter().all(|p| p.eval(cond)),
         }
     }
 
@@ -222,9 +222,7 @@ mod tests {
 
     #[test]
     fn eval_under_assignment() {
-        let mut asg = BTreeMap::new();
-        asg.insert(c(0), true);
-        asg.insert(c(1), false);
+        let asg = |op: OpId| op == c(0);
         assert!(Predicate::Cond(c(0)).eval(&asg));
         assert!(!Predicate::Cond(c(1)).eval(&asg));
         assert!(Predicate::NotCond(c(1)).eval(&asg));

@@ -1,13 +1,14 @@
 //! The reference interpreter: direct, untimed execution of a loop body.
 //!
 //! Each iteration evaluates every operation once, in topological order, over
-//! a per-iteration value store keyed by operation id (the data-flow-graph
-//! walking idiom). Loop-carried inputs (`distance > 0`) read the value the
-//! producer computed that many iterations earlier; reads that reach before
-//! the first iteration yield zero, and the elaborator's *first-iteration
-//! anchors* (see [`hls_ir::Operation::is_first_iter_anchor`]) evaluate to 1
-//! exactly on iteration 0, which is how the `loopMux` pattern selects the
-//! pre-loop value.
+//! a row of values indexed by operation id (the data-flow-graph walking
+//! idiom). Loop-carried inputs (`distance > 0`) read the value the producer
+//! computed that many iterations earlier, from a ring of the last
+//! `max distance + 1` rows; reads that reach before the first iteration
+//! yield zero, and the elaborator's *first-iteration anchors* (see
+//! [`hls_ir::Operation::is_first_iter_anchor`]) evaluate to 1 exactly on
+//! iteration 0, which is how the `loopMux` pattern selects the pre-loop
+//! value.
 //!
 //! Predicates gate only externally observable actions (port writes): pure
 //! operations are evaluated unconditionally and the multiplexers introduced
@@ -17,9 +18,9 @@
 
 use crate::error::SimError;
 use crate::stimulus::Stimulus;
+use hls_ir::dfg::SignalSource;
 use hls_ir::eval::{eval_op, BitVal};
 use hls_ir::{LinearBody, OpId, OpKind, PortId, Signal};
-use std::collections::BTreeMap;
 
 /// One predicate-passing port write, in program order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,8 +61,8 @@ pub struct Interpreter<'a> {
     /// Write operations in (source state, id) order — the program order of
     /// observable effects within one iteration.
     write_order: Vec<OpId>,
-    /// Every operation referenced by some predicate.
-    cond_ops: Vec<OpId>,
+    /// The largest iteration distance any operand reads across.
+    max_distance: usize,
 }
 
 impl<'a> Interpreter<'a> {
@@ -81,18 +82,19 @@ impl<'a> Interpreter<'a> {
             .map(|(id, _)| id)
             .collect();
         write_order.sort_by_key(|&id| (body.source_state.get(&id).copied().unwrap_or(0), id));
-        let mut cond_ops: Vec<OpId> = body
+        let max_distance = body
             .dfg
             .iter_ops()
-            .flat_map(|(_, op)| op.predicate.condition_ops())
-            .collect();
-        cond_ops.sort();
-        cond_ops.dedup();
+            .flat_map(|(_, op)| &op.inputs)
+            .filter(|sig| matches!(sig.source, SignalSource::Op(_)))
+            .map(|sig| sig.distance as usize)
+            .max()
+            .unwrap_or(0);
         Ok(Interpreter {
             body,
             order,
             write_order,
-            cond_ops,
+            max_distance,
         })
     }
 
@@ -102,18 +104,30 @@ impl<'a> Interpreter<'a> {
     /// [`SimError::Eval`] if an operation cannot be evaluated.
     pub fn run(&self, stimulus: &Stimulus) -> Result<InterpTrace, SimError> {
         let n_ops = self.body.dfg.num_ops();
-        let mut history: Vec<Vec<BitVal>> = Vec::with_capacity(stimulus.iterations());
-        let mut trace = InterpTrace {
-            iterations: stimulus.iterations() as u32,
-            writes: Vec::new(),
+        let iterations = stimulus.iterations();
+        // A read reaching before iteration 0 never touches the ring, so no
+        // run needs more rows than it has iterations.
+        let depth = self.max_distance.min(iterations) + 1;
+        let mut rows = Rows {
+            values: vec![BitVal::zero(1); depth * n_ops],
+            depth,
+            n_ops,
         };
-        for k in 0..stimulus.iterations() {
-            let mut vals = vec![BitVal::zero(1); n_ops];
+        let mut inputs: Vec<BitVal> = Vec::new();
+        let mut trace = InterpTrace {
+            iterations: iterations as u32,
+            writes: Vec::with_capacity(iterations * self.write_order.len()),
+        };
+        for k in 0..iterations {
+            // Iteration `k` overwrites the row of iteration `k - depth` op
+            // by op in topological order, so a distance-0 read always finds
+            // the current iteration's value.
+            let row = rows.start(k);
             for &id in &self.order {
                 let op = self.body.dfg.op(id);
                 let value = match &op.kind {
                     OpKind::Read(p) => BitVal::new(stimulus.value(k, *p), op.width),
-                    OpKind::Write(_) => resolve(&op.inputs[0], &vals, &history, k).resize(op.width),
+                    OpKind::Write(_) => rows.resolve(&op.inputs[0], k).resize(op.width),
                     OpKind::Pass if op.inputs.is_empty() => {
                         if op.is_first_iter_anchor() {
                             BitVal::from_bits(u64::from(k == 0), 1)
@@ -124,26 +138,19 @@ impl<'a> Interpreter<'a> {
                         }
                     }
                     kind => {
-                        let inputs: Vec<BitVal> = op
-                            .inputs
-                            .iter()
-                            .map(|sig| resolve(sig, &vals, &history, k))
-                            .collect();
+                        inputs.clear();
+                        inputs.extend(op.inputs.iter().map(|sig| rows.resolve(sig, k)));
                         eval_op(kind, op.width, &inputs)
                             .map_err(|source| SimError::Eval { op: id, source })?
                     }
                 };
-                vals[id.index()] = value;
+                rows.values[row + id.index()] = value;
             }
             // observable effects, in program order, gated by their predicate
-            let assignment: BTreeMap<OpId, bool> = self
-                .cond_ops
-                .iter()
-                .map(|&c| (c, vals[c.index()].is_true()))
-                .collect();
+            let vals = &rows.values[row..row + n_ops];
             for &w in &self.write_order {
                 let op = self.body.dfg.op(w);
-                if op.predicate.eval(&assignment) {
+                if op.predicate.eval(&|c| vals[c.index()].is_true()) {
                     if let OpKind::Write(p) = op.kind {
                         trace.writes.push(WriteEvent {
                             iteration: k as u32,
@@ -153,29 +160,40 @@ impl<'a> Interpreter<'a> {
                     }
                 }
             }
-            history.push(vals);
         }
         Ok(trace)
     }
 }
 
-/// Resolves a signal for iteration `k`: constants are immediates, distance-0
-/// references read the current iteration, loop-carried references read the
-/// history (zero before the first production). The producer value is resized
-/// to the consuming signal's width (sign-extend / truncate).
-fn resolve(sig: &Signal, vals: &[BitVal], history: &[Vec<BitVal>], k: usize) -> BitVal {
-    match sig.source {
-        hls_ir::dfg::SignalSource::Const(v) => BitVal::new(v, sig.width),
-        hls_ir::dfg::SignalSource::Op(p) => {
-            let d = sig.distance as usize;
-            let raw = if d == 0 {
-                vals[p.index()]
-            } else if k >= d {
-                history[k - d][p.index()]
-            } else {
-                BitVal::zero(sig.width)
-            };
-            raw.resize(sig.width)
+/// The values of the last `depth` iterations: iteration `k` holds row
+/// `k % depth`, one value per operation.
+struct Rows {
+    values: Vec<BitVal>,
+    depth: usize,
+    n_ops: usize,
+}
+
+impl Rows {
+    /// Index of iteration `k`'s first value.
+    fn start(&self, k: usize) -> usize {
+        (k % self.depth) * self.n_ops
+    }
+
+    /// Resolves a signal for iteration `k`: constants are immediates,
+    /// distance-0 references read the current row, loop-carried references
+    /// read the row of that many iterations earlier (zero before the first
+    /// production). The producer value is resized to the consuming signal's
+    /// width (sign-extend / truncate).
+    fn resolve(&self, sig: &Signal, k: usize) -> BitVal {
+        match sig.source {
+            SignalSource::Const(v) => BitVal::new(v, sig.width),
+            SignalSource::Op(p) => {
+                let d = sig.distance as usize;
+                if k < d {
+                    return BitVal::zero(sig.width);
+                }
+                self.values[self.start(k - d) + p.index()].resize(sig.width)
+            }
         }
     }
 }
@@ -223,6 +241,47 @@ mod tests {
         assert_eq!(
             trace.port_writes(y),
             vec![(0, 20), (1, -3), (2, 31), (3, 10)]
+        );
+    }
+
+    #[test]
+    fn a_distance_three_read_wraps_the_ring() {
+        // y = x + x@-3 beside acc += x: four rows of values, so ten
+        // iterations wrap the ring twice, and x@-3 reads zero until
+        // iteration 3
+        let mut dfg = Dfg::new();
+        let x = dfg.add_port("x", PortDirection::Input, 16);
+        let y = dfg.add_port("y", PortDirection::Output, 16);
+        let z = dfg.add_port("z", PortDirection::Output, 16);
+        let r = dfg.add_op(OpKind::Read(x), 16, vec![]);
+        let sum = dfg.add_op(
+            OpKind::Add,
+            16,
+            vec![Signal::op_w(r, 16), Signal::carried(r, 16, 3)],
+        );
+        let acc = dfg.add_op(
+            OpKind::Add,
+            16,
+            vec![Signal::op_w(r, 16), Signal::constant(0, 16)],
+        );
+        dfg.op_mut(acc).inputs[1] = Signal::carried(acc, 16, 1);
+        dfg.add_op(OpKind::Write(y), 16, vec![Signal::op_w(sum, 16)]);
+        dfg.add_op(OpKind::Write(z), 16, vec![Signal::op_w(acc, 16)]);
+        let body = LinearBody::from_dfg("ring", dfg);
+        let xs = [3i64, -1, 4, 1, -5, 9, 2, -6, 5, 3];
+        let mut stim = Stimulus::constant(&body.dfg, xs.len(), 0);
+        for (k, v) in xs.into_iter().enumerate() {
+            stim.row_mut(k).unwrap().insert(x, v);
+        }
+        let trace = Interpreter::new(&body).unwrap().run(&stim).unwrap();
+        let expect = |values: [i64; 10]| -> Vec<(u32, i64)> { (0..).zip(values).collect() };
+        assert_eq!(
+            trace.port_writes(y),
+            expect([3, -1, 4, 4, -6, 13, 3, -11, 14, 5])
+        );
+        assert_eq!(
+            trace.port_writes(z),
+            expect([3, 2, 6, 7, 2, 11, 13, 7, 12, 15])
         );
     }
 

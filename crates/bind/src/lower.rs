@@ -41,11 +41,11 @@
 use crate::fu::{check_fit, check_slots, slot_op};
 use crate::{BindError, BoundDesign};
 use hls_ir::dfg::SignalSource;
-use hls_ir::{CmpKind, LinearBody, OpId, OpKind, Predicate, Signal};
+use hls_ir::{CmpKind, DenseOpMap, LinearBody, OpId, OpKind, Predicate, Signal};
 use hls_netlist::ScheduleDesc;
 use hls_nir::{sanitize, BinKind, Cell, CellId, CellKind, NirModule, UnKind};
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
 /// How operations map onto hardware operators in the lowered netlist.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,23 +160,32 @@ pub fn lower(
     m.fold_states = desc.fold_states();
     m.num_states = desc.num_states.max(1);
     m.stages = desc.num_stages();
+    let n_ops = body.dfg.num_ops();
+    let n_fus = match style {
+        RtlStyle::SharedFu => bound.fus.len(),
+        RtlStyle::PerOp => 0,
+    };
+    let mut states = DenseOpMap::new(n_ops);
+    for (&op, so) in desc.ops.range(..OpId::from_raw(n_ops as u32)) {
+        states[op] = Some(so.state);
+    }
     let mut lw = Lowerer {
         body,
-        desc,
         bound,
         style,
         cpi: desc.cycles_per_iteration(),
         stages: m.stages,
         m,
+        states,
         cons: HashMap::new(),
-        op_cell: HashMap::new(),
-        chains: HashMap::new(),
-        guards: HashMap::new(),
-        fu_out: HashMap::new(),
-        building: HashSet::new(),
-        fu_building: HashSet::new(),
-        dedicated: HashMap::new(),
-        dedicated_building: HashSet::new(),
+        op_cell: DenseOpMap::new(n_ops),
+        chains: DenseOpMap::new(n_ops),
+        guards: vec![None; desc.num_states as usize],
+        fu_out: vec![None; n_fus],
+        building: DenseOpMap::new(n_ops),
+        fu_building: vec![false; n_fus],
+        dedicated: DenseOpMap::new(n_ops),
+        dedicated_building: DenseOpMap::new(n_ops),
     };
     // Every scheduled, non-free computation gets a cell (dead ones are
     // removed by the rewrite engine's sweep, mirroring the old emitter
@@ -188,7 +197,7 @@ pub fn lower(
         }
         lw.op_value(*id)?;
     }
-    lw.emit_writes()?;
+    lw.emit_writes(desc)?;
     lw.fill_chains()?;
     Ok(lw.m)
 }
@@ -235,32 +244,85 @@ fn check_binding(
     Ok(())
 }
 
+/// Most operands any cell kind or operation takes (a mux's select and two
+/// arms).
+const MAX_OPERANDS: usize = 3;
+
+/// Up to [`MAX_OPERANDS`] cell ids held inline.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Operands {
+    len: u8,
+    ids: [CellId; MAX_OPERANDS],
+}
+
+impl Operands {
+    fn new() -> Self {
+        Operands {
+            len: 0,
+            ids: [CellId::from_raw(0); MAX_OPERANDS],
+        }
+    }
+
+    fn of(ids: &[CellId]) -> Self {
+        let mut operands = Operands::new();
+        for &id in ids {
+            operands.push(id);
+        }
+        operands
+    }
+
+    fn push(&mut self, id: CellId) {
+        assert!(
+            usize::from(self.len) < MAX_OPERANDS,
+            "no cell or operation takes more than {MAX_OPERANDS} operands"
+        );
+        self.ids[usize::from(self.len)] = id;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[CellId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+/// The display name of a cell, formatted only when [`Lowerer::cons`]
+/// creates the cell.
+#[derive(Clone, Copy)]
+enum Name<'n> {
+    /// `w_<op>_<the op's display name>`, with `_dup` appended for a
+    /// dedicated duplicate ([`Lowerer::dedicated_value`]).
+    Op { op: OpId, dup: bool },
+    /// Given text.
+    Text(&'n str),
+}
+
 /// Incremental netlist builder with hash-consing of combinational cells.
 struct Lowerer<'a> {
     body: &'a LinearBody,
-    desc: &'a ScheduleDesc,
     bound: &'a BoundDesign,
     style: RtlStyle,
     cpi: u32,
     stages: u32,
     m: NirModule,
+    /// The unfolded state of each scheduled operation.
+    states: DenseOpMap<Option<u32>>,
     /// Structural hash-consing of combinational/source cells (never `Reg`
     /// or `Output`): identical (kind, width, operands) share one cell.
-    cons: HashMap<(CellKind, u16, Vec<CellId>), CellId>,
+    cons: HashMap<(CellKind, u16, Operands), CellId>,
     /// The combinational value cell of each lowered operation.
-    op_cell: HashMap<OpId, CellId>,
+    op_cell: DenseOpMap<Option<CellId>>,
     /// Register chains per producer; element `j` is `j + 1` captures deep.
-    chains: HashMap<OpId, Vec<CellId>>,
+    chains: DenseOpMap<Vec<CellId>>,
     /// Per unfolded state: the 1-bit capture enable.
-    guards: HashMap<u32, CellId>,
+    guards: Vec<Option<CellId>>,
     /// Output cell of each built functional unit, by instance index.
-    fu_out: HashMap<usize, CellId>,
-    building: HashSet<OpId>,
-    fu_building: HashSet<usize>,
+    fu_out: Vec<Option<CellId>>,
+    building: DenseOpMap<bool>,
+    fu_building: Vec<bool>,
     /// Dedicated (duplicated) operator cells that break sharing-induced
     /// false combinational loops; see [`Lowerer::dedicated_value`].
-    dedicated: HashMap<OpId, CellId>,
-    dedicated_building: HashSet<OpId>,
+    dedicated: DenseOpMap<Option<CellId>>,
+    dedicated_building: DenseOpMap<bool>,
 }
 
 impl Lowerer<'_> {
@@ -268,17 +330,25 @@ impl Lowerer<'_> {
         &mut self,
         kind: CellKind,
         width: u16,
-        inputs: Vec<CellId>,
-        name: Option<String>,
+        inputs: &[CellId],
+        name: Option<Name<'_>>,
     ) -> CellId {
-        let key = (kind.clone(), width, inputs.clone());
+        let key = (kind, width, Operands::of(inputs));
         if let Some(&id) = self.cons.get(&key) {
             return id;
         }
+        let name = name.map(|name| match name {
+            Name::Op { op, dup } => {
+                let display = sanitize(&self.body.dfg.op(op).display_name());
+                let suffix = if dup { "_dup" } else { "" };
+                format!("w_{}_{display}{suffix}", op.index())
+            }
+            Name::Text(text) => text.to_string(),
+        });
         let id = self.m.add_cell(Cell {
-            kind,
+            kind: key.0.clone(),
             width,
-            inputs,
+            inputs: inputs.to_vec(),
             name,
         });
         self.cons.insert(key, id);
@@ -289,59 +359,58 @@ impl Lowerer<'_> {
         if self.m.cell(id).width == width {
             id
         } else {
-            self.cons(CellKind::Resize, width, vec![id], None)
+            self.cons(CellKind::Resize, width, &[id], None)
         }
     }
 
     fn state_of(&self, op: OpId) -> Result<u32, LowerError> {
-        self.desc
-            .ops
-            .get(&op)
-            .map(|s| s.state)
+        self.states
+            .get(op)
+            .copied()
+            .flatten()
             .ok_or(LowerError::Unscheduled { op })
     }
 
     /// 1-bit conjunction; an empty part list is constant true.
     fn and_fold(&mut self, parts: &[CellId]) -> CellId {
         let Some((&first, rest)) = parts.split_first() else {
-            return self.cons(CellKind::Const(1), 1, vec![], None);
+            return self.cons(CellKind::Const(1), 1, &[], None);
         };
         let mut acc = first;
         for &p in rest {
-            acc = self.cons(CellKind::Bin(BinKind::And), 1, vec![acc, p], None);
+            acc = self.cons(CellKind::Bin(BinKind::And), 1, &[acc, p], None);
         }
         acc
     }
 
+    /// `state == folded`, or nothing when the schedule has one folded state.
+    fn state_is(&mut self, folded: u32, parts: &mut Operands) {
+        if self.cpi > 1 {
+            let fsm = self.cons(CellKind::FsmState, 8, &[], None);
+            let c = self.cons(CellKind::Const(i64::from(folded)), 8, &[], None);
+            let eq = CellKind::Bin(BinKind::Cmp(CmpKind::Eq));
+            parts.push(self.cons(eq, 1, &[fsm, c], None));
+        }
+    }
+
     /// The capture enable of unfolded state `s`: `state == s % cpi`
     /// conjoined with the stage-valid bit of `s / cpi` where applicable.
+    /// Its cells are hash-consed, so the per-state memo only saves the
+    /// lookups; a state past the schedule's length is not memoized.
     fn guard(&mut self, s: u32) -> CellId {
-        if let Some(&g) = self.guards.get(&s) {
+        if let Some(&Some(g)) = self.guards.get(s as usize) {
             return g;
         }
-        let mut parts = Vec::new();
-        if self.cpi > 1 {
-            let fsm = self.cons(CellKind::FsmState, 8, vec![], None);
-            let c = self.cons(CellKind::Const(i64::from(s % self.cpi)), 8, vec![], None);
-            parts.push(self.cons(
-                CellKind::Bin(BinKind::Cmp(CmpKind::Eq)),
-                1,
-                vec![fsm, c],
-                None,
-            ));
-        }
+        let mut parts = Operands::new();
+        self.state_is(s % self.cpi, &mut parts);
         if self.stages > 1 {
-            parts.push(self.cons(
-                CellKind::StageValid {
-                    stage: s / self.cpi,
-                },
-                1,
-                vec![],
-                None,
-            ));
+            let stage = s / self.cpi;
+            parts.push(self.cons(CellKind::StageValid { stage }, 1, &[], None));
         }
-        let g = self.and_fold(&parts);
-        self.guards.insert(s, g);
+        let g = self.and_fold(parts.as_slice());
+        if let Some(slot) = self.guards.get_mut(s as usize) {
+            *slot = Some(g);
+        }
         g
     }
 
@@ -361,7 +430,7 @@ impl Lowerer<'_> {
         depth: u32,
     ) -> Result<CellId, LowerError> {
         match sig.source {
-            SignalSource::Const(v) => Ok(self.cons(CellKind::Const(v), sig.width, vec![], None)),
+            SignalSource::Const(v) => Ok(self.cons(CellKind::Const(v), sig.width, &[], None)),
             SignalSource::Op(p) => {
                 let c = self.producer_ref(p, of, extra_d + sig.distance, ctx, depth)?;
                 Ok(self.resized(c, sig.width))
@@ -421,16 +490,11 @@ impl Lowerer<'_> {
         let body = self.body;
         let o = body.dfg.op(p);
         let c = match &o.kind {
-            OpKind::Const(v) => self.cons(CellKind::Const(*v), o.width, vec![], None),
+            OpKind::Const(v) => self.cons(CellKind::Const(*v), o.width, &[], None),
             OpKind::Slice { hi, lo } => {
                 let inner = self.resolve_depth(&o.inputs[0], of, d, ctx, depth + 1)?;
                 let take = hi.saturating_sub(*lo) + 1;
-                let s = self.cons(
-                    CellKind::Slice { hi: *hi, lo: *lo },
-                    take,
-                    vec![inner],
-                    None,
-                );
+                let s = self.cons(CellKind::Slice { hi: *hi, lo: *lo }, take, &[inner], None);
                 self.resized(s, o.width)
             }
             OpKind::Resize => {
@@ -452,11 +516,11 @@ impl Lowerer<'_> {
                     if g >= self.stages {
                         return Ok(None);
                     }
-                    let bit = self.cons(CellKind::FirstIter { stage: g }, 1, vec![], None);
+                    let bit = self.cons(CellKind::FirstIter { stage: g }, 1, &[], None);
                     self.resized(bit, o.width)
                 }
                 // input-less passes (neutralized ops, live-ins) read as zero
-                None => self.cons(CellKind::Const(0), o.width, vec![], None),
+                None => self.cons(CellKind::Const(0), o.width, &[], None),
             },
             _ => unreachable!("is_free covers Const/Pass/Slice/Resize only"),
         };
@@ -466,35 +530,28 @@ impl Lowerer<'_> {
     /// Element `j` of `p`'s register chain, creating placeholder registers
     /// on demand; inputs are patched by [`Lowerer::fill_chains`].
     fn chain_cell(&mut self, p: OpId, j: usize) -> CellId {
-        let body = self.body;
-        let w = body.dfg.op(p).width.max(1);
-        let base = format!(
-            "v_{}_{}",
-            p.index(),
-            sanitize(&body.dfg.op(p).display_name())
-        );
-        while self.chains.get(&p).map_or(0, Vec::len) <= j {
-            let k = self.chains.get(&p).map_or(0, Vec::len);
-            let name = if k == 0 {
-                base.clone()
-            } else {
-                format!("{base}_d{k}")
-            };
+        while self.chains[p].len() <= j {
+            let k = self.chains[p].len();
+            let o = self.body.dfg.op(p);
+            let mut name = format!("v_{}_{}", p.index(), sanitize(&o.display_name()));
+            if k > 0 {
+                let _ = write!(name, "_d{k}");
+            }
             let reg = self.m.add_cell(Cell {
                 kind: CellKind::Reg { init: 0 },
-                width: w,
+                width: o.width.max(1),
                 inputs: Vec::new(),
                 name: Some(name),
             });
-            self.chains.entry(p).or_default().push(reg);
+            self.chains[p].push(reg);
         }
-        self.chains[&p][j]
+        self.chains[p][j]
     }
 
     /// The combinational cell computing operation `id`'s value in its own
     /// scheduled state (at the operation's width).
     fn op_value(&mut self, id: OpId) -> Result<CellId, LowerError> {
-        if let Some(&c) = self.op_cell.get(&id) {
+        if let Some(c) = self.op_cell[id] {
             return Ok(c);
         }
         // Sharing can induce *false* combinational loops: a unit's steered
@@ -507,28 +564,32 @@ impl Lowerer<'_> {
             RtlStyle::SharedFu => self.bound.fu_of.get(id).copied().flatten(),
             RtlStyle::PerOp => None,
         };
-        let on_busy_fu = unit.is_some_and(|r| self.fu_building.contains(&r.index()));
-        if self.building.contains(&id) || on_busy_fu {
+        let on_busy_fu = unit.is_some_and(|r| self.fu_building[r.index()]);
+        if self.building[id] || on_busy_fu {
             return self.dedicated_value(id);
         }
-        self.building.insert(id);
-        let body = self.body;
-        let o = body.dfg.op(id);
+        self.building[id] = true;
         let cell = if let Some(r) = unit {
             let out = self.build_fu(r.index())?;
-            self.resized(out, o.width)
+            self.resized(out, self.body.dfg.op(id).width)
         } else {
-            let ps = self.state_of(id)?;
-            let mut ins = Vec::with_capacity(o.inputs.len());
-            for sig in &o.inputs {
-                ins.push(self.resolve(sig, id, ps)?);
-            }
-            let name = format!("w_{}_{}", id.index(), sanitize(&o.display_name()));
-            self.kind_cell(id, &ins, Some(name))?
+            let ins = self.own_operands(id)?;
+            self.kind_cell(id, ins.as_slice(), Name::Op { op: id, dup: false })?
         };
-        self.building.remove(&id);
-        self.op_cell.insert(id, cell);
+        self.building[id] = false;
+        self.op_cell[id] = Some(cell);
         Ok(cell)
+    }
+
+    /// Operation `id`'s inputs, resolved as sampled in its own state.
+    fn own_operands(&mut self, id: OpId) -> Result<Operands, LowerError> {
+        let body = self.body;
+        let ps = self.state_of(id)?;
+        let mut ins = Operands::new();
+        for sig in &body.dfg.op(id).inputs {
+            ins.push(self.resolve(sig, id, ps)?);
+        }
+        Ok(ins)
     }
 
     /// A dedicated (per-op, unshared) operator cell for `id`, used to break
@@ -538,24 +599,18 @@ impl Lowerer<'_> {
     /// is exact; it costs one extra operator, the classic price of breaking
     /// a sharing-induced false path.
     fn dedicated_value(&mut self, id: OpId) -> Result<CellId, LowerError> {
-        if let Some(&c) = self.dedicated.get(&id) {
+        if let Some(c) = self.dedicated[id] {
             return Ok(c);
         }
-        if !self.dedicated_building.insert(id) {
+        if self.dedicated_building[id] {
             // a genuine same-cycle dependency cycle, not a sharing artifact
             return Err(LowerError::CombLoop { op: id });
         }
-        let body = self.body;
-        let o = body.dfg.op(id);
-        let ps = self.state_of(id)?;
-        let mut ins = Vec::with_capacity(o.inputs.len());
-        for sig in &o.inputs {
-            ins.push(self.resolve(sig, id, ps)?);
-        }
-        let name = format!("w_{}_{}_dup", id.index(), sanitize(&o.display_name()));
-        let cell = self.kind_cell(id, &ins, Some(name))?;
-        self.dedicated_building.remove(&id);
-        self.dedicated.insert(id, cell);
+        self.dedicated_building[id] = true;
+        let ins = self.own_operands(id)?;
+        let cell = self.kind_cell(id, ins.as_slice(), Name::Op { op: id, dup: true })?;
+        self.dedicated_building[id] = false;
+        self.dedicated[id] = Some(cell);
         Ok(cell)
     }
 
@@ -566,11 +621,12 @@ impl Lowerer<'_> {
         &mut self,
         id: OpId,
         ins: &[CellId],
-        name: Option<String>,
+        name: Name<'_>,
     ) -> Result<CellId, LowerError> {
         let body = self.body;
         let o = body.dfg.op(id);
         let w = o.width.max(1);
+        let name = Some(name);
         let bin = |b: BinKind| (b, ins.first().copied(), ins.get(1).copied());
         let cell = match &o.kind {
             OpKind::Add => self.bin_cell(bin(BinKind::Add), w, name),
@@ -587,54 +643,35 @@ impl Lowerer<'_> {
                 let c1 = self.bin_cell(bin(BinKind::Cmp(*c)), 1, name);
                 self.resized(c1, w)
             }
-            OpKind::Not => self.cons(CellKind::Un(UnKind::Not), w, vec![ins[0]], name),
-            OpKind::Neg => self.cons(CellKind::Un(UnKind::Neg), w, vec![ins[0]], name),
+            OpKind::Not => self.cons(CellKind::Un(UnKind::Not), w, &[ins[0]], name),
+            OpKind::Neg => self.cons(CellKind::Un(UnKind::Neg), w, &[ins[0]], name),
             OpKind::Mux => {
                 let a = self.resized(ins[1], w);
                 let b = self.resized(ins[2], w);
-                self.cons(CellKind::Mux, w, vec![ins[0], a, b], name)
+                self.cons(CellKind::Mux, w, &[ins[0], a, b], name)
             }
             OpKind::Slice { hi, lo } => {
                 let take = hi.saturating_sub(*lo) + 1;
-                let s = self.cons(
-                    CellKind::Slice { hi: *hi, lo: *lo },
-                    take,
-                    vec![ins[0]],
-                    name,
-                );
+                let s = self.cons(CellKind::Slice { hi: *hi, lo: *lo }, take, &[ins[0]], name);
                 self.resized(s, w)
             }
             OpKind::Resize | OpKind::Write(_) => self.resized(ins[0], w),
-            OpKind::Const(v) => self.cons(CellKind::Const(*v), w, vec![], name),
+            OpKind::Const(v) => self.cons(CellKind::Const(*v), w, &[], name),
             OpKind::Read(p) => {
                 let ps = self.state_of(id)?;
                 let pw = body.dfg.port(*p).width.max(1);
-                let i = self.cons(
-                    CellKind::Input {
-                        port: p.index() as u32,
-                        state: ps,
-                    },
-                    pw,
-                    vec![],
-                    name,
-                );
+                let port = p.index() as u32;
+                let i = self.cons(CellKind::Input { port, state: ps }, pw, &[], name);
                 self.resized(i, w)
             }
             OpKind::Pass => match ins.first() {
                 Some(&i) => self.resized(i, w),
                 None if o.is_first_iter_anchor() => {
-                    let ps = self.state_of(id)?;
-                    let bit = self.cons(
-                        CellKind::FirstIter {
-                            stage: ps / self.cpi.max(1),
-                        },
-                        1,
-                        vec![],
-                        name,
-                    );
+                    let stage = self.state_of(id)? / self.cpi.max(1);
+                    let bit = self.cons(CellKind::FirstIter { stage }, 1, &[], name);
                     self.resized(bit, w)
                 }
-                None => self.cons(CellKind::Const(0), w, vec![], name),
+                None => self.cons(CellKind::Const(0), w, &[], name),
             },
         };
         Ok(cell)
@@ -644,11 +681,11 @@ impl Lowerer<'_> {
         &mut self,
         (b, lhs, rhs): (BinKind, Option<CellId>, Option<CellId>),
         w: u16,
-        name: Option<String>,
+        name: Option<Name<'_>>,
     ) -> CellId {
         let lhs = lhs.expect("binary op has two inputs");
         let rhs = rhs.expect("binary op has two inputs");
-        self.cons(CellKind::Bin(b), w, vec![lhs, rhs], name)
+        self.cons(CellKind::Bin(b), w, &[lhs, rhs], name)
     }
 
     /// Builds (once) the shared unit for resource instance `r`: one steered
@@ -656,17 +693,18 @@ impl Lowerer<'_> {
     /// steered output chain. Returns the output cell (at the unit's widest
     /// operation width).
     fn build_fu(&mut self, r: usize) -> Result<CellId, LowerError> {
-        if let Some(&out) = self.fu_out.get(&r) {
+        if let Some(out) = self.fu_out[r] {
             return Ok(out);
         }
-        let body = self.body;
-        let ops = self.bound.fus[r].ops.clone();
-        if !self.fu_building.insert(r) {
+        let (body, bound) = (self.body, self.bound);
+        let ops = &bound.fus[r].ops;
+        if self.fu_building[r] {
             return Err(LowerError::CombLoop {
                 op: ops.first().map(|s| s.op).unwrap_or(OpId::from_raw(0)),
             });
         }
-        let prefix = format!("fu_{}_{}", r, sanitize(&self.bound.fus[r].name));
+        self.fu_building[r] = true;
+        let prefix = format!("fu_{}_{}", r, sanitize(&bound.fus[r].name));
         let nports = ops
             .iter()
             .map(|s| body.dfg.op(s.op).inputs.len())
@@ -692,25 +730,17 @@ impl Lowerer<'_> {
                 .map(|s| s.op)
                 .max()
         };
-        let mut conds: Vec<Option<CellId>> = Vec::new();
+        let mut conds: Vec<Option<CellId>> = Vec::with_capacity(ops.len());
         for (i, s) in ops.iter().enumerate() {
             if i + 1 == ops.len() {
                 conds.push(None);
                 continue;
             }
-            let mut parts = Vec::new();
-            if self.cpi > 1 {
-                let fsm = self.cons(CellKind::FsmState, 8, vec![], None);
-                let c = self.cons(CellKind::Const(i64::from(s.folded_state)), 8, vec![], None);
-                parts.push(self.cons(
-                    CellKind::Bin(BinKind::Cmp(CmpKind::Eq)),
-                    1,
-                    vec![fsm, c],
-                    None,
-                ));
-            }
+            let mut parts = Operands::new();
+            self.state_is(s.folded_state, &mut parts);
             if self.stages > 1 {
-                parts.push(self.cons(CellKind::StageValid { stage: s.stage }, 1, vec![], None));
+                let stage = s.stage;
+                parts.push(self.cons(CellKind::StageValid { stage }, 1, &[], None));
             }
             let pred = &body.dfg.op(s.op).predicate;
             if slot_count(s.folded_state) > 1
@@ -719,12 +749,13 @@ impl Lowerer<'_> {
             {
                 parts.push(self.pred_cell(pred, s.op, s.state)?);
             }
-            conds.push(Some(self.and_fold(&parts)));
+            conds.push(Some(self.and_fold(parts.as_slice())));
         }
 
         // Operand ports: each a priority chain over the bound operations'
         // resolved sources, resized to the port width (the widest source).
-        let mut nets = Vec::with_capacity(nports);
+        let mut nets = Operands::new();
+        let mut arms = Vec::with_capacity(ops.len());
         for q in 0..nports {
             let pw = ops
                 .iter()
@@ -732,43 +763,41 @@ impl Lowerer<'_> {
                 .max()
                 .unwrap_or(1)
                 .max(1);
-            let mut arms = Vec::with_capacity(ops.len());
-            for s in &ops {
+            arms.clear();
+            for s in ops {
                 let arm = match body.dfg.op(s.op).inputs.get(q) {
                     Some(sig) => {
                         let c = self.resolve(sig, s.op, s.state)?;
                         self.resized(c, pw)
                     }
-                    None => self.cons(CellKind::Const(0), pw, vec![], None),
+                    None => self.cons(CellKind::Const(0), pw, &[], None),
                 };
                 arms.push(arm);
             }
-            nets.push(self.priority_chain(&conds, &arms, pw, format!("{prefix}_in{q}")));
+            let name = format!("{prefix}_in{q}");
+            nets.push(self.priority_chain(&conds, &arms, pw, &name));
         }
 
         // The unit's output: the steered operation kind over the port nets.
         // Each arm carries its operation's display name (first name sticks
         // when sharing collapses the arms onto one consed cell), so source
         // variable names survive into the netlist even for unshared units.
-        let mut arms = Vec::with_capacity(ops.len());
-        for s in &ops {
-            let widths: Vec<u16> = body.dfg.op(s.op).inputs.iter().map(|g| g.width).collect();
-            let ins: Vec<CellId> = widths
-                .iter()
-                .enumerate()
-                .map(|(q, &gw)| self.resized(nets[q], gw))
-                .collect();
-            let name = format!(
-                "w_{}_{}",
-                s.op.index(),
-                sanitize(&body.dfg.op(s.op).display_name())
-            );
-            let cell = self.kind_cell(s.op, &ins, Some(name))?;
+        arms.clear();
+        for s in ops {
+            let mut ins = Operands::new();
+            for (q, g) in body.dfg.op(s.op).inputs.iter().enumerate() {
+                ins.push(self.resized(nets.as_slice()[q], g.width));
+            }
+            let name = Name::Op {
+                op: s.op,
+                dup: false,
+            };
+            let cell = self.kind_cell(s.op, ins.as_slice(), name)?;
             arms.push(self.resized(cell, out_w));
         }
-        let out = self.priority_chain(&conds, &arms, out_w, prefix);
-        self.fu_building.remove(&r);
-        self.fu_out.insert(r, out);
+        let out = self.priority_chain(&conds, &arms, out_w, &prefix);
+        self.fu_building[r] = false;
+        self.fu_out[r] = Some(out);
         Ok(out)
     }
 
@@ -781,21 +810,21 @@ impl Lowerer<'_> {
         conds: &[Option<CellId>],
         arms: &[CellId],
         w: u16,
-        name: String,
+        name: &str,
     ) -> CellId {
         let mut acc = *arms.last().expect("at least one bound operation");
         if arms.len() == 1 {
             // Degenerate chain (unshared unit): no mux to carry the display
             // name, so attach it to the arm itself when still unnamed.
             if self.m.cell(acc).name.is_none() {
-                self.m.cells[acc.index()].name = Some(name);
+                self.m.cells[acc.index()].name = Some(name.to_string());
             }
             return acc;
         }
         for i in (0..arms.len() - 1).rev() {
             let c = conds[i].expect("non-last arms carry a steering condition");
-            let head = if i == 0 { Some(name.clone()) } else { None };
-            acc = self.cons(CellKind::Mux, w, vec![c, arms[i], acc], head);
+            let head = (i == 0).then_some(Name::Text(name));
+            acc = self.cons(CellKind::Mux, w, &[c, arms[i], acc], head);
         }
         acc
     }
@@ -804,11 +833,11 @@ impl Lowerer<'_> {
     /// state `ctx`.
     fn pred_cell(&mut self, p: &Predicate, of: OpId, ctx: u32) -> Result<CellId, LowerError> {
         match p {
-            Predicate::True => Ok(self.cons(CellKind::Const(1), 1, vec![], None)),
+            Predicate::True => Ok(self.cons(CellKind::Const(1), 1, &[], None)),
             Predicate::Cond(c) => self.cond_bit(*c, of, ctx),
             Predicate::NotCond(c) => {
                 let b = self.cond_bit(*c, of, ctx)?;
-                Ok(self.cons(CellKind::Un(UnKind::Not), 1, vec![b], None))
+                Ok(self.cons(CellKind::Un(UnKind::Not), 1, &[b], None))
             }
             Predicate::And(ps) => {
                 let mut parts = Vec::with_capacity(ps.len());
@@ -828,20 +857,16 @@ impl Lowerer<'_> {
         if w == 1 {
             return Ok(v);
         }
-        let z = self.cons(CellKind::Const(0), w, vec![], None);
-        Ok(self.cons(
-            CellKind::Bin(BinKind::Cmp(CmpKind::Ne)),
-            1,
-            vec![v, z],
-            None,
-        ))
+        let z = self.cons(CellKind::Const(0), w, &[], None);
+        let ne = CellKind::Bin(BinKind::Cmp(CmpKind::Ne));
+        Ok(self.cons(ne, 1, &[v, z], None))
     }
 
     /// One `Output` cell per scheduled write, enabled by the write state's
     /// guard conjoined with the write's predicate.
-    fn emit_writes(&mut self) -> Result<(), LowerError> {
+    fn emit_writes(&mut self, desc: &ScheduleDesc) -> Result<(), LowerError> {
         let body = self.body;
-        for (id, so) in &self.desc.ops {
+        for (id, so) in &desc.ops {
             let o = body.dfg.op(*id);
             let OpKind::Write(pid) = o.kind else { continue };
             let ws = so.state;
@@ -873,35 +898,36 @@ impl Lowerer<'_> {
     fn fill_chains(&mut self) -> Result<(), LowerError> {
         // Building a producer's value can create further chains (and grow
         // existing ones); iterate until every chained producer has a value.
-        let mut done: HashSet<OpId> = HashSet::new();
+        let mut done = DenseOpMap::filled(self.chains.len(), false);
+        let mut todo: Vec<OpId> = Vec::new();
         loop {
-            let mut todo: Vec<OpId> = self
-                .chains
-                .keys()
-                .copied()
-                .filter(|p| !done.contains(p))
-                .collect();
+            todo.clear();
+            todo.extend(
+                self.chains
+                    .iter()
+                    .filter(|&(p, chain)| !chain.is_empty() && !done[p])
+                    .map(|(p, _)| p),
+            );
             if todo.is_empty() {
                 break;
             }
-            todo.sort();
-            for p in todo {
+            for &p in &todo {
                 self.op_value(p)?;
-                done.insert(p);
+                done[p] = true;
             }
         }
-        let mut keys: Vec<OpId> = self.chains.keys().copied().collect();
-        keys.sort();
-        for p in keys {
+        for (p, &chained) in done.iter() {
+            if !chained {
+                continue;
+            }
             let ps = self.state_of(p)?;
             let en = self.guard(ps);
             let value = self.op_value(p)?;
-            let chain = self.chains[&p].clone();
-            let w = self.m.cell(chain[0]).width;
-            let head = self.resized(value, w);
-            for (k, reg) in chain.iter().enumerate() {
-                let d = if k == 0 { head } else { chain[k - 1] };
+            let w = self.m.cell(self.chains[p][0]).width;
+            let mut d = self.resized(value, w);
+            for &reg in &self.chains[p] {
                 self.m.cells[reg.index()].inputs = vec![d, en];
+                d = reg;
             }
         }
         Ok(())

@@ -18,16 +18,21 @@ use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule, UnKind};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-/// Renders a constant at `width` bits: non-negative values as sized signed
+/// Writes a constant at `width` bits: non-negative values as sized signed
 /// decimals, negative ones as `$signed` bit patterns.
-fn literal(value: i64, width: u16) -> String {
+fn write_literal(out: &mut String, value: i64, width: u16) {
     let b = BitVal::new(value, width.max(1));
     let w = b.width();
-    if b.as_i64() >= 0 {
-        format!("{w}'sd{}", b.as_i64())
+    let _ = if b.as_i64() >= 0 {
+        write!(out, "{w}'sd{}", b.as_i64())
     } else {
-        format!("$signed({w}'d{})", b.as_u64())
-    }
+        write!(out, "$signed({w}'d{})", b.as_u64())
+    };
+}
+
+/// Writes the declared range of a `width`-bit net.
+fn write_range(out: &mut String, width: u16) {
+    let _ = write!(out, "[{}:0]", width.saturating_sub(1));
 }
 
 fn is_identifier(s: &str) -> bool {
@@ -52,19 +57,20 @@ struct Printer<'a> {
     m: &'a NirModule,
     /// Identifier per declared cell; `None` for inline cells.
     names: Vec<Option<String>>,
+    /// Identifier per port.
+    ports: Vec<String>,
 }
 
 impl<'a> Printer<'a> {
     fn new(m: &'a NirModule) -> Self {
         // Ports and fixed controller nets claim their identifiers first;
         // colliding cell names fall back to `n<id>`.
+        let ports: Vec<String> = m.ports.iter().map(|p| sanitize(&p.name)).collect();
         let mut used: HashSet<String> = ["clk", "rst", "state", "stage_valid", "first_iter"]
             .into_iter()
             .map(String::from)
+            .chain(ports.iter().cloned())
             .collect();
-        for p in &m.ports {
-            used.insert(sanitize(&p.name));
-        }
         let mut names = Vec::with_capacity(m.num_cells());
         for (id, cell) in m.iter_cells() {
             if !is_declared(&cell.kind) {
@@ -80,97 +86,145 @@ impl<'a> Printer<'a> {
             used.insert(candidate.clone());
             names.push(Some(candidate));
         }
-        Printer { m, names }
+        Printer { m, names, ports }
     }
 
-    /// The expression that reads the value of `id`: the declared identifier,
-    /// or an inline rendering for constants, port reads and controller bits.
-    fn reference(&self, id: CellId) -> String {
+    /// The identifier of declared cell `id`.
+    fn name(&self, id: CellId) -> &str {
+        self.names[id.index()]
+            .as_deref()
+            .expect("declared cells are named")
+    }
+
+    /// Writes the expression that reads the value of `id`: the declared
+    /// identifier, or an inline rendering for constants, port reads and
+    /// controller bits.
+    fn reference(&self, out: &mut String, id: CellId) {
         if let Some(name) = &self.names[id.index()] {
-            return name.clone();
+            out.push_str(name);
+            return;
         }
         let cell = self.m.cell(id);
-        match &cell.kind {
-            CellKind::Const(v) => literal(*v, cell.width),
-            CellKind::Input { port, .. } => sanitize(&self.m.ports[*port as usize].name),
-            CellKind::FsmState => "state".to_string(),
-            CellKind::StageValid { stage } => format!("stage_valid[{stage}]"),
-            CellKind::FirstIter { stage } => format!("first_iter[{stage}]"),
+        let _ = match &cell.kind {
+            CellKind::Const(v) => {
+                write_literal(out, *v, cell.width);
+                Ok(())
+            }
+            CellKind::Input { port, .. } => out.write_str(&self.ports[*port as usize]),
+            CellKind::FsmState => out.write_str("state"),
+            CellKind::StageValid { stage } => write!(out, "stage_valid[{stage}]"),
+            CellKind::FirstIter { stage } => write!(out, "first_iter[{stage}]"),
             CellKind::Output { .. } => {
                 // Outputs are sinks; nothing references them.
                 unreachable!("output cells have no value")
             }
             _ => unreachable!("declared kinds are named"),
-        }
+        };
     }
 
-    fn statement(&self, id: CellId) -> Option<String> {
+    /// Writes the continuous assignment of declared combinational cell `id`.
+    fn statement(&self, out: &mut String, id: CellId) {
         let cell = self.m.cell(id);
-        let name = self.names[id.index()].as_deref()?;
-        if cell.kind.is_seq() {
-            return None; // registers print in the clocked block
-        }
-        let r = |i: usize| self.reference(cell.inputs[i]);
-        let expr = match &cell.kind {
+        let r = |out: &mut String, i: usize| self.reference(out, cell.inputs[i]);
+        let _ = write!(out, "  assign {} = ", self.name(id));
+        match &cell.kind {
             CellKind::Bin(b) => {
-                let (a, c) = (r(0), r(1));
-                match b {
-                    BinKind::Add => format!("{a} + {c}"),
-                    BinKind::Sub => format!("{a} - {c}"),
-                    BinKind::Mul => format!("{a} * {c}"),
+                let symbol = match b {
+                    BinKind::Add => " + ",
+                    BinKind::Sub => " - ",
+                    BinKind::Mul => " * ",
                     // Hardware-friendly total division, matching the
                     // evaluator.
-                    BinKind::Div => {
-                        let zero = literal(0, self.m.cell(cell.inputs[1]).width);
-                        format!("({c} == {zero}) ? {} : {a} / {c}", literal(0, cell.width))
+                    BinKind::Div | BinKind::Rem => {
+                        out.push('(');
+                        r(out, 1);
+                        out.push_str(" == ");
+                        write_literal(out, 0, self.m.cell(cell.inputs[1]).width);
+                        out.push_str(") ? ");
+                        if *b == BinKind::Div {
+                            write_literal(out, 0, cell.width);
+                        } else {
+                            r(out, 0);
+                        }
+                        out.push_str(" : ");
+                        if *b == BinKind::Div {
+                            " / "
+                        } else {
+                            " % "
+                        }
                     }
-                    BinKind::Rem => {
-                        let zero = literal(0, self.m.cell(cell.inputs[1]).width);
-                        format!("({c} == {zero}) ? {a} : {a} % {c}")
-                    }
-                    BinKind::And => format!("{a} & {c}"),
-                    BinKind::Or => format!("{a} | {c}"),
-                    BinKind::Xor => format!("{a} ^ {c}"),
-                    BinKind::Shl => format!("{a} << {c}"),
-                    BinKind::Shr => format!("{a} >>> {c}"),
-                    BinKind::Cmp(k) => {
-                        let sym = match k {
-                            hls_ir::CmpKind::Eq => "==",
-                            hls_ir::CmpKind::Ne => "!=",
-                            hls_ir::CmpKind::Lt => "<",
-                            hls_ir::CmpKind::Le => "<=",
-                            hls_ir::CmpKind::Gt => ">",
-                            hls_ir::CmpKind::Ge => ">=",
-                        };
-                        format!("{a} {sym} {c}")
-                    }
-                }
+                    BinKind::And => " & ",
+                    BinKind::Or => " | ",
+                    BinKind::Xor => " ^ ",
+                    BinKind::Shl => " << ",
+                    BinKind::Shr => " >>> ",
+                    BinKind::Cmp(k) => match k {
+                        hls_ir::CmpKind::Eq => " == ",
+                        hls_ir::CmpKind::Ne => " != ",
+                        hls_ir::CmpKind::Lt => " < ",
+                        hls_ir::CmpKind::Le => " <= ",
+                        hls_ir::CmpKind::Gt => " > ",
+                        hls_ir::CmpKind::Ge => " >= ",
+                    },
+                };
+                r(out, 0);
+                out.push_str(symbol);
+                r(out, 1);
             }
-            CellKind::Un(UnKind::Not) => format!("~{}", r(0)),
-            CellKind::Un(UnKind::Neg) => format!("-{}", r(0)),
-            CellKind::Mux => format!("{} ? {} : {}", r(0), r(1), r(2)),
+            CellKind::Un(u) => {
+                out.push(match u {
+                    UnKind::Not => '~',
+                    UnKind::Neg => '-',
+                });
+                r(out, 0);
+            }
+            CellKind::Mux => {
+                r(out, 0);
+                out.push_str(" ? ");
+                r(out, 1);
+                out.push_str(" : ");
+                r(out, 2);
+            }
             CellKind::Slice { hi, lo } => {
-                let src = r(0);
+                let start = out.len();
+                r(out, 0);
                 let iw = self.m.cell(cell.inputs[0]).width;
-                if is_identifier(&src) && *hi < iw {
-                    format!("{src}[{hi}:{lo}]")
-                } else if *lo == 0 {
-                    // Assignment truncates to the slice width.
-                    src
-                } else {
-                    format!("{src} >>> {lo}")
+                if is_identifier(&out[start..]) && *hi < iw {
+                    let _ = write!(out, "[{hi}:{lo}]");
+                } else if *lo != 0 {
+                    let _ = write!(out, " >>> {lo}");
                 }
+                // otherwise the assignment truncates to the slice width
             }
             // Sign-extension / truncation is implicit in the assignment.
-            CellKind::Resize => r(0),
-            _ => return None,
-        };
-        Some(format!("  assign {name} = {expr};"))
+            CellKind::Resize => r(out, 0),
+            _ => unreachable!("only declared combinational cells have statements"),
+        }
+        out.push_str(";\n");
     }
-}
 
-fn width_range(width: u16) -> String {
-    format!("[{}:0]", width.saturating_sub(1))
+    /// Writes the clocked capture of `data` into `target` under `enable`.
+    fn capture(&self, out: &mut String, target: &str, data: CellId, enable: CellId) {
+        let en = self.m.cell(enable);
+        match en.kind {
+            // A constant enable needs no guard (and a constant-false one no
+            // statement at all).
+            CellKind::Const(v) => {
+                if !BitVal::new(v, en.width).is_true() {
+                    return;
+                }
+                out.push_str("      ");
+            }
+            _ => {
+                out.push_str("      if (");
+                self.reference(out, enable);
+                out.push_str(") ");
+            }
+        }
+        let _ = write!(out, "{target} <= ");
+        self.reference(out, data);
+        out.push_str(";\n");
+    }
 }
 
 /// Prints a validated netlist as synthesizable Verilog. The output is fully
@@ -194,17 +248,14 @@ pub fn emit_verilog(m: &NirModule) -> String {
     let _ = writeln!(out, "module {} (", sanitize(&m.name));
     let _ = writeln!(out, "  input wire clk,");
     let _ = write!(out, "  input wire rst");
-    for port in &m.ports {
+    for (port, name) in m.ports.iter().zip(&p.ports) {
         let dir = match port.direction {
             hls_ir::PortDirection::Input => "input wire signed",
             hls_ir::PortDirection::Output => "output reg signed",
         };
-        let _ = write!(
-            out,
-            ",\n  {dir} {} {}",
-            width_range(port.width),
-            sanitize(&port.name)
-        );
+        let _ = write!(out, ",\n  {dir} ");
+        write_range(&mut out, port.width);
+        let _ = write!(out, " {name}");
     }
     let _ = writeln!(out, "\n);");
 
@@ -228,10 +279,14 @@ pub fn emit_verilog(m: &NirModule) -> String {
         );
         let _ = writeln!(out, "  reg [7:0] state;");
         if has_sv {
-            let _ = writeln!(out, "  reg {} stage_valid;", width_range(stages as u16));
+            out.push_str("  reg ");
+            write_range(&mut out, stages as u16);
+            out.push_str(" stage_valid;\n");
         }
         if has_fi {
-            let _ = writeln!(out, "  reg {} first_iter;", width_range(stages as u16));
+            out.push_str("  reg ");
+            write_range(&mut out, stages as u16);
+            out.push_str(" first_iter;\n");
         }
         let _ = writeln!(out, "  always @(posedge clk) begin");
         let _ = writeln!(out, "    if (rst) begin");
@@ -250,16 +305,13 @@ pub fn emit_verilog(m: &NirModule) -> String {
             fold - 1
         );
         if has_sv {
-            let fill = if stages > 1 {
-                format!("{{stage_valid[{}:0], 1'b1}}", stages - 2)
+            let _ = write!(out, "      if (state == 8'd{}) stage_valid <= ", fold - 1);
+            if stages > 1 {
+                let _ = write!(out, "{{stage_valid[{}:0], 1'b1}}", stages - 2);
             } else {
-                "1'b1".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "      if (state == 8'd{}) stage_valid <= {fill}; // pipeline fill",
-                fold - 1
-            );
+                out.push_str("1'b1");
+            }
+            out.push_str("; // pipeline fill\n");
         }
         if has_fi {
             let _ = writeln!(
@@ -282,17 +334,12 @@ pub fn emit_verilog(m: &NirModule) -> String {
         let _ = writeln!(out);
         let _ = writeln!(out, "  // combinational cells");
         for &id in &comb {
-            let _ = writeln!(
-                out,
-                "  wire signed {} {};",
-                width_range(m.cell(id).width),
-                p.names[id.index()].as_deref().unwrap()
-            );
+            out.push_str("  wire signed ");
+            write_range(&mut out, m.cell(id).width);
+            let _ = writeln!(out, " {};", p.name(id));
         }
         for &id in &comb {
-            if let Some(stmt) = p.statement(id) {
-                let _ = writeln!(out, "{stmt}");
-            }
+            p.statement(&mut out, id);
         }
     }
 
@@ -302,21 +349,20 @@ pub fn emit_verilog(m: &NirModule) -> String {
         .filter(|(_, c)| c.kind.is_seq())
         .map(|(id, _)| id)
         .collect();
-    let outputs: Vec<CellId> = m
+    let outputs: Vec<(CellId, &str)> = m
         .iter_cells()
-        .filter(|(_, c)| matches!(c.kind, CellKind::Output { .. }))
-        .map(|(id, _)| id)
+        .filter_map(|(id, c)| match c.kind {
+            CellKind::Output { port, .. } => Some((id, p.ports[port as usize].as_str())),
+            _ => None,
+        })
         .collect();
     if !regs.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "  // datapath registers");
         for &id in &regs {
-            let _ = writeln!(
-                out,
-                "  reg signed {} {};",
-                width_range(m.cell(id).width),
-                p.names[id.index()].as_deref().unwrap()
-            );
+            out.push_str("  reg signed ");
+            write_range(&mut out, m.cell(id).width);
+            let _ = writeln!(out, " {};", p.name(id));
         }
     }
     if !regs.is_empty() || !outputs.is_empty() {
@@ -328,38 +374,23 @@ pub fn emit_verilog(m: &NirModule) -> String {
             let CellKind::Reg { init } = cell.kind else {
                 unreachable!()
             };
-            let _ = writeln!(
-                out,
-                "      {} <= {};",
-                p.names[id.index()].as_deref().unwrap(),
-                literal(init, cell.width)
-            );
+            let _ = write!(out, "      {} <= ", p.name(id));
+            write_literal(&mut out, init, cell.width);
+            out.push_str(";\n");
         }
-        for &id in &outputs {
-            let cell = m.cell(id);
-            let CellKind::Output { port, .. } = cell.kind else {
-                unreachable!()
-            };
-            let _ = writeln!(
-                out,
-                "      {} <= {};",
-                sanitize(&m.ports[port as usize].name),
-                literal(0, cell.width)
-            );
+        for &(id, target) in &outputs {
+            let _ = write!(out, "      {target} <= ");
+            write_literal(&mut out, 0, m.cell(id).width);
+            out.push_str(";\n");
         }
         let _ = writeln!(out, "    end else begin");
         for &id in &regs {
             let cell = m.cell(id);
-            let target = p.names[id.index()].as_deref().unwrap().to_string();
-            write_capture(&mut out, &p, &target, cell.inputs[0], cell.inputs[1], m);
+            p.capture(&mut out, p.name(id), cell.inputs[0], cell.inputs[1]);
         }
-        for &id in &outputs {
+        for &(id, target) in &outputs {
             let cell = m.cell(id);
-            let CellKind::Output { port, .. } = cell.kind else {
-                unreachable!()
-            };
-            let target = sanitize(&m.ports[port as usize].name);
-            write_capture(&mut out, &p, &target, cell.inputs[0], cell.inputs[1], m);
+            p.capture(&mut out, target, cell.inputs[0], cell.inputs[1]);
         }
         let _ = writeln!(out, "    end");
         let _ = writeln!(out, "  end");
@@ -367,29 +398,6 @@ pub fn emit_verilog(m: &NirModule) -> String {
 
     let _ = writeln!(out, "endmodule");
     out
-}
-
-fn write_capture(
-    out: &mut String,
-    p: &Printer<'_>,
-    target: &str,
-    data: CellId,
-    enable: CellId,
-    m: &NirModule,
-) {
-    let d = p.reference(data);
-    match m.cell(enable).kind {
-        // A constant enable needs no guard (and a constant-false one no
-        // statement at all).
-        CellKind::Const(v) => {
-            if BitVal::new(v, m.cell(enable).width).is_true() {
-                let _ = writeln!(out, "      {target} <= {d};");
-            }
-        }
-        _ => {
-            let _ = writeln!(out, "      if ({}) {target} <= {d};", p.reference(enable));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -84,7 +84,10 @@ pub enum SynthesisError {
     Binding(hls_bind::BindError),
     /// Lowering the bound design to the structural netlist failed.
     Lowering(hls_bind::LowerError),
-    /// The lowered (or rewritten) netlist failed structural validation.
+    /// The lowered (or rewritten) netlist failed structural validation, or
+    /// two ports, or a port and a controller net, would print under one
+    /// Verilog identifier ([`hls_nir::NirError::PortNameClash`], refused
+    /// before scheduling).
     Netlist(hls_nir::NirError),
     /// Differential verification failed: a netlist simulated cycle by cycle
     /// (the schedule's per-op netlist, the bound netlist or the rewritten
@@ -432,6 +435,10 @@ impl Synthesizer {
                 },
             ));
         }
+        // Ports that print under one Verilog identifier would make the RTL
+        // read or drive the wrong net; `hls_nir::validate` refuses them
+        // too, but only after scheduling.
+        hls_nir::check_port_names(body.dfg.iter_ports().map(|(_, p)| p))?;
         let mut knobs = Knobs {
             max_latency: self.max_latency,
             ii: self.ii,
@@ -956,6 +963,127 @@ mod tests {
             matches!(&err, SynthesisError::Frontend(e) if *e == unwritten),
             "{err:?}"
         );
+    }
+
+    /// Reads input `inputs[0]`, multiplies it by 3, multiplies that by the
+    /// read, adds the two products and every further input, and writes the
+    /// sum to the 8-bit output `y`.
+    fn product_body(inputs: &[&str]) -> LinearBody {
+        use hls_ir::{Dfg, OpKind, PortDirection, Signal};
+        let mut dfg = Dfg::new();
+        let ports: Vec<_> = inputs
+            .iter()
+            .map(|&name| dfg.add_port(name, PortDirection::Input, 16))
+            .collect();
+        let y = dfg.add_port("y", PortDirection::Output, 8);
+        let r = dfg.add_op(OpKind::Read(ports[0]), 16, vec![]);
+        let m1 = dfg.add_op(
+            OpKind::Mul,
+            16,
+            vec![Signal::op_w(r, 16), Signal::constant(3, 16)],
+        );
+        let m2 = dfg.add_op(
+            OpKind::Mul,
+            16,
+            vec![Signal::op_w(m1, 16), Signal::op_w(r, 16)],
+        );
+        let mut sum = dfg.add_op(
+            OpKind::Add,
+            16,
+            vec![Signal::op_w(m1, 16), Signal::op_w(m2, 16)],
+        );
+        for &port in &ports[1..] {
+            let read = dfg.add_op(OpKind::Read(port), 16, vec![]);
+            let operands = vec![Signal::op_w(sum, 16), Signal::op_w(read, 16)];
+            sum = dfg.add_op(OpKind::Add, 16, operands);
+        }
+        dfg.add_op(OpKind::Write(y), 8, vec![Signal::op_w(sum, 8)]);
+        LinearBody::from_dfg("product", dfg)
+    }
+
+    fn synthesize_product(inputs: &[&str]) -> Result<SynthesisResult, SynthesisError> {
+        Synthesizer::from_body(product_body(inputs))
+            .clock_ps(1600.0)
+            .latency_bounds(1, 8)
+            .verify(8)
+            .run()
+    }
+
+    /// Asserts that the product body over `inputs` is refused before
+    /// scheduling, and its ports by `hls_nir::validate`, because port
+    /// `port` prints as an identifier that is taken.
+    fn assert_port_refused(inputs: &[&str], port: u32, earlier: Option<u32>) {
+        let name = inputs[port as usize];
+        let clash = hls_nir::NirError::PortNameClash {
+            port,
+            name: name.to_string(),
+            identifier: hls_nir::sanitize(name),
+            earlier,
+        };
+        let err = synthesize_product(inputs).unwrap_err();
+        assert!(
+            matches!(&err, SynthesisError::Netlist(e) if *e == clash),
+            "{inputs:?}: {err:?}"
+        );
+        assert!(err.to_string().contains(&format!("`{name}`")), "{err}");
+        let mut module = NirModule::new("ports");
+        module.ports = product_body(inputs)
+            .dfg
+            .iter_ports()
+            .map(|(_, p)| p.clone())
+            .collect();
+        assert_eq!(hls_nir::validate(&module), Err(clash), "{inputs:?}");
+    }
+
+    #[test]
+    fn an_unnamed_cell_never_prints_as_a_port_name() {
+        // The state-0 guard is unnamed cell 3; its fallback name `n3` used
+        // to be declared beside the input port `n3`, and the read's
+        // register captured the guard.
+        let result = synthesize_product(&["n3"]).expect("n3 is a legal port name");
+        let mut declared: Vec<&str> = result
+            .rtl
+            .lines()
+            .map(|line| line.trim().trim_end_matches([',', ';']))
+            .filter(|line| {
+                [
+                    "input wire",
+                    "output reg",
+                    "wire signed",
+                    "reg signed",
+                    "reg [",
+                ]
+                .iter()
+                .any(|kind| line.starts_with(kind))
+            })
+            .filter_map(|line| line.rsplit(' ').next())
+            .collect();
+        assert!(declared.contains(&"n3"), "{}", result.rtl);
+        declared.sort_unstable();
+        let twice: Vec<_> = declared.windows(2).filter(|w| w[0] == w[1]).collect();
+        assert!(
+            twice.is_empty(),
+            "declared twice: {twice:?}\n{}",
+            result.rtl
+        );
+        assert!(result.rtl.contains(" <= n3;"), "{}", result.rtl);
+    }
+
+    #[test]
+    fn ports_named_like_controller_nets_are_refused() {
+        for name in ["clk", "rst", "state"] {
+            assert_port_refused(&[name], 0, None);
+        }
+    }
+
+    #[test]
+    fn ports_whose_names_sanitize_alike_are_refused() {
+        assert_port_refused(&["a b", "a_b"], 1, Some(0));
+    }
+
+    #[test]
+    fn two_ports_of_one_name_are_refused() {
+        assert_port_refused(&["x", "x"], 1, Some(0));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::config::{Lint, LintConfig};
 use crate::sta::{cell_name, mux_fanins};
 use crate::LintContext;
 use hls_ir::{BitVal, CmpKind};
-use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule};
+use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS};
 use std::collections::HashMap;
 
 /// A raw finding before severity assignment.
@@ -49,13 +49,17 @@ fn is_declared(kind: &CellKind) -> bool {
 /// Two distinct display names that sanitize to the same identifier: the
 /// printer keeps the first and silently renames the second to `n<id>`, so
 /// the emitted RTL no longer carries the name the lowering assigned.
+/// Unnamed cells print under fallback names that skip every taken
+/// identifier, and ports that clash are refused by `hls_nir::validate`.
 fn duplicate_net_names(m: &NirModule, out: &mut Vec<Finding>) {
-    let mut owner: HashMap<String, String> = ["clk", "rst", "state", "stage_valid", "first_iter"]
+    let mut owner: HashMap<String, String> = RESERVED_IDENTIFIERS
         .into_iter()
         .map(|r| (r.to_string(), format!("the reserved identifier `{r}`")))
         .collect();
     for p in &m.ports {
-        owner.insert(sanitize(&p.name), format!("port `{}`", p.name));
+        owner
+            .entry(sanitize(&p.name))
+            .or_insert_with(|| format!("port `{}`", p.name));
     }
     for (id, cell) in m.iter_cells() {
         if !is_declared(&cell.kind) {

@@ -14,7 +14,7 @@
 //! the evaluator's defined results (`a / 0 = 0`, `a % 0 = a`).
 
 use hls_ir::BitVal;
-use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule, UnKind};
+use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule, UnKind, RESERVED_IDENTIFIERS};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -63,10 +63,12 @@ struct Printer<'a> {
 
 impl<'a> Printer<'a> {
     fn new(m: &'a NirModule) -> Self {
-        // Ports and fixed controller nets claim their identifiers first;
-        // colliding cell names fall back to `n<id>`.
+        // Ports and fixed controller nets claim their identifiers first
+        // (`hls_nir::validate` refuses ports that clash); an unnamed cell,
+        // or one whose name is taken, falls back to `n<id>`, or to
+        // `n<id>_<k>` with the first free `k` when that is taken too.
         let ports: Vec<String> = m.ports.iter().map(|p| sanitize(&p.name)).collect();
-        let mut used: HashSet<String> = ["clk", "rst", "state", "stage_valid", "first_iter"]
+        let mut used: HashSet<String> = RESERVED_IDENTIFIERS
             .into_iter()
             .map(String::from)
             .chain(ports.iter().cloned())
@@ -77,12 +79,19 @@ impl<'a> Printer<'a> {
                 names.push(None);
                 continue;
             }
-            let candidate = cell
-                .name
-                .as_deref()
-                .map(sanitize)
-                .filter(|n| !used.contains(n))
-                .unwrap_or_else(|| format!("n{}", id.index()));
+            let candidate = match cell.name.as_deref().map(sanitize) {
+                Some(name) if !used.contains(&name) => name,
+                _ => {
+                    let mut name = format!("n{}", id.index());
+                    for k in 1.. {
+                        if !used.contains(&name) {
+                            break;
+                        }
+                        name = format!("n{}_{k}", id.index());
+                    }
+                    name
+                }
+            };
             used.insert(candidate.clone());
             names.push(Some(candidate));
         }

@@ -6,8 +6,9 @@
 //! reads/writes and the FSM controller, all on dense indices with explicit
 //! bit-widths ([`NirModule`]). On top of the data model it provides
 //!
-//! * [`validate`] — structural well-formedness (widths, arities, port
-//!   references, driver presence, combinational-cycle freedom),
+//! * [`validate`] — structural well-formedness (port identifiers, widths,
+//!   arities, port references, driver presence, combinational-cycle
+//!   freedom),
 //! * [`optimize`] — constant/identity normalization plus dead-cell sweep,
 //! * mask-gated timing rewrites — [`rebalance_operator_chains`],
 //!   [`strength_reduce_shifts`] and [`retime_registers`], run by
@@ -23,9 +24,12 @@ pub mod model;
 mod rewrite;
 pub mod validate;
 
-pub use model::{sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind};
+pub use model::{
+    sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind,
+    RESERVED_IDENTIFIERS,
+};
 pub use rewrite::{
     normalize, optimize, rebalance_operator_chains, retime_registers, strength_reduce_shifts,
     sweep, RewriteReport,
 };
-pub use validate::{validate, NirError};
+pub use validate::{check_port_names, validate, NirError};

@@ -549,6 +549,10 @@ impl NetlistStats {
     }
 }
 
+/// The identifiers the Verilog printer declares for the clock, the reset and
+/// the controller; no port or cell prints as one of them.
+pub const RESERVED_IDENTIFIERS: [&str; 5] = ["clk", "rst", "state", "stage_valid", "first_iter"];
+
 /// Turns a display name into a safe Verilog identifier: non-alphanumerics
 /// become `_`, and an empty or digit-leading result is prefixed with `m`.
 pub fn sanitize(name: &str) -> String {

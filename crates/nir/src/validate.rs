@@ -1,16 +1,18 @@
 //! Structural validation of a [`NirModule`].
 //!
 //! `validate` checks the invariants every consumer (simulator, rewriter,
-//! Verilog printer) relies on: operands that name a value, per-kind
-//! arity, width agreement, port references consistent with the module
-//! interface, every output port driven, and the absence of combinational
-//! cycles (registers break cycles). The cycle check uses the same
+//! Verilog printer) relies on: ports that print as distinct identifiers,
+//! operands that name a value, per-kind arity, width agreement, port
+//! references consistent with the module interface, every output port
+//! driven, and the absence of combinational cycles (registers break
+//! cycles). The cycle check uses the same
 //! iterative colour-marked DFS idiom as the scheduler's
 //! combinational-path walker.
 
-use crate::model::{CellId, CellKind, NirModule};
+use crate::model::{sanitize, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS};
 use hls_ir::eval::MAX_WIDTH;
-use hls_ir::PortDirection;
+use hls_ir::{Port, PortDirection};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A structural defect found by [`validate`].
@@ -76,6 +78,20 @@ pub enum NirError {
         /// A cell on the cycle.
         cell: CellId,
     },
+    /// A port prints as a Verilog identifier that is already taken: an
+    /// earlier port's name sanitizes to the same text, or the controller
+    /// declares it ([`RESERVED_IDENTIFIERS`]).
+    PortNameClash {
+        /// Index of the port.
+        port: u32,
+        /// The port's name.
+        name: String,
+        /// The identifier the port prints as.
+        identifier: String,
+        /// The earlier port printing as the same identifier; `None` when
+        /// the controller declares it.
+        earlier: Option<u32>,
+    },
 }
 
 impl fmt::Display for NirError {
@@ -112,15 +128,54 @@ impl fmt::Display for NirError {
             NirError::CombCycle { cell } => {
                 write!(f, "combinational cycle through cell {cell}")
             }
+            NirError::PortNameClash {
+                port,
+                name,
+                identifier,
+                earlier,
+            } => {
+                write!(f, "port {port} `{name}` prints as `{identifier}`, ")?;
+                match earlier {
+                    Some(earlier) => write!(f, "as port {earlier} does"),
+                    None => write!(f, "which the controller declares"),
+                }
+            }
         }
     }
 }
 
 impl std::error::Error for NirError {}
 
+/// Checks that every port prints as a Verilog identifier of its own: no two
+/// port names sanitize to the same text, and none to an identifier the
+/// controller declares.
+///
+/// # Errors
+/// [`NirError::PortNameClash`] naming the first port whose identifier is
+/// taken.
+pub fn check_port_names<'a>(ports: impl IntoIterator<Item = &'a Port>) -> Result<(), NirError> {
+    let mut seen: HashMap<String, u32> = HashMap::new();
+    for (port, p) in (0u32..).zip(ports) {
+        let identifier = sanitize(&p.name);
+        let earlier = seen.get(&identifier).copied();
+        if earlier.is_some() || RESERVED_IDENTIFIERS.contains(&identifier.as_str()) {
+            return Err(NirError::PortNameClash {
+                port,
+                name: p.name.clone(),
+                identifier,
+                earlier,
+            });
+        }
+        seen.insert(identifier, port);
+    }
+    Ok(())
+}
+
 /// Checks all structural invariants of `m`; `Ok(())` means every consumer may
-/// assume widths agree, references resolve and combinational logic is acyclic.
+/// assume ports print as distinct identifiers, widths agree, references
+/// resolve and combinational logic is acyclic.
 pub fn validate(m: &NirModule) -> Result<(), NirError> {
+    check_port_names(&m.ports)?;
     for (id, cell) in m.iter_cells() {
         let expected = cell.kind.arity();
         if cell.inputs.len() != expected {

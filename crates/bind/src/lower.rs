@@ -44,7 +44,7 @@ use hls_ir::dfg::SignalSource;
 use hls_ir::{CmpKind, DenseOpMap, LinearBody, OpId, OpKind, Predicate, Signal};
 use hls_netlist::ScheduleDesc;
 use hls_nir::{sanitize, BinKind, Cell, CellId, CellKind, NirModule, UnKind};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::{self, Write as _};
 
 /// How operations map onto hardware operators in the lowered netlist.
@@ -333,10 +333,10 @@ impl Lowerer<'_> {
         inputs: &[CellId],
         name: Option<Name<'_>>,
     ) -> CellId {
-        let key = (kind, width, Operands::of(inputs));
-        if let Some(&id) = self.cons.get(&key) {
-            return id;
-        }
+        let slot = match self.cons.entry((kind, width, Operands::of(inputs))) {
+            Entry::Occupied(hit) => return *hit.get(),
+            Entry::Vacant(slot) => slot,
+        };
         let name = name.map(|name| match name {
             Name::Op { op, dup } => {
                 let display = sanitize(&self.body.dfg.op(op).display_name());
@@ -346,13 +346,12 @@ impl Lowerer<'_> {
             Name::Text(text) => text.to_string(),
         });
         let id = self.m.add_cell(Cell {
-            kind: key.0.clone(),
+            kind: slot.key().0.clone(),
             width,
             inputs: inputs.to_vec(),
             name,
         });
-        self.cons.insert(key, id);
-        id
+        *slot.insert(id)
     }
 
     fn resized(&mut self, id: CellId, width: u16) -> CellId {

@@ -30,6 +30,30 @@ fn write_literal(out: &mut String, value: i64, width: u16) {
     };
 }
 
+/// The Verilog operator of a two-input cell, with its surrounding spaces.
+fn operator(b: BinKind) -> &'static str {
+    match b {
+        BinKind::Add => " + ",
+        BinKind::Sub => " - ",
+        BinKind::Mul => " * ",
+        BinKind::Div => " / ",
+        BinKind::Rem => " % ",
+        BinKind::And => " & ",
+        BinKind::Or => " | ",
+        BinKind::Xor => " ^ ",
+        BinKind::Shl => " << ",
+        BinKind::Shr => " >>> ",
+        BinKind::Cmp(k) => match k {
+            hls_ir::CmpKind::Eq => " == ",
+            hls_ir::CmpKind::Ne => " != ",
+            hls_ir::CmpKind::Lt => " < ",
+            hls_ir::CmpKind::Le => " <= ",
+            hls_ir::CmpKind::Gt => " > ",
+            hls_ir::CmpKind::Ge => " >= ",
+        },
+    }
+}
+
 /// Writes the declared range of a `width`-bit net.
 fn write_range(out: &mut String, width: u16) {
     let _ = write!(out, "[{}:0]", width.saturating_sub(1));
@@ -138,46 +162,24 @@ impl<'a> Printer<'a> {
         let _ = write!(out, "  assign {} = ", self.name(id));
         match &cell.kind {
             CellKind::Bin(b) => {
-                let symbol = match b {
-                    BinKind::Add => " + ",
-                    BinKind::Sub => " - ",
-                    BinKind::Mul => " * ",
+                if matches!(b, BinKind::Div | BinKind::Rem) {
                     // Hardware-friendly total division, matching the
-                    // evaluator.
-                    BinKind::Div | BinKind::Rem => {
-                        out.push('(');
-                        r(out, 1);
-                        out.push_str(" == ");
-                        write_literal(out, 0, self.m.cell(cell.inputs[1]).width);
-                        out.push_str(") ? ");
-                        if *b == BinKind::Div {
-                            write_literal(out, 0, cell.width);
-                        } else {
-                            r(out, 0);
-                        }
-                        out.push_str(" : ");
-                        if *b == BinKind::Div {
-                            " / "
-                        } else {
-                            " % "
-                        }
+                    // evaluator: `(c == 0) ? 0 : a / c` and
+                    // `(c == 0) ? a : a % c`.
+                    out.push('(');
+                    r(out, 1);
+                    out.push_str(" == ");
+                    write_literal(out, 0, self.m.cell(cell.inputs[1]).width);
+                    out.push_str(") ? ");
+                    if *b == BinKind::Div {
+                        write_literal(out, 0, cell.width);
+                    } else {
+                        r(out, 0);
                     }
-                    BinKind::And => " & ",
-                    BinKind::Or => " | ",
-                    BinKind::Xor => " ^ ",
-                    BinKind::Shl => " << ",
-                    BinKind::Shr => " >>> ",
-                    BinKind::Cmp(k) => match k {
-                        hls_ir::CmpKind::Eq => " == ",
-                        hls_ir::CmpKind::Ne => " != ",
-                        hls_ir::CmpKind::Lt => " < ",
-                        hls_ir::CmpKind::Le => " <= ",
-                        hls_ir::CmpKind::Gt => " > ",
-                        hls_ir::CmpKind::Ge => " >= ",
-                    },
-                };
+                    out.push_str(" : ");
+                }
                 r(out, 0);
-                out.push_str(symbol);
+                out.push_str(operator(*b));
                 r(out, 1);
             }
             CellKind::Un(u) => {
@@ -573,11 +575,16 @@ mod tests {
             name: Some("v_d".into()),
         });
         let q = named(&mut m, CellKind::Bin(BinKind::Div), 8, vec![c, d], "w_q");
+        named(&mut m, CellKind::Bin(BinKind::Rem), 8, vec![c, d], "w_r");
         m.push(CellKind::Output { port: 0, state: 0 }, 8, vec![q, en]);
         validate(&m).unwrap();
         let v = emit_verilog(&m);
         assert!(
             v.contains("assign w_q = (v_d == 8'sd0) ? 8'sd0 : 8'sd9 / v_d;"),
+            "{v}"
+        );
+        assert!(
+            v.contains("assign w_r = (v_d == 8'sd0) ? 8'sd9 : 8'sd9 % v_d;"),
             "{v}"
         );
     }

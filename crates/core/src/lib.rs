@@ -438,7 +438,8 @@ impl Synthesizer {
         // Ports that print under one Verilog identifier would make the RTL
         // read or drive the wrong net; `hls_nir::validate` refuses them
         // too, but only after scheduling.
-        hls_nir::check_port_names(body.dfg.iter_ports().map(|(_, p)| p))?;
+        let ports: Vec<_> = body.dfg.iter_ports().map(|(_, p)| p).collect();
+        hls_nir::check_port_names(&ports)?;
         let mut knobs = Knobs {
             max_latency: self.max_latency,
             ii: self.ii,
@@ -1079,6 +1080,9 @@ mod tests {
     #[test]
     fn ports_whose_names_sanitize_alike_are_refused() {
         assert_port_refused(&["a b", "a_b"], 1, Some(0));
+        // the first port in port order that clashes is named, with the
+        // first port that prints as its identifier
+        assert_port_refused(&["b", "a c", "b", "a_c"], 2, Some(0));
     }
 
     #[test]

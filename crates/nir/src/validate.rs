@@ -12,7 +12,7 @@
 use crate::model::{sanitize, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS};
 use hls_ir::eval::MAX_WIDTH;
 use hls_ir::{Port, PortDirection};
-use std::collections::HashMap;
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 
 /// A structural defect found by [`validate`].
@@ -146,29 +146,59 @@ impl fmt::Display for NirError {
 
 impl std::error::Error for NirError {}
 
+/// `name`'s Verilog identifier, borrowed when [`sanitize`] would not change
+/// it.
+fn identifier(name: &str) -> Cow<'_, str> {
+    let plain = name.bytes().next().is_some_and(|b| !b.is_ascii_digit())
+        && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+    if plain {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(sanitize(name))
+    }
+}
+
 /// Checks that every port prints as a Verilog identifier of its own: no two
 /// port names sanitize to the same text, and none to an identifier the
 /// controller declares.
 ///
 /// # Errors
-/// [`NirError::PortNameClash`] naming the first port whose identifier is
-/// taken.
-pub fn check_port_names<'a>(ports: impl IntoIterator<Item = &'a Port>) -> Result<(), NirError> {
-    let mut seen: HashMap<String, u32> = HashMap::new();
-    for (port, p) in (0u32..).zip(ports) {
-        let identifier = sanitize(&p.name);
-        let earlier = seen.get(&identifier).copied();
-        if earlier.is_some() || RESERVED_IDENTIFIERS.contains(&identifier.as_str()) {
-            return Err(NirError::PortNameClash {
-                port,
-                name: p.name.clone(),
-                identifier,
-                earlier,
-            });
+/// [`NirError::PortNameClash`] naming the first port, in port order, whose
+/// identifier is taken, and the first port that prints as it.
+pub fn check_port_names<P: Borrow<Port>>(ports: &[P]) -> Result<(), NirError> {
+    // Sorted by identifier, then by index, each run of equal identifiers
+    // starts with the port that holds it; every later port of the run
+    // clashes with that one.
+    let mut order: Vec<(Cow<'_, str>, usize)> = ports
+        .iter()
+        .enumerate()
+        .map(|(p, port)| (identifier(&port.borrow().name), p))
+        .collect();
+    order.sort_unstable();
+    let mut clash: Option<(usize, Option<usize>)> = None;
+    let mut holder = 0;
+    for (k, (ident, p)) in order.iter().enumerate() {
+        if k == 0 || order[k - 1].0 != *ident {
+            holder = *p;
         }
-        seen.insert(identifier, port);
+        let earlier = (holder != *p).then_some(holder);
+        let reserved = RESERVED_IDENTIFIERS.contains(&ident.as_ref());
+        if (earlier.is_some() || reserved) && clash.map_or(true, |(first, _)| *p < first) {
+            clash = Some((*p, earlier));
+        }
     }
-    Ok(())
+    match clash {
+        None => Ok(()),
+        Some((port, earlier)) => {
+            let name = &ports[port].borrow().name;
+            Err(NirError::PortNameClash {
+                port: port as u32,
+                name: name.clone(),
+                identifier: sanitize(name),
+                earlier: earlier.map(|e| e as u32),
+            })
+        }
+    }
 }
 
 /// Checks all structural invariants of `m`; `Ok(())` means every consumer may

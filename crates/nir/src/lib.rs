@@ -7,7 +7,7 @@
 //! bit-widths ([`NirModule`]). On top of the data model it provides
 //!
 //! * [`validate`] — structural well-formedness (port identifiers, widths,
-//!   arities, port references, driver presence, combinational-cycle
+//!   arities, port references, driven outputs, combinational-cycle
 //!   freedom),
 //! * [`optimize`] — constant/identity normalization plus dead-cell sweep,
 //! * mask-gated timing rewrites — [`rebalance_operator_chains`],

@@ -1264,6 +1264,198 @@ mod tests {
         );
     }
 
+    /// `state == k` over the 8-bit counter `fsm`.
+    fn decode(m: &mut NirModule, fsm: CellId, k: i64) -> CellId {
+        let k = m.push(CellKind::Const(k), 8, vec![]);
+        m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![fsm, k])
+    }
+
+    /// A module of `states` states reading one input port per entry of
+    /// `widths` (ports `0..`, all read in state 0) and writing one 8-bit
+    /// output per name in `outputs` (the ports after them), with its input
+    /// cells and counter.
+    fn steering_module(
+        states: u32,
+        stages: u32,
+        widths: &[u16],
+        outputs: &[&str],
+    ) -> (NirModule, Vec<CellId>, CellId) {
+        const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+        let mut ports: Vec<_> = widths
+            .iter()
+            .zip(NAMES)
+            .map(|(&w, name)| (name, PortDirection::Input, w))
+            .collect();
+        ports.extend(outputs.iter().map(|&o| (o, PortDirection::Output, 8)));
+        let num_states = states * stages;
+        let mut m = module(states, num_states, stages, &ports);
+        let mut x = Vec::new();
+        for (port, &w) in (0..).zip(widths) {
+            x.push(m.push(CellKind::Input { port, state: 0 }, w, vec![]));
+        }
+        let fsm = m.push(CellKind::FsmState, 8, vec![]);
+        (m, x, fsm)
+    }
+
+    /// Writes `value` to output port `port` on every cycle.
+    fn write_always(m: &mut NirModule, port: u32, value: CellId) {
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port, state: 0 }, 8, vec![value, en]);
+    }
+
+    /// The stimulus rows of `values`, one row per iteration and one value
+    /// per input port.
+    fn rows_of(values: &[&[i64]]) -> Vec<Vec<(u32, i64)>> {
+        values
+            .iter()
+            .map(|row| (0..).zip(row.iter().copied()).collect())
+            .collect()
+    }
+
+    /// One write to `port` per cycle of `iterations` iterations of a
+    /// `states`-state sequential module, of `pick(state, row)`.
+    fn every_cycle(
+        values: &[&[i64]],
+        states: u64,
+        port: u32,
+        pick: impl Fn(u64, &[i64]) -> i64,
+    ) -> Vec<(u64, u32, u32, i64)> {
+        (0..values.len() as u64 * states)
+            .map(|t| {
+                let k = t / states;
+                (t, k as u32, port, pick(t % states, values[k as usize]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_steering_chain_takes_the_arm_of_its_first_decoded_link() {
+        // Four links over six states: the third link decodes states 3 and
+        // 4, the fourth decodes state 1 again and loses to the second, and
+        // states 2 and 5 take the default arm.
+        let (mut m, x, fsm) = steering_module(6, 1, &[8; 5], &["y"]);
+        let [s0, s1, s3, s4] = [0, 1, 3, 4].map(|k| decode(&mut m, fsm, k));
+        let s34 = m.push(CellKind::Bin(BinKind::Or), 1, vec![s3, s4]);
+        let sum = m.push(CellKind::Bin(BinKind::Add), 8, vec![x[2], x[3]]);
+        let l3 = m.push(CellKind::Mux, 8, vec![s1, x[3], x[4]]);
+        let l2 = m.push(CellKind::Mux, 8, vec![s34, sum, l3]);
+        let l1 = m.push(CellKind::Mux, 8, vec![s1, x[1], l2]);
+        let head = m.push(CellKind::Mux, 8, vec![s0, x[0], l1]);
+        write_always(&mut m, 5, head);
+        hls_nir::validate(&m).expect("valid");
+        let values: [&[i64]; 2] = [&[10, 11, 12, 13, 14], &[20, 21, 100, 50, 24]];
+        let expected = every_cycle(&values, 6, 5, |state, v| match state {
+            0 => v[0],
+            1 => v[1],
+            3 | 4 => sext(v[2] + v[3], 56),
+            _ => v[4],
+        });
+        assert_eq!(expected[9], (9, 1, 5, -106), "150 wraps at 8 bits");
+        assert_eq!(timed_writes(&m, rows_of(&values)), expected);
+    }
+
+    #[test]
+    fn a_narrower_link_truncates_the_arms_below_it() {
+        // The middle link is 4 bits wide, as a width-narrowing mutant
+        // leaves it: the arms it and the link below it select are read
+        // through its truncation, the head's own arm is not.
+        let (mut m, x, fsm) = steering_module(4, 1, &[8; 4], &["y"]);
+        let [s0, s1, s2] = [0, 1, 2].map(|k| decode(&mut m, fsm, k));
+        let l2 = m.push(CellKind::Mux, 8, vec![s2, x[2], x[3]]);
+        let l1 = m.push(CellKind::Mux, 4, vec![s1, x[1], l2]);
+        let head = m.push(CellKind::Mux, 8, vec![s0, x[0], l1]);
+        write_always(&mut m, 4, head);
+        let values: [&[i64]; 2] = [&[0x35, 0x1B, 0x27, 0x0F], &[-3, 0x18, -9, 0x40]];
+        let expected = every_cycle(&values, 4, 4, |state, v| match state {
+            0 => v[0],
+            s => sext(v[s as usize], 60),
+        });
+        assert_eq!(expected[1..4], [(1, 0, 4, -5), (2, 0, 4, 7), (3, 0, 4, -1)]);
+        assert_eq!(timed_writes(&m, rows_of(&values)), expected);
+    }
+
+    #[test]
+    fn a_link_read_twice_serves_both_readers() {
+        // The middle link is the else-operand of two heads and also
+        // written to a port of its own.
+        let (mut m, x, fsm) = steering_module(4, 1, &[8; 4], &["y", "z", "u"]);
+        let [s0, s1, s2, s3] = [0, 1, 2, 3].map(|k| decode(&mut m, fsm, k));
+        let l2 = m.push(CellKind::Mux, 8, vec![s2, x[2], x[3]]);
+        let l1 = m.push(CellKind::Mux, 8, vec![s1, x[1], l2]);
+        let head = m.push(CellKind::Mux, 8, vec![s0, x[0], l1]);
+        let other = m.push(CellKind::Mux, 8, vec![s3, x[0], l1]);
+        write_always(&mut m, 4, head);
+        write_always(&mut m, 5, other);
+        write_always(&mut m, 6, l1);
+        hls_nir::validate(&m).expect("valid");
+        let values: [&[i64]; 2] = [&[1, 2, 3, 4], &[-5, 6, -7, 8]];
+        let link = |state: u64, v: &[i64]| match state {
+            1 => v[1],
+            2 => v[2],
+            _ => v[3],
+        };
+        let mut expected = Vec::new();
+        for (port, pick) in [(4, 0), (5, 3), (6, u64::MAX)] {
+            expected.extend(every_cycle(&values, 4, port, |state, v| {
+                if state == pick {
+                    v[0]
+                } else {
+                    link(state, v)
+                }
+            }));
+        }
+        // a cycle's writes come in output-cell order
+        expected.sort_unstable_by_key(|&(t, _, port, _)| (t, port));
+        assert_eq!(timed_writes(&m, rows_of(&values)), expected);
+    }
+
+    #[test]
+    fn an_inverted_decode_selects_every_other_state() {
+        // `not(state == 1)`, as a select-inversion mutant leaves a link:
+        // it takes states 2 and 3, and the link below it only state 1.
+        let (mut m, x, fsm) = steering_module(4, 1, &[8; 4], &["y"]);
+        let [s0, s1] = [0, 1].map(|k| decode(&mut m, fsm, k));
+        let not_s1 = m.push(CellKind::Un(UnKind::Not), 1, vec![s1]);
+        let l2 = m.push(CellKind::Mux, 8, vec![s1, x[2], x[3]]);
+        let l1 = m.push(CellKind::Mux, 8, vec![not_s1, x[1], l2]);
+        let head = m.push(CellKind::Mux, 8, vec![s0, x[0], l1]);
+        write_always(&mut m, 4, head);
+        hls_nir::validate(&m).expect("valid");
+        let values: [&[i64]; 2] = [&[1, 2, 3, 4], &[5, 6, 7, 8]];
+        let expected = every_cycle(&values, 4, 4, |state, v| match state {
+            0 => v[0],
+            1 => v[2],
+            _ => v[1],
+        });
+        assert_eq!(timed_writes(&m, rows_of(&values)), expected);
+    }
+
+    #[test]
+    fn a_decode_anded_with_a_stage_bit_waits_for_the_stage() {
+        // Two states and two stages: the head's arm needs stage 1 valid, so
+        // the first cycle falls through to the default arm.
+        let (mut m, x, fsm) = steering_module(2, 2, &[8; 3], &["y"]);
+        let [s0, s1] = [0, 1].map(|k| decode(&mut m, fsm, k));
+        let valid = m.push(CellKind::StageValid { stage: 1 }, 1, vec![]);
+        let g0 = m.push(CellKind::Bin(BinKind::And), 1, vec![s0, valid]);
+        let l1 = m.push(CellKind::Mux, 8, vec![s1, x[1], x[2]]);
+        let head = m.push(CellKind::Mux, 8, vec![g0, x[0], l1]);
+        write_always(&mut m, 3, head);
+        hls_nir::validate(&m).expect("valid");
+        let values: [&[i64]; 3] = [&[1, 2, 3], &[4, 5, 6], &[7, 8, 9]];
+        assert_eq!(
+            timed_writes(&m, rows_of(&values)),
+            [
+                (0, 0, 3, 3),
+                (1, 0, 3, 2),
+                (2, 1, 3, 4),
+                (3, 1, 3, 5),
+                (4, 2, 3, 7),
+                (5, 2, 3, 8)
+            ]
+        );
+    }
+
     #[test]
     fn a_deep_pipeline_header_runs_at_once() {
         // The controller's stage bits are computed, not shifted: a pipeline

@@ -288,14 +288,18 @@ fn check_cell(index: usize, cell: &Cell, n: usize, stages: usize) -> Result<(), 
     Ok(())
 }
 
-/// Kahn's algorithm over the combinational edges (register inputs are
-/// sampled at the clock edge and carry none). Every cell is returned;
-/// cells on a combinational cycle are an error.
-fn topo_order(m: &NirModule) -> Result<Vec<u32>, SimError> {
+/// Checks every cell, then orders them by Kahn's algorithm over the
+/// combinational edges (register inputs are sampled at the clock edge and
+/// carry none). Every cell is returned; cells on a combinational cycle are
+/// an error. Cell `c` has `readers[c + 1] - readers[c]` combinational
+/// readers.
+fn topo_order(m: &NirModule) -> Result<(Vec<u32>, Vec<u32>), SimError> {
     let n = m.num_cells();
+    let stages = m.stages.max(1) as usize;
     let mut indeg = vec![0u32; n];
     let mut start = vec![0u32; n + 1];
     for (id, cell) in m.iter_cells() {
+        check_cell(id.index(), cell, n, stages)?;
         if cell.kind.is_seq() {
             continue;
         }
@@ -334,7 +338,7 @@ fn topo_order(m: &NirModule) -> Result<Vec<u32>, SimError> {
         let cell = indeg.iter().position(|&d| d > 0).unwrap_or(0);
         return Err(netlist_error(cell, "combinational cycle".into()));
     }
-    Ok(order)
+    Ok((order, start))
 }
 
 /// The width of the value a cell's slot holds, which an unsigned reading
@@ -482,6 +486,31 @@ impl Slots {
 /// combinational cell's that does not depend on the counter.
 const EVERY_STATE: u32 = u32::MAX;
 
+/// A `reads` bit: the cell's value depends on the FSM counter.
+const READS_COUNTER: u8 = 1;
+/// A `reads` bit: the cell's value depends on a value that is neither the
+/// counter nor a constant. A cell that reads exactly [`READS_COUNTER`]
+/// folds to a constant in each tape, and one that reads no counter folds
+/// once for every tape.
+const READS_OTHER: u8 = 2;
+
+/// The `chain_of` entry of a cell that heads no chain.
+const NO_CHAIN: u32 = u32::MAX;
+/// The `chain_of` entry of a link folded into its head's chain.
+const LINK: u32 = u32::MAX - 1;
+
+/// A counter-steered mux chain resolved once per netlist: the arm each
+/// tape selects, where that is not the default.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    /// `chain_arms[next..end]` holds the `(state, arm)` pairs of the tapes
+    /// not yet compiled, in state order.
+    next: u32,
+    end: u32,
+    /// The else-operand of the lowest link.
+    default: u32,
+}
+
 /// Folds and prunes the netlist one state at a time. The per-cell arrays
 /// are shared by the tapes: a fold belongs to the tape being compiled when
 /// its stamp is the tape's or [`EVERY_STATE`], and a cell is in the tape's
@@ -503,6 +532,11 @@ struct Compiler<'m> {
     /// The cone walk's stack: cells to visit, and visited entries to
     /// finish once their operands are.
     walk: Vec<(u32, bool)>,
+    /// Each chain head's index in `chains`, [`LINK`] for the links below
+    /// it and [`NO_CHAIN`] elsewhere; empty when the netlist has no chain.
+    chain_of: Vec<u32>,
+    chains: Vec<Chain>,
+    chain_arms: Vec<(u32, u32)>,
 }
 
 impl Compiler<'_> {
@@ -533,19 +567,54 @@ impl Compiler<'_> {
         }
     }
 
+    /// The arm chain head `c` selects in this tape, or `None` when `c`
+    /// heads no chain.
+    fn chain_arm(&mut self, c: u32) -> Option<u32> {
+        let chain = self
+            .chains
+            .get_mut(*self.chain_of.get(c as usize)? as usize)?;
+        let state = self.stamp - 1;
+        let arms = &self.chain_arms[..chain.end as usize];
+        while arms
+            .get(chain.next as usize)
+            .is_some_and(|&(s, _)| s < state)
+        {
+            chain.next += 1;
+        }
+        Some(match arms.get(chain.next as usize) {
+            Some(&(s, arm)) if s == state => arm,
+            _ => chain.default,
+        })
+    }
+
     /// A combinational cell's fold when its operands' folds decide it, or
     /// else an undecided operand it needs first. Only exact identities
     /// fold: operands that are all constant, a mux with a constant select,
-    /// and an `and` with a constant zero.
-    fn decide(&self, c: u32) -> Result<Fold, u32> {
+    /// and an `and` with a constant zero. A chain head folds as a mux
+    /// whose select picks the arm its chain lists for the tape.
+    fn decide(&mut self, c: u32) -> Result<Fold, u32> {
         let instr = self.base[c as usize];
+        let chained = if instr.op == Op::Mux {
+            self.chain_arm(c)
+        } else {
+            None
+        };
         let fold_of = |o: u32| self.known(o).ok_or(o);
         match instr.op {
             Op::Mux => {
-                let Fold::Const(select) = fold_of(instr.a)? else {
-                    return Ok(Fold::Entry(instr));
+                let arm = match chained {
+                    Some(arm) => arm,
+                    None => {
+                        let Fold::Const(select) = fold_of(instr.a)? else {
+                            return Ok(Fold::Entry(instr));
+                        };
+                        if select != 0 {
+                            instr.b
+                        } else {
+                            instr.c
+                        }
+                    }
                 };
-                let arm = if select != 0 { instr.b } else { instr.c };
                 Ok(match fold_of(arm)? {
                     Fold::Const(v) => Fold::Const(sext(v, u32::from(instr.ext))),
                     f => {
@@ -609,9 +678,10 @@ impl Compiler<'_> {
     }
 
     /// Marks the cone computing `c` in this tape. Its entries go to
-    /// `computed` in topological order, each one level past its deepest
-    /// computed operand; its input reads and stage bits go to `sources`.
-    fn need(&mut self, c: u32, computed: &mut Vec<(u32, Instr)>, sources: &mut Vec<u32>) {
+    /// `computed` in topological order as `(level, cell, entry)`, each one
+    /// level past its deepest computed operand; its input reads and stage
+    /// bits go to `sources`.
+    fn need(&mut self, c: u32, computed: &mut Vec<(u32, u32, Instr)>, sources: &mut Vec<u32>) {
         self.walk.push((c, false));
         while let Some((x, finish)) = self.walk.pop() {
             if finish {
@@ -619,8 +689,9 @@ impl Compiler<'_> {
                     unreachable!("only entries are finished")
                 };
                 let deepest = operands(&instr).map(|o| self.level_of(o)).max();
-                self.level[x as usize] = 1 + deepest.unwrap_or(0);
-                computed.push((x, instr));
+                let level = 1 + deepest.unwrap_or(0);
+                self.level[x as usize] = level;
+                computed.push((level, x, instr));
                 continue;
             }
             if self.needed[x as usize] == self.stamp {
@@ -661,6 +732,130 @@ impl Compiler<'_> {
             _ => 0,
         }
     }
+
+    /// Resolves the counter-steered mux chains once for the `tapes` states.
+    /// A mux whose select reads only the counter and constants is a link of
+    /// the mux above it when it has that mux's width and `readers` counts
+    /// that mux's else-operand as its only reader. A head with links lists,
+    /// in state order, the arm of the first link whose select is non-zero
+    /// in each tape; the other tapes take the lowest link's else-operand.
+    fn resolve_chains(
+        &mut self,
+        order: &[u32],
+        live: &[bool],
+        reads: &[u8],
+        readers: Vec<u32>,
+        counters: &[u32],
+        tapes: u32,
+    ) {
+        let n = self.m.num_cells();
+        let base = &self.base;
+        let decoded = |c: u32| {
+            let mux = base[c as usize];
+            mux.op == Op::Mux && reads[mux.a as usize] == READS_COUNTER
+        };
+        // a chain's muxes from its head down to its lowest link
+        let links = |head: u32, low: u32| {
+            std::iter::successors(Some(head), move |&l| (l != low).then(|| base[l as usize].c))
+        };
+
+        // A link's reader comes after it in topological order, so every
+        // chain is met first at its head. `heads` holds each head with its
+        // lowest link, and `selects` every chained select once.
+        let mut chain_of = vec![NO_CHAIN; n];
+        let mut select_of = vec![NO_CHAIN; n];
+        let (mut heads, mut selects) = (Vec::new(), Vec::new());
+        for &c in order.iter().rev() {
+            if !live[c as usize] || chain_of[c as usize] == LINK || !decoded(c) {
+                continue;
+            }
+            let mut low = c;
+            loop {
+                let next = base[low as usize].c;
+                let same_width = base[next as usize].ext == base[c as usize].ext;
+                if !decoded(next) || !same_width || readers[next as usize] != 1 {
+                    break;
+                }
+                chain_of[next as usize] = LINK;
+                low = next;
+            }
+            if low == c {
+                continue;
+            }
+            heads.push((c, low));
+            for link in links(c, low) {
+                let s = base[link as usize].a;
+                if select_of[s as usize] == NO_CHAIN {
+                    select_of[s as usize] = selects.len() as u32;
+                    selects.push(s);
+                }
+            }
+        }
+
+        // The counter-only cones of the selects in topological order (a
+        // depth-first post-order), evaluated tape by tape.
+        let mut seen = readers;
+        seen.fill(0);
+        let mut cone = Vec::new();
+        let mut walk = std::mem::take(&mut self.walk);
+        for &s in &selects {
+            walk.push((s, false));
+            while let Some((x, finish)) = walk.pop() {
+                if finish {
+                    cone.push(x);
+                    continue;
+                }
+                let counter_only = reads[x as usize] == READS_COUNTER && !counters.contains(&x);
+                if seen[x as usize] == 0 && counter_only {
+                    seen[x as usize] = 1;
+                    walk.push((x, true));
+                    walk.extend(operands(&base[x as usize]).map(|o| (o, false)));
+                }
+            }
+        }
+        self.walk = walk;
+        // the tapes where each select is non-zero, one bit per tape
+        let mut decodes = vec![[0u64; 4]; selects.len()];
+        for state in 0..tapes {
+            for &f in counters {
+                self.value[f as usize] = sext(i64::from(state), 56);
+            }
+            for &x in &cone {
+                self.value[x as usize] = base[x as usize].eval_at(&self.value);
+            }
+            for (bits, &s) in decodes.iter_mut().zip(&selects) {
+                if self.value[s as usize] != 0 {
+                    bits[state as usize / 64] |= 1 << (state % 64);
+                }
+            }
+        }
+
+        for (head, low) in heads {
+            let start = self.chain_arms.len() as u32;
+            let mut taken = [0u64; 4];
+            for link in links(head, low) {
+                let mux = base[link as usize];
+                let bits = decodes[select_of[mux.a as usize] as usize];
+                for (w, (&decoded, taken)) in bits.iter().zip(&mut taken).enumerate() {
+                    let mut fresh = decoded & !*taken;
+                    *taken |= fresh;
+                    while fresh != 0 {
+                        let state = w as u32 * 64 + fresh.trailing_zeros();
+                        self.chain_arms.push((state, mux.b));
+                        fresh &= fresh - 1;
+                    }
+                }
+            }
+            self.chain_arms[start as usize..].sort_unstable();
+            chain_of[head as usize] = self.chains.len() as u32;
+            self.chains.push(Chain {
+                next: start,
+                end: self.chain_arms.len() as u32,
+                default: base[low as usize].c,
+            });
+        }
+        self.chain_of = chain_of;
+    }
 }
 
 impl<'a> NirSim<'a> {
@@ -674,11 +869,7 @@ impl<'a> NirSim<'a> {
     /// combinational cells cannot be topologically ordered.
     pub fn new(m: &'a NirModule) -> Result<Self, SimError> {
         let n = m.num_cells();
-        let stages = m.stages.max(1) as usize;
-        for (id, cell) in m.iter_cells() {
-            check_cell(id.index(), cell, n, stages)?;
-        }
-        let order = topo_order(m)?;
+        let (order, readers) = topo_order(m)?;
         let live = m.live_cells();
         let mut cc = Compiler {
             m,
@@ -691,11 +882,17 @@ impl<'a> NirSim<'a> {
             stamp: EVERY_STATE,
             pending: Vec::new(),
             walk: Vec::new(),
+            chain_of: Vec::new(),
+            chains: Vec::new(),
+            chain_arms: Vec::new(),
         };
         // Sources fold the same in every state, and so does every
         // combinational cell the counter does not reach.
         let mut counters = Vec::new();
-        let mut varies = vec![false; n];
+        let mut reads = vec![0u8; n];
+        // some mux whose select reads only the counter and constants has
+        // such a mux of its width as else-operand
+        let mut chained = false;
         let mut roots = Vec::new();
         for &c in &order {
             let cell = m.cell(CellId::from_raw(c));
@@ -708,7 +905,7 @@ impl<'a> NirSim<'a> {
                 }
                 CellKind::FsmState => {
                     counters.push(c);
-                    varies[c as usize] = true;
+                    reads[c as usize] = READS_COUNTER;
                 }
                 // stage 0 holds valid work from the first cycle on
                 CellKind::StageValid { stage: 0 } => cc.set(c, Fold::Const(-1)),
@@ -716,9 +913,11 @@ impl<'a> NirSim<'a> {
                 | CellKind::StageValid { .. }
                 | CellKind::FirstIter { .. } => {
                     cc.set(c, Fold::Source);
+                    reads[c as usize] = READS_OTHER;
                 }
                 CellKind::Reg { .. } => {
                     cc.set(c, Fold::Source);
+                    reads[c as usize] = READS_OTHER;
                     roots.push((
                         cell.inputs[1].index() as u32,
                         c,
@@ -727,9 +926,19 @@ impl<'a> NirSim<'a> {
                 }
                 _ => {
                     cc.base[c as usize] = instr_of(m, cell);
-                    varies[c as usize] = cell.inputs.iter().any(|i| varies[i.index()]);
-                    if !varies[c as usize] {
-                        cc.fold_of(c);
+                    let r = cell.inputs.iter().fold(0, |r, i| r | reads[i.index()]);
+                    if r & READS_COUNTER == 0 {
+                        let constant = matches!(cc.fold_of(c), Fold::Const(_));
+                        reads[c as usize] = if constant { 0 } else { READS_OTHER };
+                    } else {
+                        reads[c as usize] = r;
+                        let decoded =
+                            |x: Instr| x.op == Op::Mux && reads[x.a as usize] == READS_COUNTER;
+                        let mux = cc.base[c as usize];
+                        if decoded(mux) {
+                            let low = cc.base[mux.c as usize];
+                            chained |= decoded(low) && low.ext == mux.ext;
+                        }
                     }
                     if let CellKind::Output { .. } = cell.kind {
                         roots.push((cell.inputs[1].index() as u32, c, c));
@@ -746,6 +955,20 @@ impl<'a> NirSim<'a> {
         } else {
             m.fold_states.clamp(1, 256)
         };
+        if chained {
+            // each cell's combinational readers, and the registers it feeds
+            let mut readers = readers;
+            for c in 0..n {
+                readers[c] = readers[c + 1] - readers[c];
+            }
+            for &(enable, reg, data) in &roots {
+                if m.cell(CellId::from_raw(reg)).kind.is_seq() {
+                    readers[enable as usize] += 1;
+                    readers[data as usize] += 1;
+                }
+            }
+            cc.resolve_chains(&order, &live, &reads, readers, &counters, tapes);
+        }
         let mut slots = Slots {
             of_cell: vec![NO_SLOT; n],
             of_const: HashMap::new(),
@@ -778,32 +1001,47 @@ impl<'a> NirSim<'a> {
         let mut fired = Vec::new();
         let mut computed = Vec::new();
         let mut sources = Vec::new();
-        let (mut last, mut enabled) = (None, false);
-        for &(enable, cell, value) in roots {
-            if last != Some(enable) {
-                last = Some(enable);
-                enabled = !matches!(cc.fold_of(enable), Fold::Const(0));
-                if enabled {
-                    cc.need(enable, &mut computed, &mut sources);
-                }
+        let mut rest = roots;
+        while let Some(&(enable, _, _)) = rest.first() {
+            let (group, after) = rest.split_at(rest.partition_point(|r| r.0 == enable));
+            if !matches!(cc.fold_of(enable), Fold::Const(0)) {
+                cc.need(enable, &mut computed, &mut sources);
+                fired.extend(group.iter().map(|&(_, cell, value)| (cell, value)));
             }
-            if enabled {
-                fired.push((cell, value));
-            }
+            rest = after;
         }
         fired.sort_unstable();
         for &(_, value) in &fired {
             cc.need(value, &mut computed, &mut sources);
         }
 
-        // Entries of one level are independent: sort each level by opcode
-        // so the tape runs in long same-opcode segments.
-        computed.sort_by_key(|&(c, instr)| (cc.level[c as usize], instr.op));
+        // Entries of one level are independent: bucket the entries by level,
+        // then sort each level by opcode so the tape runs in long
+        // same-opcode segments.
+        let depth = computed.iter().map(|e| e.0).max().unwrap_or(0) as usize;
+        let mut at = vec![0u32; depth + 2];
+        for &(level, ..) in &computed {
+            at[level as usize + 1] += 1;
+        }
+        for l in 1..at.len() {
+            at[l] += at[l - 1];
+        }
+        let mut by_level = vec![(0, 0, NO_ENTRY); computed.len()];
+        for &e in &computed {
+            by_level[at[e.0 as usize] as usize] = e;
+            at[e.0 as usize] += 1;
+        }
+        let mut lo = 0;
+        for &hi in &at[..=depth] {
+            by_level[lo..hi as usize].sort_by_key(|e| e.2.op);
+            lo = hi as usize;
+        }
+        let computed = by_level;
         let mut tape = Tape::default();
-        for &(c, _) in &computed {
+        for &(_, c, _) in &computed {
             slots.cell(m, c);
         }
-        for (c, mut instr) in computed {
+        for (_, c, mut instr) in computed {
             instr.dst = slots.cell(m, c);
             instr.a = cc.slot(slots, instr.a);
             if instr.op.operands() > 1 {

@@ -416,6 +416,25 @@ fn operands(instr: &Instr) -> impl Iterator<Item = u32> {
         .take(instr.op.operands())
 }
 
+/// A chain's muxes from its head down to its lowest link, over the
+/// compiler's entries.
+fn links(base: &[Instr], head: u32, low: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors(Some(head), move |&l| (l != low).then(|| base[l as usize].c))
+}
+
+/// Calls `f` with each state set in `bits` and not in `taken`, in order,
+/// and adds those states to `taken`.
+fn take_states(bits: &[u64; 4], taken: &mut [u64; 4], mut f: impl FnMut(u32)) {
+    for (w, (&bits, taken)) in bits.iter().zip(taken).enumerate() {
+        let mut fresh = bits & !*taken;
+        *taken |= fresh;
+        while fresh != 0 {
+            f(w as u32 * 64 + fresh.trailing_zeros());
+            fresh &= fresh - 1;
+        }
+    }
+}
+
 /// What compiling one tape decides about a cell.
 #[derive(Clone, Copy, Debug)]
 enum Fold {
@@ -733,38 +752,27 @@ impl Compiler<'_> {
         }
     }
 
-    /// Resolves the counter-steered mux chains once for the `tapes` states.
-    /// A mux whose select reads only the counter and constants is a link of
-    /// the mux above it when it has that mux's width and `readers` counts
-    /// that mux's else-operand as its only reader. A head with links lists,
-    /// in state order, the arm of the first link whose select is non-zero
-    /// in each tape; the other tapes take the lowest link's else-operand.
-    fn resolve_chains(
+    /// Finds the counter-steered mux chains and marks their links. A mux
+    /// whose select reads only the counter and constants is a link of the
+    /// mux above it when it has that mux's width and `readers` counts that
+    /// mux's else-operand as its only reader. Returns each head with its
+    /// lowest link.
+    fn find_chains(
         &mut self,
         order: &[u32],
         live: &[bool],
         reads: &[u8],
-        readers: Vec<u32>,
-        counters: &[u32],
-        tapes: u32,
-    ) {
-        let n = self.m.num_cells();
+        readers: &[u32],
+    ) -> Vec<(u32, u32)> {
         let base = &self.base;
         let decoded = |c: u32| {
             let mux = base[c as usize];
             mux.op == Op::Mux && reads[mux.a as usize] == READS_COUNTER
         };
-        // a chain's muxes from its head down to its lowest link
-        let links = |head: u32, low: u32| {
-            std::iter::successors(Some(head), move |&l| (l != low).then(|| base[l as usize].c))
-        };
-
         // A link's reader comes after it in topological order, so every
-        // chain is met first at its head. `heads` holds each head with its
-        // lowest link, and `selects` every chained select once.
-        let mut chain_of = vec![NO_CHAIN; n];
-        let mut select_of = vec![NO_CHAIN; n];
-        let (mut heads, mut selects) = (Vec::new(), Vec::new());
+        // chain is met first at its head.
+        let mut chain_of = vec![NO_CHAIN; base.len()];
+        let mut heads = Vec::new();
         for &c in order.iter().rev() {
             if !live[c as usize] || chain_of[c as usize] == LINK || !decoded(c) {
                 continue;
@@ -779,26 +787,58 @@ impl Compiler<'_> {
                 chain_of[next as usize] = LINK;
                 low = next;
             }
-            if low == c {
-                continue;
+            if low != c {
+                heads.push((c, low));
             }
-            heads.push((c, low));
-            for link in links(c, low) {
-                let s = base[link as usize].a;
-                if select_of[s as usize] == NO_CHAIN {
-                    select_of[s as usize] = selects.len() as u32;
-                    selects.push(s);
+        }
+        self.chain_of = chain_of;
+        heads
+    }
+
+    /// Decodes, once for the `tapes` states, what reads exactly the
+    /// counter: the enables of `roots` (all such, sorted) and the selects
+    /// of the chains in `heads`. Their counter-only cones are evaluated
+    /// tape by tape. Each head gets a state-ordered list of the arm of its
+    /// first link whose select is non-zero in a tape, and the other tapes
+    /// take the lowest link's else-operand. Returns `(state, start, end)`
+    /// for each tape and each run `roots[start..end]` of one enable that
+    /// is non-zero in it, in state order.
+    fn decode(
+        &mut self,
+        roots: &[(u32, u32, u32)],
+        heads: Vec<(u32, u32)>,
+        reads: &[u8],
+        counters: &[u32],
+        tapes: u32,
+    ) -> Vec<(u32, u32, u32)> {
+        // the enables, then each chained select not among them
+        let mut cells: Vec<u32> = roots.iter().map(|r| r.0).collect();
+        cells.dedup();
+        let enables = cells.len();
+        let mut index_of = Vec::new();
+        if !heads.is_empty() {
+            index_of = vec![NO_CHAIN; self.base.len()];
+            for (i, &e) in cells.iter().enumerate() {
+                index_of[e as usize] = i as u32;
+            }
+            for &(head, low) in &heads {
+                for link in links(&self.base, head, low) {
+                    let s = self.base[link as usize].a;
+                    if index_of[s as usize] == NO_CHAIN {
+                        index_of[s as usize] = cells.len() as u32;
+                        cells.push(s);
+                    }
                 }
             }
         }
 
-        // The counter-only cones of the selects in topological order (a
-        // depth-first post-order), evaluated tape by tape.
-        let mut seen = readers;
-        seen.fill(0);
+        // The counter-only cones in topological order (a depth-first
+        // post-order), evaluated tape by tape.
+        let base = &self.base;
+        let mut seen = vec![false; base.len()];
         let mut cone = Vec::new();
         let mut walk = std::mem::take(&mut self.walk);
-        for &s in &selects {
+        for &s in &cells {
             walk.push((s, false));
             while let Some((x, finish)) = walk.pop() {
                 if finish {
@@ -806,16 +846,16 @@ impl Compiler<'_> {
                     continue;
                 }
                 let counter_only = reads[x as usize] == READS_COUNTER && !counters.contains(&x);
-                if seen[x as usize] == 0 && counter_only {
-                    seen[x as usize] = 1;
+                if !seen[x as usize] && counter_only {
+                    seen[x as usize] = true;
                     walk.push((x, true));
                     walk.extend(operands(&base[x as usize]).map(|o| (o, false)));
                 }
             }
         }
         self.walk = walk;
-        // the tapes where each select is non-zero, one bit per tape
-        let mut decodes = vec![[0u64; 4]; selects.len()];
+        // the tapes where each cell is non-zero, one bit per tape
+        let mut decodes = vec![[0u64; 4]; cells.len()];
         for state in 0..tapes {
             for &f in counters {
                 self.value[f as usize] = sext(i64::from(state), 56);
@@ -823,8 +863,8 @@ impl Compiler<'_> {
             for &x in &cone {
                 self.value[x as usize] = base[x as usize].eval_at(&self.value);
             }
-            for (bits, &s) in decodes.iter_mut().zip(&selects) {
-                if self.value[s as usize] != 0 {
+            for (bits, &c) in decodes.iter_mut().zip(&cells) {
+                if self.value[c as usize] != 0 {
                     bits[state as usize / 64] |= 1 << (state % 64);
                 }
             }
@@ -833,28 +873,34 @@ impl Compiler<'_> {
         for (head, low) in heads {
             let start = self.chain_arms.len() as u32;
             let mut taken = [0u64; 4];
-            for link in links(head, low) {
+            for link in links(base, head, low) {
                 let mux = base[link as usize];
-                let bits = decodes[select_of[mux.a as usize] as usize];
-                for (w, (&decoded, taken)) in bits.iter().zip(&mut taken).enumerate() {
-                    let mut fresh = decoded & !*taken;
-                    *taken |= fresh;
-                    while fresh != 0 {
-                        let state = w as u32 * 64 + fresh.trailing_zeros();
-                        self.chain_arms.push((state, mux.b));
-                        fresh &= fresh - 1;
-                    }
-                }
+                let bits = &decodes[index_of[mux.a as usize] as usize];
+                take_states(bits, &mut taken, |state| {
+                    self.chain_arms.push((state, mux.b))
+                });
             }
             self.chain_arms[start as usize..].sort_unstable();
-            chain_of[head as usize] = self.chains.len() as u32;
+            self.chain_of[head as usize] = self.chains.len() as u32;
             self.chains.push(Chain {
                 next: start,
                 end: self.chain_arms.len() as u32,
                 default: base[low as usize].c,
             });
         }
-        self.chain_of = chain_of;
+
+        let mut fires = Vec::new();
+        let mut start = 0;
+        for bits in &decodes[..enables] {
+            let enable = roots[start].0;
+            let end = start + roots[start..].partition_point(|r| r.0 == enable);
+            take_states(bits, &mut [0; 4], |state| {
+                fires.push((state, start as u32, end as u32))
+            });
+            start = end;
+        }
+        fires.sort_unstable();
+        fires
     }
 }
 
@@ -946,8 +992,12 @@ impl<'a> NirSim<'a> {
                 }
             }
         }
-        // Roots sharing an enable are decided together.
-        roots.sort_unstable();
+        // Roots sharing an enable are decided together. Those whose enable
+        // reads exactly the counter come first: they fire in the tapes
+        // where it decodes to non-zero. The others are decided per tape.
+        let counter_only = |r: &(u32, u32, u32)| reads[r.0 as usize] == READS_COUNTER;
+        roots.sort_unstable_by_key(|r| (!counter_only(r), *r));
+        let (decoded, undecided) = roots.split_at(roots.partition_point(counter_only));
         // The printed counter is eight bits wide, so states 256 apart
         // share a tape.
         let tapes = if counters.is_empty() {
@@ -955,6 +1005,7 @@ impl<'a> NirSim<'a> {
         } else {
             m.fold_states.clamp(1, 256)
         };
+        let mut heads = Vec::new();
         if chained {
             // each cell's combinational readers, and the registers it feeds
             let mut readers = readers;
@@ -967,8 +1018,13 @@ impl<'a> NirSim<'a> {
                     readers[data as usize] += 1;
                 }
             }
-            cc.resolve_chains(&order, &live, &reads, readers, &counters, tapes);
+            heads = cc.find_chains(&order, &live, &reads, &readers);
         }
+        let fires = if decoded.is_empty() && heads.is_empty() {
+            Vec::new()
+        } else {
+            cc.decode(decoded, heads, &reads, &counters, tapes)
+        };
         let mut slots = Slots {
             of_cell: vec![NO_SLOT; n],
             of_const: HashMap::new(),
@@ -982,26 +1038,45 @@ impl<'a> NirSim<'a> {
             num_states: m.num_states,
             module: PhantomData,
         };
+        let mut fires = fires.as_slice();
         for state in 0..tapes {
             cc.stamp = state + 1;
             for &c in &counters {
                 cc.set(c, Fold::Const(sext(i64::from(state), 56)));
             }
-            sim.push_tape(&mut cc, &mut slots, &roots);
+            let (firing, later) = fires.split_at(fires.partition_point(|f| f.0 == state));
+            fires = later;
+            let firing = firing
+                .iter()
+                .map(|&(_, start, end)| &decoded[start as usize..end as usize]);
+            sim.push_tape(&mut cc, &mut slots, firing, undecided);
         }
         sim.init = slots.init;
         Ok(sim)
     }
 
     /// Compiles the tape of the compiler's state: the cone of every capture
-    /// and port write whose enable does not fold to zero. `roots` holds
-    /// each register and port write as `(enable, cell, value)`, sorted.
-    fn push_tape(&mut self, cc: &mut Compiler, slots: &mut Slots, roots: &[(u32, u32, u32)]) {
+    /// and port write whose enable does not fold to zero. Roots are
+    /// registers and port writes as `(enable, cell, value)`: `firing` holds
+    /// runs of one enable known to be non-zero in the state, and `undecided`
+    /// the roots whose enable is decided here, sorted.
+    fn push_tape<'r>(
+        &mut self,
+        cc: &mut Compiler,
+        slots: &mut Slots,
+        firing: impl Iterator<Item = &'r [(u32, u32, u32)]>,
+        undecided: &[(u32, u32, u32)],
+    ) {
         let m = cc.m;
         let mut fired = Vec::new();
         let mut computed = Vec::new();
         let mut sources = Vec::new();
-        let mut rest = roots;
+        for group in firing {
+            // a constant in this tape, whose slot reads its fold
+            cc.fold_of(group[0].0);
+            fired.extend(group.iter().map(|&(_, cell, value)| (cell, value)));
+        }
+        let mut rest = undecided;
         while let Some(&(enable, _, _)) = rest.first() {
             let (group, after) = rest.split_at(rest.partition_point(|r| r.0 == enable));
             if !matches!(cc.fold_of(enable), Fold::Const(0)) {

@@ -1078,6 +1078,17 @@ mod tests {
     }
 
     #[test]
+    fn ports_named_like_verilog_keywords_are_refused() {
+        for name in ["reg", "wire", "module", "input"] {
+            assert_port_refused(&[name], 0, None);
+            let err = synthesize_product(&[name]).unwrap_err();
+            assert!(err.to_string().contains("Verilog reserves"), "{err}");
+        }
+        // sanitizing can land on a keyword too
+        assert_port_refused(&["x", "pulsestyle-onevent"], 1, None);
+    }
+
+    #[test]
     fn ports_whose_names_sanitize_alike_are_refused() {
         assert_port_refused(&["a b", "a_b"], 1, Some(0));
         // the first port in port order that clashes is named, with the

@@ -10,7 +10,9 @@ use crate::config::{Lint, LintConfig};
 use crate::sta::{cell_name, mux_fanins};
 use crate::LintContext;
 use hls_ir::{BitVal, CmpKind};
-use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS};
+use hls_nir::{
+    is_verilog_keyword, sanitize, BinKind, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS,
+};
 use std::collections::HashMap;
 
 /// A raw finding before severity assignment.
@@ -46,9 +48,10 @@ fn is_declared(kind: &CellKind) -> bool {
     )
 }
 
-/// Two distinct display names that sanitize to the same identifier: the
-/// printer keeps the first and silently renames the second to `n<id>`, so
-/// the emitted RTL no longer carries the name the lowering assigned.
+/// Two distinct display names that sanitize to the same identifier, or one
+/// that sanitizes to a Verilog keyword: the printer keeps the first and
+/// silently renames the second, or the keyword, to `n<id>`, so the emitted
+/// RTL no longer carries the name the lowering assigned.
 /// Unnamed cells print under fallback names that skip every taken
 /// identifier, and ports that clash are refused by `hls_nir::validate`.
 fn duplicate_net_names(m: &NirModule, out: &mut Vec<Finding>) {
@@ -67,6 +70,14 @@ fn duplicate_net_names(m: &NirModule, out: &mut Vec<Finding>) {
         }
         let Some(name) = &cell.name else { continue };
         let ident = sanitize(name);
+        if is_verilog_keyword(&ident) {
+            out.push((
+                Lint::DuplicateNetName,
+                Some(id),
+                format!("`{name}` sanitizes to the Verilog keyword `{ident}`; the printer will drop this name"),
+            ));
+            continue;
+        }
         match owner.get(&ident) {
             Some(prev) => out.push((
                 Lint::DuplicateNetName,
@@ -298,10 +309,13 @@ mod tests {
         named_cell(&mut m, CellKind::Resize, 8, vec![c], "a-b");
         // a name that collides with a reserved controller identifier
         named_cell(&mut m, CellKind::Resize, 8, vec![c], "state");
+        // and one that is a Verilog keyword
+        named_cell(&mut m, CellKind::Resize, 8, vec![c], "wire");
         let hits = findings_of(&m, Lint::DuplicateNetName);
-        assert_eq!(hits.len(), 2, "{hits:?}");
+        assert_eq!(hits.len(), 3, "{hits:?}");
         assert!(hits[0].2.contains("a_b"));
         assert!(hits[1].2.contains("reserved"));
+        assert!(hits[2].2.contains("Verilog keyword `wire`"));
         // distinct identifiers are fine
         let mut clean = NirModule::new("t");
         let c = clean.push(CellKind::Const(1), 8, vec![]);

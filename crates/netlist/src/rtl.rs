@@ -14,7 +14,10 @@
 //! the evaluator's defined results (`a / 0 = 0`, `a % 0 = a`).
 
 use hls_ir::BitVal;
-use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule, UnKind, RESERVED_IDENTIFIERS};
+use hls_nir::{
+    is_verilog_keyword, sanitize, BinKind, CellId, CellKind, NirModule, UnKind,
+    RESERVED_IDENTIFIERS,
+};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -89,8 +92,9 @@ impl<'a> Printer<'a> {
     fn new(m: &'a NirModule) -> Self {
         // Ports and fixed controller nets claim their identifiers first
         // (`hls_nir::validate` refuses ports that clash); an unnamed cell,
-        // or one whose name is taken, falls back to `n<id>`, or to
-        // `n<id>_<k>` with the first free `k` when that is taken too.
+        // or one whose name is taken or a Verilog keyword, falls back to
+        // `n<id>`, or to `n<id>_<k>` with the first free `k` when that is
+        // taken too. No keyword has the fallback's shape.
         let ports: Vec<String> = m.ports.iter().map(|p| sanitize(&p.name)).collect();
         let mut used: HashSet<String> = RESERVED_IDENTIFIERS
             .into_iter()
@@ -104,7 +108,7 @@ impl<'a> Printer<'a> {
                 continue;
             }
             let candidate = match cell.name.as_deref().map(sanitize) {
-                Some(name) if !used.contains(&name) => name,
+                Some(name) if !used.contains(&name) && !is_verilog_keyword(&name) => name,
                 _ => {
                     let mut name = format!("n{}", id.index());
                     for k in 1.. {
@@ -504,6 +508,18 @@ mod tests {
         assert!(v.contains("if (at_s0) v_acc <= w_sum;"), "{v}");
         assert!(v.contains("if (at_s1) out <= v_acc;"), "{v}");
         assert!(v.ends_with("endmodule\n"), "{v}");
+    }
+
+    #[test]
+    fn a_cell_named_like_a_keyword_prints_under_its_fallback() {
+        let mut m = accumulator();
+        m.cells[3].name = Some("reg".into());
+        m.cells[6].name = Some("wire".into());
+        validate(&m).unwrap();
+        let v = emit_verilog(&m);
+        assert!(v.contains("assign n3 = state == 8'sd0;"), "{v}");
+        assert!(v.contains("assign n6 = v_acc + x;"), "{v}");
+        assert!(v.contains("if (n3) v_acc <= n6;"), "{v}");
     }
 
     #[test]

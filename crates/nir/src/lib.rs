@@ -25,8 +25,8 @@ mod rewrite;
 pub mod validate;
 
 pub use model::{
-    sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind,
-    RESERVED_IDENTIFIERS,
+    is_verilog_keyword, sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind,
+    RESERVED_IDENTIFIERS, VERILOG_KEYWORDS,
 };
 pub use rewrite::{
     normalize, optimize, rebalance_operator_chains, retime_registers, strength_reduce_shifts,

@@ -553,6 +553,140 @@ impl NetlistStats {
 /// the controller; no port or cell prints as one of them.
 pub const RESERVED_IDENTIFIERS: [&str; 5] = ["clk", "rst", "state", "stage_valid", "first_iter"];
 
+/// The keywords of Verilog-2005 (IEEE 1364-2005, Annex B), sorted; no port
+/// or cell prints as one of them.
+pub const VERILOG_KEYWORDS: [&str; 124] = [
+    "always",
+    "and",
+    "assign",
+    "automatic",
+    "begin",
+    "buf",
+    "bufif0",
+    "bufif1",
+    "case",
+    "casex",
+    "casez",
+    "cell",
+    "cmos",
+    "config",
+    "deassign",
+    "default",
+    "defparam",
+    "design",
+    "disable",
+    "edge",
+    "else",
+    "end",
+    "endcase",
+    "endconfig",
+    "endfunction",
+    "endgenerate",
+    "endmodule",
+    "endprimitive",
+    "endspecify",
+    "endtable",
+    "endtask",
+    "event",
+    "for",
+    "force",
+    "forever",
+    "fork",
+    "function",
+    "generate",
+    "genvar",
+    "highz0",
+    "highz1",
+    "if",
+    "ifnone",
+    "incdir",
+    "include",
+    "initial",
+    "inout",
+    "input",
+    "instance",
+    "integer",
+    "join",
+    "large",
+    "liblist",
+    "library",
+    "localparam",
+    "macromodule",
+    "medium",
+    "module",
+    "nand",
+    "negedge",
+    "nmos",
+    "nor",
+    "noshowcancelled",
+    "not",
+    "notif0",
+    "notif1",
+    "or",
+    "output",
+    "parameter",
+    "pmos",
+    "posedge",
+    "primitive",
+    "pull0",
+    "pull1",
+    "pulldown",
+    "pullup",
+    "pulsestyle_ondetect",
+    "pulsestyle_onevent",
+    "rcmos",
+    "real",
+    "realtime",
+    "reg",
+    "release",
+    "repeat",
+    "rnmos",
+    "rpmos",
+    "rtran",
+    "rtranif0",
+    "rtranif1",
+    "scalared",
+    "showcancelled",
+    "signed",
+    "small",
+    "specify",
+    "specparam",
+    "strong0",
+    "strong1",
+    "supply0",
+    "supply1",
+    "table",
+    "task",
+    "time",
+    "tran",
+    "tranif0",
+    "tranif1",
+    "tri",
+    "tri0",
+    "tri1",
+    "triand",
+    "trior",
+    "trireg",
+    "unsigned",
+    "use",
+    "uwire",
+    "vectored",
+    "wait",
+    "wand",
+    "weak0",
+    "weak1",
+    "while",
+    "wire",
+    "wor",
+    "xnor",
+    "xor",
+];
+
+/// True when Verilog-2005 reserves `identifier` as a keyword.
+pub fn is_verilog_keyword(identifier: &str) -> bool {
+    VERILOG_KEYWORDS.binary_search(&identifier).is_ok()
+}
+
 /// Turns a display name into a safe Verilog identifier: non-alphanumerics
 /// become `_`, and an empty or digit-leading result is prefixed with `m`.
 pub fn sanitize(name: &str) -> String {
@@ -710,6 +844,17 @@ mod tests {
         assert_eq!(s.count_kind(&CellKind::Mux), 1);
         assert_eq!(s.outputs(), 0);
         assert_eq!(s.count("input"), 0);
+    }
+
+    #[test]
+    fn verilog_keywords_are_sorted_and_recognized() {
+        assert!(VERILOG_KEYWORDS.windows(2).all(|w| w[0] < w[1]));
+        for word in ["reg", "wire", "module", "always", "xor", "uwire"] {
+            assert!(is_verilog_keyword(word), "{word}");
+        }
+        for word in ["Reg", "regs", "clk", "w_1_mul", ""] {
+            assert!(!is_verilog_keyword(word), "{word}");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! iterative colour-marked DFS idiom as the scheduler's
 //! combinational-path walker.
 
-use crate::model::{sanitize, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS};
+use crate::model::{
+    is_verilog_keyword, sanitize, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS,
+};
 use hls_ir::eval::MAX_WIDTH;
 use hls_ir::{Port, PortDirection};
 use std::borrow::{Borrow, Cow};
@@ -79,8 +81,9 @@ pub enum NirError {
         cell: CellId,
     },
     /// A port prints as a Verilog identifier that is already taken: an
-    /// earlier port's name sanitizes to the same text, or the controller
-    /// declares it ([`RESERVED_IDENTIFIERS`]).
+    /// earlier port's name sanitizes to the same text, the controller
+    /// declares it ([`RESERVED_IDENTIFIERS`]), or Verilog reserves it as a
+    /// keyword ([`crate::VERILOG_KEYWORDS`]).
     PortNameClash {
         /// Index of the port.
         port: u32,
@@ -89,7 +92,7 @@ pub enum NirError {
         /// The identifier the port prints as.
         identifier: String,
         /// The earlier port printing as the same identifier; `None` when
-        /// the controller declares it.
+        /// the controller declares it or Verilog reserves it.
         earlier: Option<u32>,
     },
 }
@@ -137,6 +140,9 @@ impl fmt::Display for NirError {
                 write!(f, "port {port} `{name}` prints as `{identifier}`, ")?;
                 match earlier {
                     Some(earlier) => write!(f, "as port {earlier} does"),
+                    None if is_verilog_keyword(identifier) => {
+                        write!(f, "which Verilog reserves as a keyword")
+                    }
                     None => write!(f, "which the controller declares"),
                 }
             }
@@ -160,7 +166,7 @@ fn identifier(name: &str) -> Cow<'_, str> {
 
 /// Checks that every port prints as a Verilog identifier of its own: no two
 /// port names sanitize to the same text, and none to an identifier the
-/// controller declares.
+/// controller declares or to a Verilog keyword.
 ///
 /// # Errors
 /// [`NirError::PortNameClash`] naming the first port, in port order, whose
@@ -182,7 +188,7 @@ pub fn check_port_names<P: Borrow<Port>>(ports: &[P]) -> Result<(), NirError> {
             holder = *p;
         }
         let earlier = (holder != *p).then_some(holder);
-        let reserved = RESERVED_IDENTIFIERS.contains(&ident.as_ref());
+        let reserved = RESERVED_IDENTIFIERS.contains(&ident.as_ref()) || is_verilog_keyword(ident);
         if (earlier.is_some() || reserved) && clash.map_or(true, |(first, _)| *p < first) {
             clash = Some((*p, earlier));
         }

@@ -440,6 +440,8 @@ pub fn run_sweep(
 }
 
 /// The three-stage kill pipeline; `None` means the mutant escaped.
+/// `analyze` validates the mutant first and leaves a malformed one without
+/// a timing summary, so `validate` runs again only to word that kill.
 fn kill(
     mutant: &NirModule,
     ctx: &LintContext,
@@ -447,13 +449,15 @@ fn kill(
     baseline_counts: &[usize; Lint::ALL.len()],
     reference: &Reference,
 ) -> Option<FaultOutcome> {
-    if let Err(e) = validate(mutant) {
-        return Some(FaultOutcome::Killed {
-            by: Checker::Validator,
-            detail: e.to_string(),
-        });
-    }
     let report = analyze(mutant, ctx, &config.lint);
+    if report.timing.is_none() {
+        if let Err(e) = validate(mutant) {
+            return Some(FaultOutcome::Killed {
+                by: Checker::Validator,
+                detail: e.to_string(),
+            });
+        }
+    }
     let counts = report.counts();
     for (i, lint) in Lint::ALL.iter().enumerate() {
         if counts[i] > baseline_counts[i] {

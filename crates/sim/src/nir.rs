@@ -1644,13 +1644,13 @@ mod tests {
     #[test]
     fn a_steering_chain_takes_the_arm_of_its_first_decoded_link() {
         // Four links over six states: the third link decodes states 3 and
-        // 4, the fourth decodes state 1 again and loses to the second, and
-        // states 2 and 5 take the default arm.
+        // 4, the fourth decodes state 1 again and loses to the second (its
+        // arm is the older cell), and states 2 and 5 take the default arm.
         let (mut m, x, fsm) = steering_module(6, 1, &[8; 5], &["y"]);
         let [s0, s1, s3, s4] = [0, 1, 3, 4].map(|k| decode(&mut m, fsm, k));
         let s34 = m.push(CellKind::Bin(BinKind::Or), 1, vec![s3, s4]);
         let sum = m.push(CellKind::Bin(BinKind::Add), 8, vec![x[2], x[3]]);
-        let l3 = m.push(CellKind::Mux, 8, vec![s1, x[3], x[4]]);
+        let l3 = m.push(CellKind::Mux, 8, vec![s1, x[0], x[4]]);
         let l2 = m.push(CellKind::Mux, 8, vec![s34, sum, l3]);
         let l1 = m.push(CellKind::Mux, 8, vec![s1, x[1], l2]);
         let head = m.push(CellKind::Mux, 8, vec![s0, x[0], l1]);
@@ -1669,21 +1669,25 @@ mod tests {
 
     #[test]
     fn a_narrower_link_truncates_the_arms_below_it() {
-        // The middle link is 4 bits wide, as a width-narrowing mutant
-        // leaves it: the arms it and the link below it select are read
-        // through its truncation, the head's own arm is not.
-        let (mut m, x, fsm) = steering_module(4, 1, &[8; 4], &["y"]);
-        let [s0, s1, s2] = [0, 1, 2].map(|k| decode(&mut m, fsm, k));
-        let l2 = m.push(CellKind::Mux, 8, vec![s2, x[2], x[3]]);
-        let l1 = m.push(CellKind::Mux, 4, vec![s1, x[1], l2]);
+        // The third link is 4 bits wide, as a width-narrowing mutant
+        // leaves it: the arms it and the links below it select are read
+        // through its truncation, the arms above it are not.
+        let (mut m, x, fsm) = steering_module(5, 1, &[8; 5], &["y"]);
+        let [s0, s1, s2, s3] = [0, 1, 2, 3].map(|k| decode(&mut m, fsm, k));
+        let l3 = m.push(CellKind::Mux, 8, vec![s3, x[3], x[4]]);
+        let l2 = m.push(CellKind::Mux, 4, vec![s2, x[2], l3]);
+        let l1 = m.push(CellKind::Mux, 8, vec![s1, x[1], l2]);
         let head = m.push(CellKind::Mux, 8, vec![s0, x[0], l1]);
-        write_always(&mut m, 4, head);
-        let values: [&[i64]; 2] = [&[0x35, 0x1B, 0x27, 0x0F], &[-3, 0x18, -9, 0x40]];
-        let expected = every_cycle(&values, 4, 4, |state, v| match state {
-            0 => v[0],
+        write_always(&mut m, 5, head);
+        let values: [&[i64]; 2] = [&[0x35, 0x1B, 0x27, 0x0F, 0x2A], &[-3, 0x18, -9, 0x40, 5]];
+        let expected = every_cycle(&values, 5, 5, |state, v| match state {
+            0 | 1 => v[state as usize],
             s => sext(v[s as usize], 60),
         });
-        assert_eq!(expected[1..4], [(1, 0, 4, -5), (2, 0, 4, 7), (3, 0, 4, -1)]);
+        assert_eq!(
+            expected[1..5],
+            [(1, 0, 5, 0x1B), (2, 0, 5, 7), (3, 0, 5, -1), (4, 0, 5, -6)]
+        );
         assert_eq!(timed_writes(&m, rows_of(&values)), expected);
     }
 

@@ -5,7 +5,9 @@
 //! differentially bit-exact against the reference interpreter after the
 //! untimed and the timed rewrites. A fuzz property edits the public fields
 //! of lowered modules and requires every consumer to end in a typed error
-//! or a result, never a panic. A coverage test checks that the generated
+//! or a result, never a panic. A chain property breaks every mux chain
+//! apart and requires the simulator's write trace to stay the same, on
+//! lowered modules and on their edits. A coverage test checks that the generated
 //! programs reach every operation and cell kind, a `while` loop and a
 //! nested `if`, so a kind the generator stops producing fails a test.
 
@@ -17,7 +19,7 @@ use hls::netlist::{emit_verilog, ChainTiming};
 use hls::nir::{validate, BinKind, CellId, CellKind, NirModule, UnKind};
 use hls::opt::linearize::prepare_innermost_loop;
 use hls::sched::{Scheduler, SchedulerConfig};
-use hls::sim::{differential, NirSim};
+use hls::sim::{differential, NirSim, Stimulus, TimedWrite};
 use hls::tech::{ClockConstraint, TechLibrary};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -259,6 +261,46 @@ fn consume(m: &NirModule) {
     hls::nir::optimize(&mut m.clone());
 }
 
+/// `m` with an identity `Resize` on the else-operand of every mux, so that
+/// no mux reads another mux as its else-operand and the simulator's
+/// compiler folds every mux on its own. The resize is 64 bits wide, which
+/// keeps every value. Operand ids outside `m` stay outside the result.
+fn unchain(m: &NirModule) -> NirModule {
+    let n = m.cells.len() as u32;
+    let muxes = m
+        .cells
+        .iter()
+        .filter(|c| matches!(c.kind, CellKind::Mux) && c.inputs.len() == 3)
+        .count() as u32;
+    let mut out = m.clone();
+    for cell in &mut out.cells {
+        for input in &mut cell.inputs {
+            if input.index() as u32 >= n {
+                *input = CellId::from_raw(input.index() as u32 + muxes);
+            }
+        }
+    }
+    for c in 0..n as usize {
+        if matches!(out.cells[c].kind, CellKind::Mux) && out.cells[c].inputs.len() == 3 {
+            let low = out.cells[c].inputs[2];
+            out.cells[c].inputs[2] = out.push(CellKind::Resize, 64, vec![low]);
+        }
+    }
+    out
+}
+
+/// The writes of `m` over `stimulus`, or `None` when it does not compile.
+/// A module whose header would run for more than 50 000 cycles is only
+/// compiled, and reads as no writes.
+fn writes(m: &NirModule, stimulus: &Stimulus) -> Option<Vec<TimedWrite>> {
+    let sim = NirSim::new(m).ok()?;
+    let cycles = stimulus.iterations() as u64 * u64::from(m.fold_states) + u64::from(m.num_states);
+    if cycles > 50_000 {
+        return Some(Vec::new());
+    }
+    Some(sim.run(stimulus).expect("a compiled module runs").writes)
+}
+
 /// The fields of `mutant` that differ from `m`, for a failure report.
 fn edits(m: &NirModule, mutant: &NirModule) -> String {
     let mut out = Vec::new();
@@ -335,6 +377,42 @@ proptest! {
 
         differential::random_check_nir(&body, &m, 40, seed)
             .map_err(|e| TestCaseError::fail(format!("seed {seed}: differential: {e}")))?;
+    }
+
+    /// Breaking the mux chains apart changes no write: each case lowers one
+    /// random program, and the program's module and 16 mutants of it (see
+    /// [`mutate`]) must simulate to the same write trace before and after
+    /// [`unchain`], or fail to compile on both sides.
+    #[test]
+    fn unchained_muxes_simulate_as_their_chains_do(
+        seed in 0u64..10_000,
+        pipelined in any::<bool>(),
+        shared in any::<bool>(),
+    ) {
+        let Some((body, m)) = lowered(seed, pipelined, shared)? else {
+            return Ok(());
+        };
+        let stimulus = Stimulus::random(&body.dfg, 8, seed);
+        let mut rng = SmallRng::seed_from_u64(seed.rotate_left(32));
+        for k in 0..=16 {
+            let mut mutant = m.clone();
+            if k > 0 {
+                mutate(&mut mutant, &mut rng);
+            }
+            let chained = writes(&mutant, &stimulus);
+            let unchained = writes(&unchain(&mutant), &stimulus);
+            prop_assert!(
+                chained == unchained,
+                "seed {}, mutant {}: {} compile(s) and {} write(s) chained, {} and {} unchained; edited fields:\n{}",
+                seed,
+                k,
+                u8::from(chained.is_some()),
+                chained.as_ref().map_or(0, Vec::len),
+                u8::from(unchained.is_some()),
+                unchained.as_ref().map_or(0, Vec::len),
+                edits(&m, &mutant)
+            );
+        }
     }
 
     /// Edited netlists never panic a consumer. Each case lowers one random

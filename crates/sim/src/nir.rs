@@ -33,6 +33,22 @@
 //! a single one when no live cell reads the counter. Cells that do not
 //! depend on the counter are folded once for all tapes.
 //!
+//! Cells that read only the counter and constants (`state == k` and its
+//! `and`/`or`/`not` combinations) are decoded once per netlist, tape by
+//! tape, when a steering chain's select or a capture's enable needs them.
+//! A mux whose select is such a cell is a *link* of the mux above it when
+//! it has that mux's width and that mux's else-operand is its only reader;
+//! the topmost mux of a run of links is the chain's *head*. Each head gets
+//! a state-ordered list of the arm of its first link whose select is
+//! non-zero in a tape, and the other tapes take the lowest link's
+//! else-operand. A tape then folds the head as a mux whose select picked
+//! that arm, with the same rules, so it never visits the links; since the
+//! links share the head's width, reading the arm through the head alone
+//! changes no value. Tapes are compiled in state order, and each head
+//! reads its list through a cursor. Captures and port writes whose enable
+//! reads only the counter are listed by the tapes their enable fires in,
+//! so a tape visits only those and the ones it must fold.
+//!
 //! Within a level a tape is sorted by opcode, so [`NirSim::run`] walks it
 //! as a short list of same-opcode runs with one dispatch per run, reads
 //! input ports from a dense (iteration × port) table, and ends each cycle
@@ -288,35 +304,41 @@ fn check_cell(index: usize, cell: &Cell, n: usize, stages: usize) -> Result<(), 
     Ok(())
 }
 
-/// Checks every cell, then orders them by Kahn's algorithm over the
+/// Checks every cell, then orders them topologically over the
 /// combinational edges (register inputs are sampled at the clock edge and
-/// carry none). Every cell is returned; cells on a combinational cycle are
-/// an error. Cell `c` has `readers[c + 1] - readers[c]` combinational
-/// readers.
+/// carry none): by id when every edge runs to a higher id, as the lowering
+/// emits them, and by Kahn's algorithm otherwise. Every cell is returned;
+/// cells on a combinational cycle are an error. Cell `c` has
+/// `readers[c + 1] - readers[c]` combinational readers.
 fn topo_order(m: &NirModule) -> Result<(Vec<u32>, Vec<u32>), SimError> {
     let n = m.num_cells();
     let stages = m.stages.max(1) as usize;
-    let mut indeg = vec![0u32; n];
     let mut start = vec![0u32; n + 1];
+    let mut ascending = true;
     for (id, cell) in m.iter_cells() {
         check_cell(id.index(), cell, n, stages)?;
         if cell.kind.is_seq() {
             continue;
         }
-        indeg[id.index()] = cell.inputs.len() as u32;
         for input in &cell.inputs {
             start[input.index() + 1] += 1;
+            ascending &= input.index() < id.index();
         }
     }
     for i in 0..n {
         start[i + 1] += start[i];
     }
+    if ascending {
+        return Ok(((0..n as u32).collect(), start));
+    }
+    let mut indeg = vec![0u32; n];
     let mut fill = start.clone();
     let mut fanout = vec![0u32; start[n] as usize];
     for (id, cell) in m.iter_cells() {
         if cell.kind.is_seq() {
             continue;
         }
+        indeg[id.index()] = cell.inputs.len() as u32;
         for input in &cell.inputs {
             fanout[fill[input.index()] as usize] = id.index() as u32;
             fill[input.index()] += 1;
@@ -460,6 +482,20 @@ const NO_ENTRY: Instr = Instr {
     c: 0,
 };
 
+/// Buffers a tape's compile fills, kept from tape to tape.
+#[derive(Default)]
+struct Scratch {
+    /// The `(cell, value)` of each capture and port write that fires.
+    fired: Vec<(u32, u32)>,
+    /// The cone's entries as `(level, cell, entry)`, in topological order
+    /// and then by level.
+    computed: Vec<(u32, u32, Instr)>,
+    by_level: Vec<(u32, u32, Instr)>,
+    /// Where each level starts in `by_level`.
+    at: Vec<u32>,
+    sources: Vec<u32>,
+}
+
 /// Slot allocation, shared by every tape: a cell keeps one slot in all of
 /// them, and each distinct folded value gets one constant slot that no
 /// tape writes.
@@ -536,7 +572,8 @@ struct Chain {
 /// cone when its `needed` stamp is the tape's.
 struct Compiler<'m> {
     m: &'m NirModule,
-    /// Each combinational cell's entry, with operand cell ids.
+    /// Each combinational cell's entry, with operand cell ids; a source's
+    /// holds only the `ext` of its values.
     base: Vec<Instr>,
     fold: Vec<Fold>,
     /// The value of each cell folded to a constant, where
@@ -574,16 +611,9 @@ impl Compiler<'_> {
 
     /// `64 - width` of the values a computed or source cell's slot holds.
     fn value_ext(&self, c: u32) -> u8 {
-        match self.fold[c as usize] {
-            Fold::Entry(instr) => instr.ext,
-            _ => match self.m.cell(CellId::from_raw(c)) {
-                Cell {
-                    kind: CellKind::StageValid { .. } | CellKind::FirstIter { .. },
-                    ..
-                } => 63,
-                cell => ext_of(cell.width),
-            },
-        }
+        // a computed cell's entry keeps its base width, and a source's
+        // base entry holds only this
+        self.base[c as usize].ext
     }
 
     /// The arm chain head `c` selects in this tape, or `None` when `c`
@@ -733,6 +763,14 @@ impl Compiler<'_> {
     /// The slot a consumer in this tape reads `c`'s value from.
     fn slot(&self, slots: &mut Slots, c: u32) -> u32 {
         match self.fold[c as usize] {
+            // a constant in every tape keeps the slot it first reads, and
+            // has no slot of its own that this could shadow
+            Fold::Const(v) if self.folded[c as usize] == EVERY_STATE => {
+                if slots.of_cell[c as usize] == NO_SLOT {
+                    slots.of_cell[c as usize] = slots.constant(v);
+                }
+                slots.of_cell[c as usize]
+            }
             Fold::Const(v) => slots.constant(v),
             Fold::Alias(target) => slots.cell(self.m, target),
             _ => slots.cell(self.m, c),
@@ -955,14 +993,19 @@ impl<'a> NirSim<'a> {
                 }
                 // stage 0 holds valid work from the first cycle on
                 CellKind::StageValid { stage: 0 } => cc.set(c, Fold::Const(-1)),
-                CellKind::Input { .. }
-                | CellKind::StageValid { .. }
-                | CellKind::FirstIter { .. } => {
+                CellKind::StageValid { .. } | CellKind::FirstIter { .. } => {
                     cc.set(c, Fold::Source);
+                    cc.base[c as usize].ext = 63;
+                    reads[c as usize] = READS_OTHER;
+                }
+                CellKind::Input { .. } => {
+                    cc.set(c, Fold::Source);
+                    cc.base[c as usize].ext = ext_of(cell.width);
                     reads[c as usize] = READS_OTHER;
                 }
                 CellKind::Reg { .. } => {
                     cc.set(c, Fold::Source);
+                    cc.base[c as usize].ext = ext_of(cell.width);
                     reads[c as usize] = READS_OTHER;
                     roots.push((
                         cell.inputs[1].index() as u32,
@@ -1039,6 +1082,7 @@ impl<'a> NirSim<'a> {
             module: PhantomData,
         };
         let mut fires = fires.as_slice();
+        let mut scratch = Scratch::default();
         for state in 0..tapes {
             cc.stamp = state + 1;
             for &c in &counters {
@@ -1049,7 +1093,7 @@ impl<'a> NirSim<'a> {
             let firing = firing
                 .iter()
                 .map(|&(_, start, end)| &decoded[start as usize..end as usize]);
-            sim.push_tape(&mut cc, &mut slots, firing, undecided);
+            sim.push_tape(&mut cc, &mut slots, &mut scratch, firing, undecided);
         }
         sim.init = slots.init;
         Ok(sim)
@@ -1064,13 +1108,21 @@ impl<'a> NirSim<'a> {
         &mut self,
         cc: &mut Compiler,
         slots: &mut Slots,
+        scratch: &mut Scratch,
         firing: impl Iterator<Item = &'r [(u32, u32, u32)]>,
         undecided: &[(u32, u32, u32)],
     ) {
         let m = cc.m;
-        let mut fired = Vec::new();
-        let mut computed = Vec::new();
-        let mut sources = Vec::new();
+        let Scratch {
+            fired,
+            computed,
+            by_level,
+            at,
+            sources,
+        } = scratch;
+        fired.clear();
+        computed.clear();
+        sources.clear();
         for group in firing {
             // a constant in this tape, whose slot reads its fold
             cc.fold_of(group[0].0);
@@ -1080,29 +1132,31 @@ impl<'a> NirSim<'a> {
         while let Some(&(enable, _, _)) = rest.first() {
             let (group, after) = rest.split_at(rest.partition_point(|r| r.0 == enable));
             if !matches!(cc.fold_of(enable), Fold::Const(0)) {
-                cc.need(enable, &mut computed, &mut sources);
+                cc.need(enable, computed, sources);
                 fired.extend(group.iter().map(|&(_, cell, value)| (cell, value)));
             }
             rest = after;
         }
         fired.sort_unstable();
-        for &(_, value) in &fired {
-            cc.need(value, &mut computed, &mut sources);
+        for &(_, value) in fired.iter() {
+            cc.need(value, computed, sources);
         }
 
         // Entries of one level are independent: bucket the entries by level,
         // then sort each level by opcode so the tape runs in long
         // same-opcode segments.
         let depth = computed.iter().map(|e| e.0).max().unwrap_or(0) as usize;
-        let mut at = vec![0u32; depth + 2];
-        for &(level, ..) in &computed {
+        at.clear();
+        at.resize(depth + 2, 0);
+        for &(level, ..) in computed.iter() {
             at[level as usize + 1] += 1;
         }
         for l in 1..at.len() {
             at[l] += at[l - 1];
         }
-        let mut by_level = vec![(0, 0, NO_ENTRY); computed.len()];
-        for &e in &computed {
+        by_level.clear();
+        by_level.resize(computed.len(), (0, 0, NO_ENTRY));
+        for &e in computed.iter() {
             by_level[at[e.0 as usize] as usize] = e;
             at[e.0 as usize] += 1;
         }
@@ -1111,12 +1165,14 @@ impl<'a> NirSim<'a> {
             by_level[lo..hi as usize].sort_by_key(|e| e.2.op);
             lo = hi as usize;
         }
-        let computed = by_level;
-        let mut tape = Tape::default();
-        for &(_, c, _) in &computed {
+        let mut tape = Tape {
+            entries: Vec::with_capacity(by_level.len()),
+            ..Tape::default()
+        };
+        for &(_, c, _) in by_level.iter() {
             slots.cell(m, c);
         }
-        for (_, c, mut instr) in computed {
+        for &(_, c, mut instr) in by_level.iter() {
             instr.dst = slots.cell(m, c);
             instr.a = cc.slot(slots, instr.a);
             if instr.op.operands() > 1 {
@@ -1135,7 +1191,7 @@ impl<'a> NirSim<'a> {
             tape.entries.push(instr);
         }
 
-        for &c in &sources {
+        for &c in sources.iter() {
             let cell = m.cell(CellId::from_raw(c));
             let slot = slots.cell(m, c);
             match cell.kind {
@@ -1166,7 +1222,7 @@ impl<'a> NirSim<'a> {
             }
         }
 
-        for &(r, _) in &fired {
+        for &(r, _) in fired.iter() {
             let cell = m.cell(CellId::from_raw(r));
             let enable = cc.slot(slots, cell.inputs[1].index() as u32);
             match cell.kind {

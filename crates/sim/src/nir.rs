@@ -875,10 +875,9 @@ impl Compiler<'_> {
         let base = &self.base;
         let mut seen = vec![false; base.len()];
         let mut cone = Vec::new();
-        let mut walk = std::mem::take(&mut self.walk);
         for &s in &cells {
-            walk.push((s, false));
-            while let Some((x, finish)) = walk.pop() {
+            self.walk.push((s, false));
+            while let Some((x, finish)) = self.walk.pop() {
                 if finish {
                     cone.push(x);
                     continue;
@@ -886,12 +885,12 @@ impl Compiler<'_> {
                 let counter_only = reads[x as usize] == READS_COUNTER && !counters.contains(&x);
                 if !seen[x as usize] && counter_only {
                     seen[x as usize] = true;
-                    walk.push((x, true));
-                    walk.extend(operands(&base[x as usize]).map(|o| (o, false)));
+                    self.walk.push((x, true));
+                    self.walk
+                        .extend(operands(&base[x as usize]).map(|o| (o, false)));
                 }
             }
         }
-        self.walk = walk;
         // the tapes where each cell is non-zero, one bit per tape
         let mut decodes = vec![[0u64; 4]; cells.len()];
         for state in 0..tapes {

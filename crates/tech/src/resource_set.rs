@@ -41,6 +41,17 @@ pub struct ResourceInstance {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResourceSet {
     instances: Vec<ResourceInstance>,
+    /// The classes of the instances, in first-added order, each with its
+    /// mnemonic and its number of instances.
+    classes: Vec<ClassCount>,
+}
+
+/// One class of a [`ResourceSet`]'s instances and how many it has.
+#[derive(Clone, Debug, PartialEq)]
+struct ClassCount {
+    class: ResourceClass,
+    mnemonic: String,
+    count: usize,
 }
 
 impl ResourceSet {
@@ -49,11 +60,25 @@ impl ResourceSet {
         Self::default()
     }
 
-    /// Adds an instance of the given type, auto-naming it `<type>#<k>`.
+    /// Adds an instance of the given type, naming it after its class's
+    /// mnemonic and its ordinal within the class (`mul1`, `mul2`, `add1`).
+    /// Costs one name, not a scan of the set: the class counts are kept.
     pub fn add(&mut self, ty: ResourceType) -> ResourceInstanceId {
         let id = ResourceInstanceId(self.instances.len() as u32);
-        let ordinal = self.count_of_class(&ty.class) + 1;
-        let name = format!("{}{}", ty.class.mnemonic(), ordinal);
+        let k = match self.classes.iter().position(|c| c.class == ty.class) {
+            Some(k) => k,
+            None => {
+                self.classes.push(ClassCount {
+                    class: ty.class.clone(),
+                    mnemonic: ty.class.mnemonic(),
+                    count: 0,
+                });
+                self.classes.len() - 1
+            }
+        };
+        let class = &mut self.classes[k];
+        class.count += 1;
+        let name = format!("{}{}", class.mnemonic, class.count);
         self.instances.push(ResourceInstance { id, ty, name });
         id
     }
@@ -88,10 +113,10 @@ impl ResourceSet {
 
     /// Number of instances of a given class.
     pub fn count_of_class(&self, class: &ResourceClass) -> usize {
-        self.instances
+        self.classes
             .iter()
-            .filter(|i| &i.ty.class == class)
-            .count()
+            .find(|c| &c.class == class)
+            .map_or(0, |c| c.count)
     }
 
     /// Histogram of instance counts per type, in deterministic order.
@@ -149,6 +174,34 @@ mod tests {
         let b = set.add(mul32());
         assert_eq!(set.instance(a).name, "mul1");
         assert_eq!(set.instance(b).name, "mul2");
+    }
+
+    #[test]
+    fn interleaved_classes_are_numbered_apart() {
+        let mut set = ResourceSet::new();
+        let types = [
+            mul32(),
+            add32(),
+            ResourceType::mux(2, 16),
+            mul32(),
+            ResourceType::binary(ResourceClass::Multiplier, 16, 16, 16),
+            ResourceType::mux(3, 16),
+            add32(),
+            ResourceType::mux(2, 32),
+            ResourceType::register(8),
+            add32(),
+        ];
+        for ty in types {
+            set.add(ty);
+        }
+        let names: Vec<&str> = set.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["mul1", "add1", "mux21", "mul2", "mul3", "mux31", "add2", "mux22", "ff1", "add3"]
+        );
+        assert_eq!(set.count_of_class(&ResourceClass::Multiplier), 3);
+        assert_eq!(set.count_of_class(&ResourceClass::Mux { inputs: 2 }), 2);
+        assert_eq!(set.count_of_class(&ResourceClass::Divider), 0);
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //! predicated op, which may share an occupied instance with a mutually
 //! exclusive one, reads the busy lists. The combinational-cycle graph is an
 //! adjacency `Vec` over region-local resource indices with epoch-marked DFS
-//! over a reused stack. Nothing on the placement path hashes a key. A
-//! successful placement allocates nothing beyond the amortized growth of
-//! those tables; a failed one allocates its counted restraint list — one
-//! entry per distinct (kind, type) or (kind, slack), not one per busy
-//! instance.
+//! over a reused stack. Nothing on the placement path hashes a key, and no
+//! placement, failed or not, allocates beyond the amortized growth of
+//! those tables. A failed attempt appends its reasons to its region's
+//! reason arena, a `Vec` of small `Copy` entries: one per distinct busy
+//! type (interned) or slack, counted as the public [`Restraint`]s are, one
+//! per cycle-closing instance and one for a closing SCC window. The op's
+//! `last_reasons` holds the attempt's span of the arena. The public
+//! restraints, with their `ResourceType` clones, are built only when a
+//! failed pass's report is assembled.
 //!
 //! A round's ready list is read from a bitset over the region's priority
 //! ranks that holds each unplaced op whose same-region producers are all
@@ -57,11 +61,13 @@
 //! The greedy pass is deterministic: given (latency, resources, forbidden
 //! bindings, SCC stages, upstream interface states) a region always makes
 //! the same decisions in the same order. Each region journals every write
-//! to its mutable state, with a mark at the start of every control step, and
-//! carries a private `resume` watermark. Resuming at a step undoes the
-//! writes made since its mark, so a resume costs what it undoes, not the
-//! size of the region. A relaxation action dirties only the regions that
-//! can observe it:
+//! to its mutable state, with a mark at the start of every control step
+//! that also holds the reason arena's length, and carries a private
+//! `resume` watermark. Resuming at a step undoes the writes made since its
+//! mark and truncates the arena to it, so a resume costs what it undoes,
+//! not the size of the region, and the arena holds only the live steps'
+//! reasons. A relaxation action dirties only the regions that can observe
+//! it:
 //!
 //! * `AddState` — every region continues from the previous final state,
 //!   unless mobility saturation swapped two of its ops in the priority
@@ -91,7 +97,9 @@
 use crate::config::SchedulerConfig;
 use crate::pass::PassFailure;
 use crate::region::RegionPlan;
-use crate::relax::{count_contention, count_slack, RelaxAction, Restraint};
+#[cfg(test)]
+use crate::relax::{count_contention, count_slack};
+use crate::relax::{RelaxAction, Restraint};
 use hls_ir::analysis::Scc;
 use hls_ir::{LinearBody, OpId, OpKind, PinnedState};
 use hls_netlist::ChainTiming;
@@ -616,9 +624,10 @@ struct Slot {
     fold_states: u32,
 }
 
-/// What a placement scan found.
+/// What a placement scan found. The scan reports its reasons as a [`Span`]
+/// of the region's reason arena; the walk oracle reports a restraint list.
 #[derive(Clone, Debug, PartialEq)]
-enum Scan {
+enum Scan<R = Span> {
     /// The region-local instance to bind, with the op's arrival and slack
     /// on it.
     Bound {
@@ -626,12 +635,9 @@ enum Scan {
         arrival: f64,
         slack: f64,
     },
-    /// Nothing to bind: the counted restraints, and whether any compatible
+    /// Nothing to bind: the counted reasons, and whether any compatible
     /// instance was allowed at all.
-    Failed {
-        reasons: Vec<Restraint>,
-        tried_any: bool,
-    },
+    Failed { reasons: R, tried_any: bool },
 }
 
 /// The set bits of word `w` of a bitset, as ascending indices.
@@ -674,14 +680,101 @@ struct TypeTally {
     timing: Option<(f64, f64)>,
 }
 
-/// A restraint a failed placement scan counts: the busy instances of a
-/// type, the free instances that miss the clock by one slack, or a
-/// candidate that closes a combinational cycle.
-#[derive(Clone, Copy, Debug)]
-enum Met {
+/// One entry of a region's reason arena: part of why a failed placement
+/// attempt bound nothing. An attempt's entries are contiguous, and the op
+/// they belong to is the one whose `last_reasons` spans them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Reason {
+    /// That many allowed instances of the type were busy.
     Busy(ResourceTypeId, u32),
+    /// That many free candidates missed the clock by the slack, in ps.
     Slow(f64, u32),
-    Cycle,
+    /// Binding the op to the instance would close a combinational cycle.
+    Cycle(ResourceInstanceId),
+    /// The window of the op's SCC, of this index, closes in the state.
+    Window(u32),
+}
+
+impl Reason {
+    /// The public restraint this entry of `op`'s attempt stands for.
+    fn restraint(self, op: OpId, interner: &Interner) -> Restraint {
+        match self {
+            Reason::Busy(tid, instances) => Restraint::ResourceContention {
+                op,
+                ty: interner.ty(tid).clone(),
+                instances,
+            },
+            Reason::Slow(slack_ps, instances) => Restraint::NegativeSlack {
+                op,
+                slack_ps,
+                instances,
+            },
+            Reason::Cycle(resource) => Restraint::CombCycle { op, resource },
+            Reason::Window(scc) => Restraint::SccWindow {
+                scc_index: scc as usize,
+                op,
+            },
+        }
+    }
+}
+
+/// Counts `r` into the failed attempt whose entries start at `from` of the
+/// arena: a busy type or a slack adds its count to the attempt's entry for
+/// the same type or slack bits, if there is one; anything else is
+/// appended. These are the rules by which a restraint list is counted
+/// (`relax::count_contention` and `count_slack`), so the entries keep
+/// their first-appearance order.
+fn count_reason(arena: &mut Vec<Reason>, from: usize, r: Reason) {
+    for e in &mut arena[from..] {
+        match (e, r) {
+            (Reason::Busy(t, n), Reason::Busy(tid, more)) if *t == tid => {
+                *n += more;
+                return;
+            }
+            (Reason::Slow(s, n), Reason::Slow(slack, more)) if s.to_bits() == slack.to_bits() => {
+                *n += more;
+                return;
+            }
+            _ => {}
+        }
+    }
+    arena.push(r);
+}
+
+/// A failed attempt's entries in its region's reason arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// Why an unplaced op is in its region's failure-report fragment.
+#[derive(Clone, Copy, Debug)]
+enum Fail {
+    /// The reasons of its latest failed attempt.
+    Attempted(Span),
+    /// Never attempted: a region-crossing value it reads is registered in
+    /// the final state.
+    StateExhausted,
+    /// Never considered: its pin refused every state it was ready in.
+    Pin(PinnedState),
+    /// Never attempted otherwise: reported as contention for its own
+    /// type, if it has one.
+    Starved,
+}
+
+/// Where a control step began: the lengths of the undo journal and of the
+/// reason arena.
+#[derive(Clone, Copy, Debug)]
+struct Mark {
+    journal: usize,
+    reasons: usize,
 }
 
 /// One placed operation: its control step, binding and output arrival time.
@@ -704,10 +797,11 @@ struct RegionFrame {
     placed: Vec<Option<PlacedOp>>,
     num_placed: usize,
     scc_dyn_stage: Vec<Option<u32>>,
-    /// Reasons recorded by the op's latest failed binding attempt; `None`
-    /// means the op was never attempted (the failure report treats an
-    /// attempted-but-reasonless op differently from a never-attempted one).
-    last_reasons: Vec<Option<Vec<Restraint>>>,
+    /// The span of the reason arena recorded by the op's latest failed
+    /// binding attempt; `None` means the op was never attempted (the
+    /// failure report treats an attempted-but-reasonless op differently
+    /// from a never-attempted one).
+    last_reasons: Vec<Option<Span>>,
     first_considered: Vec<Option<u32>>,
     min_slack: f64,
 }
@@ -722,6 +816,17 @@ impl RegionFrame {
             first_considered: vec![None; n_local],
             min_slack: f64::INFINITY,
         }
+    }
+
+    /// Refills the frame as [`RegionFrame::fresh`] builds it, in place.
+    fn reset(&mut self, scc_stage_input: &[Option<u32>]) {
+        self.placed.fill(None);
+        self.num_placed = 0;
+        self.scc_dyn_stage.clear();
+        self.scc_dyn_stage.extend_from_slice(scc_stage_input);
+        self.last_reasons.fill(None);
+        self.first_considered.fill(None);
+        self.min_slack = f64::INFINITY;
     }
 
     /// Reverts one journaled write.
@@ -746,7 +851,7 @@ enum Undo {
     /// `first_considered[l]` was set.
     Considered(u32),
     /// `last_reasons[l]` held this before the step's first write to it.
-    Reasons(u32, Option<Vec<Restraint>>),
+    Reasons(u32, Option<Span>),
     /// `scc_dyn_stage[i]` held this.
     Stage(u32, Option<u32>),
 }
@@ -774,15 +879,19 @@ struct RegionRt {
     frame: RegionFrame,
     /// Every write to `frame` since the region last started from state 0.
     journal: Vec<Undo>,
-    /// Per control step run, the journal's length when the step began.
-    marks: Vec<usize>,
+    /// The reason arena: the entries of every failed attempt since the
+    /// region last started from state 0, in attempt order, less those of
+    /// the steps a rewind undid. `frame.last_reasons` spans it.
+    reasons: Vec<Reason>,
+    /// Per control step run, where it began in the journal and the arena.
+    marks: Vec<Mark>,
     /// Earliest state the next pass must replay from; [`CLEAN`] = skip.
     resume: u32,
     /// Last published boundary interface: the state of each boundary op
     /// (`plan.regions[r].boundary` order), `None` while unplaced.
     iface: Vec<Option<u32>>,
     /// Cached failure-report fragment from the region's last run.
-    fail: Vec<(OpId, Vec<Restraint>)>,
+    fail: Vec<(OpId, Fail)>,
     /// The region's work over every pass so far.
     work: Work,
 
@@ -799,9 +908,9 @@ struct RegionRt {
     forbid: Vec<u64>,
     /// One attempt's tally per compatible type.
     tallies: Vec<TypeTally>,
-    /// One failed attempt's restraints, keyed by the first instance each
+    /// One failed attempt's reasons, keyed by the first instance each
     /// counts.
-    met: Vec<(usize, Met)>,
+    met: Vec<(usize, Reason)>,
     /// One attempt's same-state, same-region producers' local instances.
     chain_from: Vec<u32>,
     /// What the walk oracle checked since the last pass was recorded.
@@ -832,10 +941,10 @@ struct RegionRt {
     release: Vec<u32>,
     /// A bitset over ranks: the unplaced ops with nothing `waiting`.
     ready_bits: Vec<u64>,
-    /// The frame at the start of each step run, to check every rewind
-    /// against.
+    /// The frame and the reason arena's length at the start of each step
+    /// run, to check every rewind against.
     #[cfg(test)]
-    clones: Vec<RegionFrame>,
+    clones: Vec<(RegionFrame, usize)>,
     /// The ops whose end-of-step refresh the last step skipped, which the
     /// next round must attempt.
     #[cfg(test)]
@@ -853,12 +962,12 @@ impl RegionRt {
         self.frame.first_considered[l] = Some(state);
     }
 
-    /// Records the reasons of op `l`'s failed attempt. Only the step's
-    /// first write to the slot is journaled, since a rewind returns to the
-    /// start of a step: a second attempt in one step is the end-of-step
-    /// refresh of an op still marked `step_failed`, made only when the next
-    /// step does not attempt the op first.
-    fn record_failure(&mut self, l: usize, reasons: Vec<Restraint>) {
+    /// Records the span of the arena holding op `l`'s failed attempt's
+    /// reasons. Only the step's first write to the slot is journaled, since
+    /// a rewind returns to the start of a step: a second attempt in one
+    /// step is the end-of-step refresh of an op still marked `step_failed`,
+    /// made only when the next step does not attempt the op first.
+    fn record_failure(&mut self, l: usize, reasons: Span) {
         let old = self.frame.last_reasons[l].replace(reasons);
         if !self.step_failed[l] {
             self.journal.push(Undo::Reasons(l as u32, old));
@@ -898,19 +1007,22 @@ impl RegionRt {
         }
     }
 
-    /// Undoes the journal back to the start of step `state`, which ran.
+    /// Undoes the journal back to the start of step `state`, which ran, and
+    /// drops the reasons recorded since.
     fn rewind(&mut self, state: u32) {
         let mark = self.marks[state as usize];
         self.marks.truncate(state as usize);
-        for entry in self.journal.drain(mark..).rev() {
+        for entry in self.journal.drain(mark.journal..).rev() {
             self.frame.undo(entry);
         }
+        self.reasons.truncate(mark.reasons);
     }
 
     /// Starts the region again from state 0.
     fn reset(&mut self, scc_stage_input: &[Option<u32>]) {
-        self.frame = RegionFrame::fresh(self.members.len(), scc_stage_input);
+        self.frame.reset(scc_stage_input);
         self.journal.clear();
+        self.reasons.clear();
         self.marks.clear();
         #[cfg(test)]
         self.clones.clear();
@@ -1105,6 +1217,7 @@ impl<'a> Engine<'a> {
                 ops_per_class,
                 insts_per_class: std::mem::take(&mut insts_per_class_by_region[ri]),
                 journal: Vec::new(),
+                reasons: Vec::new(),
                 marks: Vec::new(),
                 resume: 0,
                 iface: vec![None; info.boundary.len()],
@@ -1698,9 +1811,12 @@ impl<'a> Engine<'a> {
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
             debug_assert_eq!(cur.marks.len(), state as usize);
-            cur.marks.push(cur.journal.len());
+            cur.marks.push(Mark {
+                journal: cur.journal.len(),
+                reasons: cur.reasons.len(),
+            });
             #[cfg(test)]
-            cur.clones.push(cur.frame.clone());
+            cur.clones.push((cur.frame.clone(), cur.reasons.len()));
             cur.work.steps += 1;
             loop {
                 // ready operations, already in priority order
@@ -1818,8 +1934,8 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let id = OpId::from_raw(g);
-                if let Some(rs) = &cur.frame.last_reasons[l] {
-                    cur.fail.push((id, rs.clone()));
+                if let Some(span) = cur.frame.last_reasons[l] {
+                    cur.fail.push((id, Fail::Attempted(span)));
                 } else {
                     // never attempted: distinguish "a region-crossing value
                     // is registered in the final state, so readiness needs a
@@ -1841,24 +1957,14 @@ impl<'a> Engine<'a> {
                     };
                     let pin = self.statics.pin[i];
                     let considered = cur.frame.first_considered[l].is_some();
-                    if blocked {
-                        cur.fail
-                            .push((id, vec![Restraint::StateExhausted { op: id }]));
+                    let fail = if blocked {
+                        Fail::StateExhausted
                     } else if let Some(pin) = pin.filter(|_| !considered) {
-                        cur.fail
-                            .push((id, vec![Restraint::PinUnreached { op: id, pin }]));
-                    } else if let Some(ty) = &self.statics.required_ty[i] {
-                        cur.fail.push((
-                            id,
-                            vec![Restraint::ResourceContention {
-                                op: id,
-                                ty: ty.clone(),
-                                instances: 1,
-                            }],
-                        ));
+                        Fail::Pin(pin)
                     } else {
-                        cur.fail.push((id, Vec::new()));
-                    }
+                        Fail::Starved
+                    };
+                    cur.fail.push((id, fail));
                 }
             }
         }
@@ -1962,7 +2068,7 @@ impl<'a> Engine<'a> {
         let walked = self.walk(cur, op_id, at, base_a, share, sharing);
         let scan = self.scan(cur, op_id, at, base_a, share, sharing);
         #[cfg(test)]
-        oracle::check(self, cur, op_id, at, &walked, &scan);
+        oracle::check(self, cur, op_id, at, walked, &scan);
         let outcome = match scan {
             // A condition placed since the op's attempt in this step made a
             // shared instance steerable: the op keeps that attempt's
@@ -2004,26 +2110,26 @@ impl<'a> Engine<'a> {
                 mut reasons,
                 tried_any,
             } => {
+                // the scan's entries end the arena; this attempt's other
+                // reasons join them
+                let from = reasons.start;
+                let required = self.statics.required_type_id[i].expect("datapath op has a type");
                 // If every instance was busy, also check whether a brand new
                 // instance would have met timing; if not, the real problem
                 // is slack, not hardware.
-                if reasons
+                if cur.reasons[from..]
                     .iter()
-                    .all(|r| matches!(r, Restraint::ResourceContention { .. }))
+                    .all(|r| matches!(r, Reason::Busy(..)))
                 {
-                    if let Some(tid) = self.statics.required_type_id[i] {
-                        let (_, slack) = self.arrival_slack(base_a, share, tid, op.width, sharing);
-                        if slack < 0.0 {
-                            count_slack(&mut reasons, op_id, slack, 1);
-                        }
+                    let (_, slack) = self.arrival_slack(base_a, share, required, op.width, sharing);
+                    if slack < 0.0 {
+                        count_reason(&mut cur.reasons, from, Reason::Slow(slack, 1));
                     }
                 }
                 // No allowed instance at all (none compatible, or every
                 // compatible one forbidden): the fix is more hardware.
                 if !tried_any {
-                    if let Some(ty) = &self.statics.required_ty[i] {
-                        count_contention(&mut reasons, op_id, ty, 1);
-                    }
+                    count_reason(&mut cur.reasons, from, Reason::Busy(required, 1));
                 }
                 if let Some(scc) = self.statics.scc_of[i] {
                     if self
@@ -2031,12 +2137,10 @@ impl<'a> Engine<'a> {
                         .map(|(_, hi)| state >= hi)
                         .unwrap_or(false)
                     {
-                        reasons.push(Restraint::SccWindow {
-                            scc_index: scc as usize,
-                            op: op_id,
-                        });
+                        cur.reasons.push(Reason::Window(scc));
                     }
                 }
+                reasons.end = cur.reasons.len();
                 cur.record_failure(l, reasons);
                 Attempt::Failed
             }
@@ -2226,36 +2330,30 @@ impl<'a> Engine<'a> {
                 }
             }
             None => {
-                // every candidate closes a cycle; count the restraints in
-                // the order of the first instance each one counts
+                // every candidate closes a cycle; count the reasons into
+                // the arena in the order of the first instance each counts
                 let mut met = std::mem::take(&mut cur.met);
                 met.clear();
                 for t in &tallies {
-                    met.extend(t.busy.first.map(|l| (l, Met::Busy(t.tid, t.busy.count))));
+                    met.extend(t.busy.first.map(|l| (l, Reason::Busy(t.tid, t.busy.count))));
                     if let (Some(l), Some((_, slack))) = (t.free.first, t.timing) {
                         if slack < 0.0 {
-                            met.push((l, Met::Slow(slack, t.free.count)));
+                            met.push((l, Reason::Slow(slack, t.free.count)));
                         }
                     }
                 }
-                met.extend(candidates().map(|l| (l, Met::Cycle)));
+                met.extend(candidates().map(|l| (l, Reason::Cycle(cur.insts[l]))));
                 met.sort_unstable_by_key(|&(l, _)| l);
-                let mut reasons = Vec::new();
-                for &(l, m) in &met {
-                    match m {
-                        Met::Busy(tid, n) => {
-                            count_contention(&mut reasons, op_id, self.interner.ty(tid), n)
-                        }
-                        Met::Slow(slack, n) => count_slack(&mut reasons, op_id, slack, n),
-                        Met::Cycle => reasons.push(Restraint::CombCycle {
-                            op: op_id,
-                            resource: cur.insts[l],
-                        }),
-                    }
+                let from = cur.reasons.len();
+                for &(_, r) in &met {
+                    count_reason(&mut cur.reasons, from, r);
                 }
                 cur.met = met;
                 Scan::Failed {
-                    reasons,
+                    reasons: Span {
+                        start: from,
+                        end: cur.reasons.len(),
+                    },
                     tried_any: tallies.iter().any(|t| t.busy.count + t.free.count > 0),
                 }
             }
@@ -2271,7 +2369,8 @@ impl<'a> Engine<'a> {
     /// oracle: every compatible instance of the pool in ascending local
     /// index, checked in turn for a forbidden binding, a busy slot, timing
     /// and a combinational cycle, with the restraints counted as it goes.
-    /// It binds nothing; `try_place` asserts that the scan finds the same.
+    /// It binds nothing; `try_place` asserts that the scan finds the same,
+    /// with the scan's arena entries built into restraints.
     #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn walk(
@@ -2282,7 +2381,7 @@ impl<'a> Engine<'a> {
         base_a: f64,
         share: usize,
         sharing: bool,
-    ) -> Scan {
+    ) -> Scan<Vec<Restraint>> {
         let i = op_id.index();
         let op = self.body.dfg.op(op_id);
         let required = self.statics.required_ty[i].as_ref().expect("datapath op");
@@ -2379,13 +2478,35 @@ impl<'a> Engine<'a> {
             };
             EngineOutcome::Success { min_slack_ps }
         } else {
+            // the public restraints are built here, from each region's
+            // fragment and reason arena, and nowhere else
+            let mut frags: Vec<(OpId, Fail, &RegionRt)> = regions
+                .iter()
+                .flat_map(|rt| rt.fail.iter().map(move |&(op, fail)| (op, fail, rt)))
+                .collect();
+            frags.sort_unstable_by_key(|&(op, ..)| op);
             let mut failure = PassFailure::default();
-            let mut frags: Vec<&(OpId, Vec<Restraint>)> =
-                regions.iter().flat_map(|r| r.fail.iter()).collect();
-            frags.sort_by_key(|(op, _)| *op);
-            for (op, rs) in frags {
-                failure.failed_ops.push(*op);
-                failure.restraints.extend(rs.iter().cloned());
+            for (op, fail, rt) in frags {
+                failure.failed_ops.push(op);
+                let restraints = &mut failure.restraints;
+                match fail {
+                    Fail::Attempted(span) => restraints.extend(
+                        rt.reasons[span.range()]
+                            .iter()
+                            .map(|r| r.restraint(op, &self.interner)),
+                    ),
+                    Fail::StateExhausted => restraints.push(Restraint::StateExhausted { op }),
+                    Fail::Pin(pin) => restraints.push(Restraint::PinUnreached { op, pin }),
+                    Fail::Starved => {
+                        if let Some(ty) = &self.statics.required_ty[op.index()] {
+                            restraints.push(Restraint::ResourceContention {
+                                op,
+                                ty: ty.clone(),
+                                instances: 1,
+                            });
+                        }
+                    }
+                }
             }
             EngineOutcome::Failure(failure)
         }
@@ -2571,17 +2692,44 @@ mod oracle {
         static RECORDED: Cell<Coverage> = Cell::new(Coverage::default());
     }
 
-    /// Asserts that the scan found what the walk did, and counts the case.
+    /// Asserts that the scan found what the walk did, with the restraints
+    /// built from the arena entries the scan appended compared entry for
+    /// entry with the walk's list, and counts the case.
     pub(super) fn check(
         engine: &Engine,
         cur: &mut RegionRt,
         op_id: OpId,
         at: Slot,
-        walked: &Scan,
+        walked: Scan<Vec<Restraint>>,
         scanned: &Scan,
     ) {
+        let built = match *scanned {
+            Scan::Bound {
+                local,
+                arrival,
+                slack,
+            } => Scan::Bound {
+                local,
+                arrival,
+                slack,
+            },
+            Scan::Failed { reasons, tried_any } => {
+                assert_eq!(
+                    reasons.end,
+                    cur.reasons.len(),
+                    "the scan of {op_id} did not end the reason arena"
+                );
+                Scan::Failed {
+                    reasons: cur.reasons[reasons.range()]
+                        .iter()
+                        .map(|r| r.restraint(op_id, &engine.interner))
+                        .collect(),
+                    tried_any,
+                }
+            }
+        };
         assert_eq!(
-            scanned, walked,
+            built, walked,
             "the bitset scan of {op_id} in state {} disagrees with the walk",
             at.state
         );
@@ -2705,11 +2853,27 @@ mod oracle {
     }
 
     /// Asserts that the rewind to `state` restored the frame cloned when
-    /// that step began, and counts it by the action applied last.
+    /// that step began, left the reason arena as long as it was then, and
+    /// left every `last_reasons` span inside it; counts the rewind by the
+    /// action applied last.
     pub(super) fn check_rewind(engine: &Engine, cur: &mut RegionRt, state: u32) {
+        let (frame, arena_len) = &cur.clones[state as usize];
         assert!(
-            cur.frame == cur.clones[state as usize],
+            cur.frame == *frame,
             "the rewind to state {state} differs from the frame cloned there"
+        );
+        assert_eq!(
+            cur.reasons.len(),
+            *arena_len,
+            "the rewind to state {state} left the reason arena at another length than its mark"
+        );
+        assert!(
+            cur.frame
+                .last_reasons
+                .iter()
+                .flatten()
+                .all(|span| span.start <= span.end && span.end <= cur.reasons.len()),
+            "the rewind to state {state} left a reason span outside the arena"
         );
         cur.clones.truncate(state as usize);
         let kind = match engine.last_action {

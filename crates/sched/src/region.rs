@@ -28,7 +28,7 @@
 //! region the plan degenerates to the monolithic problem: full pool, no cuts,
 //! byte-identical behavior to a run without region decomposition.
 
-use crate::relax::{slack_ops, Restraint};
+use crate::relax::{same_name, slack_ops, Restraint};
 use crate::resources::initial_resource_set_for_ops;
 use hls_ir::analysis::Scc;
 use hls_ir::{LinearBody, OpId};
@@ -425,15 +425,14 @@ pub fn concat_pools(pools: &[ResourceSet]) -> (ResourceSet, Vec<u32>) {
 /// [`choose_action`](crate::relax::choose_action) applied when it proposed
 /// the action, so the owner is the op the action was created for. Both
 /// scheduling drivers derive the owner from the same restraint list and
-/// therefore agree.
+/// therefore agree. Types are matched by name, compared by [`same_name`].
 pub(crate) fn owner_region(restraints: &[Restraint], ty: &ResourceType, region_of: &[u32]) -> u32 {
-    let name = ty.name();
     let slack_ops = slack_ops(restraints);
     restraints
         .iter()
         .find_map(|r| match r {
             Restraint::ResourceContention { op, ty: rty, .. }
-                if !slack_ops.contains(op) && rty.name() == name =>
+                if !slack_ops.contains(op) && same_name(rty, ty) =>
             {
                 Some(region_of.get(op.index()).copied().unwrap_or(0))
             }
@@ -446,14 +445,14 @@ pub(crate) fn owner_region(restraints: &[Restraint], ty: &ResourceType, region_o
 /// one per distinct operation with a contention restraint naming the type, in
 /// restraint order, padded with region 0 if the restraint list yields fewer
 /// than `count` owners. Both scheduling drivers derive the owners from the
-/// same restraint list and therefore agree.
+/// same restraint list and therefore agree. Types are matched by name,
+/// compared by [`same_name`].
 pub(crate) fn batch_owner_regions(
     restraints: &[Restraint],
     ty: &ResourceType,
     count: usize,
     region_of: &[u32],
 ) -> Vec<u32> {
-    let name = ty.name();
     let slack_ops = slack_ops(restraints);
     let mut seen: std::collections::HashSet<OpId> = std::collections::HashSet::new();
     let mut owners = Vec::with_capacity(count);
@@ -469,7 +468,7 @@ pub(crate) fn batch_owner_regions(
                 if (round == 1) != slack_ops.contains(op) {
                     continue;
                 }
-                if rty.name() == name && seen.insert(*op) {
+                if same_name(rty, ty) && seen.insert(*op) {
                     owners.push(region_of.get(op.index()).copied().unwrap_or(0));
                 }
             }

@@ -10,7 +10,10 @@
 //! `mul_32x32` instances records one contention restraint with
 //! `instances: 12`, not twelve copies, and equal slacks fold the same way.
 //! Every consumer weighs an entry by its count, so a counted list and the
-//! per-instance list it stands for choose the same actions.
+//! per-instance list it stands for choose the same actions. The engine
+//! keeps a failed attempt's reasons in its region's reason arena, as small
+//! entries naming interned types, and builds these restraints only when a
+//! failed pass's report is assembled.
 
 use crate::config::SchedulerConfig;
 use hls_ir::{OpId, PinnedState};
@@ -101,7 +104,10 @@ impl Restraint {
 
 /// Counts `instances` busy instances of `ty` for `op` into `reasons`: added
 /// to the entry for the same (op, type) if there is one, else appended.
-/// `ty` is cloned only for a new entry.
+/// The engine folds a failed attempt's reasons into its region's reason
+/// arena by the same rule; this list form serves the walk oracle and
+/// [`counted`].
+#[cfg(test)]
 pub(crate) fn count_contention(
     reasons: &mut Vec<Restraint>,
     op: OpId,
@@ -131,6 +137,7 @@ pub(crate) fn count_contention(
 /// Counts `instances` bindings of `op` that miss the clock by `slack_ps`
 /// into `reasons`: added to the entry with the same op and slack bits if
 /// there is one, else appended.
+#[cfg(test)]
 pub(crate) fn count_slack(reasons: &mut Vec<Restraint>, op: OpId, slack_ps: f64, instances: u32) {
     for r in reasons.iter_mut() {
         if let Restraint::NegativeSlack {
@@ -465,30 +472,52 @@ pub fn choose_action(
 /// Contention per resource type, merged at `name()` granularity (class +
 /// operand widths) in name order: the first type seen under each name, the
 /// number of distinct contended ops, and the summed weight. Ops in `skip`
-/// (those also failing on timing) are left out.
+/// (those also failing on timing) are left out. Types are grouped by
+/// [`same_name`]; each group's name is formatted once, for the order.
 fn contended_types(
     restraints: &[Restraint],
     weight: &dyn Fn(&Restraint) -> f64,
     skip: Option<&HashSet<OpId>>,
 ) -> Vec<(ResourceType, usize, f64)> {
-    let mut by_type: BTreeMap<String, (ResourceType, usize, f64)> = BTreeMap::new();
-    let mut seen: HashSet<(String, OpId)> = HashSet::new();
+    let mut groups: Vec<(&ResourceType, usize, f64)> = Vec::new();
+    let mut seen: HashSet<(usize, OpId)> = HashSet::new();
     for r in restraints {
         if let Restraint::ResourceContention { op, ty, .. } = r {
             if skip.is_some_and(|s| s.contains(op)) {
                 continue;
             }
-            let name = ty.name();
-            let entry = by_type
-                .entry(name.clone())
-                .or_insert_with(|| (ty.clone(), 0, 0.0));
-            if seen.insert((name, *op)) {
-                entry.1 += 1;
+            let g = groups
+                .iter()
+                .position(|(first, ..)| same_name(first, ty))
+                .unwrap_or_else(|| {
+                    groups.push((ty, 0, 0.0));
+                    groups.len() - 1
+                });
+            if seen.insert((g, *op)) {
+                groups[g].1 += 1;
             }
-            entry.2 += weight(r);
+            groups[g].2 += weight(r);
         }
     }
-    by_type.into_values().collect()
+    groups.sort_by_cached_key(|(ty, ..)| ty.name());
+    groups
+        .into_iter()
+        .map(|(ty, distinct, gain)| (ty.clone(), distinct, gain))
+        .collect()
+}
+
+/// Whether two types have the same `name()`: the same class and operand
+/// widths, or, for a type without operands, the same class with the
+/// result width standing in for the operand widths.
+pub(crate) fn same_name(a: &ResourceType, b: &ResourceType) -> bool {
+    fn widths(ty: &ResourceType) -> &[u16] {
+        if ty.in_widths.is_empty() {
+            std::slice::from_ref(&ty.out_width)
+        } else {
+            &ty.in_widths
+        }
+    }
+    a.class == b.class && widths(a) == widths(b)
 }
 
 #[cfg(test)]
@@ -794,6 +823,44 @@ mod tests {
             5,
             "every relaxation action kind is chosen: {kinds:?}"
         );
+    }
+
+    /// `same_name` groups types exactly as their names do: a result width
+    /// alone does not tell two types apart, a type without operands is
+    /// named by its result width, and a mux's input count is part of its
+    /// class.
+    #[test]
+    fn types_share_a_name_exactly_when_same_name_says_so() {
+        let bare = |class: ResourceClass, out_width: u16| ResourceType {
+            class,
+            in_widths: Vec::new(),
+            out_width,
+        };
+        let types = [
+            mul32(),
+            ResourceType::binary(ResourceClass::Multiplier, 32, 32, 64),
+            ResourceType::binary(ResourceClass::Multiplier, 32, 16, 32),
+            ResourceType::binary(ResourceClass::Adder, 32, 32, 32),
+            ResourceType::unary(ResourceClass::Adder, 32, 33),
+            bare(ResourceClass::Adder, 32),
+            bare(ResourceClass::Adder, 16),
+            ResourceType::register(32),
+            bare(ResourceClass::Register, 32),
+            ResourceType::mux(2, 32),
+            ResourceType::mux(3, 32),
+            ResourceType::unary(ResourceClass::Mux { inputs: 2 }, 32, 32),
+            ResourceType::binary(ResourceClass::Mux { inputs: 2 }, 32, 32, 8),
+        ];
+        let mut shared = 0;
+        for a in &types {
+            for b in &types {
+                let named_alike = a.name() == b.name();
+                assert_eq!(same_name(a, b), named_alike, "{a:?} and {b:?}");
+                shared += usize::from(named_alike && a != b);
+            }
+        }
+        // each of the four pairs that differ but share a name, both ways
+        assert_eq!(shared, 8);
     }
 
     #[test]

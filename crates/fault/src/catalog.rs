@@ -297,48 +297,94 @@ fn describe(m: &NirModule, class: FaultClass, id: CellId) -> String {
 /// same netlist.
 pub fn inject(m: &NirModule, spec: &FaultSpec) -> NirModule {
     let mut mutant = m.clone();
+    apply(&mut mutant, spec);
+    mutant
+}
+
+/// What [`apply`] overwrote: the anchor cell's kind, width and first
+/// three operands (no mutation touches a later one), and the arena length
+/// before any cell was appended. A mutation edits only its anchor cell and
+/// appends cells, so restoring these undoes it.
+#[derive(Debug)]
+pub(crate) struct Patch {
+    cell: usize,
+    kind: CellKind,
+    width: u16,
+    inputs: [CellId; 3],
+    cells: usize,
+}
+
+impl Patch {
+    /// Restores `m` to the netlist [`apply`] patched.
+    pub(crate) fn revert(self, m: &mut NirModule) {
+        m.cells.truncate(self.cells);
+        let cell = &mut m.cells[self.cell];
+        cell.kind = self.kind;
+        cell.width = self.width;
+        let saved = cell.inputs.len().min(3);
+        cell.inputs[..saved].copy_from_slice(&self.inputs[..saved]);
+    }
+}
+
+/// Applies `spec` to `m` in place and returns what undoes it; [`inject`]
+/// is this on a clone.
+///
+/// # Panics
+/// As [`inject`].
+pub(crate) fn apply(m: &mut NirModule, spec: &FaultSpec) -> Patch {
     let idx = spec.cell.index();
+    let anchor = &m.cells[idx];
+    let mut inputs = [CellId::from_raw(0); 3];
+    let saved = anchor.inputs.len().min(3);
+    inputs[..saved].copy_from_slice(&anchor.inputs[..saved]);
+    let patch = Patch {
+        cell: idx,
+        kind: anchor.kind.clone(),
+        width: anchor.width,
+        inputs,
+        cells: m.cells.len(),
+    };
     match spec.class {
-        FaultClass::OperandSwap => mutant.cells[idx].inputs.swap(0, 1),
-        FaultClass::MuxArmSwap => mutant.cells[idx].inputs.swap(1, 2),
+        FaultClass::OperandSwap => m.cells[idx].inputs.swap(0, 1),
+        FaultClass::MuxArmSwap => m.cells[idx].inputs.swap(1, 2),
         FaultClass::ConstCorruption => {
-            let width = mutant.cells[idx].width;
-            match &mut mutant.cells[idx].kind {
+            let width = m.cells[idx].width;
+            match &mut m.cells[idx].kind {
                 CellKind::Const(v) => *v = BitVal::new(*v ^ 1, width).as_i64(),
                 other => panic!("const-corruption at non-const cell {other:?}"),
             }
         }
         FaultClass::RegInitFlip => {
-            let width = mutant.cells[idx].width;
-            match &mut mutant.cells[idx].kind {
+            let width = m.cells[idx].width;
+            match &mut m.cells[idx].kind {
                 CellKind::Reg { init } => *init = BitVal::new(*init ^ 1, width).as_i64(),
                 other => panic!("reg-init-flip at non-register cell {other:?}"),
             }
         }
         FaultClass::DroppedEnable => {
-            let one = mutant.push(CellKind::Const(1), 1, vec![]);
-            mutant.cells[idx].inputs[1] = one;
+            let one = m.push(CellKind::Const(1), 1, vec![]);
+            m.cells[idx].inputs[1] = one;
         }
         FaultClass::WrongEnable => {
-            let enable = mutant.cells[idx].inputs[1];
-            let width = mutant.cell(enable).width;
-            let inverted = mutant.push(CellKind::Un(UnKind::Not), width, vec![enable]);
-            mutant.cells[idx].inputs[1] = inverted;
+            let enable = m.cells[idx].inputs[1];
+            let width = m.cell(enable).width;
+            let inverted = m.push(CellKind::Un(UnKind::Not), width, vec![enable]);
+            m.cells[idx].inputs[1] = inverted;
         }
-        FaultClass::WidthNarrowing => mutant.cells[idx].width -= 1,
+        FaultClass::WidthNarrowing => m.cells[idx].width -= 1,
         FaultClass::DeadCellResurrection => {
-            let width = mutant.cells[idx].width;
-            let one = mutant.push(CellKind::Const(1), 1, vec![]);
-            mutant.push(CellKind::Reg { init: 0 }, width, vec![spec.cell, one]);
+            let width = m.cells[idx].width;
+            let one = m.push(CellKind::Const(1), 1, vec![]);
+            m.push(CellKind::Reg { init: 0 }, width, vec![spec.cell, one]);
         }
         FaultClass::SelectInversion => {
-            let select = mutant.cells[idx].inputs[0];
-            let width = mutant.cell(select).width;
-            let inverted = mutant.push(CellKind::Un(UnKind::Not), width, vec![select]);
-            mutant.cells[idx].inputs[0] = inverted;
+            let select = m.cells[idx].inputs[0];
+            let width = m.cell(select).width;
+            let inverted = m.push(CellKind::Un(UnKind::Not), width, vec![select]);
+            m.cells[idx].inputs[0] = inverted;
         }
     }
-    mutant
+    patch
 }
 
 #[cfg(test)]
@@ -421,6 +467,52 @@ mod tests {
             let mutant = inject(&m, &spec);
             assert_ne!(mutant, m, "{}: mutant differs", spec.description);
             assert_eq!(mutant, inject(&m, &spec), "{}: pure", spec.description);
+        }
+    }
+
+    /// The netlists the CI fault job sweeps (`examples/fault_coverage.rs`).
+    fn stock_netlists() -> Vec<NirModule> {
+        use hls::designs::{fir_filter, moving_average, paper_example1};
+        use hls::Synthesizer;
+        [
+            Synthesizer::new(paper_example1())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 3),
+            Synthesizer::new(paper_example1())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 6)
+                .pipeline(2),
+            Synthesizer::new(moving_average(2, 16))
+                .clock_ps(1600.0)
+                .latency_bounds(1, 8)
+                .pipeline(1),
+            Synthesizer::new(fir_filter(&[3, -5, 7, 11, 11, 7, -5, 3], 16))
+                .clock_ps(1600.0)
+                .latency_bounds(1, 16),
+            Synthesizer::from_body(hls::explore::idct8_design())
+                .clock_ps(2000.0)
+                .latency_bounds(1, 16),
+        ]
+        .into_iter()
+        .map(|s| s.run().expect("stock design synthesizes").netlist)
+        .collect()
+    }
+
+    /// Every spec, uncapped, applied in turn to one working copy as a sweep
+    /// does: the patched copy is the mutant `inject` makes from a fresh
+    /// clone, and reverting leaves the copy equal to the original.
+    #[test]
+    fn a_patched_mutant_is_exactly_undone() {
+        for m in std::iter::once(fixture()).chain(stock_netlists()) {
+            let specs = enumerate(&m, usize::MAX);
+            assert!(!specs.is_empty(), "`{}` has no site", m.name);
+            let mut working = m.clone();
+            for spec in specs {
+                let patch = apply(&mut working, &spec);
+                assert_eq!(working, inject(&m, &spec), "{}", spec.description);
+                patch.revert(&mut working);
+                assert_eq!(working, m, "{}: not undone", spec.description);
+            }
         }
     }
 

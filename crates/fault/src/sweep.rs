@@ -13,20 +13,24 @@
 //!
 //! The interpreter runs twice per sweep: once on the sweep stimulus, whose
 //! trace the baseline and every mutant compare against, and once on the
-//! escalated stimulus that re-attacks the survivors.
+//! escalated stimulus that re-attacks the survivors. Each mutant is patched
+//! into one working copy of the netlist and reverted after its verdict,
+//! its simulator is compiled once for both stimuli, and the original's
+//! escape-certificate traces are simulated at most once per sweep.
 //!
 //! A mutant that survives all three **escaped**. Escapes are the whole
 //! point of the exercise: an undocumented escape is a hole in the checker
 //! stack, while a documented one ([`FaultClass::documented_escape`]) is an
 //! architectural invariant the report names instead of hiding.
 
-use crate::catalog::{documented_site_escape, enumerate, inject, FaultClass, FaultSpec};
+use crate::catalog::{apply, documented_site_escape, enumerate, FaultClass, FaultSpec};
 use hls_ir::{LinearBody, PortId};
 use hls_lint::diag::{esc, num};
 use hls_lint::{analyze, Lint, LintConfig, LintContext};
 use hls_nir::{validate, CellId, CellKind, NirModule};
 use hls_sim::{NirSim, Reference, Stimulus};
 use hls_tech::{ClockConstraint, TechLibrary};
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 
 /// Which checker of the stack killed a mutant.
@@ -370,7 +374,9 @@ impl FaultCoverageReport {
 ///
 /// Deterministic: the stimulus, the site enumeration and every mutation
 /// are pure functions of the inputs and `config`. The reference
-/// interpreter runs once per stimulus, not once per mutant.
+/// interpreter runs once per stimulus, not once per mutant, and each
+/// mutant is the netlist [`inject`](crate::inject) returns for its spec,
+/// patched into one working copy and undone after its verdict.
 pub fn run_sweep(
     body: &LinearBody,
     netlist: &NirModule,
@@ -382,7 +388,6 @@ pub fn run_sweep(
     let stimulus = Stimulus::random(&body.dfg, config.vectors, config.seed);
     let reference = Reference::new(body, &stimulus);
     let baseline_lint = analyze(netlist, &ctx, &config.lint);
-    let baseline_counts = baseline_lint.counts();
     let baseline_ok = validate(netlist).is_ok()
         && !baseline_lint.has_deny()
         && reference.check_nir(netlist).is_ok();
@@ -395,40 +400,28 @@ pub fn run_sweep(
         config.vectors * 4,
         config.seed.wrapping_add(0x9E37_79B9),
     );
-    let escalated = Reference::new(body, &escalated_stimulus);
+    let judge = Judge {
+        original: netlist,
+        ctx,
+        config,
+        baseline_counts: baseline_lint.counts(),
+        stimulus: &stimulus,
+        reference,
+        escalated: Reference::new(body, &escalated_stimulus),
+        original_writes: OnceCell::new(),
+        original_state: OnceCell::new(),
+    };
 
-    let mut outcomes = Vec::new();
-    for spec in enumerate(netlist, config.max_per_class) {
-        let mutant = inject(netlist, &spec);
-        let outcome = kill(&mutant, &ctx, config, &baseline_counts, &reference)
-            .or_else(|| {
-                escalated
-                    .check_nir(&mutant)
-                    .err()
-                    .map(|e| FaultOutcome::Killed {
-                        by: Checker::Differential,
-                        detail: format!("escalated {}-vector stimulus: {e}", config.vectors * 4),
-                    })
-            })
-            .unwrap_or_else(|| {
-                match documented_site_escape(netlist, &spec)
-                    .or_else(|| probed_escape(netlist, &mutant, &spec, &stimulus, config))
-                {
-                    Some(reason) => FaultOutcome::Escaped {
-                        documented: true,
-                        reason,
-                    },
-                    None => FaultOutcome::Escaped {
-                        documented: false,
-                        reason: format!(
-                            "survived validate, lint, and a {}-vector differential",
-                            config.vectors
-                        ),
-                    },
-                }
-            });
-        outcomes.push(MutantOutcome { spec, outcome });
-    }
+    let mut working = netlist.clone();
+    let outcomes = enumerate(netlist, config.max_per_class)
+        .into_iter()
+        .map(|spec| {
+            let patch = apply(&mut working, &spec);
+            let outcome = judge.outcome(&working, &spec);
+            patch.revert(&mut working);
+            MutantOutcome { spec, outcome }
+        })
+        .collect();
     FaultCoverageReport {
         module: netlist.name.clone(),
         clock_ps: clock.period_ps(),
@@ -439,177 +432,236 @@ pub fn run_sweep(
     }
 }
 
-/// The three-stage kill pipeline; `None` means the mutant escaped.
-/// `analyze` validates the mutant first and leaves a malformed one without
-/// a timing summary, so `validate` runs again only to word that kill.
-fn kill(
-    mutant: &NirModule,
-    ctx: &LintContext,
-    config: &FaultConfig,
-    baseline_counts: &[usize; Lint::ALL.len()],
-    reference: &Reference,
-) -> Option<FaultOutcome> {
-    let report = analyze(mutant, ctx, &config.lint);
-    if report.timing.is_none() {
-        if let Err(e) = validate(mutant) {
-            return Some(FaultOutcome::Killed {
-                by: Checker::Validator,
-                detail: e.to_string(),
-            });
-        }
-    }
-    let counts = report.counts();
-    for (i, lint) in Lint::ALL.iter().enumerate() {
-        if counts[i] > baseline_counts[i] {
-            return Some(FaultOutcome::Killed {
-                by: Checker::Lint,
-                detail: format!(
-                    "{lint}: {} finding(s), baseline had {}",
-                    counts[i], baseline_counts[i]
-                ),
-            });
-        }
-    }
-    match reference.check_nir(mutant) {
-        Err(e) => Some(FaultOutcome::Killed {
-            by: Checker::Differential,
-            detail: e.to_string(),
-        }),
-        Ok(_) => None,
-    }
+/// What every mutant of one sweep is judged against.
+struct Judge<'a> {
+    original: &'a NirModule,
+    ctx: LintContext<'a>,
+    config: &'a FaultConfig,
+    baseline_counts: [usize; Lint::ALL.len()],
+    /// The sweep stimulus, which `reference` runs.
+    stimulus: &'a Stimulus,
+    reference: Reference<'a>,
+    /// The escalated stimulus's reference, which re-attacks survivors.
+    escalated: Reference<'a>,
+    /// The original's [`timed_writes`] under the sweep stimulus, simulated
+    /// for the first output-enable survivor.
+    original_writes: OnceCell<Option<TimedWrites>>,
+    /// The original's [`architectural_trace`] under the sweep stimulus,
+    /// simulated for the first datapath survivor.
+    original_state: OnceCell<Option<StateTrace>>,
 }
 
-/// Dynamic escape classification for value-local faults that the static
-/// [`documented_site_escape`] analysis could not explain.
-///
-/// A per-cycle probe (an always-enabled output reading the mutated cell)
-/// is attached to both the original and the mutant, and their probe traces
-/// are compared under the sweep stimulus:
-///
-/// * identical traces — the mutated cell never carries a different value;
-///   the mutant is an *equivalent mutant* (a re-armed register recaptures
-///   the value it held, an exchanged selection picks arms that agree) and
-///   no behavioural checker can be expected to see it;
-/// * diverging traces — the fault does corrupt cycle-level values, but the
-///   schedule's value lifetimes never route a corrupted window to an
-///   observable write: a *masked* mutant (reached and infected, but never
-///   propagated), the classic non-propagating case of mutation analysis.
-///
-/// Both are named escape families with a machine-checked certificate, so
-/// they report as documented. The classification only applies to the
-/// classes whose mutation is value-local to the anchor cell (enable faults
-/// on registers, mux arm/select faults); everything else — and any probe
-/// that fails to simulate — reports as an undocumented hole.
-fn probed_escape(
-    original: &NirModule,
-    mutant: &NirModule,
-    spec: &FaultSpec,
-    stimulus: &Stimulus,
-    config: &FaultConfig,
-) -> Option<String> {
-    // Enable faults on *output* cells get their own certificate. A mutant
-    // only reaches escape classification after the differential passed, and
-    // the differential checks exactly the per-iteration write values — so
-    // the only deviation a mis-gated port write can still hide is its cycle
-    // placement inside the iteration. Compare the cycle-level write traces
-    // to tell a truly equivalent rewrite of the enable from a pure
-    // intra-iteration timing shift; both carry a machine-checked
-    // certificate and the iteration-level I/O contract cannot observe
-    // either.
-    if matches!(
-        spec.class,
-        FaultClass::DroppedEnable | FaultClass::WrongEnable
-    ) && matches!(original.cell(spec.cell).kind, CellKind::Output { .. })
-    {
-        let a = timed_writes(original, stimulus)?;
-        let b = timed_writes(mutant, stimulus)?;
-        return if a == b {
-            Some(
-                "equivalent mutant: the rewritten enable fires on exactly the \
+/// Every port write's `(cycle, port, iteration, value)`.
+type TimedWrites = Vec<(u64, u32, u32, i64)>;
+
+/// Per port, its `(iteration, value)` writes with every register probed.
+type StateTrace = Vec<Vec<(u32, i64)>>;
+
+impl Judge<'_> {
+    /// The mutant's fate: killed by the first checker that flags it, by the
+    /// escalated stimulus, or escaped with or without a certificate.
+    fn outcome(&self, mutant: &NirModule, spec: &FaultSpec) -> FaultOutcome {
+        let sim = match self.kill(mutant) {
+            Ok(sim) => sim,
+            Err(killed) => return killed,
+        };
+        if let Err(e) = self.escalated.check_sim(&sim) {
+            return FaultOutcome::Killed {
+                by: Checker::Differential,
+                detail: format!("escalated {}-vector stimulus: {e}", self.config.vectors * 4),
+            };
+        }
+        match documented_site_escape(self.original, spec)
+            .or_else(|| self.probed_escape(mutant, &sim, spec))
+        {
+            Some(reason) => FaultOutcome::Escaped {
+                documented: true,
+                reason,
+            },
+            None => FaultOutcome::Escaped {
+                documented: false,
+                reason: format!(
+                    "survived validate, lint, and a {}-vector differential",
+                    self.config.vectors
+                ),
+            },
+        }
+    }
+
+    /// The three-stage kill pipeline: the outcome of the checker that
+    /// kills the mutant, or the mutant's compiled simulator when it
+    /// survives. `analyze` validates the mutant first and leaves a
+    /// malformed one without a timing summary, so `validate` runs again
+    /// only to word that kill.
+    fn kill<'m>(&self, mutant: &'m NirModule) -> Result<NirSim<'m>, FaultOutcome> {
+        let report = analyze(mutant, &self.ctx, &self.config.lint);
+        if report.timing.is_none() {
+            if let Err(e) = validate(mutant) {
+                return Err(FaultOutcome::Killed {
+                    by: Checker::Validator,
+                    detail: e.to_string(),
+                });
+            }
+        }
+        let counts = report.counts();
+        for (i, lint) in Lint::ALL.iter().enumerate() {
+            if counts[i] > self.baseline_counts[i] {
+                return Err(FaultOutcome::Killed {
+                    by: Checker::Lint,
+                    detail: format!(
+                        "{lint}: {} finding(s), baseline had {}",
+                        counts[i], self.baseline_counts[i]
+                    ),
+                });
+            }
+        }
+        let differential = |e: hls_sim::SimError| FaultOutcome::Killed {
+            by: Checker::Differential,
+            detail: e.to_string(),
+        };
+        let sim = NirSim::new(mutant).map_err(differential)?;
+        self.reference.check_sim(&sim).map_err(differential)?;
+        Ok(sim)
+    }
+
+    /// Dynamic escape classification for value-local faults that the static
+    /// [`documented_site_escape`] analysis could not explain.
+    ///
+    /// A per-cycle probe (an always-enabled output reading the mutated cell)
+    /// is attached to both the original and the mutant, and their probe traces
+    /// are compared under the sweep stimulus:
+    ///
+    /// * identical traces — the mutated cell never carries a different value;
+    ///   the mutant is an *equivalent mutant* (a re-armed register recaptures
+    ///   the value it held, an exchanged selection picks arms that agree) and
+    ///   no behavioural checker can be expected to see it;
+    /// * diverging traces — the fault does corrupt cycle-level values, but the
+    ///   schedule's value lifetimes never route a corrupted window to an
+    ///   observable write: a *masked* mutant (reached and infected, but never
+    ///   propagated), the classic non-propagating case of mutation analysis.
+    ///
+    /// Both are named escape families with a machine-checked certificate, so
+    /// they report as documented. The classification only applies to the
+    /// classes whose mutation is value-local to the anchor cell (enable faults
+    /// on registers, mux arm/select faults); everything else — and any probe
+    /// that fails to simulate — reports as an undocumented hole.
+    fn probed_escape(
+        &self,
+        mutant: &NirModule,
+        sim: &NirSim<'_>,
+        spec: &FaultSpec,
+    ) -> Option<String> {
+        let (original, stimulus) = (self.original, self.stimulus);
+        // Enable faults on *output* cells get their own certificate. A mutant
+        // only reaches escape classification after the differential passed, and
+        // the differential checks exactly the per-iteration write values — so
+        // the only deviation a mis-gated port write can still hide is its cycle
+        // placement inside the iteration. Compare the cycle-level write traces
+        // to tell a truly equivalent rewrite of the enable from a pure
+        // intra-iteration timing shift; both carry a machine-checked
+        // certificate and the iteration-level I/O contract cannot observe
+        // either.
+        if matches!(
+            spec.class,
+            FaultClass::DroppedEnable | FaultClass::WrongEnable
+        ) && matches!(original.cell(spec.cell).kind, CellKind::Output { .. })
+        {
+            let a = self
+                .original_writes
+                .get_or_init(|| timed_writes(&NirSim::new(original).ok()?, stimulus))
+                .as_ref()?;
+            let b = timed_writes(sim, stimulus)?;
+            return if *a == b {
+                Some(
+                    "equivalent mutant: the rewritten enable fires on exactly the \
                  original cycles under the sweep stimulus, so the port write \
                  trace is unchanged"
-                    .to_string(),
-            )
-        } else {
-            Some(
-                "masked mutant: the mis-gated port write lands in a different \
+                        .to_string(),
+                )
+            } else {
+                Some(
+                    "masked mutant: the mis-gated port write lands in a different \
                  cycle of the same iteration with the same value — an \
                  intra-iteration timing shift the iteration-level I/O contract \
                  cannot observe"
-                    .to_string(),
-            )
-        };
-    }
-    let lifetime_maskable = match spec.class {
-        FaultClass::DroppedEnable | FaultClass::WrongEnable => {
-            matches!(original.cell(spec.cell).kind, CellKind::Reg { .. })
+                        .to_string(),
+                )
+            };
         }
-        FaultClass::MuxArmSwap | FaultClass::SelectInversion => true,
-        _ => false,
-    };
-    if lifetime_maskable {
-        let a = probe_trace(original, spec.cell, stimulus)?;
-        let b = probe_trace(mutant, spec.cell, stimulus)?;
-        return if a == b {
-            Some(
-                "equivalent mutant: a per-cycle probe shows the mutated cell never \
+        let lifetime_maskable = match spec.class {
+            FaultClass::DroppedEnable | FaultClass::WrongEnable => {
+                matches!(original.cell(spec.cell).kind, CellKind::Reg { .. })
+            }
+            FaultClass::MuxArmSwap | FaultClass::SelectInversion => true,
+            _ => false,
+        };
+        if lifetime_maskable {
+            let a = probe_trace(original, spec.cell, stimulus)?;
+            let b = probe_trace(mutant, spec.cell, stimulus)?;
+            return if a == b {
+                Some(
+                    "equivalent mutant: a per-cycle probe shows the mutated cell never \
                  carries a different value under the sweep stimulus"
-                    .to_string(),
-            )
-        } else {
-            Some(
-                "masked mutant: the fault corrupts the cell's cycle-level value \
+                        .to_string(),
+                )
+            } else {
+                Some(
+                    "masked mutant: the fault corrupts the cell's cycle-level value \
                  (probe diverges) but the schedule's value lifetimes never read a \
                  corrupted window, so no observable write differs"
-                    .to_string(),
-            )
-        };
-    }
-    // Datapath-value faults (corrupted constants, swapped operands,
-    // narrowed widths) get the stricter certificate: the mutant is only a
-    // documented escape when its ENTIRE architectural state — every
-    // register, every output, every cycle — is identical to the original's
-    // under the stimulus. Such a mutant is behaviourally indistinguishable
-    // on this stimulus and no checker can be blamed for missing it. A
-    // mutant that infects a register without propagating stays an
-    // undocumented hole: richer stimulus should have killed it.
-    if matches!(
-        spec.class,
-        FaultClass::ConstCorruption | FaultClass::OperandSwap | FaultClass::WidthNarrowing
-    ) {
-        let a = architectural_trace(original, stimulus)?;
-        let b = architectural_trace(mutant, stimulus)?;
-        if a == b {
-            return Some(
-                "equivalent mutant under the sweep stimulus: every register and \
+                        .to_string(),
+                )
+            };
+        }
+        // Datapath-value faults (corrupted constants, swapped operands,
+        // narrowed widths) get the stricter certificate: the mutant is only a
+        // documented escape when its ENTIRE architectural state — every
+        // register, every output, every cycle — is identical to the original's
+        // under the stimulus. Such a mutant is behaviourally indistinguishable
+        // on this stimulus and no checker can be blamed for missing it. A
+        // mutant that infects a register without propagating stays an
+        // undocumented hole: richer stimulus should have killed it.
+        if matches!(
+            spec.class,
+            FaultClass::ConstCorruption | FaultClass::OperandSwap | FaultClass::WidthNarrowing
+        ) {
+            let a = self
+                .original_state
+                .get_or_init(|| architectural_trace(original, stimulus))
+                .as_ref()?;
+            let b = architectural_trace(mutant, stimulus)?;
+            if *a == b {
+                return Some(
+                    "equivalent mutant under the sweep stimulus: every register and \
                  output of the mutant is cycle-identical to the original's, so the \
                  programs are behaviourally indistinguishable on this stimulus"
-                    .to_string(),
-            );
-        }
-        // Infected but not propagated. In strict mode that is a hole —
-        // richer stimulus should have killed it. Non-strict mode accepts
-        // it with a trace certificate: the divergence is confined to
-        // registers (every output write already matched the reference,
-        // including under the escalated stimulus), which on generated
-        // programs usually means the infected state is semantically dead.
-        if !config.strict_propagation {
-            return Some(
-                "masked mutant (non-strict): the corruption infects register \
+                        .to_string(),
+                );
+            }
+            // Infected but not propagated. In strict mode that is a hole —
+            // richer stimulus should have killed it. Non-strict mode accepts
+            // it with a trace certificate: the divergence is confined to
+            // registers (every output write already matched the reference,
+            // including under the escalated stimulus), which on generated
+            // programs usually means the infected state is semantically dead.
+            if !self.config.strict_propagation {
+                return Some(
+                    "masked mutant (non-strict): the corruption infects register \
                  state but no output write differs, even under the escalated \
                  stimulus — the infected state never reaches an output"
-                    .to_string(),
-            );
+                        .to_string(),
+                );
+            }
+            return None;
         }
-        return None;
+        None
     }
-    None
 }
 
-/// The cycle-level write trace of `m` under `stimulus`: every recorded
+/// The cycle-level write trace of `sim` under `stimulus`: every recorded
 /// port write with its exact cycle, not just its iteration.
-fn timed_writes(m: &NirModule, stimulus: &Stimulus) -> Option<Vec<(u64, u32, u32, i64)>> {
-    let trace = NirSim::new(m).ok()?.run(stimulus).ok()?;
+fn timed_writes(sim: &NirSim<'_>, stimulus: &Stimulus) -> Option<TimedWrites> {
+    let trace = sim.run(stimulus).ok()?;
     Some(
         trace
             .writes
@@ -622,7 +674,7 @@ fn timed_writes(m: &NirModule, stimulus: &Stimulus) -> Option<Vec<(u64, u32, u32
 /// The full architectural state trajectory of `m` under `stimulus`: the
 /// per-cycle write trace of every output port plus an always-enabled probe
 /// on every register.
-fn architectural_trace(m: &NirModule, stimulus: &Stimulus) -> Option<Vec<Vec<(u32, i64)>>> {
+fn architectural_trace(m: &NirModule, stimulus: &Stimulus) -> Option<StateTrace> {
     let mut probed = m.clone();
     let regs: Vec<CellId> = probed
         .iter_cells()

@@ -10,10 +10,7 @@ use crate::config::{Lint, LintConfig};
 use crate::sta::{cell_name, mux_fanins};
 use crate::LintContext;
 use hls_ir::{BitVal, CmpKind};
-use hls_nir::{
-    is_verilog_keyword, sanitize, BinKind, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS,
-};
-use std::collections::HashMap;
+use hls_nir::{identifier, BinKind, CellId, CellKind, NameHolder, NetNames, NirModule};
 
 /// A raw finding before severity assignment.
 pub(crate) type Finding = (Lint, Option<CellId>, String);
@@ -34,60 +31,30 @@ pub(crate) fn structural_findings(
     out
 }
 
-/// True for cells the Verilog printer declares as named nets; only those
-/// compete for identifiers.
-fn is_declared(kind: &CellKind) -> bool {
-    matches!(
-        kind,
-        CellKind::Bin(_)
-            | CellKind::Un(_)
-            | CellKind::Mux
-            | CellKind::Slice { .. }
-            | CellKind::Resize
-            | CellKind::Reg { .. }
-    )
-}
-
-/// Two distinct display names that sanitize to the same identifier, or one
-/// that sanitizes to a Verilog keyword: the printer keeps the first and
-/// silently renames the second, or the keyword, to `n<id>`, so the emitted
-/// RTL no longer carries the name the lowering assigned.
-/// Unnamed cells print under fallback names that skip every taken
-/// identifier, and ports that clash are refused by `hls_nir::validate`.
+/// Display names the printer drops: one that sanitizes to a Verilog
+/// keyword, or to an identifier a reserved controller net, a port, an
+/// earlier cell's name or an earlier cell's fallback `n<id>` already
+/// holds. The printer renames such a cell to its own fallback, so the
+/// emitted RTL no longer carries the name the lowering assigned. Both read
+/// [`NetNames`], so this reports exactly the names the printer drops.
+/// Unnamed cells print under fallbacks that skip every taken identifier,
+/// and ports that clash are refused by `hls_nir::validate`.
 fn duplicate_net_names(m: &NirModule, out: &mut Vec<Finding>) {
-    let mut owner: HashMap<String, String> = RESERVED_IDENTIFIERS
-        .into_iter()
-        .map(|r| (r.to_string(), format!("the reserved identifier `{r}`")))
-        .collect();
-    for p in &m.ports {
-        owner
-            .entry(sanitize(&p.name))
-            .or_insert_with(|| format!("port `{}`", p.name));
-    }
-    for (id, cell) in m.iter_cells() {
-        if !is_declared(&cell.kind) {
-            continue;
-        }
-        let Some(name) = &cell.name else { continue };
-        let ident = sanitize(name);
-        if is_verilog_keyword(&ident) {
-            out.push((
-                Lint::DuplicateNetName,
-                Some(id),
-                format!("`{name}` sanitizes to the Verilog keyword `{ident}`; the printer will drop this name"),
-            ));
-            continue;
-        }
-        match owner.get(&ident) {
-            Some(prev) => out.push((
-                Lint::DuplicateNetName,
-                Some(id),
-                format!("`{name}` sanitizes to `{ident}`, already claimed by {prev}; the printer will drop this name"),
-            )),
-            None => {
-                owner.insert(ident, format!("cell {id} `{name}`"));
-            }
-        }
+    for dropped in NetNames::new(m).dropped() {
+        let name = m.cell(dropped.cell).name.as_deref().unwrap_or_default();
+        let ident = identifier(name);
+        let prev = match dropped.holder {
+            NameHolder::Keyword => None,
+            NameHolder::Reserved(r) => Some(format!("the reserved identifier `{r}`")),
+            NameHolder::Port(p) => Some(format!("port `{}`", m.ports[p as usize].name)),
+            NameHolder::Cell(c) => Some(format!("cell {c} `{}`", cell_name(m, c))),
+            NameHolder::Fallback(c) => Some(format!("the fallback name of cell {c}")),
+        };
+        let message = match prev {
+            None => format!("`{name}` sanitizes to the Verilog keyword `{ident}`; the printer will drop this name"),
+            Some(prev) => format!("`{name}` sanitizes to `{ident}`, already claimed by {prev}; the printer will drop this name"),
+        };
+        out.push((Lint::DuplicateNetName, Some(dropped.cell), message));
     }
 }
 
@@ -322,6 +289,42 @@ mod tests {
         named_cell(&mut clean, CellKind::Resize, 8, vec![c], "x1");
         named_cell(&mut clean, CellKind::Resize, 8, vec![c], "x2");
         assert!(findings_of(&clean, Lint::DuplicateNetName).is_empty());
+    }
+
+    #[test]
+    fn a_name_held_by_an_earlier_fallback_is_reported() {
+        // The unnamed adder, cell 1, prints as `n1`, so the next adder's
+        // name `n1` is dropped.
+        let mut m = NirModule::new("t");
+        for (name, direction) in [
+            ("x", hls_ir::PortDirection::Input),
+            ("y", hls_ir::PortDirection::Output),
+        ] {
+            m.ports.push(hls_ir::Port {
+                name: name.into(),
+                direction,
+                width: 8,
+            });
+        }
+        let x = m.push(CellKind::Input { port: 0, state: 0 }, 8, vec![]);
+        let sum = m.push(CellKind::Bin(BinKind::Add), 8, vec![x, x]);
+        let late = named_cell(&mut m, CellKind::Bin(BinKind::Add), 8, vec![sum, x], "n1");
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        m.push(CellKind::Output { port: 1, state: 0 }, 8, vec![late, en]);
+        let rtl = hls_netlist::emit_verilog(&m);
+        assert!(rtl.contains("assign n2 = n1 + x;"), "{rtl}");
+        let (lib, clock) = ctx_fixture();
+        let ctx = crate::LintContext::new(&lib, clock);
+        let report = crate::analyze(&m, &ctx, &LintConfig::default());
+        assert_eq!(report.count_of(Lint::DuplicateNetName), 1, "{report:?}");
+        let hits = findings_of(&m, Lint::DuplicateNetName);
+        assert_eq!(hits[0].1, Some(late));
+        assert!(
+            hits[0]
+                .2
+                .contains("claimed by the fallback name of cell %1"),
+            "{hits:?}"
+        );
     }
 
     #[test]

@@ -14,11 +14,7 @@
 //! the evaluator's defined results (`a / 0 = 0`, `a % 0 = a`).
 
 use hls_ir::BitVal;
-use hls_nir::{
-    is_verilog_keyword, sanitize, BinKind, CellId, CellKind, NirModule, UnKind,
-    RESERVED_IDENTIFIERS,
-};
-use std::collections::HashSet;
+use hls_nir::{sanitize, BinKind, CellId, CellKind, Ident, NetNames, NirModule, UnKind};
 use std::fmt::Write as _;
 
 /// Writes a constant at `width` bits: non-negative values as sized signed
@@ -66,79 +62,33 @@ fn is_identifier(s: &str) -> bool {
     !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// True for cells that print as a declared net with their own statement;
-/// everything else is referenced inline.
-fn is_declared(kind: &CellKind) -> bool {
-    matches!(
-        kind,
-        CellKind::Bin(_)
-            | CellKind::Un(_)
-            | CellKind::Mux
-            | CellKind::Slice { .. }
-            | CellKind::Resize
-            | CellKind::Reg { .. }
-    )
-}
-
 struct Printer<'a> {
     m: &'a NirModule,
-    /// Identifier per declared cell; `None` for inline cells.
-    names: Vec<Option<String>>,
-    /// Identifier per port.
-    ports: Vec<String>,
+    /// The identifier of every port and declared cell.
+    names: NetNames<'a>,
 }
 
 impl<'a> Printer<'a> {
-    fn new(m: &'a NirModule) -> Self {
-        // Ports and fixed controller nets claim their identifiers first
-        // (`hls_nir::validate` refuses ports that clash); an unnamed cell,
-        // or one whose name is taken or a Verilog keyword, falls back to
-        // `n<id>`, or to `n<id>_<k>` with the first free `k` when that is
-        // taken too. No keyword has the fallback's shape.
-        let ports: Vec<String> = m.ports.iter().map(|p| sanitize(&p.name)).collect();
-        let mut used: HashSet<String> = RESERVED_IDENTIFIERS
-            .into_iter()
-            .map(String::from)
-            .chain(ports.iter().cloned())
-            .collect();
-        let mut names = Vec::with_capacity(m.num_cells());
-        for (id, cell) in m.iter_cells() {
-            if !is_declared(&cell.kind) {
-                names.push(None);
-                continue;
-            }
-            let candidate = match cell.name.as_deref().map(sanitize) {
-                Some(name) if !used.contains(&name) && !is_verilog_keyword(&name) => name,
-                _ => {
-                    let mut name = format!("n{}", id.index());
-                    for k in 1.. {
-                        if !used.contains(&name) {
-                            break;
-                        }
-                        name = format!("n{}_{k}", id.index());
-                    }
-                    name
-                }
-            };
-            used.insert(candidate.clone());
-            names.push(Some(candidate));
-        }
-        Printer { m, names, ports }
+    /// The identifier of declared cell `id`.
+    fn name(&self, id: CellId) -> Ident<'_> {
+        self.names.cell(id).expect("declared cells are named")
     }
 
-    /// The identifier of declared cell `id`.
-    fn name(&self, id: CellId) -> &str {
-        self.names[id.index()]
-            .as_deref()
-            .expect("declared cells are named")
+    /// The identifier of port `port`.
+    fn port(&self, port: u32) -> Ident<'_> {
+        Ident::Name(self.names.port(port as usize))
     }
 
     /// Writes the expression that reads the value of `id`: the declared
     /// identifier, or an inline rendering for constants, port reads and
     /// controller bits.
     fn reference(&self, out: &mut String, id: CellId) {
-        if let Some(name) = &self.names[id.index()] {
-            out.push_str(name);
+        if let Some(ident) = self.names.cell(id) {
+            if let Ident::Name(name) = ident {
+                out.push_str(name);
+            } else {
+                let _ = write!(out, "{ident}");
+            }
             return;
         }
         let cell = self.m.cell(id);
@@ -147,7 +97,7 @@ impl<'a> Printer<'a> {
                 write_literal(out, *v, cell.width);
                 Ok(())
             }
-            CellKind::Input { port, .. } => out.write_str(&self.ports[*port as usize]),
+            CellKind::Input { port, .. } => out.write_str(self.names.port(*port as usize)),
             CellKind::FsmState => out.write_str("state"),
             CellKind::StageValid { stage } => write!(out, "stage_valid[{stage}]"),
             CellKind::FirstIter { stage } => write!(out, "first_iter[{stage}]"),
@@ -219,7 +169,7 @@ impl<'a> Printer<'a> {
     }
 
     /// Writes the clocked capture of `data` into `target` under `enable`.
-    fn capture(&self, out: &mut String, target: &str, data: CellId, enable: CellId) {
+    fn capture(&self, out: &mut String, target: Ident<'_>, data: CellId, enable: CellId) {
         let en = self.m.cell(enable);
         match en.kind {
             // A constant enable needs no guard (and a constant-false one no
@@ -246,7 +196,10 @@ impl<'a> Printer<'a> {
 /// deterministic: cells print in arena order under their lowering-assigned
 /// names.
 pub fn emit_verilog(m: &NirModule) -> String {
-    let p = Printer::new(m);
+    let p = Printer {
+        m,
+        names: NetNames::new(m),
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -263,14 +216,14 @@ pub fn emit_verilog(m: &NirModule) -> String {
     let _ = writeln!(out, "module {} (", sanitize(&m.name));
     let _ = writeln!(out, "  input wire clk,");
     let _ = write!(out, "  input wire rst");
-    for (port, name) in m.ports.iter().zip(&p.ports) {
+    for (i, port) in m.ports.iter().enumerate() {
         let dir = match port.direction {
             hls_ir::PortDirection::Input => "input wire signed",
             hls_ir::PortDirection::Output => "output reg signed",
         };
         let _ = write!(out, ",\n  {dir} ");
         write_range(&mut out, port.width);
-        let _ = write!(out, " {name}");
+        let _ = write!(out, " {}", p.names.port(i));
     }
     let _ = writeln!(out, "\n);");
 
@@ -342,7 +295,7 @@ pub fn emit_verilog(m: &NirModule) -> String {
     // --- combinational cells ---------------------------------------------
     let comb: Vec<CellId> = m
         .iter_cells()
-        .filter(|(_, c)| is_declared(&c.kind) && !c.kind.is_seq())
+        .filter(|(_, c)| c.kind.is_declared() && !c.kind.is_seq())
         .map(|(id, _)| id)
         .collect();
     if !comb.is_empty() {
@@ -364,10 +317,10 @@ pub fn emit_verilog(m: &NirModule) -> String {
         .filter(|(_, c)| c.kind.is_seq())
         .map(|(id, _)| id)
         .collect();
-    let outputs: Vec<(CellId, &str)> = m
+    let outputs: Vec<(CellId, Ident<'_>)> = m
         .iter_cells()
         .filter_map(|(id, c)| match c.kind {
-            CellKind::Output { port, .. } => Some((id, p.ports[port as usize].as_str())),
+            CellKind::Output { port, .. } => Some((id, p.port(port))),
             _ => None,
         })
         .collect();

@@ -9,6 +9,8 @@
 //! * [`validate`] — structural well-formedness (port identifiers, widths,
 //!   arities, port references, driven outputs, combinational-cycle
 //!   freedom),
+//! * [`NetNames`] — the Verilog identifier of every port and declared
+//!   cell, and the names the printer drops,
 //! * [`optimize`] — constant/identity normalization plus dead-cell sweep,
 //! * mask-gated timing rewrites — [`rebalance_operator_chains`],
 //!   [`strength_reduce_shifts`] and [`retime_registers`], run by
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod model;
+pub mod naming;
 mod rewrite;
 pub mod validate;
 
@@ -28,6 +31,7 @@ pub use model::{
     is_verilog_keyword, sanitize, BinKind, Cell, CellId, CellKind, NetlistStats, NirModule, UnKind,
     RESERVED_IDENTIFIERS, VERILOG_KEYWORDS,
 };
+pub use naming::{identifier, DroppedName, Ident, NameHolder, NetNames};
 pub use rewrite::{
     normalize, optimize, rebalance_operator_chains, retime_registers, strength_reduce_shifts,
     sweep, RewriteReport,

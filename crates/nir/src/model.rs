@@ -226,6 +226,21 @@ impl CellKind {
         )
     }
 
+    /// True for cells the Verilog printer declares as a net of their own
+    /// with their own statement (see [`crate::NetNames`]); every other cell
+    /// prints inline where it is read, or, for a port write, as a capture.
+    pub fn is_declared(&self) -> bool {
+        matches!(
+            self,
+            CellKind::Bin(_)
+                | CellKind::Un(_)
+                | CellKind::Mux
+                | CellKind::Slice { .. }
+                | CellKind::Resize
+                | CellKind::Reg { .. }
+        )
+    }
+
     /// Keyword naming the kind (parameters stripped) in [`NetlistStats`]
     /// and in reports.
     pub fn mnemonic(&self) -> &'static str {
@@ -574,9 +589,30 @@ pub const VERILOG_KEYWORDS: [&str; 124] = [
     "xor",
 ];
 
-/// True when Verilog-2005 reserves `identifier` as a keyword.
+/// For each length below 32, the first letters of [`VERILOG_KEYWORDS`] of
+/// that length, letter `c` at bit `c - b'a'`.
+const KEYWORD_SHAPES: [u32; 32] = {
+    let mut shapes = [0u32; 32];
+    let mut i = 0;
+    while i < VERILOG_KEYWORDS.len() {
+        let keyword = VERILOG_KEYWORDS[i].as_bytes();
+        shapes[keyword.len()] |= 1 << (keyword[0] - b'a');
+        i += 1;
+    }
+    shapes
+};
+
+/// True when Verilog-2005 reserves `identifier` as a keyword. A name whose
+/// length and first letter no keyword shares, as most names the lowering
+/// assigns, is refused without a search.
 pub fn is_verilog_keyword(identifier: &str) -> bool {
-    VERILOG_KEYWORDS.binary_search(&identifier).is_ok()
+    let shaped = match identifier.as_bytes() {
+        [c @ b'a'..=b'z', ..] => KEYWORD_SHAPES
+            .get(identifier.len())
+            .is_some_and(|letters| letters & (1 << (c - b'a')) != 0),
+        _ => false,
+    };
+    shaped && VERILOG_KEYWORDS.binary_search(&identifier).is_ok()
 }
 
 /// Turns a display name into a safe Verilog identifier: non-alphanumerics
@@ -741,10 +777,18 @@ mod tests {
     #[test]
     fn verilog_keywords_are_sorted_and_recognized() {
         assert!(VERILOG_KEYWORDS.windows(2).all(|w| w[0] < w[1]));
-        for word in ["reg", "wire", "module", "always", "xor", "uwire"] {
+        for word in VERILOG_KEYWORDS {
             assert!(is_verilog_keyword(word), "{word}");
         }
-        for word in ["Reg", "regs", "clk", "w_1_mul", ""] {
+        for word in [
+            "Reg",
+            "regs",
+            "clk",
+            "w_1_mul",
+            "",
+            "wir",
+            "pulsestyle_ondetect_",
+        ] {
             assert!(!is_verilog_keyword(word), "{word}");
         }
     }

@@ -12,6 +12,7 @@
 use crate::model::{
     is_verilog_keyword, sanitize, CellId, CellKind, NirModule, RESERVED_IDENTIFIERS,
 };
+use crate::naming::identifier;
 use hls_ir::eval::MAX_WIDTH;
 use hls_ir::{Port, PortDirection};
 use std::borrow::{Borrow, Cow};
@@ -151,18 +152,6 @@ impl fmt::Display for NirError {
 }
 
 impl std::error::Error for NirError {}
-
-/// `name`'s Verilog identifier, borrowed when [`sanitize`] would not change
-/// it.
-fn identifier(name: &str) -> Cow<'_, str> {
-    let plain = name.bytes().next().is_some_and(|b| !b.is_ascii_digit())
-        && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
-    if plain {
-        Cow::Borrowed(name)
-    } else {
-        Cow::Owned(sanitize(name))
-    }
-}
 
 /// Checks that every port prints as a Verilog identifier of its own: no two
 /// port names sanitize to the same text, and none to an identifier the

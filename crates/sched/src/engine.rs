@@ -1130,8 +1130,8 @@ impl<'a> Engine<'a> {
         slots_per_instance: u32,
         latency: u32,
     ) -> Self {
-        let pools = crate::region::region_pools(body, &plan, slots_per_instance);
-        let (resources, inst_region) = crate::region::concat_pools(&pools);
+        let (resources, inst_region) =
+            crate::region::plan_resources(body, &plan, slots_per_instance);
         Self::init(
             body,
             lib,

@@ -22,14 +22,15 @@
 //! changed, and downstream regions replay only if a boundary state actually
 //! moved.
 //!
-//! Each region also owns a private resource pool (computed by
+//! Each region also owns a private resource pool (computed as
 //! [`initial_resource_set_for_ops`](crate::resources::initial_resource_set_for_ops)
-//! over its members) so binding never contends across regions. With a single
-//! region the plan degenerates to the monolithic problem: full pool, no cuts,
+//! does over its members; `plan_resources` builds them all into one set)
+//! so binding never contends across regions. With a single region the plan
+//! degenerates to the monolithic problem: full pool, no cuts,
 //! byte-identical behavior to a run without region decomposition.
 
 use crate::relax::{same_name, slack_ops, Restraint};
-use crate::resources::initial_resource_set_for_ops;
+use crate::resources::add_initial_resources;
 use hls_ir::analysis::Scc;
 use hls_ir::{LinearBody, OpId};
 use hls_tech::{ResourceSet, ResourceType};
@@ -385,36 +386,24 @@ pub fn greedy_fas_order(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
     left
 }
 
-/// Per-region initial resource pools: each region gets the lower-bound set
-/// its own ops demand. Region pools are what makes binding region-local —
-/// both the incremental engine and the reference driver build their global
-/// resource set by concatenating these pools in region order (see
-/// [`concat_pools`]), so they solve the identical problem.
-pub fn region_pools(
+/// The global resource set of a plan, built once: each region's initial
+/// pool (the lower-bound set its own ops demand), added in region order,
+/// and per instance the region that owns it. Region pools are what makes
+/// binding region-local — both the incremental engine and the reference
+/// driver start from this set, so they solve the identical problem. The
+/// trivial single-region plan's set is `initial_resource_set` over the
+/// whole body.
+pub(crate) fn plan_resources(
     body: &LinearBody,
     plan: &RegionPlan,
     slots_per_instance: u32,
-) -> Vec<ResourceSet> {
-    plan.regions
-        .iter()
-        .map(|r| {
-            let ops: Vec<OpId> = r.ops.iter().map(|&g| OpId::from_raw(g)).collect();
-            initial_resource_set_for_ops(body, &ops, slots_per_instance)
-        })
-        .collect()
-}
-
-/// Concatenates per-region pools into one global [`ResourceSet`] (instance
-/// ids allocated in region order) and returns, per instance, the region that
-/// owns it.
-pub fn concat_pools(pools: &[ResourceSet]) -> (ResourceSet, Vec<u32>) {
+) -> (ResourceSet, Vec<u32>) {
     let mut set = ResourceSet::new();
     let mut inst_region = Vec::new();
-    for (r, pool) in pools.iter().enumerate() {
-        for inst in pool.iter() {
-            set.add(inst.ty.clone());
-            inst_region.push(r as u32);
-        }
+    for (r, region) in plan.regions.iter().enumerate() {
+        let ops = region.ops.iter().map(|&g| OpId::from_raw(g));
+        add_initial_resources(&mut set, body, ops, slots_per_instance);
+        inst_region.resize(set.len(), r as u32);
     }
     (set, inst_region)
 }
@@ -601,11 +590,24 @@ mod tests {
         let body = chain_body();
         let comps = sccs(&body.dfg);
         let plan = RegionPlan::build(&body, &comps, 2);
-        let pools = region_pools(&body, &plan, 4);
-        let (set, inst_region) = concat_pools(&pools);
+        let (set, inst_region) = plan_resources(&body, &plan, 4);
         assert_eq!(set.len(), inst_region.len());
-        let total: usize = pools.iter().map(|p| p.len()).sum();
-        assert_eq!(set.len(), total);
-        assert!(inst_region.windows(2).all(|w| w[0] <= w[1]));
+        // region by region, the instances are that region's own pool's
+        let mut start = 0;
+        for (r, region) in plan.regions.iter().enumerate() {
+            let ops: Vec<OpId> = region.ops.iter().map(|&g| OpId::from_raw(g)).collect();
+            let pool = crate::resources::initial_resource_set_for_ops(&body, &ops, 4);
+            let end = start + pool.len();
+            assert!(inst_region[start..end].iter().all(|&o| o == r as u32));
+            let types = set.iter().skip(start).take(pool.len()).map(|i| &i.ty);
+            assert!(types.eq(pool.iter().map(|i| &i.ty)), "region {r}");
+            start = end;
+        }
+        assert_eq!(start, set.len());
+        // one region: the whole body's initial set, names and all
+        let trivial = RegionPlan::trivial(body.dfg.num_ops());
+        let (whole, owners) = plan_resources(&body, &trivial, 4);
+        assert_eq!(whole, crate::resources::initial_resource_set(&body, 4));
+        assert!(owners.iter().all(|&o| o == 0));
     }
 }

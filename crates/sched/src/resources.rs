@@ -34,8 +34,22 @@ pub fn initial_resource_set_for_ops(
     ops: &[hls_ir::OpId],
     slots_per_instance: u32,
 ) -> ResourceSet {
+    let mut set = ResourceSet::new();
+    add_initial_resources(&mut set, body, ops.iter().copied(), slots_per_instance);
+    set
+}
+
+/// Adds the instances [`initial_resource_set_for_ops`] computes for `ops`
+/// to `set`, in the order it adds them to an empty set; each is named
+/// after its ordinal within its class in `set`.
+pub(crate) fn add_initial_resources(
+    set: &mut ResourceSet,
+    body: &LinearBody,
+    ops: impl IntoIterator<Item = hls_ir::OpId>,
+    slots_per_instance: u32,
+) {
     let slots = slots_per_instance.max(1) as usize;
-    let mut ids: Vec<hls_ir::OpId> = ops.to_vec();
+    let mut ids: Vec<hls_ir::OpId> = ops.into_iter().collect();
     ids.sort_unstable();
 
     // Group operations by a merged resource type per class/width bucket.
@@ -62,7 +76,6 @@ pub fn initial_resource_set_for_ops(
         }
     }
 
-    let mut set = ResourceSet::new();
     for (_, (ty, ops)) in groups {
         // Mutually exclusive operations can share an execution slot: pair them
         // greedily and count each pair once. Unconditional operations can
@@ -90,7 +103,6 @@ pub fn initial_resource_set_for_ops(
         let demand = effective.div_ceil(slots).max(1);
         set.add_many(ty, demand);
     }
-    set
 }
 
 #[cfg(test)]

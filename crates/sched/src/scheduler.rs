@@ -13,7 +13,7 @@ use crate::config::SchedulerConfig;
 use crate::engine::{Engine, EngineOutcome, Work};
 use crate::error::SchedError;
 use crate::pass::{schedule_pass_counted, schedule_pass_in_regions, PassInput, PassOutcome};
-use crate::region::{batch_owner_regions, concat_pools, owner_region, region_pools, RegionPlan};
+use crate::region::{batch_owner_regions, owner_region, plan_resources, RegionPlan};
 use crate::relax::{choose_action, worst_negative_slack, RelaxAction, Restraint};
 use crate::resources::initial_resource_set;
 use hls_ir::analysis::{sccs, Scc};
@@ -196,7 +196,7 @@ impl<'a> Scheduler<'a> {
             Some(opts) => RegionPlan::build(self.body, &components, opts.target_ops),
             None => RegionPlan::trivial(self.body.dfg.num_ops()),
         };
-        let (mut resources, mut inst_region) = concat_pools(&region_pools(self.body, &plan, slots));
+        let (mut resources, mut inst_region) = plan_resources(self.body, &plan, slots);
         let mut forbidden: HashSet<(OpId, ResourceInstanceId)> = HashSet::new();
         let mut scc_stage: HashMap<usize, u32> = HashMap::new();
         let mut actions: Vec<RelaxAction> = Vec::new();

@@ -19,6 +19,7 @@
 
 use crate::error::{ReplayInfo, SimError};
 use crate::interp::Interpreter;
+use crate::nir::NirSim;
 use crate::stimulus::Stimulus;
 use hls_bind::{BoundDesign, RtlStyle};
 use hls_ir::{LinearBody, Port, PortDirection, PortId};
@@ -113,7 +114,17 @@ impl<'a> Reference<'a> {
     /// # Errors
     /// See [`check_nir`].
     pub fn check_nir(&self, netlist: &NirModule) -> Result<DifferentialReport, SimError> {
-        let timed = crate::nir::NirSim::new(netlist)?.run(&self.stimulus)?;
+        self.check_sim(&NirSim::new(netlist)?)
+    }
+
+    /// [`check_nir`] on a netlist already compiled into `sim`, so several
+    /// references (a fault sweep's stimulus and its escalated one) can run
+    /// one compiled netlist.
+    ///
+    /// # Errors
+    /// See [`check_nir`]; compiling the netlist cannot fail here.
+    pub fn check_sim(&self, sim: &NirSim<'_>) -> Result<DifferentialReport, SimError> {
+        let timed = sim.run(&self.stimulus)?;
         self.compare(&timed).map_err(|e| match self.replay {
             Some(info) => e.with_replay(info),
             None => e,

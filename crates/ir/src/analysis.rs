@@ -48,14 +48,7 @@ impl Scc {
 pub fn sccs(dfg: &Dfg) -> Vec<Scc> {
     let n = dfg.num_ops();
     // adjacency including loop-carried edges
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut self_loop = vec![false; n];
-    for dep in dfg.data_deps() {
-        if dep.from == dep.to {
-            self_loop[dep.from.index()] = true;
-        }
-        adj[dep.from.index()].push(dep.to.index());
-    }
+    let adj = dfg.successors(true);
 
     // Iterative Tarjan's algorithm.
     let mut index = vec![usize::MAX; n];
@@ -63,7 +56,7 @@ pub fn sccs(dfg: &Dfg) -> Vec<Scc> {
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut components: Vec<Vec<usize>> = Vec::new();
+    let mut out: Vec<Scc> = Vec::new();
 
     #[derive(Clone, Copy)]
     struct Frame {
@@ -71,11 +64,12 @@ pub fn sccs(dfg: &Dfg) -> Vec<Scc> {
         child: usize,
     }
 
+    let mut call_stack: Vec<Frame> = Vec::new();
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
         }
-        let mut call_stack = vec![Frame { v: start, child: 0 }];
+        call_stack.push(Frame { v: start, child: 0 });
         index[start] = next_index;
         lowlink[start] = next_index;
         next_index += 1;
@@ -84,8 +78,8 @@ pub fn sccs(dfg: &Dfg) -> Vec<Scc> {
 
         while let Some(frame) = call_stack.last_mut() {
             let v = frame.v;
-            if frame.child < adj[v].len() {
-                let w = adj[v][frame.child];
+            if let Some(&w) = adj.of(v).get(frame.child) {
+                let w = w as usize;
                 frame.child += 1;
                 if index[w] == usize::MAX {
                     index[w] = next_index;
@@ -103,29 +97,28 @@ pub fn sccs(dfg: &Dfg) -> Vec<Scc> {
                     lowlink[parent.v] = lowlink[parent.v].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
+                    // a lone op without a self loop is a trivial component:
+                    // popped, not collected
+                    if stack.last() == Some(&v) && !adj.of(v).contains(&(v as u32)) {
+                        stack.pop();
+                        on_stack[v] = false;
+                        continue;
+                    }
+                    let mut ops = Vec::new();
                     while let Some(w) = stack.pop() {
                         on_stack[w] = false;
-                        comp.push(w);
+                        ops.push(OpId::from_raw(w as u32));
                         if w == v {
                             break;
                         }
                     }
-                    components.push(comp);
+                    ops.sort();
+                    out.push(Scc { ops });
                 }
             }
         }
     }
 
-    let mut out = Vec::new();
-    for comp in components {
-        if comp.len() == 1 && !self_loop[comp[0]] {
-            continue;
-        }
-        let mut ops: Vec<OpId> = comp.iter().map(|&i| OpId::from_raw(i as u32)).collect();
-        ops.sort();
-        out.push(Scc { ops });
-    }
     // Deterministic order: by smallest member id.
     out.sort_by_key(|c| c.ops[0]);
     out

@@ -387,19 +387,14 @@ impl Dfg {
     fn find_intra_iteration_cycle(&self) -> Option<OpId> {
         // Kahn's algorithm; any node not drained is on a cycle.
         let n = self.ops.len();
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for dep in self.data_deps() {
-            if dep.distance == 0 {
-                indeg[dep.to.index()] += 1;
-                succ[dep.from.index()].push(dep.to.index());
-            }
-        }
+        let succ = self.successors(false);
+        let mut indeg = succ.in_degrees();
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut drained = 0usize;
         while let Some(i) = queue.pop() {
             drained += 1;
-            for &s in &succ[i] {
+            for &s in succ.of(i) {
+                let s = s as usize;
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     queue.push(s);
@@ -422,20 +417,15 @@ impl Dfg {
     /// dependence graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<OpId>, IrError> {
         let n = self.ops.len();
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for dep in self.data_deps() {
-            if dep.distance == 0 {
-                indeg[dep.to.index()] += 1;
-                succ[dep.from.index()].push(dep.to.index());
-            }
-        }
+        let succ = self.successors(false);
+        let mut indeg = succ.in_degrees();
         let mut queue: std::collections::VecDeque<usize> =
             (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop_front() {
             order.push(OpId::from_raw(i as u32));
-            for &s in &succ[i] {
+            for &s in succ.of(i) {
+                let s = s as usize;
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     queue.push_back(s);
@@ -453,6 +443,37 @@ impl Dfg {
         }
     }
 
+    /// Every op's consumers over the same-iteration data edges, and over
+    /// the loop-carried ones too when `carried`, in one flat array: each
+    /// op's list holds one entry per edge, in the order [`Dfg::data_deps`]
+    /// lists the edges.
+    pub(crate) fn successors(&self, carried: bool) -> Successors {
+        let n = self.ops.len();
+        let edges = || {
+            self.ops.iter().enumerate().flat_map(move |(to, op)| {
+                op.inputs
+                    .iter()
+                    .filter(move |sig| carried || sig.distance == 0)
+                    .filter_map(move |sig| sig.producer().map(|p| (p.index(), to as u32)))
+            })
+        };
+        // offsets[p + 1] counts p's edges, then the prefix sums place them
+        let mut offsets = vec![0u32; n + 1];
+        for (p, _) in edges() {
+            offsets[p + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut targets = vec![0u32; offsets[n] as usize];
+        for (p, to) in edges() {
+            targets[next[p] as usize] = to;
+            next[p] += 1;
+        }
+        Successors { offsets, targets }
+    }
+
     /// Counts operations of each kind mnemonic; handy for reports and for
     /// resource estimation sanity checks.
     pub fn kind_histogram(&self) -> HashMap<String, usize> {
@@ -461,6 +482,29 @@ impl Dfg {
             *map.entry(op.kind.mnemonic()).or_insert(0) += 1;
         }
         map
+    }
+}
+
+/// Every op's consumers in one flat array (see [`Dfg::successors`]).
+pub(crate) struct Successors {
+    /// Op `i`'s consumers are `targets[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Successors {
+    /// Op `i`'s consumers, one per edge.
+    pub(crate) fn of(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Each op's edges in.
+    fn in_degrees(&self) -> Vec<usize> {
+        let mut indeg = vec![0usize; self.offsets.len() - 1];
+        for &s in &self.targets {
+            indeg[s as usize] += 1;
+        }
+        indeg
     }
 }
 

@@ -110,6 +110,8 @@ pub fn optimize_timed_with(
 ) -> TimedRewriteReport {
     let mut timing = ChainTiming::new(library, clock);
     let before = analyze_timing(m, &mut timing);
+    // `after` holds the timing of the netlist as it stands: the analysis
+    // itself until a round is kept
     let mut report = TimedRewriteReport {
         rounds: 0,
         rebalanced_ops: 0,
@@ -118,19 +120,18 @@ pub fn optimize_timed_with(
         normalized: 0,
         swept: 0,
         before: before.clone(),
-        after: before.clone(),
+        after: before,
         hit_round_limit: false,
     };
     // Clean netlists are returned untouched; a clock below the flip-flop
     // launch+capture floor can never be met by restructuring, so don't
     // churn the netlist chasing it.
-    if before.wns_ps >= 0.0 || clock.period_ps() < timing.register_overhead_ps() {
+    if report.after.wns_ps >= 0.0 || clock.period_ps() < timing.register_overhead_ps() {
         return report;
     }
 
-    let mut current = before;
     for _ in 0..max_rounds {
-        let mask = critical_cells(m, &current);
+        let mask = critical_cells(m, &report.after);
         let snapshot = m.clone();
         let rebalanced = rebalance_operator_chains(m, Some(&mask));
         let reduced = strength_reduce_shifts(m, Some(&mask));
@@ -143,8 +144,8 @@ pub fn optimize_timed_with(
         let normalized = normalize(m);
         let swept = sweep(m);
         let after = analyze_timing(m, &mut timing);
-        if after.wns_ps >= current.wns_ps + MIN_GAIN_PS {
-            current = after;
+        if after.wns_ps >= report.after.wns_ps + MIN_GAIN_PS {
+            report.after = after;
             report.rounds += 1;
             report.rebalanced_ops += rebalanced;
             report.reduced_shifts += reduced;
@@ -155,14 +156,13 @@ pub fn optimize_timed_with(
             *m = snapshot;
             break;
         }
-        if current.wns_ps >= 0.0 {
+        if report.after.wns_ps >= 0.0 {
             break;
         }
     }
     // Every round was accepted and slack is still negative: the budget, not
     // convergence, ended the search.
-    report.hit_round_limit = report.rounds == max_rounds && current.wns_ps < 0.0;
-    report.after = current;
+    report.hit_round_limit = report.rounds == max_rounds && report.after.wns_ps < 0.0;
     report
 }
 

@@ -101,13 +101,14 @@ use crate::region::RegionPlan;
 use crate::relax::{count_contention, count_slack};
 use crate::relax::{RelaxAction, Restraint};
 use hls_ir::analysis::Scc;
-use hls_ir::{LinearBody, OpId, OpKind, PinnedState};
+use hls_ir::{LinearBody, OpId, OpKind, Operation, PinnedState, Predicate};
 use hls_netlist::ChainTiming;
 use hls_netlist::{ScheduleDesc, ScheduledOp};
 use hls_tech::{
     Interner, ResourceClass, ResourceClassId, ResourceInstanceId, ResourceSet, ResourceType,
     ResourceTypeId, TechLibrary,
 };
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Resume watermark marking a region that does not need to re-pass.
@@ -119,18 +120,17 @@ const CONE_BLOCK: usize = 1024;
 
 /// Transitive distance-0 fanout cone size per op: how many distinct ops
 /// its value reaches, over any path. `succs` lists each op's distance-0
-/// consumers, duplicates included.
+/// consumers, duplicates included, and `order` is [`dfs_topo_order`]'s.
 ///
-/// The ops are numbered in a depth-first topological order, which keeps
+/// The ops are numbered in that depth-first topological order, which keeps
 /// an independent kernel in consecutive positions, and cut into blocks of
 /// at most [`CONE_BLOCK`] positions. For each block one sweep in reverse
 /// order gives every op a row of bits over the block: the block members it
 /// reaches, the OR of its consumers' rows and their own bits. An op whose
 /// furthest reachable position lies before the block reaches nothing in
 /// it and is skipped, so an op pays only for the blocks its cone touches.
-fn fanout_cone_sizes(succs: &[Vec<usize>]) -> Vec<usize> {
-    let n = succs.len();
-    let order = dfs_topo_order(succs);
+fn fanout_cone_sizes(succs: &Lists<u32>, order: &[usize]) -> Vec<usize> {
+    let n = order.len();
     let mut pos = vec![0usize; n];
     for (k, &v) in order.iter().enumerate() {
         pos[v] = k;
@@ -138,7 +138,11 @@ fn fanout_cone_sizes(succs: &[Vec<usize>]) -> Vec<usize> {
     // per position, the furthest position its op reaches, itself included
     let mut reach = vec![0usize; n];
     for (k, &v) in order.iter().enumerate().rev() {
-        reach[k] = succs[v].iter().map(|&s| reach[pos[s]]).fold(k, usize::max);
+        reach[k] = succs
+            .get(v)
+            .iter()
+            .map(|&s| reach[pos[s as usize]])
+            .fold(k, usize::max);
     }
     // at least one word, so an empty body steps by a positive block size
     let words = n.min(CONE_BLOCK).div_ceil(64).max(1);
@@ -151,8 +155,8 @@ fn fanout_cone_sizes(succs: &[Vec<usize>]) -> Vec<usize> {
             let (head, later) = rows.split_at_mut((k + 1) * words);
             let row = &mut head[k * words..];
             row.fill(0);
-            for &s in &succs[order[k]] {
-                let p = pos[s];
+            for &s in succs.get(order[k]) {
+                let p = pos[s as usize];
                 if p >= hi || reach[p] < lo {
                     continue;
                 }
@@ -173,7 +177,7 @@ fn fanout_cone_sizes(succs: &[Vec<usize>]) -> Vec<usize> {
 /// A topological order of the graph whose edges `succs` lists: the reverse
 /// of the order in which depth-first searches from each op, in id order,
 /// finish their ops.
-fn dfs_topo_order(succs: &[Vec<usize>]) -> Vec<usize> {
+fn dfs_topo_order(succs: &Lists<u32>) -> Vec<usize> {
     let n = succs.len();
     let mut seen = vec![false; n];
     let mut finished = Vec::with_capacity(n);
@@ -187,8 +191,9 @@ fn dfs_topo_order(succs: &[Vec<usize>]) -> Vec<usize> {
         stack.push((root, 0));
         while let Some(top) = stack.last_mut() {
             let (v, next) = *top;
-            match succs[v].get(next) {
+            match succs.get(v).get(next) {
                 Some(&s) => {
+                    let s = s as usize;
                     top.1 += 1;
                     if !seen[s] {
                         seen[s] = true;
@@ -206,66 +211,130 @@ fn dfs_topo_order(succs: &[Vec<usize>]) -> Vec<usize> {
     finished
 }
 
-/// Cached predicate literals for the allocation-free mutual-exclusivity
-/// test. `lits` is sorted by condition op (the order `Predicate::literals`
-/// produces); each entry records whether the condition occurs with positive
-/// and/or negative polarity.
+/// Lists over dense indices in one flat array: list `i` is
+/// `targets[offsets[i]..offsets[i + 1]]`.
 #[derive(Clone, Debug, Default)]
-struct PredLits {
-    is_true: bool,
-    lits: Vec<(OpId, bool, bool)>,
+struct Lists<T> {
+    offsets: Vec<u32>,
+    targets: Vec<T>,
 }
 
-impl PredLits {
-    fn of(pred: &hls_ir::Predicate) -> Self {
-        let lits = pred
-            .literals()
-            .into_iter()
-            .map(|(cond, pols)| (cond, pols.contains(&true), pols.contains(&false)))
-            .collect();
-        PredLits {
-            is_true: pred.is_true(),
-            lits,
+impl<T: Copy> Lists<T> {
+    /// `n` lists, list `i` holding what `fill(i, targets)` appends.
+    fn build(n: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(n);
+        offsets.push(0);
+        for i in 0..n {
+            fill(i, &mut targets);
+            offsets.push(targets.len() as u32);
         }
+        Lists { offsets, targets }
     }
 
-    /// Mirrors `Predicate::mutually_exclusive` over the cached literals.
-    fn mutually_exclusive(&self, other: &PredLits) -> bool {
-        if self.is_true || other.is_true {
-            return false;
+    /// `n` lists, list `k` holding the `t` of each `(k, t)` that `pairs`
+    /// yields, in its order; `blank` only fills the array before it is
+    /// written.
+    fn from_pairs<I: Iterator<Item = (usize, T)>>(
+        n: usize,
+        pairs: impl Fn() -> I,
+        blank: T,
+    ) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for (k, _) in pairs() {
+            offsets[k + 1] += 1;
         }
-        for &(cond, a_true, a_false) in &self.lits {
-            if let Ok(pos) = other.lits.binary_search_by_key(&cond, |l| l.0) {
-                let (_, b_true, b_false) = other.lits[pos];
-                if (a_true && b_false && !a_false && !b_true)
-                    || (a_false && b_true && !a_true && !b_false)
-                {
-                    return true;
-                }
+        for k in 0..n {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut targets = vec![blank; offsets[n] as usize];
+        for (k, t) in pairs() {
+            targets[next[k] as usize] = t;
+            next[k] += 1;
+        }
+        Lists { offsets, targets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// The resource type [`ResourceType::for_op`] gives an op, held inline so
+/// that looking it up builds no `ResourceType`: the class, the operand
+/// widths widest first, and the result width.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct TypeKey {
+    class: ResourceClass,
+    ins: [u16; 3],
+    arity: u8,
+    out: u16,
+}
+
+impl TypeKey {
+    /// The key of `op`, of class `class`; `None` past three operands.
+    fn of(op: &Operation, class: ResourceClass) -> Option<Self> {
+        let skip = usize::from(matches!(op.kind, OpKind::Mux));
+        let widths = op.inputs.get(skip..).unwrap_or_default();
+        let mut ins = [0u16; 3];
+        for (w, sig) in ins.iter_mut().zip(widths) {
+            *w = sig.width;
+        }
+        let arity = match widths.len() {
+            0 => {
+                ins[0] = op.width;
+                1
+            }
+            n @ 1..=3 => n,
+            _ => return None,
+        };
+        ins[..arity].sort_unstable_by(|a, b| b.cmp(a));
+        Some(TypeKey {
+            class,
+            ins,
+            arity: arity as u8,
+            out: op.width,
+        })
+    }
+}
+
+/// Appends the literals of `pred` as `(condition, polarity)` pairs.
+fn push_literals(pred: &Predicate, out: &mut Vec<(OpId, bool)>) {
+    match pred {
+        Predicate::True => {}
+        Predicate::Cond(c) => out.push((*c, true)),
+        Predicate::NotCond(c) => out.push((*c, false)),
+        Predicate::And(ps) => {
+            for p in ps {
+                push_literals(p, out);
             }
         }
-        false
     }
 }
 
 /// Immutable per-run precomputation: everything about the body that no
 /// relaxation action can change, computed once per `Scheduler::run` instead
-/// of once per pass (or worse, once per placement attempt).
+/// of once per pass (or worse, once per placement attempt). Per-op lists
+/// are flat [`Lists`].
 struct PassStatics {
     n: usize,
     /// Distance-0 producers per op (duplicates preserved, as in `Dfg::preds`).
-    preds: Vec<Vec<OpId>>,
+    preds: Lists<OpId>,
     /// Extra precedence edges from I/O ordering, keyed by the later op.
-    extra_preds: Vec<Vec<OpId>>,
+    extra_preds: Lists<OpId>,
     pin: Vec<Option<PinnedState>>,
-    /// The op's required resource type (including `IoPort` interface types).
-    required_ty: Vec<Option<ResourceType>>,
+    /// The op's interned required type (including `IoPort` interface
+    /// types).
+    required_type_id: Vec<Option<ResourceTypeId>>,
     /// Whether the op occupies a datapath resource (non-`IoPort`).
     needs_resource: Vec<bool>,
     /// Interned class of datapath ops.
     class_id: Vec<Option<ResourceClassId>>,
-    /// Interned required type of datapath ops.
-    required_type_id: Vec<Option<ResourceTypeId>>,
     /// Combinational delay per interned type (indexed by `ResourceTypeId`);
     /// replaces the per-attempt `ResourceType` hash of the delay cache.
     type_delay: Vec<f64>,
@@ -277,10 +346,12 @@ struct PassStatics {
     below: Vec<u32>,
     /// Transitive distance-0 fanout cone size (see [`fanout_cone_sizes`]).
     fanout: Vec<usize>,
-    /// Predicate condition ops, filled only for side-effecting ops.
-    cond_ops: Vec<Vec<OpId>>,
     has_side_effects: Vec<bool>,
-    pred_lits: Vec<PredLits>,
+    /// Per op, its predicate's literals sorted by condition op (the order
+    /// `Predicate::literals` produces): the condition, and whether it
+    /// occurs with positive and with negative polarity. A side-effecting
+    /// op's conditions are its predicate condition ops.
+    lits: Lists<(OpId, bool, bool)>,
     scc_of: Vec<Option<u32>>,
     /// Whether the op is a free/IO op whose arrival is a register launch.
     launches_from_register: Vec<bool>,
@@ -288,88 +359,107 @@ struct PassStatics {
 
 impl PassStatics {
     fn build(body: &LinearBody, lib: &TechLibrary, sccs: &[Scc], interner: &mut Interner) -> Self {
-        let n = body.dfg.num_ops();
-        let mut preds: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, op) in body.dfg.iter_ops() {
-            for sig in &op.inputs {
-                if sig.distance == 0 {
-                    if let Some(p) = sig.producer() {
-                        preds[id.index()].push(p);
-                        succs[p.index()].push(id.index());
-                    }
-                }
-            }
-        }
-        let mut extra_preds: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        for (a, b) in body.io_order_deps() {
-            extra_preds[b.index()].push(a);
-        }
+        let dfg = &body.dfg;
+        let n = dfg.num_ops();
+        let ops = || dfg.iter_ops().map(|(_, op)| op);
+        let preds = Lists::build(n, |i, out| {
+            let inputs = &dfg.op(OpId::from_raw(i as u32)).inputs;
+            out.extend(
+                inputs
+                    .iter()
+                    .filter(|sig| sig.distance == 0)
+                    .filter_map(|sig| sig.producer()),
+            );
+        });
+        // each producer's consumers, in consumer then input order
+        let succs = Lists::from_pairs(
+            n,
+            || (0..n).flat_map(|i| preds.get(i).iter().map(move |p| (p.index(), i as u32))),
+            0,
+        );
+        let io_deps = body.io_order_deps();
+        let extra_preds = Lists::from_pairs(
+            n,
+            || io_deps.iter().map(|&(a, b)| (b.index(), a)),
+            OpId::from_raw(0),
+        );
 
         // ASAP levels and below-heights over the distance-0 dependence graph,
         // via one topological sweep each (same values as
         // `analysis::asap_levels` / the height pass of `alap_levels`).
-        let order = body
-            .dfg
-            .topo_order()
-            .expect("scheduling requires an acyclic intra-iteration dependence graph");
+        let order = dfs_topo_order(&succs);
         let mut asap = vec![0u32; n];
-        for &id in &order {
-            let l = preds[id.index()]
+        for &i in &order {
+            asap[i] = preds
+                .get(i)
                 .iter()
                 .map(|p| asap[p.index()] + 1)
                 .max()
                 .unwrap_or(0);
-            asap[id.index()] = l;
         }
         let mut below = vec![0u32; n];
-        for &id in order.iter().rev() {
-            let l = succs[id.index()]
+        for &i in order.iter().rev() {
+            below[i] = succs
+                .get(i)
                 .iter()
-                .map(|&s| below[s] + 1)
+                .map(|&s| below[s as usize] + 1)
                 .max()
                 .unwrap_or(0);
-            below[id.index()] = l;
         }
+        let fanout = fanout_cone_sizes(&succs, &order);
 
-        let fanout = fanout_cone_sizes(&succs);
-
-        let mut required_ty = vec![None; n];
-        let mut needs_resource = vec![false; n];
-        let mut class_id = vec![None; n];
-        let mut required_type_id = vec![None; n];
+        // each distinct type is built and interned once, at its first op
+        let mut known: HashMap<TypeKey, ResourceTypeId> = HashMap::new();
         let mut type_delay: Vec<f64> = Vec::new();
         let mut type_width: Vec<u16> = Vec::new();
+        let mut required_type_id = vec![None; n];
+        let mut needs_resource = vec![false; n];
+        let mut class_id = vec![None; n];
         let mut complexity = vec![0.0f64; n];
-        let mut cond_ops: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        let mut has_side_effects = vec![false; n];
-        let mut pred_lits = vec![PredLits::default(); n];
-        let mut launches_from_register = vec![false; n];
-        for (id, op) in body.dfg.iter_ops() {
-            let i = id.index();
-            let ty = ResourceType::for_op(op);
-            if let Some(ty) = &ty {
-                if !matches!(ty.class, ResourceClass::IoPort) {
-                    needs_resource[i] = true;
-                    complexity[i] = lib.delay_ps(ty);
-                    let cid = interner.class_id(&ty.class);
-                    class_id[i] = Some(cid);
-                    let tid = interner.type_id(ty);
+        for (i, op) in ops().enumerate() {
+            let Some(class) = ResourceType::class_for_kind(&op.kind) else {
+                continue;
+            };
+            let datapath = !matches!(class, ResourceClass::IoPort);
+            if datapath {
+                class_id[i] = Some(interner.class_id(&class));
+            }
+            let key = TypeKey::of(op, class);
+            let tid = match key.as_ref().and_then(|key| known.get(key)) {
+                Some(&tid) => tid,
+                None => {
+                    let ty = ResourceType::for_op(op).expect("a typed op");
+                    let tid = interner.type_id(&ty);
                     if tid.index() >= type_delay.len() {
-                        type_delay.push(lib.delay_ps(ty));
+                        type_delay.push(lib.delay_ps(&ty));
                         type_width.push(ty.max_width());
                     }
-                    required_type_id[i] = Some(tid);
+                    known.extend(key.map(|key| (key, tid)));
+                    tid
+                }
+            };
+            required_type_id[i] = Some(tid);
+            needs_resource[i] = datapath;
+            if datapath {
+                complexity[i] = type_delay[tid.index()];
+            }
+        }
+
+        let mut scratch: Vec<(OpId, bool)> = Vec::new();
+        let lits = Lists::build(n, |i, out: &mut Vec<(OpId, bool, bool)>| {
+            scratch.clear();
+            push_literals(&dfg.op(OpId::from_raw(i as u32)).predicate, &mut scratch);
+            scratch.sort_unstable_by_key(|&(cond, _)| cond);
+            for (k, &(cond, pol)) in scratch.iter().enumerate() {
+                match out.last_mut() {
+                    Some(last) if k > 0 && last.0 == cond => {
+                        last.1 |= pol;
+                        last.2 |= !pol;
+                    }
+                    _ => out.push((cond, pol, !pol)),
                 }
             }
-            required_ty[i] = ty;
-            has_side_effects[i] = op.kind.has_side_effects();
-            if has_side_effects[i] {
-                cond_ops[i] = op.predicate.condition_ops();
-            }
-            pred_lits[i] = PredLits::of(&op.predicate);
-            launches_from_register[i] = matches!(op.kind, OpKind::Read(_) | OpKind::Pass);
-        }
+        });
 
         let mut scc_of = vec![None; n];
         for (si, scc) in sccs.iter().enumerate() {
@@ -377,38 +467,67 @@ impl PassStatics {
                 scc_of[op.index()] = Some(si as u32);
             }
         }
-
-        let pin = (0..n)
-            .map(|i| body.pin_of(OpId::from_raw(i as u32)))
-            .collect();
+        let mut pin = vec![None; n];
+        for (op, p) in &body.pins {
+            if let Some(slot) = pin.get_mut(op.index()) {
+                *slot = Some(*p);
+            }
+        }
 
         PassStatics {
             n,
             preds,
             extra_preds,
             pin,
-            required_ty,
+            required_type_id,
             needs_resource,
             class_id,
-            required_type_id,
             type_delay,
             type_width,
             complexity,
             asap,
             below,
             fanout,
-            cond_ops,
-            has_side_effects,
-            pred_lits,
+            has_side_effects: ops().map(|op| op.kind.has_side_effects()).collect(),
+            lits,
             scc_of,
-            launches_from_register,
+            launches_from_register: ops()
+                .map(|op| matches!(op.kind, OpKind::Read(_) | OpKind::Pass))
+                .collect(),
         }
     }
 
     /// Every producer op `i` waits for, with duplicates: its distance-0
     /// data producers, then its I/O-order producers.
     fn producers(&self, i: usize) -> impl Iterator<Item = OpId> + '_ {
-        self.preds[i].iter().chain(&self.extra_preds[i]).copied()
+        self.preds
+            .get(i)
+            .iter()
+            .chain(self.extra_preds.get(i))
+            .copied()
+    }
+
+    /// Op `i`'s predicate condition ops if it has side effects.
+    fn cond_ops(&self, i: usize) -> impl Iterator<Item = OpId> + '_ {
+        let lits = if self.has_side_effects[i] {
+            self.lits.get(i)
+        } else {
+            &[]
+        };
+        lits.iter().map(|&(cond, ..)| cond)
+    }
+
+    /// Mirrors `Predicate::mutually_exclusive` over the literal lists of
+    /// ops `a` and `b`.
+    fn mutually_exclusive(&self, a: usize, b: usize) -> bool {
+        let other = self.lits.get(b);
+        self.lits.get(a).iter().any(|&(cond, a_true, a_false)| {
+            other.binary_search_by_key(&cond, |l| l.0).is_ok_and(|k| {
+                let (_, b_true, b_false) = other[k];
+                (a_true && b_false && !a_false && !b_true)
+                    || (a_false && b_true && !a_true && !b_false)
+            })
+        })
     }
 }
 
@@ -613,15 +732,13 @@ fn set_bit(bits: &mut Vec<u64>, l: usize) {
     bits[l / 64] |= 1 << (l % 64);
 }
 
-/// Where a placement attempt binds: the region, the control step, its
-/// folded state, and the number of folded states (the busy table's
-/// stride).
+/// Where a placement attempt binds: the region, the control step and its
+/// folded state.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     region: u32,
     state: u32,
     folded: u32,
-    fold_states: u32,
 }
 
 /// What a placement scan found. The scan reports its reasons as a [`Span`]
@@ -787,8 +904,9 @@ struct PlacedOp {
 
 /// The mutable per-region pass state — everything a control step's decisions
 /// inside one region can read or write. Every write goes through the
-/// region's undo journal (see [`RegionRt::rewind`]); the busy table and
-/// combinational graph are derived from `placed` and rebuilt instead.
+/// region's undo journal (see [`RegionRt::rewind`]), which also keeps the
+/// tables derived from `placed` (the busy table, the combinational graph,
+/// the ready set) current.
 /// All vectors are indexed by the *region-local* op index except
 /// `scc_dyn_stage`, which stays global-SCC-indexed (an SCC is always wholly
 /// inside one region, so only its owner ever reads or writes its entry).
@@ -828,38 +946,41 @@ impl RegionFrame {
         self.first_considered.fill(None);
         self.min_slack = f64::INFINITY;
     }
-
-    /// Reverts one journaled write.
-    fn undo(&mut self, entry: Undo) {
-        match entry {
-            Undo::Placed { l, min_slack } => {
-                self.placed[l as usize] = None;
-                self.num_placed -= 1;
-                self.min_slack = min_slack;
-            }
-            Undo::Considered(l) => self.first_considered[l as usize] = None,
-            Undo::Reasons(l, old) => self.last_reasons[l as usize] = old,
-            Undo::Stage(i, old) => self.scc_dyn_stage[i as usize] = old,
-        }
-    }
 }
 
-/// One write to a [`RegionFrame`], with what it replaced.
+/// Where a bound op sits in its region's busy table: its folded state and
+/// its instance's local index.
+#[derive(Clone, Copy, Debug)]
+struct Seat {
+    folded: u32,
+    local: u32,
+}
+
+/// One write to a [`RegionRt`]'s pass state, with what it replaced.
 enum Undo {
-    /// `placed[l]` was set, and `min_slack` held this before it.
-    Placed { l: u32, min_slack: f64 },
+    /// `placed[l]` was set, and the op took `seat`, if it is bound;
+    /// `min_slack` held this before it.
+    Placed {
+        l: u32,
+        seat: Option<Seat>,
+        min_slack: f64,
+    },
     /// `first_considered[l]` was set.
     Considered(u32),
+    /// `class_considered[c]` was set.
+    ClassConsidered(u32),
     /// `last_reasons[l]` held this before the step's first write to it.
     Reasons(u32, Option<Span>),
     /// `scc_dyn_stage[i]` held this.
     Stage(u32, Option<u32>),
+    /// The combinational graph gained its last edge out of this instance.
+    Edge(u32),
 }
 
 /// Per-region runtime: the region's slice of the problem (members, priority
-/// order, resource pool), its persisted pass state, its scratch tables and
-/// its incremental bookkeeping (resume watermark, published interface,
-/// cached failure fragment).
+/// order, resource pool), its persisted pass state with the tables derived
+/// from it, its scratch tables and its incremental bookkeeping (resume
+/// watermark, published interface, cached failure fragment).
 struct RegionRt {
     /// Member ops (global indices) in plan order — the local index layout.
     members: Vec<u32>,
@@ -877,7 +998,8 @@ struct RegionRt {
     insts_per_class: Vec<usize>,
 
     frame: RegionFrame,
-    /// Every write to `frame` since the region last started from state 0.
+    /// Every write to `frame` and the kept tables since the region last
+    /// started from state 0.
     journal: Vec<Undo>,
     /// The reason arena: the entries of every failed attempt since the
     /// region last started from state 0, in attempt order, less those of
@@ -895,13 +1017,53 @@ struct RegionRt {
     /// The region's work over every pass so far.
     work: Work,
 
-    // scratch reused across passes
-    busy: Vec<Vec<OpId>>,
+    // tables kept equal to functions of the placement by `place` and the
+    // journal; `oracle::check_tables` rebuilds them in test builds
+    /// The busy table, state-major: per folded state, `words * 64` slots
+    /// over the local instances, each holding the local op bound there
+    /// last, or [`VACANT`].
+    busy: Vec<u32>,
+    /// Per local op bound to a slot, the op bound there before it, or
+    /// [`VACANT`]: the rest of the slot's list. A rewind pops ops in the
+    /// reverse order of their placement, so an undone op heads its list.
+    busy_next: Vec<u32>,
     /// Per folded state, `words` words over the local instance indices: a
     /// bit is set when that slot's busy list is non-empty.
     occupied: Vec<u64>,
     /// Words per instance bitset: the pool size rounded up to 64.
     words: usize,
+    /// The combinational-cycle graph over local instances: an edge per
+    /// bound producer and consumer placed in one state, each kept once.
+    comb_succ: Vec<Vec<u32>>,
+    /// Per interned class, the state the first member of the class was
+    /// considered in, which is the earliest such state (a pass considers
+    /// its ops in state order).
+    class_considered: Vec<Option<u32>>,
+    /// Per local op, its position in `order`.
+    rank: Vec<u32>,
+    /// Per local op, its unplaced same-region producers, once per edge.
+    waiting: Vec<u32>,
+    /// Per local op, the first state its upstream-region producers allow
+    /// (one past the latest one's state), [`NEVER`] while one is unplaced;
+    /// refreshed for `cut` as a pass starts.
+    release: Vec<u32>,
+    /// A bitset over ranks: the unplaced ops with nothing `waiting`.
+    ready_bits: Vec<u64>,
+    /// A bitset over the local ops: the unplaced ones.
+    unplaced: Vec<u64>,
+
+    // fixed per run
+    /// Per local op, its same-region consumers' local indices, once per
+    /// edge (as `PassStatics::producers` lists them).
+    consumers: Lists<u32>,
+    /// `waiting` and `ready_bits` with nothing placed, which a start from
+    /// state 0 copies.
+    initial_waiting: Vec<u32>,
+    initial_ready: Vec<u64>,
+    /// The local ops with a producer in an upstream region.
+    cut: Vec<u32>,
+
+    // scratch reused across passes
     /// One attempt's candidates: allowed, free and timing-clean instances.
     cand: Vec<u64>,
     /// One attempt's forbidden instances.
@@ -916,7 +1078,6 @@ struct RegionRt {
     /// What the walk oracle checked since the last pass was recorded.
     #[cfg(test)]
     coverage: oracle::Coverage,
-    comb_succ: Vec<Vec<u32>>,
     comb_mark: Vec<u32>,
     comb_epoch: u32,
     comb_stack: Vec<u32>,
@@ -927,20 +1088,6 @@ struct RegionRt {
     /// The current step's failed ops, each with the region's placement
     /// count at its failed attempt.
     step_fails: Vec<(OpId, usize)>,
-
-    // the ready set: `consumers` is fixed, the rest is rebuilt per run
-    /// Per local op, its same-region consumers' local indices, once per
-    /// edge (as `PassStatics::producers` lists them).
-    consumers: Vec<Vec<u32>>,
-    /// Per local op, its position in `order`.
-    rank: Vec<u32>,
-    /// Per local op, its unplaced same-region producers, once per edge.
-    waiting: Vec<u32>,
-    /// Per local op, the first state its upstream-region producers allow
-    /// (one past the latest one's state), [`NEVER`] while one is unplaced.
-    release: Vec<u32>,
-    /// A bitset over ranks: the unplaced ops with nothing `waiting`.
-    ready_bits: Vec<u64>,
     /// The frame and the reason arena's length at the start of each step
     /// run, to check every rewind against.
     #[cfg(test)]
@@ -955,11 +1102,196 @@ struct RegionRt {
 /// unplaced.
 const NEVER: u32 = u32::MAX;
 
+/// An empty busy-table slot, or the end of a slot's list.
+const VACANT: u32 = u32::MAX;
+
+/// Sets bit `k` of a bitset that covers it to `on`.
+fn put_bit(bits: &mut [u64], k: usize, on: bool) {
+    let mask = 1 << (k % 64);
+    if on {
+        bits[k / 64] |= mask;
+    } else {
+        bits[k / 64] &= !mask;
+    }
+}
+
+/// Sets the first `n` bits of a bitset of `n.div_ceil(64)` words.
+fn fill_bits(bits: &mut [u64], n: usize) {
+    bits.fill(!0);
+    if n % 64 != 0 {
+        bits[n / 64] = (1 << (n % 64)) - 1;
+    }
+}
+
+/// Widens a table of `rows` rows from `old` to `new` entries per row,
+/// filling each row's new entries with `blank`.
+fn restride<T: Copy>(table: &mut Vec<T>, rows: usize, old: usize, new: usize, blank: T) {
+    table.resize(rows * new, blank);
+    // rows move up, so the last one moves first
+    for r in (0..rows).rev() {
+        table.copy_within(r * old..(r + 1) * old, r * new);
+        table[r * new + old..(r + 1) * new].fill(blank);
+    }
+}
+
 impl RegionRt {
-    /// Sets `first_considered[l]`, which is unset.
-    fn consider(&mut self, l: usize, state: u32) {
+    /// The runtime of region `r` of `plan` at the start of a run: members,
+    /// priority order and pool as given, the same-region consumer lists
+    /// and the empty placement's ready set.
+    fn new(
+        statics: &PassStatics,
+        plan: &RegionPlan,
+        r: usize,
+        order: Vec<OpId>,
+        insts: Vec<ResourceInstanceId>,
+        insts_per_class: Vec<usize>,
+        scc_stage_input: &[Option<u32>],
+    ) -> Self {
+        let info = &plan.regions[r];
+        let members = info.ops.clone();
+        let n_local = members.len();
+        let mut ops_per_class: Vec<usize> = Vec::new();
+        for &g in &members {
+            if let Some(cid) = statics.class_id[g as usize] {
+                if cid.index() >= ops_per_class.len() {
+                    ops_per_class.resize(cid.index() + 1, 0);
+                }
+                ops_per_class[cid.index()] += 1;
+            }
+        }
+        let class_considered = vec![None; ops_per_class.len()];
+        let own = |p: &OpId| plan.region_of[p.index()] as usize == r;
+        let consumers = Lists::from_pairs(
+            n_local,
+            || {
+                members.iter().enumerate().flat_map(move |(l, &g)| {
+                    statics
+                        .producers(g as usize)
+                        .filter(own)
+                        .map(move |p| (plan.local_of[p.index()] as usize, l as u32))
+                })
+            },
+            0,
+        );
+        let mut initial_waiting = vec![0u32; n_local];
+        let mut cut = Vec::new();
+        for (l, &g) in members.iter().enumerate() {
+            for p in statics.producers(g as usize) {
+                if own(&p) {
+                    initial_waiting[l] += 1;
+                } else if cut.last() != Some(&(l as u32)) {
+                    cut.push(l as u32);
+                }
+            }
+        }
+        let mut unplaced = vec![0u64; n_local.div_ceil(64)];
+        fill_bits(&mut unplaced, n_local);
+        let mut rank = vec![0u32; n_local];
+        let mut initial_ready = vec![0u64; n_local.div_ceil(64)];
+        for (k, op) in order.iter().enumerate() {
+            let l = plan.local_of[op.index()] as usize;
+            rank[l] = k as u32;
+            put_bit(&mut initial_ready, k, initial_waiting[l] == 0);
+        }
+        RegionRt {
+            frame: RegionFrame::fresh(n_local, scc_stage_input),
+            order,
+            insts,
+            type_bits: Vec::new(),
+            ops_per_class,
+            insts_per_class,
+            journal: Vec::new(),
+            reasons: Vec::new(),
+            marks: Vec::new(),
+            resume: 0,
+            iface: vec![None; info.boundary.len()],
+            fail: Vec::new(),
+            work: Work::default(),
+            busy: Vec::new(),
+            busy_next: vec![VACANT; n_local],
+            occupied: Vec::new(),
+            words: 0,
+            comb_succ: Vec::new(),
+            class_considered,
+            rank,
+            waiting: initial_waiting.clone(),
+            release: vec![0; n_local],
+            ready_bits: initial_ready.clone(),
+            unplaced,
+            consumers,
+            initial_waiting,
+            initial_ready,
+            cut,
+            cand: Vec::new(),
+            forbid: Vec::new(),
+            tallies: Vec::new(),
+            met: Vec::new(),
+            chain_from: Vec::new(),
+            #[cfg(test)]
+            coverage: oracle::Coverage::default(),
+            comb_mark: Vec::new(),
+            comb_epoch: 0,
+            comb_stack: Vec::new(),
+            ready: Vec::with_capacity(n_local + 1),
+            in_arrivals: Vec::with_capacity(8),
+            step_failed: vec![false; n_local],
+            step_fails: Vec::new(),
+            members,
+            #[cfg(test)]
+            clones: Vec::new(),
+            #[cfg(test)]
+            skipped_refreshes: Vec::new(),
+        }
+    }
+
+    /// The busy-table slot of local instance `local` in folded state
+    /// `folded`.
+    fn slot(&self, folded: u32, local: usize) -> usize {
+        folded as usize * self.words * 64 + local
+    }
+
+    /// The local ops bound in busy-table slot `slot`, latest first.
+    fn bound_in(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut next = self.busy[slot];
+        std::iter::from_fn(move || {
+            (next != VACANT).then(|| {
+                let l = next as usize;
+                next = self.busy_next[l];
+                l
+            })
+        })
+    }
+
+    /// Sizes the busy table and the occupancy bits for the pool and
+    /// `fold_states` folded states, and the combinational graph for the
+    /// pool. A pool that outgrew its words widens every row; an `AddState`
+    /// of a sequential schedule appends a row.
+    fn fit_tables(&mut self, fold_states: u32) {
+        let words = self.insts.len().div_ceil(64);
+        if words != self.words {
+            let rows = self.occupied.len().checked_div(self.words).unwrap_or(0);
+            restride(&mut self.busy, rows, self.words * 64, words * 64, VACANT);
+            restride(&mut self.occupied, rows, self.words, words, 0);
+            self.words = words;
+        }
+        self.busy.resize(fold_states as usize * words * 64, VACANT);
+        self.occupied.resize(fold_states as usize * words, 0);
+        self.comb_succ.resize_with(self.insts.len(), Vec::new);
+        self.comb_mark.resize(self.insts.len(), 0);
+    }
+
+    /// Sets `first_considered[l]`, which is unset, and the first state of
+    /// the op's datapath class, if it has none.
+    fn consider(&mut self, l: usize, state: u32, class: Option<ResourceClassId>) {
         self.journal.push(Undo::Considered(l as u32));
         self.frame.first_considered[l] = Some(state);
+        if let Some(c) = class {
+            let first = &mut self.class_considered[c.index()];
+            if first.is_none() {
+                *first = Some(state);
+                self.journal.push(Undo::ClassConsidered(c.0));
+            }
+        }
     }
 
     /// Records the span of the arena holding op `l`'s failed attempt's
@@ -982,27 +1314,81 @@ impl RegionRt {
         }
     }
 
-    /// Places op `l`, folding the slack of a bound op into `min_slack`, and
-    /// moves it out of the ready set; each same-region consumer it was the
-    /// last unplaced producer of moves in, for the next round.
-    fn place(&mut self, l: usize, placed: PlacedOp, slack: Option<f64>) {
-        let frame = &mut self.frame;
+    /// Adds the combinational edge `from → to` unless the graph has it.
+    fn chain(&mut self, from: u32, to: u32) {
+        if comb_add_edge(&mut self.comb_succ, from, to) {
+            self.journal.push(Undo::Edge(from));
+        }
+    }
+
+    /// Places op `l`, bound to `bound`'s seat with its slack if it takes
+    /// an instance, folding that slack into `min_slack`, and moves it out
+    /// of the unplaced and ready sets; each same-region consumer it was
+    /// the last unplaced producer of moves in, for the next round.
+    fn place(&mut self, l: usize, placed: PlacedOp, bound: Option<(Seat, f64)>) {
         self.journal.push(Undo::Placed {
             l: l as u32,
-            min_slack: frame.min_slack,
+            seat: bound.map(|(seat, _)| seat),
+            min_slack: self.frame.min_slack,
         });
-        frame.placed[l] = Some(placed);
-        frame.num_placed += 1;
-        if let Some(slack) = slack {
-            frame.min_slack = frame.min_slack.min(slack);
+        self.frame.placed[l] = Some(placed);
+        self.frame.num_placed += 1;
+        if let Some((seat, slack)) = bound {
+            self.frame.min_slack = self.frame.min_slack.min(slack);
+            let slot = self.slot(seat.folded, seat.local as usize);
+            self.busy_next[l] = self.busy[slot];
+            self.busy[slot] = l as u32;
+            let word = seat.folded as usize * self.words + seat.local as usize / 64;
+            self.occupied[word] |= 1 << (seat.local % 64);
         }
-        let rank = self.rank[l] as usize;
-        self.ready_bits[rank / 64] &= !(1 << (rank % 64));
-        for &c in &self.consumers[l] {
+        put_bit(&mut self.unplaced, l, false);
+        put_bit(&mut self.ready_bits, self.rank[l] as usize, false);
+        for &c in self.consumers.get(l) {
             let c = c as usize;
             self.waiting[c] -= 1;
             if self.waiting[c] == 0 {
-                set_bit(&mut self.ready_bits, self.rank[c] as usize);
+                put_bit(&mut self.ready_bits, self.rank[c] as usize, true);
+            }
+        }
+    }
+
+    /// Reverts one journaled write.
+    fn undo(&mut self, entry: Undo) {
+        match entry {
+            Undo::Placed { l, seat, min_slack } => {
+                let l = l as usize;
+                self.frame.placed[l] = None;
+                self.frame.num_placed -= 1;
+                self.frame.min_slack = min_slack;
+                if let Some(seat) = seat {
+                    let slot = self.slot(seat.folded, seat.local as usize);
+                    debug_assert_eq!(
+                        self.busy[slot], l as u32,
+                        "a rewind pops its slot's latest op"
+                    );
+                    self.busy[slot] = self.busy_next[l];
+                    if self.busy[slot] == VACANT {
+                        let word = seat.folded as usize * self.words + seat.local as usize / 64;
+                        self.occupied[word] &= !(1 << (seat.local % 64));
+                    }
+                }
+                put_bit(&mut self.unplaced, l, true);
+                // its consumers are unplaced: they were placed after it
+                for &c in self.consumers.get(l) {
+                    let c = c as usize;
+                    self.waiting[c] += 1;
+                    if self.waiting[c] == 1 {
+                        put_bit(&mut self.ready_bits, self.rank[c] as usize, false);
+                    }
+                }
+                put_bit(&mut self.ready_bits, self.rank[l] as usize, true);
+            }
+            Undo::Considered(l) => self.frame.first_considered[l as usize] = None,
+            Undo::ClassConsidered(c) => self.class_considered[c as usize] = None,
+            Undo::Reasons(l, old) => self.frame.last_reasons[l as usize] = old,
+            Undo::Stage(i, old) => self.frame.scc_dyn_stage[i as usize] = old,
+            Undo::Edge(from) => {
+                self.comb_succ[from as usize].pop();
             }
         }
     }
@@ -1012,20 +1398,46 @@ impl RegionRt {
     fn rewind(&mut self, state: u32) {
         let mark = self.marks[state as usize];
         self.marks.truncate(state as usize);
-        for entry in self.journal.drain(mark.journal..).rev() {
-            self.frame.undo(entry);
+        let mut journal = std::mem::take(&mut self.journal);
+        for entry in journal.drain(mark.journal..).rev() {
+            self.undo(entry);
         }
+        self.journal = journal;
         self.reasons.truncate(mark.reasons);
     }
 
-    /// Starts the region again from state 0.
+    /// Starts the region again from state 0: nothing placed, the ready set
+    /// copied from the run's initial one.
     fn reset(&mut self, scc_stage_input: &[Option<u32>]) {
         self.frame.reset(scc_stage_input);
         self.journal.clear();
         self.reasons.clear();
         self.marks.clear();
+        self.busy.fill(VACANT);
+        self.occupied.fill(0);
+        for succ in &mut self.comb_succ {
+            succ.clear();
+        }
+        self.class_considered.fill(None);
+        self.waiting.copy_from_slice(&self.initial_waiting);
+        self.ready_bits.copy_from_slice(&self.initial_ready);
+        fill_bits(&mut self.unplaced, self.members.len());
         #[cfg(test)]
         self.clones.clear();
+    }
+
+    /// Re-ranks the ops at the positions `flips` name, which a reorder of
+    /// `order` permuted among themselves, and rewrites the ready bits
+    /// there, the current and the initial ones.
+    fn rerank(&mut self, flips: &[Flip], local_of: &[u32]) {
+        for f in flips {
+            let k = f.rank as usize;
+            let l = local_of[self.order[k].index()] as usize;
+            self.rank[l] = k as u32;
+            let ready = self.waiting[l] == 0 && self.frame.placed[l].is_none();
+            put_bit(&mut self.ready_bits, k, ready);
+            put_bit(&mut self.initial_ready, k, self.initial_waiting[l] == 0);
+        }
     }
 }
 
@@ -1106,8 +1518,6 @@ pub(crate) struct Engine<'a> {
     /// included. A datapath op's compatible types are those of its
     /// required type.
     compat_types: Vec<Vec<ResourceTypeId>>,
-    /// Global priority order (regions filter it to their members).
-    order: Vec<OpId>,
 
     regions: Vec<RegionRt>,
     /// The relaxation action applied last, which the oracle's rewind
@@ -1189,69 +1599,32 @@ impl<'a> Engine<'a> {
 
         let scc_stage_input: Vec<Option<u32>> = vec![None; sccs.len()];
         let latency = latency.max(1);
-        let order = order_for(&statics, latency);
+        // the global priority order, filtered to each region's members
+        let mut order = order_for(&statics, latency);
         let mut region_orders: Vec<Vec<OpId>> = vec![Vec::new(); num_regions];
+        if plan.is_trivial() {
+            region_orders[0] = std::mem::take(&mut order);
+        }
         for &op in &order {
             region_orders[plan.region_of[op.index()] as usize].push(op);
         }
 
-        let mut regions: Vec<RegionRt> = Vec::with_capacity(num_regions);
-        for (ri, info) in plan.regions.iter().enumerate() {
-            let members = info.ops.clone();
-            let mut ops_per_class: Vec<usize> = Vec::new();
-            for &g in &members {
-                if let Some(cid) = statics.class_id[g as usize] {
-                    if cid.index() >= ops_per_class.len() {
-                        ops_per_class.resize(cid.index() + 1, 0);
-                    }
-                    ops_per_class[cid.index()] += 1;
-                }
-            }
-            let consumers = region_consumers(&statics, &plan, ri);
-            regions.push(RegionRt {
-                frame: RegionFrame::fresh(members.len(), &scc_stage_input),
-                members,
-                order: std::mem::take(&mut region_orders[ri]),
-                insts: std::mem::take(&mut insts_by_region[ri]),
-                type_bits: Vec::new(),
-                ops_per_class,
-                insts_per_class: std::mem::take(&mut insts_per_class_by_region[ri]),
-                journal: Vec::new(),
-                reasons: Vec::new(),
-                marks: Vec::new(),
-                resume: 0,
-                iface: vec![None; info.boundary.len()],
-                fail: Vec::new(),
-                work: Work::default(),
-                busy: Vec::new(),
-                occupied: Vec::new(),
-                words: 0,
-                cand: Vec::new(),
-                forbid: Vec::new(),
-                tallies: Vec::new(),
-                met: Vec::new(),
-                chain_from: Vec::new(),
-                #[cfg(test)]
-                coverage: oracle::Coverage::default(),
-                comb_succ: Vec::new(),
-                comb_mark: Vec::new(),
-                comb_epoch: 0,
-                comb_stack: Vec::new(),
-                ready: Vec::with_capacity(regions_capacity_hint(n, num_regions)),
-                in_arrivals: Vec::with_capacity(8),
-                step_failed: vec![false; info.ops.len()],
-                step_fails: Vec::new(),
-                consumers,
-                rank: Vec::new(),
-                waiting: Vec::new(),
-                release: Vec::new(),
-                ready_bits: Vec::new(),
-                #[cfg(test)]
-                clones: Vec::new(),
-                #[cfg(test)]
-                skipped_refreshes: Vec::new(),
-            });
-        }
+        let mut regions: Vec<RegionRt> = region_orders
+            .into_iter()
+            .zip(insts_by_region.into_iter().zip(insts_per_class_by_region))
+            .enumerate()
+            .map(|(r, (order, (insts, per_class)))| {
+                RegionRt::new(
+                    &statics,
+                    &plan,
+                    r,
+                    order,
+                    insts,
+                    per_class,
+                    &scc_stage_input,
+                )
+            })
+            .collect();
 
         for rt in &mut regions {
             for (l, inst) in rt.insts.iter().enumerate() {
@@ -1281,7 +1654,6 @@ impl<'a> Engine<'a> {
             inst_type_ids,
             inst_local,
             compat_types,
-            order,
             regions,
             #[cfg(test)]
             last_action: None,
@@ -1389,32 +1761,22 @@ impl<'a> Engine<'a> {
     fn add_state(&mut self) {
         let old_latency = self.latency;
         self.latency += 1;
-        let flips = priority_flips(&self.statics, &mut self.order, old_latency);
-        #[cfg(test)]
-        assert!(
-            self.order == order_for(&self.statics, self.latency),
-            "the reordered priority order differs from the sorted one at latency {}",
-            self.latency
-        );
-        if flips.is_empty() {
-            for rt in &mut self.regions {
-                rt.resume = rt.resume.min(old_latency);
-            }
-            return;
-        }
-        let region_of = &self.plan.region_of;
-        for rt in &mut self.regions {
-            rt.order.clear();
-        }
-        for &op in &self.order {
-            self.regions[region_of[op.index()] as usize].order.push(op);
-        }
-        let mut region_flips: Vec<Vec<Flip>> = vec![Vec::new(); self.regions.len()];
-        for f in flips {
-            region_flips[region_of[f.op.index()] as usize].push(f);
-        }
         let local_of = &self.plan.local_of;
-        for (rt, flips) in self.regions.iter_mut().zip(region_flips) {
+        #[cfg(test)]
+        let sorted = order_for(&self.statics, self.latency);
+        for rt in &mut self.regions {
+            // a region's order is the global one filtered, so its flips
+            // are the global ones that have a partner in the region
+            let flips = priority_flips(&self.statics, &mut rt.order, old_latency);
+            #[cfg(test)]
+            assert!(
+                rt.order.iter().eq(sorted.iter().filter(|op| {
+                    rt.members.get(local_of[op.index()] as usize) == Some(&(op.index() as u32))
+                })),
+                "the reordered priority order differs from the sorted one at latency {}",
+                self.latency
+            );
+            rt.rerank(&flips, local_of);
             let frame = &rt.frame;
             let resume = flip_resume(&flips, |op| {
                 let l = local_of[op.index()] as usize;
@@ -1429,7 +1791,8 @@ impl<'a> Engine<'a> {
     /// interner tables, the compatible types of every type the new one can
     /// implement if it is new, and the region's type bitset, and rewinding
     /// the region's resume watermark to the first state where a member of
-    /// the matching class was considered.
+    /// the matching class was considered (kept per class by the region).
+    /// The region's busy table widens when its next pass starts.
     fn add_instance(&mut self, ty: &ResourceType, owner: u32) {
         let inst_id = self.resources.add(ty.clone());
         let cid = self.interner.class_id(&ty.class);
@@ -1440,7 +1803,6 @@ impl<'a> Engine<'a> {
         }
         extend_compat_types(&mut self.compat_types, &self.interner);
         self.inst_type_ids.push(tid);
-        let local_of = &self.plan.local_of;
         let rt = &mut self.regions[owner as usize];
         let local = rt.insts.len();
         self.inst_local.push(local as u32);
@@ -1453,12 +1815,20 @@ impl<'a> Engine<'a> {
             rt.insts_per_class.resize(cid.index() + 1, 0);
         }
         rt.insts_per_class[cid.index()] += 1;
-        let mut resume = None;
-        for &g in &rt.members {
-            let i = g as usize;
-            if self.statics.class_id[i] == Some(cid) {
-                resume = min_opt(resume, rt.frame.first_considered[local_of[i] as usize]);
-            }
+        let resume = rt.class_considered.get(cid.index()).copied().flatten();
+        #[cfg(test)]
+        {
+            let local_of = &self.plan.local_of;
+            let scanned = rt
+                .members
+                .iter()
+                .filter(|&&g| self.statics.class_id[g as usize] == Some(cid))
+                .filter_map(|&g| rt.frame.first_considered[local_of[g as usize] as usize])
+                .min();
+            assert_eq!(
+                resume, scanned,
+                "the kept first state of a class differs from the scan's"
+            );
         }
         rt.resume = rt.resume.min(resume.unwrap_or(0));
     }
@@ -1491,108 +1861,22 @@ impl<'a> Engine<'a> {
         Admits::Yes
     }
 
-    /// Rebuilds one region's busy table, occupancy bitsets and
-    /// combinational graph from its current placement (they are pure
-    /// functions of it). Only same-region producer/consumer pairs can chain
-    /// combinationally: a cross-region value is registered by the cut rule,
-    /// so it never shares a state.
-    fn rebuild_derived(&self, cur: &mut RegionRt, fold_states: u32, ii: u32) {
-        let slots = cur.insts.len() * fold_states as usize;
-        for b in &mut cur.busy {
-            b.clear();
-        }
-        if cur.busy.len() < slots {
-            cur.busy.resize_with(slots, Vec::new);
-        }
-        cur.words = cur.insts.len().div_ceil(64);
-        cur.occupied.clear();
-        cur.occupied.resize(fold_states as usize * cur.words, 0);
-        for c in &mut cur.comb_succ {
-            c.clear();
-        }
-        if cur.comb_succ.len() < cur.insts.len() {
-            cur.comb_succ.resize_with(cur.insts.len(), Vec::new);
-            cur.comb_mark.resize(cur.insts.len(), 0);
-        }
-        for (l, &g) in cur.members.iter().enumerate() {
-            let Some(p) = &cur.frame.placed[l] else {
-                continue;
-            };
-            if let Some(r) = p.resource {
-                let local = self.inst_local[r.index()] as usize;
-                let folded = self.fold(p.state, ii) as usize;
-                cur.busy[local * fold_states as usize + folded].push(OpId::from_raw(g));
-                cur.occupied[folded * cur.words + local / 64] |= 1 << (local % 64);
-            }
-        }
-        for (l, &g) in cur.members.iter().enumerate() {
-            let Some(pc) = cur.frame.placed[l] else {
-                continue;
-            };
-            let Some(rc) = pc.resource else { continue };
-            for sig in &self.body.dfg.op(OpId::from_raw(g)).inputs {
-                if sig.distance > 0 {
-                    continue;
-                }
-                let Some(prod) = sig.producer() else { continue };
-                if self.plan.region_of[prod.index()] != self.plan.region_of[g as usize] {
-                    continue;
-                }
-                let pl = self.plan.local_of[prod.index()] as usize;
-                let Some(pp) = cur.frame.placed[pl] else {
-                    continue;
-                };
-                if pp.state == pc.state {
-                    if let Some(rp) = pp.resource {
-                        comb_add_edge(
-                            &mut cur.comb_succ,
-                            self.inst_local[rp.index()],
-                            self.inst_local[rc.index()],
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuilds one region's ready set from its current placement: every
-    /// op's rank, unplaced same-region producers and upstream release
-    /// state, and the ready bitset. Every same-region producer placed so
-    /// far is in an earlier state than any the run schedules, so it allows
-    /// chaining in all of them; an upstream producer allows the states
-    /// after its own, and upstream regions do not move while this one runs.
-    fn rebuild_ready(&self, base: u32, ridx: u32, cur: &mut RegionRt, done: &[RegionRt]) {
-        let n_local = cur.members.len();
-        cur.rank.resize(n_local, 0);
-        for (k, op) in cur.order.iter().enumerate() {
-            cur.rank[self.plan.local_of[op.index()] as usize] = k as u32;
-        }
-        cur.waiting.clear();
-        cur.waiting.resize(n_local, 0);
-        cur.release.clear();
-        cur.release.resize(n_local, 0);
-        cur.ready_bits.clear();
-        cur.ready_bits.resize(n_local.div_ceil(64), 0);
-        for (l, &g) in cur.members.iter().enumerate() {
-            if cur.frame.placed[l].is_some() {
-                continue;
-            }
-            let (mut waiting, mut release) = (0, 0);
-            for p in self.statics.producers(g as usize) {
+    /// Refreshes the first state each of `cur`'s ops with an upstream
+    /// producer may take: upstream regions ran before this one, and do not
+    /// move while it runs.
+    fn refresh_release(&self, base: u32, ridx: u32, cur: &mut RegionRt, done: &[RegionRt]) {
+        for &l in &cur.cut {
+            let g = cur.members[l as usize] as usize;
+            let mut release = 0;
+            for p in self.statics.producers(g) {
                 let pr = self.plan.region_of[p.index()];
-                let pl = self.plan.local_of[p.index()] as usize;
-                if pr == ridx {
-                    waiting += u32::from(cur.frame.placed[pl].is_none());
-                } else {
+                if pr != ridx {
+                    let pl = self.plan.local_of[p.index()] as usize;
                     let placed = done[(pr - base) as usize].frame.placed[pl];
                     release = release.max(placed.map_or(NEVER, |sp| sp.state + 1));
                 }
             }
-            cur.waiting[l] = waiting;
-            cur.release[l] = release;
-            if waiting == 0 {
-                set_bit(&mut cur.ready_bits, cur.rank[l] as usize);
-            }
+            cur.release[l as usize] = release;
         }
     }
 
@@ -1772,10 +2056,13 @@ impl<'a> Engine<'a> {
         fold_states: u32,
         sharing: bool,
     ) {
-        let n_local = cur.members.len();
-
         // --- restore ---------------------------------------------------------
+        // The kept tables follow the placement through the journal: a
+        // rewind undoes what it pops, a start from state 0 clears them.
+        cur.fit_tables(fold_states);
         let resume = cur.resume.min(latency);
+        #[cfg(test)]
+        let start = oracle::Start::of(resume, cur.marks.len());
         if resume == 0 {
             cur.reset(&self.scc_stage_input);
         } else if (resume as usize) < cur.marks.len() {
@@ -1792,8 +2079,9 @@ impl<'a> Engine<'a> {
         }
         // otherwise continue from the live frame (AddState append): the
         // marks of the existing states remain valid
-        self.rebuild_derived(cur, fold_states, ii);
-        self.rebuild_ready(base, ridx, cur, done);
+        self.refresh_release(base, ridx, cur, done);
+        #[cfg(test)]
+        oracle::check_tables(self, base, ridx, cur, done, fold_states, ii, start);
 
         // --- control steps ---------------------------------------------------
         // Within a step the busy table and the combinational graph only
@@ -1840,7 +2128,7 @@ impl<'a> Engine<'a> {
                             continue;
                         }
                         if cur.frame.first_considered[l].is_none() {
-                            cur.consider(l, state);
+                            cur.consider(l, state, self.statics.class_id[i]);
                         }
                         if admits == Admits::Yes {
                             ready.push(op_id);
@@ -1854,18 +2142,7 @@ impl<'a> Engine<'a> {
 
                 let mut placed_any = false;
                 for &op_id in &ready {
-                    match self.try_place(
-                        base,
-                        ridx,
-                        cur,
-                        done,
-                        op_id,
-                        state,
-                        ii,
-                        fold_states,
-                        sharing,
-                        false,
-                    ) {
+                    match self.try_place(base, ridx, cur, done, op_id, state, ii, sharing, false) {
                         Attempt::Placed => placed_any = true,
                         Attempt::Failed => {
                             cur.step_failed[self.plan.local_of[op_id.index()] as usize] = true;
@@ -1890,18 +2167,8 @@ impl<'a> Engine<'a> {
                     #[cfg(test)]
                     oracle::count_refresh(cur, op_id, next);
                     if next != Some(Admits::Yes) {
-                        let refresh = self.try_place(
-                            base,
-                            ridx,
-                            cur,
-                            done,
-                            op_id,
-                            state,
-                            ii,
-                            fold_states,
-                            sharing,
-                            true,
-                        );
+                        let refresh =
+                            self.try_place(base, ridx, cur, done, op_id, state, ii, sharing, true);
                         debug_assert_eq!(
                             refresh,
                             Attempt::Failed,
@@ -1918,16 +2185,17 @@ impl<'a> Engine<'a> {
 
         // --- cache the failure-report fragment -------------------------------
         cur.fail.clear();
-        if cur.frame.num_placed < n_local {
-            for (l, &g) in cur.members.iter().enumerate() {
-                if cur.frame.placed[l].is_some() {
-                    continue;
-                }
+        for w in 0..cur.unplaced.len() {
+            for l in ones(w, cur.unplaced[w]) {
+                let g = cur.members[l];
                 let i = g as usize;
                 // only report ops whose predecessors were all placed (root
                 // causes) — mirrors the monolithic failure scan, which checks
                 // data preds only
-                let preds_ok = self.statics.preds[i]
+                let preds_ok = self
+                    .statics
+                    .preds
+                    .get(i)
                     .iter()
                     .all(|&p| self.placed_of(base, ridx, cur, done, p).is_some());
                 if !preds_ok {
@@ -1944,16 +2212,14 @@ impl<'a> Engine<'a> {
                     // considered) from plain starvation
                     let blocked = {
                         let last = self.latency.saturating_sub(1);
-                        let cut_blocked = |p: &OpId| {
+                        let cut_blocked = |p: OpId| {
                             self.plan.region_of[p.index()] != ridx
                                 && self
-                                    .placed_of(base, ridx, cur, done, *p)
+                                    .placed_of(base, ridx, cur, done, p)
                                     .is_some_and(|pl| pl.state >= last)
                         };
-                        self.statics.preds[i].iter().any(cut_blocked)
-                            || self.statics.extra_preds[i].iter().any(cut_blocked)
-                            || (self.statics.has_side_effects[i]
-                                && self.statics.cond_ops[i].iter().any(cut_blocked))
+                        self.statics.producers(i).any(cut_blocked)
+                            || self.statics.cond_ops(i).any(cut_blocked)
                     };
                     let pin = self.statics.pin[i];
                     let considered = cur.frame.first_considered[l].is_some();
@@ -1984,7 +2250,6 @@ impl<'a> Engine<'a> {
         op_id: OpId,
         state: u32,
         ii: u32,
-        fold_states: u32,
         sharing: bool,
         refresh: bool,
     ) -> Attempt {
@@ -2010,12 +2275,10 @@ impl<'a> Engine<'a> {
             };
             in_arrivals.push(a);
         }
-        if self.statics.has_side_effects[i] {
-            for &cond in &self.statics.cond_ops[i] {
-                match self.input_arrival(base, ridx, cur, done, cond, state) {
-                    Some(a) => in_arrivals.push(a),
-                    None => inputs_ready = false,
-                }
+        for cond in self.statics.cond_ops(i) {
+            match self.input_arrival(base, ridx, cur, done, cond, state) {
+                Some(a) => in_arrivals.push(a),
+                None => inputs_ready = false,
             }
         }
         if !inputs_ready {
@@ -2062,7 +2325,6 @@ impl<'a> Engine<'a> {
             region: ridx,
             state,
             folded: self.fold(state, ii),
-            fold_states,
         };
         #[cfg(test)]
         let walked = self.walk(cur, op_id, at, base_a, share, sharing);
@@ -2075,7 +2337,7 @@ impl<'a> Engine<'a> {
             // restraints and waits for a later step.
             Scan::Bound { .. } if refresh => {
                 debug_assert!(
-                    !self.statics.pred_lits[i].lits.is_empty(),
+                    !self.statics.lits.get(i).is_empty(),
                     "a failed placement succeeded later in its step"
                 );
                 Attempt::Failed
@@ -2085,19 +2347,20 @@ impl<'a> Engine<'a> {
                 arrival,
                 slack,
             } => {
-                let local = local as usize;
                 // the scan left the op's chained producers in `chain_from`
-                for &from in &cur.chain_from {
-                    comb_add_edge(&mut cur.comb_succ, from, local as u32);
+                for k in 0..cur.chain_from.len() {
+                    cur.chain(cur.chain_from[k], local);
                 }
-                cur.busy[local * fold_states as usize + at.folded as usize].push(op_id);
-                cur.occupied[at.folded as usize * cur.words + local / 64] |= 1 << (local % 64);
                 let placed = PlacedOp {
                     state,
-                    resource: Some(cur.insts[local]),
+                    resource: Some(cur.insts[local as usize]),
                     arrival,
                 };
-                cur.place(l, placed, Some(slack));
+                let seat = Seat {
+                    folded: at.folded,
+                    local,
+                };
+                cur.place(l, placed, Some((seat, slack)));
                 // pin the SCC stage on first placement
                 if let Some(scc) = self.statics.scc_of[i] {
                     if cur.frame.scc_dyn_stage[scc as usize].is_none() {
@@ -2178,14 +2441,12 @@ impl<'a> Engine<'a> {
     /// as unsteerable) — and only when both are [`steerable`](Self::steerable)
     /// there.
     fn busy_conflict(&self, cur: &RegionRt, op_id: OpId, at: Slot, l: usize) -> bool {
-        let slot = l * at.fold_states as usize + at.folded as usize;
-        cur.busy[slot].iter().any(|other| {
-            let ol = self.plan.local_of[other.index()] as usize;
+        cur.bound_in(cur.slot(at.folded, l)).any(|ol| {
+            let other = cur.members[ol] as usize;
             !cur.frame.placed[ol].is_some_and(|p| p.state == at.state)
-                || !self.statics.pred_lits[other.index()]
-                    .mutually_exclusive(&self.statics.pred_lits[op_id.index()])
+                || !self.statics.mutually_exclusive(other, op_id.index())
                 || !self.steerable(cur, op_id, at.state)
-                || !self.steerable(cur, *other, at.state)
+                || !self.steerable(cur, OpId::from_raw(other as u32), at.state)
         })
     }
 
@@ -2195,8 +2456,9 @@ impl<'a> Engine<'a> {
     /// step (the binder refuses the slot as unsteerable otherwise); a
     /// condition in another region counts as unknown.
     fn steerable(&self, cur: &RegionRt, op: OpId, state: u32) -> bool {
-        self.statics.pred_lits[op.index()]
+        self.statics
             .lits
+            .get(op.index())
             .iter()
             .all(|&(cond, _, _)| {
                 let cl = self.plan.local_of[cond.index()] as usize;
@@ -2262,7 +2524,7 @@ impl<'a> Engine<'a> {
                 let allowed = word & !forbid.get(w).copied().unwrap_or(0);
                 let mut busy = allowed & occupied[w];
                 // only a predicated op can share an occupied instance
-                if !self.statics.pred_lits[i].is_true {
+                if !self.statics.lits.get(i).is_empty() {
                     for l in ones(w, busy) {
                         if !self.busy_conflict(cur, op_id, at, l) {
                             busy &= !(1 << (l % 64));
@@ -2384,7 +2646,8 @@ impl<'a> Engine<'a> {
     ) -> Scan<Vec<Restraint>> {
         let i = op_id.index();
         let op = self.body.dfg.op(op_id);
-        let required = self.statics.required_ty[i].as_ref().expect("datapath op");
+        let required_id = self.statics.required_type_id[i].expect("datapath op");
+        let required = self.interner.ty(required_id);
         let mut reasons: Vec<Restraint> = Vec::new();
         let mut tried_any = false;
         for local in 0..cur.insts.len() {
@@ -2394,14 +2657,12 @@ impl<'a> Engine<'a> {
                 continue;
             }
             tried_any = true;
-            let slot = local * at.fold_states as usize + at.folded as usize;
-            let conflict = cur.busy[slot].iter().any(|other| {
-                let ol = self.plan.local_of[other.index()] as usize;
+            let conflict = cur.bound_in(cur.slot(at.folded, local)).any(|ol| {
+                let other = cur.members[ol] as usize;
                 !cur.frame.placed[ol].is_some_and(|p| p.state == at.state)
-                    || !self.statics.pred_lits[other.index()]
-                        .mutually_exclusive(&self.statics.pred_lits[i])
+                    || !self.statics.mutually_exclusive(other, i)
                     || !self.steerable(cur, op_id, at.state)
-                    || !self.steerable(cur, *other, at.state)
+                    || !self.steerable(cur, OpId::from_raw(other as u32), at.state)
             });
             if conflict {
                 count_contention(&mut reasons, op_id, ty, 1);
@@ -2480,12 +2741,23 @@ impl<'a> Engine<'a> {
         } else {
             // the public restraints are built here, from each region's
             // fragment and reason arena, and nowhere else
-            let mut frags: Vec<(OpId, Fail, &RegionRt)> = regions
-                .iter()
-                .flat_map(|rt| rt.fail.iter().map(move |&(op, fail)| (op, fail, rt)))
-                .collect();
+            let mut frags: Vec<(OpId, Fail, &RegionRt)> =
+                Vec::with_capacity(regions.iter().map(|rt| rt.fail.len()).sum());
+            for rt in regions {
+                frags.extend(rt.fail.iter().map(|&(op, fail)| (op, fail, rt)));
+            }
             frags.sort_unstable_by_key(|&(op, ..)| op);
-            let mut failure = PassFailure::default();
+            let restraints = frags
+                .iter()
+                .map(|(_, fail, _)| match fail {
+                    Fail::Attempted(span) => span.end - span.start,
+                    _ => 1,
+                })
+                .sum();
+            let mut failure = PassFailure {
+                failed_ops: Vec::with_capacity(frags.len()),
+                restraints: Vec::with_capacity(restraints),
+            };
             for (op, fail, rt) in frags {
                 failure.failed_ops.push(op);
                 let restraints = &mut failure.restraints;
@@ -2498,10 +2770,10 @@ impl<'a> Engine<'a> {
                     Fail::StateExhausted => restraints.push(Restraint::StateExhausted { op }),
                     Fail::Pin(pin) => restraints.push(Restraint::PinUnreached { op, pin }),
                     Fail::Starved => {
-                        if let Some(ty) = &self.statics.required_ty[op.index()] {
+                        if let Some(tid) = self.statics.required_type_id[op.index()] {
                             restraints.push(Restraint::ResourceContention {
                                 op,
-                                ty: ty.clone(),
+                                ty: self.interner.ty(tid).clone(),
                                 instances: 1,
                             });
                         }
@@ -2524,25 +2796,28 @@ impl<'a> Engine<'a> {
     /// Extracts the schedule after a successful pass, consuming the engine
     /// (the resource set is moved, not cloned).
     pub(crate) fn into_desc(self) -> ScheduleDesc {
-        let mut ops = std::collections::BTreeMap::new();
+        let mut ops: Vec<(OpId, ScheduledOp)> = Vec::with_capacity(self.statics.n);
         for rt in &self.regions {
             for (l, &g) in rt.members.iter().enumerate() {
                 let p = rt.frame.placed[l].expect("into_desc requires a complete schedule");
-                let id = OpId::from_raw(g);
-                ops.insert(
-                    id,
-                    ScheduledOp {
-                        op: id,
-                        state: p.state,
-                        resource: p.resource,
-                    },
-                );
+                let op = OpId::from_raw(g);
+                let scheduled = ScheduledOp {
+                    op,
+                    state: p.state,
+                    resource: p.resource,
+                };
+                ops.push((op, scheduled));
             }
+        }
+        // the trivial plan's one region lists its ops in id order
+        if !self.plan.is_trivial() {
+            ops.sort_unstable_by_key(|&(op, _)| op);
         }
         ScheduleDesc {
             num_states: self.latency,
             ii: self.config.pipeline.map(|p| p.ii),
-            ops,
+            // built in bulk from the sorted pairs
+            ops: ops.into_iter().collect(),
             resources: self.resources,
         }
     }
@@ -2584,11 +2859,14 @@ fn comb_would_create_cycle(
     false
 }
 
-fn comb_add_edge(succ: &mut [Vec<u32>], from: u32, to: u32) {
+/// Adds the edge `from → to` unless `succ` has it; says whether it did.
+fn comb_add_edge(succ: &mut [Vec<u32>], from: u32, to: u32) -> bool {
     let entry = &mut succ[from as usize];
-    if !entry.contains(&to) {
+    let new = !entry.contains(&to);
+    if new {
         entry.push(to);
     }
+    new
 }
 
 fn min_opt(a: Option<u32>, b: Option<u32>) -> Option<u32> {
@@ -2599,28 +2877,10 @@ fn min_opt(a: Option<u32>, b: Option<u32>) -> Option<u32> {
     }
 }
 
-/// Region `r`'s same-region consumer lists (see [`RegionRt::consumers`]).
-fn region_consumers(statics: &PassStatics, plan: &RegionPlan, r: usize) -> Vec<Vec<u32>> {
-    let members = &plan.regions[r].ops;
-    let mut consumers = vec![Vec::new(); members.len()];
-    for (l, &g) in members.iter().enumerate() {
-        for p in statics.producers(g as usize) {
-            if plan.region_of[p.index()] as usize == r {
-                consumers[plan.local_of[p.index()] as usize].push(l as u32);
-            }
-        }
-    }
-    consumers
-}
-
-/// Ready-list capacity hint: an even split of the ops over the regions.
-fn regions_capacity_hint(n: usize, num_regions: usize) -> usize {
-    n / num_regions.max(1) + 1
-}
-
 /// The test-build oracles: the walk that checks every placement scan, the
 /// full scan of the priority order that checks every ready list, the
-/// cloned frames that check every rewind, and the coverage they report.
+/// cloned frames that check every rewind, the rebuilds that check the kept
+/// tables as every region pass starts, and the coverage they report.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -2664,6 +2924,12 @@ mod oracle {
         pub(crate) refreshes: u64,
         pub(crate) pin_refreshes: u64,
         pub(crate) window_refreshes: u64,
+        /// Region passes whose kept tables were checked against their
+        /// rebuilds, by how they started: from state 0 as a run's first
+        /// pass, from state 0 again, from the live frame, and after a
+        /// rewind that followed `AddState`, `AddResource`,
+        /// `AddResourceBatch`, `MoveScc` and `ForbidBinding`.
+        pub(crate) tables: [u64; 8],
     }
 
     impl std::ops::AddAssign for Coverage {
@@ -2685,7 +2951,220 @@ mod oracle {
             self.refreshes += o.refreshes;
             self.pin_refreshes += o.pin_refreshes;
             self.window_refreshes += o.window_refreshes;
+            for (a, b) in self.tables.iter_mut().zip(o.tables) {
+                *a += b;
+            }
         }
+    }
+
+    /// How a region pass starts: from state 0, from the live frame (an
+    /// `AddState` appending a state), or by a rewind to a step that ran.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum Start {
+        Reset,
+        Continue,
+        Rewind,
+    }
+
+    impl Start {
+        /// The start of a pass resuming at `resume` over `marks` steps run.
+        pub(super) fn of(resume: u32, marks: usize) -> Self {
+            if resume == 0 {
+                Start::Reset
+            } else if (resume as usize) < marks {
+                Start::Rewind
+            } else {
+                Start::Continue
+            }
+        }
+    }
+
+    /// The tables a region derives from its placement (see
+    /// [`rebuild_derived`]), with every busy list and every adjacency
+    /// list sorted.
+    #[derive(PartialEq)]
+    pub(super) struct Derived {
+        busy: Vec<Vec<u32>>,
+        occupied: Vec<u64>,
+        comb_succ: Vec<Vec<u32>>,
+    }
+
+    /// The ready set a region derives from its placement and the upstream
+    /// regions' (see [`rebuild_ready`]).
+    #[derive(PartialEq)]
+    pub(super) struct Ready {
+        rank: Vec<u32>,
+        waiting: Vec<u32>,
+        release: Vec<u32>,
+        ready_bits: Vec<u64>,
+        unplaced: Vec<u64>,
+    }
+
+    /// Rebuilds one region's busy table, occupancy bitsets and
+    /// combinational graph from its current placement (they are pure
+    /// functions of it), as every pass did before the journal kept them.
+    /// Only same-region producer/consumer pairs can chain combinationally:
+    /// a cross-region value is registered by the cut rule, so it never
+    /// shares a state.
+    pub(super) fn rebuild_derived(
+        engine: &Engine,
+        cur: &RegionRt,
+        fold_states: u32,
+        ii: u32,
+    ) -> Derived {
+        let words = cur.insts.len().div_ceil(64);
+        let mut busy = vec![Vec::new(); fold_states as usize * words * 64];
+        let mut occupied = vec![0u64; fold_states as usize * words];
+        let mut comb_succ = vec![Vec::new(); cur.insts.len()];
+        for (l, &g) in cur.members.iter().enumerate() {
+            let Some(pc) = cur.frame.placed[l] else {
+                continue;
+            };
+            let Some(rc) = pc.resource else { continue };
+            let local = engine.inst_local[rc.index()] as usize;
+            let folded = engine.fold(pc.state, ii) as usize;
+            busy[folded * words * 64 + local].push(l as u32);
+            occupied[folded * words + local / 64] |= 1 << (local % 64);
+            for sig in &engine.body.dfg.op(OpId::from_raw(g)).inputs {
+                if sig.distance > 0 {
+                    continue;
+                }
+                let Some(prod) = sig.producer() else { continue };
+                if engine.plan.region_of[prod.index()] != engine.plan.region_of[g as usize] {
+                    continue;
+                }
+                let pl = engine.plan.local_of[prod.index()] as usize;
+                let Some(pp) = cur.frame.placed[pl] else {
+                    continue;
+                };
+                if pp.state == pc.state {
+                    if let Some(rp) = pp.resource {
+                        comb_add_edge(&mut comb_succ, engine.inst_local[rp.index()], local as u32);
+                    }
+                }
+            }
+        }
+        for list in &mut comb_succ {
+            list.sort_unstable();
+        }
+        Derived {
+            busy,
+            occupied,
+            comb_succ,
+        }
+    }
+
+    /// Rebuilds one region's ready set from its current placement: every
+    /// op's rank, unplaced same-region producers and upstream release
+    /// state, the ready bitset and the unplaced ops, as every pass did
+    /// before the journal kept them. Every same-region producer placed so
+    /// far is in an earlier state than any the run schedules, so it allows
+    /// chaining in all of them; an upstream producer allows the states
+    /// after its own, and upstream regions do not move while this one runs.
+    pub(super) fn rebuild_ready(
+        engine: &Engine,
+        base: u32,
+        ridx: u32,
+        cur: &RegionRt,
+        done: &[RegionRt],
+    ) -> Ready {
+        let n_local = cur.members.len();
+        let mut rank = vec![0; n_local];
+        for (k, op) in cur.order.iter().enumerate() {
+            rank[engine.plan.local_of[op.index()] as usize] = k as u32;
+        }
+        let mut waiting = vec![0; n_local];
+        let mut release = vec![0; n_local];
+        let mut ready_bits = vec![0; n_local.div_ceil(64)];
+        let mut unplaced = vec![0; n_local.div_ceil(64)];
+        for (l, &g) in cur.members.iter().enumerate() {
+            for p in engine.statics.producers(g as usize) {
+                let pr = engine.plan.region_of[p.index()];
+                let pl = engine.plan.local_of[p.index()] as usize;
+                if pr == ridx {
+                    waiting[l] += u32::from(cur.frame.placed[pl].is_none());
+                } else {
+                    let placed = done[(pr - base) as usize].frame.placed[pl];
+                    release[l] = release[l].max(placed.map_or(NEVER, |sp| sp.state + 1));
+                }
+            }
+            if cur.frame.placed[l].is_none() {
+                put_bit(&mut unplaced, l, true);
+                put_bit(&mut ready_bits, rank[l] as usize, waiting[l] == 0);
+            }
+        }
+        Ready {
+            rank,
+            waiting,
+            release,
+            ready_bits,
+            unplaced,
+        }
+    }
+
+    /// Asserts that the tables `cur` keeps through the journal equal their
+    /// rebuilds from the placement as a pass starts, and counts the check
+    /// by how the pass started.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn check_tables(
+        engine: &Engine,
+        base: u32,
+        ridx: u32,
+        cur: &mut RegionRt,
+        done: &[RegionRt],
+        fold_states: u32,
+        ii: u32,
+        start: Start,
+    ) {
+        let derived = rebuild_derived(engine, cur, fold_states, ii);
+        let kept = Derived {
+            busy: (0..cur.busy.len())
+                .map(|slot| {
+                    let mut list: Vec<u32> = cur.bound_in(slot).map(|l| l as u32).collect();
+                    list.sort_unstable();
+                    list
+                })
+                .collect(),
+            occupied: cur.occupied.clone(),
+            comb_succ: cur
+                .comb_succ
+                .iter()
+                .map(|list| {
+                    let mut list = list.clone();
+                    list.sort_unstable();
+                    list
+                })
+                .collect(),
+        };
+        assert!(
+            kept == derived,
+            "region {ridx}'s kept busy table, occupancy or combinational graph differs from its \
+             rebuild ({start:?})"
+        );
+        let ready = rebuild_ready(engine, base, ridx, cur, done);
+        let kept = Ready {
+            rank: cur.rank.clone(),
+            waiting: cur.waiting.clone(),
+            release: cur.release.clone(),
+            ready_bits: cur.ready_bits.clone(),
+            unplaced: cur.unplaced.clone(),
+        };
+        assert!(
+            kept == ready,
+            "region {ridx}'s kept ready set differs from its rebuild ({start:?})"
+        );
+        let kind = match (start, &engine.last_action) {
+            (Start::Reset, None) => 0,
+            (Start::Reset, Some(_)) => 1,
+            (Start::Continue, _) => 2,
+            (Start::Rewind, Some(RelaxAction::AddState)) => 3,
+            (Start::Rewind, Some(RelaxAction::AddResource(_))) => 4,
+            (Start::Rewind, Some(RelaxAction::AddResourceBatch { .. })) => 5,
+            (Start::Rewind, Some(RelaxAction::MoveScc { .. })) => 6,
+            (Start::Rewind, Some(RelaxAction::ForbidBinding { .. })) => 7,
+            (Start::Rewind, None) => unreachable!("a rewind follows an action"),
+        };
+        cur.coverage.tables[kind] += 1;
     }
 
     thread_local! {
@@ -3081,11 +3560,14 @@ mod tests {
                 .collect();
             expected.sort_unstable();
             expected.dedup();
-            let mut flips: Vec<(usize, bool)> =
-                priority_flips(&engine.statics, &mut engine.order.clone(), latency)
-                    .iter()
-                    .map(|f| (f.op.index(), f.leaving))
-                    .collect();
+            let mut flips: Vec<(usize, bool)> = priority_flips(
+                &engine.statics,
+                &mut order_for(&engine.statics, latency),
+                latency,
+            )
+            .iter()
+            .map(|f| (f.op.index(), f.leaving))
+            .collect();
             flips.sort_unstable();
             assert_eq!(flips, expected, "{label} L{latency}: flip set");
 
@@ -3118,8 +3600,16 @@ mod tests {
             engine.apply(&RelaxAction::AddState, &[]);
             let got: Vec<u32> = engine.regions.iter().map(|rt| rt.resume).collect();
             assert_eq!(got, resumes, "{label} L{latency}: resume states");
-            let order = positions(&engine.order);
-            assert_eq!(order, new, "{label} L{latency}: new order");
+            let next = order_for(&engine.statics, latency + 1);
+            for (r, rt) in engine.regions.iter().enumerate() {
+                let own = next
+                    .iter()
+                    .filter(|op| engine.plan.region_of[op.index()] as usize == r);
+                assert!(
+                    rt.order.iter().eq(own),
+                    "{label} L{latency}: region {r}'s new order"
+                );
+            }
         }
         (early, appended)
     }
@@ -3273,6 +3763,47 @@ mod tests {
             cov.wide > 0 && cov.shared > 0 && cov.forbidden > 0,
             "the corpus must reach pools past 64 instances, a predicated op \
              sharing an occupied instance and a forbidden instance: {cov:?}"
+        );
+    }
+
+    /// Every region pass of the runs over the oracle corpus starts with its
+    /// kept tables (busy table, occupancy bits, combinational graph, ranks,
+    /// waiting counts, release states, ready bits and unplaced ops)
+    /// checked against their rebuilds from the placement (see
+    /// `oracle::check_tables`). The corpus is run as generated and with
+    /// the pins of [`pinned`]. Sequentially and at II = 2 it must check
+    /// passes that start from state 0 again and passes resumed by a rewind;
+    /// over its four configurations, a pass after each way of starting one.
+    #[test]
+    fn kept_tables_match_their_rebuilds_on_generated_designs() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let (bodies, configs) = oracle_corpus();
+        let _ = oracle::take();
+        let mut tables = [0u64; 8];
+        for (c, config) in configs.iter().enumerate() {
+            for body in &bodies {
+                if let Ok(s) = Scheduler::new(body, &lib, config.clone()).run() {
+                    let _ = Scheduler::new(&pinned(body, &s.desc), &lib, config.clone()).run();
+                }
+            }
+            let cov = oracle::take();
+            // the first two configurations: sequential, and II = 2
+            if c < 2 {
+                assert!(
+                    cov.tables[1] > 0 && cov.tables[3..].iter().sum::<u64>() > 0,
+                    "{config:?}: {:?}",
+                    cov.tables
+                );
+            }
+            for (a, b) in tables.iter_mut().zip(cov.tables) {
+                *a += b;
+            }
+        }
+        assert!(
+            tables.iter().all(|&n| n > 0),
+            "the corpus must check a run's first pass, a pass from state 0 again, \
+             one from the live frame, and one after a rewind following each \
+             kind of action: {tables:?}"
         );
     }
 
